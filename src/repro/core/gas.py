@@ -192,7 +192,6 @@ def run_gas(
     num_machines: int = 1,
     netmodel: NetworkModel | None = None,
     asynchronous: bool = False,
-    parallel_compute: bool = False,
     session: GraphSession | None = None,
 ) -> GASRun:
     """Execute a vertex program for up to ``iterations`` supersteps.
@@ -245,7 +244,7 @@ def run_gas(
 
         result = sess.run_batch(
             tasks, combiner=gas_combiner, asynchronous=asynchronous,
-            parallel_compute=parallel_compute, max_supersteps=iterations,
+            max_supersteps=iterations,
         )
         values = np.empty(pg.num_vertices, dtype=np.float64)
         for t in tasks:

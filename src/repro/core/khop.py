@@ -346,7 +346,6 @@ def concurrent_khop(
     asynchronous: bool = False,
     record_depths: bool = False,
     max_supersteps: int | None = None,
-    parallel_compute: bool = False,
     session: GraphSession | None = None,
     max_virtual_seconds: float | None = None,
     direction: str = "auto",
@@ -368,9 +367,6 @@ def concurrent_khop(
         Also return a dense ``(n, num_queries)`` hop-depth matrix (-1 =
         unreached).  Costs O(n·Q) memory — the paper's §3.3 level-limited
         mode is the default (depths off).
-    parallel_compute:
-        Run the per-machine compute phase on one thread per machine
-        (synchronous mode only); answers are identical.
     session:
         A persistent :class:`~repro.runtime.session.GraphSession` to run the
         batch on; its graph/cluster are reused and its cached task list is
@@ -496,7 +492,6 @@ def concurrent_khop(
             tasks,
             combiner=combine_or,
             asynchronous=asynchronous,
-            parallel_compute=parallel_compute,
             max_supersteps=cap,
             on_step=on_step,
             max_virtual_seconds=max_virtual_seconds,

@@ -71,7 +71,6 @@ def pagerank(
     netmodel: NetworkModel | None = None,
     tolerance: float | None = None,
     asynchronous: bool = False,
-    parallel_compute: bool = False,
     session=None,
 ) -> GASRun:
     """Run PageRank; returns a :class:`~repro.core.gas.GASRun`.
@@ -87,6 +86,5 @@ def pagerank(
         num_machines=num_machines,
         netmodel=netmodel,
         asynchronous=asynchronous,
-        parallel_compute=parallel_compute,
         session=session,
     )

@@ -35,6 +35,7 @@ __all__ = [
     "Overloaded",
     "InvalidQueryError",
     "MutationError",
+    "UnsupportedConfigError",
     "DurabilityError",
     "CorruptLog",
     "CorruptCheckpoint",
@@ -85,6 +86,12 @@ class MutationError(ReproError, ValueError):
     """An edge mutation (or the graph it targets) failed validation: ids
     out of range, a weighted or duplicated base graph, or a request the
     dynamic layer cannot represent (e.g. growing the vertex set)."""
+
+
+class UnsupportedConfigError(ReproError, ValueError):
+    """Two settings that cannot be combined were requested together (e.g.
+    fault injection on the asynchronous engine).  Raised where the
+    combination is first known — at construction, before any work runs."""
 
 
 class DurabilityError(ReproError, RuntimeError):

@@ -195,12 +195,24 @@ class TokenBucket:
             self.tokens = min(self.burst, self.tokens + elapsed * self.rate)
             self.updated = now
 
+    def wait(self) -> float:
+        """Virtual seconds until one token is available at the current fill
+        (0.0 when one already is).  Reads the bucket; never refills it."""
+        if self.tokens >= 1.0:
+            return 0.0
+        return (1.0 - self.tokens) / self.rate
+
     def ready_time(self, now: float) -> float:
         """Earliest virtual time >= ``now`` at which one token is available."""
         self._refill(now)
-        if self.tokens >= 1.0:
-            return now
-        return now + (1.0 - self.tokens) / self.rate
+        wait = self.wait()
+        return now + wait if wait else now
+
+    def available(self, now: float) -> int:
+        """Whole tokens on hand at virtual time ``now`` (negative balances —
+        overdraft — report as 0)."""
+        self._refill(now)
+        return int(self.tokens)
 
     def take(self, now: float) -> None:
         """Consume one token at virtual time ``now``."""

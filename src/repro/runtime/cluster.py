@@ -61,11 +61,12 @@ class SimCluster:
         engine reads it per superstep); the no-op null by default.
     fault_plan:
         A :class:`~repro.runtime.fault.FaultPlan` of simulated machine
-        faults; the engine routes through its resilient checkpoint/replay
-        path whenever one is armed.  None (default) = fault-free.
+        faults; while one is armed the engine checkpoints at barriers and
+        injected crashes are recovered by replay.  None (default) =
+        fault-free, and nothing is ever snapshotted.
     fault_tolerance:
-        :class:`~repro.runtime.fault.FaultTolerance` knobs for the resilient
-        path (checkpoint interval, recovery budget); defaults if omitted.
+        :class:`~repro.runtime.fault.FaultTolerance` knobs for recovery
+        (checkpoint interval, recovery budget); defaults if omitted.
     """
 
     def __init__(

@@ -5,7 +5,7 @@ are synchronized after each iteration"): every machine's outbox is combined
 per destination, charged to the sender's :class:`StepStats`, and delivered.
 
 Asynchronous mode delivers one machine's outbox immediately (used by the
-engine's async loop, §3.3: "the vertex value will be asynchronously
+engine's asynchronous step, §3.3: "the vertex value will be asynchronously
 updated").
 """
 

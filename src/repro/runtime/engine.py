@@ -1,4 +1,4 @@
-"""The superstep execution engine driving partition-centric tasks (§3.3).
+"""The superstep protocol (§3.3): one driver, two executors.
 
 Algorithms plug in one :class:`PartitionTask` per machine.  Each superstep:
 
@@ -10,10 +10,18 @@ Algorithms plug in one :class:`PartitionTask` per machine.  Each superstep:
 4. every task *finalizes* (rotates frontiers) and votes whether it is still
    active — the distributed analog of ``voteToHalt``.
 
-The engine counts work into :class:`~repro.runtime.netmodel.StepStats` and
-advances a :class:`~repro.runtime.netmodel.VirtualClock` using the cluster's
-:class:`~repro.runtime.netmodel.NetworkModel`, so every run yields both the
-answer and its virtual-time cost.
+:func:`run_supersteps` is the only loop over supersteps in the runtime.  It
+owns everything a run accounts for — the virtual clock advanced from the
+counted :class:`~repro.runtime.netmodel.StepStats`, the per-step history,
+the step and deadline caps, telemetry, the recovery budget, the rewind to
+the last checkpoint and the :class:`EngineResult` — so every run yields both
+the answer and its virtual-time cost, identically on either backend.
+
+An *executor* supplies only how one step runs and how task state is saved
+and restored (``step``, ``checkpoint``, ``recover``, ``deliver`` — see
+:class:`SuperstepEngine`).  There are two: :class:`SuperstepEngine` (every
+machine serially in this process) and
+:class:`~repro.runtime.pool.WorkerPool` (one OS process per machine).
 """
 
 from __future__ import annotations
@@ -23,12 +31,21 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.errors import CheckpointError, UnsupportedConfigError, WorkerLost
 from repro.runtime.cluster import SimCluster
 from repro.runtime.comm import deliver_async, exchange_sync
+from repro.runtime.fault import CRASH, DELAY, FaultTolerance
 from repro.runtime.message import combine_or
 from repro.runtime.netmodel import StepStats, VirtualClock
+from repro.runtime.supervisor import Checkpoint, WorkerFailure
 
-__all__ = ["PartitionTask", "SuperstepEngine", "EngineResult", "emit_superstep"]
+__all__ = [
+    "PartitionTask",
+    "SuperstepEngine",
+    "EngineResult",
+    "emit_superstep",
+    "run_supersteps",
+]
 
 
 def emit_superstep(
@@ -44,10 +61,9 @@ def emit_superstep(
 ) -> None:
     """Record one superstep on the telemetry facade.
 
-    Shared by the in-process engine and the pool coordinator so both
-    backends emit identical span taxonomies; the pool additionally passes
-    per-worker wall-clock compute times (``wall_compute``), which the facade
-    attaches to the per-machine compute spans alongside the virtual cost.
+    The pool executor reports per-worker wall-clock compute times
+    (``wall_compute``), which the facade attaches to the per-machine
+    compute spans alongside the virtual cost; in-process it is None.
     """
     now = clock.now
     instr.on_superstep(
@@ -95,16 +111,12 @@ class PartitionTask(ABC):
 
     def checkpoint(self):
         """Snapshot this task's per-run state at a superstep barrier."""
-        from repro.errors import CheckpointError
-
         raise CheckpointError(
             f"{type(self).__name__} does not support checkpoint/replay"
         )
 
     def restore(self, state) -> None:
         """Adopt a state previously returned by :meth:`checkpoint`."""
-        from repro.errors import CheckpointError
-
         raise CheckpointError(
             f"{type(self).__name__} does not support checkpoint/replay"
         )
@@ -165,13 +177,123 @@ class EngineResult:
         return rows
 
 
+class _StepFailures(Exception):
+    """Internal: one superstep's collected machine failures (recoverable)."""
+
+    def __init__(self, failures: list[WorkerFailure]):
+        super().__init__(f"{len(failures)} worker failure(s)")
+        self.failures = failures
+
+
+def run_supersteps(
+    executor,
+    max_supersteps: int | None = None,
+    on_step=None,
+    max_virtual_seconds: float | None = None,
+) -> EngineResult:
+    """Drive ``executor`` until every task votes to halt (or a cap).
+
+    ``max_virtual_seconds`` is a per-batch deadline on the virtual clock:
+    the run stops at the first barrier at or past it and the result is
+    marked ``truncated`` — on modelled time, so both executors truncate at
+    the identical superstep.
+
+    A step that raises :class:`_StepFailures` costs one recovery per
+    failure: every task is rolled back to the last checkpoint, the clock
+    and history are rewound to that barrier, and the run re-executes from
+    there.  Replay is deterministic — ``on_step`` sees identical arguments
+    the second time — so recovered runs return bit-identical results.  Past
+    ``fault_tolerance.max_recoveries`` the run raises
+    :class:`~repro.errors.WorkerLost`.
+    """
+    ft = executor.fault_tolerance
+    netmodel = executor.netmodel
+    # telemetry: one flag check per superstep when disabled (the null
+    # facade), spans + counters per superstep when enabled
+    instr = executor.instr
+    tracing = instr.enabled
+    vbase = instr.tracer.virtual_now if tracing else 0.0
+    clock = VirtualClock()
+    history: list[list[StepStats]] = []
+    step = 0
+    active = True
+    recoveries = 0
+    # Telemetry high-water mark: replayed supersteps must not re-emit
+    # spans/metrics, or recovered runs would double-count.
+    emitted = 0
+
+    def snapshot() -> Checkpoint | None:
+        states = executor.checkpoint()
+        if states is None:
+            return None
+        return Checkpoint(step, states, list(clock.per_step), list(history))
+
+    ckpt = snapshot()
+    while active and (max_supersteps is None or step < max_supersteps) and (
+        max_virtual_seconds is None or clock.now < max_virtual_seconds
+    ):
+        wall0 = time.perf_counter() if tracing else 0.0
+        try:
+            votes, stats, probes, walls = executor.step(step)
+        except _StepFailures as exc:
+            recoveries += len(exc.failures)
+            for f in exc.failures:
+                instr.on_fault(f.kind)
+            if recoveries > ft.max_recoveries:
+                raise WorkerLost(
+                    f"recovery budget exhausted ({recoveries} > "
+                    f"{ft.max_recoveries}) at superstep {step}: "
+                    + "; ".join(str(f) for f in exc.failures)
+                )
+            executor.recover(exc.failures, step, ckpt)
+            step = ckpt.step
+            clock = VirtualClock()
+            for seconds in ckpt.per_step_seconds:
+                clock.advance(seconds)
+            history = list(ckpt.history)
+            active = True
+            instr.on_recovery()
+            continue
+        active = any(votes)
+        now = clock.advance(netmodel.superstep_seconds(stats))
+        if tracing and step >= emitted:
+            emit_superstep(
+                instr, netmodel, step, stats, clock, vbase,
+                wall0, time.perf_counter(), wall_compute=walls,
+            )
+            emitted = step + 1
+        history.append(stats)
+        step += 1
+        if on_step is not None:
+            executor.deliver(on_step, step - 1, stats, now, probes)
+        if ckpt is not None and active and step % ft.checkpoint_interval == 0:
+            ckpt = snapshot()
+            instr.on_checkpoint()
+    if tracing:
+        instr.tracer.virtual_now = vbase + clock.now
+    return EngineResult(
+        supersteps=step,
+        virtual_seconds=clock.now,
+        per_step_seconds=list(clock.per_step),
+        per_step_stats=history,
+        truncated=bool(
+            active
+            and max_virtual_seconds is not None
+            and clock.now >= max_virtual_seconds
+        ),
+    )
+
+
 class SuperstepEngine:
-    """Runs a set of partition tasks to quiescence.
+    """The in-process executor: a set of partition tasks on a cluster.
 
     Parameters
     ----------
     cluster:
-        The simulated cluster (machines must align with ``tasks``).
+        The simulated cluster (machines must align with ``tasks``).  When
+        it has a :class:`~repro.runtime.fault.FaultPlan` armed, the engine
+        checkpoints at barriers and injected crashes are recovered by
+        replay; otherwise no state is ever snapshotted.
     tasks:
         One task per machine, same order as ``cluster.machines``.
     combiner:
@@ -180,12 +302,6 @@ class SuperstepEngine:
         When True, each machine's outbox is delivered immediately after its
         compute and inboxes are drained within the same round (§3.3 async
         update model); the cost model then overlaps compute/communication.
-    parallel_compute:
-        When True (synchronous mode only), the compute phase runs one thread
-        per machine.  Each task touches only its own state and outbox, and
-        numpy kernels release the GIL, so per-machine compute genuinely
-        overlaps on multicore hosts.  Results are bit-identical to the
-        serial loop; only wall-clock time changes.
     """
 
     def __init__(
@@ -194,19 +310,22 @@ class SuperstepEngine:
         tasks: list[PartitionTask],
         combiner=combine_or,
         asynchronous: bool = False,
-        parallel_compute: bool = False,
     ):
         if len(tasks) != cluster.num_machines:
             raise ValueError("one task per machine required")
-        if asynchronous and parallel_compute:
-            raise ValueError(
-                "parallel_compute requires the synchronous barrier model"
+        injector = cluster.fault_injector
+        self._injector = injector if injector and injector.events else None
+        if asynchronous and self._injector is not None:
+            raise UnsupportedConfigError(
+                "fault injection requires the synchronous engine: a crash is "
+                "recovered by replay from a superstep barrier"
             )
         self.cluster = cluster
         self.tasks = tasks
         self.combiner = combiner
         self.asynchronous = asynchronous
-        self.parallel_compute = parallel_compute
+        self.instr = cluster.instr
+        self.fault_tolerance = cluster.fault_tolerance or FaultTolerance()
         netmodel = cluster.netmodel
         if asynchronous and not netmodel.async_overlap:
             netmodel = netmodel.with_async(True)
@@ -222,125 +341,26 @@ class SuperstepEngine:
 
         ``on_step(step_index, per_machine_stats, virtual_now)`` is invoked
         after each superstep; algorithms use it to snapshot per-level state
-        (e.g. per-query completion times).
-
-        ``max_virtual_seconds`` is a per-batch deadline on the virtual
-        clock: the run stops at the first barrier at or past it and the
-        result is marked ``truncated``.  The check is on modelled time at a
-        barrier, so both backends truncate at the identical superstep.
+        (e.g. per-query completion times).  Caps, deadlines and recovery
+        are :func:`run_supersteps`'s.
         """
-        injector = getattr(self.cluster, "fault_injector", None)
-        if injector is not None and injector.events:
-            return self._run_resilient(max_supersteps, on_step, max_virtual_seconds)
-        clock = VirtualClock()
-        history: list[list[StepStats]] = []
-        step = 0
-        active = True
-        # telemetry: one flag check per superstep when disabled (the null
-        # facade), spans + counters per superstep when enabled
-        instr = self.cluster.instr
-        tracing = instr.enabled
-        vbase = instr.tracer.virtual_now if tracing else 0.0
-        while active and (max_supersteps is None or step < max_supersteps) and (
-            max_virtual_seconds is None or clock.now < max_virtual_seconds
-        ):
-            wall0 = time.perf_counter() if tracing else 0.0
-            stats = [StepStats() for _ in self.tasks]
-            if self.asynchronous:
-                for i, task in enumerate(self.tasks):
-                    task.apply_inbox(stats[i])
-                    task.compute(stats[i])
-                    deliver_async(self.cluster, i, stats, combiner=self.combiner)
-                # a final drain so tasks delivered by later machines land
-                for i, task in enumerate(self.tasks):
-                    task.apply_inbox(stats[i])
-            else:
-                if self.parallel_compute and len(self.tasks) > 1:
-                    from concurrent.futures import ThreadPoolExecutor
+        return run_supersteps(self, max_supersteps, on_step, max_virtual_seconds)
 
-                    with ThreadPoolExecutor(len(self.tasks)) as pool:
-                        futures = [
-                            pool.submit(task.compute, stats[i])
-                            for i, task in enumerate(self.tasks)
-                        ]
-                        for f in futures:
-                            f.result()
-                else:
-                    for i, task in enumerate(self.tasks):
-                        task.compute(stats[i])
-                exchange_sync(self.cluster, stats, combiner=self.combiner)
-                for i, task in enumerate(self.tasks):
-                    task.apply_inbox(stats[i])
-            votes = [task.finalize() for task in self.tasks]
-            active = any(votes)
-            now = clock.advance(self.netmodel.superstep_seconds(stats))
-            if tracing:
-                emit_superstep(
-                    instr, self.netmodel, step, stats, clock, vbase,
-                    wall0, time.perf_counter(),
-                )
-            history.append(stats)
-            step += 1
-            if on_step is not None:
-                on_step(step - 1, stats, now)
-        if tracing:
-            instr.tracer.virtual_now = vbase + clock.now
-        return EngineResult(
-            supersteps=step,
-            virtual_seconds=clock.now,
-            per_step_seconds=list(clock.per_step),
-            per_step_stats=history,
-            truncated=bool(
-                active
-                and max_virtual_seconds is not None
-                and clock.now >= max_virtual_seconds
-            ),
-        )
+    # -- the executor protocol ------------------------------------------- #
 
-    def _run_resilient(
-        self,
-        max_supersteps: int | None,
-        on_step,
-        max_virtual_seconds: float | None,
-    ) -> EngineResult:
-        """The fault-injected twin of :meth:`run` (simulated cluster).
+    def step(self, step: int):
+        """One compute → exchange → apply → vote round on every machine.
 
-        Crash events wipe a machine's per-run state; recovery restores
-        *every* task from the last checkpoint and rewinds the clock and
-        history to that barrier, then re-executes.  Replayed supersteps are
-        deterministic, so ``on_step`` sees identical arguments the second
-        time — its callbacks (completion snapshots, early-termination masks)
-        are idempotent by construction.  Delay events cost wall time only;
-        drop/corrupt events are wire faults and have no in-process analogue.
+        With a fault plan armed, crash events scheduled for ``step`` wipe
+        the round (reported as failures for the driver to recover) and
+        delay events cost wall time only; drop/corrupt events are wire
+        faults and have no in-process analogue.
         """
-        from repro.errors import WorkerLost
-        from repro.runtime.fault import CRASH, DELAY, FaultTolerance
-
-        injector = self.cluster.fault_injector
-        ft = getattr(self.cluster, "fault_tolerance", None) or FaultTolerance()
-        if self.asynchronous or self.parallel_compute:
-            raise ValueError(
-                "fault injection requires the serial synchronous engine"
-            )
-        instr = self.cluster.instr
-        tracing = instr.enabled
-        vbase = instr.tracer.virtual_now if tracing else 0.0
         tasks = self.tasks
-        clock = VirtualClock()
-        history: list[list[StepStats]] = []
-        step = 0
-        active = True
-        recoveries = 0
-        emitted = 0  # supersteps already sent to telemetry (replay-safe)
-        ckpt_step = 0
-        ckpt_states = [t.checkpoint() for t in tasks]
-        ckpt_per_step: list[float] = []
-        ckpt_history: list[list[StepStats]] = []
-        while active and (max_supersteps is None or step < max_supersteps) and (
-            max_virtual_seconds is None or clock.now < max_virtual_seconds
-        ):
+        injector = self._injector
+        if injector is not None:
             crashed = [
-                i
+                WorkerFailure(i, CRASH, "injected crash")
                 for i in range(len(tasks))
                 if injector.take(CRASH, step, machine=i) is not None
             ]
@@ -349,61 +369,40 @@ class SuperstepEngine:
                 if event is not None:
                     time.sleep(event.seconds)
             if crashed:
-                recoveries += len(crashed)
-                for i in crashed:
-                    instr.on_fault("crash")
-                if recoveries > ft.max_recoveries:
-                    raise WorkerLost(
-                        f"recovery budget exhausted ({recoveries} > "
-                        f"{ft.max_recoveries}) at superstep {step}"
-                    )
-                for task, state in zip(tasks, ckpt_states):
-                    task.restore(state)
-                self.cluster.reset_buffers()
-                clock = VirtualClock()
-                for seconds in ckpt_per_step:
-                    clock.advance(seconds)
-                history = list(ckpt_history)
-                step = ckpt_step
-                active = True
-                instr.on_recovery()
-                continue
-            wall0 = time.perf_counter() if tracing else 0.0
-            stats = [StepStats() for _ in tasks]
+                raise _StepFailures(crashed)
+        stats = [StepStats() for _ in tasks]
+        if self.asynchronous:
+            for i, task in enumerate(tasks):
+                task.apply_inbox(stats[i])
+                task.compute(stats[i])
+                deliver_async(self.cluster, i, stats, combiner=self.combiner)
+            # a final drain so tasks delivered by later machines land
+            for i, task in enumerate(tasks):
+                task.apply_inbox(stats[i])
+        else:
             for i, task in enumerate(tasks):
                 task.compute(stats[i])
             exchange_sync(self.cluster, stats, combiner=self.combiner)
             for i, task in enumerate(tasks):
                 task.apply_inbox(stats[i])
-            votes = [task.finalize() for task in tasks]
-            active = any(votes)
-            now = clock.advance(self.netmodel.superstep_seconds(stats))
-            if tracing and step >= emitted:
-                emit_superstep(
-                    instr, self.netmodel, step, stats, clock, vbase,
-                    wall0, time.perf_counter(),
-                )
-                emitted = step + 1
-            history.append(stats)
-            step += 1
-            if on_step is not None:
-                on_step(step - 1, stats, now)
-            if active and step % ft.checkpoint_interval == 0:
-                ckpt_step = step
-                ckpt_states = [t.checkpoint() for t in tasks]
-                ckpt_per_step = list(clock.per_step)
-                ckpt_history = list(history)
-                instr.on_checkpoint()
-        if tracing:
-            instr.tracer.virtual_now = vbase + clock.now
-        return EngineResult(
-            supersteps=step,
-            virtual_seconds=clock.now,
-            per_step_seconds=list(clock.per_step),
-            per_step_stats=history,
-            truncated=bool(
-                active
-                and max_virtual_seconds is not None
-                and clock.now >= max_virtual_seconds
-            ),
-        )
+        votes = [task.finalize() for task in tasks]
+        return votes, stats, None, None
+
+    def checkpoint(self) -> list | None:
+        """Every task's state at this barrier — or None when no fault plan
+        is armed (nothing can fail in-process, so nothing is copied)."""
+        if self._injector is None:
+            return None
+        return [task.checkpoint() for task in self.tasks]
+
+    def recover(self, failures, step: int, ckpt: Checkpoint) -> None:
+        """Restore *every* task from ``ckpt`` and drop in-flight messages
+        (they belong to the abandoned step)."""
+        for task, state in zip(self.tasks, ckpt.task_states):
+            task.restore(state)
+        self.cluster.reset_buffers()
+
+    def deliver(self, on_step, step: int, stats, now: float, probes) -> None:
+        """In-process callbacks read task state directly: no probes, and
+        nothing to broadcast back."""
+        on_step(step, stats, now)

@@ -266,7 +266,7 @@ class FaultInjector:
 
     ``take(kind, step)`` returns the first un-fired event matching
     ``(kind, step)`` and marks it fired; sticky events are never marked.
-    Both the pool worker loop and the in-process resilient engine drive
+    Both the pool worker loop and the in-process engine's step drive
     their injections through this, so one-shot semantics (a replayed
     superstep does not re-fault) live in exactly one place.
     """

@@ -15,26 +15,23 @@ and runs the identical superstep protocol:
 2. the coordinator routes the refs by destination and broadcasts ``apply``;
    every worker reads its inbound batches as zero-copy views (sender-
    ascending order — the same reduction order as the in-process inbox),
-   verifies each batch's checksum, applies, finalizes, and votes;
-3. the coordinator advances the same :class:`~repro.runtime.netmodel.
-   VirtualClock` from the per-worker :class:`StepStats`, so virtual times
-   are bit-identical to the in-process engine.
+   verifies each batch's checksum, applies, finalizes, and votes.
 
-Only control records, stats and probe results cross the pipes; payload
-arrays never leave shared memory.  The pool survives across batches
-(``ensure_task`` re-arms resident task state), composing PR 1's
-session-reuse win with real parallelism.
+That round is :meth:`WorkerPool.step`: the pool is the second *executor* of
+:func:`~repro.runtime.engine.run_supersteps`, the one superstep loop, which
+advances the same virtual clock from the per-worker :class:`StepStats` — so
+virtual times are bit-identical to the in-process engine.  Only control
+records, stats and probe results cross the pipes; payload arrays never
+leave shared memory.  The pool survives across batches (``ensure_task``
+re-arms resident task state).
 
-Fault tolerance: the coordinator checkpoints resident task state every
-``FaultTolerance.checkpoint_interval`` supersteps and watches for worker
-failures at every barrier — pipe EOF (crash), a reply missing past
-``step_timeout`` (hang), outbound refs that contradict the worker's own
-send accounting (dropped outbox), or a batch failing its checksum
-(corruption).  Any failure rolls every worker back to the last checkpoint,
-respawns the dead ones onto the *same* shared segments, and replays; the
-replayed run is bit-identical (answers **and** virtual clocks) to a
-fault-free run because the protocol is deterministic.  A run that spends
-more than ``max_recoveries`` recoveries shuts the pool down and raises
+Fault tolerance: the pool's part is *detecting* a failed step — pipe EOF
+(crash), a reply missing past ``step_timeout`` (hang), outbound refs that
+contradict the worker's own send accounting (dropped outbox), a batch
+failing its checksum (corruption) — and *restoring* workers: respawn the
+dead ones onto the same shared segments, roll every worker back to the
+driver's last checkpoint.  Budget, rewind and replay are the driver's.  A
+run past ``max_recoveries`` shuts the pool down and raises
 :class:`~repro.errors.WorkerLost`, which the session's
 :class:`~repro.runtime.fault.RetryPolicy` turns into fresh-pool retries
 and, ultimately, transparent degradation to the in-process engine.
@@ -61,7 +58,7 @@ import numpy as np
 from repro.errors import CorruptMessage, PoolError, WorkerLost
 from repro.graph.partition import PartitionedGraph, owner_of_bounds
 from repro.runtime.cluster import Machine
-from repro.runtime.engine import EngineResult, emit_superstep
+from repro.runtime.engine import EngineResult, _StepFailures, run_supersteps
 from repro.runtime.fault import (
     CORRUPT_INBOX,
     CRASH,
@@ -73,7 +70,7 @@ from repro.runtime.fault import (
     FaultTolerance,
 )
 from repro.runtime.message import MessageBatch, TaskBuffer, combine_or
-from repro.runtime.netmodel import NetworkModel, StepStats, VirtualClock
+from repro.runtime.netmodel import NetworkModel, StepStats
 from repro.runtime.shm import (
     OutboxReader,
     OutboxWriter,
@@ -94,14 +91,6 @@ log = logging.getLogger("repro.runtime.pool")
 
 #: Upper bound on per-entry vertex-id bytes in a combined batch (int64).
 _VERTEX_BYTES = 8
-
-
-class _StepFailures(Exception):
-    """Internal: one superstep's collected worker failures (recoverable)."""
-
-    def __init__(self, failures: list[WorkerFailure]):
-        super().__init__(f"{len(failures)} worker failure(s)")
-        self.failures = failures
 
 
 class _WorkerCluster:
@@ -346,10 +335,12 @@ class WorkerPool:
         """Workers respawned over this pool's lifetime (supervision metric)."""
         return self._sup.respawns
 
+    def _segments(self) -> list:
+        return [self._image] + [s for s in self._outboxes if s is not None]
+
     def segment_names(self) -> list[str]:
         """Names of every live segment this pool owns (leak checks)."""
-        segments = [self._image] + [s for s in self._outboxes if s is not None]
-        return [s.name for s in segments]
+        return [s.name for s in self._segments()]
 
     def shutdown(self) -> None:
         """Stop every worker and unlink every owned segment.
@@ -364,7 +355,7 @@ class WorkerPool:
         self._closed = True
         atexit.unregister(self.shutdown)
         self._sup.shutdown()
-        for shm in [self._image] + [s for s in self._outboxes if s is not None]:
+        for shm in self._segments():
             try:
                 shm.close()
                 shm.unlink()
@@ -392,16 +383,13 @@ class WorkerPool:
             raise WorkerLost(f"pool {reply}")
         return reply
 
-    def _broadcast(self, message) -> list:
-        replies = []
-        for i in range(self.num_workers):
-            replies.append(self._request(i, message)[1])
-        return replies
-
     def _send_each(self, messages) -> list:
         return [
             self._request(i, message)[1] for i, message in enumerate(messages)
         ]
+
+    def _broadcast(self, message) -> list:
+        return self._send_each([message] * self.num_workers)
 
     # -- batch protocol ------------------------------------------------------ #
 
@@ -505,21 +493,14 @@ class WorkerPool:
             ]
         )
 
-    # -- supervision --------------------------------------------------------- #
+    # -- the executor protocol (supervision) --------------------------------- #
 
-    def _take_checkpoint(
-        self, step: int, clock: VirtualClock, history: list
-    ) -> Checkpoint:
-        """Snapshot every worker's task state + the coordinator's clock."""
-        states = self._broadcast(("checkpoint",))
-        return Checkpoint(
-            step=step,
-            task_states=states,
-            per_step_seconds=list(clock.per_step),
-            history=list(history),
-        )
+    def checkpoint(self) -> list:
+        """Snapshot every worker's task state (the driver pairs it with the
+        coordinator's clock and history at the same barrier)."""
+        return self._broadcast(("checkpoint",))
 
-    def _recover(
+    def recover(
         self, failures: list[WorkerFailure], failed_step: int, ckpt: Checkpoint
     ) -> None:
         """Respawn the dead, then roll *every* worker back to ``ckpt``.
@@ -568,31 +549,37 @@ class WorkerPool:
         self._installed = {self._current[0]} if self._current else set()
         self._send_each([("restore", state) for state in ckpt.task_states])
 
-    def _superstep(self, step: int, timeout: float | None):
-        """One compute/route/apply round; raises _StepFailures on trouble.
+    def _barrier(self, messages, phase: str) -> tuple[dict[int, tuple], list]:
+        """Send each worker its message, then collect every reply.
 
-        Both barriers *collect* failures instead of raising at the first
-        one: every healthy worker's reply is drained first, so the pipes
-        are at a clean protocol boundary when recovery starts.
+        Failures are *collected* and returned, not raised at the first one:
+        every healthy worker's reply is drained first, so the pipes are at a
+        clean protocol boundary when recovery starts.
         """
         sup = self._sup
-        n = self.num_workers
+        timeout = self.fault_tolerance.step_timeout
         failures: list[WorkerFailure] = []
         pending = []
-        for i in range(n):
-            if sup.send(i, ("compute", step)):
+        for i, message in enumerate(messages):
+            if sup.send(i, message):
                 pending.append(i)
             else:
                 failures.append(
-                    WorkerFailure(i, CRASH, "pipe closed on compute send")
+                    WorkerFailure(i, CRASH, f"pipe closed on {phase} send")
                 )
-        outs: dict[int, tuple] = {}
+        replies: dict[int, tuple] = {}
         for i in pending:
             reply = sup.recv(i, timeout)
             if isinstance(reply, WorkerFailure):
                 failures.append(reply)
             else:
-                outs[i] = reply[1:]  # (refs, wall, sent)
+                replies[i] = reply[1:]
+        return replies, failures
+
+    def step(self, step: int):
+        """One compute/route/apply round; raises _StepFailures on trouble."""
+        n = self.num_workers
+        outs, failures = self._barrier([("compute", step)] * n, "compute")
         for i, (refs, _wall, sent) in outs.items():
             dests = sorted({ref.dest for ref in refs})
             if dests != list(sent):
@@ -610,33 +597,25 @@ class WorkerPool:
         for sender in range(n):
             for ref in outs[sender][0]:
                 routed[ref.dest].append((sender, ref))
-        pending = []
-        for i in range(n):
-            if sup.send(i, ("apply", routed[i], step)):
-                pending.append(i)
-            else:
-                failures.append(
-                    WorkerFailure(i, CRASH, "pipe closed on apply send")
-                )
-        votes = [False] * n
-        stats: list = [None] * n
-        probes: list = [None] * n
-        walls = [0.0] * n
-        for i in pending:
-            reply = sup.recv(i, timeout)
-            if isinstance(reply, WorkerFailure):
-                failures.append(reply)
-                continue
-            _tag, vote, machine_stats, probed, apply_wall = reply
-            votes[i] = vote
-            stats[i] = machine_stats
-            probes[i] = probed
-            walls[i] = outs[i][1] + apply_wall
+        done, failures = self._barrier(
+            [("apply", inbox, step) for inbox in routed], "apply"
+        )
         if failures:
             raise _StepFailures(failures)
-        return votes, stats, probes, walls
+        votes, stats, probes, apply_walls = zip(*(done[i] for i in range(n)))
+        walls = [outs[i][1] + apply_walls[i] for i in range(n)]
+        return list(votes), list(stats), list(probes), walls
 
-    # -- the engine loop ----------------------------------------------------- #
+    def deliver(self, on_step, step: int, stats, now: float, probes) -> None:
+        """Call ``on_step`` with the workers' probe results; a returned
+        ``(fn, args)`` control is broadcast to every worker before the next
+        superstep (reachability's early termination)."""
+        control = on_step(step, stats, now, probes)
+        if control is not None:
+            fn, args = control
+            self._broadcast(("call", fn, args, None))
+
+    # -- the engine entry point ---------------------------------------------- #
 
     def run(
         self,
@@ -644,106 +623,31 @@ class WorkerPool:
         on_step=None,
         max_virtual_seconds: float | None = None,
     ) -> EngineResult:
-        """Drive seeded worker tasks to quiescence (the parallel engine loop).
+        """Drive seeded worker tasks to quiescence on the shared driver.
 
-        Semantics mirror :meth:`SuperstepEngine.run` exactly — same step
-        cap, same vote handling, same virtual clock — with two extensions:
+        Semantics are :func:`~repro.runtime.engine.run_supersteps`'s — same
+        step cap, vote handling, virtual clock and deadline truncation as
+        :meth:`SuperstepEngine.run` — with the pool's ``on_step`` convention:
         ``on_step(step_index, per_machine_stats, virtual_now, probe_results)``
-        may return a ``(fn, args)`` control to broadcast to every worker
-        before the next superstep (reachability's early termination), and
-        ``max_virtual_seconds`` stops the run at the first barrier where the
-        virtual clock has passed the deadline (``result.truncated``).
+        may return a ``(fn, args)`` control (see :meth:`deliver`).
 
-        Worker failures inside the loop are recovered transparently by
+        Worker failures inside the run are recovered transparently by
         checkpoint replay (see the module docstring); recovered runs return
         bit-identical results.  Past the recovery budget the pool shuts
         itself down (processes reaped, segments unlinked — nothing leaks)
         and raises :class:`~repro.errors.WorkerLost`.
         """
         self._check_open()
-        ft = self.fault_tolerance
-        instr = self.instr
-        tracing = instr.enabled
-        vbase = instr.tracer.virtual_now if tracing else 0.0
-        clock = VirtualClock()
-        history: list[list[StepStats]] = []
-        step = 0
-        active = True
-        recoveries = 0
-        # Telemetry high-water mark: replayed supersteps must not re-emit
-        # spans/metrics, or recovered runs would double-count.
-        emitted = 0
         try:
-            ckpt = self._take_checkpoint(0, clock, history)
-            while (
-                active
-                and (max_supersteps is None or step < max_supersteps)
-                and (
-                    max_virtual_seconds is None
-                    or clock.now < max_virtual_seconds
-                )
-            ):
-                wall0 = time.perf_counter() if tracing else 0.0
-                try:
-                    votes, stats, probes, walls = self._superstep(
-                        step, ft.step_timeout
-                    )
-                except _StepFailures as exc:
-                    recoveries += len(exc.failures)
-                    for f in exc.failures:
-                        instr.on_fault(f.kind)
-                    if recoveries > ft.max_recoveries:
-                        raise WorkerLost(
-                            f"recovery budget exhausted ({recoveries} > "
-                            f"{ft.max_recoveries}) at superstep {step}: "
-                            + "; ".join(str(f) for f in exc.failures)
-                        )
-                    self._recover(exc.failures, step, ckpt)
-                    step = ckpt.step
-                    clock = VirtualClock()
-                    for seconds in ckpt.per_step_seconds:
-                        clock.advance(seconds)
-                    history = list(ckpt.history)
-                    active = True
-                    instr.on_recovery()
-                    continue
-                active = any(votes)
-                clock.advance(self.netmodel.superstep_seconds(stats))
-                if tracing and step >= emitted:
-                    emit_superstep(
-                        instr, self.netmodel, step, stats, clock, vbase,
-                        wall0, time.perf_counter(), wall_compute=walls,
-                    )
-                    emitted = step + 1
-                history.append(stats)
-                step += 1
-                if on_step is not None:
-                    control = on_step(step - 1, stats, clock.now, probes)
-                    if control is not None:
-                        fn, args = control
-                        self._broadcast(("call", fn, args, None))
-                if active and step % ft.checkpoint_interval == 0:
-                    ckpt = self._take_checkpoint(step, clock, history)
-                    instr.on_checkpoint()
+            return run_supersteps(
+                self, max_supersteps, on_step, max_virtual_seconds
+            )
         except WorkerLost:
             # Past saving for this batch: release processes and segments now
             # so an abandoned pool cannot leak them; the session's retry
             # policy decides what happens next (fresh pool or degradation).
             self.shutdown()
             raise
-        if tracing:
-            instr.tracer.virtual_now = vbase + clock.now
-        return EngineResult(
-            supersteps=step,
-            virtual_seconds=clock.now,
-            per_step_seconds=list(clock.per_step),
-            per_step_stats=history,
-            truncated=bool(
-                active
-                and max_virtual_seconds is not None
-                and clock.now >= max_virtual_seconds
-            ),
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "closed" if self._closed else "live"

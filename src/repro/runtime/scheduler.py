@@ -22,17 +22,24 @@ completion times back to individual queries.
 
 :class:`QueryService` is the *online* counterpart: an admission loop over a
 persistent :class:`~repro.runtime.session.GraphSession`.  Queries are
-submitted with arrival times, packed into word-wide batches (or dispatched
-to pool slots) as they arrive, and executed for real on the resident graph —
+submitted with arrival times and executed for real on the resident graph —
 per-query response times fall out of the engine's virtual clock instead of a
 post-hoc service-time model.  The offline simulators above stay as
 cross-checks: on identical workloads the two accountings agree.
+
+The service has one drain loop and one selector: every submitted query is
+one mutable record from which the :class:`ServiceReport` is built, and
+``drain()`` asks the selector what runs next — a group of queries, the lane
+it runs on (index/cache lookups, a worker slot, or a bit-parallel traversal
+batch), and when — runs it, and asks again.  FIFO and weighted-fair
+scheduling are two rules of that selector.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -149,14 +156,36 @@ class QueryScheduler:
 # --------------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
-class _PendingQuery:
+@dataclass(slots=True)
+class _QueryRecord:
+    """One submitted query: what was asked, then what its drain did with it
+    (``finish`` stays None until it has run)."""
+
     query_id: int
     source: int
     arrival: float
     target: int | None = None
     lane: str = INTERACTIVE_LANE
     tenant: str = "default"
+    eligible: float | None = None  # earliest start its tenant's quota allowed
+    start: float | None = None  # when its batch / slot / lookup began
+    finish: float | None = None
+    verdict: bool | None = None  # point queries only
+    route: str = "traversal"  # "index" | "cache" | "traversal"
+    missed: bool = False  # its batch hit the deadline before it settled
+    epoch: int = -1  # graph epoch it ran against
+
+
+def _checked_arrival(arrival) -> float:
+    """NaN/inf arrivals would silently corrupt the virtual timeline (they
+    sort arbitrarily and poison every max/min the drain computes), so they
+    are rejected at the door alongside negative ones."""
+    arrival = float(arrival)
+    if not math.isfinite(arrival) or arrival < 0:
+        raise InvalidQueryError(
+            f"arrival time must be finite and non-negative, got {arrival!r}"
+        )
+    return arrival
 
 
 def _str_array(values: list[str]) -> np.ndarray:
@@ -318,7 +347,8 @@ class QueryService:
     """An online k-hop query service over one persistent session.
 
     Arriving queries (``submit`` / ``submit_many``) queue until
-    :meth:`drain` runs the admission loop:
+    :meth:`drain` runs the admission loop; enumeration queries (no target)
+    run under the configured ``discipline``:
 
     * ``discipline="batch"`` — the paper's bit-parallel mode.  At virtual
       time ``now = max(clock, earliest pending arrival)``, up to
@@ -367,14 +397,16 @@ class QueryService:
     index epoch before routing: point queries fall back to the traversal
     lane whenever the resident index is stale for the current epoch.
 
-    **QoS drain** — passing a :class:`~repro.qos.lanes.QosConfig` replaces
-    the FIFO drain order with deterministic weighted fair queueing over SLO
+    **QoS** — the drain's selector orders batches FIFO by default (point
+    queries first, then the head of the line plus whoever has arrived by
+    the time it starts).  Passing a :class:`~repro.qos.lanes.QosConfig`
+    switches its rule to deterministic weighted fair queueing over SLO
     lanes: every query carries a lane (``interactive`` / ``bulk`` / …) and a
     tenant, lanes are served in proportion to their weights, per-tenant
     token buckets pace heavy tenants on the virtual clock, and batches are
     packed with seed-partition affinity (queries whose seeds share a
     partition land in the same wide-BFS words).  Scheduling is policy only:
-    per-query answers stay bit-identical to the FIFO drain (verdicts depend
+    per-query answers stay bit-identical to the FIFO order (verdicts depend
     on the graph epoch, never on batch composition) and the whole report is
     a deterministic function of the submitted trace, so QoS reports
     reproduce bit-identically across reruns and backends.
@@ -472,7 +504,7 @@ class QueryService:
         self.batches_dispatched = 0
         self._dispatch_seq = 0  # span numbering (monotone across drains)
         self._next_id = 0
-        self._pending: list[_PendingQuery] = []
+        self._pending: list[_QueryRecord] = []
         # pool-mode worker slots: next-free virtual time per slot
         self._slots: list[float] = [0.0] * self.concurrency
         heapq.heapify(self._slots)
@@ -480,8 +512,11 @@ class QueryService:
         self.mutations_applied = 0
         self._mut_seq = 0
         self._pending_mutations: list[tuple] = []  # (arrival, seq, ins, dels)
-        self._due_mutations: list[tuple] = []  # drain-local, arrival-sorted
-        self._drain_mutations = 0
+        # drain-local: due mutations by arrival, virtual execution seconds
+        # dispatched, and the lifetime counters' values at drain start
+        self._due_mutations: deque[tuple] = deque()
+        self._busy = 0.0
+        self._marks = (0, 0, 0, 0)  # mutations, throttled, cache hits/misses
         self._oracle_sessions: dict[int, object] = {}  # epoch -> GraphSession
         # the QoS layer: WFQ lane state and per-tenant token buckets persist
         # across drains, like the virtual clock they run on
@@ -493,7 +528,6 @@ class QueryService:
             else {}
         )
         self.throttled = 0
-        self._drain_throttled = 0
         # the result cache (hybrid planner): hit cost defaults to one
         # vertex-update under the session's calibrated cost model
         if cache is not None and cache.hit_seconds is None:
@@ -503,7 +537,6 @@ class QueryService:
                 session.netmodel.compute_seconds(StepStats(vertices_updated=1))
             )
         self.cache = cache
-        self._cache_mark = (0, 0)
 
     @classmethod
     def recover(cls, wal_dir, k: int | None, *, session_kwargs=None, **service_kwargs):
@@ -559,14 +592,7 @@ class QueryService:
             raise InvalidQueryError("source vertex out of range")
         if target is not None and not 0 <= int(target) < self.session.num_vertices:
             raise InvalidQueryError("target vertex out of range")
-        # NaN/inf arrivals would silently corrupt the virtual timeline (they
-        # sort arbitrarily and poison every max/min the drain computes), so
-        # they are rejected at the door alongside negative ones.
-        arrival = float(arrival)
-        if not math.isfinite(arrival) or arrival < 0:
-            raise InvalidQueryError(
-                f"arrival time must be finite and non-negative, got {arrival!r}"
-            )
+        arrival = _checked_arrival(arrival)
         if lane is None:
             lane = (
                 self.qos.default_lane if self.qos is not None
@@ -580,7 +606,7 @@ class QueryService:
         qid = self._next_id
         self._next_id += 1
         self._pending.append(
-            _PendingQuery(
+            _QueryRecord(
                 qid,
                 int(source),
                 arrival,
@@ -607,15 +633,13 @@ class QueryService:
         lanes = self._broadcast_wave("lane", lane, sources.size)
         tenants = self._broadcast_wave("tenant", tenant, sources.size)
         if targets is None:
-            return [
-                self.submit(int(s), float(a), lane=ln, tenant=tn)
-                for s, a, ln, tn in zip(sources, arrivals, lanes, tenants)
-            ]
-        targets = np.asarray(targets, dtype=np.int64)
-        if targets.shape != sources.shape:
-            raise ValueError("targets must match sources")
+            targets = [None] * sources.size
+        else:
+            targets = np.asarray(targets, dtype=np.int64)
+            if targets.shape != sources.shape:
+                raise ValueError("targets must match sources")
         return [
-            self.submit(int(s), float(a), target=int(t), lane=ln, tenant=tn)
+            self.submit(int(s), float(a), target=t, lane=ln, tenant=tn)
             for s, a, t, ln, tn in zip(sources, arrivals, targets, lanes, tenants)
         ]
 
@@ -659,14 +683,11 @@ class QueryService:
             res = self.session.apply_mutations(inserts, deletes)
             self.mutations_applied += 1
             return res
-        arrival = float(arrival)
-        if not math.isfinite(arrival) or arrival < 0:
-            raise InvalidQueryError(
-                f"arrival time must be finite and non-negative, got {arrival!r}"
-            )
         seq = self._mut_seq
         self._mut_seq += 1
-        self._pending_mutations.append((float(arrival), seq, inserts, deletes))
+        self._pending_mutations.append(
+            (_checked_arrival(arrival), seq, inserts, deletes)
+        )
         return None
 
     @property
@@ -687,13 +708,9 @@ class QueryService:
         barrier = durability.group() if durability is not None else nullcontext()
         with barrier:
             while self._due_mutations and self._due_mutations[0][0] <= now:
-                _, _, inserts, deletes = self._due_mutations.pop(0)
+                _, _, inserts, deletes = self._due_mutations.popleft()
                 self.session.apply_mutations(inserts, deletes)
                 self.mutations_applied += 1
-                self._drain_mutations += 1
-
-    def _next_mutation_arrival(self) -> float | None:
-        return self._due_mutations[0][0] if self._due_mutations else None
 
     def _epoch(self) -> int:
         return int(getattr(self.session, "graph_epoch", 0))
@@ -703,82 +720,65 @@ class QueryService:
     def drain(self) -> ServiceReport:
         """Run every pending query to completion; returns per-query times.
 
-        Point reachability queries drain first (they are the latency-
-        sensitive class the hybrid planner exists for), then enumeration
-        queries run under the configured discipline.  On a dynamic session
-        queued mutation batches interleave: each applies before the first
-        query batch dispatched at or after its arrival, and any left over
-        (arrivals past the last dispatch) apply at the end of the drain.
+        One loop: the selector (:meth:`_select`) names the next group of
+        queries, its lane and its start; the loop runs it and asks again.
+        On a dynamic session queued mutation batches interleave: each
+        applies before the first query batch dispatched at or after its
+        arrival, and any left over apply at the end of the drain.
+
+        If anything raises mid-drain, the queries that had not run and the
+        mutation batches that had not applied are queued again — same ids,
+        arrivals and order — before the exception propagates.
         """
         # arrival order, ties broken by submission order; arrays in the
-        # tuples never get compared because seq is unique
-        self._due_mutations = sorted(
-            self._pending_mutations, key=lambda m: (m[0], m[1])
-        )
-        self._pending_mutations = []
-        self._drain_mutations = 0
-        self._drain_throttled = 0
-        self._cache_mark = (
-            (self.cache.hits, self.cache.misses)
-            if self.cache is not None
-            else (0, 0)
-        )
-        if not self._pending:
-            self._apply_due_mutations(float("inf"))
-            return self._report([], {}, {}, 0, {}, {}, 0.0, {}, {})
-        # FIFO: by arrival time, ties broken by submission order
+        # mutation tuples never get compared because seq is unique
         queue = sorted(self._pending, key=lambda q: (q.arrival, q.query_id))
         self._pending = []
-        starts: dict[int, float] = {}
-        finishes: dict[int, float] = {}
-        verdicts: dict[int, bool] = {}
-        routes: dict[int, str] = {}
-        missed: dict[int, bool] = {}
-        epochs: dict[int, int] = {}
-        num_dispatches = 0
-        busy = 0.0
-        point = [q for q in queue if q.target is not None]
-        enum = [q for q in queue if q.target is None]
-        with self.instr.span(
-            "service drain", cat="service",
-            queries=len(queue), discipline=self.discipline,
-        ):
-            if self.qos is not None:
-                num_dispatches, busy = self._drain_qos(
-                    queue, starts, finishes, verdicts, routes, missed, epochs
-                )
-            else:
-                if point:
-                    if self.planner == "hybrid":
-                        n, t = self._drain_point_index(
-                            point, starts, finishes, verdicts, routes, missed,
-                            epochs,
-                        )
-                    else:
-                        n, t = self._drain_point_traversal(
-                            point, starts, finishes, verdicts, routes, missed,
-                            epochs,
-                        )
-                    num_dispatches += n
-                    busy += t
-                if enum:
-                    if self.discipline == "batch":
-                        n, t = self._drain_batch(
-                            enum, starts, finishes, missed, epochs
-                        )
-                    else:
-                        n, t = self._drain_pool(enum, starts, finishes, epochs)
-                    num_dispatches += n
-                    busy += t
-            self._apply_due_mutations(float("inf"))  # arrivals past the end
-        self.batches_dispatched += num_dispatches
-        if missed:
-            self.deadline_misses += len(missed)
-            self.instr.on_deadline_miss(len(missed))
-        report = self._report(
-            queue, starts, finishes, num_dispatches, verdicts, routes, busy,
-            missed, epochs,
+        self._due_mutations = deque(
+            sorted(self._pending_mutations, key=lambda m: (m[0], m[1]))
         )
+        self._pending_mutations = []
+        self._busy = 0.0
+        self._marks = (self.mutations_applied, self.throttled, *self._cache_traffic())
+        dispatches = 0
+        span = (
+            self.instr.span(
+                "service drain", cat="service",
+                queries=len(queue), discipline=self.discipline,
+            )
+            if queue
+            else nullcontext()
+        )
+        try:
+            with span:
+                for lane, batch, now, wfq_lane in self._select(queue):
+                    if lane == "index":
+                        self._serve_index(batch)
+                        dispatches += len(batch)
+                    elif lane == "slot":
+                        self._serve_slot(batch[0])
+                        dispatches += 1
+                    else:
+                        self._run_batch(lane, batch, now, wfq_lane)
+                        dispatches += 1
+                self._apply_due_mutations(float("inf"))  # arrivals past the end
+        except BaseException:
+            self._pending = sorted(
+                (q for q in queue if q.finish is None), key=lambda q: q.query_id
+            )
+            self._pending_mutations = sorted(
+                self._due_mutations, key=lambda m: m[1]
+            )
+            self._due_mutations.clear()
+            raise
+        report = self._report(queue, dispatches)
+        if not queue:
+            return report
+        self.batches_dispatched += dispatches
+        missed = sum(q.missed for q in queue)
+        if missed:
+            self.deadline_misses += missed
+            self.instr.on_deadline_miss(missed)
         if self.instr.enabled:
             for route, resp in zip(report.routes, report.response_seconds):
                 self.instr.on_query_done(
@@ -793,63 +793,148 @@ class QueryService:
             self.instr.on_clock(self.clock)
         return report
 
-    # -- the QoS drain (weighted fair queueing over SLO lanes) --------------- #
+    # -- the selector: what runs next ---------------------------------------- #
 
-    def _eligible_start(self, q: _PendingQuery) -> float:
-        """Earliest virtual time ``q`` may start under its tenant's quota."""
+    def _select(self, queue):
+        """Yield ``(lane, queries, now, wfq_lane)`` picks until ``queue`` is
+        served; each pick is chosen after the previous one has run.
+
+        ``lane`` says where the group runs: ``"index"`` (the lookup lane),
+        ``"slot"`` (one query on the next free worker slot), or one
+        ``"reach"`` / ``"khop"`` traversal batch starting at ``now``.  Point
+        queries go first — the latency-sensitive class — on the index lane
+        (hybrid planner) or in FIFO reach batches; the rest follows the
+        FIFO rule, or with ``qos`` set the weighted-fair rule, which then
+        also schedules traversal-planned point queries.
+        """
+        point = [q for q in queue if q.target is not None]
+        rest = queue
+        if point and (self.planner == "hybrid" or self.qos is None):
+            rest = [q for q in queue if q.target is None]
+            if self.planner == "hybrid":
+                yield from self._subtotal(self._index_picks(point))
+            else:
+                yield from self._subtotal(self._fifo_picks(point, "reach"))
+        if self.qos is not None:
+            yield from self._fair_picks(rest)
+        elif self.discipline == "pool":
+            yield from self._subtotal(
+                ("slot", [q], q.arrival, None) for q in rest
+            )
+        else:
+            yield from self._subtotal(self._fifo_picks(rest, "khop"))
+
+    def _subtotal(self, picks):
+        """Book ``picks`` on their own busy-time subtotal, folded into the
+        drain's when they are done: float sums are order-sensitive, and
+        reports are pinned to this per-lane order."""
+        outer, self._busy = self._busy, 0.0
+        yield from picks
+        self._busy = outer + self._busy
+
+    def _fifo_picks(self, queries, kind: str):
+        """The FIFO rule: the head of the line starts as soon as the clock
+        and its arrival allow, joined by up to ``batch_width - 1`` queries
+        behind it that have arrived by then."""
+        queue = deque(queries)
+        while queue:
+            now = max(self.clock, queue[0].arrival)
+            batch = [queue.popleft()]
+            while (
+                queue
+                and len(batch) < self.batch_width
+                and queue[0].arrival <= now
+            ):
+                batch.append(queue.popleft())
+            yield kind, batch, now, None
+
+    def _index_picks(self, point):
+        """Hybrid-planned point queries, split at pending-mutation arrivals:
+        each group applies its due mutations first, then consults the index
+        epoch — a resident index stale for the current graph epoch sends
+        the group through FIFO reach batches instead of serving wrong
+        answers cheaply."""
+        queue = deque(point)
+        while queue:
+            self._apply_due_mutations(queue[0].arrival)
+            horizon = (
+                self._due_mutations[0][0] if self._due_mutations else math.inf
+            )
+            group = [queue.popleft()]
+            while queue and queue[0].arrival < horizon:
+                group.append(queue.popleft())
+            if (
+                getattr(self.session, "is_dynamic", False)
+                and self.session.has_index
+                and not self.session.index_is_current
+            ):
+                yield from self._subtotal(self._fifo_picks(group, "reach"))
+            else:
+                yield "index", group, group[0].arrival, None
+
+    def _eligible_start(self, q: _QueryRecord) -> float:
+        """Earliest virtual time ``q`` may start under its tenant's quota
+        (refills the tenant's bucket up to ``q``'s arrival)."""
         bucket = self._buckets.get(q.tenant)
         if bucket is None:
             return q.arrival
         return max(q.arrival, bucket.ready_time(q.arrival))
 
-    def _take_token(self, q: _PendingQuery, now: float, eligible: float) -> None:
+    def _take_token(self, q: _QueryRecord, now: float) -> None:
         """Consume ``q``'s quota token at dispatch; count a throttle when
         the quota (not the queue) delayed it past its arrival."""
         bucket = self._buckets.get(q.tenant)
         if bucket is None:
             return
         bucket.take(now)
-        if eligible > q.arrival:
+        if q.eligible > q.arrival:
             self.throttled += 1
-            self._drain_throttled += 1
             self.instr.on_throttle(q.tenant)
 
-    def _drain_qos(
-        self, queue, starts, finishes, verdicts, routes, missed, epochs
-    ) -> tuple[int, float]:
-        """Weighted-fair drain: the QoS replacement for the FIFO loop.
+    def _fair_picks(self, rest):
+        """The weighted-fair rule: at each pick the earliest quota-eligible
+        virtual instant defines the ready set, the WFQ picks which
+        backlogged lane to serve, and a batch of that lane's queries —
+        capped by per-tenant token budgets, packed by seed-partition
+        affinity — is yielded.  Deterministic: every input is part of the
+        submitted trace.
 
-        Hybrid-planned point queries still leave through the dedicated
-        index lane first (paced by their tenants' buckets but exempt from
-        WFQ — lookups never queue behind traversal batches).  Everything
-        else runs through an event loop: at each step the earliest
-        quota-eligible virtual instant defines the candidate set, the WFQ
-        picks which backlogged lane to serve, and a batch of that lane's
-        queries — packed by seed-partition affinity — dispatches on the
-        engine.  The lane is then charged the batch's measured virtual
-        seconds normalised by its weight.  Every input that drives a
-        decision (arrivals, quotas, weights, seed owners) is part of the
-        submitted trace, so the drain is deterministic end to end.
+        ``rest`` stays arrival-sorted and is scanned only as far as the
+        candidate instant reaches.  The first pick evaluates quota
+        eligibility per query, in arrival order — which also refills each
+        bucket up to its tenant's latest queued arrival; from then on a
+        query's eligibility is its arrival plus its tenant's current wait,
+        one evaluation per tenant per pick.
         """
-        from repro.core.khop import concurrent_khop
-
         qos = self.qos
-        num = 0
-        busy = 0.0
-        remaining = list(queue)
-        if self.planner == "hybrid":
-            point = [q for q in remaining if q.target is not None]
-            if point:
-                n, t = self._drain_point_index(
-                    point, starts, finishes, verdicts, routes, missed, epochs
-                )
-                num += n
-                busy += t
-                remaining = [q for q in remaining if q.target is None]
-        while remaining:
-            eligible = {q.query_id: self._eligible_start(q) for q in remaining}
-            now = max(self.clock, min(eligible.values()))
-            ready = [q for q in remaining if eligible[q.query_id] <= now]
+        buckets = self._buckets
+        rest = list(rest)
+        for q in rest:
+            q.eligible = self._eligible_start(q)
+        waits: dict[str, float] = {}  # first pick: the values above stand
+
+        def eligible(q):
+            wait = waits.get(q.tenant)
+            if wait is None:
+                return q.eligible
+            return q.arrival + wait if wait else q.arrival
+
+        while rest:
+            first = math.inf
+            for q in rest:
+                if q.arrival >= first:
+                    break
+                first = min(first, eligible(q))
+            now = max(self.clock, first)
+            ready = []
+            end = 0  # how far into ``rest`` the candidate instant reaches
+            for q in rest:
+                if q.arrival > now:
+                    break
+                end += 1
+                q.eligible = eligible(q)
+                if q.eligible <= now:
+                    ready.append(q)
             lane = self._wfq.pick(sorted({q.lane for q in ready}))
             lane_ready = [q for q in ready if q.lane == lane]
             is_point = lane_ready[0].target is not None
@@ -860,23 +945,22 @@ class QueryService:
             # current token balance to one batch (floor 1, so every tenant
             # keeps making progress — overdraft pushes its next eligibility
             # out instead of deadlocking the lane)
-            if self._buckets:
+            if buckets:
                 budgets: dict[str, int] = {}
                 admitted = []
                 for q in kind_ready:
-                    bucket = self._buckets.get(q.tenant)
-                    if bucket is None:
-                        admitted.append(q)
-                        continue
-                    if q.tenant not in budgets:
-                        bucket._refill(now)
-                        budgets[q.tenant] = max(1, int(bucket.tokens))
-                    if budgets[q.tenant] > 0:
+                    bucket = buckets.get(q.tenant)
+                    if bucket is not None:
+                        if q.tenant not in budgets:
+                            budgets[q.tenant] = max(1, bucket.available(now))
+                        if budgets[q.tenant] <= 0:
+                            continue
                         budgets[q.tenant] -= 1
-                        admitted.append(q)
+                    admitted.append(q)
                 kind_ready = admitted
-            spec = qos.lanes[lane]
-            width = min(self.batch_width, spec.batch_width or self.batch_width)
+            width = min(
+                self.batch_width, qos.lanes[lane].batch_width or self.batch_width
+            )
             if qos.affinity == "partition" and len(kind_ready) > width:
                 owners = self.session.seed_owners(
                     [q.source for q in kind_ready]
@@ -884,236 +968,89 @@ class QueryService:
                 batch = [kind_ready[i] for i in affinity_select(owners, width)]
             else:
                 batch = kind_ready[:width]
-            self._apply_due_mutations(now)
-            epoch = self._epoch()
-            if is_point:
-                res = self._dispatch(
-                    "reach", now, len(batch),
-                    lambda: self.session.reach(
-                        [q.source for q in batch],
-                        [q.target for q in batch],
-                        self.k,
-                        use_edge_sets=self.use_edge_sets,
-                        max_virtual_seconds=self.deadline_seconds,
-                    ),
-                )
-                per_query = res.resolution_seconds
-                for j, q in enumerate(batch):
-                    verdicts[q.query_id] = bool(res.reachable[j])
-                    routes[q.query_id] = "traversal"
-            else:
-                res = self._dispatch(
-                    "khop", now, len(batch),
-                    lambda: concurrent_khop(
-                        self.session.pg,
-                        [q.source for q in batch],
-                        self.k,
-                        use_edge_sets=self.use_edge_sets,
-                        session=self.session,
-                        max_virtual_seconds=self.deadline_seconds,
-                    ),
-                )
-                per_query = res.completion_seconds
-            for j, q in enumerate(batch):
-                starts[q.query_id] = now
-                epochs[q.query_id] = epoch
-                if res.resolved is None or res.resolved[j]:
-                    finishes[q.query_id] = now + float(per_query[j])
-                else:
-                    finishes[q.query_id] = now + float(res.virtual_seconds)
-                    missed[q.query_id] = True
-                self._take_token(q, now, eligible[q.query_id])
-            self.clock = now + float(res.virtual_seconds)
-            busy += float(res.virtual_seconds)
-            num += 1
-            self._wfq.charge(lane, float(res.virtual_seconds))
-            if self.cross_check and getattr(self.session, "is_dynamic", False):
-                if is_point:
-                    self._oracle_check_reach(batch, res, epoch)
-                else:
-                    self._oracle_check_khop(batch, res, epoch)
-            dispatched = {q.query_id for q in batch}
-            remaining = [q for q in remaining if q.query_id not in dispatched]
-        return num, busy
+            yield ("reach" if is_point else "khop"), batch, now, lane
+            rest[:end] = [q for q in rest[:end] if q.finish is None]
+            waits = {tenant: b.wait() for tenant, b in buckets.items()}
 
-    def _drain_point_index(
-        self, queue, starts, finishes, verdicts, routes, missed, epochs
-    ) -> tuple[int, float]:
-        """Answer point queries from the resident index (hybrid planner).
+    # -- the lanes: how a pick runs ------------------------------------------ #
 
-        The index is a dedicated lookup lane: a query starts the moment it
-        arrives (no queueing behind traversal batches) and pays its
-        label-scan cost under the session's cost model.  The service clock
-        is only raised to cover the latest lookup, never rewound.
+    def _run_batch(self, kind: str, batch, now: float, wfq_lane=None) -> None:
+        """Run one traversal batch at virtual time ``now`` and book it —
+        the one place a query batch executes.
 
-        On a dynamic session the lane is split at pending-mutation
-        arrivals: each group applies its due mutations first, then consults
-        the index epoch — a resident index stale for the current graph
-        epoch routes the group to the traversal lane instead of serving
-        wrong answers cheaply.
+        Due mutations apply first, so the whole batch sees one graph epoch.
+        Each query finishes at ``now`` plus its own in-batch completion
+        offset, or at the batch's end, flagged ``missed``, when the deadline
+        cut the batch short before the query settled.  ``wfq_lane`` is the
+        lane a weighted-fair pick is charged to, normalised by its weight
+        (its queries then pay their quota tokens); FIFO picks pass None.
+
+        In dynamic cross-check mode the same batch re-runs, off the books,
+        on a session rebuilt from scratch at the batch's epoch and must
+        match bit for bit: answers, per-query completions and the batch's
+        virtual clock.
         """
-        num = 0
-        busy = 0.0
-        i = 0
-        while i < len(queue):
-            self._apply_due_mutations(queue[i].arrival)
-            next_mut = self._next_mutation_arrival()
-            group = [queue[i]]
-            i += 1
-            while i < len(queue) and (
-                next_mut is None or queue[i].arrival < next_mut
-            ):
-                group.append(queue[i])
-                i += 1
-            stale = (
-                getattr(self.session, "is_dynamic", False)
-                and self.session.has_index
-                and not self.session.index_is_current
-            )
-            if stale:
-                n, t = self._drain_point_traversal(
-                    group, starts, finishes, verdicts, routes, missed, epochs
-                )
-            else:
-                n, t = self._index_group(
-                    group, starts, finishes, verdicts, routes, epochs
-                )
-            num += n
-            busy += t
-        return num, busy
+        from repro.core.khop import concurrent_khop
 
-    def _index_group(
-        self, queue, starts, finishes, verdicts, routes, epochs
-    ) -> tuple[int, float]:
-        """Serve one index-lane group, fronted by the result cache.
-
-        With a :class:`~repro.qos.cache.ResultCache` wired in, each query
-        first probes the cache at the group's graph epoch (older entries
-        were invalidated when the epoch advanced); hits are charged the
-        one-vertex-update hit cost and routed ``"cache"``, misses go to the
-        resident index as before and populate the cache on the way out.
-        """
-        planner = self.session.index_planner()  # builds the index once
+        self._apply_due_mutations(now)
         epoch = self._epoch()
-        cache = self.cache
-        sources = np.array([q.source for q in queue], dtype=np.int64)
-        targets = np.array([q.target for q in queue], dtype=np.int64)
-        if cache is not None:
-            group_verdicts, service, hit_mask = planner.answer_cached(
-                sources, targets, self.k, epoch, cache
-            )
-        else:
-            answer = planner.answer(sources, targets, self.k)
-            group_verdicts = answer.reachable
-            service = answer.service_seconds
-            hit_mask = np.zeros(len(queue), dtype=bool)
-        busy = float(service.sum())
-        for j, q in enumerate(queue):
-            start = q.arrival
-            if self.qos is not None:
-                eligible = self._eligible_start(q)
-                start = max(start, eligible)
-                self._take_token(q, start, eligible)
-            starts[q.query_id] = start
-            finishes[q.query_id] = start + float(service[j])
-            verdicts[q.query_id] = bool(group_verdicts[j])
-            routes[q.query_id] = "cache" if hit_mask[j] else "index"
-            epochs[q.query_id] = epoch
-        self.clock = max(self.clock, max(finishes[q.query_id] for q in queue))
-        if self.instr.enabled:
-            self.instr.tracer.record(
-                "index lane",
-                cat="index",
-                virt_start=min(starts[q.query_id] for q in queue),
-                virt_end=max(finishes[q.query_id] for q in queue),
-                queries=len(queue),
-            )
-            self.instr.on_dispatch("index")
-        if cache is not None and cache.cross_check and hit_mask.any():
-            hit = np.nonzero(hit_mask)[0]
-            ref = planner.answer(sources[hit], targets[hit], self.k)
-            if not np.array_equal(ref.reachable, group_verdicts[hit]):
-                bad = np.nonzero(ref.reachable != group_verdicts[hit])[0][0]
-                s, t = int(sources[hit][bad]), int(targets[hit][bad])
-                raise AssertionError(
-                    f"stale cache verdict for ({s} -> {t}, k={self.k}, "
-                    f"epoch {epoch}): cache says "
-                    f"{bool(group_verdicts[hit][bad])}, live planner says "
-                    f"{bool(ref.reachable[bad])}"
-                )
-        if self.cross_check:
-            if getattr(self.session, "is_dynamic", False):
-                self._assert_matches_oracle_index(
-                    sources, targets, group_verdicts, epoch
-                )
-            else:
-                self._assert_matches_traversal(
-                    sources, targets, group_verdicts
-                )
-        return len(queue), busy
+        sources = [q.source for q in batch]
 
-    def _drain_point_traversal(
-        self, queue, starts, finishes, verdicts, routes, missed, epochs
-    ) -> tuple[int, float]:
-        """Point queries on the bit-parallel reachability engine (word-wide
-        FIFO batches with per-query early termination)."""
-        num_batches = 0
-        busy = 0.0
-        i = 0
-        while i < len(queue):
-            now = max(self.clock, queue[i].arrival)
-            self._apply_due_mutations(now)
-            epoch = self._epoch()
-            batch = [queue[i]]
-            i += 1
-            while (
-                i < len(queue)
-                and len(batch) < self.batch_width
-                and queue[i].arrival <= now
-            ):
-                batch.append(queue[i])
-                i += 1
-            res = self._dispatch(
-                "reach", now, len(batch),
-                lambda: self.session.reach(
-                    [q.source for q in batch],
+        def run(session):
+            if kind == "reach":
+                return session.reach(
+                    sources,
                     [q.target for q in batch],
                     self.k,
                     use_edge_sets=self.use_edge_sets,
                     max_virtual_seconds=self.deadline_seconds,
-                ),
+                )
+            return concurrent_khop(
+                session.pg,
+                sources,
+                self.k,
+                use_edge_sets=self.use_edge_sets,
+                session=session,
+                max_virtual_seconds=self.deadline_seconds,
             )
-            for j, q in enumerate(batch):
-                starts[q.query_id] = now
-                verdicts[q.query_id] = bool(res.reachable[j])
-                routes[q.query_id] = "traversal"
-                epochs[q.query_id] = epoch
-                if res.resolved is None or res.resolved[j]:
-                    finishes[q.query_id] = now + float(res.resolution_seconds[j])
-                else:
-                    finishes[q.query_id] = now + float(res.virtual_seconds)
-                    missed[q.query_id] = True
-            self.clock = now + float(res.virtual_seconds)
-            busy += float(res.virtual_seconds)
-            num_batches += 1
-            if self.cross_check and getattr(self.session, "is_dynamic", False):
-                self._oracle_check_reach(batch, res, epoch)
-        return num_batches, busy
 
-    def _assert_matches_traversal(self, sources, targets, index_verdicts):
-        """Cross-check mode: index answers must be bit-identical to the
-        traversal engine's.  Runs off the service's accounting books."""
-        for i in range(0, sources.size, 64):
-            chunk = slice(i, min(i + 64, sources.size))
-            res = self.session.reach(sources[chunk], targets[chunk], self.k)
-            if not np.array_equal(res.reachable, index_verdicts[chunk]):
-                bad = np.nonzero(res.reachable != index_verdicts[chunk])[0][0]
-                s, t = int(sources[chunk][bad]), int(targets[chunk][bad])
+        def answers(res):
+            if kind == "reach":
+                return res.reachable, res.resolution_seconds
+            return res.reached, res.completion_seconds
+
+        res = self._dispatch(kind, now, len(batch), lambda: run(self.session))
+        answer, per_query = answers(res)
+        virtual = float(res.virtual_seconds)
+        for j, q in enumerate(batch):
+            q.start = now
+            q.epoch = epoch
+            if kind == "reach":
+                q.verdict = bool(answer[j])
+            if res.resolved is None or res.resolved[j]:
+                q.finish = now + float(per_query[j])
+            else:
+                q.finish = now + virtual
+                q.missed = True
+            if wfq_lane is not None:
+                self._take_token(q, now)
+        self.clock = now + virtual
+        self._busy += virtual
+        if wfq_lane is not None:
+            self._wfq.charge(wfq_lane, virtual)
+        if self.cross_check and getattr(self.session, "is_dynamic", False):
+            ref = run(self._oracle_session(epoch))
+            ref_answer, ref_per_query = answers(ref)
+            if (
+                not np.array_equal(answer, ref_answer)
+                or not np.array_equal(per_query, ref_per_query)
+                or res.virtual_seconds != ref.virtual_seconds
+            ):
                 raise AssertionError(
-                    f"index/traversal cross-check failed for "
-                    f"({s} -> {t}, k={self.k}): index says "
-                    f"{bool(index_verdicts[chunk][bad])}, traversal says "
-                    f"{bool(res.reachable[bad])}"
+                    f"dynamic cross-check failed for {kind} batch at epoch "
+                    f"{epoch}: live (answers={answer}, "
+                    f"virt={res.virtual_seconds!r}) != oracle "
+                    f"(answers={ref_answer}, virt={ref.virtual_seconds!r})"
                 )
 
     def _dispatch(self, kind: str, now: float, width: int, run):
@@ -1137,84 +1074,94 @@ class QueryService:
         ):
             return run()
 
-    def _drain_batch(
-        self, queue, starts, finishes, missed, epochs
-    ) -> tuple[int, float]:
-        from repro.core.khop import concurrent_khop
-
-        num_batches = 0
-        busy = 0.0
-        i = 0
-        while i < len(queue):
-            now = max(self.clock, queue[i].arrival)
-            self._apply_due_mutations(now)
-            epoch = self._epoch()
-            batch = [queue[i]]
-            i += 1
-            while (
-                i < len(queue)
-                and len(batch) < self.batch_width
-                and queue[i].arrival <= now
-            ):
-                batch.append(queue[i])
-                i += 1
-            res = self._dispatch(
-                "khop", now, len(batch),
-                lambda: concurrent_khop(
-                    self.session.pg,
-                    [q.source for q in batch],
-                    self.k,
-                    use_edge_sets=self.use_edge_sets,
-                    session=self.session,
-                    max_virtual_seconds=self.deadline_seconds,
-                ),
-            )
-            for j, q in enumerate(batch):
-                starts[q.query_id] = now
-                epochs[q.query_id] = epoch
-                if res.resolved is None or res.resolved[j]:
-                    finishes[q.query_id] = now + float(res.completion_seconds[j])
-                else:
-                    finishes[q.query_id] = now + float(res.virtual_seconds)
-                    missed[q.query_id] = True
-            self.clock = now + float(res.virtual_seconds)
-            busy += float(res.virtual_seconds)
-            num_batches += 1
-            if self.cross_check and getattr(self.session, "is_dynamic", False):
-                self._oracle_check_khop(batch, res, epoch)
-        return num_batches, busy
-
-    def _drain_pool(self, queue, starts, finishes, epochs) -> tuple[int, float]:
-        busy = 0.0
-        dynamic = getattr(self.session, "is_dynamic", False)
-        for q in queue:
-            slot = heapq.heappop(self._slots)
-            start = max(slot, q.arrival)
-            self._apply_due_mutations(start)
-            epoch = self._epoch()
-            service = self.session.khop_service_seconds(
+    def _serve_slot(self, q: _QueryRecord) -> None:
+        """One query alone on the next free worker slot, charged its
+        standalone service time (memoised per root on the session) — the
+        recurrence :func:`simulate_fifo_pool` computes."""
+        start = max(self._slots[0], q.arrival)
+        self._apply_due_mutations(start)
+        q.epoch = self._epoch()
+        service = self.session.khop_service_seconds(
+            q.source, self.k, use_edge_sets=self.use_edge_sets
+        )
+        q.start = start
+        q.finish = start + service
+        heapq.heapreplace(self._slots, q.finish)
+        self.clock = max(self.clock, q.finish)
+        self._busy += service
+        if self.cross_check and getattr(self.session, "is_dynamic", False):
+            ref = self._oracle_session(q.epoch).khop_service_seconds(
                 q.source, self.k, use_edge_sets=self.use_edge_sets
             )
-            finish = start + service
-            heapq.heappush(self._slots, finish)
-            starts[q.query_id] = start
-            finishes[q.query_id] = finish
-            epochs[q.query_id] = epoch
-            busy += service
-            if self.cross_check and dynamic:
-                ref = self._oracle_session(epoch).khop_service_seconds(
-                    q.source, self.k, use_edge_sets=self.use_edge_sets
+            if ref != service:
+                raise AssertionError(
+                    f"dynamic cross-check failed for pool query "
+                    f"(source {q.source}, k={self.k}, epoch {q.epoch}): "
+                    f"live service time {service!r} != oracle {ref!r}"
                 )
-                if ref != service:
-                    raise AssertionError(
-                        f"dynamic cross-check failed for pool query "
-                        f"(source {q.source}, k={self.k}, epoch {epoch}): "
-                        f"live service time {service!r} != oracle {ref!r}"
-                    )
-        self.clock = max(self.clock, max(finishes[q.query_id] for q in queue))
-        return len(queue), busy
 
-    # -- the rebuilt-from-scratch oracle (dynamic cross-check mode) ---------- #
+    def _serve_index(self, group) -> None:
+        """Serve one index-lane group, fronted by the result cache.
+
+        A query starts the moment it arrives (or, under QoS, the moment its
+        tenant's quota allows — the lane is paced by the buckets but exempt
+        from WFQ) and pays its label-scan cost; the service clock is only
+        raised to cover the latest lookup, never rewound.  With a result
+        cache, each query first probes it at the group's graph epoch: hits
+        are charged the hit cost and routed ``"cache"``, misses go to the
+        resident index and populate the cache on the way out.
+        """
+        planner = self.session.index_planner()  # builds the index once
+        epoch = self._epoch()
+        cache = self.cache
+        sources = np.array([q.source for q in group], dtype=np.int64)
+        targets = np.array([q.target for q in group], dtype=np.int64)
+        if cache is not None:
+            verdicts, service, hit_mask = planner.answer_cached(
+                sources, targets, self.k, epoch, cache
+            )
+        else:
+            answer = planner.answer(sources, targets, self.k)
+            verdicts = answer.reachable
+            service = answer.service_seconds
+            hit_mask = np.zeros(len(group), dtype=bool)
+        for j, q in enumerate(group):
+            q.start = q.arrival
+            if self.qos is not None:
+                q.start = q.eligible = self._eligible_start(q)
+                self._take_token(q, q.start)
+            q.finish = q.start + float(service[j])
+            q.verdict = bool(verdicts[j])
+            q.route = "cache" if hit_mask[j] else "index"
+            q.epoch = epoch
+        self._busy += float(service.sum())
+        last = max(q.finish for q in group)
+        self.clock = max(self.clock, last)
+        if self.instr.enabled:
+            self.instr.tracer.record(
+                "index lane",
+                cat="index",
+                virt_start=min(q.start for q in group),
+                virt_end=last,
+                queries=len(group),
+            )
+            self.instr.on_dispatch("index")
+        if cache is not None and cache.cross_check and hit_mask.any():
+            hit = np.nonzero(hit_mask)[0]
+            ref = planner.answer(sources[hit], targets[hit], self.k)
+            if not np.array_equal(ref.reachable, verdicts[hit]):
+                bad = np.nonzero(ref.reachable != verdicts[hit])[0][0]
+                s, t = int(sources[hit][bad]), int(targets[hit][bad])
+                raise AssertionError(
+                    f"stale cache verdict for ({s} -> {t}, k={self.k}, "
+                    f"epoch {epoch}): cache says "
+                    f"{bool(verdicts[hit][bad])}, live planner says "
+                    f"{bool(ref.reachable[bad])}"
+                )
+        if self.cross_check:
+            self._check_index_verdicts(sources, targets, verdicts, epoch)
+
+    # -- off-the-books cross-checks ------------------------------------------ #
 
     _ORACLE_CACHE_CAP = 4
 
@@ -1233,97 +1180,45 @@ class QueryService:
             self._oracle_sessions[epoch] = sess
         return sess
 
-    def _oracle_check_khop(self, batch, res, epoch: int) -> None:
-        """The mutated graph's answers must be bit-identical — counts,
-        per-query completions AND the batch's virtual clock — to a session
-        rebuilt from scratch at the same epoch.  Off the accounting books."""
-        from repro.core.khop import concurrent_khop
-
-        oracle = self._oracle_session(epoch)
-        ref = concurrent_khop(
-            oracle.pg,
-            [q.source for q in batch],
-            self.k,
-            use_edge_sets=self.use_edge_sets,
-            session=oracle,
-            max_virtual_seconds=self.deadline_seconds,
-        )
-        if (
-            not np.array_equal(res.reached, ref.reached)
-            or not np.array_equal(res.completion_seconds, ref.completion_seconds)
-            or res.virtual_seconds != ref.virtual_seconds
-        ):
-            raise AssertionError(
-                f"dynamic cross-check failed for k-hop batch at epoch "
-                f"{epoch}: live (reached={res.reached}, "
-                f"virt={res.virtual_seconds!r}) != oracle "
-                f"(reached={ref.reached}, virt={ref.virtual_seconds!r})"
-            )
-
-    def _oracle_check_reach(self, batch, res, epoch: int) -> None:
-        oracle = self._oracle_session(epoch)
-        ref = oracle.reach(
-            [q.source for q in batch],
-            [q.target for q in batch],
-            self.k,
-            use_edge_sets=self.use_edge_sets,
-            max_virtual_seconds=self.deadline_seconds,
-        )
-        if (
-            not np.array_equal(res.reachable, ref.reachable)
-            or not np.array_equal(res.resolution_seconds, ref.resolution_seconds)
-            or res.virtual_seconds != ref.virtual_seconds
-        ):
-            raise AssertionError(
-                f"dynamic cross-check failed for reachability batch at "
-                f"epoch {epoch}: live (reachable={res.reachable}, "
-                f"virt={res.virtual_seconds!r}) != oracle "
-                f"(reachable={ref.reachable}, virt={ref.virtual_seconds!r})"
-            )
-
-    def _assert_matches_oracle_index(
-        self, sources, targets, index_verdicts, epoch: int
-    ) -> None:
-        """Index-lane verdicts on a dynamic session must match traversal on
-        the from-scratch oracle graph at the same epoch."""
-        oracle = self._oracle_session(epoch)
+    def _check_index_verdicts(self, sources, targets, verdicts, epoch: int):
+        """Cross-check mode: index-lane verdicts must be bit-identical to
+        the traversal engine's — on the live session when it is static, on
+        the from-scratch oracle graph at the same epoch when it is dynamic.
+        Runs off the service's accounting books."""
+        dynamic = getattr(self.session, "is_dynamic", False)
+        reference = self._oracle_session(epoch) if dynamic else self.session
         for i in range(0, sources.size, 64):
             chunk = slice(i, min(i + 64, sources.size))
-            ref = oracle.reach(sources[chunk], targets[chunk], self.k)
-            if not np.array_equal(ref.reachable, index_verdicts[chunk]):
-                bad = np.nonzero(ref.reachable != index_verdicts[chunk])[0][0]
+            ref = reference.reach(sources[chunk], targets[chunk], self.k)
+            if not np.array_equal(ref.reachable, verdicts[chunk]):
+                bad = np.nonzero(ref.reachable != verdicts[chunk])[0][0]
                 s, t = int(sources[chunk][bad]), int(targets[chunk][bad])
                 raise AssertionError(
-                    f"dynamic cross-check failed for ({s} -> {t}, "
+                    f"index cross-check failed for ({s} -> {t}, "
                     f"k={self.k}, epoch {epoch}): index says "
-                    f"{bool(index_verdicts[chunk][bad])}, oracle traversal "
-                    f"says {bool(ref.reachable[bad])}"
+                    f"{bool(verdicts[chunk][bad])}, "
+                    f"{'oracle ' if dynamic else ''}traversal says "
+                    f"{bool(ref.reachable[bad])}"
                 )
 
-    def _report(
-        self, queue, starts, finishes, num_batches, verdicts=None, routes=None,
-        busy_seconds: float = 0.0, missed=None, epochs=None,
-    ) -> ServiceReport:
-        by_id = sorted(queue, key=lambda q: q.query_id)
-        verdicts = verdicts or {}
-        routes = routes or {}
-        missed = missed or {}
-        epochs = epochs or {}
+    def _cache_traffic(self) -> tuple[int, int]:
+        cache = self.cache
+        return (cache.hits, cache.misses) if cache is not None else (0, 0)
+
+    def _report(self, records, num_batches: int) -> ServiceReport:
+        """Build the drain's :class:`ServiceReport` from its query records
+        (submission order); per-drain counts are the lifetime counters'
+        growth since the drain started."""
+        by_id = sorted(records, key=lambda q: q.query_id)
         shed, self.shed = self.shed, 0
-        drain_mutations, self._drain_mutations = self._drain_mutations, 0
-        drain_throttled, self._drain_throttled = self._drain_throttled, 0
-        if self.cache is not None:
-            cache_hits = self.cache.hits - self._cache_mark[0]
-            cache_misses = self.cache.misses - self._cache_mark[1]
-        else:
-            cache_hits = cache_misses = 0
-        ids = np.array([q.query_id for q in by_id], dtype=np.int64)
+        mutations, throttled, hits, misses = self._marks
+        cache_hits, cache_misses = self._cache_traffic()
         return ServiceReport(
-            query_ids=ids,
+            query_ids=np.array([q.query_id for q in by_id], dtype=np.int64),
             sources=np.array([q.source for q in by_id], dtype=np.int64),
             arrival_seconds=np.array([q.arrival for q in by_id]),
-            start_seconds=np.array([starts[q.query_id] for q in by_id]),
-            finish_seconds=np.array([finishes[q.query_id] for q in by_id]),
+            start_seconds=np.array([q.start for q in by_id]),
+            finish_seconds=np.array([q.finish for q in by_id]),
             num_batches=num_batches,
             clock_seconds=self.clock,
             targets=np.array(
@@ -1331,34 +1226,27 @@ class QueryService:
                 dtype=np.int64,
             ),
             reachable=np.array(
-                [int(verdicts.get(q.query_id, -1)) for q in by_id],
+                [-1 if q.verdict is None else int(q.verdict) for q in by_id],
                 dtype=np.int8,
             ),
-            routes=np.array(
-                [routes.get(q.query_id, "traversal") for q in by_id],
-                dtype="<U9",
-            ),
-            busy_seconds=float(busy_seconds),
+            routes=np.array([q.route for q in by_id], dtype="<U9"),
+            busy_seconds=float(self._busy),
             deadline_missed=(
                 None
                 if self.deadline_seconds is None
-                else np.array(
-                    [bool(missed.get(q.query_id, False)) for q in by_id]
-                )
+                else np.array([q.missed for q in by_id])
             ),
             degraded=bool(getattr(self.session, "degraded", False)),
             shed=shed,
             epochs=(
-                np.array(
-                    [epochs.get(q.query_id, -1) for q in by_id], dtype=np.int64
-                )
+                np.array([q.epoch for q in by_id], dtype=np.int64)
                 if getattr(self.session, "is_dynamic", False)
                 else None
             ),
-            mutations_applied=drain_mutations,
+            mutations_applied=self.mutations_applied - mutations,
             lanes=_str_array([q.lane for q in by_id]),
             tenants=_str_array([q.tenant for q in by_id]),
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
-            throttled=drain_throttled,
+            cache_hits=cache_hits - hits,
+            cache_misses=cache_misses - misses,
+            throttled=self.throttled - throttled,
         )

@@ -128,7 +128,7 @@ class GraphSession:
     fault_tolerance:
         The supervisor's knobs (:class:`~repro.runtime.fault.FaultTolerance`):
         checkpoint interval, per-step hang timeout, recovery budget.
-        Shared by the pool coordinator and the in-process resilient path.
+        Read by the shared superstep driver on either backend.
     fault_plan:
         A deterministic :class:`~repro.runtime.fault.FaultPlan` injection
         schedule (tests/chaos only).  On a pool session it is threaded into
@@ -486,7 +486,7 @@ class GraphSession:
             if maintain:
                 self._patch_index(res)
             elif self._index_maintenance == "rebuild":
-                self._rebuild_index_for_epoch()
+                self.index_build(rebuild=True)
             # "none" (or an already-stale index): leave it; consumers must
             # consult index_is_current before trusting it.
         self._mutation_batches += 1
@@ -536,7 +536,7 @@ class GraphSession:
     def _patch_index(self, res) -> None:
         patch = self._inc_index.apply(res.inserted, res.deleted)
         if patch.needs_rebuild:
-            self._rebuild_index_for_epoch()
+            self.index_build(rebuild=True)
             return
         self.instr.on_index_patch(patch.entries_patched)
         # Packing the patched labels back into frozen arrays is deferred
@@ -549,14 +549,6 @@ class GraphSession:
             labeled_visits=patch.entries_patched,
         )
         self._index_epoch = self.graph_epoch
-
-    def _rebuild_index_for_epoch(self) -> None:
-        from repro.index.build import build_hub_labels
-
-        with self.instr.span("index build", cat="index"):
-            self._index_build = build_hub_labels(self.pg)
-        self._index_epoch = self.graph_epoch
-        self._inc_index = None  # rebuilt from the current graph on demand
 
     # -- the reachability index (lazy import: index depends on graph only) -- #
 
@@ -722,18 +714,13 @@ class GraphSession:
         tasks: list[PartitionTask],
         combiner=combine_or,
         asynchronous: bool = False,
-        parallel_compute: bool = False,
         max_supersteps: int | None = None,
         on_step=None,
         max_virtual_seconds: float | None = None,
     ) -> EngineResult:
         """Drive one batch of seeded tasks to quiescence on the cluster."""
         engine = SuperstepEngine(
-            self.cluster,
-            tasks,
-            combiner=combiner,
-            asynchronous=asynchronous,
-            parallel_compute=parallel_compute,
+            self.cluster, tasks, combiner=combiner, asynchronous=asynchronous
         )
         with self.instr.span(
             f"run batch {self.batches_run}", cat="batch",
@@ -772,7 +759,7 @@ class GraphSession:
         batches exactly like the in-process task cache.
 
         Failure handling is layered (the degradation ladder): worker
-        failures *within* an attempt are recovered by the pool's own
+        failures *within* an attempt are recovered by the superstep driver's
         checkpoint replay; an attempt that exhausts its recovery budget
         raises :class:`~repro.errors.WorkerLost`, the broken pool is torn
         down (no leaked processes or segments) and the batch is retried on
@@ -800,16 +787,10 @@ class GraphSession:
                     "_inner_build": build, "_deltas": deltas, **build_kwargs
                 }
                 build = build_with_delta
-        if self._degraded:
-            return self._run_batch_degraded(
-                build, build_kwargs, seeds, combiner, max_supersteps,
-                on_step, probe, probe_args, max_virtual_seconds,
-            )
         policy = self.retry_policy
         started = time.monotonic()
         attempt = 0
-        last_exc: WorkerLost | None = None
-        while True:
+        while not self._degraded:
             attempt += 1
             try:
                 pool = self.pool()
@@ -833,7 +814,6 @@ class GraphSession:
                 self._fallback_tasks = None
                 return result
             except WorkerLost as exc:
-                last_exc = exc
                 self.pool_failures += 1
                 log.warning(
                     "pool attempt %d/%d lost: %s",
@@ -851,45 +831,25 @@ class GraphSession:
                     self.instr.on_pool_retry()
                     time.sleep(policy.backoff(attempt))
                     continue
-                if policy.degrade:
-                    break
-                if out_of_time and attempt < policy.max_attempts:
-                    raise DeadlineExceeded(
-                        f"pool retry deadline ({policy.deadline:g}s) passed "
-                        f"after {attempt} attempt(s)"
-                    ) from exc
-                raise
-        self._degraded = True
-        self.instr.on_degrade()
-        log.warning(
-            "degrading to the in-process engine after %d failed pool "
-            "attempt(s): %s", attempt, last_exc,
-        )
-        return self._run_batch_degraded(
-            build, build_kwargs, seeds, combiner, max_supersteps,
-            on_step, probe, probe_args, max_virtual_seconds,
-        )
-
-    def _run_batch_degraded(
-        self,
-        build,
-        build_kwargs: dict,
-        seeds,
-        combiner,
-        max_supersteps: int | None,
-        on_step,
-        probe,
-        probe_args,
-        max_virtual_seconds: float | None,
-    ) -> EngineResult:
-        """One pool batch served by the in-process engine instead.
-
-        Builds tasks through the *same* pool adapters the workers would
-        have used, replays the seeds, and emulates the pool's ``on_step``
-        contract (worker-side probes, broadcast controls) so entry points
-        cannot tell the backends apart — answers and virtual clocks are
-        bit-identical.  The tasks are kept for :meth:`gather_batch`.
-        """
+                if not policy.degrade:
+                    if out_of_time and attempt < policy.max_attempts:
+                        raise DeadlineExceeded(
+                            f"pool retry deadline ({policy.deadline:g}s) "
+                            f"passed after {attempt} attempt(s)"
+                        ) from exc
+                    raise
+                self._degraded = True
+                self.instr.on_degrade()
+                log.warning(
+                    "degrading to the in-process engine after %d failed "
+                    "pool attempt(s): %s", attempt, exc,
+                )
+        # Degraded: the pool batch is served by the in-process engine.  Tasks
+        # are built through the *same* pool adapters the workers would have
+        # used, the seeds replayed, and the pool's ``on_step`` contract
+        # (worker-side probes, broadcast controls) emulated, so entry points
+        # cannot tell the backends apart — answers and virtual clocks are
+        # bit-identical.  The tasks are kept for :meth:`gather_batch`.
         self.degraded_batches += 1
         self.cluster.reset_buffers()
         tasks = [

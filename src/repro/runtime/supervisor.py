@@ -59,14 +59,14 @@ class WorkerFailure:
 
 @dataclass
 class Checkpoint:
-    """Coordinator-side snapshot of one run at a superstep barrier.
+    """The superstep driver's snapshot of one run at a barrier.
 
-    ``task_states`` holds every worker's ``PartitionTask.checkpoint()``
-    blob in machine order; ``per_step_seconds``/``history`` are the virtual
-    clock and stats prefixes up to ``step``, so recovery rewinds the
-    *coordinator's* accounting to exactly the barrier the workers restore
-    to.  Recovered runs therefore replay into bit-identical answers *and*
-    virtual clocks.
+    ``task_states`` holds every machine's ``PartitionTask.checkpoint()``
+    blob in machine order (from the executor); ``per_step_seconds`` /
+    ``history`` are the virtual clock and stats prefixes up to ``step``, so
+    recovery rewinds the *driver's* accounting to exactly the barrier the
+    tasks restore to.  Recovered runs therefore replay into bit-identical
+    answers *and* virtual clocks.
     """
 
     step: int

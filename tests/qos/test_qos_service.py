@@ -12,6 +12,7 @@ import pytest
 from repro.errors import InvalidQueryError
 from repro.graph.generators import rmat_edges
 from repro.qos import LaneSpec, QosConfig, QuotaSpec, ResultCache
+from repro.qos.lanes import TokenBucket
 from repro.runtime.scheduler import QueryService
 from repro.runtime.session import GraphSession
 from repro.telemetry.instrument import Instrumentation
@@ -197,6 +198,41 @@ class TestQuotas:
         np.testing.assert_array_equal(
             throttled.drain().reachable, free.drain().reachable
         )
+
+
+class TestSelectorCost:
+    def test_quota_evaluations_grow_linearly_with_queue_depth(
+        self, session, monkeypatch
+    ):
+        """Quota eligibility is read once per queued query, then once per
+        *tenant* per pick — not once per queued query per pick, which made
+        a deep same-arrival backlog quadratic."""
+        reads = [0]
+        for name in ("ready_time", "wait"):
+            original = getattr(TokenBucket, name)
+
+            def counted(self, *args, _original=original):
+                reads[0] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(TokenBucket, name, counted)
+
+        def bucket_reads(num_queries):
+            qos = QosConfig(quotas={"crawler": QuotaSpec(rate=1e6, burst=64)})
+            svc = QueryService(session, k=1, qos=qos)
+            rng = np.random.default_rng(num_queries)
+            svc.submit_many(
+                rng.integers(0, session.num_vertices, num_queries),
+                lane="bulk",
+                tenant="crawler",
+            )
+            reads[0] = 0
+            report = svc.drain()
+            assert report.num_batches >= num_queries // 64
+            return reads[0]
+
+        shallow, deep = bucket_reads(256), bucket_reads(1024)
+        assert deep < 6 * shallow
 
 
 class TestLaneReport:

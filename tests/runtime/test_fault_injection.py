@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core.wide import concurrent_khop_wide
-from repro.errors import WorkerLost
+from repro.errors import UnsupportedConfigError, WorkerLost
 from repro.graph import rmat_edges
 from repro.runtime.fault import FaultPlan, FaultTolerance, RetryPolicy
 from repro.runtime.session import GraphSession
@@ -265,6 +265,72 @@ class TestDegradationLadder:
             sess.close()
 
 
+class TestSharedDriver:
+    """One superstep driver, two executors: the same fault plan must cost
+    the same — result *and* telemetry — in-process and on the pool."""
+
+    @staticmethod
+    def _pagerank(graph, backend, plan, ft):
+        instr = Instrumentation()
+        kwargs = {}
+        if backend == "pool":
+            # no retry ladder: an exhausted budget must surface, not degrade
+            kwargs["retry_policy"] = RetryPolicy(max_attempts=1, degrade=False)
+        with GraphSession(
+            graph, num_machines=2, backend=backend, fault_plan=plan,
+            fault_tolerance=ft, instrumentation=instr, **kwargs,
+        ) as sess:
+            try:
+                outcome = sess.pagerank(iterations=6).engine_result
+            except WorkerLost as exc:
+                outcome = exc
+        telemetry = {
+            name: instr.metrics.get(f"cgraph_{name}_total").total
+            for name in ("faults", "recoveries", "checkpoints", "supersteps")
+        }
+        telemetry["superstep_spans"] = sum(
+            1 for span in instr.tracer.spans if span.cat == "superstep"
+        )
+        return outcome, telemetry
+
+    @pytest.mark.parametrize(
+        "step, machine, interval", [(0, 0, 1), (2, 1, 1), (3, 0, 2)]
+    )
+    def test_same_crash_same_result_and_telemetry(
+        self, graph, step, machine, interval
+    ):
+        ft = FaultTolerance(checkpoint_interval=interval, max_recoveries=2)
+        runs = [
+            self._pagerank(
+                graph, backend, FaultPlan().crash_worker(step, machine), ft
+            )
+            for backend in ("inproc", "pool")
+        ]
+        (a, seen_a), (b, seen_b) = runs
+        assert a.supersteps == b.supersteps == 6
+        assert a.per_step_seconds == b.per_step_seconds
+        assert a.per_step_stats == b.per_step_stats
+        assert a.truncated == b.truncated
+        assert seen_a == seen_b
+        assert seen_a["faults"] == seen_a["recoveries"] == 1
+        # replayed supersteps are executed twice but emitted once
+        assert seen_a["supersteps"] == seen_a["superstep_spans"] == 6
+
+    def test_exhausted_budget_raises_on_both(self, graph):
+        ft = FaultTolerance(max_recoveries=1)
+        runs = [
+            self._pagerank(
+                graph, backend, FaultPlan().crash_worker(1, 0, sticky=True), ft
+            )
+            for backend in ("inproc", "pool")
+        ]
+        for outcome, _ in runs:
+            assert isinstance(outcome, WorkerLost)
+            assert "budget" in str(outcome)
+        assert runs[0][1] == runs[1][1]
+        assert runs[0][1]["faults"] == 2 and runs[0][1]["recoveries"] == 1
+
+
 class TestInprocResilient:
     def test_inproc_crash_and_delay_parity(self, graph, inproc_sess):
         ref = inproc_sess.khop([0, 17, 333], 4)
@@ -279,5 +345,8 @@ class TestInprocResilient:
         sess = GraphSession(
             graph, num_machines=2, fault_plan=FaultPlan().crash_worker(0, 0)
         )
-        with pytest.raises(ValueError, match="fault injection requires"):
+        with pytest.raises(ValueError, match="fault injection requires") as exc:
             sess.pagerank(iterations=3, asynchronous=True)
+        # typed, and raised at engine construction — before any superstep
+        assert isinstance(exc.value, UnsupportedConfigError)
+        assert sess.batches_run == 0

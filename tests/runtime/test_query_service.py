@@ -232,3 +232,69 @@ class TestValidation:
         svc = QueryService(session, k=2)
         with pytest.raises(ValueError, match="arrivals"):
             svc.submit_many([0, 1], [0.0])
+
+
+class TestDrainRaises:
+    """A dispatch that raises must not take the rest of the queue with it."""
+
+    @pytest.mark.parametrize("kind", ["khop", "reach"])
+    def test_failed_dispatch_requeues_unrun_work(self, kind, monkeypatch):
+        edges = rmat_edges(9, 4000, seed=13).remove_self_loops().deduplicate()
+        rng = np.random.default_rng(5)
+        sources = rng.integers(0, edges.num_vertices, 24)
+        targets = (
+            rng.integers(0, edges.num_vertices, 24) if kind == "reach" else None
+        )
+        # three batches of 8 (t = 0, 0.5, 1.0), a mutation batch due before
+        # the second and the third, and one past the last dispatch
+        arrivals = np.repeat([0.0, 0.5, 1.0], 8)
+        mutations = [(0.25, [(1, 2)]), (0.75, [(3, 4)]), (2.0, [(5, 6)])]
+
+        def service():
+            sess = GraphSession(edges, num_machines=3)
+            sess.dynamic()
+            svc = QueryService(sess, k=3, batch_width=8)
+            svc.submit_many(sources, arrivals, targets=targets)
+            for arrival, inserts in mutations:
+                svc.apply_mutations(inserts, arrival=arrival)
+            return svc
+
+        twin = service().drain()
+
+        svc = service()
+        calls = [0]
+        if kind == "khop":
+            import repro.core.khop as module
+
+            name, owner = "concurrent_khop", module
+        else:
+            name, owner = "reach", GraphSession
+        original = getattr(owner, name)
+
+        def flaky(*args, **kwargs):
+            calls[0] += 1
+            if calls[0] == 2:
+                raise RuntimeError("boom")
+            return original(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, flaky)
+            with pytest.raises(RuntimeError, match="boom"):
+                svc.drain()
+        # the first batch ran and the first mutation applied; the other two
+        # batches and the other two mutations are queued again
+        assert svc.num_pending == 16
+        assert svc.num_pending_mutations == 2
+        assert svc.mutations_applied == 1
+
+        rest = svc.drain()
+        assert svc.num_pending == 0 and svc.num_pending_mutations == 0
+        assert rest.mutations_applied == 2
+        np.testing.assert_array_equal(rest.query_ids, twin.query_ids[8:])
+        np.testing.assert_array_equal(rest.epochs, twin.epochs[8:])
+        np.testing.assert_array_equal(rest.reachable, twin.reachable[8:])
+        np.testing.assert_array_equal(rest.start_seconds, twin.start_seconds[8:])
+        np.testing.assert_array_equal(
+            rest.finish_seconds, twin.finish_seconds[8:]
+        )
+        assert rest.clock_seconds == twin.clock_seconds

@@ -4,7 +4,7 @@ The session contract has three load-bearing properties:
 
 1. **bit-identical reuse** — a batch run on a long-lived session returns
    exactly the same answers as a one-shot call that rebuilds the world,
-   on every execution backend (serial, parallel compute, async delivery);
+   on every in-process execution mode (serial, async delivery);
 2. **isolation between batches** — no state (frontier planes, inbox
    messages, level counters) leaks from one batch into the next;
 3. **reuse actually happens** — task lists and the undirected view are
@@ -44,12 +44,8 @@ class TestBitIdenticalReuse:
 
     @pytest.mark.parametrize(
         "backend_kwargs",
-        [
-            {},
-            {"parallel_compute": True},
-            {"asynchronous": True},
-        ],
-        ids=["serial", "parallel_compute", "async"],
+        [{}, {"asynchronous": True}],
+        ids=["serial", "async"],
     )
     def test_khop_matches_one_shot(self, graph, session, backend_kwargs):
         for batch, seed in ((17, 0), (64, 1), (5, 2)):
@@ -69,12 +65,8 @@ class TestBitIdenticalReuse:
 
     @pytest.mark.parametrize(
         "backend_kwargs",
-        [
-            {},
-            {"parallel_compute": True},
-            {"asynchronous": True},
-        ],
-        ids=["serial", "parallel_compute", "async"],
+        [{}, {"asynchronous": True}],
+        ids=["serial", "async"],
     )
     def test_gas_pagerank_matches_one_shot(self, graph, session, backend_kwargs):
         for _ in range(2):  # second run exercises the cached task list

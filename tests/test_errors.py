@@ -20,6 +20,7 @@ from repro.errors import (
     Overloaded,
     PoolError,
     ReproError,
+    UnsupportedConfigError,
     WorkerLost,
     WorkerTaskError,
 )
@@ -33,6 +34,7 @@ ALL = [
     DeadlineExceeded,
     Overloaded,
     InvalidQueryError,
+    UnsupportedConfigError,
     DurabilityError,
     CorruptLog,
     CorruptCheckpoint,
@@ -56,6 +58,7 @@ def test_every_error_is_a_repro_error(exc):
         (DeadlineExceeded, TimeoutError),
         (Overloaded, RuntimeError),
         (InvalidQueryError, ValueError),
+        (UnsupportedConfigError, ValueError),
         (DurabilityError, RuntimeError),
         (CorruptLog, RuntimeError),
         (CorruptCheckpoint, RuntimeError),
