@@ -84,12 +84,10 @@ def test_kernel_pagerank_iteration(benchmark, kernel_graph):
 
 
 def test_kernel_wide_batch_512(benchmark, kernel_graph):
-    from repro.core.wide import concurrent_khop_wide
-
     pg = range_partition(kernel_graph, 1)
     sources = [i % kernel_graph.num_vertices for i in range(512)]
     res = benchmark.pedantic(
-        concurrent_khop_wide, args=(pg, sources, 3), rounds=3, iterations=1
+        concurrent_khop, args=(pg, sources, 3), rounds=3, iterations=1
     )
     assert res.num_queries == 512
 

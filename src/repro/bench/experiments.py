@@ -34,9 +34,9 @@ from repro.bench.report import format_histogram, format_series, format_table
 from repro.bench.timing import ResponseTimes
 from repro.bench.workload import QueryWorkload, random_sources
 from repro.core.batch import run_query_stream
+from repro.core.frontier import words_for
 from repro.core.khop import concurrent_khop
 from repro.core.pagerank import pagerank
-from repro.core.wide import concurrent_khop_wide
 from repro.graph import rmat_edges
 from repro.graph.analysis import effective_diameter, hop_plot
 from repro.graph.datasets import DATASETS, dataset_table, load_dataset, runtime_scale
@@ -934,14 +934,12 @@ def ablation_wide_batches(
     One multi-word pass shares traversal work across every query in the
     stream; the word-wide stream pays one pass per 64-query batch.
     """
-    from repro.core.wide import concurrent_khop_wide
-
     el = load_dataset(dataset, scale)
     nm = calibrated_netmodel(dataset, scale)
     pg = range_partition(el, num_machines)
     roots = random_sources(el, num_queries, seed=seed)
     stream = run_query_stream(pg, roots, k, batch_width=64, netmodel=nm)
-    wide = concurrent_khop_wide(pg, roots, k, netmodel=nm)
+    wide = concurrent_khop(pg, roots, k, netmodel=nm)
     rows = [
         {
             "variant": "64-wide batch stream",
@@ -950,7 +948,7 @@ def ablation_wide_batches(
             "passes": stream.num_batches,
         },
         {
-            "variant": f"{num_queries}-wide single batch ({wide.words} words)",
+            "variant": f"{num_queries}-wide single batch ({words_for(num_queries)} words)",
             "edges_scanned": wide.total_edges_scanned,
             "virtual_s": wide.virtual_seconds,
             "passes": 1,
@@ -1476,9 +1474,9 @@ def parallel_scaling(
     pool_wall: list[float] = []
     for workers in worker_counts:
         inproc = GraphSession(el, num_machines=workers)
-        ref = concurrent_khop_wide(el, roots, k, session=inproc)  # warm-up
+        ref = concurrent_khop(el, roots, k, session=inproc)  # warm-up
         with GraphSession(el, num_machines=workers, backend="pool") as pooled:
-            res = concurrent_khop_wide(el, roots, k, session=pooled)  # warm-up
+            res = concurrent_khop(el, roots, k, session=pooled)  # warm-up
             if not np.array_equal(res.reached, ref.reached):
                 raise AssertionError(
                     f"pool drain diverged from in-process at {workers} workers"
@@ -1490,10 +1488,10 @@ def parallel_scaling(
             t_in = t_pool = float("inf")
             for _ in range(repeats):
                 t0 = time.perf_counter()
-                concurrent_khop_wide(el, roots, k, session=inproc)
+                concurrent_khop(el, roots, k, session=inproc)
                 t_in = min(t_in, time.perf_counter() - t0)
                 t0 = time.perf_counter()
-                concurrent_khop_wide(el, roots, k, session=pooled)
+                concurrent_khop(el, roots, k, session=pooled)
                 t_pool = min(t_pool, time.perf_counter() - t0)
         inproc_wall.append(t_in)
         pool_wall.append(t_pool)

@@ -1,7 +1,10 @@
 """C-Graph core: the paper's primary contribution.
 
 * :mod:`repro.core.frontier` — MS-BFS bit-parallel frontier planes (§3.5).
-* :mod:`repro.core.khop` — the concurrent k-hop reachability engine.
+* :mod:`repro.core.khop` — the concurrent k-hop reachability engine, for
+  batches of 1 to 512 queries (one cache line of query bits).
+* :mod:`repro.core.adapters` — the probes, gathers and controls a batch
+  runs next to its tasks, on either executor.
 * :mod:`repro.core.bfs` — concurrent BFS (k → ∞).
 * :mod:`repro.core.batch` — word-wide query-stream batching.
 * :mod:`repro.core.traversal` — the ``Traverse`` operator (Listing 2).
@@ -12,7 +15,6 @@
 * :mod:`repro.core.reachability` — pairwise s→t reachability (the title
   query) with per-query early termination.
 * :mod:`repro.core.kcore` — distributed k-core decomposition (H-index).
-* :mod:`repro.core.wide` — cache-line-wide (up to 512-query) batches.
 * :mod:`repro.core.ooc` — out-of-core traversal over disk-resident
   edge-sets.
 * :mod:`repro.core.vertex_api` — the vertex-centric (Pregel) model (§3.3).
@@ -41,7 +43,6 @@ from repro.core.centrality import (
     closeness_centrality,
     harmonic_centrality,
 )
-from repro.core.wide import WideKHopResult, concurrent_khop_wide
 from repro.core.ooc import OOCKHopResult, concurrent_khop_out_of_core
 from repro.core.vertex_api import (
     VertexContext,
@@ -85,8 +86,6 @@ __all__ = [
     "CentralityResult",
     "closeness_centrality",
     "harmonic_centrality",
-    "WideKHopResult",
-    "concurrent_khop_wide",
     "OOCKHopResult",
     "concurrent_khop_out_of_core",
     "VertexContext",

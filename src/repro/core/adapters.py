@@ -1,104 +1,51 @@
-"""Pool-backend adapters: picklable builders, probes and collectors.
+"""Probes, gathers and controls: the functions a batch runs next to its tasks.
 
-The pool backend (:mod:`repro.runtime.pool`) executes the *same*
-:class:`~repro.runtime.engine.PartitionTask` subclasses as the in-process
-engine, inside spawned worker processes.  Every callable that crosses the
-process boundary — task builders, resetters, per-step probes, gather
-functions, mid-run controls — must be a picklable module-level function,
-so the lambdas the in-process path passes to ``GraphSession.tasks_for``
-get module-level twins here.
+A batch handed to :meth:`~repro.runtime.session.GraphSession.run_batch` is
+described once and executed on either executor — in this process or inside
+spawned pool workers (:mod:`repro.runtime.pool`).  Everything the
+description names therefore crosses a process boundary by *qualified name*:
+the task class itself (``KHopPartitionTask``, ``GASPartitionTask`` — built
+as ``cls(machine, cluster, **kwargs)``, re-armed as ``task.reset(**kwargs)``)
+and the module-level functions here, the only copy, used by both executors:
 
-The functions mirror the in-process flow exactly:
-
-* ``build_*(machine, cluster, ...)`` — the task factory, one per worker;
-* ``reset_*(task, ...)`` — re-arm resident state for the next batch;
-* probes run worker-side after every ``finalize`` and return the small
-  summaries the entry points' ``on_step`` callbacks read off task state
-  in the in-process path (alive bits, target-visited bits);
-* gathers (`*_visited_counts`, ``khop_depths``, ``gas_values``) collect
+* probes run after every ``finalize`` and return the small per-partition
+  summaries the entry points' ``on_step`` callbacks fold (alive bits,
+  target-visited bits);
+* gathers (``*_visited_counts``, ``khop_depths``, ``gas_values``) collect
   per-partition results after the run;
-* ``mask_frontier`` is reachability's early-termination control, broadcast
-  by the coordinator between supersteps.
+* ``mask_frontier`` is reachability's early-termination control, applied to
+  every task between supersteps;
+* ``combine_with`` is the GAS combiner (a ufunc bound with
+  :func:`functools.partial` — closures do not pickle).
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.core.gas import GASPartitionTask, VertexProgram
-from repro.core.khop import KHopPartitionTask
 from repro.runtime.message import MessageBatch, _combine
 
+if TYPE_CHECKING:  # the task modules import this one
+    from repro.core.gas import GASPartitionTask
+    from repro.core.khop import KHopPartitionTask
+
 __all__ = [
-    "build_khop",
-    "reset_khop",
     "khop_alive",
     "khop_visited_counts",
     "khop_depths",
     "reach_probe",
     "mask_frontier",
-    "build_gas",
-    "reset_gas",
     "gas_values",
     "combine_with",
-    "task_checkpoint",
-    "task_restore",
 ]
 
-#: Bytes per combined-batch payload entry, used to size outbox segments.
+#: Bytes per plane word of a combined-batch payload entry (outbox sizing).
 WORD_PAYLOAD_WIDTH = 8
 
 
-# -- fault tolerance -------------------------------------------------------- #
-
-
-def task_checkpoint(task):
-    """Gather/call adapter: snapshot any resident task's per-run state.
-
-    The pool's supervisor checkpoints through a dedicated protocol op, but
-    tests and tools can also pull a consistent snapshot out of live workers
-    with ``pool.gather(adapters.task_checkpoint)`` at a barrier.
-    """
-    return task.checkpoint()
-
-
-def task_restore(task, state) -> None:
-    """Call adapter: restore a task from :func:`task_checkpoint` output."""
-    task.restore(state)
-
-
 # -- k-hop (any batch width up to one cache line) --------------------------- #
-
-
-def build_khop(
-    machine,
-    cluster,
-    num_queries: int,
-    k: int | None,
-    record_depths: bool = False,
-    direction: str = "auto",
-    push_coeff: float = 1.0e-8,
-    pull_coeff: float = 2.5e-9,
-) -> KHopPartitionTask:
-    return KHopPartitionTask(
-        machine, cluster, num_queries, k, record_depths=record_depths,
-        direction=direction, push_coeff=push_coeff, pull_coeff=pull_coeff,
-    )
-
-
-def reset_khop(
-    task: KHopPartitionTask,
-    num_queries: int,
-    k: int | None,
-    record_depths: bool = False,
-    direction: str = "auto",
-    push_coeff: float = 1.0e-8,
-    pull_coeff: float = 2.5e-9,
-) -> None:
-    task.reset(
-        num_queries, k, record_depths=record_depths,
-        direction=direction, push_coeff=push_coeff, pull_coeff=pull_coeff,
-    )
 
 
 def khop_alive(task: KHopPartitionTask) -> int:
@@ -142,24 +89,12 @@ def mask_frontier(task: KHopPartitionTask, keep: int) -> None:
 # -- GAS / PageRank --------------------------------------------------------- #
 
 
-def build_gas(
-    machine, cluster, program: VertexProgram, initial: np.ndarray
-) -> GASPartitionTask:
-    return GASPartitionTask(machine, cluster, program, initial)
-
-
-def reset_gas(
-    task: GASPartitionTask, program: VertexProgram, initial: np.ndarray
-) -> None:
-    task.reset(program, initial)
-
-
 def gas_values(task: GASPartitionTask) -> np.ndarray:
     return task.values
 
 
 def combine_with(op: np.ufunc, batch: MessageBatch) -> MessageBatch:
-    """A picklable stand-in for ``run_gas``'s combiner closure.
+    """The GAS combiner: per-destination reduction with the program's ufunc.
 
     Used as ``functools.partial(combine_with, program.combiner)`` — numpy
     ufuncs pickle by name, closures do not.

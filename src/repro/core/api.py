@@ -224,7 +224,7 @@ def run_program(
         tasks.append(task)
 
     result = sess.run_batch(
-        tasks,
+        tasks=tasks,
         combiner=combiner or _concat_combiner,
         max_supersteps=max_supersteps,
     )

@@ -19,9 +19,9 @@ The batch width is fixed by hardware parameters: one machine word holds 64
 query bits (:data:`MAX_BATCH_WIDTH`), one 64-byte cache line holds 512
 (:data:`MAX_WIDE_BATCH`).  A single :class:`BitFrontier` covers the whole
 range — planes have shape ``(num_local, words)`` with ``words =
-ceil(num_queries / 64)`` — so the word-wide k-hop engine, the cache-line-wide
-batches and the pairwise-reachability engine all share one implementation,
-one checkpoint format and one set of pool adapters.
+ceil(num_queries / 64)`` — so k-hop batches of any width and the
+pairwise-reachability engine all share one implementation, one checkpoint
+format and one set of probes and gathers (:mod:`repro.core.adapters`).
 """
 
 from __future__ import annotations

@@ -20,14 +20,16 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from repro.core import adapters
 from repro.graph.edgelist import EdgeList
 from repro.graph.partition import PartitionedGraph
 from repro.runtime.cluster import SimCluster
 from repro.runtime.engine import EngineResult, PartitionTask
-from repro.runtime.message import MessageBatch, _combine
+from repro.runtime.message import MessageBatch
 from repro.runtime.netmodel import NetworkModel, StepStats
 from repro.runtime.session import GraphSession
 
@@ -203,50 +205,21 @@ def run_gas(
     expansion) is rebuilt per run since it belongs to the program instance.
     On a ``backend="pool"`` session the iterations run on the worker pool
     (``program`` must be picklable; results are bit-identical, including
-    float reduction order).
+    float reduction order); ``asynchronous`` requires the in-process backend.
     """
     sess = GraphSession.for_run(graph, num_machines, netmodel, session)
+    sess.require_inproc(asynchronous=asynchronous)
     pg = sess.pg
-    cluster = sess.cluster
     sess.prepare()
-    initial = program.initial_values(pg.num_vertices)
-
-    if sess.uses_pool:
-        if asynchronous:
-            raise ValueError("asynchronous mode requires backend='inproc'")
-        from functools import partial
-
-        from repro.core import adapters
-
-        task_kwargs = dict(program=program, initial=initial)
-        result = sess.run_batch_pool(
-            ("gas",),
-            adapters.build_gas, task_kwargs,
-            adapters.reset_gas, task_kwargs,
-            payload_width=adapters.WORD_PAYLOAD_WIDTH,
-            combiner=partial(adapters.combine_with, program.combiner),
-            max_supersteps=iterations,
-        )
-        values = np.empty(pg.num_vertices, dtype=np.float64)
-        for part, vals in zip(
-            pg.partitions, sess.gather_batch(adapters.gas_values)
-        ):
-            values[part.lo : part.hi] = vals
-    else:
-        tasks = sess.tasks_for(
-            ("gas",),
-            lambda m: GASPartitionTask(m, cluster, program, initial),
-            lambda t: t.reset(program, initial),
-        )
-
-        def gas_combiner(batch: MessageBatch) -> MessageBatch:
-            return _combine(batch, program.combiner)
-
-        result = sess.run_batch(
-            tasks, combiner=gas_combiner, asynchronous=asynchronous,
-            max_supersteps=iterations,
-        )
-        values = np.empty(pg.num_vertices, dtype=np.float64)
-        for t in tasks:
-            values[t.machine.lo : t.machine.hi] = t.values
+    result = sess.run_batch(
+        GASPartitionTask,
+        dict(program=program, initial=program.initial_values(pg.num_vertices)),
+        ("gas",),
+        combiner=partial(adapters.combine_with, program.combiner),
+        asynchronous=asynchronous,
+        max_supersteps=iterations,
+    )
+    values = np.empty(pg.num_vertices, dtype=np.float64)
+    for part, vals in zip(pg.partitions, sess.gather_batch(adapters.gas_values)):
+        values[part.lo : part.hi] = vals
     return GASRun(values=values, iterations=result.supersteps, engine_result=result)

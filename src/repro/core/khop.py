@@ -25,9 +25,12 @@ cost model's per-mode coefficients.  Both modes charge the *same* canonical
 answers, messages and virtual clocks are bit-identical across ``push``,
 ``pull`` and ``auto`` — the direction changes wall-clock only.
 
-The public entry point is :func:`concurrent_khop`; the
-:class:`KHopPartitionTask` plugs into the generic
-:class:`~repro.runtime.engine.SuperstepEngine`.
+The public entry point is :func:`concurrent_khop`, for any batch width up to
+one cache line of query bits (:data:`~repro.core.frontier.MAX_WIDE_BATCH`).
+It *describes* its batch — :class:`KHopPartitionTask` plus kwargs, the
+:func:`~repro.core.adapters.khop_alive` probe, one ``on_step`` — and
+:meth:`~repro.runtime.session.GraphSession.run_batch` runs that description
+on whichever executor the session has.
 """
 
 from __future__ import annotations
@@ -36,13 +39,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.frontier import MAX_BATCH_WIDTH, BitFrontier
+from repro.core import adapters
+from repro.core.frontier import MAX_WIDE_BATCH, BitFrontier, words_for
 from repro.graph.edgelist import EdgeList
 from repro.graph.partition import PartitionedGraph
 from repro.runtime.cluster import SimCluster
 from repro.runtime.engine import PartitionTask
 from repro.runtime.message import MessageBatch, combine_or
-from repro.runtime.netmodel import NetworkModel, StepStats, choose_direction
+from repro.runtime.netmodel import (
+    PULL_SECONDS_PER_EDGE,
+    PUSH_SECONDS_PER_EDGE,
+    NetworkModel,
+    StepStats,
+    choose_direction,
+)
 from repro.runtime.session import GraphSession
 
 __all__ = ["KHopResult", "KHopPartitionTask", "concurrent_khop", "DIRECTIONS"]
@@ -108,30 +118,16 @@ class KHopPartitionTask(PartitionTask):
         use_edge_sets: bool = False,
         record_depths: bool = False,
         direction: str = "auto",
-        push_coeff: float = 1.0e-8,
-        pull_coeff: float = 2.5e-9,
+        push_coeff: float = PUSH_SECONDS_PER_EDGE,
+        pull_coeff: float = PULL_SECONDS_PER_EDGE,
     ):
         super().__init__(machine)
         self.cluster = cluster
-        self.k = k
-        self.level = 0
-        self.state = BitFrontier(machine.num_local, num_queries)
-        part = machine.partition
-        self.use_edge_sets = use_edge_sets and part.edge_sets is not None
-        if use_edge_sets and part.edge_sets is None:
-            raise ValueError(
-                "use_edge_sets requires PartitionedGraph.build_edge_sets() first"
-            )
-        self.direction = _check_direction(direction)
-        # Coefficients travel with the task (not read off a cluster-side
-        # model) so pool workers — which hold no NetworkModel — make the
-        # exact same per-superstep choice as the in-process engine.
-        self.push_coeff = float(push_coeff)
-        self.pull_coeff = float(pull_coeff)
-        self.depths = (
-            np.full((machine.num_local, num_queries), -1, dtype=np.int16)
-            if record_depths
-            else None
+        self.state = None
+        self.depths = None
+        self.reset(
+            num_queries, k, use_edge_sets, record_depths, direction,
+            push_coeff, pull_coeff,
         )
 
     def seed(self, local_vertex: int, query_index: int) -> None:
@@ -142,23 +138,33 @@ class KHopPartitionTask(PartitionTask):
         self,
         num_queries: int,
         k: int | None,
+        use_edge_sets: bool = False,
         record_depths: bool = False,
         direction: str = "auto",
-        push_coeff: float = 1.0e-8,
-        pull_coeff: float = 2.5e-9,
+        push_coeff: float = PUSH_SECONDS_PER_EDGE,
+        pull_coeff: float = PULL_SECONDS_PER_EDGE,
     ) -> None:
-        """Re-arm this task for a new batch, reusing allocated planes.
+        """Arm this task for a batch — the constructor's kwargs, so a
+        resident task is re-armed with exactly what would have built it.
 
         Frontier/next/visited (and the depth matrix, when recorded) are
         zeroed in place when the batch width matches the previous one;
         otherwise the state is re-sized.
         """
+        if use_edge_sets and self.machine.partition.edge_sets is None:
+            raise ValueError(
+                "use_edge_sets requires PartitionedGraph.build_edge_sets() first"
+            )
+        self.use_edge_sets = use_edge_sets
         self.k = k
         self.level = 0
         self.direction = _check_direction(direction)
+        # Coefficients travel with the task (not read off a cluster-side
+        # model) so pool workers — which hold no NetworkModel — make the
+        # exact same per-superstep choice as the in-process engine.
         self.push_coeff = float(push_coeff)
         self.pull_coeff = float(pull_coeff)
-        if self.state.num_queries == num_queries:
+        if self.state is not None and self.state.num_queries == num_queries:
             self.state.clear()
         else:
             self.state = BitFrontier(self.machine.num_local, num_queries)
@@ -350,7 +356,7 @@ def concurrent_khop(
     max_virtual_seconds: float | None = None,
     direction: str = "auto",
 ) -> KHopResult:
-    """Run up to 64 k-hop queries concurrently with bit-parallel sharing.
+    """Run up to 512 k-hop queries concurrently with bit-parallel sharing.
 
     Parameters
     ----------
@@ -358,9 +364,11 @@ def concurrent_khop(
         An :class:`EdgeList` (partitioned here into ``num_machines`` ranges)
         or a pre-partitioned :class:`PartitionedGraph`.
     sources:
-        Global source vertex per query (batch width = ``len(sources)``, max
-        64; wider streams go through
-        :func:`repro.core.batch.run_query_stream`).
+        Global source vertex per query.  The batch width is
+        ``len(sources)``, up to one 64-byte cache line of query bits
+        (:data:`~repro.core.frontier.MAX_WIDE_BATCH` = 512, §3.5) — the
+        planes simply grow a word per 64 queries; longer streams go through
+        :func:`repro.core.batch.run_query_stream`.
     k:
         Hop budget; ``None`` means full BFS (traverse to exhaustion).
     record_depths:
@@ -369,11 +377,12 @@ def concurrent_khop(
         mode is the default (depths off).
     session:
         A persistent :class:`~repro.runtime.session.GraphSession` to run the
-        batch on; its graph/cluster are reused and its cached task list is
+        batch on; its graph/cluster are reused and its resident tasks are
         reset in place.  Omitted, a transient session is built per call.
         A ``backend="pool"`` session runs the batch on its worker pool
         (bit-identical answers, real multicore wall-clock); ``use_edge_sets``
-        and ``asynchronous`` require the in-process backend.
+        and ``asynchronous`` require the in-process backend and raise
+        :class:`~repro.errors.UnsupportedConfigError` there.
     max_virtual_seconds:
         Deadline on the batch's *virtual* clock: the run stops at the first
         superstep barrier past it, marking the result ``truncated`` and
@@ -395,114 +404,62 @@ def concurrent_khop(
     if use_edge_sets and direction == "pull":
         raise ValueError("use_edge_sets uses the push kernel; direction='pull' conflicts")
     sess = GraphSession.for_run(graph, num_machines, netmodel, session)
+    sess.require_inproc(use_edge_sets=use_edge_sets, asynchronous=asynchronous)
     pg = sess.pg
-    cluster = sess.cluster
-    sources = sess.check_sources(sources, MAX_BATCH_WIDTH)
+    sources = sess.check_sources(sources, MAX_WIDE_BATCH)
     num_queries = int(sources.size)
 
     completion_level = np.full(num_queries, 0, dtype=np.int64)
     completion_seconds = np.zeros(num_queries, dtype=np.float64)
+    all_queries = (1 << num_queries) - 1
     done_mask = 0
-
-    def note_level(step_index: int, now: float, alive_int: int) -> None:
-        nonlocal done_mask
-        for q in range(num_queries):
-            if done_mask >> q & 1:
-                continue
-            if not (alive_int >> q & 1):
-                done_mask |= 1 << q
-                completion_level[q] = step_index + 1
-                completion_seconds[q] = now
-            elif k is not None and step_index + 1 >= k:
-                done_mask |= 1 << q
-                completion_level[q] = k
-                completion_seconds[q] = now
 
     cap = max_supersteps
     if k is not None:
         cap = k if cap is None else min(cap, k)
 
-    sess.prepare()
-    if sess.uses_pool:
-        if use_edge_sets:
-            raise ValueError("use_edge_sets requires backend='inproc'")
-        if asynchronous:
-            raise ValueError("asynchronous mode requires backend='inproc'")
-        from repro.core import adapters
+    def on_step(step_index: int, stats, now: float, probes) -> None:
+        """A query finishes the level its frontier dies everywhere, or the
+        level that uses up the hop budget."""
+        nonlocal done_mask
+        level = step_index + 1
+        finished = all_queries
+        if k is None or level < k:
+            for alive in probes:
+                finished &= ~alive
+        newly = finished & ~done_mask
+        done_mask |= newly
+        while newly:
+            q = (newly & -newly).bit_length() - 1
+            completion_level[q] = level
+            completion_seconds[q] = now
+            newly &= newly - 1
 
-        task_kwargs = dict(
+    sess.prepare()
+    result = sess.run_batch(
+        KHopPartitionTask,
+        dict(
             num_queries=num_queries,
             k=k,
+            use_edge_sets=use_edge_sets,
             record_depths=record_depths,
             direction=direction,
             push_coeff=sess.netmodel.seconds_per_edge_push,
             pull_coeff=sess.netmodel.seconds_per_edge_pull,
-        )
-
-        def on_pool_step(step_index: int, stats, now: float, probes) -> None:
-            alive_int = 0
-            for bits in probes:
-                alive_int |= int(bits)
-            note_level(step_index, now, alive_int)
-
-        result = sess.run_batch_pool(
-            ("khop",),
-            adapters.build_khop, task_kwargs,
-            adapters.reset_khop, task_kwargs,
-            payload_width=adapters.WORD_PAYLOAD_WIDTH,
-            seeds=sess.seeds_by_machine(sources),
-            combiner=combine_or,
-            max_supersteps=cap,
-            on_step=on_pool_step,
-            probe=adapters.khop_alive,
-            max_virtual_seconds=max_virtual_seconds,
-        )
-        reached = np.zeros(num_queries, dtype=np.int64)
-        for counts in sess.gather_batch(adapters.khop_visited_counts):
-            reached += counts
-        per_part_depths = (
-            sess.gather_batch(adapters.khop_depths) if record_depths else None
-        )
-    else:
-        push_coeff = sess.netmodel.seconds_per_edge_push
-        pull_coeff = sess.netmodel.seconds_per_edge_pull
-        tasks = sess.tasks_for(
-            ("khop", use_edge_sets),
-            lambda m: KHopPartitionTask(
-                m, cluster, num_queries, k,
-                use_edge_sets=use_edge_sets, record_depths=record_depths,
-                direction=direction,
-                push_coeff=push_coeff, pull_coeff=pull_coeff,
-            ),
-            lambda t: t.reset(
-                num_queries, k, record_depths=record_depths,
-                direction=direction,
-                push_coeff=push_coeff, pull_coeff=pull_coeff,
-            ),
-        )
-        sess.seed_sources(tasks, sources)
-
-        def on_step(step_index: int, stats, now: float) -> None:
-            alive = 0
-            for t in tasks:
-                alive |= t.state.alive_bits()
-            note_level(step_index, now, alive)
-
-        result = sess.run_batch(
-            tasks,
-            combiner=combine_or,
-            asynchronous=asynchronous,
-            max_supersteps=cap,
-            on_step=on_step,
-            max_virtual_seconds=max_virtual_seconds,
-        )
-
-        reached = np.zeros(num_queries, dtype=np.int64)
-        for t in tasks:
-            reached += t.state.visited_counts()
-        per_part_depths = (
-            [t.depths for t in tasks] if record_depths else None
-        )
+        ),
+        ("khop", use_edge_sets),
+        sources=sources,
+        combiner=combine_or,
+        asynchronous=asynchronous,
+        payload_width=adapters.WORD_PAYLOAD_WIDTH * words_for(num_queries),
+        max_supersteps=cap,
+        on_step=on_step,
+        probe=adapters.khop_alive,
+        max_virtual_seconds=max_virtual_seconds,
+    )
+    reached = np.zeros(num_queries, dtype=np.int64)
+    for counts in sess.gather_batch(adapters.khop_visited_counts):
+        reached += counts
 
     # queries that never produced a superstep (e.g. k == 0) complete at t=0
     completion_seconds[completion_level == 0] = 0.0
@@ -510,7 +467,9 @@ def concurrent_khop(
     depths = None
     if record_depths:
         depths = np.full((pg.num_vertices, num_queries), -1, dtype=np.int16)
-        for part, d in zip(pg.partitions, per_part_depths):
+        for part, d in zip(
+            pg.partitions, sess.gather_batch(adapters.khop_depths)
+        ):
             depths[part.lo : part.hi] = d
         for q, s in enumerate(sources):
             depths[int(s), q] = 0

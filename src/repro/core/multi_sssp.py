@@ -151,7 +151,9 @@ def concurrent_sssp(
     ]
     sess.seed_sources(tasks, sources)
 
-    result = sess.run_batch(tasks, combiner=combine_min, max_supersteps=max_hops)
+    result = sess.run_batch(
+        tasks=tasks, combiner=combine_min, max_supersteps=max_hops
+    )
 
     distances = np.empty((pg.num_vertices, num_queries))
     for t in tasks:

@@ -136,7 +136,9 @@ def concurrent_khop_out_of_core(
         ]
         sess.seed_sources(tasks, sources)
 
-        result = sess.run_batch(tasks, combiner=combine_or, max_supersteps=k)
+        result = sess.run_batch(
+            tasks=tasks, combiner=combine_or, max_supersteps=k
+        )
 
         reached = np.zeros(num_queries, dtype=np.int64)
         for t in tasks:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core import adapters
 from repro.core.frontier import MAX_BATCH_WIDTH
 from repro.core.khop import KHopPartitionTask, _check_direction
 from repro.graph.edgelist import EdgeList
@@ -87,8 +88,8 @@ def reachability_queries(
     if use_edge_sets and direction == "pull":
         raise ValueError("use_edge_sets uses the push kernel; direction='pull' conflicts")
     sess = GraphSession.for_run(graph, num_machines, netmodel, session)
+    sess.require_inproc(use_edge_sets=use_edge_sets)
     pg = sess.pg
-    cluster = sess.cluster
     sources = sess.check_sources(sources, MAX_BATCH_WIDTH)
     num_queries = int(sources.size)
     targets = sess.check_targets(targets, num_queries)
@@ -102,117 +103,57 @@ def reachability_queries(
     target_machine = pg.owner_of(targets)
     target_local = targets - pg.bounds[target_machine]
 
-    def settle(level: int, now: float, alive: int, hit_bits: int) -> int:
-        """Update verdicts for one level; returns the new resolved mask.
+    # each partition's probe reports the visited bit of the targets it owns
+    target_locals = [[] for _ in range(sess.num_machines)]
+    for q in range(num_queries):
+        target_locals[int(target_machine[q])].append((q, int(target_local[q])))
 
-        ``hit_bits[q]`` — query q's target became visited; identical logic
-        for both backends keeps verdicts (and the early-termination mask,
-        hence all later traffic and virtual times) bit-identical.
-        """
+    def on_step(step_index: int, stats, now: float, probes):
+        """Settle one level's verdicts, then drop every resolved query from
+        every frontier (early termination)."""
         nonlocal resolved_mask
+        level = step_index + 1
+        alive = 0
+        hit_bits = 0
+        for partition_alive, hits in probes:
+            alive |= partition_alive
+            for q, bit in hits:
+                hit_bits |= bit << q
+        exhausted = k is not None and level >= k
         for q in range(num_queries):
             if resolved_mask >> q & 1:
                 continue
             if hit_bits >> q & 1:
                 reachable[q] = True
                 hops[q] = level
-                resolution[q] = now
-                resolved_mask |= 1 << q
-        for q in range(num_queries):
-            if resolved_mask >> q & 1:
+            elif alive >> q & 1 and not exhausted:
                 continue
-            dead = not (alive >> q & 1)
-            exhausted = k is not None and level >= k
-            if dead or exhausted:
-                resolution[q] = now
-                resolved_mask |= 1 << q
-        return resolved_mask
+            resolution[q] = now
+            resolved_mask |= 1 << q
+        if resolved_mask:
+            return adapters.mask_frontier, (~resolved_mask & 0xFFFFFFFFFFFFFFFF,)
+        return None
 
     sess.prepare()
-    if sess.uses_pool:
-        if use_edge_sets:
-            raise ValueError("use_edge_sets requires backend='inproc'")
-        from repro.core import adapters
-
-        task_kwargs = dict(
-            num_queries=num_queries, k=k, direction=direction,
+    result = sess.run_batch(
+        KHopPartitionTask,
+        dict(
+            num_queries=num_queries,
+            k=k,
+            use_edge_sets=use_edge_sets,
+            direction=direction,
             push_coeff=sess.netmodel.seconds_per_edge_push,
             pull_coeff=sess.netmodel.seconds_per_edge_pull,
-        )
-        probe_args = [[] for _ in range(sess.num_machines)]
-        for q in range(num_queries):
-            probe_args[int(target_machine[q])].append(
-                (q, int(target_local[q]))
-            )
-
-        def on_pool_step(step_index: int, stats, now: float, probes):
-            level = step_index + 1
-            alive = 0
-            hit_bits = 0
-            for worker_alive, hits in probes:
-                alive |= worker_alive
-                for q, bit in hits:
-                    hit_bits |= bit << q
-            mask = settle(level, now, alive, hit_bits)
-            if mask:
-                keep = ~mask & 0xFFFFFFFFFFFFFFFF
-                return adapters.mask_frontier, (keep,)
-            return None
-
-        result = sess.run_batch_pool(
-            ("reach",),
-            adapters.build_khop, task_kwargs,
-            adapters.reset_khop, task_kwargs,
-            payload_width=adapters.WORD_PAYLOAD_WIDTH,
-            seeds=sess.seeds_by_machine(sources),
-            combiner=combine_or,
-            max_supersteps=k,
-            on_step=on_pool_step,
-            probe=adapters.reach_probe,
-            probe_args=[(arg,) for arg in probe_args],
-            max_virtual_seconds=max_virtual_seconds,
-        )
-    else:
-        push_coeff = sess.netmodel.seconds_per_edge_push
-        pull_coeff = sess.netmodel.seconds_per_edge_pull
-        tasks = sess.tasks_for(
-            ("reach", use_edge_sets),
-            lambda m: KHopPartitionTask(
-                m, cluster, num_queries, k, use_edge_sets=use_edge_sets,
-                direction=direction,
-                push_coeff=push_coeff, pull_coeff=pull_coeff,
-            ),
-            lambda t: t.reset(
-                num_queries, k, direction=direction,
-                push_coeff=push_coeff, pull_coeff=pull_coeff,
-            ),
-        )
-        sess.seed_sources(tasks, sources)
-
-        def on_step(step_index: int, stats, now: float) -> None:
-            level = step_index + 1
-            hit_bits = 0
-            for q in range(num_queries):
-                if resolved_mask >> q & 1:
-                    continue
-                t_task = tasks[int(target_machine[q])]
-                # word-wide batch: query q's bit lives in plane word 0
-                word = int(t_task.state.visited[int(target_local[q]), 0])
-                hit_bits |= (word >> q & 1) << q
-            alive = 0
-            for t in tasks:
-                alive |= t.state.alive_bits()
-            mask = settle(level, now, alive, hit_bits)
-            # early termination: drop resolved queries from every frontier
-            if mask:
-                keep = np.uint64(~mask & 0xFFFFFFFFFFFFFFFF)
-                for t in tasks:
-                    t.state.frontier &= keep
-
-        result = sess.run_batch(
-            tasks, combiner=combine_or, max_supersteps=k, on_step=on_step,
-            max_virtual_seconds=max_virtual_seconds,
-        )
+        ),
+        ("reach", use_edge_sets),
+        sources=sources,
+        combiner=combine_or,
+        max_supersteps=k,
+        on_step=on_step,
+        probe=adapters.reach_probe,
+        probe_args=[(locals_,) for locals_ in target_locals],
+        max_virtual_seconds=max_virtual_seconds,
+    )
 
     if result.truncated:
         resolved = np.array(

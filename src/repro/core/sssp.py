@@ -137,7 +137,7 @@ def sssp(
     home = cluster.machine_of(source)
     tasks[home.machine_id].seed(source - home.lo)
     cap = None if max_hops is None else max_hops
-    result = sess.run_batch(tasks, combiner=combine_min, max_supersteps=cap)
+    result = sess.run_batch(tasks=tasks, combiner=combine_min, max_supersteps=cap)
     distances = np.empty(pg.num_vertices)
     for t in tasks:
         distances[t.machine.lo : t.machine.hi] = t.dist

@@ -187,7 +187,7 @@ def run_vertex_centric(
         return batch
 
     result = sess.run_batch(
-        tasks, combiner=identity_combiner, max_supersteps=max_supersteps
+        tasks=tasks, combiner=identity_combiner, max_supersteps=max_supersteps
     )
     values = np.empty(pg.num_vertices, dtype=np.float64)
     for t in tasks:

@@ -221,11 +221,9 @@ def build_with_delta(machine, cluster, _inner_build=None, _deltas=None, **kwargs
 
     Installed in place of the algorithm's real ``build`` whenever the
     session has pending deltas: ``_deltas`` maps partition id to its
-    :class:`PartitionDelta` and ``_inner_build`` is the wrapped adapter
-    (e.g. :func:`repro.core.adapters.build_khop`).  The patch is skipped
-    when the shard already sits at the delta's epoch — which is exactly
-    the parent-process case (the session patched its partitions directly),
-    so the degraded in-process fallback reuses this entry point unchanged.
+    :class:`PartitionDelta` and ``_inner_build`` is the wrapped task class
+    (e.g. :class:`repro.core.khop.KHopPartitionTask`).  The patch is
+    skipped when the shard already sits at the delta's epoch.
     """
     part = machine.partition
     delta = None if _deltas is None else _deltas.get(part.part_id)

@@ -17,11 +17,16 @@ the step and deadline caps, telemetry, the recovery budget, the rewind to
 the last checkpoint and the :class:`EngineResult` — so every run yields both
 the answer and its virtual-time cost, identically on either backend.
 
-An *executor* supplies only how one step runs and how task state is saved
-and restored (``step``, ``checkpoint``, ``recover``, ``deliver`` — see
-:class:`SuperstepEngine`).  There are two: :class:`SuperstepEngine` (every
-machine serially in this process) and
-:class:`~repro.runtime.pool.WorkerPool` (one OS process per machine).
+An *executor* supplies only how one step runs, how task state is saved and
+restored, and how a function reaches every task (``step``, ``checkpoint``,
+``recover``, ``gather`` — see :class:`SuperstepEngine`).  There are two:
+:class:`SuperstepEngine` (every machine serially in this process) and
+:class:`~repro.runtime.pool.WorkerPool` (one OS process per machine).  Both
+honour the same batch contract: an optional per-step ``probe(task, *args)``
+evaluated next to the task after every finalize, whose per-machine results
+are the fourth argument of ``on_step(step, stats, now, probes)``; an
+``on_step`` that returns a ``(fn, args)`` control has ``fn(task, *args)``
+applied to every task before the next superstep.
 """
 
 from __future__ import annotations
@@ -202,9 +207,9 @@ def run_supersteps(
     failure: every task is rolled back to the last checkpoint, the clock
     and history are rewound to that barrier, and the run re-executes from
     there.  Replay is deterministic — ``on_step`` sees identical arguments
-    the second time — so recovered runs return bit-identical results.  Past
-    ``fault_tolerance.max_recoveries`` the run raises
-    :class:`~repro.errors.WorkerLost`.
+    (and returns identical controls) the second time — so recovered runs
+    return bit-identical results.  Past ``fault_tolerance.max_recoveries``
+    the run raises :class:`~repro.errors.WorkerLost`.
     """
     ft = executor.fault_tolerance
     netmodel = executor.netmodel
@@ -265,7 +270,10 @@ def run_supersteps(
         history.append(stats)
         step += 1
         if on_step is not None:
-            executor.deliver(on_step, step - 1, stats, now, probes)
+            control = on_step(step - 1, stats, now, probes)
+            if control is not None:
+                fn, args = control
+                executor.gather(fn, *args)
         if ckpt is not None and active and step % ft.checkpoint_interval == 0:
             ckpt = snapshot()
             instr.on_checkpoint()
@@ -302,6 +310,10 @@ class SuperstepEngine:
         When True, each machine's outbox is delivered immediately after its
         compute and inboxes are drained within the same round (§3.3 async
         update model); the cost model then overlaps compute/communication.
+    probe, probe_args:
+        ``probe(task, *probe_args[i])`` is evaluated on every task after
+        each finalize (``probe_args`` is one tuple per machine, or None);
+        the results reach ``on_step`` in machine order.
     """
 
     def __init__(
@@ -310,6 +322,8 @@ class SuperstepEngine:
         tasks: list[PartitionTask],
         combiner=combine_or,
         asynchronous: bool = False,
+        probe=None,
+        probe_args=None,
     ):
         if len(tasks) != cluster.num_machines:
             raise ValueError("one task per machine required")
@@ -324,6 +338,8 @@ class SuperstepEngine:
         self.tasks = tasks
         self.combiner = combiner
         self.asynchronous = asynchronous
+        self.probe = probe
+        self.probe_args = probe_args or [()] * len(tasks)
         self.instr = cluster.instr
         self.fault_tolerance = cluster.fault_tolerance or FaultTolerance()
         netmodel = cluster.netmodel
@@ -334,14 +350,17 @@ class SuperstepEngine:
     def run(
         self,
         max_supersteps: int | None = None,
-        on_step: Callable[[int, list[StepStats], float], None] | None = None,
+        on_step: Callable[[int, list[StepStats], float, list | None], tuple | None]
+        | None = None,
         max_virtual_seconds: float | None = None,
     ) -> EngineResult:
         """Execute supersteps until every task votes to halt (or the cap).
 
-        ``on_step(step_index, per_machine_stats, virtual_now)`` is invoked
-        after each superstep; algorithms use it to snapshot per-level state
-        (e.g. per-query completion times).  Caps, deadlines and recovery
+        ``on_step(step_index, per_machine_stats, virtual_now, probes)`` is
+        invoked after each superstep; algorithms use it to snapshot
+        per-level state (e.g. per-query completion times) from the probe
+        results, and may return a ``(fn, args)`` control for every task
+        (reachability's early termination).  Caps, deadlines and recovery
         are :func:`run_supersteps`'s.
         """
         return run_supersteps(self, max_supersteps, on_step, max_virtual_seconds)
@@ -386,7 +405,13 @@ class SuperstepEngine:
             for i, task in enumerate(tasks):
                 task.apply_inbox(stats[i])
         votes = [task.finalize() for task in tasks]
-        return votes, stats, None, None
+        probes = None
+        if self.probe is not None:
+            probes = [
+                self.probe(task, *args)
+                for task, args in zip(tasks, self.probe_args)
+            ]
+        return votes, stats, probes, None
 
     def checkpoint(self) -> list | None:
         """Every task's state at this barrier — or None when no fault plan
@@ -402,7 +427,6 @@ class SuperstepEngine:
             task.restore(state)
         self.cluster.reset_buffers()
 
-    def deliver(self, on_step, step: int, stats, now: float, probes) -> None:
-        """In-process callbacks read task state directly: no probes, and
-        nothing to broadcast back."""
-        on_step(step, stats, now)
+    def gather(self, fn, *args) -> list:
+        """``fn(task, *args)`` on every task; results in machine order."""
+        return [fn(task, *args) for task in self.tasks]

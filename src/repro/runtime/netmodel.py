@@ -30,7 +30,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["StepStats", "NetworkModel", "VirtualClock", "choose_direction"]
+__all__ = [
+    "StepStats",
+    "NetworkModel",
+    "VirtualClock",
+    "choose_direction",
+    "PUSH_SECONDS_PER_EDGE",
+    "PULL_SECONDS_PER_EDGE",
+]
+
+# Per-direction edge coefficients for the push/pull decision (wall-clock
+# heuristic only; the virtual clock always charges ``seconds_per_edge``).
+# A pushed edge pays a random scatter into the next-frontier plane; a
+# pulled edge is a sequential gather + segmented OR, roughly 4x cheaper
+# per edge on the calibrated testbed — but pull must touch *every* local
+# edge, so it only wins once the frontier covers ~a quarter of the
+# partition's edge mass.  The one definition: :class:`NetworkModel`,
+# :func:`choose_direction` and the k-hop task default to these.
+PUSH_SECONDS_PER_EDGE = 1.0e-8
+PULL_SECONDS_PER_EDGE = 2.5e-9
 
 
 @dataclass
@@ -101,15 +119,8 @@ class NetworkModel:
 
     seconds_per_edge: float = 1.0e-8
     seconds_per_vertex: float = 2.0e-8
-    # Per-direction edge coefficients for the push/pull decision (wall-clock
-    # heuristic only; the virtual clock always charges ``seconds_per_edge``).
-    # A pushed edge pays a random scatter into the next-frontier plane; a
-    # pulled edge is a sequential gather + segmented OR, roughly 4x cheaper
-    # per edge on the calibrated testbed — but pull must touch *every* local
-    # edge, so it only wins once the frontier covers ~a quarter of the
-    # partition's edge mass.
-    seconds_per_edge_push: float = 1.0e-8
-    seconds_per_edge_pull: float = 2.5e-9
+    seconds_per_edge_push: float = PUSH_SECONDS_PER_EDGE
+    seconds_per_edge_pull: float = PULL_SECONDS_PER_EDGE
     latency_seconds: float = 50e-6
     bandwidth_bytes_per_second: float = 1.25e9
     barrier_seconds: float = 150e-6
@@ -185,8 +196,8 @@ class NetworkModel:
 def choose_direction(
     frontier_edges: int,
     local_edges: int,
-    push_coeff: float = 1.0e-8,
-    pull_coeff: float = 2.5e-9,
+    push_coeff: float = PUSH_SECONDS_PER_EDGE,
+    pull_coeff: float = PULL_SECONDS_PER_EDGE,
 ) -> str:
     """Direction-optimizing heuristic for one partition-superstep.
 

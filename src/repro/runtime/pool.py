@@ -114,12 +114,12 @@ def _worker_main(
 ) -> None:
     """One pool worker: attach the image once, then serve ops until close.
 
-    Every callable received over the pipe (task builders, resetters,
-    probes) must be a picklable module-level function — see
-    :mod:`repro.core.adapters`.  ``fault_events`` is this worker's slice of
-    the pool's :class:`~repro.runtime.fault.FaultPlan`; the worker enforces
-    its own crash/delay/drop/corrupt schedule so injected faults exercise
-    the identical detection paths real ones would.
+    Every callable received over the pipe (task classes, probes, gathers,
+    controls) must pickle by qualified name — a module-level class or
+    function, see :mod:`repro.core.adapters`.  ``fault_events`` is this
+    worker's slice of the pool's :class:`~repro.runtime.fault.FaultPlan`;
+    the worker enforces its own crash/delay/drop/corrupt schedule so
+    injected faults exercise the identical detection paths real ones would.
     """
     image = attach_graph(manifest)
     machine = Machine(worker_id, image.partitions[worker_id])
@@ -208,9 +208,9 @@ def _worker_main(
                     tasks[key] = current
                     conn.send(("ok", None))
                 elif op == "reset":
-                    _, key, reset, kwargs = msg
+                    _, key, kwargs = msg
                     current = tasks[key]
-                    reset(current, **kwargs)
+                    current.reset(**kwargs)
                     conn.send(("ok", None))
                 elif op == "seed":
                     for local_vertex, query in msg[1]:
@@ -221,8 +221,8 @@ def _worker_main(
                     probe_args = tuple(args) if args else ()
                     conn.send(("ok", None))
                 elif op == "call":
-                    _, fn, args, kwargs = msg
-                    conn.send(("ok", fn(current, *args, **(kwargs or {}))))
+                    _, fn, args = msg
+                    conn.send(("ok", fn(current, *args)))
                 elif op == "checkpoint":
                     conn.send(("ok", current.checkpoint()))
                 elif op == "restore":
@@ -398,16 +398,17 @@ class WorkerPool:
         key: tuple,
         build,
         build_kwargs: dict,
-        reset,
         reset_kwargs: dict,
         payload_width: int,
     ) -> None:
         """Install a task on every worker, or reset the resident one.
 
-        Mirrors ``GraphSession.tasks_for``: the first batch under ``key``
-        builds task state inside each worker; later batches re-arm it in
-        place.  ``payload_width`` (bytes per combined-batch entry) sizes the
-        outbox segments.
+        The pool's side of the resident-task cache whose in-process side is
+        ``GraphSession.tasks_for``, keyed identically: the first batch under
+        ``key`` builds ``build(machine, cluster, **build_kwargs)`` inside
+        each worker; later batches re-arm it in place with
+        ``task.reset(**reset_kwargs)``.  ``payload_width`` (bytes per
+        combined-batch entry) sizes the outbox segments.
         """
         self._check_open()
         self._ensure_outboxes(payload_width)
@@ -415,7 +416,7 @@ class WorkerPool:
         # a fresh install of this build before its checkpoint restore.
         self._current = (key, build, build_kwargs)
         if key in self._installed:
-            self._broadcast(("reset", key, reset, reset_kwargs))
+            self._broadcast(("reset", key, reset_kwargs))
         else:
             self._broadcast(("install", key, build, build_kwargs))
             self._installed.add(key)
@@ -476,10 +477,10 @@ class WorkerPool:
             [("arm", combiner, probe, args) for args in probe_args]
         )
 
-    def gather(self, fn, *args, **kwargs) -> list:
+    def gather(self, fn, *args) -> list:
         """Run ``fn(task, *args)`` on every worker; results in machine order."""
         self._check_open()
-        return self._broadcast(("call", fn, args, kwargs))
+        return self._broadcast(("call", fn, args))
 
     def set_fault_plan(self, plan: FaultPlan | None) -> None:
         """Adopt a new injection schedule on every live worker (test hook)."""
@@ -606,15 +607,6 @@ class WorkerPool:
         walls = [outs[i][1] + apply_walls[i] for i in range(n)]
         return list(votes), list(stats), list(probes), walls
 
-    def deliver(self, on_step, step: int, stats, now: float, probes) -> None:
-        """Call ``on_step`` with the workers' probe results; a returned
-        ``(fn, args)`` control is broadcast to every worker before the next
-        superstep (reachability's early termination)."""
-        control = on_step(step, stats, now, probes)
-        if control is not None:
-            fn, args = control
-            self._broadcast(("call", fn, args, None))
-
     # -- the engine entry point ---------------------------------------------- #
 
     def run(
@@ -627,9 +619,9 @@ class WorkerPool:
 
         Semantics are :func:`~repro.runtime.engine.run_supersteps`'s — same
         step cap, vote handling, virtual clock and deadline truncation as
-        :meth:`SuperstepEngine.run` — with the pool's ``on_step`` convention:
-        ``on_step(step_index, per_machine_stats, virtual_now, probe_results)``
-        may return a ``(fn, args)`` control (see :meth:`deliver`).
+        :meth:`SuperstepEngine.run`, ``on_step`` contract included: a
+        returned ``(fn, args)`` control reaches every worker through
+        :meth:`gather` before the next superstep.
 
         Worker failures inside the run are recovered transparently by
         checkpoint replay (see the module docstring); recovered runs return

@@ -12,33 +12,39 @@ jobs arrive against it.  Before this module existed, every entry point in
 * optional edge-set state, the cached undirected view (k-core), and
 * per-algorithm task lists, *reset* between batches instead of reallocated.
 
-Every algorithm entry point follows the same ``prepare → seed → run →
-collect`` path on a session: :meth:`prepare` drops any queued messages
+Every algorithm entry point follows the same ``prepare → run → gather``
+path on a session: :meth:`prepare` drops any queued messages
 (:meth:`SimCluster.reset_buffers` — stale inbox traffic must never leak
-into the next batch), :meth:`tasks_for` builds or re-arms one task per
-machine, the caller seeds per-query state, and :meth:`run_batch` drives the
-superstep engine.  One-shot calls construct a transient session through
+into the next batch), :meth:`run_batch` takes the batch's *description* and
+drives it to quiescence, and :meth:`gather_batch` collects per-partition
+results.  One-shot calls construct a transient session through
 :meth:`GraphSession.for_run`, so the single code path serves both modes.
+
+There is **one batch contract**, whichever executor runs it: a
+resident-task cache key, a task class plus the kwargs that build it on
+first use and ``reset`` it on reuse, the batch's source vertices, a
+combiner, an optional per-step ``probe`` evaluated next to each task, and
+an ``on_step(step, stats, now, probes)`` that may return a ``(fn, args)``
+control for every task.  A session selects its **executor** with
+``backend``: ``"inproc"`` (default) runs every machine serially in this
+process (:class:`~repro.runtime.engine.SuperstepEngine`); ``"pool"`` runs
+the same description on a persistent shared-memory worker pool
+(:mod:`repro.runtime.pool`) — one OS process per machine.  Answers and
+virtual times are bit-identical either way; only wall-clock changes.
+Algorithms that build their own task lists (SSSP, k-core, user programs)
+hand them to :meth:`run_batch` ready-made and always run in-process.  Pool
+sessions should be closed (:meth:`GraphSession.close` or ``with
+GraphSession(...) as sess:``) to stop the workers.
 
 Sessions are not thread-safe: one batch executes at a time (the admission
 loop in :class:`~repro.runtime.scheduler.QueryService` serialises batches
 onto the session and accounts response times on the virtual clock).
-
-A session also selects its **execution backend**: ``backend="inproc"``
-(default) runs every machine serially in this process; ``backend="pool"``
-runs supersteps on a persistent shared-memory worker pool
-(:mod:`repro.runtime.pool`) — one OS process per machine — for algorithms
-with pool adapters (k-hop, wide batches, reachability, GAS/PageRank).
-Answers and virtual times are bit-identical either way; only wall-clock
-changes.  Pool sessions should be closed (:meth:`GraphSession.close` or
-``with GraphSession(...) as sess:``) to stop the workers.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from typing import Callable
 
 import numpy as np
 
@@ -46,11 +52,12 @@ from repro.errors import (
     DeadlineExceeded,
     InvalidQueryError,
     MutationError,
+    UnsupportedConfigError,
     WorkerLost,
 )
 from repro.graph.edgelist import EdgeList
 from repro.graph.partition import PartitionedGraph, range_partition
-from repro.runtime.cluster import Machine, SimCluster
+from repro.runtime.cluster import SimCluster
 from repro.runtime.engine import EngineResult, PartitionTask, SuperstepEngine
 from repro.runtime.fault import FaultPlan, FaultTolerance, RetryPolicy
 from repro.runtime.message import combine_or
@@ -114,9 +121,10 @@ class GraphSession:
         on a persistent :class:`~repro.runtime.pool.WorkerPool` — one OS
         process per machine, shards and message payloads in shared memory
         — started lazily on the first batch and stopped by :meth:`close`.
-        Results are bit-identical between backends.  Algorithms without a
-        pool adapter (SSSP, k-core, async/edge-set modes) keep the
-        in-process path on a pool session.
+        Results are bit-identical between backends.  Algorithms that
+        build their own tasks (SSSP, k-core, user programs) keep the
+        in-process executor on a pool session; the edge-set and
+        asynchronous modes are rejected there (:meth:`require_inproc`).
     pool_seed:
         Base seed for the pool workers' per-process RNGs (determinism).
     retry_policy:
@@ -187,7 +195,7 @@ class GraphSession:
         self.pool_seed = pool_seed
         self._pool = None  # WorkerPool, started lazily by pool()
         self._degraded = False
-        self._fallback_tasks: list[PartitionTask] | None = None
+        self._executor = None  # whichever executor ran the last batch
         self.pool_failures = 0
         self.degraded_batches = 0
         self.batches_run = 0
@@ -223,7 +231,7 @@ class GraphSession:
 
     @property
     def uses_pool(self) -> bool:
-        """True when batches with a pool adapter run on worker processes."""
+        """True when described batches run on worker processes."""
         return self.backend == "pool"
 
     def pool(self):
@@ -261,7 +269,6 @@ class GraphSession:
     def reset_degradation(self) -> None:
         """Forget a degradation: the next pool batch tries workers again."""
         self._degraded = False
-        self._fallback_tasks = None
 
     def set_fault_plan(self, plan: FaultPlan | None) -> None:
         """Adopt an injection schedule for subsequent batches (test hook).
@@ -658,34 +665,56 @@ class GraphSession:
             )
         return targets
 
-    def tasks_for(
-        self,
-        cache_key: tuple | None,
-        factory: Callable[[Machine], PartitionTask],
-        reset: Callable[[PartitionTask], None] | None = None,
-    ) -> list[PartitionTask]:
-        """One task per machine: built on first use, *reset* on reuse.
+    def require_inproc(self, **modes: bool) -> None:
+        """Reject execution modes the worker pool does not implement.
 
-        With a ``cache_key`` and a ``reset`` callable, the task list built
-        for that key on a previous batch is re-armed in place (frontier
-        planes zeroed, level counters rewound) instead of reallocated.
-        Without them the tasks are rebuilt every call.
+        Entry points call this before any work with the modes they were
+        asked for (``use_edge_sets=...``, ``asynchronous=...``); a requested
+        one on a ``backend="pool"`` session is an unsupported combination.
+        """
+        if self.uses_pool:
+            for name, requested in modes.items():
+                if requested:
+                    raise UnsupportedConfigError(
+                        f"{name} requires backend='inproc'"
+                    )
+
+    def _resident_key(self, cache_key: tuple) -> tuple:
+        """The resident-task cache key, on either executor.
 
         On a dynamic session the graph epoch is joined into the key, so
-        resident task state never straddles two graph versions (the whole
-        cache is also dropped on every epoch advance).
+        resident task state never straddles two graph versions (the
+        in-process cache is also dropped on every epoch advance).
         """
-        if cache_key is not None and self._dynamic is not None:
-            cache_key = cache_key + (self._dynamic.epoch,)
-        if cache_key is not None and reset is not None:
-            cached = self._task_cache.get(cache_key)
-            if cached is not None:
-                for task in cached:
-                    reset(task)
-                return cached
-        tasks = [factory(m) for m in self.cluster.machines]
-        if cache_key is not None and reset is not None:
-            self._task_cache[cache_key] = tasks
+        if self._dynamic is not None:
+            return cache_key + (self._dynamic.epoch,)
+        return cache_key
+
+    def tasks_for(
+        self, cache_key: tuple, task_cls, task_kwargs: dict
+    ) -> list[PartitionTask]:
+        """One in-process task per machine: built on first use, *reset* on
+        reuse.
+
+        The in-process side of the resident-task cache (the pool's is
+        :meth:`~repro.runtime.pool.WorkerPool.ensure_task`, keyed
+        identically): the first batch under ``cache_key`` builds
+        ``task_cls(machine, cluster, **task_kwargs)`` per machine; later
+        batches re-arm that list in place with ``task.reset(**task_kwargs)``
+        (frontier planes zeroed, level counters rewound) instead of
+        reallocating.
+        """
+        key = self._resident_key(cache_key)
+        tasks = self._task_cache.get(key)
+        if tasks is not None:
+            for task in tasks:
+                task.reset(**task_kwargs)
+            return tasks
+        tasks = [
+            task_cls(machine, self.cluster, **task_kwargs)
+            for machine in self.cluster.machines
+        ]
+        self._task_cache[key] = tasks
         return tasks
 
     def seed_owners(self, sources) -> np.ndarray:
@@ -711,38 +740,89 @@ class GraphSession:
 
     def run_batch(
         self,
-        tasks: list[PartitionTask],
+        task_cls=None,
+        task_kwargs: dict | None = None,
+        cache_key: tuple | None = None,
+        *,
+        tasks: list[PartitionTask] | None = None,
+        sources: np.ndarray | None = None,
         combiner=combine_or,
         asynchronous: bool = False,
+        payload_width: int = 8,
         max_supersteps: int | None = None,
         on_step=None,
+        probe=None,
+        probe_args=None,
         max_virtual_seconds: float | None = None,
     ) -> EngineResult:
-        """Drive one batch of seeded tasks to quiescence on the cluster."""
+        """Drive one batch to quiescence on whichever executor the session
+        has.
+
+        The batch is *described*: ``task_cls``/``task_kwargs`` build one task
+        per machine on first use under ``cache_key`` and ``reset`` the
+        resident ones after that; query ``q`` is seeded at ``sources[q]`` on
+        its owning machine; ``probe(task, *probe_args[machine])`` runs next
+        to every task after each finalize and its results are the fourth
+        argument of ``on_step(step, stats, now, probes)``, which may return
+        a ``(fn, args)`` control applied to every task before the next
+        superstep.  Everything that crosses to the workers of a pool session
+        (class, kwargs, probe, control) must pickle by qualified name — see
+        :mod:`repro.core.adapters`; ``payload_width`` (bytes per message
+        entry) sizes their outboxes.  Results are bit-identical on both
+        executors; collect per-partition state with :meth:`gather_batch`.
+
+        Algorithms with no description hand over ready-made ``tasks`` (one
+        per machine, already seeded) instead; those always run in-process.
+        """
+        if tasks is None:
+            if self.uses_pool:
+                if not self._degraded:
+                    return self.run_batch_pool(
+                        task_cls, task_kwargs, cache_key,
+                        sources=sources,
+                        combiner=combiner,
+                        payload_width=payload_width,
+                        max_supersteps=max_supersteps,
+                        on_step=on_step,
+                        probe=probe,
+                        probe_args=probe_args,
+                        max_virtual_seconds=max_virtual_seconds,
+                    )
+                self.degraded_batches += 1
+            tasks = self.tasks_for(cache_key, task_cls, task_kwargs)
+            if sources is not None:
+                self.seed_sources(tasks, sources)
         engine = SuperstepEngine(
-            self.cluster, tasks, combiner=combiner, asynchronous=asynchronous
+            self.cluster, tasks, combiner=combiner, asynchronous=asynchronous,
+            probe=probe, probe_args=probe_args,
         )
+        return self._run_on(engine, max_supersteps, on_step, max_virtual_seconds)
+
+    def _run_on(
+        self, executor, max_supersteps, on_step, max_virtual_seconds
+    ) -> EngineResult:
+        """One armed executor's run, booked as this session's next batch."""
         with self.instr.span(
             f"run batch {self.batches_run}", cat="batch",
             query_batch=self.batches_run,
         ):
-            result = engine.run(
+            result = executor.run(
                 max_supersteps=max_supersteps,
                 on_step=on_step,
                 max_virtual_seconds=max_virtual_seconds,
             )
         self.batches_run += 1
+        self._executor = executor
         return result
 
     def run_batch_pool(
         self,
+        task_cls,
+        task_kwargs: dict,
         cache_key: tuple,
-        build,
-        build_kwargs: dict,
-        reset,
-        reset_kwargs: dict,
+        *,
         payload_width: int,
-        seeds=None,
+        sources: np.ndarray | None = None,
         combiner=combine_or,
         max_supersteps: int | None = None,
         on_step=None,
@@ -750,43 +830,41 @@ class GraphSession:
         probe_args=None,
         max_virtual_seconds: float | None = None,
     ) -> EngineResult:
-        """Drive one batch on the worker pool (the parallel twin of
-        :meth:`tasks_for` + :meth:`seed_sources` + :meth:`run_batch`).
+        """The retry/degrade ladder around the pool executor (the
+        description is :meth:`run_batch`'s).
 
-        ``build``/``reset`` and the optional ``probe`` must be picklable
-        module-level functions (see :mod:`repro.core.adapters`); resident
-        worker-side task state under ``cache_key`` is re-armed across
-        batches exactly like the in-process task cache.
+        Failure handling is layered: worker failures *within* an attempt are
+        recovered by the superstep driver's checkpoint replay; an attempt
+        that exhausts its recovery budget raises
+        :class:`~repro.errors.WorkerLost`, the broken pool is torn down (no
+        leaked processes or segments) and the batch is retried on a fresh
+        pool per :attr:`retry_policy`; once attempts (or the wall deadline)
+        run out, the last rung runs the same description on the in-process
+        executor — bit-identical answers — and the session stays degraded
+        for later batches.  A :class:`~repro.errors.WorkerTaskError` (the
+        task itself raised) is deterministic and propagates immediately: a
+        retry cannot help.
 
-        Failure handling is layered (the degradation ladder): worker
-        failures *within* an attempt are recovered by the superstep driver's
-        checkpoint replay; an attempt that exhausts its recovery budget
-        raises :class:`~repro.errors.WorkerLost`, the broken pool is torn
-        down (no leaked processes or segments) and the batch is retried on
-        a fresh pool per :attr:`retry_policy`; once attempts (or the wall
-        deadline) run out, the batch transparently degrades to the
-        in-process engine — same adapters, same seeds, bit-identical
-        answers — and the session stays degraded for later batches.  A
-        :class:`~repro.errors.WorkerTaskError` (the task itself raised) is
-        deterministic and propagates immediately: a retry cannot help.
-
-        On a dynamic session the graph epoch joins the install key, and —
-        while mutations are pending against the base image — ``build`` is
-        wrapped with :func:`~repro.dynamic.delta.build_with_delta` so pool
-        workers splice their attached shard up to the current epoch before
-        building task state.  The shm image itself is only repacked on
-        compaction (which closes the pool).
+        While mutations are pending against the base image of a dynamic
+        session, the worker-side build is wrapped with
+        :func:`~repro.dynamic.delta.build_with_delta` so pool workers splice
+        their attached shard up to the current epoch before building task
+        state.  The shm image itself is only repacked on compaction (which
+        closes the pool).
         """
-        if self._dynamic is not None:
-            cache_key = cache_key + (self._dynamic.epoch,)
-            deltas = self._dynamic.pool_deltas()
-            if deltas is not None:
-                from repro.dynamic.delta import build_with_delta
+        key = self._resident_key(cache_key)
+        build, build_kwargs = task_cls, task_kwargs
+        deltas = (
+            self._dynamic.pool_deltas() if self._dynamic is not None else None
+        )
+        if deltas is not None:
+            from repro.dynamic.delta import build_with_delta
 
-                build_kwargs = {
-                    "_inner_build": build, "_deltas": deltas, **build_kwargs
-                }
-                build = build_with_delta
+            build = build_with_delta
+            build_kwargs = {
+                "_inner_build": task_cls, "_deltas": deltas, **task_kwargs
+            }
+        seeds = None if sources is None else self.seeds_by_machine(sources)
         policy = self.retry_policy
         started = time.monotonic()
         attempt = 0
@@ -795,24 +873,14 @@ class GraphSession:
             try:
                 pool = self.pool()
                 pool.ensure_task(
-                    cache_key, build, build_kwargs, reset, reset_kwargs,
-                    payload_width,
+                    key, build, build_kwargs, task_kwargs, payload_width
                 )
                 if seeds is not None:
                     pool.seed(seeds)
                 pool.arm(combiner=combiner, probe=probe, probe_args=probe_args)
-                with self.instr.span(
-                    f"run batch {self.batches_run}", cat="batch",
-                    query_batch=self.batches_run,
-                ):
-                    result = pool.run(
-                        max_supersteps=max_supersteps,
-                        on_step=on_step,
-                        max_virtual_seconds=max_virtual_seconds,
-                    )
-                self.batches_run += 1
-                self._fallback_tasks = None
-                return result
+                return self._run_on(
+                    pool, max_supersteps, on_step, max_virtual_seconds
+                )
             except WorkerLost as exc:
                 self.pool_failures += 1
                 log.warning(
@@ -844,65 +912,29 @@ class GraphSession:
                     "degrading to the in-process engine after %d failed "
                     "pool attempt(s): %s", attempt, exc,
                 )
-        # Degraded: the pool batch is served by the in-process engine.  Tasks
-        # are built through the *same* pool adapters the workers would have
-        # used, the seeds replayed, and the pool's ``on_step`` contract
-        # (worker-side probes, broadcast controls) emulated, so entry points
-        # cannot tell the backends apart — answers and virtual clocks are
-        # bit-identical.  The tasks are kept for :meth:`gather_batch`.
-        self.degraded_batches += 1
-        self.cluster.reset_buffers()
-        tasks = [
-            build(machine, self.cluster, **build_kwargs)
-            for machine in self.cluster.machines
-        ]
-        if seeds is not None:
-            for task, per_machine in zip(tasks, seeds):
-                for local_vertex, q in per_machine:
-                    task.seed(local_vertex, q)
-        args_by_machine = (
-            list(probe_args) if probe_args is not None else [()] * len(tasks)
-        )
-
-        def wrapped(step_index, stats, now):
-            probes = None
-            if probe is not None:
-                probes = [
-                    probe(task, *args_by_machine[i])
-                    for i, task in enumerate(tasks)
-                ]
-            control = on_step(step_index, stats, now, probes)
-            if control is not None:
-                fn, fargs = control
-                for task in tasks:
-                    fn(task, *fargs)
-
-        result = self.run_batch(
-            tasks,
+        # The last rung: a degraded session's run_batch runs the same
+        # description on the in-process executor (whose cluster carries no
+        # fault plan, so a sticky fault cannot chase the batch down here).
+        return self.run_batch(
+            task_cls, task_kwargs, cache_key,
+            sources=sources,
             combiner=combiner,
             max_supersteps=max_supersteps,
-            on_step=wrapped if on_step is not None else None,
+            on_step=on_step,
+            probe=probe,
+            probe_args=probe_args,
             max_virtual_seconds=max_virtual_seconds,
         )
-        self._fallback_tasks = tasks
-        return result
 
     def gather_batch(self, fn, *args) -> list:
-        """Collect ``fn(task, *args)`` per machine for the last pool batch.
-
-        The backend-agnostic twin of ``pool().gather``: on a healthy pool
-        session it asks the workers; on a degraded one it reads the
-        in-process fallback tasks.  Entry points use this so degradation
-        stays invisible to them.
-        """
-        if self._degraded and self._fallback_tasks is not None:
-            return [fn(task, *args) for task in self._fallback_tasks]
-        return self.pool().gather(fn, *args)
+        """Collect ``fn(task, *args)`` per machine from the last batch, on
+        whichever executor ran it."""
+        return self._executor.gather(fn, *args)
 
     # -- algorithm conveniences (lazy imports: core depends on runtime) ----- #
 
     def khop(self, sources, k: int | None, **kwargs):
-        """One bit-parallel batch of up to 64 concurrent k-hop queries."""
+        """One bit-parallel batch of up to 512 concurrent k-hop queries."""
         from repro.core.khop import concurrent_khop
 
         return concurrent_khop(self.pg, sources, k, session=self, **kwargs)

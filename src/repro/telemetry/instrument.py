@@ -364,7 +364,9 @@ class NullInstrumentation(Instrumentation):
     """The default: every hook is a no-op and ``enabled`` is False.
 
     Allocates no registry and no tracer; constructing one is free enough to
-    be the default argument everywhere.
+    be the default argument everywhere.  The no-ops are generated from
+    :class:`Instrumentation`'s own ``on_*`` attributes (below), so a hook
+    added there is silenced here without being mirrored by hand.
     """
 
     enabled = False
@@ -376,74 +378,14 @@ class NullInstrumentation(Instrumentation):
     def span(self, name: str, cat: str = "", tid: int = 0, **args):
         return nullcontext()
 
-    def on_superstep(self, *args, **kwargs) -> None:
-        pass
 
-    def on_dispatch(self, *args, **kwargs) -> None:
-        pass
+def _noop(self, *args, **kwargs) -> None:
+    pass
 
-    def on_query_done(self, *args, **kwargs) -> None:
-        pass
 
-    def on_clock(self, *args, **kwargs) -> None:
-        pass
-
-    def on_index_lookup(self, *args, **kwargs) -> None:
-        pass
-
-    def on_fault(self, *args, **kwargs) -> None:
-        pass
-
-    def on_recovery(self, *args, **kwargs) -> None:
-        pass
-
-    def on_checkpoint(self, *args, **kwargs) -> None:
-        pass
-
-    def on_pool_retry(self, *args, **kwargs) -> None:
-        pass
-
-    def on_degrade(self, *args, **kwargs) -> None:
-        pass
-
-    def on_shed(self, *args, **kwargs) -> None:
-        pass
-
-    def on_deadline_miss(self, *args, **kwargs) -> None:
-        pass
-
-    def on_mutation(self, *args, **kwargs) -> None:
-        pass
-
-    def on_compaction(self, *args, **kwargs) -> None:
-        pass
-
-    def on_index_patch(self, *args, **kwargs) -> None:
-        pass
-
-    def on_epoch(self, *args, **kwargs) -> None:
-        pass
-
-    def on_wal_append(self, *args, **kwargs) -> None:
-        pass
-
-    def on_wal_fsync(self, *args, **kwargs) -> None:
-        pass
-
-    def on_durable_checkpoint(self, *args, **kwargs) -> None:
-        pass
-
-    def on_recovery_done(self, *args, **kwargs) -> None:
-        pass
-
-    def on_lane_query(self, *args, **kwargs) -> None:
-        pass
-
-    def on_throttle(self, *args, **kwargs) -> None:
-        pass
-
-    def on_cache(self, *args, **kwargs) -> None:
-        pass
+for _hook in vars(Instrumentation):
+    if _hook.startswith("on_"):
+        setattr(NullInstrumentation, _hook, _noop)
 
 
 #: The shared no-op facade used wherever no instrumentation is injected.

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.baselines.naive import naive_distributed_khop, naive_khop
 from repro.baselines.oracle import oracle_khop_reach
+from repro.core.batch import run_query_stream
+from repro.core.frontier import MAX_WIDE_BATCH
 from repro.core.khop import concurrent_khop
 from repro.graph import EdgeList, path_graph, range_partition
 
@@ -51,9 +53,11 @@ class TestSingleQuery:
         with pytest.raises(ValueError):
             concurrent_khop(small_rmat, [9999], k=2)
 
-    def test_too_many_queries_rejected(self, small_rmat):
+    def test_width_bounds(self, small_rmat):
         with pytest.raises(ValueError):
-            concurrent_khop(small_rmat, list(range(65)), k=2)
+            concurrent_khop(small_rmat, [], k=2)
+        with pytest.raises(ValueError):
+            concurrent_khop(small_rmat, list(range(MAX_WIDE_BATCH + 1)), k=2)
 
 
 class TestConcurrentBatch:
@@ -95,6 +99,78 @@ class TestConcurrentBatch:
         d0 = res.depths[:, 0]
         solo = concurrent_khop(small_rmat, [0], k=3, record_depths=True)
         assert (d0 == solo.depths[:, 0]).all()
+
+
+class TestWideBatches:
+    """Batches wider than one machine word (multi-word planes, §3.5).  The
+    plane mechanics are covered in ``tests/core/test_frontier.py``; here the
+    driver is checked against the chunked word-wide query stream."""
+
+    def test_beyond_64_queries(self, small_rmat):
+        sources = list(range(150))
+        wide = concurrent_khop(small_rmat, sources, k=2, num_machines=2)
+        stream = run_query_stream(small_rmat, sources, k=2, batch_width=64,
+                                  num_machines=2)
+        assert (wide.reached == stream.reached).all()
+        assert (wide.completion_level == stream.completion_level).all()
+
+    def test_completion_levels_beyond_first_word(self, line10):
+        # query 0 and query 70 share a source, query 69 dies early: the
+        # per-level bookkeeping must not depend on which word a bit is in
+        sources = [0] + [8] * 69 + [0]
+        res = concurrent_khop(line10, sources, k=9, record_depths=True)
+        assert res.completion_level[70] == res.completion_level[0]
+        assert res.completion_seconds[70] == res.completion_seconds[0]
+        assert res.completion_level[69] < res.completion_level[70]
+        assert (res.depths[:, 70] == res.depths[:, 0]).all()
+
+    def test_wide_scans_fewer_edges_than_word_batches(self, medium_rmat):
+        """One 256-wide pass shares more than four 64-wide passes."""
+        pg = range_partition(medium_rmat, 2)
+        sources = list(range(256))
+        wide = concurrent_khop(pg, sources, k=3)
+        stream = run_query_stream(pg, sources, k=3, batch_width=64)
+        assert (wide.reached == stream.reached).all()
+        assert wide.total_edges_scanned < stream.total_edges_scanned
+
+    def test_full_512(self, small_rmat):
+        sources = [i % small_rmat.num_vertices for i in range(512)]
+        res = concurrent_khop(small_rmat, sources, k=1)
+        assert res.num_queries == 512
+        # duplicated sources get identical answers
+        assert res.reached[0] == res.reached[256]
+
+    def test_directions_agree(self, small_rmat):
+        sources = list(range(100))
+        results = {
+            d: concurrent_khop(
+                small_rmat, sources, k=3, num_machines=2, direction=d
+            )
+            for d in ("push", "pull", "auto")
+        }
+        ref = results["push"]
+        for res in results.values():
+            assert (res.reached == ref.reached).all()
+            assert res.virtual_seconds == ref.virtual_seconds
+        assert results["pull"].pull_partition_steps > 0
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.integers(0, 12), st.integers(0, 12)),
+            min_size=1, max_size=40,
+        ),
+        width=st.integers(65, 140),
+        k=st.integers(1, 3),
+    )
+    def test_property_wide_equals_narrow(self, pairs, width, k):
+        el = EdgeList.from_pairs(pairs, num_vertices=13)
+        sources = [i % 13 for i in range(width)]
+        wide = concurrent_khop(el, sources, k=k, num_machines=2)
+        # compare the first 13 distinct queries against a word-wide batch
+        narrow = concurrent_khop(el, sources[:13], k=k, num_machines=2)
+        assert (wide.reached[:13] == narrow.reached).all()
+        assert (wide.completion_level[:13] == narrow.completion_level).all()
 
 
 class TestDistribution:

@@ -147,7 +147,7 @@ class TestSuperstepEngine:
         tasks = [_PingPongTask(m, c, rounds=2) for m in c.machines]
         seen = []
         SuperstepEngine(c, tasks).run(
-            on_step=lambda i, stats, now: seen.append((i, now))
+            on_step=lambda i, stats, now, probes: seen.append((i, now))
         )
         assert [i for i, _ in seen] == list(range(len(seen)))
         times = [t for _, t in seen]

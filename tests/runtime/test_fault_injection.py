@@ -18,7 +18,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.wide import concurrent_khop_wide
+from repro.core.khop import concurrent_khop
 from repro.errors import UnsupportedConfigError, WorkerLost
 from repro.graph import rmat_edges
 from repro.runtime.fault import FaultPlan, FaultTolerance, RetryPolicy
@@ -91,9 +91,9 @@ class TestCrashRecovery:
 
     def test_wide_batch_parity_after_crash(self, graph, inproc_sess, pool_sess):
         sources = [i % graph.num_vertices for i in range(512)]
-        ref = concurrent_khop_wide(graph, sources, 3, session=inproc_sess)
+        ref = concurrent_khop(graph, sources, 3, session=inproc_sess)
         pool_sess.set_fault_plan(FaultPlan().crash_worker(2, 1))
-        res = concurrent_khop_wide(graph, sources, 3, session=pool_sess)
+        res = concurrent_khop(graph, sources, 3, session=pool_sess)
         assert np.array_equal(ref.reached, res.reached)
         assert ref.virtual_seconds == res.virtual_seconds
         assert not pool_sess.degraded
@@ -141,9 +141,9 @@ class TestMessageFaults:
     def test_drop_outbox_parity(self, graph, inproc_sess, pool_sess):
         # a wide batch guarantees cross-machine traffic on early steps
         sources = [i % graph.num_vertices for i in range(128)]
-        ref = concurrent_khop_wide(graph, sources, 4, session=inproc_sess)
+        ref = concurrent_khop(graph, sources, 4, session=inproc_sess)
         pool_sess.set_fault_plan(FaultPlan().drop_outbox(1, 0))
-        res = concurrent_khop_wide(graph, sources, 4, session=pool_sess)
+        res = concurrent_khop(graph, sources, 4, session=pool_sess)
         assert np.array_equal(ref.reached, res.reached)
         assert ref.virtual_seconds == res.virtual_seconds
         assert not pool_sess.degraded

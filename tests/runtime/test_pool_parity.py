@@ -6,15 +6,20 @@ Every test here runs the same batch on both backends and asserts exact
 equality, not tolerance: any drift is a protocol bug, not noise.
 
 The pool session is module-scoped so the whole file pays worker spawn once
-(one process per machine; spawn imports the package from scratch).
+(one process per machine; spawn imports the package from scratch).  The
+"pool-degraded" session is a pool session whose ladder always ends on its
+last rung: one attempt, no recoveries, a sticky crash — so every batch it
+serves runs the same description on the in-process executor.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.khop import concurrent_khop
 from repro.core.pagerank import PageRankProgram
-from repro.core.wide import concurrent_khop_wide
+from repro.errors import UnsupportedConfigError
 from repro.graph import rmat_edges
+from repro.runtime.fault import FaultPlan, FaultTolerance, RetryPolicy
 from repro.runtime.scheduler import QueryService
 from repro.runtime.session import GraphSession
 
@@ -35,11 +40,31 @@ def inproc_sess(graph):
     return GraphSession(graph, num_machines=2)
 
 
+@pytest.fixture(scope="module")
+def degraded_sess(graph):
+    with GraphSession(
+        graph, num_machines=2, backend="pool",
+        fault_plan=FaultPlan().crash_worker(0, 0, sticky=True),
+        fault_tolerance=FaultTolerance(max_recoveries=0),
+        retry_policy=RetryPolicy(max_attempts=1),
+    ) as sess:
+        yield sess
+
+
+@pytest.fixture(params=["pool_sess", "degraded_sess"], ids=["pool", "pool-degraded"])
+def other_sess(request):
+    return request.getfixturevalue(request.param)
+
+
 class TestKHopParity:
-    def test_full_result_parity(self, inproc_sess, pool_sess):
-        sources = [0, 17, 333, 901]
-        a = inproc_sess.khop(sources, 3, record_depths=True)
-        b = pool_sess.khop(sources, 3, record_depths=True)
+    @pytest.mark.parametrize("width", [4, 65, 512])
+    def test_full_result_parity(self, graph, inproc_sess, other_sess, width):
+        sources = [0, 17, 333, 901] + list(range(width - 4))
+        a = concurrent_khop(graph, sources, 3, record_depths=True,
+                            session=inproc_sess)
+        b = concurrent_khop(graph, sources, 3, record_depths=True,
+                            session=other_sess)
+        assert other_sess.degraded == (other_sess.fault_plan is not None)
         assert np.array_equal(a.reached, b.reached)
         assert np.array_equal(a.depths, b.depths)
         assert np.array_equal(a.completion_level, b.completion_level)
@@ -74,13 +99,19 @@ class TestKHopParity:
     def test_edge_sets_require_inproc(self, pool_sess):
         with pytest.raises(ValueError, match="inproc"):
             pool_sess.khop([0], 2, use_edge_sets=True)
+        with pytest.raises(UnsupportedConfigError, match="use_edge_sets"):
+            pool_sess.khop([0], 2, use_edge_sets=True)
+        with pytest.raises(UnsupportedConfigError, match="use_edge_sets"):
+            pool_sess.reach([0], [1], 2, use_edge_sets=True)
+        with pytest.raises(UnsupportedConfigError, match="asynchronous"):
+            pool_sess.khop([0], 2, asynchronous=True)
 
 
 class TestWideParity:
     def test_wide_512_batch(self, graph, inproc_sess, pool_sess):
         sources = [i % graph.num_vertices for i in range(512)]
-        a = concurrent_khop_wide(graph, sources, 3, session=inproc_sess)
-        b = concurrent_khop_wide(graph, sources, 3, session=pool_sess)
+        a = concurrent_khop(graph, sources, 3, session=inproc_sess)
+        b = concurrent_khop(graph, sources, 3, session=pool_sess)
         assert np.array_equal(a.reached, b.reached)
         assert a.virtual_seconds == b.virtual_seconds
         assert a.supersteps == b.supersteps
@@ -104,6 +135,8 @@ class TestGASParity:
 
     def test_async_requires_inproc(self, pool_sess):
         with pytest.raises(ValueError, match="inproc"):
+            pool_sess.gas(PageRankProgram(), iterations=3, asynchronous=True)
+        with pytest.raises(UnsupportedConfigError, match="asynchronous"):
             pool_sess.gas(PageRankProgram(), iterations=3, asynchronous=True)
 
 

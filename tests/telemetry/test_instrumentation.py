@@ -8,6 +8,8 @@ histogram.  The trace and the report are two views of the same virtual
 time — not two estimates.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,23 @@ class TestNullDefault:
         svc.submit_many([0, 1, 2])
         rep = svc.drain()  # whole path runs with telemetry disabled
         assert rep.num_queries == 3
+
+    def test_every_hook_is_a_noop_on_the_null_facade(self):
+        # the null facade is generated from Instrumentation's own hooks:
+        # a hook added there can never be forgotten here (it would reach
+        # for counters the null never allocated)
+        null = NullInstrumentation()
+        assert null.enabled is False
+        hooks = [n for n in dir(Instrumentation) if n.startswith("on_")]
+        assert "on_superstep" in hooks and "on_cache" in hooks
+        for name in hooks:
+            live = getattr(Instrumentation, name)
+            assert getattr(NullInstrumentation, name) is not live, name
+            required = [
+                p for p in list(inspect.signature(live).parameters.values())[1:]
+                if p.default is p.empty
+            ]
+            assert getattr(null, name)(*[None] * len(required)) is None, name
 
 
 class TestTracedService:

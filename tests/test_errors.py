@@ -9,6 +9,7 @@ and tests pinning them — keep working across the fault-tolerance refactor.
 
 import pytest
 
+from repro.core.pagerank import PageRankProgram
 from repro.errors import (
     CheckpointError,
     CorruptCheckpoint,
@@ -24,6 +25,8 @@ from repro.errors import (
     WorkerLost,
     WorkerTaskError,
 )
+from repro.graph import path_graph
+from repro.runtime.session import GraphSession
 
 ALL = [
     PoolError,
@@ -96,3 +99,22 @@ def test_catching_the_base_catches_everything():
             raise exc("boom")
         except ReproError as caught:
             assert isinstance(caught, exc)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda sess: sess.khop([0], 2, use_edge_sets=True),
+        lambda sess: sess.khop([0], 2, asynchronous=True),
+        lambda sess: sess.reach([0], [1], 2, use_edge_sets=True),
+        lambda sess: sess.gas(PageRankProgram(), 2, asynchronous=True),
+    ],
+    ids=["khop-edge-sets", "khop-async", "reach-edge-sets", "gas-async"],
+)
+def test_inproc_only_modes_fail_fast_and_typed_on_a_pool_session(call):
+    # one check, before any work: nothing was prepared, spawned or run
+    with GraphSession(path_graph(6), num_machines=2, backend="pool") as sess:
+        with pytest.raises(UnsupportedConfigError, match="backend='inproc'"):
+            call(sess)
+        assert sess._pool is None
+        assert sess.batches_run == 0
