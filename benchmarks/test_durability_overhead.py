@@ -8,8 +8,8 @@ suffix replay) against the WAL-less alternative (rebuild the session and
 index from the original edge list and re-apply every batch).  Exactness
 is asserted inside the driver — the recovered session's epoch, edge set
 and index answers are bit-identical to the uninterrupted twin's — before
-any gate is evaluated.  A reference run is exported to
-``BENCH_durability.json`` at repo root.
+any gate is evaluated.  Each run exports its numbers (``tmp_path``; CI
+uploads ``BENCH_durability.json`` as an artifact).
 """
 
 from conftest import run_once

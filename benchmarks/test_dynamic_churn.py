@@ -10,8 +10,8 @@ inside the driver — patched labels answer identically to the
 from-scratch rebuild on sampled pairs at the final epoch, and the
 spliced shards are byte-identical to the snapshot store's oracle
 partitioning — before any timing counts.  The headline gate is the
-incremental path's wall-clock win.  A reference run is exported to
-``BENCH_dynamic_churn.json`` at repo root.
+incremental path's wall-clock win.  Each run exports its numbers
+(``tmp_path``; CI uploads ``BENCH_dynamic_churn.json`` as an artifact).
 """
 
 from conftest import run_once

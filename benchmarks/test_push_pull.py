@@ -9,8 +9,8 @@ persistent session (bit-identical answers, per-step virtual times and
 total virtual clocks asserted inside the driver, on both backends) and
 gates auto's wall-clock win over always-push on the dense drain, plus a
 no-regression bound on a 1-hop sparse drain where auto must stay in
-push mode.  A reference run is exported to ``BENCH_push_pull.json`` at
-repo root.
+push mode.  Each run exports its numbers (``tmp_path``; CI uploads
+``BENCH_push_pull.json`` as an artifact).
 """
 
 from conftest import run_once

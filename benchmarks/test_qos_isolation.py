@@ -15,7 +15,8 @@ one trace:
   replayed hit is cross-checked against the live index, and verdicts are
   asserted against a from-scratch traversal at each epoch.
 
-A reference run is exported to ``BENCH_qos_isolation.json`` at repo root.
+Each run exports its numbers (``tmp_path``; CI uploads
+``BENCH_qos_isolation.json`` as an artifact).
 """
 
 from conftest import run_once

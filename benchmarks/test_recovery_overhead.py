@@ -11,7 +11,7 @@ included) and bounds the fault-free overhead at ten percent plus a small
 absolute slack for sub-100ms drains.  A third, faulted drain records
 what one injected crash + respawn + rewind-replay actually costs.
 
-Reference numbers live in ``BENCH_recovery_overhead.json`` at repo root.
+Each run exports its numbers to ``tmp_path``; no reference copy is kept.
 """
 
 from conftest import run_once

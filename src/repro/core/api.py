@@ -163,22 +163,16 @@ class _ProgramTask(PartitionTask):
         if ctx._pending_remote:
             dests = np.array([d for d, _ in ctx._pending_remote], dtype=np.int64)
             vals = np.array([v for _, v in ctx._pending_remote])
-            owners = self.cluster.owner_of(dests)
-            for dest in np.unique(owners):
-                sel = owners == dest
-                self.machine.outbox.append(
-                    int(dest), MessageBatch(dests[sel], vals[sel])
-                )
+            self.machine.outbox.route(self.cluster.owner_of(dests), dests, vals)
             ctx._pending_remote = []
         stats.vertices_updated += len(self._next_local)
 
     def apply_inbox(self, stats: StepStats) -> None:
         incoming: dict[int, list[float]] = dict(self._next_local)
-        for batches in self.machine.inbox.take_all().values():
-            for batch in batches:
-                for v, p in zip(batch.vertices.tolist(), batch.payload.tolist()):
-                    incoming.setdefault(int(v), []).append(float(p))
-                stats.vertices_updated += batch.num_tasks
+        for batch in self.machine.inbox.drain():
+            for v, p in zip(batch.vertices.tolist(), batch.payload.tolist()):
+                incoming.setdefault(int(v), []).append(float(p))
+            stats.vertices_updated += batch.num_tasks
         self.ctx._inbox_by_vertex = incoming
         self._next_local = {}
 

@@ -153,11 +153,10 @@ class GASPartitionTask(PartitionTask):
             )
 
     def apply_inbox(self, stats: StepStats) -> None:
-        for batches in self.machine.inbox.take_all().values():
-            for batch in batches:
-                local = batch.vertices - self.machine.lo
-                self.program.combiner.at(self.gathered, local, batch.payload)
-                stats.vertices_updated += batch.num_tasks
+        for batch in self.machine.inbox.drain():
+            local = batch.vertices - self.machine.lo
+            self.program.combiner.at(self.gathered, local, batch.payload)
+            stats.vertices_updated += batch.num_tasks
 
     def checkpoint(self) -> dict:
         """Per-run value state only — the precomputed edge expansion is

@@ -41,11 +41,12 @@ import numpy as np
 
 from repro.core import adapters
 from repro.core.frontier import MAX_WIDE_BATCH, BitFrontier, words_for
+from repro.errors import UnsupportedConfigError
 from repro.graph.edgelist import EdgeList
 from repro.graph.partition import PartitionedGraph
 from repro.runtime.cluster import SimCluster
 from repro.runtime.engine import PartitionTask
-from repro.runtime.message import MessageBatch, combine_or
+from repro.runtime.message import combine_or
 from repro.runtime.netmodel import (
     PULL_SECONDS_PER_EDGE,
     PUSH_SECONDS_PER_EDGE,
@@ -61,9 +62,13 @@ __all__ = ["KHopResult", "KHopPartitionTask", "concurrent_khop", "DIRECTIONS"]
 DIRECTIONS = ("auto", "push", "pull")
 
 
-def _check_direction(direction: str) -> str:
+def _check_direction(direction: str, use_edge_sets: bool) -> str:
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    if use_edge_sets and direction == "pull":
+        raise UnsupportedConfigError(
+            "use_edge_sets uses the push kernel; direction='pull' conflicts"
+        )
     return direction
 
 
@@ -158,7 +163,7 @@ class KHopPartitionTask(PartitionTask):
         self.use_edge_sets = use_edge_sets
         self.k = k
         self.level = 0
-        self.direction = _check_direction(direction)
+        self.direction = _check_direction(direction, use_edge_sets)
         # Coefficients travel with the task (not read off a cluster-side
         # model) so pool workers — which hold no NetworkModel — make the
         # exact same per-superstep choice as the in-process engine.
@@ -228,11 +233,10 @@ class KHopPartitionTask(PartitionTask):
         )
 
     def apply_inbox(self, stats: StepStats) -> None:
-        for batches in self.machine.inbox.take_all().values():
-            for batch in batches:
-                local = batch.vertices - self.machine.lo
-                self.state.or_into_next(local, batch.payload)
-                stats.vertices_updated += batch.num_tasks
+        for batch in self.machine.inbox.drain():
+            local = batch.vertices - self.machine.lo
+            self.state.or_into_next(local, batch.payload)
+            stats.vertices_updated += batch.num_tasks
 
     def finalize(self) -> bool:
         newly = self.state.promote()
@@ -326,20 +330,8 @@ class KHopPartitionTask(PartitionTask):
             self._send_remote(targets[remote_mask], ebits[remote_mask])
 
     def _send_remote(self, rt: np.ndarray, rb: np.ndarray) -> None:
-        """Group remote-destination edges by owner into outbox batches."""
-        owners = self.cluster.owner_of(rt)
-        order = np.argsort(owners, kind="stable")
-        owners_sorted = owners[order]
-        starts = np.concatenate(
-            [[0], np.nonzero(owners_sorted[1:] != owners_sorted[:-1])[0] + 1,
-             [owners_sorted.size]]
-        )
-        for a, b in zip(starts[:-1], starts[1:]):
-            if a == b:
-                continue
-            dest = int(owners_sorted[a])
-            sel = order[a:b]
-            self.machine.outbox.append(dest, MessageBatch(rt[sel], rb[sel]))
+        """Queue remote-destination edges under their owning partitions."""
+        self.machine.outbox.route(self.cluster.owner_of(rt), rt, rb)
 
 
 def concurrent_khop(
@@ -400,9 +392,7 @@ def concurrent_khop(
     Returns a :class:`KHopResult`; virtual time comes from the cluster's
     network model and counted work.
     """
-    _check_direction(direction)
-    if use_edge_sets and direction == "pull":
-        raise ValueError("use_edge_sets uses the push kernel; direction='pull' conflicts")
+    _check_direction(direction, use_edge_sets)
     sess = GraphSession.for_run(graph, num_machines, netmodel, session)
     sess.require_inproc(use_edge_sets=use_edge_sets, asynchronous=asynchronous)
     pg = sess.pg

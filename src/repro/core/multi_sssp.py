@@ -10,7 +10,8 @@ scanned once per superstep rather than once per query — the same
 shared-subgraph effect, in min-plus algebra instead of boolean OR.
 
 Messages carry a full Q-vector of candidate distances per boundary vertex
-and are combined by elementwise minimum before the wire.
+and are combined by elementwise minimum before the wire.  Single-source
+:func:`~repro.core.sssp.sssp` is this engine at ``Q = 1``.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 from repro.graph.edgelist import EdgeList
 from repro.graph.partition import PartitionedGraph
 from repro.runtime.cluster import SimCluster
-from repro.runtime.engine import PartitionTask
-from repro.runtime.message import MessageBatch, combine_min
+from repro.runtime.engine import EngineResult, PartitionTask
+from repro.runtime.message import combine_min, reduce_by_key
 from repro.runtime.netmodel import NetworkModel, StepStats
 from repro.runtime.session import GraphSession
 
@@ -43,6 +44,7 @@ class MultiSSSPResult:
     virtual_seconds: float
     supersteps: int
     total_edges_scanned: int
+    engine_result: EngineResult
 
     @property
     def num_queries(self) -> int:
@@ -73,7 +75,7 @@ class _MultiSSSPTask(PartitionTask):
             return
         csr = self.machine.partition.out_csr
         if csr.weights is None:
-            raise ValueError("concurrent_sssp requires a weighted graph")
+            raise ValueError("SSSP requires a weighted graph")
         pos, counts = csr.gather_edges(rows)
         if pos.size == 0:
             return
@@ -88,18 +90,12 @@ class _MultiSSSPTask(PartitionTask):
         remote = ~local_mask
         if remote.any():
             rt, rc = targets[remote], cand[remote]
-            owners = self.cluster.owner_of(rt)
-            for dest in np.unique(owners):
-                sel = owners == dest
-                self.machine.outbox.append(
-                    int(dest), MessageBatch(rt[sel], rc[sel])
-                )
+            self.machine.outbox.route(self.cluster.owner_of(rt), rt, rc)
 
     def apply_inbox(self, stats: StepStats) -> None:
-        for batches in self.machine.inbox.take_all().values():
-            for batch in batches:
-                local = batch.vertices - self.machine.lo
-                self._relax(local, batch.payload, stats)
+        for batch in self.machine.inbox.drain():
+            local = batch.vertices - self.machine.lo
+            self._relax(local, batch.payload, stats)
 
     def finalize(self) -> bool:
         self.hop += 1
@@ -109,12 +105,7 @@ class _MultiSSSPTask(PartitionTask):
 
     def _relax(self, local: np.ndarray, cand: np.ndarray, stats: StepStats) -> None:
         # per-destination min over duplicate rows, then one improvement pass
-        order = np.argsort(local, kind="stable")
-        lv = local[order]
-        cv = cand[order]
-        starts = np.concatenate([[0], np.nonzero(lv[1:] != lv[:-1])[0] + 1])
-        uv = lv[starts]
-        umin = np.minimum.reduceat(cv, starts, axis=0)
+        uv, umin = reduce_by_key(local, cand, np.minimum)
         improved_rows = (umin < self.dist[uv]).any(axis=1)
         if improved_rows.any():
             tgt = uv[improved_rows]
@@ -166,4 +157,5 @@ def concurrent_sssp(
         virtual_seconds=result.virtual_seconds,
         supersteps=result.supersteps,
         total_edges_scanned=total.edges_scanned,
+        engine_result=result,
     )

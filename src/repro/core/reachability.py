@@ -84,9 +84,7 @@ def reachability_queries(
     as in :func:`concurrent_khop` (answers and virtual clocks are
     direction-independent).
     """
-    _check_direction(direction)
-    if use_edge_sets and direction == "pull":
-        raise ValueError("use_edge_sets uses the push kernel; direction='pull' conflicts")
+    _check_direction(direction, use_edge_sets)
     sess = GraphSession.for_run(graph, num_machines, netmodel, session)
     sess.require_inproc(use_edge_sets=use_edge_sets)
     pg = sess.pg

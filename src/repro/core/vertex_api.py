@@ -137,24 +137,15 @@ class _VertexTask(PartitionTask):
         if self._pending_remote:
             dests = np.array([d for d, _ in self._pending_remote], dtype=np.int64)
             vals = np.array([x for _, x in self._pending_remote])
-            owners = self.cluster.owner_of(dests)
-            for dest in np.unique(owners):
-                sel = owners == dest
-                self.machine.outbox.append(
-                    int(dest), MessageBatch(dests[sel], vals[sel])
-                )
+            self.machine.outbox.route(self.cluster.owner_of(dests), dests, vals)
             self._pending_remote = []
 
     def apply_inbox(self, stats: StepStats) -> None:
-        incoming: dict[int, list[float]] = {}
-        for v, msgs in self._pending_local.items():
-            incoming.setdefault(v, []).extend(msgs)
-        self._pending_local = {}
-        for batches in self.machine.inbox.take_all().values():
-            for batch in batches:
-                for v, p in zip(batch.vertices.tolist(), batch.payload.tolist()):
-                    incoming.setdefault(int(v), []).append(float(p))
-                stats.vertices_updated += batch.num_tasks
+        incoming, self._pending_local = self._pending_local, {}
+        for batch in self.machine.inbox.drain():
+            for v, p in zip(batch.vertices.tolist(), batch.payload.tolist()):
+                incoming.setdefault(int(v), []).append(float(p))
+            stats.vertices_updated += batch.num_tasks
         self._incoming = incoming
 
     def finalize(self) -> bool:

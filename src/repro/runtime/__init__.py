@@ -10,9 +10,10 @@ scalability experiments report.
 
 Layers:
 
-* :mod:`repro.runtime.message` — typed message batches and task buffers.
-* :mod:`repro.runtime.comm` — the exchange step (sync barrier / async drain)
-  with bitwise-OR / min combiners.
+* :mod:`repro.runtime.message` — typed message batches, the outbox/inbox
+  buffers and the one route → combine → charge → deliver path between them.
+* :mod:`repro.runtime.comm` — the exchange step (sync barrier / async
+  drain): the in-process transport for flushed outboxes.
 * :mod:`repro.runtime.netmodel` — the cost model and virtual clock.
 * :mod:`repro.runtime.cluster` — machines + partition placement.
 * :mod:`repro.runtime.engine` — the superstep execution engine driving
@@ -33,7 +34,7 @@ Layers:
   :meth:`GraphSession.restore` rebuilding the exact pre-crash epoch.
 """
 
-from repro.runtime.message import MessageBatch, TaskBuffer
+from repro.runtime.message import Inbox, MessageBatch, Outbox
 from repro.runtime.netmodel import NetworkModel, StepStats, VirtualClock
 from repro.runtime.cluster import Machine, SimCluster
 from repro.runtime.engine import PartitionTask, SuperstepEngine, EngineResult
@@ -65,7 +66,8 @@ __all__ = [
     "QueryService",
     "ServiceReport",
     "MessageBatch",
-    "TaskBuffer",
+    "Outbox",
+    "Inbox",
     "NetworkModel",
     "StepStats",
     "VirtualClock",

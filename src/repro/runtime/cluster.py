@@ -1,10 +1,11 @@
 """Simulated cluster: machines, partition placement, shared global state.
 
 One :class:`Machine` hosts one subgraph shard (Figure 2: "each node consists
-of a processing unit with a cached subgraph shard").  The cluster wires
-machines to the partitions of a :class:`~repro.graph.partition.PartitionedGraph`
-and owns the :class:`~repro.runtime.netmodel.NetworkModel` used to convert
-counted work into virtual time.
+of a processing unit with a cached subgraph shard") plus its ``Outbox`` and
+``Inbox`` (:mod:`repro.runtime.message`).  The cluster wires machines to the
+partitions of a :class:`~repro.graph.partition.PartitionedGraph` and owns the
+:class:`~repro.runtime.netmodel.NetworkModel` used to convert counted work
+into virtual time.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.graph.partition import Partition, PartitionedGraph
-from repro.runtime.message import TaskBuffer
+from repro.runtime.message import Inbox, Outbox
 from repro.runtime.netmodel import NetworkModel
 
 __all__ = ["Machine", "SimCluster"]
@@ -26,8 +27,8 @@ class Machine:
 
     machine_id: int
     partition: Partition
-    inbox: TaskBuffer = field(default_factory=TaskBuffer)
-    outbox: TaskBuffer = field(default_factory=TaskBuffer)
+    inbox: Inbox = field(default_factory=Inbox)
+    outbox: Outbox = field(default_factory=Outbox)
 
     @property
     def lo(self) -> int:
@@ -43,8 +44,8 @@ class Machine:
 
     def reset_buffers(self) -> None:
         """Drop queued messages (shared by the cluster and pool workers)."""
-        self.inbox = TaskBuffer()
-        self.outbox = TaskBuffer()
+        self.inbox = Inbox()
+        self.outbox = Outbox()
 
 
 class SimCluster:

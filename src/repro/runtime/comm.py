@@ -1,12 +1,12 @@
-"""The exchange step: routing outboxes to inboxes with combining.
+"""The exchange step: the in-process transport from outboxes to inboxes.
 
-Synchronous mode is a full barrier exchange (Figure 5: "the visited vertices
-are synchronized after each iteration"): every machine's outbox is combined
-per destination, charged to the sender's :class:`StepStats`, and delivered.
-
+Combining and charging are :meth:`~repro.runtime.message.Outbox.flush`'s;
+this module carries what a flush returns to the destinations' inboxes.
 Asynchronous mode delivers one machine's outbox immediately (used by the
 engine's asynchronous step, §3.3: "the vertex value will be asynchronously
-updated").
+updated").  Synchronous mode is a full barrier exchange (Figure 5: "the
+visited vertices are synchronized after each iteration"): that delivery for
+every machine in machine order, which makes every inbox sender-ascending.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.runtime.cluster import SimCluster
-from repro.runtime.message import MessageBatch, TaskBuffer, combine_or
+from repro.runtime.message import MessageBatch, combine_or
 from repro.runtime.netmodel import StepStats
 
 __all__ = ["exchange_sync", "deliver_async"]
@@ -29,27 +29,12 @@ def exchange_sync(
 ) -> int:
     """Barrier exchange: combine + deliver every machine's outbox.
 
-    Per-destination batches are merged *before* the wire (the distributed
-    extension of MS-BFS sharing: one combined task per vertex per superstep,
-    no matter how many queries or frontier parents produced it).  Sender-side
-    stats record the post-combine wire size.  Returns the number of delivered
-    tasks.
+    Returns the number of delivered (post-combine) tasks.
     """
-    delivered = 0
-    for sender in cluster.machines:
-        for dest_id in sender.outbox.partitions():
-            merged = sender.outbox.merged(dest_id, combiner=combiner)
-            if merged is None or merged.num_tasks == 0:
-                continue
-            if dest_id == sender.machine_id:
-                raise AssertionError("local tasks must not go through the outbox")
-            stats[sender.machine_id].record_send(
-                dest_id, merged.nbytes(), merged.num_tasks
-            )
-            cluster.machines[dest_id].inbox.append(sender.machine_id, merged)
-            delivered += merged.num_tasks
-        sender.outbox = TaskBuffer()
-    return delivered
+    return sum(
+        deliver_async(cluster, sender.machine_id, stats, combiner)
+        for sender in cluster.machines
+    )
 
 
 def deliver_async(
@@ -59,14 +44,9 @@ def deliver_async(
     combiner: Combiner = combine_or,
 ) -> int:
     """Immediately deliver one machine's outbox (asynchronous update model)."""
-    sender = cluster.machines[sender_id]
     delivered = 0
-    for dest_id in sender.outbox.partitions():
-        merged = sender.outbox.merged(dest_id, combiner=combiner)
-        if merged is None or merged.num_tasks == 0:
-            continue
-        stats[sender_id].record_send(dest_id, merged.nbytes(), merged.num_tasks)
-        cluster.machines[dest_id].inbox.append(sender_id, merged)
-        delivered += merged.num_tasks
-    sender.outbox = TaskBuffer()
+    outbox = cluster.machines[sender_id].outbox
+    for dest, batch in outbox.flush(sender_id, stats[sender_id], combiner):
+        cluster.machines[dest].inbox.append(batch)
+        delivered += batch.num_tasks
     return delivered

@@ -86,9 +86,9 @@ def emit_superstep(
 class PartitionTask(ABC):
     """One machine's share of a distributed algorithm.
 
-    Subclasses hold per-partition state (frontiers, values) and use
-    ``self.machine.outbox`` to send :class:`MessageBatch` tasks to remote
-    partitions; purely local updates never touch the buffers.
+    Subclasses hold per-partition state (frontiers, values), send remote tasks
+    with ``self.machine.outbox.route(owners, vertices, payload)`` and read
+    them from ``self.machine.inbox.drain()``; local updates touch no buffer.
     """
 
     def __init__(self, machine):
@@ -395,15 +395,13 @@ class SuperstepEngine:
                 task.apply_inbox(stats[i])
                 task.compute(stats[i])
                 deliver_async(self.cluster, i, stats, combiner=self.combiner)
-            # a final drain so tasks delivered by later machines land
-            for i, task in enumerate(tasks):
-                task.apply_inbox(stats[i])
         else:
             for i, task in enumerate(tasks):
                 task.compute(stats[i])
             exchange_sync(self.cluster, stats, combiner=self.combiner)
-            for i, task in enumerate(tasks):
-                task.apply_inbox(stats[i])
+        # (in asynchronous mode: the final drain, for later machines' sends)
+        for i, task in enumerate(tasks):
+            task.apply_inbox(stats[i])
         votes = [task.finalize() for task in tasks]
         probes = None
         if self.probe is not None:

@@ -1,16 +1,21 @@
-"""Typed message batches and the inbox/outbox task buffers of Figure 4/5.
+"""Typed message batches and the one path from outbox to inbox (Figure 4/5).
 
-Each partition owns an *incoming task buffer* (inbox) and a *remote task
-buffer* (outbox).  "Each task is associated with the destination vertex's
-unique ID" — a :class:`MessageBatch` carries a destination-vertex array plus
-a same-length payload array, following the mpi4py idiom of shipping numpy
-buffers rather than per-object messages.
+Each partition owns a *remote task buffer* (:class:`Outbox`) and an
+*incoming task buffer* (:class:`Inbox`).  "Each task is associated with the
+destination vertex's unique ID" — a :class:`MessageBatch` carries a
+destination-vertex array plus a same-length payload array, following the
+mpi4py idiom of shipping numpy buffers rather than per-object messages.
 
-Batches destined for the same partition can be *combined* before (or after)
-the wire: k-hop traversals combine by bitwise OR of query bit-masks, SSSP by
-elementwise minimum.  Combining models the paper's observation that
-concurrent queries share vertices — one message per vertex serves all
-queries in the batch.
+The whole life of a remote task is written here once, so the message format
+is this module's alone: :meth:`Outbox.route` queues tasks under their owning
+partitions; :meth:`Outbox.flush` combines per destination, charges the
+sender's ``StepStats`` and hands the batches to the executor's transport
+(in-process inboxes, or the pool's shared memory); :meth:`Inbox.drain` hands
+them to ``apply_inbox`` in delivery order, sender-ascending on both.
+
+Combining (k-hop by bitwise OR of query bit-masks, SSSP by elementwise
+minimum) models the paper's observation that concurrent queries share
+vertices — one message per vertex serves all queries in the batch.
 """
 
 from __future__ import annotations
@@ -19,7 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MessageBatch", "TaskBuffer", "combine_or", "combine_min", "combine_sum"]
+__all__ = [
+    "MessageBatch", "Outbox", "Inbox", "reduce_by_key",
+    "combine_or", "combine_min", "combine_sum",
+]
 
 
 @dataclass
@@ -49,6 +57,20 @@ class MessageBatch:
         return int(self.vertices.nbytes + self.payload.nbytes)
 
 
+def reduce_by_key(keys: np.ndarray, values: np.ndarray, ufunc) -> tuple:
+    """Reduce ``values`` rows that share a key: ``(unique_keys, reduced)``.
+
+    Keys (non-empty) come back ascending.  A stable sort plus one ``reduceat``
+    along axis 0: duplicates fold in emission order, so float sums repeat
+    exactly, and ``values`` may be a matrix of per-query columns.
+    """
+    order = np.argsort(keys, kind="stable")
+    k = keys[order]
+    group_start = np.concatenate([[True], k[1:] != k[:-1]])
+    starts = np.nonzero(group_start)[0]
+    return k[starts], ufunc.reduceat(values[order], starts, axis=0)
+
+
 def combine_or(batch: MessageBatch) -> MessageBatch:
     """Deduplicate destinations, OR-ing payload bits (traversal combiner)."""
     return _combine(batch, np.bitwise_or)
@@ -67,61 +89,85 @@ def combine_sum(batch: MessageBatch) -> MessageBatch:
 def _combine(batch: MessageBatch, op) -> MessageBatch:
     if batch.num_tasks == 0:
         return batch
-    order = np.argsort(batch.vertices, kind="stable")
-    v = batch.vertices[order]
-    p = batch.payload[order]
-    group_start = np.concatenate([[True], v[1:] != v[:-1]])
-    starts = np.nonzero(group_start)[0]
-    out_v = v[starts]
-    out_p = op.reduceat(p, starts)
-    return MessageBatch(out_v, out_p)
+    return MessageBatch(*reduce_by_key(batch.vertices, batch.payload, op))
 
 
-class TaskBuffer:
-    """A partition's task buffer: per-source (or per-destination) batches.
-
-    The outbox keys batches by destination partition; the inbox accumulates
-    batches delivered by the exchange step.  ``nbytes``/``num_tasks`` feed the
-    network cost model.
-    """
+class Outbox:
+    """A partition's remote task buffer: tasks queued per owning partition."""
 
     def __init__(self) -> None:
-        self._batches: dict[int, list[MessageBatch]] = {}
+        self._queued: dict[int, list[MessageBatch]] = {}
 
-    def append(self, partition_id: int, batch: MessageBatch) -> None:
-        """Queue ``batch`` under ``partition_id`` (skip empty batches)."""
-        if batch.num_tasks == 0:
+    def append(self, dest: int, batch: MessageBatch) -> None:
+        """Queue ``batch`` for partition ``dest`` (skip empty batches)."""
+        if batch.num_tasks:
+            self._queued.setdefault(dest, []).append(batch)
+
+    def route(self, owners, vertices: np.ndarray, payload: np.ndarray) -> None:
+        """Queue tasks under ``owners``, their owning partitions, one batch each.
+
+        One stable bucketing: emission order survives inside a destination,
+        which float ``combine_sum`` and non-reducing combiners depend on.
+        """
+        if owners.size == 0:
             return
-        self._batches.setdefault(partition_id, []).append(batch)
+        order = np.argsort(owners, kind="stable")
+        owners_sorted = owners[order]
+        cuts = np.nonzero(owners_sorted[1:] != owners_sorted[:-1])[0] + 1
+        for sel in np.split(order, cuts):
+            dest = int(owners[sel[0]])
+            self.append(dest, MessageBatch(vertices[sel], payload[sel]))
 
-    def partitions(self) -> list[int]:
-        """Partition ids that currently have queued batches."""
-        return sorted(self._batches)
+    def flush(
+        self, sender_id: int, stats, combiner
+    ) -> list[tuple[int, MessageBatch]]:
+        """Empty the buffer into wire-ready ``(dest, batch)`` pairs, ascending.
 
-    def take(self, partition_id: int) -> list[MessageBatch]:
-        """Remove and return all batches queued under ``partition_id``."""
-        return self._batches.pop(partition_id, [])
-
-    def take_all(self) -> dict[int, list[MessageBatch]]:
-        """Drain the whole buffer."""
-        out, self._batches = self._batches, {}
-        return out
-
-    def merged(self, partition_id: int, combiner=combine_or) -> MessageBatch | None:
-        """Concatenate + combine every batch queued under ``partition_id``."""
-        batches = self._batches.get(partition_id)
-        if not batches:
-            return None
-        v = np.concatenate([b.vertices for b in batches])
-        p = np.concatenate([b.payload for b in batches])
-        return combiner(MessageBatch(v, p))
+        ``combiner`` runs once per destination on everything queued for it —
+        the distributed extension of MS-BFS sharing: one combined task per
+        vertex per superstep, however many queries or parents produced it —
+        and ``stats`` (the sender's ``StepStats``) is charged the post-combine
+        wire size.  An empty combine is not sent; a self-addressed batch is
+        refused, since local tasks never ride the wire.
+        """
+        queued, self._queued = self._queued, {}
+        wire = []
+        for dest, batches in sorted(queued.items()):
+            if dest == sender_id:
+                raise AssertionError("local tasks must not go through the outbox")
+            if len(batches) == 1:
+                batch = batches[0]
+            else:
+                batch = MessageBatch(
+                    np.concatenate([b.vertices for b in batches]),
+                    np.concatenate([b.payload for b in batches]),
+                )
+            batch = combiner(batch)
+            if batch.num_tasks:
+                stats.record_send(dest, batch.nbytes(), batch.num_tasks)
+                wire.append((dest, batch))
+        return wire
 
     @property
     def is_empty(self) -> bool:
-        return not self._batches
+        return not self._queued
 
-    def num_tasks(self) -> int:
-        return sum(b.num_tasks for bs in self._batches.values() for b in bs)
 
-    def nbytes(self) -> int:
-        return sum(b.nbytes() for bs in self._batches.values() for b in bs)
+class Inbox:
+    """A partition's incoming task buffer: delivered batches, in order."""
+
+    def __init__(self) -> None:
+        self._delivered: list[MessageBatch] = []
+
+    def append(self, batch: MessageBatch) -> None:
+        """Deliver one combined batch."""
+        self._delivered.append(batch)
+
+    def drain(self) -> list[MessageBatch]:
+        """Remove and return every delivered batch, in delivery order."""
+        delivered, self._delivered = self._delivered, []
+        return delivered
+
+    @property
+    def is_empty(self) -> bool:
+        return not self._delivered

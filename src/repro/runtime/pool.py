@@ -8,10 +8,10 @@ the shared graph image once (:mod:`repro.runtime.shm`), keeps its
 and runs the identical superstep protocol:
 
 1. the coordinator broadcasts ``compute``; every worker expands its local
-   frontier, combines its outbox per destination (exactly as
-   :func:`~repro.runtime.comm.exchange_sync` would), writes the combined
-   batches into its own shared-memory outbox segment, and replies with
-   small :class:`~repro.runtime.shm.BatchRef` control records;
+   frontier, flushes its outbox (:meth:`~repro.runtime.message.Outbox.flush`,
+   the call :func:`~repro.runtime.comm.exchange_sync` makes), writes the
+   combined batches into its own shared-memory outbox segment, and replies
+   with small :class:`~repro.runtime.shm.BatchRef` control records;
 2. the coordinator routes the refs by destination and broadcasts ``apply``;
    every worker reads its inbound batches as zero-copy views (sender-
    ascending order — the same reduction order as the in-process inbox),
@@ -69,7 +69,7 @@ from repro.runtime.fault import (
     FaultPlan,
     FaultTolerance,
 )
-from repro.runtime.message import MessageBatch, TaskBuffer, combine_or
+from repro.runtime.message import MessageBatch, combine_or
 from repro.runtime.netmodel import NetworkModel, StepStats
 from repro.runtime.shm import (
     OutboxReader,
@@ -154,21 +154,8 @@ def _worker_main(
                     t0 = time.perf_counter()
                     current.compute(stats)
                     writer.begin()
-                    refs = []
-                    outbox = machine.outbox
-                    for dest in outbox.partitions():
-                        merged = outbox.merged(dest, combiner=combiner)
-                        if merged is None or merged.num_tasks == 0:
-                            continue
-                        if dest == worker_id:
-                            raise AssertionError(
-                                "local tasks must not go through the outbox"
-                            )
-                        stats.record_send(dest, merged.nbytes(), merged.num_tasks)
-                        refs.append(
-                            writer.write(dest, merged.vertices, merged.payload)
-                        )
-                    machine.outbox = TaskBuffer()
+                    wire = machine.outbox.flush(worker_id, stats, combiner)
+                    refs = [writer.write(d, b.vertices, b.payload) for d, b in wire]
                     step_stats = stats
                     # The destinations the stats swear were sent to; the
                     # coordinator cross-checks them against the refs that
@@ -185,16 +172,14 @@ def _worker_main(
                     corrupt = (
                         injector.take(CORRUPT_INBOX, step) if inbox else None
                     )
-                    for sender, ref in inbox:
+                    for ref in inbox:
                         vertices, payload = reader.view(ref)
                         if corrupt is not None:
                             payload = payload.copy()
                             payload.view(np.uint8)[0] ^= 0xFF
                             corrupt = None
                         OutboxReader.verify(ref, vertices, payload)
-                        machine.inbox.append(
-                            sender, MessageBatch(vertices, payload)
-                        )
+                        machine.inbox.append(MessageBatch(vertices, payload))
                     current.apply_inbox(stats)
                     vote = current.finalize()
                     result = probe(current, *probe_args) if probe else None
@@ -597,7 +582,7 @@ class WorkerPool:
         routed: list[list] = [[] for _ in range(n)]
         for sender in range(n):
             for ref in outs[sender][0]:
-                routed[ref.dest].append((sender, ref))
+                routed[ref.dest].append(ref)
         done, failures = self._barrier(
             [("apply", inbox, step) for inbox in routed], "apply"
         )

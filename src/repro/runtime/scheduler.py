@@ -45,7 +45,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import InvalidQueryError, MutationError, Overloaded
+from repro.errors import (
+    InvalidQueryError,
+    MutationError,
+    Overloaded,
+    UnsupportedConfigError,
+)
 from repro.qos.lanes import (
     INTERACTIVE_LANE,
     QosConfig,
@@ -449,12 +454,12 @@ class QueryService:
         if qos is not None and not isinstance(qos, QosConfig):
             raise TypeError("qos must be a repro.qos.QosConfig")
         if qos is not None and discipline != "batch":
-            raise ValueError(
+            raise UnsupportedConfigError(
                 "QoS lanes require discipline='batch' (weighted fair "
                 "queueing schedules bit-parallel batches, not pool slots)"
             )
         if cache is not None and planner != "hybrid":
-            raise ValueError(
+            raise UnsupportedConfigError(
                 "the result cache fronts the index lane; it requires "
                 "planner='hybrid'"
             )
@@ -463,7 +468,7 @@ class QueryService:
             and planner != "hybrid"
             and not getattr(session, "is_dynamic", False)
         ):
-            raise ValueError(
+            raise UnsupportedConfigError(
                 "cross_check needs the hybrid planner or a dynamic session"
             )
         if deadline_seconds is not None and deadline_seconds <= 0:

@@ -1,5 +1,8 @@
 """Shared fixtures: small deterministic graphs used across the test suite."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,30 @@ from repro.graph import (
     rmat_edges,
     star_graph,
 )
+
+
+def _pool_segments() -> set:
+    """Names of the pool backend's live shared-memory segments."""
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    return {n for n in os.listdir("/dev/shm") if n.startswith("cgp")}
+
+
+@pytest.fixture(scope="module", autouse=True)
+def no_leaked_pool_state():
+    """Suite-wide leak guard: no ``/dev/shm/cgp*`` segment and no
+    ``repro-pool-*`` worker a test module starts may outlive the module."""
+    segments = _pool_segments()
+    children = {p.pid for p in multiprocessing.active_children()}
+    yield
+    leaked_workers = [
+        p.name
+        for p in multiprocessing.active_children()
+        if p.pid not in children and p.name.startswith("repro-pool-")
+    ]
+    assert not leaked_workers, f"pool workers outlived the module: {leaked_workers}"
+    leaked_segments = sorted(_pool_segments() - segments)
+    assert not leaked_segments, f"shm segments outlived the module: {leaked_segments}"
 
 
 @pytest.fixture

@@ -7,6 +7,8 @@ tests pin those algebra facts — the correctness foundation under the
 paper's "one combined task per vertex" sharing.
 """
 
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,10 +16,12 @@ from hypothesis import strategies as st
 
 from repro.runtime.message import (
     MessageBatch,
+    Outbox,
     combine_min,
     combine_or,
     combine_sum,
 )
+from repro.runtime.netmodel import StepStats
 
 verts = st.lists(st.integers(0, 8), min_size=1, max_size=30)
 
@@ -155,3 +159,72 @@ class TestCombine2D:
             np.zeros((1, 8), dtype=np.uint64),
         )
         assert b.nbytes() == 8 + 64
+
+
+#: One ``route`` call's emissions: (destination seed, vertex offset, value).
+_emission = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 6), st.integers(0, 255)),
+    max_size=40,  # past numpy's small-array insertion sort, which is stable
+)
+
+
+class TestRouteFlush:
+    """The one message path — ``Outbox.route`` then ``Outbox.flush`` — against
+    a naive per-destination reference folded in emission order."""
+
+    @staticmethod
+    def _emit(rounds, parts, dtype):
+        """Route every round from partition 0 of ``parts``; returns the outbox
+        and, per destination, its ``(vertex, value)`` pairs in emission order.
+        Values are quarter-integers, so float sums are exact in any order."""
+        out = Outbox()
+        emitted: dict[int, list] = {}
+        for tasks in rounds:
+            owners = np.array([1 + o % (parts - 1) for o, _, _ in tasks], np.int64)
+            vertices = owners * 100 + np.array([v for _, v, _ in tasks], np.int64)
+            payload = np.array([p for _, _, p in tasks], dtype=dtype)
+            if dtype is np.float64:
+                payload = payload / 4
+            out.route(owners, vertices, payload)
+            for o, v, p in zip(owners.tolist(), vertices.tolist(), payload.tolist()):
+                emitted.setdefault(o, []).append((v, p))
+        return out, emitted
+
+    @pytest.mark.parametrize(
+        "combiner, fold, dtype",
+        [
+            (combine_or, operator.or_, np.uint64),
+            (combine_min, min, np.float64),
+            (combine_sum, operator.add, np.float64),
+        ],
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(rounds=st.lists(_emission, min_size=1, max_size=4), parts=st.integers(2, 4))
+    def test_matches_naive_reference(self, combiner, fold, dtype, rounds, parts):
+        out, emitted = self._emit(rounds, parts, dtype)
+        expected: dict[int, dict] = {}
+        for dest, pairs in emitted.items():
+            per = expected.setdefault(dest, {})
+            for v, p in pairs:
+                per[v] = fold(per[v], p) if v in per else p
+        stats = StepStats()
+        wire = out.flush(0, stats, combiner)
+        assert [dest for dest, _ in wire] == sorted(expected)
+        for dest, batch in wire:
+            assert batch.vertices.tolist() == sorted(expected[dest])
+            assert _as_dict(batch) == expected[dest]
+        assert stats.messages_sent == {d: len(per) for d, per in expected.items()}
+        assert stats.bytes_sent == {d: 16 * len(per) for d, per in expected.items()}
+        assert out.is_empty
+
+    @settings(max_examples=40, deadline=None)
+    @given(rounds=st.lists(_emission, min_size=1, max_size=4), parts=st.integers(2, 4))
+    def test_emission_order_survives_inside_a_destination(self, rounds, parts):
+        """What float sums and the non-reducing combiners of the Listing 1 /
+        Pregel adapters rely on."""
+        out, emitted = self._emit(rounds, parts, np.float64)
+        wire = out.flush(0, StepStats(), lambda batch: batch)
+        assert [dest for dest, _ in wire] == sorted(emitted)
+        for dest, batch in wire:
+            got = list(zip(batch.vertices.tolist(), batch.payload.tolist()))
+            assert got == emitted[dest]

@@ -63,17 +63,21 @@ class TestExchange:
             )
         delivered = exchange_sync(c, stats)
         assert delivered == 1  # three tasks combined into one
-        merged = c.machines[1].inbox.merged(0)
+        (merged,) = c.machines[1].inbox.drain()
         assert merged.payload[0] == 7
 
     def test_local_loopback_is_an_error(self, tiny_graph):
-        c = _cluster(tiny_graph, 2)
-        stats = [StepStats() for _ in range(2)]
-        c.machines[0].outbox.append(
-            0, MessageBatch(np.array([0]), np.array([1], np.uint64))
-        )
-        with pytest.raises(AssertionError):
-            exchange_sync(c, stats)
+        """A self-addressed batch is refused by the flush both exchanges
+        share (``deliver_async`` used to let it through)."""
+        for exchange in (exchange_sync, lambda c, s: deliver_async(c, 0, s)):
+            c = _cluster(tiny_graph, 2)
+            stats = [StepStats() for _ in range(2)]
+            c.machines[0].outbox.append(
+                0, MessageBatch(np.array([0]), np.array([1], np.uint64))
+            )
+            with pytest.raises(AssertionError):
+                exchange(c, stats)
+            assert c.machines[0].inbox.is_empty
 
     def test_async_delivers_one_machine(self, tiny_graph):
         c = _cluster(tiny_graph, 2)
@@ -108,10 +112,9 @@ class _PingPongTask(PartitionTask):
             stats.edges_scanned += 1
 
     def apply_inbox(self, stats):
-        for batches in self.machine.inbox.take_all().values():
-            for b in batches:
-                self.received += b.num_tasks
-                self.has_ball = True
+        for b in self.machine.inbox.drain():
+            self.received += b.num_tasks
+            self.has_ball = True
 
     def finalize(self):
         return self.has_ball and self.received < self.rounds

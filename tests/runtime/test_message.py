@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime.message import (
+    Inbox,
     MessageBatch,
-    TaskBuffer,
+    Outbox,
     combine_min,
     combine_or,
     combine_sum,
 )
+from repro.runtime.netmodel import StepStats
 
 
 class TestMessageBatch:
@@ -84,40 +86,71 @@ class TestCombiners:
 
 
 class TestTaskBuffer:
+    """The two single-role task buffers: ``Outbox`` and ``Inbox``.
+
+    What ``TaskBuffer`` did and these no longer do: ``take``/``partitions``
+    (a flush is the only way out of an outbox), ``num_tasks()``/``nbytes()``
+    (the accounting is the ``StepStats`` charge of the flush), ``merged()`` on
+    a missing key (a flush visits queued destinations only) and the
+    sender-keyed inbox (delivery order is the only order).
+    """
+
     def test_append_and_take(self):
-        buf = TaskBuffer()
+        buf = Outbox()
         b = MessageBatch(np.array([1]), np.array([1], dtype=np.uint64))
         buf.append(2, b)
-        assert buf.partitions() == [2]
-        assert len(buf.take(2)) == 1
+        assert not buf.is_empty
+        ((dest, sent),) = buf.flush(0, StepStats(), combine_or)
+        assert dest == 2
+        assert sent.vertices.tolist() == [1] and sent.payload.tolist() == [1]
         assert buf.is_empty
 
     def test_empty_batches_skipped(self):
-        buf = TaskBuffer()
+        buf = Outbox()
         buf.append(0, MessageBatch(np.empty(0, np.int64), np.empty(0, np.uint64)))
         assert buf.is_empty
 
     def test_merged_combines_across_batches(self):
-        buf = TaskBuffer()
+        buf = Outbox()
         buf.append(1, MessageBatch(np.array([4]), np.array([1], np.uint64)))
         buf.append(1, MessageBatch(np.array([4]), np.array([2], np.uint64)))
-        merged = buf.merged(1)
+        ((dest, merged),) = buf.flush(0, StepStats(), combine_or)
+        assert dest == 1
         assert merged.num_tasks == 1
         assert merged.payload[0] == 3
 
-    def test_merged_missing_partition(self):
-        assert TaskBuffer().merged(5) is None
+    def test_single_batch_reaches_combiner_uncopied(self):
+        buf = Outbox()
+        b = MessageBatch(np.array([4, 4]), np.array([1, 2], np.uint64))
+        buf.append(1, b)
+        seen = []
+        buf.flush(0, StepStats(), lambda batch: seen.append(batch) or batch)
+        assert len(seen) == 1 and seen[0] is b
 
-    def test_take_all_drains(self):
-        buf = TaskBuffer()
-        buf.append(0, MessageBatch(np.array([1]), np.array([1], np.uint64)))
-        buf.append(3, MessageBatch(np.array([2]), np.array([2], np.uint64)))
-        drained = buf.take_all()
-        assert set(drained) == {0, 3}
+    def test_flush_of_empty_outbox(self):
+        stats = StepStats()
+        assert Outbox().flush(0, stats, combine_or) == []
+        assert stats.total_messages == 0
+
+    def test_drain_keeps_delivery_order(self):
+        buf = Inbox()
+        first = MessageBatch(np.array([1]), np.array([1], np.uint64))
+        second = MessageBatch(np.array([2]), np.array([2], np.uint64))
+        buf.append(first)
+        buf.append(second)
+        drained = buf.drain()
+        assert len(drained) == 2
+        assert drained[0] is first and drained[1] is second
         assert buf.is_empty
+        assert buf.drain() == []
 
     def test_accounting(self):
-        buf = TaskBuffer()
-        buf.append(0, MessageBatch(np.array([1, 2]), np.array([1, 2], np.uint64)))
-        assert buf.num_tasks() == 2
-        assert buf.nbytes() > 0
+        buf = Outbox()
+        buf.append(3, MessageBatch(np.array([1, 2]), np.array([1, 2], np.uint64)))
+        buf.append(1, MessageBatch(np.array([7, 7]), np.array([1, 2], np.uint64)))
+        stats = StepStats()
+        wire = buf.flush(0, stats, combine_or)
+        assert [dest for dest, _ in wire] == [1, 3]
+        # charged post-combine: the two tasks for vertex 7 ride as one
+        assert stats.messages_sent == {1: 1, 3: 2}
+        assert stats.bytes_sent == {1: 16, 3: 32}

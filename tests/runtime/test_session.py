@@ -129,7 +129,7 @@ class TestBatchIsolation:
                 np.arange(m.lo, min(m.hi, m.lo + 4), dtype=np.int64),
                 np.full(min(4, m.num_local), np.uint64(0xFFFFFFFFFFFFFFFF)),
             )
-            m.inbox.append(m.machine_id, poison)
+            m.inbox.append(poison)
         after = concurrent_khop(graph, roots, 3, session=session)
         np.testing.assert_array_equal(clean.reached, after.reached)
         assert clean.virtual_seconds == after.virtual_seconds
@@ -138,8 +138,8 @@ class TestBatchIsolation:
         m = session.cluster.machines[0]
         m.outbox.append(1, MessageBatch(np.array([0]), np.array([1.0])))
         session.prepare()
-        assert m.outbox.take_all() == {}
-        assert m.inbox.take_all() == {}
+        assert m.outbox.is_empty
+        assert m.inbox.is_empty
 
     def test_narrow_then_wide_batch(self, graph, session):
         """A narrower batch after a wider one must not see old query bits."""

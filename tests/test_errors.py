@@ -26,6 +26,8 @@ from repro.errors import (
     WorkerTaskError,
 )
 from repro.graph import path_graph
+from repro.qos import QosConfig, ResultCache
+from repro.runtime.scheduler import QueryService
 from repro.runtime.session import GraphSession
 
 ALL = [
@@ -117,4 +119,28 @@ def test_inproc_only_modes_fail_fast_and_typed_on_a_pool_session(call):
         with pytest.raises(UnsupportedConfigError, match="backend='inproc'"):
             call(sess)
         assert sess._pool is None
+        assert sess.batches_run == 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda sess: QueryService(sess, 2, discipline="pool", qos=QosConfig()),
+        lambda sess: QueryService(sess, 2, cache=ResultCache(8)),
+        lambda sess: QueryService(sess, 2, cross_check=True),
+        lambda sess: sess.khop([0], 2, use_edge_sets=True, direction="pull"),
+        lambda sess: sess.reach([0], [1], 2, use_edge_sets=True, direction="pull"),
+    ],
+    ids=[
+        "qos-pool-discipline",
+        "cache-without-hybrid",
+        "cross-check-static-traversal",
+        "khop-edge-sets-pull",
+        "reach-edge-sets-pull",
+    ],
+)
+def test_unsupported_combinations_fail_typed_before_any_work(call):
+    with GraphSession(path_graph(6), num_machines=2) as sess:
+        with pytest.raises(UnsupportedConfigError):
+            call(sess)
         assert sess.batches_run == 0
