@@ -20,7 +20,7 @@ from repro.core.khop import concurrent_khop
 from repro.graph.edgelist import EdgeList
 from repro.graph.partition import PartitionedGraph, range_partition
 from repro.runtime.netmodel import NetworkModel
-from repro.runtime.scheduler import simulate_serialized
+from repro.runtime.scheduler import simulate_fifo_pool
 
 __all__ = ["GeminiLikeEngine"]
 
@@ -64,7 +64,7 @@ class GeminiLikeEngine:
         service = np.array(
             [self.single_query_seconds(int(s), k) for s in np.asarray(sources)]
         )
-        return simulate_serialized(service)
+        return simulate_fifo_pool(service, 1)
 
     def total_execution_seconds(self, sources, k: int | None) -> float:
         """Total time to drain the stream (the Figure 13 y-axis): linear in

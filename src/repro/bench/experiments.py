@@ -40,12 +40,10 @@ from repro.core.pagerank import pagerank
 from repro.graph import rmat_edges
 from repro.graph.analysis import effective_diameter, hop_plot
 from repro.graph.datasets import DATASETS, dataset_table, load_dataset, runtime_scale
-from repro.graph.partition import PartitionedGraph, range_partition
-from repro.qos import LaneSpec, QosConfig, ResultCache
+from repro.graph.partition import range_partition
 from repro.runtime.netmodel import NetworkModel
-from repro.runtime.scheduler import QueryScheduler, QueryService
+from repro.runtime.scheduler import QueryService, simulate_fifo_pool
 from repro.runtime.session import GraphSession
-from repro.telemetry.instrument import Instrumentation, NullInstrumentation
 
 __all__ = [
     "calibrated_netmodel",
@@ -66,15 +64,10 @@ __all__ = [
     "ablation_memory",
     "ablation_out_of_core",
     "ablation_wide_batches",
-    "per_query_service_seconds",
-    "session_reuse",
     "index_vs_traversal",
-    "telemetry_overhead",
-    "parallel_scaling",
     "push_pull",
     "recovery_overhead",
-    "dynamic_churn",
-    "qos_isolation",
+    "durability_overhead",
 ]
 
 PAPER_BINS = np.arange(0.0, 2.2, 0.2)  # the Fig 11/12 histogram bins (seconds)
@@ -111,34 +104,6 @@ def calibrated_netmodel(
         seconds_per_vertex=base.seconds_per_vertex / s,
         bandwidth_bytes_per_second=base.bandwidth_bytes_per_second * s,
     )
-
-
-def per_query_service_seconds(
-    pg: PartitionedGraph,
-    roots: np.ndarray,
-    k: int | None,
-    netmodel: NetworkModel | None = None,
-    use_edge_sets: bool = False,
-    session: GraphSession | None = None,
-) -> np.ndarray:
-    """Virtual service time of each query run standalone (§3.3 individual mode).
-
-    Repeated roots are costed once (service time is a deterministic function
-    of the root), which lets the large-query-count experiments sample roots
-    from a pool without re-running identical traversals.  All standalone
-    runs execute on one :class:`GraphSession` (a transient one unless
-    ``session`` is passed), so the per-root memo persists with the session.
-    """
-    sess = GraphSession.for_run(pg, netmodel=netmodel, session=session)
-    roots = np.asarray(roots)
-    unique, inverse = np.unique(roots, return_inverse=True)
-    per_unique = np.array(
-        [
-            sess.khop_service_seconds(int(s), k, use_edge_sets=use_edge_sets)
-            for s in unique
-        ]
-    )
-    return per_unique[inverse]
 
 
 def pooled_sources(el, count: int, distinct: int | None, seed) -> np.ndarray:
@@ -277,9 +242,12 @@ def fig7_vs_titan(
     db = TitanLikeDB(el)
     titan_service = np.array([db.timed_khop_query(int(s), k)[0] for s in roots])
 
-    sched = QueryScheduler(num_machines=1, slots_per_machine=concurrency)
-    cg_resp = ResponseTimes("C-Graph", sched.pool(cgraph_service))
-    ti_resp = ResponseTimes("Titan", sched.pool(titan_service))
+    cg_resp = ResponseTimes(
+        "C-Graph", simulate_fifo_pool(cgraph_service, concurrency)
+    )
+    ti_resp = ResponseTimes(
+        "Titan", simulate_fifo_pool(titan_service, concurrency)
+    )
 
     cg_q = ResponseTimes("C-Graph", workload.per_query_mean(cg_resp.seconds))
     ti_q = ResponseTimes("Titan", workload.per_query_mean(ti_resp.seconds))
@@ -333,9 +301,6 @@ class Fig8bResult:
     cgraph: dict
     gemini: dict
     mean_ratio: float
-    #: max |online - offline| response time: the QueryService admission loop
-    #: cross-checked against the simulate_fifo_pool model on the same workload
-    offline_max_abs_diff: float = 0.0
     paper = {"gemini_mean_s": 4.25, "cgraph_mean_s": 0.3}
 
     def report(self) -> str:
@@ -359,30 +324,22 @@ def fig8b_distribution_vs_gemini(
     """Reproduce Figure 8b: serialized Gemini vs pooled C-Graph (virtual).
 
     C-Graph's side runs on the online :class:`QueryService` admission loop
-    over a persistent session; the offline :func:`simulate_fifo_pool` model
-    re-costs the identical workload as a cross-check (the max deviation is
-    reported on the result).
+    over a persistent session.
     """
     el = load_dataset("FR-1B", scale)
     nm = calibrated_netmodel("FR-1B", scale)
     sess = GraphSession(el, num_machines=num_machines, netmodel=nm)
     roots = random_sources(el, num_queries, seed=seed)
 
-    sched = QueryScheduler(num_machines=num_machines)
-    svc = QueryService(sess, k, discipline="pool", concurrency=sched.concurrency)
+    svc = QueryService(sess, k, discipline="pool")
     svc.submit_many(roots)
-    online = svc.drain().response_seconds
-    service = per_query_service_seconds(sess.pg, roots, k, session=sess)
-    offline = sched.pool(service)
-
-    cg = ResponseTimes("C-Graph", online)
+    cg = ResponseTimes("C-Graph", svc.drain().response_seconds)
     gemini_engine = GeminiLikeEngine(sess.pg, netmodel=nm)
     ge = ResponseTimes("Gemini", gemini_engine.serialized_response_times(roots, k))
     return Fig8bResult(
         cgraph=cg.summary(),
         gemini=ge.summary(),
         mean_ratio=ge.mean / max(cg.mean, 1e-12),
-        offline_max_abs_diff=float(np.abs(online - offline).max()),
     )
 
 
@@ -432,18 +389,19 @@ def fig9_data_size_scalability(
 
     ``distinct_roots`` caps how many standalone traversals are costed (roots
     are then sampled from that pool), bounding harness wall time on the
-    densest analog.
+    densest analog.  Each dataset's workload runs on the online
+    :class:`QueryService` pool over its own resident session.
     """
     per_dataset: dict[str, ResponseTimes] = {}
     avg_deg: dict[str, float] = {}
-    sched = QueryScheduler(num_machines=num_machines)
     for name in datasets:
         el = load_dataset(name, scale)
         nm = calibrated_netmodel(name, scale)
         sess = GraphSession(el, num_machines=num_machines, netmodel=nm)
         roots = pooled_sources(el, num_queries, distinct_roots, seed)
-        service = per_query_service_seconds(sess.pg, roots, k, session=sess)
-        per_dataset[name] = ResponseTimes(name, sched.pool(service))
+        svc = QueryService(sess, k, discipline="pool")
+        svc.submit_many(roots)
+        per_dataset[name] = ResponseTimes(name, svc.drain().response_seconds)
         avg_deg[name] = float(el.out_degrees()[roots].mean())
     return Fig9Result(per_dataset=per_dataset, avg_root_degree=avg_deg)
 
@@ -503,9 +461,6 @@ class Fig11Result:
     per_machines: dict[int, ResponseTimes]
     boundary_vertices: dict[int, int]
     bins: np.ndarray
-    #: max |online - offline| across all machine counts (QueryService vs
-    #: simulate_fifo_pool on the identical workload)
-    offline_max_abs_diff: float = 0.0
     paper = {"pct_within_0.2s": 80.0, "pct_within_1s": 90.0}
 
     def report(self) -> str:
@@ -537,29 +492,23 @@ def fig11_machine_scaling(
     """Reproduce Figure 11: response-time histograms vs machine count.
 
     Each machine count gets its own resident session; its workload runs on
-    the online :class:`QueryService` pool and is cross-checked against the
-    offline :func:`simulate_fifo_pool` model.
+    the online :class:`QueryService` pool.
     """
     el = load_dataset("FR-1B", scale)
     nm = calibrated_netmodel("FR-1B", scale)
     roots = random_sources(el, num_queries, seed=seed)
     per_machines: dict[int, ResponseTimes] = {}
     boundary: dict[int, int] = {}
-    max_diff = 0.0
     for p in machines:
         sess = GraphSession(el, num_machines=p, netmodel=nm)
-        sched = QueryScheduler(num_machines=p)
-        svc = QueryService(sess, k, discipline="pool", concurrency=sched.concurrency)
+        svc = QueryService(sess, k, discipline="pool")
         svc.submit_many(roots)
-        online = svc.drain().response_seconds
-        service = per_query_service_seconds(sess.pg, roots, k, session=sess)
-        offline = sched.pool(service)
-        max_diff = max(max_diff, float(np.abs(online - offline).max()))
-        per_machines[p] = ResponseTimes(f"{p} machines", online)
+        per_machines[p] = ResponseTimes(
+            f"{p} machines", svc.drain().response_seconds
+        )
         boundary[p] = sess.pg.total_boundary_vertices()
     return Fig11Result(
-        per_machines=per_machines, boundary_vertices=boundary, bins=PAPER_BINS,
-        offline_max_abs_diff=max_diff,
+        per_machines=per_machines, boundary_vertices=boundary, bins=PAPER_BINS
     )
 
 
@@ -572,9 +521,6 @@ def fig11_machine_scaling(
 class Fig12Result:
     per_count: dict[int, ResponseTimes]
     bins: np.ndarray
-    #: max |online - offline| across all query counts (QueryService vs
-    #: simulate_fifo_pool on the identical workload)
-    offline_max_abs_diff: float = 0.0
     paper = {
         "q<=100": "80% within 0.6s, 90% within 1s",
         "q=350": "40% within 1s, 60% within 2s, tail 4-7s",
@@ -623,31 +569,25 @@ def fig12_query_count_scaling(
     """Reproduce Figure 12: degradation as the concurrent-query count grows.
 
     Roots for the 350-query stream are sampled from an 80-root pool by
-    default (service times are per-root deterministic, see
-    :func:`per_query_service_seconds`), which keeps the harness wall time
-    bounded on the dense FRS-100B analog without changing the response-time
-    distribution shape.
+    default (service times are per-root deterministic and memoised on the
+    session, see :meth:`GraphSession.khop_service_seconds`), which keeps
+    the harness wall time bounded on the dense FRS-100B analog without
+    changing the response-time distribution shape.
     """
     el = load_dataset("FRS-100B", scale)
     nm = calibrated_netmodel("FRS-100B", scale)
     sess = GraphSession(el, num_machines=num_machines, netmodel=nm)
     max_count = max(counts)
     roots = pooled_sources(el, max_count, distinct_roots, seed)
-    service_all = per_query_service_seconds(sess.pg, roots, k, session=sess)
-    sched = QueryScheduler(num_machines=num_machines)
     per_count: dict[int, ResponseTimes] = {}
-    max_diff = 0.0
     for q in counts:
         # every count is one wave on the same resident session — the online
         # admission loop replays the first q arrivals of the stream
-        svc = QueryService(
-            sess, k, discipline="pool", concurrency=sched.concurrency
-        )
+        svc = QueryService(sess, k, discipline="pool")
         svc.submit_many(roots[:q])
-        online = svc.drain().response_seconds
-        offline = sched.pool(service_all[:q])
-        max_diff = max(max_diff, float(np.abs(online - offline).max()))
-        per_count[q] = ResponseTimes(f"{q} queries", online)
+        per_count[q] = ResponseTimes(
+            f"{q} queries", svc.drain().response_seconds
+        )
     # The FRS-100B analog saturates under 3 hops (see EXPERIMENTS.md), so an
     # absolute 0-2 s histogram can be empty; rescale the paper's bin layout
     # to the observed range when needed, keeping the paper bins when they
@@ -657,9 +597,7 @@ def fig12_query_count_scaling(
         bins = PAPER_BINS
     else:
         bins = PAPER_BINS * (smallest.percentile(90) / PAPER_BINS[-2])
-    return Fig12Result(
-        per_count=per_count, bins=bins, offline_max_abs_diff=max_diff
-    )
+    return Fig12Result(per_count=per_count, bins=bins)
 
 
 # --------------------------------------------------------------------------- #
@@ -959,125 +897,6 @@ def ablation_wide_batches(
 
 
 # --------------------------------------------------------------------------- #
-# Session reuse: the persistent-runtime payoff
-# --------------------------------------------------------------------------- #
-
-
-@dataclass
-class SessionReuseResult:
-    """Wall-clock cost of N k-hop batches: one-shot calls vs one session.
-
-    ``one_shot_per_batch[i]`` rebuilds partitions, cluster and tasks for
-    batch ``i``; ``session_per_batch[i]`` reuses the resident session's
-    state (``session_build_s`` is paid once, before batch 0).  Both sides
-    return bit-identical answers — the driver asserts it.
-    """
-
-    num_batches: int
-    batch_size: int
-    k: int
-    one_shot_per_batch: list[float]
-    session_per_batch: list[float]
-    session_build_s: float
-
-    @property
-    def one_shot_total_s(self) -> float:
-        return float(sum(self.one_shot_per_batch))
-
-    @property
-    def session_total_s(self) -> float:
-        return self.session_build_s + float(sum(self.session_per_batch))
-
-    @property
-    def speedup(self) -> float:
-        return self.one_shot_total_s / max(self.session_total_s, 1e-12)
-
-    @property
-    def rows(self) -> list[dict]:
-        rows = [
-            {
-                "batch": str(i),
-                "one_shot_wall_s": round(self.one_shot_per_batch[i], 6),
-                "session_wall_s": round(self.session_per_batch[i], 6),
-            }
-            for i in range(self.num_batches)
-        ]
-        rows.append(
-            {
-                "batch": "total (incl. one-time session build)",
-                "one_shot_wall_s": round(self.one_shot_total_s, 6),
-                "session_wall_s": round(self.session_total_s, 6),
-            }
-        )
-        return rows
-
-    def report(self) -> str:
-        table = format_table(
-            self.rows,
-            title=(
-                f"Session reuse: {self.num_batches} x {self.batch_size}-query "
-                f"{self.k}-hop batches"
-            ),
-        )
-        return (
-            f"{table}\n"
-            f"session build (once): {self.session_build_s:.4f} s\n"
-            f"speedup from session reuse: {self.speedup:.2f}x"
-        )
-
-
-def session_reuse(
-    dataset: str = "OR-100M",
-    num_batches: int = 8,
-    batch_size: int = 64,
-    k: int = 3,
-    num_machines: int = 3,
-    scale: float | None = None,
-    seed: int = 12,
-) -> SessionReuseResult:
-    """Serve ``num_batches`` back-to-back k-hop batches both ways.
-
-    The one-shot side is what every caller paid before the session layer:
-    each batch re-partitions the graph, reallocates the cluster and task
-    frontiers, then runs.  The session side builds once and only resets
-    buffers between batches.  Answers must match exactly.
-    """
-    el = load_dataset(dataset, scale)
-    nm = calibrated_netmodel(dataset, scale)
-    batches = [
-        random_sources(el, batch_size, seed=seed + i) for i in range(num_batches)
-    ]
-
-    one_shot_times: list[float] = []
-    one_shot_reached: list[np.ndarray] = []
-    for roots in batches:
-        t0 = time.perf_counter()
-        res = concurrent_khop(el, roots, k, num_machines=num_machines, netmodel=nm)
-        one_shot_times.append(time.perf_counter() - t0)
-        one_shot_reached.append(res.reached)
-
-    t0 = time.perf_counter()
-    sess = GraphSession(el, num_machines=num_machines, netmodel=nm)
-    build = time.perf_counter() - t0
-    session_times: list[float] = []
-    for i, roots in enumerate(batches):
-        t0 = time.perf_counter()
-        res = concurrent_khop(el, roots, k, session=sess)
-        session_times.append(time.perf_counter() - t0)
-        if not np.array_equal(res.reached, one_shot_reached[i]):
-            raise AssertionError(f"session batch {i} diverged from one-shot run")
-
-    return SessionReuseResult(
-        num_batches=num_batches,
-        batch_size=batch_size,
-        k=k,
-        one_shot_per_batch=one_shot_times,
-        session_per_batch=session_times,
-        session_build_s=build,
-    )
-
-
-# --------------------------------------------------------------------------- #
 # Index vs traversal: point-query workloads on the hybrid planner
 # --------------------------------------------------------------------------- #
 
@@ -1218,294 +1037,6 @@ def index_vs_traversal(
         label_entries=build.labels.num_entries,
         mean_label_size=build.labels.mean_label_size,
         reachable_fraction=float(answer.reachable.mean()),
-    )
-
-
-# --------------------------------------------------------------------------- #
-# Telemetry overhead: what observability costs the service drain
-# --------------------------------------------------------------------------- #
-
-
-@dataclass
-class TelemetryOverheadResult:
-    """Wall-clock drain time under the three instrumentation regimes.
-
-    ``baseline_s`` is the un-instrumented service (no ``instrumentation``
-    argument anywhere — the implicit null default); ``null_s`` passes an
-    explicit :class:`~repro.telemetry.instrument.NullInstrumentation`;
-    ``recording_s`` runs a full :class:`Instrumentation` (metrics + spans).
-    Each number is the best (min) of ``repeats`` identical drains, so the
-    comparison measures code-path cost, not scheduler jitter.  The null
-    facade is the contract under test: it must stay within a few percent
-    of baseline because hot paths guard telemetry with a single
-    ``if instr.enabled`` branch per superstep.
-    """
-
-    dataset: str
-    num_queries: int
-    k: int
-    num_machines: int
-    repeats: int
-    baseline_s: float
-    null_s: float
-    recording_s: float
-    spans_recorded: int
-
-    @staticmethod
-    def _pct(variant: float, baseline: float) -> float:
-        return 100.0 * (variant / max(baseline, 1e-12) - 1.0)
-
-    @property
-    def null_overhead_pct(self) -> float:
-        return self._pct(self.null_s, self.baseline_s)
-
-    @property
-    def recording_overhead_pct(self) -> float:
-        return self._pct(self.recording_s, self.baseline_s)
-
-    @property
-    def rows(self) -> list[dict]:
-        return [
-            {
-                "instrumentation": "none (baseline)",
-                "drain_wall_s": round(self.baseline_s, 6),
-                "overhead_pct": 0.0,
-            },
-            {
-                "instrumentation": "null facade",
-                "drain_wall_s": round(self.null_s, 6),
-                "overhead_pct": round(self.null_overhead_pct, 2),
-            },
-            {
-                "instrumentation": "recording",
-                "drain_wall_s": round(self.recording_s, 6),
-                "overhead_pct": round(self.recording_overhead_pct, 2),
-            },
-        ]
-
-    def report(self) -> str:
-        table = format_table(
-            self.rows,
-            title=(
-                f"Telemetry overhead: {self.num_queries}-query {self.k}-hop "
-                f"drain, best of {self.repeats}"
-            ),
-        )
-        return (
-            f"{table}\n"
-            f"recording run captured {self.spans_recorded} spans\n"
-            f"null-facade overhead: {self.null_overhead_pct:+.2f}% "
-            f"(budget: +5%)"
-        )
-
-
-def telemetry_overhead(
-    dataset: str = "OR-100M",
-    num_queries: int = 64,
-    k: int = 3,
-    num_machines: int = 3,
-    scale: float | None = None,
-    repeats: int = 15,
-    seed: int = 7,
-) -> TelemetryOverheadResult:
-    """Time identical service drains under each instrumentation regime.
-
-    Three resident sessions serve the same point-free k-hop workload:
-    un-instrumented, explicit null facade, and fully recording.  Every
-    variant gets one warm-up drain (populates task caches) before timing;
-    then the variants are timed *interleaved*, one drain each per round for
-    ``repeats`` rounds, so CPU-frequency drift and cache pressure hit all
-    three equally.  The reported figure per variant is its min over the
-    rounds.  Verdict arrays must match across variants — telemetry must
-    observe, never perturb.
-    """
-    el = load_dataset(dataset, scale)
-    nm = calibrated_netmodel(dataset, scale)
-    roots = random_sources(el, num_queries, seed=seed)
-
-    def build(instrumentation):
-        sess = GraphSession(
-            el,
-            num_machines=num_machines,
-            netmodel=nm,
-            instrumentation=instrumentation,
-        )
-        return QueryService(sess, k=k)
-
-    variants = {
-        "baseline": build(None),
-        "null": build(NullInstrumentation()),
-        "recording": build(Instrumentation()),
-    }
-    times = {name: float("inf") for name in variants}
-    verdicts: dict[str, np.ndarray] = {}
-    for svc in variants.values():
-        svc.submit_many(roots)
-        svc.drain()  # warm-up: task caches, allocator, first-touch pages
-    for _ in range(repeats):
-        for name, svc in variants.items():
-            svc.submit_many(roots)
-            t0 = time.perf_counter()
-            rep = svc.drain()
-            times[name] = min(times[name], time.perf_counter() - t0)
-            verdicts[name] = rep.reachable
-
-    for name in ("null", "recording"):
-        if not np.array_equal(verdicts[name], verdicts["baseline"]):
-            raise AssertionError(
-                f"{name}-instrumented drain diverged from baseline verdicts"
-            )
-
-    instr = variants["recording"].session.instr
-    return TelemetryOverheadResult(
-        dataset=dataset,
-        num_queries=num_queries,
-        k=k,
-        num_machines=num_machines,
-        repeats=repeats,
-        baseline_s=times["baseline"],
-        null_s=times["null"],
-        recording_s=times["recording"],
-        spans_recorded=instr.tracer.num_recorded,
-    )
-
-
-# --------------------------------------------------------------------------- #
-# Parallel scaling: the shared-memory worker pool vs the in-process engine
-# --------------------------------------------------------------------------- #
-
-
-@dataclass
-class ParallelScalingResult:
-    """Wall-clock drain time of one wide k-hop batch at each worker count.
-
-    For every ``worker_counts[i]`` the same ``num_queries``-query batch is
-    drained twice — on the in-process engine and on the persistent worker
-    pool — with the same partitioning, and the driver asserts the answers
-    (reach counts *and* virtual times) are bit-identical before timing
-    counts.  ``cores`` records how many CPUs the measuring process could
-    actually run on: on a single-core host the pool cannot speed anything
-    up, it can only bound its overhead.
-    """
-
-    num_queries: int
-    k: int
-    num_vertices: int
-    num_edges: int
-    cores: int
-    repeats: int
-    worker_counts: list[int]
-    inproc_wall_s: list[float]
-    pool_wall_s: list[float]
-
-    def speedup(self, workers: int) -> float:
-        """Pool speedup over the in-process engine at ``workers``."""
-        i = self.worker_counts.index(workers)
-        return self.inproc_wall_s[i] / max(self.pool_wall_s[i], 1e-12)
-
-    @property
-    def pool_scaling(self) -> list[float]:
-        """Pool wall-clock at 1 worker over pool wall-clock at each count."""
-        base = self.pool_wall_s[0]
-        return [base / max(t, 1e-12) for t in self.pool_wall_s]
-
-    @property
-    def rows(self) -> list[dict]:
-        return [
-            {
-                "workers": w,
-                "cores": self.cores,
-                "inproc_wall_s": round(self.inproc_wall_s[i], 6),
-                "pool_wall_s": round(self.pool_wall_s[i], 6),
-                "speedup_vs_inproc": round(self.speedup(w), 3),
-                "pool_scaling_vs_1w": round(self.pool_scaling[i], 3),
-            }
-            for i, w in enumerate(self.worker_counts)
-        ]
-
-    def report(self) -> str:
-        table = format_table(
-            self.rows,
-            title=(
-                f"Parallel scaling: {self.num_queries}-query {self.k}-hop "
-                f"drain, RMAT n={self.num_vertices} m={self.num_edges}"
-            ),
-        )
-        best = max(self.worker_counts, key=self.speedup)
-        return (
-            f"{table}\n"
-            f"host cores available: {self.cores}\n"
-            f"best pool speedup: {self.speedup(best):.2f}x at {best} "
-            f"worker(s) (bit-identical answers asserted)"
-        )
-
-
-def parallel_scaling(
-    num_queries: int = 512,
-    k: int = 3,
-    vertex_scale: int = 13,
-    num_edges: int = 120_000,
-    worker_counts=(1, 2, 4),
-    repeats: int = 3,
-    seed: int = 11,
-    scale: float | None = None,
-) -> ParallelScalingResult:
-    """Drain one wide k-hop batch at 1/2/4 workers, pool vs in-process.
-
-    The workload is the service hot path: one ``num_queries``-wide
-    bit-parallel batch (multi-word planes) over a generated R-MAT graph.
-    Per worker count, both backends get one warm-up drain (installs
-    resident tasks; the pool additionally spawns workers and maps the
-    shared graph image — a one-time cost the persistent-pool design
-    amortises away, so it is excluded like session build time in
-    :func:`session_reuse`).  Timed rounds then interleave the two backends
-    and report each side's min over ``repeats``.  Answers must be
-    bit-identical, virtual times included.
-    """
-    if scale is not None:
-        num_edges = max(int(num_edges * scale), 2_000)
-        num_queries = int(np.clip(int(num_queries * scale), 64, 512))
-    el = rmat_edges(vertex_scale, num_edges, seed=seed)
-    el = el.remove_self_loops().deduplicate()
-    roots = random_sources(el, num_queries, seed=seed + 1)
-    cores = len(os.sched_getaffinity(0))
-
-    inproc_wall: list[float] = []
-    pool_wall: list[float] = []
-    for workers in worker_counts:
-        inproc = GraphSession(el, num_machines=workers)
-        ref = concurrent_khop(el, roots, k, session=inproc)  # warm-up
-        with GraphSession(el, num_machines=workers, backend="pool") as pooled:
-            res = concurrent_khop(el, roots, k, session=pooled)  # warm-up
-            if not np.array_equal(res.reached, ref.reached):
-                raise AssertionError(
-                    f"pool drain diverged from in-process at {workers} workers"
-                )
-            if res.virtual_seconds != ref.virtual_seconds:
-                raise AssertionError(
-                    f"pool virtual time diverged at {workers} workers"
-                )
-            t_in = t_pool = float("inf")
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                concurrent_khop(el, roots, k, session=inproc)
-                t_in = min(t_in, time.perf_counter() - t0)
-                t0 = time.perf_counter()
-                concurrent_khop(el, roots, k, session=pooled)
-                t_pool = min(t_pool, time.perf_counter() - t0)
-        inproc_wall.append(t_in)
-        pool_wall.append(t_pool)
-
-    return ParallelScalingResult(
-        num_queries=num_queries,
-        k=k,
-        num_vertices=el.num_vertices,
-        num_edges=el.num_edges,
-        cores=cores,
-        repeats=repeats,
-        worker_counts=list(worker_counts),
-        inproc_wall_s=inproc_wall,
-        pool_wall_s=pool_wall,
     )
 
 
@@ -1876,528 +1407,6 @@ def recovery_overhead(
     )
 
 
-# --------------------------------------------------------------------------- #
-# Dynamic graphs: incremental index maintenance vs full rebuild under churn
-# --------------------------------------------------------------------------- #
-
-
-@dataclass
-class DynamicChurnResult:
-    """Wall-clock of keeping the 2-hop index current under streaming churn.
-
-    The same mutation stream — insert-dominated churn batches (fresh edge
-    inserts plus occasional expiry of random base edges) totalling at most
-    one percent of the base edge count — is replayed against two twin
-    dynamic sessions with a resident hub-label index:
-
-    * **incremental** — the index is patched in place per batch (pruned
-      resumption BFS for inserts, invalidate-and-repair for deletes);
-    * **rebuild** — the index is rebuilt from scratch per batch (the
-      maintenance mode a system without incremental maintenance is
-      forced into).
-
-    Before any timing counts, the driver asserts exactness: both twins'
-    labels answer identically on sampled pairs at the final epoch (the
-    rebuild twin IS a from-scratch oracle), and the incremental twin's
-    spliced shards are byte-identical to the snapshot store's oracle
-    partitioning.  The headline claim is ``speedup >= 5`` at <= 1% churn,
-    gated by the ``dynamic_churn`` benchmark.
-    """
-
-    num_vertices: int
-    num_edges: int
-    num_machines: int
-    num_batches: int
-    mutations_total: int
-    churn_fraction: float
-    incremental_wall_s: float
-    rebuild_wall_s: float
-    pairs_checked: int
-
-    @property
-    def speedup(self) -> float:
-        """Rebuild-per-batch over patch-per-batch, total wall-clock."""
-        return self.rebuild_wall_s / max(self.incremental_wall_s, 1e-12)
-
-    @property
-    def mean_patch_ms(self) -> float:
-        return self.incremental_wall_s / self.num_batches * 1e3
-
-    @property
-    def mean_rebuild_ms(self) -> float:
-        return self.rebuild_wall_s / self.num_batches * 1e3
-
-    @property
-    def rows(self) -> list[dict]:
-        return [
-            {
-                "maintenance": "incremental",
-                "total_wall_s": round(self.incremental_wall_s, 6),
-                "mean_batch_ms": round(self.mean_patch_ms, 3),
-                "speedup": round(self.speedup, 2),
-            },
-            {
-                "maintenance": "rebuild",
-                "total_wall_s": round(self.rebuild_wall_s, 6),
-                "mean_batch_ms": round(self.mean_rebuild_ms, 3),
-                "speedup": 1.0,
-            },
-        ]
-
-    def report(self) -> str:
-        table = format_table(
-            self.rows,
-            title=(
-                f"Dynamic churn: {self.num_batches} mutation batches "
-                f"({self.mutations_total} edges, "
-                f"{100 * self.churn_fraction:.2f}% churn) on RMAT "
-                f"n={self.num_vertices} m={self.num_edges}, "
-                f"{self.num_machines} machines"
-            ),
-        )
-        return (
-            f"{table}\n"
-            f"incremental maintenance speedup over rebuild-per-batch: "
-            f"{self.speedup:.1f}x at {100 * self.churn_fraction:.2f}% churn "
-            f"(answers exact on {self.pairs_checked} sampled pairs, "
-            f"shards byte-identical to the snapshot oracle)"
-        )
-
-
-def dynamic_churn(
-    num_batches: int = 6,
-    ops_per_batch: int = 15,
-    vertex_scale: int = 11,
-    num_edges: int = 24_000,
-    num_machines: int = 2,
-    seed: int = 17,
-    scale: float | None = None,
-) -> DynamicChurnResult:
-    """Replay one churn stream against incremental and rebuild twins.
-
-    The stream is insert-dominated, the standard regime for edge streams:
-    each batch inserts fresh random edges and expires one random *base*
-    edge (so every op is effective and every batch advances the epoch),
-    capped below one percent of the base edge count; ``scale`` shrinks the
-    graph and the stream together, preserving the churn fraction.  Base
-    edges are the cheap deletions — an organic RMAT edge usually has
-    parallel paths, so its affected region is small, whereas expiring a
-    recently inserted long-range shortcut reverts distances across a large
-    fraction of the graph and is exactly the case the region threshold
-    (rebuild fallback) exists for.
-    """
-    if scale is not None:
-        # Shrink vertices with edges so density (and with it the typical
-        # deletion-repair region) stays comparable across scales.
-        s = max(scale, 1e-9)
-        while s <= 0.5 and vertex_scale > 8:
-            vertex_scale -= 1
-            s *= 2
-        num_edges = max(int(num_edges * scale), 2_000)
-    el = rmat_edges(
-        vertex_scale, num_edges, seed=seed
-    ).remove_self_loops().deduplicate()
-    base_edges = el.num_edges
-    ops_per_batch = max(
-        2, min(ops_per_batch, int(0.009 * base_edges / num_batches))
-    )
-    rng = np.random.default_rng(seed + 1)
-    n = el.num_vertices
-
-    # Generate the stream against the live edge set so every op is
-    # effective (no silent no-op batches): inserts are fresh random
-    # edges, deletes expire random base edges (one per batch).
-    current = set(
-        (int(u) * n + int(v))
-        for u, v in zip(el.src.tolist(), el.dst.tolist())
-    )
-    base_pool = rng.permutation(
-        np.fromiter(current, dtype=np.int64, count=len(current))
-    ).tolist()
-    stream = []
-    for _ in range(num_batches):
-        inserts, deletes = [], []
-        key = base_pool.pop()
-        deletes.append((key // n, key % n))
-        current.discard(key)
-        for _ in range(ops_per_batch - 1):
-            while True:
-                u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
-                if u != v and u * n + v not in current:
-                    break
-            inserts.append((u, v))
-            current.add(u * n + v)
-        stream.append((inserts, deletes))
-    mutations_total = sum(len(i) + len(d) for i, d in stream)
-
-    def twin(maintenance: str) -> GraphSession:
-        sess = GraphSession(el, num_machines=num_machines)
-        sess.dynamic(index_maintenance=maintenance, churn_threshold=0.05)
-        sess.index()  # resident at epoch 0
-        return sess
-
-    walls = {}
-    sessions = {}
-    for maintenance in ("incremental", "rebuild"):
-        sess = twin(maintenance)
-        total = 0.0
-        for inserts, deletes in stream:
-            t0 = time.perf_counter()
-            res = sess.apply_mutations(inserts, deletes)
-            total += time.perf_counter() - t0
-            if not res.changed:
-                raise AssertionError("churn stream produced a no-op batch")
-            if not sess.index_is_current:
-                raise AssertionError(
-                    f"{maintenance} maintenance left the index stale"
-                )
-        walls[maintenance] = total
-        sessions[maintenance] = sess
-
-    # Exactness gates (off the clock).  The rebuild twin's labels are a
-    # from-scratch oracle for the final epoch; the snapshot store's
-    # partitioning is a from-scratch oracle for the spliced shards.
-    inc, reb = sessions["incremental"], sessions["rebuild"]
-    num_pairs = min(4096, n * n)
-    src = rng.integers(0, n, size=num_pairs)
-    dst = rng.integers(0, n, size=num_pairs)
-    if not np.array_equal(
-        inc.index().dist_many(src, dst), reb.index().dist_many(src, dst)
-    ):
-        raise AssertionError(
-            "incrementally patched labels diverge from the from-scratch "
-            "rebuild at the final epoch"
-        )
-    oracle = inc.snapshots().graph_at(inc.graph_epoch)
-    for live, ref in zip(inc.pg.partitions, oracle.partitions):
-        for a, b in (
-            (live.out_csr.indptr, ref.out_csr.indptr),
-            (live.out_csr.indices, ref.out_csr.indices),
-            (live.in_csc.indptr, ref.in_csc.indptr),
-            (live.in_csc.indices, ref.in_csc.indices),
-        ):
-            if not np.array_equal(a, b):
-                raise AssertionError(
-                    "spliced shards diverge from the snapshot oracle"
-                )
-
-    return DynamicChurnResult(
-        num_vertices=n,
-        num_edges=base_edges,
-        num_machines=num_machines,
-        num_batches=num_batches,
-        mutations_total=mutations_total,
-        churn_fraction=mutations_total / base_edges,
-        incremental_wall_s=walls["incremental"],
-        rebuild_wall_s=walls["rebuild"],
-        pairs_checked=num_pairs,
-    )
-
-
-@dataclass
-class QosIsolationResult:
-    """SLO isolation under WFQ lanes plus the result cache's two gates.
-
-    Phase A (virtual time): the same bulk-saturated trace drained FIFO and
-    under weighted-fair lanes — the headline is ``isolation_speedup``
-    (interactive p99, FIFO over WFQ) at ``throughput_ratio`` ≈ 1 with
-    answers asserted bit-identical inside the driver.  Phase B (wall
-    clock): the cache hit path against the index lane it short-circuits,
-    plus the staleness sweep — every epoch advance must invalidate, and
-    the cross-checked replay drain must never serve a stale verdict.
-    """
-
-    num_vertices: int
-    num_edges: int
-    num_machines: int
-    k: int
-    num_bulk: int
-    num_interactive: int
-    fifo_interactive_p99: float
-    qos_interactive_p99: float
-    fifo_bulk_p99: float
-    qos_bulk_p99: float
-    fifo_clock: float
-    qos_clock: float
-    cache_queries: int
-    index_wall_s: float
-    cache_wall_s: float
-    cache_hit_ratio: float
-    cache_invalidated: int
-    epochs_crossed: int
-
-    @property
-    def isolation_speedup(self) -> float:
-        """Interactive p99 improvement of WFQ lanes over the FIFO drain."""
-        return self.fifo_interactive_p99 / max(self.qos_interactive_p99, 1e-30)
-
-    @property
-    def throughput_ratio(self) -> float:
-        """QoS throughput over FIFO throughput (1.0 = parity).
-
-        Both drains complete the identical trace, so queries/virtual-second
-        reduces to the clock ratio: priority for the interactive lane must
-        come from *reordering*, not from shedding bulk work.
-        """
-        return self.fifo_clock / max(self.qos_clock, 1e-30)
-
-    @property
-    def cache_speedup(self) -> float:
-        """Wall-clock ratio: index-lane answer over cache hit, same wave."""
-        return self.index_wall_s / max(self.cache_wall_s, 1e-30)
-
-    @property
-    def rows(self) -> list[dict]:
-        us = 1e6
-        return [
-            {
-                "phase": "scheduling",
-                "variant": "fifo",
-                "interactive_p99_ms": round(1e3 * self.fifo_interactive_p99, 3),
-                "bulk_p99_ms": round(1e3 * self.fifo_bulk_p99, 3),
-                "clock_s": round(self.fifo_clock, 6),
-                "speedup": 1.0,
-            },
-            {
-                "phase": "scheduling",
-                "variant": "wfq-lanes",
-                "interactive_p99_ms": round(1e3 * self.qos_interactive_p99, 3),
-                "bulk_p99_ms": round(1e3 * self.qos_bulk_p99, 3),
-                "clock_s": round(self.qos_clock, 6),
-                "speedup": round(self.isolation_speedup, 2),
-            },
-            {
-                "phase": "cache",
-                "variant": "index-lane",
-                "wall_us_per_query": round(
-                    us * self.index_wall_s / self.cache_queries, 3
-                ),
-                "hit_ratio": 0.0,
-                "speedup": 1.0,
-            },
-            {
-                "phase": "cache",
-                "variant": "cache-hit",
-                "wall_us_per_query": round(
-                    us * self.cache_wall_s / self.cache_queries, 3
-                ),
-                "hit_ratio": round(self.cache_hit_ratio, 3),
-                "speedup": round(self.cache_speedup, 2),
-            },
-        ]
-
-    def report(self) -> str:
-        rows = self.rows
-        sched = format_table(
-            [
-                {key: r[key] for key in r if key != "phase"}
-                for r in rows
-                if r["phase"] == "scheduling"
-            ],
-            title=(
-                f"QoS isolation: {self.num_bulk} bulk + "
-                f"{self.num_interactive} interactive point queries (k={self.k}) "
-                f"on RMAT n={self.num_vertices} m={self.num_edges}, "
-                f"{self.num_machines} machines"
-            ),
-        )
-        cache = format_table(
-            [
-                {key: r[key] for key in r if key != "phase"}
-                for r in rows
-                if r["phase"] == "cache"
-            ],
-            title=f"Result cache: {self.cache_queries} repeated point queries",
-        )
-        return (
-            f"{sched}\n"
-            f"interactive p99 speedup {self.isolation_speedup:.1f}x at "
-            f"{self.throughput_ratio:.2f}x throughput, answers bit-identical\n"
-            f"\n{cache}\n"
-            f"cache hit path {self.cache_speedup:.1f}x faster than the index "
-            f"lane; {self.cache_invalidated} entries invalidated across "
-            f"{self.epochs_crossed} epoch advances, zero stale verdicts "
-            f"(cross-checked)"
-        )
-
-
-def qos_isolation(
-    vertex_scale: int = 12,
-    num_edges: int = 16_000,
-    num_machines: int = 2,
-    k: int = 3,
-    num_bulk: int = 2688,
-    num_interactive: int = 12,
-    cache_queries: int = 512,
-    repeats: int = 5,
-    seed: int = 23,
-    scale: float | None = None,
-) -> QosIsolationResult:
-    """Benchmark the QoS layer's two promises: isolation and cheap repeats.
-
-    **Phase A — SLO isolation.**  A saturating bulk-tenant burst (all
-    arrivals at 0) plus a trickle of interactive queries arriving while the
-    backlog drains, run twice on twin sessions: once FIFO, once under
-    weighted-fair lanes (interactive 8:1 with a short batch cap).  FIFO
-    serves strictly by arrival, so every interactive query waits out the
-    entire bulk backlog; WFQ dispatches it after at most one in-flight bulk
-    batch.  The driver asserts the two reports' verdicts are bit-identical
-    — reordering may never change an answer.
-
-    **Phase B — result cache.**  On a dynamic session with a resident
-    index, the same point wave is served twice through a cache-fronted
-    hybrid service (miss wave, then hit wave — verdicts asserted equal),
-    and the wall-clock of the two serving paths inside the index lane is
-    measured head-to-head: ``planner.answer`` versus ``cache.lookup_many``.
-    A staleness sweep then advances the graph epoch between replays of one
-    wave under ``cross_check=True``: every hit is re-executed against the
-    live index, and verdicts are additionally asserted against a
-    from-scratch traversal at each epoch.
-    """
-    if scale is not None:
-        s = max(scale, 1e-9)
-        while s <= 0.5 and vertex_scale > 9:
-            vertex_scale -= 1
-            s *= 2
-        num_edges = max(int(num_edges * scale), 2_000)
-        num_bulk = max(int(num_bulk * scale), 512)
-        num_interactive = max(int(num_interactive * scale), 6)
-        cache_queries = max(int(cache_queries * scale), 128)
-    el = rmat_edges(
-        vertex_scale, num_edges, seed=seed
-    ).remove_self_loops().deduplicate()
-    n = el.num_vertices
-    rng = np.random.default_rng(seed + 1)
-    bulk_src = rng.integers(0, n, num_bulk)
-    bulk_dst = rng.integers(0, n, num_bulk)
-    int_src = rng.integers(0, n, num_interactive)
-    int_dst = rng.integers(0, n, num_interactive)
-
-    # -- Phase A: FIFO vs weighted-fair lanes on the identical trace ----- #
-    # Probe the bulk-only makespan first so interactive arrivals land
-    # mid-backlog (the regime the SLO gate is about), not before or after.
-    probe = QueryService(
-        GraphSession(el, num_machines=num_machines), k=k, planner="traversal"
-    )
-    probe.submit_many(bulk_src, targets=bulk_dst, lane="bulk", tenant="crawler")
-    backlog = probe.drain().clock_seconds
-    arrivals = np.linspace(0.05 * backlog, 0.75 * backlog, num_interactive)
-
-    qos_cfg = QosConfig(
-        lanes={
-            "interactive": LaneSpec(weight=8.0, batch_width=8),
-            "bulk": LaneSpec(weight=1.0),
-        },
-    )
-    reports = {}
-    for name, qos in (("fifo", None), ("wfq", qos_cfg)):
-        svc = QueryService(
-            GraphSession(el, num_machines=num_machines),
-            k=k,
-            planner="traversal",
-            qos=qos,
-        )
-        svc.submit_many(bulk_src, targets=bulk_dst, lane="bulk", tenant="crawler")
-        svc.submit_many(
-            int_src, arrivals, targets=int_dst,
-            lane="interactive", tenant="frontend",
-        )
-        reports[name] = svc.drain()
-    fifo, wfq = reports["fifo"], reports["wfq"]
-    if not np.array_equal(fifo.reachable, wfq.reachable):
-        raise AssertionError(
-            "WFQ reordering changed query verdicts vs the FIFO drain"
-        )
-
-    # -- Phase B: cache hit path vs index lane, then the staleness sweep -- #
-    sess = GraphSession(el, num_machines=num_machines)
-    sess.dynamic(index_maintenance="incremental")
-    planner = sess.index_planner()  # resident index, built once
-    cq_src = rng.integers(0, n, cache_queries)
-    cq_dst = rng.integers(0, n, cache_queries)
-    cache = ResultCache(capacity=4 * cache_queries)
-    svc = QueryService(sess, k=k, planner="hybrid", cache=cache)
-    svc.submit_many(cq_src, targets=cq_dst)
-    miss_wave = svc.drain()  # populates the cache
-    svc.submit_many(cq_src, targets=cq_dst)
-    hit_wave = svc.drain()
-    if int(hit_wave.cache_hits) != cache_queries:
-        raise AssertionError(
-            f"repeat wave should be all hits, got {hit_wave.cache_hits}"
-        )
-    if not np.array_equal(miss_wave.reachable, hit_wave.reachable):
-        raise AssertionError("cache replay changed verdicts")
-
-    # Head-to-head wall clock of the two serving paths _index_group picks
-    # between: a fresh index answer vs a cache probe for the same wave.
-    epoch = sess.graph_epoch
-    index_wall = min(
-        _timed(lambda: planner.answer(cq_src, cq_dst, k))
-        for _ in range(repeats)
-    )
-    cache_wall = float("inf")
-    for _ in range(repeats):
-        wall, (verdicts, hit_mask) = _timed_value(
-            lambda: cache.lookup_many(cq_src, cq_dst, k, epoch)
-        )
-        cache_wall = min(cache_wall, wall)
-        if not hit_mask.all():
-            raise AssertionError("warm cache missed on the timed wave")
-        if not np.array_equal(
-            verdicts.astype(np.int8), hit_wave.reachable.astype(np.int8)
-        ):
-            raise AssertionError("cached verdicts diverge from the hit wave")
-
-    # Staleness sweep (off the clock): replay one wave across epoch
-    # advances with every hit cross-checked against the live index, and
-    # verdicts asserted against a from-scratch traversal at each epoch.
-    stale_cache = ResultCache(capacity=4 * cache_queries, cross_check=True)
-    stale_svc = QueryService(sess, k=k, planner="hybrid", cache=stale_cache)
-    live_edges = set(
-        int(u) * n + int(v) for u, v in zip(el.src.tolist(), el.dst.tolist())
-    )
-    epoch0 = sess.graph_epoch
-    sub_src, sub_dst = cq_src[:64], cq_dst[:64]
-    for _ in range(3):
-        stale_svc.submit_many(sub_src, targets=sub_dst)
-        rep = stale_svc.drain()  # cross_check raises on any stale verdict
-        oracle = sess.reach(sub_src, sub_dst, k)
-        if not np.array_equal(
-            rep.reachable.astype(bool), oracle.reachable.astype(bool)
-        ):
-            raise AssertionError(
-                "cached service verdicts diverge from a live traversal"
-            )
-        inserts = []
-        while len(inserts) < 4:
-            u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
-            if u != v and u * n + v not in live_edges:
-                inserts.append((u, v))
-                live_edges.add(u * n + v)
-        stale_svc.apply_mutations(inserts)
-
-    return QosIsolationResult(
-        num_vertices=n,
-        num_edges=el.num_edges,
-        num_machines=num_machines,
-        k=k,
-        num_bulk=num_bulk,
-        num_interactive=num_interactive,
-        fifo_interactive_p99=fifo.p99(lane="interactive"),
-        qos_interactive_p99=wfq.p99(lane="interactive"),
-        fifo_bulk_p99=fifo.p99(lane="bulk"),
-        qos_bulk_p99=wfq.p99(lane="bulk"),
-        fifo_clock=fifo.clock_seconds,
-        qos_clock=wfq.clock_seconds,
-        cache_queries=cache_queries,
-        index_wall_s=index_wall,
-        cache_wall_s=cache_wall,
-        cache_hit_ratio=cache.hit_ratio,
-        cache_invalidated=stale_cache.invalidated,
-        epochs_crossed=sess.graph_epoch - epoch0,
-    )
-
-
 def _timed(fn) -> float:
     t0 = time.perf_counter()
     fn()
@@ -2601,8 +1610,8 @@ def durability_overhead(
     rng = np.random.default_rng(seed + 1)
     n = el.num_vertices
 
-    # The effective stream (same recipe as dynamic_churn): fresh inserts
-    # plus one base-edge expiry per batch, so no batch is a silent no-op.
+    # The effective stream: fresh inserts plus one base-edge expiry per
+    # batch, so no batch is a silent no-op.
     current = set(
         (int(u) * n + int(v))
         for u, v in zip(el.src.tolist(), el.dst.tolist())

@@ -51,14 +51,9 @@ EXPERIMENTS = {
     "ablation-wide": "ablation_wide_batches",
     "ablation-async": "ablation_async",
     "ablation-memory": "ablation_memory",
-    "session-reuse": "session_reuse",
     "index-vs-traversal": "index_vs_traversal",
-    "telemetry-overhead": "telemetry_overhead",
-    "parallel-scaling": "parallel_scaling",
     "recovery-overhead": "recovery_overhead",
     "push-pull": "push_pull",
-    "dynamic-churn": "dynamic_churn",
-    "qos-isolation": "qos_isolation",
     "durability": "durability_overhead",
 }
 

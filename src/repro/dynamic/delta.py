@@ -315,7 +315,9 @@ class DynamicGraph:
 
     # -- mutation ------------------------------------------------------------ #
 
-    def _as_pairs(self, pairs, name: str) -> np.ndarray:
+    def as_pairs(self, pairs, name: str) -> np.ndarray:
+        """``pairs`` as an ``(m, 2)`` int64 array, or :class:`MutationError`
+        when they are not integer ``(u, v)`` pairs inside the vertex set."""
         arr = np.asarray(list(pairs) if not isinstance(pairs, np.ndarray) else pairs)
         if arr.size == 0:
             return np.empty((0, 2), dtype=np.int64)
@@ -341,8 +343,8 @@ class DynamicGraph:
         is a no-op; a batch with no net effect does **not** advance the
         epoch.
         """
-        ins = self._as_pairs(inserts, "inserts")
-        dels = self._as_pairs(deletes, "deletes")
+        ins = self.as_pairs(inserts, "inserts")
+        dels = self.as_pairs(deletes, "deletes")
         n = self.num_vertices
         ins_keys = dict.fromkeys((ins[:, 0] * n + ins[:, 1]).tolist())
         del_keys = dict.fromkeys((dels[:, 0] * n + dels[:, 1]).tolist())

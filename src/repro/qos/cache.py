@@ -11,8 +11,9 @@ under the calibrated cost model — a hash probe, set by the service at wiring
 time), versus the index lane's per-query label merge; the wall-clock path is
 a dict probe versus the planner's vectorised label scan.  ``cross_check``
 mode re-executes every hit against the live planner and raises on any
-mismatch — the paranoid mode the staleness gate in
-``benchmarks/test_qos_isolation.py`` runs under.
+mismatch — the paranoid mode
+``tests/qos/test_qos_service.py::test_cross_check_catches_a_poisoned_cache``
+runs under.
 """
 
 from __future__ import annotations

@@ -26,8 +26,9 @@ Layers:
   process per machine, graph shards and message payloads in shared memory,
   bit-identical to the in-process engine.
 * :mod:`repro.runtime.scheduler` — concurrent-query admission: the online
-  :class:`~repro.runtime.scheduler.QueryService` admission loop plus the
-  offline batch/pool simulators, producing per-query response times.
+  :class:`~repro.runtime.scheduler.QueryService` admission loop, producing
+  per-query response times (plus :func:`simulate_fifo_pool` for service
+  times that do not come from a session).
 * :mod:`repro.runtime.durability` — whole-process crash recovery: WAL'd
   mutations, periodic checkpoints, and
   :func:`~repro.runtime.durability.recover_session` /
@@ -47,12 +48,9 @@ from repro.runtime.durability import (
 )
 from repro.runtime.pool import PoolError, WorkerPool
 from repro.runtime.scheduler import (
-    QueryScheduler,
     QueryService,
     ServiceReport,
     simulate_fifo_pool,
-    simulate_serialized,
-    batch_response_times,
 )
 
 __all__ = [
@@ -76,8 +74,5 @@ __all__ = [
     "PartitionTask",
     "SuperstepEngine",
     "EngineResult",
-    "QueryScheduler",
     "simulate_fifo_pool",
-    "simulate_serialized",
-    "batch_response_times",
 ]

@@ -15,17 +15,17 @@ evaluation:
   word-wide batches that traverse together; a query completes when its own
   frontier dies (possibly earlier than its batch finishes the full k hops).
 
-:func:`simulate_fifo_pool` is a deterministic multi-server FIFO queue
-simulation; it converts per-query service times into response times for the
-first two disciplines.  :func:`batch_response_times` maps batch-mode
-completion times back to individual queries.
-
-:class:`QueryService` is the *online* counterpart: an admission loop over a
-persistent :class:`~repro.runtime.session.GraphSession`.  Queries are
+:class:`QueryService` is the response-time accounting: an admission loop
+over a persistent :class:`~repro.runtime.session.GraphSession`.  Queries are
 submitted with arrival times and executed for real on the resident graph —
 per-query response times fall out of the engine's virtual clock instead of a
-post-hoc service-time model.  The offline simulators above stay as
-cross-checks: on identical workloads the two accountings agree.
+post-hoc service-time model.
+
+:func:`simulate_fifo_pool` is the one offline function beside it: a
+deterministic multi-server FIFO queue simulation for service times that do
+not come from a session (Titan's and Figure 7's wall-clock measurements,
+Gemini's serialized stream at width 1).  On a session's own service times
+it computes exactly the service's ``discipline="pool"`` recurrence.
 
 The service has one drain loop and one selector: every submitted query is
 one mutable record from which the :class:`ServiceReport` is built, and
@@ -60,13 +60,18 @@ from repro.qos.lanes import (
 from repro.qos.locality import affinity_select
 
 __all__ = [
+    "SLOTS_PER_MACHINE",
     "simulate_fifo_pool",
-    "simulate_serialized",
-    "batch_response_times",
-    "QueryScheduler",
     "QueryService",
     "ServiceReport",
 ]
+
+#: Usable query slots per machine.  The paper runs up to 350 concurrent
+#: queries on 9 × 44-core machines, but traversal work is memory-bound, so a
+#: slot count well below the core count is realistic.  16 per machine
+#: reproduces the paper's knee: up to ~100 queries respond fast; at 350
+#: queueing dominates (Figure 12).
+SLOTS_PER_MACHINE = 16
 
 
 def simulate_fifo_pool(
@@ -101,59 +106,6 @@ def simulate_fifo_pool(
         heapq.heappush(free, finish)
         response[idx] = finish - arrivals[idx]
     return response
-
-
-def simulate_serialized(service_times, arrival_times=None) -> np.ndarray:
-    """Gemini-style serialisation: a width-1 pool (responses stack up)."""
-    return simulate_fifo_pool(service_times, 1, arrival_times)
-
-
-def batch_response_times(
-    batch_start_times,
-    per_query_batch: np.ndarray,
-    per_query_offset_within_batch,
-) -> np.ndarray:
-    """Response times in bit-parallel batch mode.
-
-    ``batch_start_times[b]`` is when batch ``b`` starts executing;
-    ``per_query_offset_within_batch[q]`` is the virtual time *into its batch*
-    at which query ``q``'s frontier died (its individual completion).
-    """
-    starts = np.asarray(batch_start_times, dtype=np.float64)
-    batch_of = np.asarray(per_query_batch)
-    offsets = np.asarray(per_query_offset_within_batch, dtype=np.float64)
-    if batch_of.shape != offsets.shape:
-        raise ValueError("per-query arrays must align")
-    if batch_of.size and (batch_of.min() < 0 or batch_of.max() >= starts.size):
-        raise ValueError("batch index out of range")
-    return starts[batch_of] + offsets
-
-
-@dataclass
-class QueryScheduler:
-    """Turns per-query service times into response times under a policy.
-
-    ``concurrency`` approximates the cluster's usable query slots: the paper
-    runs up to 350 concurrent queries on 9 × 44-core machines, but traversal
-    work is memory-bound, so a slot count well below the core count is
-    realistic.  The default (16 per machine) reproduces the paper's knee:
-    up to ~100 queries respond fast; at 350 queueing dominates (Figure 12).
-    """
-
-    num_machines: int = 1
-    slots_per_machine: int = 16
-
-    @property
-    def concurrency(self) -> int:
-        return max(self.num_machines * self.slots_per_machine, 1)
-
-    def pool(self, service_times, arrival_times=None) -> np.ndarray:
-        """C-Graph / Titan discipline: concurrent FIFO pool."""
-        return simulate_fifo_pool(service_times, self.concurrency, arrival_times)
-
-    def serialized(self, service_times, arrival_times=None) -> np.ndarray:
-        """Gemini discipline: one query at a time."""
-        return simulate_serialized(service_times, arrival_times)
 
 
 # --------------------------------------------------------------------------- #
@@ -463,11 +415,7 @@ class QueryService:
                 "the result cache fronts the index lane; it requires "
                 "planner='hybrid'"
             )
-        if (
-            cross_check
-            and planner != "hybrid"
-            and not getattr(session, "is_dynamic", False)
-        ):
+        if cross_check and planner != "hybrid" and not session.is_dynamic:
             raise UnsupportedConfigError(
                 "cross_check needs the hybrid planner or a dynamic session"
             )
@@ -478,18 +426,14 @@ class QueryService:
         self.session = session
         # the session's facade unless explicitly overridden, so one
         # Instrumentation covers engine, session and service spans
-        if instrumentation is None:
-            from repro.telemetry.instrument import NULL_INSTRUMENTATION
-
-            instrumentation = getattr(session, "instr", NULL_INSTRUMENTATION)
-        self.instr = instrumentation
+        self.instr = session.instr if instrumentation is None else instrumentation
         self.k = k
         self.discipline = discipline
         self.planner = planner
         self.cross_check = bool(cross_check)
         self.batch_width = int(batch_width)
         if concurrency is None:
-            concurrency = QueryScheduler(session.num_machines).concurrency
+            concurrency = session.num_machines * SLOTS_PER_MACHINE
         if concurrency < 1:
             raise ValueError("concurrency must be >= 1")
         self.concurrency = int(concurrency)
@@ -677,9 +621,11 @@ class QueryService:
         applies it — in arrival order, ties broken by submission order —
         before any query batch dispatched at or after that virtual time;
         ``None`` is returned.  Mutations are charged zero virtual time:
-        ingestion runs off the query clock.
+        ingestion runs off the query clock.  Either way a malformed batch
+        (not integer pairs, endpoint out of range) raises
+        :class:`~repro.errors.MutationError` here and nothing is queued.
         """
-        if not getattr(self.session, "is_dynamic", False):
+        if not self.session.is_dynamic:
             raise MutationError(
                 "the service's session is static; enable session.dynamic() "
                 "before applying mutations"
@@ -688,11 +634,13 @@ class QueryService:
             res = self.session.apply_mutations(inserts, deletes)
             self.mutations_applied += 1
             return res
+        arrival = _checked_arrival(arrival)
+        graph = self.session.dynamic()
+        inserts = graph.as_pairs(inserts, "inserts")
+        deletes = graph.as_pairs(deletes, "deletes")
         seq = self._mut_seq
         self._mut_seq += 1
-        self._pending_mutations.append(
-            (_checked_arrival(arrival), seq, inserts, deletes)
-        )
+        self._pending_mutations.append((arrival, seq, inserts, deletes))
         return None
 
     @property
@@ -709,7 +657,7 @@ class QueryService:
         """
         if not self._due_mutations or self._due_mutations[0][0] > now:
             return
-        durability = getattr(self.session, "_durability", None)
+        durability = self.session._durability
         barrier = durability.group() if durability is not None else nullcontext()
         with barrier:
             while self._due_mutations and self._due_mutations[0][0] <= now:
@@ -718,7 +666,7 @@ class QueryService:
                 self.mutations_applied += 1
 
     def _epoch(self) -> int:
-        return int(getattr(self.session, "graph_epoch", 0))
+        return int(self.session.graph_epoch)
 
     # -- the admission loop ------------------------------------------------- #
 
@@ -869,7 +817,7 @@ class QueryService:
             while queue and queue[0].arrival < horizon:
                 group.append(queue.popleft())
             if (
-                getattr(self.session, "is_dynamic", False)
+                self.session.is_dynamic
                 and self.session.has_index
                 and not self.session.index_is_current
             ):
@@ -1043,7 +991,7 @@ class QueryService:
         self._busy += virtual
         if wfq_lane is not None:
             self._wfq.charge(wfq_lane, virtual)
-        if self.cross_check and getattr(self.session, "is_dynamic", False):
+        if self.cross_check and self.session.is_dynamic:
             ref = run(self._oracle_session(epoch))
             ref_answer, ref_per_query = answers(ref)
             if (
@@ -1094,7 +1042,7 @@ class QueryService:
         heapq.heapreplace(self._slots, q.finish)
         self.clock = max(self.clock, q.finish)
         self._busy += service
-        if self.cross_check and getattr(self.session, "is_dynamic", False):
+        if self.cross_check and self.session.is_dynamic:
             ref = self._oracle_session(q.epoch).khop_service_seconds(
                 q.source, self.k, use_edge_sets=self.use_edge_sets
             )
@@ -1190,7 +1138,7 @@ class QueryService:
         the traversal engine's — on the live session when it is static, on
         the from-scratch oracle graph at the same epoch when it is dynamic.
         Runs off the service's accounting books."""
-        dynamic = getattr(self.session, "is_dynamic", False)
+        dynamic = self.session.is_dynamic
         reference = self._oracle_session(epoch) if dynamic else self.session
         for i in range(0, sources.size, 64):
             chunk = slice(i, min(i + 64, sources.size))
@@ -1241,11 +1189,11 @@ class QueryService:
                 if self.deadline_seconds is None
                 else np.array([q.missed for q in by_id])
             ),
-            degraded=bool(getattr(self.session, "degraded", False)),
+            degraded=self.session.degraded,
             shed=shed,
             epochs=(
                 np.array([q.epoch for q in by_id], dtype=np.int64)
-                if getattr(self.session, "is_dynamic", False)
+                if self.session.is_dynamic
                 else None
             ),
             mutations_applied=self.mutations_applied - mutations,

@@ -943,12 +943,6 @@ class GraphSession:
         """Concurrent full BFS (the k → ∞ case) on the resident graph."""
         return self.khop(sources, None, **kwargs)
 
-    def khop_stream(self, sources, k: int | None, **kwargs):
-        """A stream of any number of queries, batched word-wide."""
-        from repro.core.batch import run_query_stream
-
-        return run_query_stream(self.pg, sources, k, session=self, **kwargs)
-
     def reach(self, sources, targets, k: int | None, **kwargs):
         """Pairwise s → t within-k reachability on the resident graph."""
         from repro.core.reachability import reachability_queries

@@ -50,6 +50,40 @@ class TestMutationLane:
         np.testing.assert_array_equal(rep.epochs, [0, 1])
         assert dyn_session.graph_epoch == 1
 
+    def test_malformed_queued_batch_refused_at_the_door(
+        self, dyn_graph, edge_keys, rng
+    ):
+        # A queued batch gets the immediate path's pair checks at
+        # submission: it raises there, nothing is queued, and the next
+        # drain is the one an undisturbed twin runs.
+        n = dyn_graph.num_vertices
+        good = fresh_edges(rng, n, edge_keys, 2)
+        early, late = _roots(dyn_graph, 2)
+        reports = []
+        for disturb in (True, False):
+            sess = GraphSession(dyn_graph, num_machines=2)
+            sess.dynamic(churn_threshold=10.0)
+            svc = QueryService(sess, k=2)
+            svc.submit(early, arrival=0.0)
+            svc.submit(late, arrival=1e6)
+            svc.apply_mutations(good, [], arrival=1.0)
+            if disturb:
+                for bad in ([(0, n + 5)], [(0, 1, 2)], [(0.5, 1)]):
+                    with pytest.raises(MutationError):
+                        svc.apply_mutations(bad, [], arrival=0.5)
+                    with pytest.raises(MutationError):
+                        svc.apply_mutations([], bad, arrival=0.5)
+            assert svc.num_pending_mutations == 1
+            reports.append(svc.drain())
+            assert svc.num_pending_mutations == 0
+            assert sess.graph_epoch == 1
+        disturbed, twin = reports
+        assert disturbed.mutations_applied == twin.mutations_applied == 1
+        np.testing.assert_array_equal(disturbed.epochs, twin.epochs)
+        np.testing.assert_array_equal(
+            disturbed.finish_seconds, twin.finish_seconds
+        )
+
     def test_compaction_mid_drain(self, dyn_graph, edge_keys, rng):
         sess = GraphSession(dyn_graph, num_machines=2)
         dg = sess.dynamic(compact_interval=1, churn_threshold=10.0)

@@ -13,7 +13,7 @@ import pytest
 from repro.core.traversal import khop_service_time
 from repro.graph.generators import rmat_edges
 from repro.runtime.scheduler import (
-    QueryScheduler,
+    SLOTS_PER_MACHINE,
     QueryService,
     simulate_fifo_pool,
 )
@@ -33,19 +33,20 @@ def _sources(session, n, seed):
 
 class TestPoolDiscipline:
     def test_agrees_with_offline_simulator(self, session):
-        """The online pool is the exact recurrence simulate_fifo_pool runs."""
+        """The online pool is the exact recurrence simulate_fifo_pool runs —
+        bit for bit, on spread arrivals and on the all-at-zero burst the
+        paper-figure drivers submit.  The only pin of online == offline."""
         sources = _sources(session, 50, 0)
         rng = np.random.default_rng(1)
-        arrivals = np.sort(rng.uniform(0.0, 2.0, sources.size))
-        svc = QueryService(session, k=3, discipline="pool", concurrency=4)
-        svc.submit_many(sources, arrivals)
-        report = svc.drain()
-
         service_times = np.array(
             [session.khop_service_seconds(int(s), 3) for s in sources]
         )
-        offline = simulate_fifo_pool(service_times, 4, arrivals)
-        np.testing.assert_allclose(report.response_seconds, offline, atol=1e-12)
+        for arrivals in (np.sort(rng.uniform(0.0, 2.0, sources.size)), None):
+            svc = QueryService(session, k=3, discipline="pool", concurrency=4)
+            svc.submit_many(sources, arrivals)
+            report = svc.drain()
+            offline = simulate_fifo_pool(service_times, 4, arrivals)
+            np.testing.assert_array_equal(report.response_seconds, offline)
 
     def test_serialized_is_width_one_pool(self, session):
         sources = _sources(session, 10, 2)
@@ -61,7 +62,7 @@ class TestPoolDiscipline:
 
     def test_default_concurrency_matches_scheduler(self, session):
         svc = QueryService(session, k=2, discipline="pool")
-        assert svc.concurrency == QueryScheduler(session.num_machines).concurrency
+        assert svc.concurrency == session.num_machines * SLOTS_PER_MACHINE
 
     def test_service_times_match_standalone_queries(self, session):
         """The memoised per-root cost is a real one-query engine run."""

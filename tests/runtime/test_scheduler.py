@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime.scheduler import (
-    QueryScheduler,
-    batch_response_times,
-    simulate_fifo_pool,
-    simulate_serialized,
-)
+from repro.runtime.scheduler import simulate_fifo_pool
 
 
 class TestFifoPool:
@@ -52,13 +47,6 @@ class TestFifoPool:
         with pytest.raises(ValueError):
             simulate_fifo_pool([1.0, 2.0], 1, arrival_times=[0.0])
 
-    def test_serialized_is_width_one_pool(self):
-        service = [0.5, 1.5, 0.25]
-        assert (
-            simulate_serialized(service).tolist()
-            == simulate_fifo_pool(service, 1).tolist()
-        )
-
     @settings(max_examples=60, deadline=None)
     @given(
         service=st.lists(st.floats(0, 10), min_size=1, max_size=40),
@@ -75,36 +63,3 @@ class TestFifoPool:
         # total completion conserved: sum of service <= c * makespan
         makespan = r.max()
         assert service.sum() <= c * makespan + 1e-9
-
-
-class TestBatchResponseTimes:
-    def test_offsets_added_to_batch_start(self):
-        r = batch_response_times(
-            [0.0, 10.0],
-            np.array([0, 0, 1]),
-            np.array([1.0, 2.0, 3.0]),
-        )
-        assert r.tolist() == [1.0, 2.0, 13.0]
-
-    def test_misaligned_arrays_rejected(self):
-        with pytest.raises(ValueError):
-            batch_response_times([0.0], np.array([0, 0]), np.array([1.0]))
-
-    def test_batch_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            batch_response_times([0.0], np.array([1]), np.array([1.0]))
-
-
-class TestQueryScheduler:
-    def test_concurrency_scales_with_machines(self):
-        assert QueryScheduler(num_machines=3, slots_per_machine=4).concurrency == 12
-
-    def test_pool_uses_concurrency(self):
-        sched = QueryScheduler(num_machines=1, slots_per_machine=2)
-        r = sched.pool([1.0, 1.0, 1.0, 1.0])
-        assert sorted(r.tolist()) == [1.0, 1.0, 2.0, 2.0]
-
-    def test_serialized_ignores_slots(self):
-        sched = QueryScheduler(num_machines=9)
-        r = sched.serialized([1.0, 1.0])
-        assert r.tolist() == [1.0, 2.0]

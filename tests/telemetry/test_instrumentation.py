@@ -154,6 +154,34 @@ class TestTracedService:
         cats = {s.cat for s in instr.tracer.spans}
         assert "index" in cats
 
+    @pytest.mark.parametrize("planner", ["traversal", "hybrid"])
+    def test_recording_never_perturbs_the_report(self, edges, planner):
+        """Telemetry observes: the same mixed wave (enumeration + point
+        queries, spread arrivals) drains to the same report on a null and
+        on a recording session — answers, routes and every virtual time."""
+        rng = np.random.default_rng(4)
+        n = edges.num_vertices
+        roots, src, dst = (rng.integers(0, n, 24) for _ in range(3))
+        arrivals = np.sort(rng.uniform(0.0, 5e-3, 24))
+        recorder = Instrumentation()
+        reports = []
+        for instr in (None, recorder):
+            sess = GraphSession(edges, num_machines=3, instrumentation=instr)
+            svc = QueryService(sess, k=3, planner=planner, batch_width=8)
+            svc.submit_many(roots, arrivals)
+            svc.submit_many(src, arrivals, targets=dst)
+            reports.append(svc.drain())
+        null, recording = reports
+        assert recorder.tracer.num_recorded > 0
+        assert set(null.reachable.tolist()) == {-1, 0, 1}
+        for name in ("start_seconds", "finish_seconds", "reachable", "routes"):
+            np.testing.assert_array_equal(
+                getattr(null, name), getattr(recording, name), err_msg=name
+            )
+        assert null.busy_seconds == recording.busy_seconds
+        assert null.clock_seconds == recording.clock_seconds
+        assert null.num_batches == recording.num_batches > 1
+
 
 class TestAcceptance:
     """The ISSUE's acceptance criteria, verbatim."""

@@ -21,7 +21,7 @@ from repro.graph import (
     star_graph,
 )
 from repro.graph.io import read_edge_list, write_edge_list
-from repro.runtime.scheduler import QueryScheduler
+from repro.runtime.scheduler import SLOTS_PER_MACHINE, simulate_fifo_pool
 
 
 class TestEndToEndWorkflows:
@@ -33,8 +33,10 @@ class TestEndToEndWorkflows:
         g = CGraph(edges, num_machines=4, edge_sets=True, reindex="degree")
         workload = QueryWorkload.generate(edges, 20, k=3, roots_per_query=1, seed=0)
         stream = g.khop_batch(workload.all_roots(), k=3)
-        sched = QueryScheduler(num_machines=4)
-        rt = ResponseTimes("svc", sched.pool(stream.response_seconds))
+        pooled = simulate_fifo_pool(
+            stream.response_seconds, 4 * SLOTS_PER_MACHINE
+        )
+        rt = ResponseTimes("svc", pooled)
         assert rt.count == 20
         assert rt.max >= rt.percentile(50) >= rt.min >= 0
 
