@@ -6,24 +6,32 @@ shard, OR-ing query bit-masks into local ``next`` planes and shipping
 boundary-vertex updates as combined message batches (Figure 5).  A query
 finishes when its frontier dies everywhere or after ``k`` hops.
 
+Every expansion writes two places laid out by the partition's
+:class:`~repro.graph.partition.ExchangePlan`: the ``next`` plane (local
+targets) and the task's **slot plane**, one row per boundary vertex this
+partition can reach.  A destination's slice of the slot plane is what the
+outbox carries; its non-zero rows, in slot order, are the combined wire batch
+(:class:`~repro.runtime.message.PlaneSlice`).  No superstep masks edges by
+locality, looks up an owner or sorts.
+
 Expansion is *direction-optimizing* (GPOP-style), chosen per partition per
 superstep:
 
-* **push** (sparse): gather the active frontier's out-edges from CSR
-  (optionally edge-set by edge-set for cache locality) and scatter-OR into
-  the ``next`` plane;
-* **pull** (dense): sweep the partition's local in-edges in source-range
-  tiles — a sequential gather of frontier words plus one segmented OR per
-  tile (:class:`~repro.graph.partition.PullIndex`) — while remote-bound
-  edges are routed push-style over a remote-only CSR so outgoing messages
-  are byte-identical to push mode.
+* **push** (sparse): gather the active frontier's edges from the plan's
+  ``local_csr`` and ``slot_csr`` and scatter-OR them into ``next`` and the
+  slot plane (with ``use_edge_sets``, edge-set by edge-set for cache
+  locality, landing in the same two planes);
+* **pull** (dense): one segmented OR over the plan's target-major sweep of
+  *all* out-edges — a gather of frontier words grouped by target, local rows
+  OR-ed into ``next``, slot rows assigned to the slot plane.
 
 The heuristic (:func:`repro.runtime.netmodel.choose_direction`) compares the
-frontier's out-edge mass against the partition's local edge count using the
-cost model's per-mode coefficients.  Both modes charge the *same* canonical
-(push-equivalent) work to :class:`~repro.runtime.netmodel.StepStats`, so
-answers, messages and virtual clocks are bit-identical across ``push``,
-``pull`` and ``auto`` — the direction changes wall-clock only.
+frontier's out-edge mass against the edges one sweep reads using the cost
+model's per-mode coefficients.  Both modes charge the *same* canonical
+(push-equivalent) work to :class:`~repro.runtime.netmodel.StepStats` and
+leave the same two planes, so answers, messages and virtual clocks are
+bit-identical across ``push``, ``pull`` and ``auto`` — the direction changes
+wall-clock only.
 
 The public entry point is :func:`concurrent_khop`, for any batch width up to
 one cache line of query bits (:data:`~repro.core.frontier.MAX_WIDE_BATCH`).
@@ -43,10 +51,10 @@ from repro.core import adapters
 from repro.core.frontier import MAX_WIDE_BATCH, BitFrontier, words_for
 from repro.errors import UnsupportedConfigError
 from repro.graph.edgelist import EdgeList
-from repro.graph.partition import PartitionedGraph
+from repro.graph.partition import ExchangePlan, PartitionedGraph
 from repro.runtime.cluster import SimCluster
 from repro.runtime.engine import PartitionTask
-from repro.runtime.message import combine_or
+from repro.runtime.message import PlaneSlice, combine_or
 from repro.runtime.netmodel import (
     PULL_SECONDS_PER_EDGE,
     PUSH_SECONDS_PER_EDGE,
@@ -130,6 +138,11 @@ class KHopPartitionTask(PartitionTask):
         self.cluster = cluster
         self.state = None
         self.depths = None
+        # Slot plane: scratch between one compute's scatter and the flush
+        # that follows it, (re)built by _arm_plane — never checkpointed.
+        self._plan = None
+        self._plane = None
+        self._cuts: list[tuple[int, int, int]] = []
         self.reset(
             num_queries, k, use_edge_sets, record_depths, direction,
             push_coeff, pull_coeff,
@@ -205,18 +218,39 @@ class KHopPartitionTask(PartitionTask):
         active = self.state.active_vertices()
         if active.size == 0:
             return
-        if self._choose_mode(active) == "pull":
+        plan = self._arm_plane()
+        if self._choose_mode(plan, active) == "pull":
             stats.pull_partitions += 1
-            self._expand_pull(active, stats)
-            return
-        stats.push_partitions += 1
-        bits = self.state.frontier[active]
-        if self.use_edge_sets:
-            self._expand_edge_sets(active, bits, stats)
+            self._expand_pull(plan, active, stats)
         else:
-            self._expand_csr(active, bits, stats)
+            stats.push_partitions += 1
+            # Cleared here, not after the flush: whatever became of the last
+            # superstep's rows (sent, dropped, abandoned by a raise or a
+            # rewind), this scatter starts from zero.  Pull assigns every row.
+            self._plane.fill(0)
+            if self.use_edge_sets:
+                self._expand_edge_sets(active, stats)
+            else:
+                self._expand_push(plan, active, stats)
+        for dest, lo, hi in self._cuts:
+            rows = self._plane[lo:hi]
+            if rows.any():
+                self.machine.outbox.append(
+                    dest, PlaneSlice(plan.boundary[lo:hi], rows)
+                )
 
-    def _choose_mode(self, active: np.ndarray) -> str:
+    def _arm_plane(self) -> ExchangePlan:
+        """The partition's plan, with a slot plane and destination cuts that
+        match it — allocated once per (plan, batch width), not per superstep."""
+        plan = self.machine.partition.exchange_plan()
+        shape = (plan.num_slots, self.state.words)
+        if plan is not self._plan or self._plane.shape != shape:
+            self._plan = plan
+            self._plane = np.zeros(shape, dtype=np.uint64)
+            self._cuts = plan.cuts(self.cluster.owner_of(plan.boundary))
+        return plan
+
+    def _choose_mode(self, plan: ExchangePlan, active: np.ndarray) -> str:
         """Per-superstep direction decision for this partition.
 
         Deterministic in (frontier state, coefficients): replaying from a
@@ -224,12 +258,11 @@ class KHopPartitionTask(PartitionTask):
         """
         if self.use_edge_sets or self.direction == "push":
             return "push"
-        pidx = self.machine.partition.pull_index()
         if self.direction == "pull":
             return "pull"
-        frontier_edges = int(pidx.out_degree[active].sum())
+        frontier_edges = int(plan.out_degree[active].sum())
         return choose_direction(
-            frontier_edges, pidx.num_local_edges, self.push_coeff, self.pull_coeff
+            frontier_edges, plan.num_edges, self.push_coeff, self.pull_coeff
         )
 
     def apply_inbox(self, stats: StepStats) -> None:
@@ -261,42 +294,40 @@ class KHopPartitionTask(PartitionTask):
 
     # -- expansion kernels ------------------------------------------------ #
 
-    def _expand_csr(self, active: np.ndarray, bits: np.ndarray, stats) -> None:
-        csr = self.machine.partition.out_csr
-        pos, counts = csr.gather_edges(active)
-        targets = csr.indices[pos]
-        self._route(targets, np.repeat(bits, counts, axis=0), stats)
+    def _expand_push(self, plan: ExchangePlan, active: np.ndarray, stats) -> None:
+        """Scatter the active frontier's edges into ``next`` and the slot plane."""
+        bits = self.state.frontier.take(active, axis=0)
+        local, slot = plan.local_csr, plan.slot_csr
+        pos, counts = local.gather_edges(active)
+        self.state.or_into_next(local.indices[pos], np.repeat(bits, counts, axis=0))
+        spos, scounts = slot.gather_edges(active)
+        np.bitwise_or.at(
+            self._plane, slot.indices[spos], np.repeat(bits, scounts, axis=0)
+        )
+        stats.edges_scanned += int(pos.size + spos.size)
+        stats.vertices_updated += int(pos.size)
 
-    def _expand_pull(self, active: np.ndarray, stats) -> None:
-        """Dense sweep: tiled gather over local in-edges + remote push pass.
+    def _expand_pull(self, plan: ExchangePlan, active: np.ndarray, stats) -> None:
+        """Dense sweep: one segmented OR over every out-edge, by target.
 
-        The local pass reads *every* local in-edge — inactive sources hold
-        zero frontier words, and OR-ing zeros is a no-op, so the resulting
-        ``next`` plane equals push's exactly.  The remote pass routes the
-        active frontier's remote-destination edges over a CSR whose per-row
-        order matches ``out_csr``, emitting byte-identical message batches.
-        Stats are charged push-equivalently, keeping virtual clocks
+        Inactive sources hold zero frontier words and OR-ing zeros is a
+        no-op, so ``next`` and the slot plane end up exactly as push leaves
+        them.  Stats are charged push-equivalently, keeping virtual clocks
         direction-independent.
         """
-        pidx = self.machine.partition.pull_index()
-        frontier = self.state.frontier
-        nxt = self.state.next
-        for block in pidx.blocks:
+        if plan.num_edges:
             ored = np.bitwise_or.reduceat(
-                frontier[block.sources], block.starts, axis=0
+                self.state.frontier.take(plan.sweep_sources, axis=0),
+                plan.sweep_starts,
+                axis=0,
             )
-            nxt[block.rows] |= ored
-        remote = pidx.remote_csr
-        pos, counts = remote.gather_edges(active)
-        if pos.size:
-            targets = remote.indices[pos]
-            bits = frontier[active]
-            self._send_remote(targets, np.repeat(bits, counts, axis=0))
-        # canonical (push-equivalent) accounting -> identical virtual clock
-        stats.edges_scanned += int(pidx.out_degree[active].sum())
-        stats.vertices_updated += int(pidx.local_out_degree[active].sum())
+            num_local = plan.sweep_rows.size
+            self.state.next[plan.sweep_rows] |= ored[:num_local]
+            self._plane[...] = ored[num_local:]
+        stats.edges_scanned += int(plan.out_degree[active].sum())
+        stats.vertices_updated += int(plan.local_out_degree[active].sum())
 
-    def _expand_edge_sets(self, active: np.ndarray, bits: np.ndarray, stats) -> None:
+    def _expand_edge_sets(self, active: np.ndarray, stats) -> None:
         """Left-to-right scan over edge-set blocks (§3.2).
 
         Only blocks whose row range intersects the active frontier are
@@ -317,21 +348,16 @@ class KHopPartitionTask(PartitionTask):
             self._route(targets, np.repeat(frontier[rows], counts, axis=0), stats)
 
     def _route(self, targets: np.ndarray, ebits: np.ndarray, stats) -> None:
-        """Split expanded edges into local OR-updates and remote batches."""
+        """Land a block scan's expanded edges (global targets, mixed
+        locality) in ``next`` and the slot plane."""
         stats.edges_scanned += int(targets.size)
         lo, hi = self.machine.lo, self.machine.hi
-        local_mask = (targets >= lo) & (targets < hi)
-        if local_mask.any():
-            tl = targets[local_mask] - lo
-            self.state.or_into_next(tl, ebits[local_mask])
-            stats.vertices_updated += int(tl.size)
-        remote_mask = ~local_mask
-        if remote_mask.any():
-            self._send_remote(targets[remote_mask], ebits[remote_mask])
-
-    def _send_remote(self, rt: np.ndarray, rb: np.ndarray) -> None:
-        """Queue remote-destination edges under their owning partitions."""
-        self.machine.outbox.route(self.cluster.owner_of(rt), rt, rb)
+        local = (targets >= lo) & (targets < hi)
+        self.state.or_into_next(targets[local] - lo, ebits[local])
+        stats.vertices_updated += int(np.count_nonzero(local))
+        remote = ~local
+        slots = np.searchsorted(self._plan.boundary, targets[remote])
+        np.bitwise_or.at(self._plane, slots, ebits[remote])
 
 
 def concurrent_khop(

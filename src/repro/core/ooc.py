@@ -33,23 +33,11 @@ class _OOCKHopTask(KHopPartitionTask):
 
     def __init__(self, machine, cluster, num_queries, k,
                  store: SpillableEdgeSetStore):
-        super().__init__(machine, cluster, num_queries, k, use_edge_sets=False)
+        # always the push kernel: the block scan is what pays the disk tier
+        super().__init__(machine, cluster, num_queries, k, direction="push")
         self.store = store
-        self._current_stats = None
 
-    def compute(self, stats) -> None:
-        self._current_stats = stats
-        try:
-            if self.k is not None and self.level >= self.k:
-                return
-            active = self.state.active_vertices()
-            if active.size == 0:
-                return
-            self._expand_spilled(active, stats)
-        finally:
-            self._current_stats = None
-
-    def _expand_spilled(self, active: np.ndarray, stats) -> None:
+    def _expand_push(self, plan, active: np.ndarray, stats) -> None:
         frontier = self.state.frontier
         for i in range(self.store.num_blocks):
             row_lo, row_hi, _, _ = self.store.block_bounds(i)

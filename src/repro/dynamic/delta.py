@@ -203,7 +203,7 @@ def apply_partition_delta(part, delta: PartitionDelta, base: tuple | None = None
         delta.in_deletes[:, 0],
     )
     part.edge_sets = None
-    part.pull_cache = None
+    part.plan_cache = None
     part.graph_epoch = delta.epoch
 
 
@@ -496,7 +496,7 @@ class DynamicGraph:
             part.out_csr = built.out_csr
             part.in_csc = built.in_csc
             part.edge_sets = None
-            part.pull_cache = None
+            part.plan_cache = None
         self.pg.edges = edges
         self.epoch += 1
         self.compactions += 1

@@ -15,6 +15,13 @@ Each partition stores, for its local vertices:
 
 *Local vertices* are those inside the range; *boundary vertices* (w.r.t. a
 partition) are remote vertices adjacent to its local ones.
+
+Range partitioning also fixes, at partition time, every remote vertex a
+partition can ever write to.  :class:`ExchangePlan` lays that set out once as
+a dense *slot space* — sorted, so each destination partition owns one
+contiguous slice of it — and splits the out-edges by it, so a traversal
+superstep scatters into per-destination boundary planes with no locality
+mask, owner lookup or sort of its own (the GPOP idea: bins laid out once).
 """
 
 from __future__ import annotations
@@ -30,8 +37,7 @@ from repro.graph.edgeset import EdgeSetMatrix, degree_balanced_ranges
 __all__ = [
     "Partition",
     "PartitionedGraph",
-    "PullBlock",
-    "PullIndex",
+    "ExchangePlan",
     "range_partition",
     "partition_with_bounds",
     "owner_of_bounds",
@@ -48,68 +54,71 @@ def owner_of_bounds(bounds: np.ndarray, v) -> np.ndarray | int:
 
 
 @dataclass
-class PullBlock:
-    """One source-range tile of a partition's local pull structure.
+class ExchangePlan:
+    """A partition's out-edges laid out for traversal and exchange, once.
 
-    Dense (pull-mode) traversal gathers frontier words from *sources* and
-    reduces them onto target rows.  Tiling by source range keeps each
-    tile's frontier reads inside a cache-resident window — the same LLC
-    blocking idea the paper applies to edge-sets (§3.2), turned sideways
-    for the gather direction.
+    Built from ``out_csr``/``in_csc`` and cached on the partition.  The build
+    is a pure function of the partition's edges, so every process (in-process
+    engine, pool workers, a worker restarted after a fault) derives an
+    identical plan, and it is dropped wherever the edges change.
 
-    Edges are grouped by target row inside the tile: ``sources[starts[i]:
-    starts[i+1]]`` are the local in-neighbours of target ``rows[i]``; the
-    kernel reduces each run with one ``np.bitwise_or.reduceat`` call.
-    Empty target rows are excluded, so the runs tile ``[0, len(sources))``
-    exactly.
-    """
-
-    src_lo: int
-    src_hi: int
-    rows: np.ndarray = field(repr=False)
-    starts: np.ndarray = field(repr=False)
-    sources: np.ndarray = field(repr=False)
-
-    @property
-    def num_edges(self) -> int:
-        return int(self.sources.size)
-
-    def nbytes(self) -> int:
-        return int(self.rows.nbytes + self.starts.nbytes + self.sources.nbytes)
-
-
-@dataclass
-class PullIndex:
-    """Derived per-partition structures for dense (pull-mode) traversal.
-
-    Built once from ``out_csr``/``in_csc`` and cached on the partition
-    (deterministically, so pool workers rebuilding it after a restart get
-    the same structure):
-
-    * ``blocks`` — source-range tiles of the *local* in-edges (see
-      :class:`PullBlock`);
-    * ``remote_csr`` — the subset of ``out_csr`` whose destinations are
-      remote, with per-row column order preserved, so pull mode emits the
-      exact same outgoing message batches as push mode;
-    * ``out_degree`` / ``local_out_degree`` — per-local-row totals used for
-      canonical (push-equivalent) cost accounting and for the direction
+    * ``boundary`` — the sorted, unique remote out-neighbours (global ids).
+      Position in it is a **slot**; a sender keeps one plane row per slot.
+      Sorted ids under range partitioning mean each destination partition
+      owns a contiguous slice (:meth:`cuts`), and a slice's non-zero rows in
+      slot order are that destination's combined wire batch.
+    * ``local_csr`` / ``slot_csr`` — ``out_csr`` split by locality, rows and
+      per-row column order kept: columns are local rows and slots.  The push
+      kernel gathers the active frontier's edges from each and scatters
+      into ``next`` and into the slot plane.
+    * ``sweep_sources`` / ``sweep_starts`` / ``sweep_rows`` — every out-edge
+      grouped by target over the unified target space ``[local rows | slots]``
+      for the pull kernel's one segmented OR: run ``i`` is
+      ``sweep_sources[sweep_starts[i]:sweep_starts[i+1]]`` (local source
+      rows).  The first ``len(sweep_rows)`` runs are the local target rows
+      with a local in-edge; the remaining ``num_slots`` runs are the slots in
+      order (a slot always has an edge).
+    * ``out_degree`` / ``local_out_degree`` — per-local-row totals for the
+      canonical (push-equivalent) cost accounting and the direction
       heuristic's frontier-edge mass.
     """
 
-    blocks: list[PullBlock] = field(repr=False)
-    remote_csr: CSR = field(repr=False)
+    boundary: np.ndarray = field(repr=False)
+    local_csr: CSR = field(repr=False)
+    slot_csr: CSR = field(repr=False)
+    sweep_sources: np.ndarray = field(repr=False)
+    sweep_starts: np.ndarray = field(repr=False)
+    sweep_rows: np.ndarray = field(repr=False)
     out_degree: np.ndarray = field(repr=False)
     local_out_degree: np.ndarray = field(repr=False)
 
     @property
-    def num_local_edges(self) -> int:
-        return int(sum(b.num_edges for b in self.blocks))
+    def num_slots(self) -> int:
+        return int(self.boundary.size)
+
+    @property
+    def num_edges(self) -> int:
+        """Out-edges of the partition — what one pull sweep reads."""
+        return int(self.sweep_sources.size)
+
+    def cuts(self, owners: np.ndarray) -> list[tuple[int, int, int]]:
+        """``(dest, lo, hi)`` per destination: its slice of the slot space.
+
+        ``owners`` is the owning partition of every ``boundary`` vertex —
+        non-decreasing, since ``boundary`` is sorted and partitions are
+        ranges.  Looked up once per plan by whoever holds the bounds.
+        """
+        dests, starts = np.unique(owners, return_index=True)
+        ends = np.append(starts[1:], owners.size)
+        return [(int(d), int(a), int(b)) for d, a, b in zip(dests, starts, ends)]
 
     def nbytes(self) -> int:
-        total = self.remote_csr.nbytes()
-        total += int(self.out_degree.nbytes + self.local_out_degree.nbytes)
-        total += sum(b.nbytes() for b in self.blocks)
-        return int(total)
+        arrays = (
+            self.boundary, self.sweep_sources, self.sweep_starts,
+            self.sweep_rows, self.out_degree, self.local_out_degree,
+        )
+        total = self.local_csr.nbytes() + self.slot_csr.nbytes()
+        return int(total + sum(a.nbytes for a in arrays))
 
 
 @dataclass
@@ -130,8 +139,8 @@ class Partition:
     edge_sets:
         Blocked form of ``out_csr`` (built lazily by
         :meth:`PartitionedGraph.build_edge_sets`).
-    pull_cache:
-        Lazily built :class:`PullIndex` (see :meth:`pull_index`).
+    plan_cache:
+        Lazily built :class:`ExchangePlan` (see :meth:`exchange_plan`).
     """
 
     part_id: int
@@ -140,7 +149,7 @@ class Partition:
     out_csr: CSR = field(repr=False)
     in_csc: CSR = field(repr=False)
     edge_sets: EdgeSetMatrix | None = field(default=None, repr=False)
-    pull_cache: PullIndex | None = field(default=None, repr=False)
+    plan_cache: ExchangePlan | None = field(default=None, repr=False)
 
     @property
     def num_local(self) -> int:
@@ -171,23 +180,18 @@ class Partition:
         remote_in = rows_in[(rows_in < self.lo) | (rows_in >= self.hi)]
         return np.unique(np.concatenate([remote_out, remote_in]))
 
-    def pull_index(self, num_blocks: int = 8) -> PullIndex:
-        """The partition's dense-traversal structures, built on first use.
-
-        The build is a pure function of the partition's edges, so every
-        process (in-process engine, pool workers, a worker restarted after
-        a fault) derives an identical index.
-        """
-        if self.pull_cache is None:
-            self.pull_cache = _build_pull_index(self, num_blocks)
-        return self.pull_cache
+    def exchange_plan(self) -> ExchangePlan:
+        """The partition's :class:`ExchangePlan`, built on first use."""
+        if self.plan_cache is None:
+            self.plan_cache = _build_exchange_plan(self)
+        return self.plan_cache
 
     def nbytes(self) -> int:
         total = self.out_csr.nbytes() + self.in_csc.nbytes()
         if self.edge_sets is not None:
             total += self.edge_sets.nbytes()
-        if self.pull_cache is not None:
-            total += self.pull_cache.nbytes()
+        if self.plan_cache is not None:
+            total += self.plan_cache.nbytes()
         return total
 
 
@@ -342,53 +346,55 @@ def _csr_to_edges(csr: CSR) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     return src, csr.indices.astype(np.int64), csr.weights
 
 
-def _build_pull_index(part: Partition, num_blocks: int) -> PullIndex:
-    n = part.num_local
+def _masked_prefix(mask: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """``indptr`` of the CSR that keeps only the ``mask``-ed edges."""
+    before = np.zeros(mask.size + 1, dtype=np.int64)
+    np.cumsum(mask, out=before[1:])
+    return before[indptr]
 
-    # Local in-edges, row-major by target (in_csc order), sources made local.
-    in_deg = part.in_csc.degrees()
-    targets = np.repeat(np.arange(n, dtype=np.int64), in_deg)
-    srcs = part.in_csc.indices.astype(np.int64)
-    local_mask = (srcs >= part.lo) & (srcs < part.hi)
-    targets = targets[local_mask]
-    local_src = srcs[local_mask] - part.lo
 
-    # Tile by source range, balancing edges per tile so each gather window
-    # touches a similar amount of frontier data.
-    if local_src.size:
-        per_src = np.bincount(local_src, minlength=n)
-    else:
-        per_src = np.zeros(n, dtype=np.int64)
-    bounds = degree_balanced_ranges(per_src, num_blocks)
-    blocks: list[PullBlock] = []
-    for b in range(bounds.size - 1):
-        blo, bhi = int(bounds[b]), int(bounds[b + 1])
-        sel = (local_src >= blo) & (local_src < bhi)
-        t = targets[sel]
-        if t.size == 0:
-            continue
-        # Selection preserves target-major order, so each target's edges
-        # stay contiguous; run starts come from consecutive differences.
-        run_starts = np.concatenate(
-            [[0], np.nonzero(np.diff(t))[0] + 1]
-        ).astype(np.int64)
-        blocks.append(PullBlock(blo, bhi, t[run_starts], run_starts, local_src[sel]))
+def _build_exchange_plan(part: Partition) -> ExchangePlan:
+    n, lo, hi = part.num_local, part.lo, part.hi
+    out = part.out_csr
+    cols = out.indices
+    shift = cols.dtype.type(lo)
 
-    # Remote-destination subset of out_csr.  build_csr's counting sort with
-    # column sorting reproduces out_csr's per-row (ascending) column order,
-    # so routing over this CSR emits byte-identical message batches to push.
-    out_deg = part.out_csr.degrees().astype(np.int64)
-    cols = part.out_csr.indices.astype(np.int64)
-    rows_rep = np.repeat(np.arange(n, dtype=np.int64), out_deg)
-    remote_mask = (cols < part.lo) | (cols >= part.hi)
-    remote_csr = build_csr(rows_rep[remote_mask], cols[remote_mask], n)
-    if remote_mask.any():
-        remote_deg = np.bincount(rows_rep[remote_mask], minlength=n)
-    else:
-        remote_deg = np.zeros(n, dtype=np.int64)
-    return PullIndex(
-        blocks=blocks,
-        remote_csr=remote_csr,
-        out_degree=out_deg,
-        local_out_degree=out_deg - remote_deg,
+    # out_csr split by locality: both halves are masked copies, so rows stay
+    # row-major and columns stay sorted inside a row.
+    is_local = (cols >= lo) & (cols < hi)
+    local_indptr = _masked_prefix(is_local, out.indptr)
+    slot_indptr = out.indptr - local_indptr
+    remote_cols = cols[~is_local]
+
+    # The one sort: remote edges by target.  It yields the slot space, every
+    # remote edge's slot, and the slot half of the target-major sweep.
+    order = np.argsort(remote_cols, kind="stable")
+    sorted_cols = remote_cols[order]
+    first = np.ones(sorted_cols.size, dtype=bool)
+    np.not_equal(sorted_cols[1:], sorted_cols[:-1], out=first[1:])
+    slot_starts = np.flatnonzero(first)
+    slots = np.empty(remote_cols.size, dtype=cols.dtype)
+    slots[order] = np.cumsum(first, dtype=cols.dtype) - cols.dtype.type(1)
+    remote_rows = np.repeat(np.arange(n, dtype=cols.dtype), np.diff(slot_indptr))
+
+    # Local half of the sweep: in_csc is already target-major; keep its
+    # local sources and the rows that still have one.
+    srcs = part.in_csc.indices
+    src_local = (srcs >= lo) & (srcs < hi)
+    row_ptr = _masked_prefix(src_local, part.in_csc.indptr)
+    sweep_rows = np.flatnonzero(np.diff(row_ptr))
+    local_sources = srcs[src_local] - shift
+
+    out_degree = np.diff(out.indptr)
+    return ExchangePlan(
+        boundary=sorted_cols[slot_starts],
+        local_csr=CSR(local_indptr, cols[is_local] - shift),
+        slot_csr=CSR(slot_indptr, slots),
+        sweep_sources=np.concatenate([local_sources, remote_rows[order]]),
+        sweep_starts=np.concatenate(
+            [row_ptr[sweep_rows], local_sources.size + slot_starts]
+        ),
+        sweep_rows=sweep_rows,
+        out_degree=out_degree,
+        local_out_degree=np.diff(local_indptr),
     )

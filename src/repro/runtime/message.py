@@ -8,7 +8,10 @@ mpi4py idiom of shipping numpy buffers rather than per-object messages.
 
 The whole life of a remote task is written here once, so the message format
 is this module's alone: :meth:`Outbox.route` queues tasks under their owning
-partitions; :meth:`Outbox.flush` combines per destination, charges the
+partitions (the traversal engines, whose partition laid the boundary out
+ahead of time, queue a :class:`PlaneSlice` per destination with
+:meth:`Outbox.append` and need no bucketing, sort or reduce);
+:meth:`Outbox.flush` combines per destination, charges the
 sender's ``StepStats`` and hands the batches to the executor's transport
 (in-process inboxes, or the pool's shared memory); :meth:`Inbox.drain` hands
 them to ``apply_inbox`` in delivery order, sender-ascending on both.
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "MessageBatch", "Outbox", "Inbox", "reduce_by_key",
+    "MessageBatch", "PlaneSlice", "Outbox", "Inbox", "reduce_by_key",
     "combine_or", "combine_min", "combine_sum",
 ]
 
@@ -57,6 +60,34 @@ class MessageBatch:
         return int(self.vertices.nbytes + self.payload.nbytes)
 
 
+@dataclass
+class PlaneSlice:
+    """One destination's slice of a sender's slot plane, queued as it lies.
+
+    A traversal task keeps one plane row per boundary vertex it can reach
+    (:class:`~repro.graph.partition.ExchangePlan`): ``vertices`` is the
+    destination's contiguous slice of that sorted boundary and ``plane`` the
+    matching rows — the OR of everything scattered at each vertex this
+    superstep, zero where nothing was.  Both are views of the sender's
+    arrays; :meth:`compress` copies out what goes on the wire.
+    """
+
+    vertices: np.ndarray
+    plane: np.ndarray
+
+    @property
+    def num_tasks(self) -> int:
+        """Slots in the slice, lit or not (what the combine is handed)."""
+        return int(self.vertices.size)
+
+    def compress(self) -> MessageBatch:
+        """The lit rows, in slot order = ascending vertex id: one task per
+        boundary vertex, exactly what sorting and OR-reducing the scattered
+        edges would leave."""
+        lit = np.flatnonzero(self.plane.any(axis=1))
+        return MessageBatch(self.vertices[lit], self.plane[lit])
+
+
 def reduce_by_key(keys: np.ndarray, values: np.ndarray, ufunc) -> tuple:
     """Reduce ``values`` rows that share a key: ``(unique_keys, reduced)``.
 
@@ -71,8 +102,14 @@ def reduce_by_key(keys: np.ndarray, values: np.ndarray, ufunc) -> tuple:
     return k[starts], ufunc.reduceat(values[order], starts, axis=0)
 
 
-def combine_or(batch: MessageBatch) -> MessageBatch:
-    """Deduplicate destinations, OR-ing payload bits (traversal combiner)."""
+def combine_or(batch: MessageBatch | PlaneSlice) -> MessageBatch:
+    """Deduplicate destinations, OR-ing payload bits (traversal combiner).
+
+    A :class:`PlaneSlice` was OR-ed per destination vertex as it was
+    scattered, so combining it is the compress.
+    """
+    if isinstance(batch, PlaneSlice):
+        return batch.compress()
     return _combine(batch, np.bitwise_or)
 
 
@@ -96,10 +133,14 @@ class Outbox:
     """A partition's remote task buffer: tasks queued per owning partition."""
 
     def __init__(self) -> None:
-        self._queued: dict[int, list[MessageBatch]] = {}
+        self._queued: dict[int, list[MessageBatch | PlaneSlice]] = {}
 
-    def append(self, dest: int, batch: MessageBatch) -> None:
-        """Queue ``batch`` for partition ``dest`` (skip empty batches)."""
+    def append(self, dest: int, batch: MessageBatch | PlaneSlice) -> None:
+        """Queue ``batch`` for partition ``dest`` (skip empty batches).
+
+        A :class:`PlaneSlice` is its destination's whole superstep: queue one,
+        alone, and flush with :func:`combine_or`.
+        """
         if batch.num_tasks:
             self._queued.setdefault(dest, []).append(batch)
 

@@ -202,8 +202,9 @@ def choose_direction(
     """Direction-optimizing heuristic for one partition-superstep.
 
     ``frontier_edges`` is the out-edge mass of the active frontier (what
-    push would scan); ``local_edges`` is the partition's local in-edge count
-    (what pull must always scan).  Pull wins when scanning everything with
+    push would scan); ``local_edges`` is the edge count one pull sweep reads
+    whatever the frontier (for k-hop, all the partition's out-edges, boundary
+    included).  Pull wins when scanning everything with
     the cheap sequential kernel beats scattering the frontier's edges:
     ``pull_coeff * local_edges < push_coeff * frontier_edges``.
 

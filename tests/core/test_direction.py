@@ -1,8 +1,9 @@
 """Direction optimization must be invisible in every answer.
 
-Push expands the frontier over the out-CSR; pull drains the dense
-supersteps over the cache-blocked local in-edge tiles; auto switches
-per partition per superstep on the density heuristic.  All three are
+Push scatters the frontier's edges over the exchange plan's split CSRs;
+pull drains the dense supersteps with one segmented OR over the plan's
+target-major sweep; auto switches per partition per superstep on the
+density heuristic.  All three are
 required to be *bit-identical* — reach counts, per-vertex depths,
 completion levels, per-step virtual times and the total virtual clock —
 on the in-process engine and on the worker pool, with and without an
@@ -15,10 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.khop import DIRECTIONS, concurrent_khop
+from repro.core.frontier import make_query_mask
+from repro.core.khop import DIRECTIONS, KHopPartitionTask, concurrent_khop
 from repro.core.reachability import reachability_queries
 from repro.graph import EdgeList, range_partition, rmat_edges
+from repro.runtime.cluster import SimCluster
 from repro.runtime.fault import FaultPlan, FaultTolerance
+from repro.runtime.message import Outbox, combine_or
+from repro.runtime.netmodel import StepStats
 from repro.runtime.session import GraphSession
 
 
@@ -111,6 +116,133 @@ class TestInProcessParity:
         ]
         for res in runs[1:]:
             _assert_same(res, runs[0])
+
+
+def _check_plan(pg, part):
+    """Structural invariants of one partition's exchange plan."""
+    plan = part.exchange_plan()
+    out, lo = part.out_csr, part.lo
+    boundary = plan.boundary
+    assert boundary.dtype == out.indices.dtype
+    assert np.all(np.diff(boundary) > 0)  # sorted and unique
+    assert not part.is_local(boundary).any()
+    remote_cols = out.indices[~part.is_local(out.indices)]
+    assert np.array_equal(boundary, np.unique(remote_cols))
+    # the per-destination cuts tile the slot space and agree with owner_of
+    owners = pg.owner_of(boundary)
+    cuts = plan.cuts(owners)
+    assert [d for d, _, _ in cuts] == sorted({int(o) for o in owners})
+    ends = [0] + [b for _, _, b in cuts]
+    assert [a for _, a, _ in cuts] == ends[:-1] and ends[-1] == plan.num_slots
+    for dest, a, b in cuts:
+        assert dest != part.part_id and a < b
+        assert (owners[a:b] == dest).all()
+    # local_csr and slot_csr are out_csr's rows, split, in out_csr's order
+    for row in range(part.num_local):
+        cols = out.neighbors(row)
+        local = part.is_local(cols)
+        assert np.array_equal(plan.local_csr.neighbors(row) + lo, cols[local])
+        assert np.array_equal(boundary[plan.slot_csr.neighbors(row)], cols[~local])
+    assert np.array_equal(plan.out_degree, out.degrees())
+    assert np.array_equal(plan.local_out_degree, plan.local_csr.degrees())
+    # the target-major sweep holds every out-edge exactly once
+    targets = np.concatenate([plan.sweep_rows + lo, boundary])
+    assert plan.sweep_starts.size == targets.size
+    run_lengths = np.diff(np.append(plan.sweep_starts, plan.num_edges))
+    assert (run_lengths > 0).all()
+    swept = np.stack([plan.sweep_sources + lo, np.repeat(targets, run_lengths)])
+    stored = np.stack([np.repeat(np.arange(part.num_local) + lo, out.degrees()),
+                       out.indices])
+    assert plan.num_edges == out.nnz
+    assert np.array_equal(swept[:, np.lexsort(swept)], stored[:, np.lexsort(stored)])
+
+
+def _generic_superstep(pg, part, frontier):
+    """One superstep the way every other engine still does it: expand to
+    ``(global target, bits)`` pairs, mask by locality, ``Outbox.route`` by
+    owner, ``combine_or`` per destination."""
+    active = np.nonzero(frontier.any(axis=1))[0]
+    pos, counts = part.out_csr.gather_edges(active)
+    targets = part.out_csr.indices[pos]
+    ebits = np.repeat(frontier[active], counts, axis=0)
+    local = part.is_local(targets)
+    nxt = np.zeros_like(frontier)
+    np.bitwise_or.at(nxt, targets[local] - part.lo, ebits[local])
+    stats = StepStats()
+    stats.edges_scanned += int(targets.size)
+    stats.vertices_updated += int(local.sum())
+    outbox = Outbox()
+    outbox.route(pg.owner_of(targets[~local]), targets[~local], ebits[~local])
+    return nxt, outbox.flush(part.part_id, stats, combine_or), stats
+
+
+class TestPlanPathEqualsGenericPath:
+    """The plan-driven kernels against the path they replaced in k-hop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.integers(0, 11), st.integers(0, 11)),
+            min_size=0, max_size=70,
+        ),
+        num_vertices=st.integers(12, 14),
+        machines=st.integers(1, 5),
+        width=st.sampled_from([1, 64, 65, 130]),
+        density=st.sampled_from([0.1, 0.5, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_one_superstep(self, pairs, num_vertices, machines, width, density, seed):
+        # ids 0..11 on 12..14 vertices: isolated tail vertices, and with five
+        # machines trailing partitions that own no vertex at all
+        el = EdgeList.from_pairs(pairs, num_vertices=num_vertices).deduplicate()
+        pg = range_partition(el, machines)
+        cluster = SimCluster(pg)
+        rng = np.random.default_rng(seed)
+        mask = make_query_mask(width)
+        for machine in cluster.machines:
+            part = machine.partition
+            _check_plan(pg, part)
+            frontier = rng.integers(
+                0, 2**64, size=(part.num_local, mask.size), dtype=np.uint64
+            ) & mask
+            frontier[rng.random(part.num_local) >= density] = 0
+            ref_next, ref_wire, ref_stats = _generic_superstep(pg, part, frontier)
+            for direction in ("push", "pull"):
+                task = KHopPartitionTask(
+                    machine, cluster, width, None, direction=direction
+                )
+                task.state.frontier[...] = frontier
+                # scatter must not depend on what an earlier step left behind
+                for _ in range(2):
+                    task.state.next.fill(0)
+                    stats = StepStats()
+                    task.compute(stats)
+                    wire = machine.outbox.flush(part.part_id, stats, combine_or)
+                assert np.array_equal(task.state.next, ref_next)
+                assert [d for d, _ in wire] == [d for d, _ in ref_wire]
+                for (_, got), (_, want) in zip(wire, ref_wire):
+                    assert got.vertices.dtype == want.vertices.dtype
+                    assert got.payload.dtype == want.payload.dtype
+                    assert np.array_equal(got.vertices, want.vertices)
+                    assert np.array_equal(got.payload, want.payload)
+                    assert got.nbytes() == want.nbytes()
+                assert stats.edges_scanned == ref_stats.edges_scanned
+                assert stats.vertices_updated == ref_stats.vertices_updated
+                assert stats.bytes_sent == ref_stats.bytes_sent
+                assert stats.total_messages == ref_stats.total_messages
+
+    def test_edge_set_scan_lands_in_the_same_planes(self, small_rmat):
+        """``_route`` (edge-set and out-of-core block scans) reaches the slot
+        plane by ``searchsorted`` on the boundary: same wire, same clock."""
+        pg = range_partition(small_rmat, 3)
+        pg.build_edge_sets()
+        sources = list(range(0, 130, 2))
+        plain = concurrent_khop(pg, sources, 3, direction="push")
+        blocked = concurrent_khop(pg, sources, 3, use_edge_sets=True)
+        _assert_same(blocked, plain)
+        assert blocked.total_messages == plain.total_messages
+        assert blocked.total_bytes == plain.total_bytes
+        assert blocked.total_edges_scanned == plain.total_edges_scanned
 
 
 @pytest.fixture(scope="module")

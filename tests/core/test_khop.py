@@ -1,5 +1,7 @@
 """Correctness tests for the concurrent k-hop engine against oracles."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,8 @@ from repro.baselines.naive import naive_distributed_khop, naive_khop
 from repro.baselines.oracle import oracle_khop_reach
 from repro.core.batch import run_query_stream
 from repro.core.frontier import MAX_WIDE_BATCH
-from repro.core.khop import concurrent_khop
-from repro.graph import EdgeList, path_graph, range_partition
+from repro.core.khop import DIRECTIONS, concurrent_khop
+from repro.graph import EdgeList, path_graph, range_partition, rmat_edges
 
 
 class TestSingleQuery:
@@ -253,3 +255,46 @@ def test_khop_property_matches_oracle(pairs, source, k, machines):
     expected = oracle_khop_reach(el, source, k if k > 0 else 0)
     got = set(np.nonzero(res.depths[:, 0] >= 0)[0].tolist())
     assert got == expected
+
+
+class TestGoldenWire:
+    """The wire, byte for byte: literal counts recorded before k-hop moved
+    from sort-and-reduce to the exchange plan's slot planes (the values are
+    that parent commit's).  A kernel change that re-orders, re-sizes or
+    re-types a batch — or moves the virtual clock — fails here, on every
+    direction and both backends' shared accounting."""
+
+    GOLDEN = {
+        64: dict(
+            total_messages=1520, total_bytes=18240, total_edges_scanned=9038,
+            supersteps=3, virtual_seconds="0.0007625405090909091",
+            reached_sha256="be76305fc3594e983da8eea8de1ad796"
+                           "d25b06a2635d2e0b044c0ce8efe00781",
+        ),
+        130: dict(
+            total_messages=1581, total_bytes=44268, total_edges_scanned=9574,
+            supersteps=3, virtual_seconds="0.0007725843636363636",
+            reached_sha256="ff372808a6eb0fdb4cafb1897e955d6a"
+                           "4e6e50a3c2259c73150dc0feb64953b7",
+        ),
+    }
+
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    @pytest.mark.parametrize("width", sorted(GOLDEN))
+    def test_counts_clock_and_answers(self, width, direction):
+        graph = rmat_edges(9, 6000, seed=21).remove_self_loops().deduplicate()
+        sources = np.random.default_rng(3).integers(0, graph.num_vertices, size=130)
+        res = concurrent_khop(
+            graph, sources[:width], 3, num_machines=3, direction=direction
+        )
+        got = dict(
+            total_messages=res.total_messages,
+            total_bytes=res.total_bytes,
+            total_edges_scanned=res.total_edges_scanned,
+            supersteps=res.supersteps,
+            virtual_seconds=repr(res.virtual_seconds),
+            reached_sha256=hashlib.sha256(
+                res.reached.astype("<i8").tobytes()
+            ).hexdigest(),
+        )
+        assert got == self.GOLDEN[width]

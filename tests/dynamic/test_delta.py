@@ -6,6 +6,7 @@ import pytest
 from repro.dynamic import DynamicGraph
 from repro.errors import MutationError
 from repro.graph import EdgeList, range_partition
+from repro.runtime.session import GraphSession
 
 from tests.dynamic.conftest import (
     assert_shards_equal,
@@ -91,6 +92,62 @@ class TestSplicing:
         dg.apply([(u, v)], [])
         after = dyn_session.khop([src], 1)
         assert after.reached[0] >= before.reached[0]
+
+
+class TestSlotSpace:
+    """A partition's exchange plan is dropped with its edges: an insert that
+    reaches a new remote vertex grows the slot space, a delete that removes
+    the last edge to one shrinks it, and traversal on the mutated session —
+    in-process (spliced in place) or pool (workers re-splice from their base
+    image) — matches a session built fresh on the mutated graph."""
+
+    @staticmethod
+    def _grow_and_shrink(sess):
+        """``(insert, delete)``: an edge from partition 0 to a remote vertex
+        outside its boundary, and the only edge it has to one inside."""
+        part = sess.pg.partitions[0]
+        plan = part.exchange_plan()
+        outside = np.setdiff1d(np.arange(part.hi, sess.num_vertices), plan.boundary)
+        per_slot = np.bincount(plan.slot_csr.indices, minlength=plan.num_slots)
+        slot = int(np.flatnonzero(per_slot == 1)[0])
+        rows = np.repeat(np.arange(part.num_local), plan.slot_csr.degrees())
+        row = int(rows[plan.slot_csr.indices == slot][0])
+        return (part.lo, int(outside[0])), (part.lo + row, int(plan.boundary[slot]))
+
+    @staticmethod
+    def _assert_matches_fresh(sess, sources):
+        oracle = sess.snapshots().graph_at(sess.graph_epoch)
+        with GraphSession(oracle) as fresh:
+            for direction in ("push", "pull"):
+                got = sess.khop(sources, 3, direction=direction)
+                want = fresh.khop(sources, 3, direction=direction)
+                np.testing.assert_array_equal(got.reached, want.reached)
+                assert got.total_messages == want.total_messages
+                assert got.total_bytes == want.total_bytes
+                assert got.total_edges_scanned == want.total_edges_scanned
+                assert got.virtual_seconds == want.virtual_seconds
+                assert got.per_step_seconds == want.per_step_seconds
+
+    @pytest.mark.parametrize("backend", ["inproc", "pool"])
+    def test_boundary_grows_and_shrinks(self, dyn_graph, backend):
+        sources = list(range(0, 130, 2))
+        with GraphSession(dyn_graph, num_machines=2, backend=backend) as sess:
+            sess.dynamic(churn_threshold=10.0)
+            self._assert_matches_fresh(sess, sources)  # plans built at epoch 0
+            part = sess.pg.partitions[0]
+            before = part.exchange_plan().boundary.copy()
+            insert, delete = self._grow_and_shrink(sess)
+
+            sess.apply_mutations([insert], [])
+            grown = part.exchange_plan().boundary
+            assert np.array_equal(grown, np.union1d(before, [insert[1]]))
+            assert grown.size == before.size + 1
+            self._assert_matches_fresh(sess, sources)
+
+            sess.apply_mutations([], [delete])
+            shrunk = part.exchange_plan().boundary
+            assert np.array_equal(shrunk, np.setdiff1d(grown, [delete[1]]))
+            self._assert_matches_fresh(sess, sources)
 
 
 class TestCompact:

@@ -110,6 +110,45 @@ class TestCrashRecovery:
         assert ref.per_step_seconds == res.per_step_seconds
 
 
+class TestSlotPlaneAfterRecovery:
+    """The k-hop slot plane (one row per boundary vertex, filled by compute,
+    read by the flush) is task state outside the checkpoint.  After a fault
+    lands between a scatter and its delivery, the next batch on the same
+    pool must match a fresh session bit for bit — answers, wire counts and
+    the virtual clock.  Push is forced: only the scatter depends on what the
+    plane held."""
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            lambda: FaultPlan().drop_outbox(1, 0),
+            lambda: FaultPlan().crash_worker(1, 1),
+            lambda: FaultPlan().drop_outbox(0, 1).crash_worker(2, 0),
+        ],
+        ids=["drop_outbox", "crash_worker", "both"],
+    )
+    def test_next_batch_matches_fresh_session(self, graph, pool_sess, fault):
+        # a wide batch guarantees cross-machine traffic on the faulted steps
+        wide = [(7 * i) % graph.num_vertices for i in range(128)]
+        narrow = [5, 77, 901]
+        pool_sess.set_fault_plan(fault())
+        faulted = concurrent_khop(graph, wide, 4, session=pool_sess,
+                                  direction="push")
+        pool_sess.set_fault_plan(None)
+        after = concurrent_khop(graph, narrow, 3, session=pool_sess,
+                                direction="push")
+        for res, sources, k in ((faulted, wide, 4), (after, narrow, 3)):
+            ref = concurrent_khop(graph, sources, k, num_machines=2,
+                                  direction="push")
+            assert np.array_equal(ref.reached, res.reached)
+            assert np.array_equal(ref.completion_seconds, res.completion_seconds)
+            assert ref.total_messages == res.total_messages
+            assert ref.total_bytes == res.total_bytes
+            assert ref.virtual_seconds == res.virtual_seconds
+            assert ref.per_step_seconds == res.per_step_seconds
+        assert not pool_sess.degraded
+
+
 class TestDelayAndHang:
     def test_straggler_below_timeout_is_latency_only(
         self, inproc_sess, pool_sess

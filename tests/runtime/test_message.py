@@ -9,6 +9,7 @@ from repro.runtime.message import (
     Inbox,
     MessageBatch,
     Outbox,
+    PlaneSlice,
     combine_min,
     combine_or,
     combine_sum,
@@ -154,3 +155,43 @@ class TestTaskBuffer:
         # charged post-combine: the two tasks for vertex 7 ride as one
         assert stats.messages_sent == {1: 1, 3: 2}
         assert stats.bytes_sent == {1: 16, 3: 32}
+
+
+class TestPlaneSlice:
+    """A destination's slice of a sender's slot plane: ``combine_or`` on it
+    is the compress to its lit rows."""
+
+    @pytest.mark.parametrize("words", [1, 3])
+    def test_compress_keeps_lit_rows_in_slot_order(self, words):
+        boundary = np.array([3, 8, 9, 20, 41], dtype=np.int32)
+        plane = np.zeros((5, words), dtype=np.uint64)
+        plane[1, 0] = 6
+        plane[4, words - 1] = 1
+        item = PlaneSlice(boundary, plane)
+        assert item.num_tasks == 5  # slots handed to the combine, lit or not
+        out = combine_or(item)
+        assert isinstance(out, MessageBatch)
+        assert out.vertices.tolist() == [8, 41] and out.vertices.dtype == np.int32
+        assert np.array_equal(out.payload, plane[[1, 4]])
+        assert out.payload.shape == (2, words)
+
+    def test_compress_copies_even_when_every_row_is_lit(self):
+        boundary = np.arange(4, dtype=np.int32)
+        plane = np.ones((4, 2), dtype=np.uint64)
+        out = combine_or(PlaneSlice(boundary, plane))
+        assert out.num_tasks == 4
+        assert not np.shares_memory(out.payload, plane)
+        assert not np.shares_memory(out.vertices, boundary)
+
+    def test_flush_charges_the_compressed_size_and_skips_a_dark_slice(self):
+        plane = np.zeros((6, 1), dtype=np.uint64)
+        plane[2, 0] = 5
+        boundary = np.arange(10, 16, dtype=np.int32)
+        buf = Outbox()
+        buf.append(1, PlaneSlice(boundary[:3], plane[:3]))
+        buf.append(2, PlaneSlice(boundary[3:], plane[3:]))  # nothing lit
+        stats = StepStats()
+        ((dest, sent),) = buf.flush(0, stats, combine_or)
+        assert dest == 1 and sent.vertices.tolist() == [12]
+        assert stats.messages_sent == {1: 1}
+        assert stats.bytes_sent == {1: 4 + 8}

@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 from repro.core.gas import run_gas
-from repro.core.khop import concurrent_khop
+from repro.core.khop import KHopPartitionTask, concurrent_khop
 from repro.core.multi_sssp import concurrent_sssp
 from repro.core.pagerank import PageRankProgram, pagerank
 from repro.core.reachability import reachability_queries
 from repro.graph.generators import rmat_edges
-from repro.runtime.message import MessageBatch
+from repro.runtime.message import Inbox, MessageBatch
 from repro.runtime.session import GraphSession
 
 
@@ -37,6 +37,17 @@ def session(graph):
 def _roots(graph, n, seed):
     rng = np.random.default_rng(seed)
     return rng.integers(0, graph.num_vertices, n)
+
+
+def _assert_bit_identical(a, b):
+    """Answers, wire counts and the virtual clock of two k-hop results."""
+    np.testing.assert_array_equal(a.reached, b.reached)
+    np.testing.assert_array_equal(a.completion_seconds, b.completion_seconds)
+    assert a.total_messages == b.total_messages
+    assert a.total_bytes == b.total_bytes
+    assert a.total_edges_scanned == b.total_edges_scanned
+    assert a.virtual_seconds == b.virtual_seconds
+    assert a.per_step_seconds == b.per_step_seconds
 
 
 class TestBitIdenticalReuse:
@@ -140,6 +151,75 @@ class TestBatchIsolation:
         session.prepare()
         assert m.outbox.is_empty
         assert m.inbox.is_empty
+
+    # The slot plane (one row per boundary vertex, scattered into by compute
+    # and read by the flush) is task state outside the checkpoint: whatever
+    # an interrupted batch left in it must not reach the next batch's wire.
+    # Push is forced because only the scatter depends on what the plane held.
+
+    @pytest.mark.parametrize("direction", ["push", "auto"])
+    def test_truncated_batch_leaves_nothing_in_the_slot_plane(
+        self, graph, session, direction
+    ):
+        wide = _roots(graph, 64, 12)
+        cut = concurrent_khop(graph, wide, 4, session=session,
+                              direction=direction, max_virtual_seconds=1e-9)
+        assert cut.truncated and cut.supersteps == 1
+        narrow = _roots(graph, 5, 13)
+        after = concurrent_khop(graph, narrow, 3, session=session,
+                                direction=direction)
+        fresh = concurrent_khop(graph, narrow, 3, num_machines=3,
+                                direction=direction)
+        _assert_bit_identical(after, fresh)
+
+    @pytest.mark.parametrize("direction", ["push", "auto"])
+    def test_compute_raising_after_a_peer_scattered(
+        self, graph, session, direction, monkeypatch
+    ):
+        """Machine 2 raises in its compute; machines 0 and 1 have already
+        scattered and queued their plane slices, which are never flushed."""
+        real_compute = KHopPartitionTask.compute
+
+        def raise_on_last(task, stats):
+            if task.machine.machine_id == 2:
+                raise RuntimeError("injected compute failure")
+            real_compute(task, stats)
+
+        wide = _roots(graph, 64, 14)
+        with monkeypatch.context() as patch:
+            patch.setattr(KHopPartitionTask, "compute", raise_on_last)
+            with pytest.raises(RuntimeError, match="injected"):
+                concurrent_khop(graph, wide, 3, session=session,
+                                direction=direction)
+        assert not session.cluster.machines[0].outbox.is_empty
+        narrow = _roots(graph, 5, 15)
+        after = concurrent_khop(graph, narrow, 3, session=session,
+                                direction=direction)
+        fresh = concurrent_khop(graph, narrow, 3, num_machines=3,
+                                direction=direction)
+        _assert_bit_identical(after, fresh)
+
+    @pytest.mark.parametrize("direction", ["push", "pull"])
+    def test_delivered_batches_never_alias_a_slot_plane(
+        self, graph, session, direction, monkeypatch
+    ):
+        delivered = []
+        real_append = Inbox.append
+
+        def record(inbox, batch):
+            delivered.append(batch)
+            real_append(inbox, batch)
+
+        monkeypatch.setattr(Inbox, "append", record)
+        concurrent_khop(graph, _roots(graph, 64, 16), 3, session=session,
+                        direction=direction)
+        planes = session.gather_batch(lambda task: task._plane)
+        boundaries = [p.exchange_plan().boundary for p in session.pg.partitions]
+        assert delivered and all(p.size for p in planes)
+        for batch in delivered:
+            for plane, boundary in zip(planes, boundaries):
+                assert not np.shares_memory(batch.payload, plane)
+                assert not np.shares_memory(batch.vertices, boundary)
 
     def test_narrow_then_wide_batch(self, graph, session):
         """A narrower batch after a wider one must not see old query bits."""
