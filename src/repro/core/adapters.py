@@ -14,9 +14,10 @@ and the module-level functions here, the only copy, used by both executors:
 * gathers (``*_visited_counts``, ``khop_depths``, ``gas_values``) collect
   per-partition results after the run;
 * ``mask_frontier`` is reachability's early-termination control, applied to
-  every task between supersteps;
-* ``combine_with`` is the GAS combiner (a ufunc bound with
-  :func:`functools.partial` — closures do not pickle).
+  every task between supersteps.
+
+Combiners are :mod:`repro.runtime.message`'s (``combine_or`` for traversals;
+GAS reduces through the exchange plan and flushes with ``no_combine``).
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 import numpy as np
-
-from repro.runtime.message import MessageBatch, _combine
 
 if TYPE_CHECKING:  # the task modules import this one
     from repro.core.gas import GASPartitionTask
@@ -38,7 +37,6 @@ __all__ = [
     "reach_probe",
     "mask_frontier",
     "gas_values",
-    "combine_with",
 ]
 
 #: Bytes per plane word of a combined-batch payload entry (outbox sizing).
@@ -91,12 +89,3 @@ def mask_frontier(task: KHopPartitionTask, keep: int) -> None:
 
 def gas_values(task: GASPartitionTask) -> np.ndarray:
     return task.values
-
-
-def combine_with(op: np.ufunc, batch: MessageBatch) -> MessageBatch:
-    """The GAS combiner: per-destination reduction with the program's ufunc.
-
-    Used as ``functools.partial(combine_with, program.combiner)`` — numpy
-    ufuncs pickle by name, closures do not.
-    """
-    return _combine(batch, op)

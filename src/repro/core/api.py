@@ -32,7 +32,7 @@ from repro.graph.edgelist import EdgeList
 from repro.graph.partition import PartitionedGraph
 from repro.runtime.cluster import SimCluster
 from repro.runtime.engine import EngineResult, PartitionTask
-from repro.runtime.message import MessageBatch
+from repro.runtime.message import no_combine
 from repro.runtime.netmodel import NetworkModel, StepStats
 from repro.runtime.session import GraphSession
 
@@ -219,12 +219,7 @@ def run_program(
 
     result = sess.run_batch(
         tasks=tasks,
-        combiner=combiner or _concat_combiner,
+        combiner=combiner or no_combine,
         max_supersteps=max_supersteps,
     )
     return programs, result
-
-
-def _concat_combiner(batch: MessageBatch) -> MessageBatch:
-    """Identity combiner: user programs see every message individually."""
-    return batch

@@ -119,7 +119,7 @@ class CGraph:
     # -- traversal queries --------------------------------------------------#
 
     def khop(self, sources, k: int | None, **kwargs) -> KHopResult:
-        """One bit-parallel batch of up to 64 concurrent k-hop queries."""
+        """One bit-parallel batch of up to 512 concurrent k-hop queries."""
         if self.has_edge_sets:
             kwargs.setdefault("use_edge_sets", True)
         return concurrent_khop(

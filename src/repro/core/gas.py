@@ -12,15 +12,15 @@ vertex-programming interface layered over the partition-centric engine:
   (``0.15 + 0.85 * sum``).
 
 Because all out-edges of a vertex are partition-local (§3.1), the scatter
-phase "does not generate additional traffic": only combined per-boundary-
-vertex aggregates cross the network, which the engine counts and charges.
+phase "does not generate additional traffic": only one aggregate per boundary
+vertex crosses the network, reduced where it is built from the partition's
+:class:`~repro.graph.partition.ExchangePlan`; the engine counts and charges it.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from repro.graph.edgelist import EdgeList
 from repro.graph.partition import PartitionedGraph
 from repro.runtime.cluster import SimCluster
 from repro.runtime.engine import EngineResult, PartitionTask
-from repro.runtime.message import MessageBatch
+from repro.runtime.message import MessageBatch, no_combine
 from repro.runtime.netmodel import NetworkModel, StepStats
 from repro.runtime.session import GraphSession
 
@@ -84,9 +84,11 @@ class GASRun:
 class GASPartitionTask(PartitionTask):
     """One machine's share of a GAS iteration.
 
-    Each superstep: scatter local values along local out-edges, reduce
-    per-destination (``bincount`` for the local share, combined message
-    batches for remote shares), then apply.
+    Each superstep: scatter local values along the out-edges as the
+    partition's :class:`~repro.graph.partition.ExchangePlan` lays them out —
+    a ``bincount`` over the local share, one segmented reduce per boundary
+    vertex over the remote share, queued as one reduced batch per
+    destination — then apply.  The task holds no edge arrays of its own.
     """
 
     def __init__(self, machine, cluster: SimCluster, program: VertexProgram,
@@ -94,32 +96,9 @@ class GASPartitionTask(PartitionTask):
         super().__init__(machine)
         self.cluster = cluster
         self.reset(program, initial)
-        part = machine.partition
-        csr = part.out_csr
-        # Precompute the expansion of local out-edges once; every iteration
-        # reuses it (the structure never changes, only the values do).
-        self._edge_src = np.repeat(
-            np.arange(part.num_local, dtype=np.int64), csr.degrees()
-        )
-        self._edge_dst = csr.indices.astype(np.int64)
-        local_mask = (self._edge_dst >= machine.lo) & (self._edge_dst < machine.hi)
-        self._local_sel = np.nonzero(local_mask)[0]
-        self._local_dst = self._edge_dst[self._local_sel] - machine.lo
-        remote_sel = np.nonzero(~local_mask)[0]
-        owners = cluster.owner_of(self._edge_dst[remote_sel])
-        self._remote_groups: list[tuple[int, np.ndarray, np.ndarray]] = []
-        for dest in np.unique(owners):
-            sel = remote_sel[owners == dest]
-            self._remote_groups.append(
-                (int(dest), sel, self._edge_dst[sel])
-            )
 
     def reset(self, program: VertexProgram, initial: np.ndarray) -> None:
-        """Re-arm per-run state (values, aggregates) for a new program run.
-
-        The precomputed edge expansion is structural and survives resets —
-        a session-cached task only pays for the value arrays per batch.
-        """
+        """Re-arm per-run state (values, aggregates) for a new program run."""
         machine = self.machine
         self.program = program
         self.values = np.array(initial[machine.lo : machine.hi], dtype=np.float64)
@@ -132,37 +111,47 @@ class GASPartitionTask(PartitionTask):
         # ``gathered`` accumulates across the whole superstep (local adds
         # here, remote adds in apply_inbox) and is reset in finalize — the
         # order independence is what makes the async delivery mode safe.
+        op = self.program.combiner
         scattered = self.program.scatter(self.values, self.machine.partition)
-        per_edge = scattered[self._edge_src]
-        stats.edges_scanned += int(per_edge.size)
-        if self._local_sel.size:
-            if self.program.combiner is np.add:
-                local_acc = np.bincount(
-                    self._local_dst,
-                    weights=per_edge[self._local_sel],
-                    minlength=self.machine.num_local,
-                )
-                self.gathered = self.program.combiner(self.gathered, local_acc)
+        plan, cuts = self.exchange_plan()
+        stats.edges_scanned += plan.num_edges
+        local = plan.local_csr
+        if local.nnz:
+            per_edge = np.repeat(scattered, plan.local_out_degree)
+            if op is np.add:
+                # bincount folds in edge order; a reduceat over the sweep's
+                # local runs would sum pairwise and move low bits
+                self.gathered = op(self.gathered, np.bincount(
+                    local.indices, weights=per_edge, minlength=local.num_rows
+                ))
             else:
-                self.program.combiner.at(
-                    self.gathered, self._local_dst, per_edge[self._local_sel]
-                )
-        for dest, sel, dst_global in self._remote_groups:
-            self.machine.outbox.append(
-                dest, MessageBatch(dst_global, per_edge[sel])
-            )
+                op.at(self.gathered, local.indices, per_edge)
+        if not cuts:
+            return
+        # Remote share: the sweep's slot runs list each boundary vertex's
+        # sources in the order a stable sort by target leaves them, so one
+        # reduceat yields every destination's combined batch, slot by slot.
+        first = local.nnz
+        reduced = op.reduceat(
+            scattered[plan.sweep_sources[first:]],
+            plan.sweep_starts[plan.sweep_rows.size :] - first,
+        )
+        for dest, lo, hi in cuts:  # the wire carries int64 ids
+            ids = plan.boundary[lo:hi].astype(np.int64)
+            self.machine.outbox.append(dest, MessageBatch(ids, reduced[lo:hi]))
 
     def apply_inbox(self, stats: StepStats) -> None:
+        op = self.program.combiner
         for batch in self.machine.inbox.drain():
+            # a reduced batch names each vertex once: no ``op.at`` needed
             local = batch.vertices - self.machine.lo
-            self.program.combiner.at(self.gathered, local, batch.payload)
+            self.gathered[local] = op(self.gathered[local], batch.payload)
             stats.vertices_updated += batch.num_tasks
 
     def checkpoint(self) -> dict:
-        """Per-run value state only — the precomputed edge expansion is
-        structural and identical on any rebuilt/restored task.  At a
-        superstep barrier ``gathered`` is identity-filled (finalize just
-        reset it), so that common case ships as ``None``."""
+        """Per-run value state only.  At a superstep barrier ``gathered`` is
+        identity-filled (finalize just reset it), so that common case ships
+        as ``None``."""
         idle = bool((self.gathered == self.program.identity).all())
         return {
             "values": self.values.copy(),
@@ -200,8 +189,8 @@ def run_gas(
     Stops early if every partition's :meth:`VertexProgram.has_converged`
     returns True.  Returns the assembled global value vector.  With a
     persistent ``session`` the partitioned graph and cluster are reused;
-    program state (values, gathered aggregates, the precomputed edge
-    expansion) is rebuilt per run since it belongs to the program instance.
+    program state (values, gathered aggregates) is re-armed per run since it
+    belongs to the program instance.
     On a ``backend="pool"`` session the iterations run on the worker pool
     (``program`` must be picklable; results are bit-identical, including
     float reduction order); ``asynchronous`` requires the in-process backend.
@@ -214,7 +203,7 @@ def run_gas(
         GASPartitionTask,
         dict(program=program, initial=program.initial_values(pg.num_vertices)),
         ("gas",),
-        combiner=partial(adapters.combine_with, program.combiner),
+        combiner=no_combine,
         asynchronous=asynchronous,
         max_supersteps=iterations,
     )

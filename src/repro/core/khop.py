@@ -140,9 +140,7 @@ class KHopPartitionTask(PartitionTask):
         self.depths = None
         # Slot plane: scratch between one compute's scatter and the flush
         # that follows it, (re)built by _arm_plane — never checkpointed.
-        self._plan = None
         self._plane = None
-        self._cuts: list[tuple[int, int, int]] = []
         self.reset(
             num_queries, k, use_edge_sets, record_depths, direction,
             push_coeff, pull_coeff,
@@ -218,7 +216,7 @@ class KHopPartitionTask(PartitionTask):
         active = self.state.active_vertices()
         if active.size == 0:
             return
-        plan = self._arm_plane()
+        plan, cuts = self._arm_plane()
         if self._choose_mode(plan, active) == "pull":
             stats.pull_partitions += 1
             self._expand_pull(plan, active, stats)
@@ -229,26 +227,26 @@ class KHopPartitionTask(PartitionTask):
             # rewind), this scatter starts from zero.  Pull assigns every row.
             self._plane.fill(0)
             if self.use_edge_sets:
-                self._expand_edge_sets(active, stats)
+                blocks = self.machine.partition.edge_sets.row_major_blocks()
+                in_memory = ((b.row_lo, b.row_hi, lambda b=b: b) for b in blocks)
+                self._scan_blocks(in_memory, active, stats)
             else:
                 self._expand_push(plan, active, stats)
-        for dest, lo, hi in self._cuts:
+        for dest, lo, hi in cuts:
             rows = self._plane[lo:hi]
             if rows.any():
                 self.machine.outbox.append(
                     dest, PlaneSlice(plan.boundary[lo:hi], rows)
                 )
 
-    def _arm_plane(self) -> ExchangePlan:
-        """The partition's plan, with a slot plane and destination cuts that
-        match it — allocated once per (plan, batch width), not per superstep."""
-        plan = self.machine.partition.exchange_plan()
+    def _arm_plane(self) -> tuple[ExchangePlan, list]:
+        """The partition's plan and cuts, with a slot plane that matches —
+        allocated once per (slot count, batch width), not per superstep."""
+        plan, cuts = self.exchange_plan()
         shape = (plan.num_slots, self.state.words)
-        if plan is not self._plan or self._plane.shape != shape:
-            self._plan = plan
+        if self._plane is None or self._plane.shape != shape:
             self._plane = np.zeros(shape, dtype=np.uint64)
-            self._cuts = plan.cuts(self.cluster.owner_of(plan.boundary))
-        return plan
+        return plan, cuts
 
     def _choose_mode(self, plan: ExchangePlan, active: np.ndarray) -> str:
         """Per-superstep direction decision for this partition.
@@ -266,9 +264,10 @@ class KHopPartitionTask(PartitionTask):
         )
 
     def apply_inbox(self, stats: StepStats) -> None:
+        nxt = self.state.next
         for batch in self.machine.inbox.drain():
-            local = batch.vertices - self.machine.lo
-            self.state.or_into_next(local, batch.payload)
+            # a combined batch names each vertex once: plain indexed OR
+            nxt[batch.vertices - self.machine.lo] |= batch.payload
             stats.vertices_updated += batch.num_tasks
 
     def finalize(self) -> bool:
@@ -327,25 +326,26 @@ class KHopPartitionTask(PartitionTask):
         stats.edges_scanned += int(plan.out_degree[active].sum())
         stats.vertices_updated += int(plan.local_out_degree[active].sum())
 
-    def _expand_edge_sets(self, active: np.ndarray, stats) -> None:
-        """Left-to-right scan over edge-set blocks (§3.2).
+    def _scan_blocks(self, blocks, active: np.ndarray, stats) -> None:
+        """Left-to-right scan over edge-set blocks (§3.2), each given as
+        ``(row_lo, row_hi, fetch)``.
 
         Only blocks whose row range intersects the active frontier are
-        touched — the shared-subgraph benefit: frontier vertices of *all*
-        queries in one block are expanded in a single pass.
+        fetched (the out-of-core store's ``fetch`` pays the disk tier) — the
+        shared-subgraph benefit: frontier vertices of *all* queries in one
+        block are expanded in a single pass.
         """
-        esm = self.machine.partition.edge_sets
         frontier = self.state.frontier
-        for block in esm.row_major_blocks():
-            rows = active[(active >= block.row_lo) & (active < block.row_hi)]
+        for row_lo, row_hi, fetch in blocks:
+            rows = active[(active >= row_lo) & (active < row_hi)]
             if rows.size == 0:
                 continue
-            local_rows = rows - block.row_lo
-            pos, counts = block.csr.gather_edges(local_rows)
+            csr = fetch().csr
+            pos, counts = csr.gather_edges(rows - row_lo)
             if pos.size == 0:
                 continue
-            targets = block.csr.indices[pos]
-            self._route(targets, np.repeat(frontier[rows], counts, axis=0), stats)
+            ebits = np.repeat(frontier[rows], counts, axis=0)
+            self._route(csr.indices[pos], ebits, stats)
 
     def _route(self, targets: np.ndarray, ebits: np.ndarray, stats) -> None:
         """Land a block scan's expanded edges (global targets, mixed

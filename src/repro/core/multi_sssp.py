@@ -9,9 +9,9 @@ vertex improved *by any query*, so overlapping query neighbourhoods are
 scanned once per superstep rather than once per query — the same
 shared-subgraph effect, in min-plus algebra instead of boolean OR.
 
-Messages carry a full Q-vector of candidate distances per boundary vertex
-and are combined by elementwise minimum before the wire.  Single-source
-:func:`~repro.core.sssp.sssp` is this engine at ``Q = 1``.
+Messages carry a full Q-vector of candidate distances per boundary vertex,
+min-reduced over the partition's exchange-plan slots where they are built.
+Single-source :func:`~repro.core.sssp.sssp` is this engine at ``Q = 1``.
 """
 
 from __future__ import annotations
@@ -20,11 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import InvalidQueryError
 from repro.graph.edgelist import EdgeList
 from repro.graph.partition import PartitionedGraph
 from repro.runtime.cluster import SimCluster
 from repro.runtime.engine import EngineResult, PartitionTask
-from repro.runtime.message import combine_min, reduce_by_key
+from repro.runtime.message import MessageBatch, no_combine, reduce_by_key
 from repro.runtime.netmodel import NetworkModel, StepStats
 from repro.runtime.session import GraphSession
 
@@ -73,29 +74,32 @@ class _MultiSSSPTask(PartitionTask):
         self.active[:] = False
         if rows.size == 0:
             return
-        csr = self.machine.partition.out_csr
-        if csr.weights is None:
-            raise ValueError("SSSP requires a weighted graph")
-        pos, counts = csr.gather_edges(rows)
-        if pos.size == 0:
-            return
-        targets = csr.indices[pos]
-        # candidate matrix: source row's distances + edge weight, per edge
-        cand = np.repeat(self.dist[rows], counts, axis=0) + csr.weights[pos][:, None]
-        stats.edges_scanned += int(targets.size)
-        lo, hi = self.machine.lo, self.machine.hi
-        local_mask = (targets >= lo) & (targets < hi)
-        if local_mask.any():
-            self._relax(targets[local_mask] - lo, cand[local_mask], stats)
-        remote = ~local_mask
-        if remote.any():
-            rt, rc = targets[remote], cand[remote]
-            self.machine.outbox.route(self.cluster.owner_of(rt), rt, rc)
+        plan, cuts = self.exchange_plan()
+        local, slot = plan.local_csr, plan.slot_csr
+        pos, counts = local.gather_edges(rows)
+        spos, scounts = slot.gather_edges(rows)
+        stats.edges_scanned += int(pos.size + spos.size)
+        # candidates: the source row's distances + edge weight, per edge
+        # (copied out, so the local relaxation does not feed the remote half)
+        dist = self.dist[rows]
+        if pos.size:
+            cand = np.repeat(dist, counts, axis=0) + local.weights[pos][:, None]
+            self._improve(*reduce_by_key(local.indices[pos], cand, np.minimum), stats)
+        if spos.size:
+            cand = np.repeat(dist, scounts, axis=0) + slot.weights[spos][:, None]
+            # one min per boundary vertex reached, slots ascending: each
+            # destination's slice of it is its combined wire batch
+            slots, mins = reduce_by_key(slot.indices[spos], cand, np.minimum)
+            for dest, lo, hi in cuts:
+                a, b = np.searchsorted(slots, (lo, hi))
+                self.machine.outbox.append(
+                    dest, MessageBatch(plan.boundary[slots[a:b]], mins[a:b])
+                )
 
     def apply_inbox(self, stats: StepStats) -> None:
         for batch in self.machine.inbox.drain():
-            local = batch.vertices - self.machine.lo
-            self._relax(local, batch.payload, stats)
+            # a combined batch names each vertex once: nothing to reduce
+            self._improve(batch.vertices - self.machine.lo, batch.payload, stats)
 
     def finalize(self) -> bool:
         self.hop += 1
@@ -103,14 +107,13 @@ class _MultiSSSPTask(PartitionTask):
             return False
         return bool(self.active.any())
 
-    def _relax(self, local: np.ndarray, cand: np.ndarray, stats: StepStats) -> None:
-        # per-destination min over duplicate rows, then one improvement pass
-        uv, umin = reduce_by_key(local, cand, np.minimum)
-        improved_rows = (umin < self.dist[uv]).any(axis=1)
+    def _improve(self, rows: np.ndarray, cand: np.ndarray, stats: StepStats) -> None:
+        """One improvement pass over unique local ``rows``."""
+        improved_rows = (cand < self.dist[rows]).any(axis=1)
         if improved_rows.any():
-            tgt = uv[improved_rows]
+            tgt = rows[improved_rows]
             # fancy indexing copies: assign back explicitly
-            self.dist[tgt] = np.minimum(self.dist[tgt], umin[improved_rows])
+            self.dist[tgt] = np.minimum(self.dist[tgt], cand[improved_rows])
             self.active[tgt] = True
             stats.vertices_updated += int(tgt.size)
 
@@ -132,6 +135,8 @@ def concurrent_sssp(
     sess = GraphSession.for_run(graph, num_machines, netmodel, session)
     pg = sess.pg
     cluster = sess.cluster
+    if any(part.out_csr.weights is None for part in pg.partitions):
+        raise InvalidQueryError("SSSP requires a weighted graph")
     sources = sess.check_sources(sources, MAX_SSSP_BATCH)
     num_queries = int(sources.size)
 
@@ -143,7 +148,7 @@ def concurrent_sssp(
     sess.seed_sources(tasks, sources)
 
     result = sess.run_batch(
-        tasks=tasks, combiner=combine_min, max_supersteps=max_hops
+        tasks=tasks, combiner=no_combine, max_supersteps=max_hops
     )
 
     distances = np.empty((pg.num_vertices, num_queries))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import tempfile
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -38,19 +39,13 @@ class _OOCKHopTask(KHopPartitionTask):
         self.store = store
 
     def _expand_push(self, plan, active: np.ndarray, stats) -> None:
-        frontier = self.state.frontier
-        for i in range(self.store.num_blocks):
-            row_lo, row_hi, _, _ = self.store.block_bounds(i)
-            rows = active[(active >= row_lo) & (active < row_hi)]
-            if rows.size == 0:
-                continue  # untouched blocks never leave disk
-            block = self.store.get_block(i, stats=stats)
-            local_rows = rows - block.row_lo
-            pos, counts = block.csr.gather_edges(local_rows)
-            if pos.size == 0:
-                continue
-            targets = block.csr.indices[pos]
-            self._route(targets, np.repeat(frontier[rows], counts, axis=0), stats)
+        # the fetch pays the disk tier; untouched blocks never leave disk
+        store = self.store
+        on_disk = (
+            (*store.block_bounds(i)[:2], partial(store.get_block, i, stats=stats))
+            for i in range(store.num_blocks)
+        )
+        self._scan_blocks(on_disk, active, stats)
 
 
 @dataclass

@@ -23,7 +23,7 @@ from repro.graph.edgelist import EdgeList
 from repro.graph.partition import PartitionedGraph
 from repro.runtime.cluster import SimCluster
 from repro.runtime.engine import EngineResult, PartitionTask
-from repro.runtime.message import MessageBatch
+from repro.runtime.message import no_combine
 from repro.runtime.netmodel import NetworkModel, StepStats
 from repro.runtime.session import GraphSession
 
@@ -173,12 +173,8 @@ def run_vertex_centric(
     cluster = sess.cluster
     sess.prepare()
     tasks = [_VertexTask(m, cluster, program) for m in cluster.machines]
-
-    def identity_combiner(batch: MessageBatch) -> MessageBatch:
-        return batch
-
     result = sess.run_batch(
-        tasks=tasks, combiner=identity_combiner, max_supersteps=max_supersteps
+        tasks=tasks, combiner=no_combine, max_supersteps=max_supersteps
     )
     values = np.empty(pg.num_vertices, dtype=np.float64)
     for t in tasks:

@@ -67,17 +67,18 @@ class ExchangePlan:
       Sorted ids under range partitioning mean each destination partition
       owns a contiguous slice (:meth:`cuts`), and a slice's non-zero rows in
       slot order are that destination's combined wire batch.
-    * ``local_csr`` / ``slot_csr`` — ``out_csr`` split by locality, rows and
-      per-row column order kept: columns are local rows and slots.  The push
-      kernel gathers the active frontier's edges from each and scatters
-      into ``next`` and into the slot plane.
+    * ``local_csr`` / ``slot_csr`` — ``out_csr`` split by locality, rows,
+      per-row column order and edge weights kept: columns are local rows and
+      slots.  A push kernel gathers the active rows' edges from each and
+      scatters into local state and into the slot space.
     * ``sweep_sources`` / ``sweep_starts`` / ``sweep_rows`` — every out-edge
       grouped by target over the unified target space ``[local rows | slots]``
-      for the pull kernel's one segmented OR: run ``i`` is
-      ``sweep_sources[sweep_starts[i]:sweep_starts[i+1]]`` (local source
-      rows).  The first ``len(sweep_rows)`` runs are the local target rows
-      with a local in-edge; the remaining ``num_slots`` runs are the slots in
-      order (a slot always has an edge).
+      for one segmented reduce (k-hop's pull, GAS's remote gather): run ``i``
+      is ``sweep_sources[sweep_starts[i]:sweep_starts[i+1]]`` (local source
+      rows, ascending — a stable sort by target).  The first
+      ``len(sweep_rows)`` runs are the local target rows with a local
+      in-edge; the remaining ``num_slots`` runs are the slots in order (a
+      slot always has an edge).
     * ``out_degree`` / ``local_out_degree`` — per-local-row totals for the
       canonical (push-equivalent) cost accounting and the direction
       heuristic's frontier-edge mass.
@@ -364,7 +365,9 @@ def _build_exchange_plan(part: Partition) -> ExchangePlan:
     is_local = (cols >= lo) & (cols < hi)
     local_indptr = _masked_prefix(is_local, out.indptr)
     slot_indptr = out.indptr - local_indptr
-    remote_cols = cols[~is_local]
+    is_remote = ~is_local
+    remote_cols = cols[is_remote]
+    w = out.weights
 
     # The one sort: remote edges by target.  It yields the slot space, every
     # remote edge's slot, and the slot half of the target-major sweep.
@@ -388,8 +391,10 @@ def _build_exchange_plan(part: Partition) -> ExchangePlan:
     out_degree = np.diff(out.indptr)
     return ExchangePlan(
         boundary=sorted_cols[slot_starts],
-        local_csr=CSR(local_indptr, cols[is_local] - shift),
-        slot_csr=CSR(slot_indptr, slots),
+        local_csr=CSR(
+            local_indptr, cols[is_local] - shift, None if w is None else w[is_local]
+        ),
+        slot_csr=CSR(slot_indptr, slots, None if w is None else w[is_remote]),
         sweep_sources=np.concatenate([local_sources, remote_rows[order]]),
         sweep_starts=np.concatenate(
             [row_ptr[sweep_rows], local_sources.size + slot_starts]

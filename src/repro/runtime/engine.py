@@ -86,13 +86,28 @@ def emit_superstep(
 class PartitionTask(ABC):
     """One machine's share of a distributed algorithm.
 
-    Subclasses hold per-partition state (frontiers, values), send remote tasks
-    with ``self.machine.outbox.route(owners, vertices, payload)`` and read
-    them from ``self.machine.inbox.drain()``; local updates touch no buffer.
+    Subclasses hold per-partition state (frontiers, values) and read remote
+    tasks from ``self.machine.inbox.drain()``; local updates touch no buffer.
+    Built-ins queue one reduced batch per destination through
+    :meth:`exchange_plan`; user programs, whose targets no plan knows, send
+    with ``self.machine.outbox.route(owners, vertices, payload)``.
     """
 
     def __init__(self, machine):
         self.machine = machine
+        self._plan = None
+        self._cuts: list[tuple[int, int, int]] = []
+
+    def exchange_plan(self):
+        """``(plan, cuts)``: the partition's
+        :class:`~repro.graph.partition.ExchangePlan` and each destination's
+        ``(dest, lo, hi)`` slice of its slot space — owners looked up (through
+        ``self.cluster``) once per plan, so a mutation that drops it re-arms."""
+        plan = self.machine.partition.exchange_plan()
+        if plan is not self._plan:
+            self._plan = plan
+            self._cuts = plan.cuts(self.cluster.owner_of(plan.boundary))
+        return plan, self._cuts
 
     @abstractmethod
     def compute(self, stats: StepStats) -> None:

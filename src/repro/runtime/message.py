@@ -7,18 +7,18 @@ destination-vertex array plus a same-length payload array, following the
 mpi4py idiom of shipping numpy buffers rather than per-object messages.
 
 The whole life of a remote task is written here once, so the message format
-is this module's alone: :meth:`Outbox.route` queues tasks under their owning
-partitions (the traversal engines, whose partition laid the boundary out
-ahead of time, queue a :class:`PlaneSlice` per destination with
-:meth:`Outbox.append` and need no bucketing, sort or reduce);
-:meth:`Outbox.flush` combines per destination, charges the
-sender's ``StepStats`` and hands the batches to the executor's transport
+is this module's alone: :meth:`Outbox.route` queues user-program tasks under
+their owning partitions (the built-in engines, whose partition laid the
+boundary out ahead of time, :meth:`Outbox.append` one already-reduced item
+per destination — a :class:`PlaneSlice` for traversals — and need no
+bucketing or sort); :meth:`Outbox.flush` combines per destination, charges
+the sender's ``StepStats`` and hands the batches to the executor's transport
 (in-process inboxes, or the pool's shared memory); :meth:`Inbox.drain` hands
 them to ``apply_inbox`` in delivery order, sender-ascending on both.
 
-Combining (k-hop by bitwise OR of query bit-masks, SSSP by elementwise
-minimum) models the paper's observation that concurrent queries share
-vertices — one message per vertex serves all queries in the batch.
+Reducing per vertex (k-hop by bitwise OR of query bit-masks, SSSP by
+elementwise minimum) models the paper's observation that concurrent queries
+share vertices — one message per vertex serves all queries in the batch.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 __all__ = [
     "MessageBatch", "PlaneSlice", "Outbox", "Inbox", "reduce_by_key",
-    "combine_or", "combine_min", "combine_sum",
+    "combine_or", "combine_min", "combine_sum", "no_combine",
 ]
 
 
@@ -114,13 +114,19 @@ def combine_or(batch: MessageBatch | PlaneSlice) -> MessageBatch:
 
 
 def combine_min(batch: MessageBatch) -> MessageBatch:
-    """Deduplicate destinations, keeping the minimum payload (SSSP combiner)."""
+    """Deduplicate destinations, keeping the minimum payload."""
     return _combine(batch, np.minimum)
 
 
 def combine_sum(batch: MessageBatch) -> MessageBatch:
-    """Deduplicate destinations, summing payloads (GAS gather combiner)."""
+    """Deduplicate destinations, summing payloads in emission order."""
     return _combine(batch, np.add)
+
+
+def no_combine(batch: MessageBatch) -> MessageBatch:
+    """Identity: for batches reduced where they are built (GAS, SSSP) and
+    for user programs that must see every message individually."""
+    return batch
 
 
 def _combine(batch: MessageBatch, op) -> MessageBatch:

@@ -17,14 +17,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.frontier import make_query_mask
+from repro.core.gas import GASPartitionTask
 from repro.core.khop import DIRECTIONS, KHopPartitionTask, concurrent_khop
+from repro.core.multi_sssp import _MultiSSSPTask
+from repro.core.pagerank import PageRankProgram
 from repro.core.reachability import reachability_queries
 from repro.graph import EdgeList, range_partition, rmat_edges
 from repro.runtime.cluster import SimCluster
 from repro.runtime.fault import FaultPlan, FaultTolerance
-from repro.runtime.message import Outbox, combine_or
+from repro.runtime.message import (
+    Outbox,
+    combine_min,
+    combine_or,
+    combine_sum,
+    no_combine,
+    reduce_by_key,
+)
 from repro.runtime.netmodel import StepStats
 from repro.runtime.session import GraphSession
+from tests.core.test_gas_pagerank import MinLabelProgram
 
 
 def _assert_same(res, ref):
@@ -155,10 +166,17 @@ def _check_plan(pg, part):
                        out.indices])
     assert plan.num_edges == out.nnz
     assert np.array_equal(swept[:, np.lexsort(swept)], stored[:, np.lexsort(stored)])
+    # edge weights follow the split edge for edge
+    if out.weights is None:
+        assert plan.local_csr.weights is None and plan.slot_csr.weights is None
+    else:
+        is_local = part.is_local(out.indices)
+        assert np.array_equal(plan.local_csr.weights, out.weights[is_local])
+        assert np.array_equal(plan.slot_csr.weights, out.weights[~is_local])
 
 
 def _generic_superstep(pg, part, frontier):
-    """One superstep the way every other engine still does it: expand to
+    """One k-hop superstep by the generic path: expand to
     ``(global target, bits)`` pairs, mask by locality, ``Outbox.route`` by
     owner, ``combine_or`` per destination."""
     active = np.nonzero(frontier.any(axis=1))[0]
@@ -176,24 +194,140 @@ def _generic_superstep(pg, part, frontier):
     return nxt, outbox.flush(part.part_id, stats, combine_or), stats
 
 
+def _assert_same_wire(wire, ref_wire):
+    assert [d for d, _ in wire] == [d for d, _ in ref_wire]
+    for (_, got), (_, want) in zip(wire, ref_wire):
+        assert got.vertices.dtype == want.vertices.dtype
+        assert got.payload.dtype == want.payload.dtype
+        assert np.array_equal(got.vertices, want.vertices)
+        assert np.array_equal(got.payload, want.payload)
+        assert got.nbytes() == want.nbytes()
+
+
+class _RoutedGASTask(GASPartitionTask):
+    """GAS by the generic path: every remote edge's raw value through
+    ``Outbox.route``, reduced by the flush's combiner, ``op.at`` on receipt."""
+
+    def compute(self, stats):
+        part, op = self.machine.partition, self.program.combiner
+        out = part.out_csr
+        per_edge = np.repeat(self.program.scatter(self.values, part), out.degrees())
+        dst = out.indices.astype(np.int64)
+        stats.edges_scanned += int(per_edge.size)
+        local = part.is_local(dst)
+        if local.any():
+            if op is np.add:
+                self.gathered = self.gathered + np.bincount(
+                    dst[local] - part.lo, weights=per_edge[local],
+                    minlength=part.num_local,
+                )
+            else:
+                op.at(self.gathered, dst[local] - part.lo, per_edge[local])
+        self.machine.outbox.route(
+            self.cluster.owner_of(dst[~local]), dst[~local], per_edge[~local]
+        )
+
+    def apply_inbox(self, stats):
+        for batch in self.machine.inbox.drain():
+            self.program.combiner.at(
+                self.gathered, batch.vertices - self.machine.lo, batch.payload
+            )
+            stats.vertices_updated += batch.num_tasks
+
+
+class _RoutedSSSPTask(_MultiSSSPTask):
+    """Multi-SSSP by the generic path: locality mask, ``Outbox.route``,
+    ``combine_min`` at the flush, a sort-and-reduce again on receipt."""
+
+    def compute(self, stats):
+        if self.max_hops is not None and self.hop >= self.max_hops:
+            self.active[:] = False
+            return
+        rows = np.nonzero(self.active)[0]
+        self.active[:] = False
+        part = self.machine.partition
+        pos, counts = part.out_csr.gather_edges(rows)
+        if pos.size == 0:
+            return
+        targets = part.out_csr.indices[pos]
+        cand = (np.repeat(self.dist[rows], counts, axis=0)
+                + part.out_csr.weights[pos][:, None])
+        stats.edges_scanned += int(targets.size)
+        local = part.is_local(targets)
+        if local.any():
+            self._improve(
+                *reduce_by_key(targets[local] - part.lo, cand[local], np.minimum),
+                stats,
+            )
+        self.machine.outbox.route(
+            self.cluster.owner_of(targets[~local]), targets[~local], cand[~local]
+        )
+
+    def apply_inbox(self, stats):
+        for batch in self.machine.inbox.drain():
+            self._improve(
+                *reduce_by_key(
+                    batch.vertices - self.machine.lo, batch.payload, np.minimum
+                ),
+                stats,
+            )
+
+
+def _lockstep(cluster, tasks, combiner, max_steps):
+    """Supersteps by hand, keeping what the engine consumes: every machine's
+    flushed wire and ``StepStats``, per superstep."""
+    cluster.reset_buffers()
+    trace = []
+    for _ in range(max_steps):
+        stats = [StepStats() for _ in tasks]
+        for task, mine in zip(tasks, stats):
+            task.compute(mine)
+        wires = []
+        for task, mine in zip(tasks, stats):
+            machine = task.machine
+            wires.append(machine.outbox.flush(machine.machine_id, mine, combiner))
+            for dest, batch in wires[-1]:
+                cluster.machines[dest].inbox.append(batch)
+        for task, mine in zip(tasks, stats):
+            task.apply_inbox(mine)
+        trace.append((wires, stats))
+        if not any([task.finalize() for task in tasks]):
+            break
+    return trace
+
+
+def _assert_same_trace(trace, ref_trace):
+    assert len(trace) == len(ref_trace)
+    for (wires, stats), (ref_wires, ref_stats) in zip(trace, ref_trace):
+        for wire, ref_wire in zip(wires, ref_wires):
+            _assert_same_wire(wire, ref_wire)
+        assert stats == ref_stats
+
+
+_random_digraph = dict(
+    pairs=st.lists(
+        st.tuples(st.integers(0, 11), st.integers(0, 11)),
+        min_size=0, max_size=70,
+    ),
+    # ids 0..11 on 12..14 vertices: isolated tail vertices, and with five
+    # machines trailing partitions that own no vertex at all
+    num_vertices=st.integers(12, 14),
+    machines=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+)
+
+
 class TestPlanPathEqualsGenericPath:
-    """The plan-driven kernels against the path they replaced in k-hop."""
+    """The plan-driven kernels against the generic path they replaced:
+    ``Outbox.route`` by owner, one ``combine_*`` per destination."""
 
     @settings(max_examples=60, deadline=None)
     @given(
-        pairs=st.lists(
-            st.tuples(st.integers(0, 11), st.integers(0, 11)),
-            min_size=0, max_size=70,
-        ),
-        num_vertices=st.integers(12, 14),
-        machines=st.integers(1, 5),
         width=st.sampled_from([1, 64, 65, 130]),
         density=st.sampled_from([0.1, 0.5, 1.0]),
-        seed=st.integers(0, 2**16),
+        **_random_digraph,
     )
     def test_one_superstep(self, pairs, num_vertices, machines, width, density, seed):
-        # ids 0..11 on 12..14 vertices: isolated tail vertices, and with five
-        # machines trailing partitions that own no vertex at all
         el = EdgeList.from_pairs(pairs, num_vertices=num_vertices).deduplicate()
         pg = range_partition(el, machines)
         cluster = SimCluster(pg)
@@ -219,17 +353,65 @@ class TestPlanPathEqualsGenericPath:
                     task.compute(stats)
                     wire = machine.outbox.flush(part.part_id, stats, combine_or)
                 assert np.array_equal(task.state.next, ref_next)
-                assert [d for d, _ in wire] == [d for d, _ in ref_wire]
-                for (_, got), (_, want) in zip(wire, ref_wire):
-                    assert got.vertices.dtype == want.vertices.dtype
-                    assert got.payload.dtype == want.payload.dtype
-                    assert np.array_equal(got.vertices, want.vertices)
-                    assert np.array_equal(got.payload, want.payload)
-                    assert got.nbytes() == want.nbytes()
+                _assert_same_wire(wire, ref_wire)
                 assert stats.edges_scanned == ref_stats.edges_scanned
                 assert stats.vertices_updated == ref_stats.vertices_updated
                 assert stats.bytes_sent == ref_stats.bytes_sent
                 assert stats.total_messages == ref_stats.total_messages
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        program=st.sampled_from(
+            [(PageRankProgram(), combine_sum), (MinLabelProgram(), combine_min)]
+        ),
+        **_random_digraph,
+    )
+    def test_gas_supersteps(self, pairs, num_vertices, machines, seed, program):
+        """GAS (``np.add`` and ``np.minimum``) reduces over the sweep's slot
+        runs: float for float what route + combine_sum / combine_min ships."""
+        program, combiner = program
+        el = EdgeList.from_pairs(pairs, num_vertices=num_vertices).deduplicate()
+        cluster = SimCluster(range_partition(el, machines))
+        initial = np.random.default_rng(seed).uniform(0.0, 9.0, num_vertices)
+        plan_tasks, routed_tasks = (
+            [cls(m, cluster, program, initial) for m in cluster.machines]
+            for cls in (GASPartitionTask, _RoutedGASTask)
+        )
+        _assert_same_trace(
+            _lockstep(cluster, plan_tasks, no_combine, 4),
+            _lockstep(cluster, routed_tasks, combiner, 4),
+        )
+        for got, want in zip(plan_tasks, routed_tasks):
+            assert np.array_equal(got.values, want.values)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        width=st.sampled_from([1, 7]),
+        max_hops=st.sampled_from([None, 1, 3]),
+        **_random_digraph,
+    )
+    def test_sssp_supersteps(self, pairs, num_vertices, machines, seed, width, max_hops):
+        """Multi-SSSP mins over the gathered edges' slot ids: the batches
+        route + combine_min ships, already unique on receipt."""
+        el = EdgeList.from_pairs(pairs, num_vertices=num_vertices).deduplicate()
+        rng = np.random.default_rng(seed)
+        el = EdgeList(el.src, el.dst, num_vertices, rng.uniform(0.1, 4.0, el.num_edges))
+        pg = range_partition(el, machines)
+        cluster = SimCluster(pg)
+        for part in pg.partitions:
+            _check_plan(pg, part)
+        sources = rng.integers(0, num_vertices, size=width)
+        traces = []
+        for cls, combiner in ((_MultiSSSPTask, no_combine), (_RoutedSSSPTask, combine_min)):
+            tasks = [cls(m, cluster, width, max_hops) for m in cluster.machines]
+            for q, s in enumerate(sources):
+                task = tasks[int(pg.owner_of(s))]
+                task.seed(int(s) - task.machine.lo, q)
+            traces.append((_lockstep(cluster, tasks, combiner, 20), tasks))
+        (trace, tasks), (ref_trace, ref_tasks) = traces
+        _assert_same_trace(trace, ref_trace)
+        for got, want in zip(tasks, ref_tasks):
+            assert np.array_equal(got.dist, want.dist)
 
     def test_edge_set_scan_lands_in_the_same_planes(self, small_rmat):
         """``_route`` (edge-set and out-of-core block scans) reaches the slot

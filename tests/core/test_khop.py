@@ -12,7 +12,9 @@ from repro.baselines.oracle import oracle_khop_reach
 from repro.core.batch import run_query_stream
 from repro.core.frontier import MAX_WIDE_BATCH
 from repro.core.khop import DIRECTIONS, concurrent_khop
+from repro.core.pagerank import pagerank
 from repro.graph import EdgeList, path_graph, range_partition, rmat_edges
+from repro.runtime.session import GraphSession
 
 
 class TestSingleQuery:
@@ -298,3 +300,68 @@ class TestGoldenWire:
             ).hexdigest(),
         )
         assert got == self.GOLDEN[width]
+
+
+class TestGoldenWireGasSssp:
+    """PageRank's and multi-SSSP's wire, byte for byte, on the same graph:
+    literals recorded at the parent of the commit that moved both from
+    route + sort-and-reduce per superstep to the exchange plan.  The float
+    fold order (bincount over local edges, reduceat over slot runs), the
+    int64 / int32 wire ids and every clock are pinned here."""
+
+    @staticmethod
+    def _wire(values, result):
+        total = result.total_stats()
+        return dict(
+            messages=total.total_messages, bytes=total.total_bytes,
+            edges_scanned=total.edges_scanned,
+            vertices_updated=total.vertices_updated,
+            virtual_seconds=repr(result.virtual_seconds),
+            sha256=hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest(),
+        )
+
+    PAGERANK = dict(messages=6100, bytes=97600, edges_scanned=44580,
+                    vertices_updated=6100)
+    PAGERANK_SYNC = dict(
+        PAGERANK, virtual_seconds="0.0025550203636363635",
+        sha256="992d9c038fd970264e733916e32ee020b861e033d19837ed064cfa008f246791",
+    )
+    PAGERANK_ASYNC = dict(
+        PAGERANK, virtual_seconds="0.0010355840000000002",
+        sha256="0f2b50ef9fe0fc6b5b4b9d3b76c4959d7e5a665b42871392c67d7186955f4b3b",
+    )
+    SSSP = {
+        1: dict(
+            messages=2557, bytes=30684, edges_scanned=12269, vertices_updated=1344,
+            virtual_seconds="0.0022672105818181817",
+            sha256="897f6d33996a20be0c1176e1747d8e6eb8c468488358b230a14587716b1fd1ea",
+        ),
+        32: dict(
+            messages=4226, bytes=1098760, edges_scanned=26068, vertices_updated=3816,
+            virtual_seconds="0.002915859272727273",
+            sha256="09fa5cd741f04c05bd1725c5866dfa86d0d5eb4e27af3554536bf56c1e1dc17a",
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return rmat_edges(9, 6000, seed=21).remove_self_loops().deduplicate()
+
+    @pytest.mark.parametrize("backend", ["inproc", "pool"])
+    def test_pagerank(self, graph, backend):
+        with GraphSession(graph, num_machines=3, backend=backend) as sess:
+            run = pagerank(graph, session=sess)
+            assert self._wire(run.values, run.engine_result) == self.PAGERANK_SYNC
+            if backend == "inproc":
+                run = pagerank(graph, session=sess, asynchronous=True)
+                assert self._wire(run.values, run.engine_result) == self.PAGERANK_ASYNC
+
+    @pytest.mark.parametrize("width", sorted(SSSP))
+    def test_multi_sssp(self, graph, width):
+        rng = np.random.default_rng(3)
+        weighted = EdgeList(graph.src, graph.dst, graph.num_vertices,
+                            rng.uniform(0.1, 4.0, graph.num_edges))
+        sources = rng.integers(0, graph.num_vertices, size=32)
+        with GraphSession(weighted, num_machines=3) as sess:
+            res = sess.multi_sssp(sources[:width])
+        assert self._wire(res.distances, res.engine_result) == self.SSSP[width]

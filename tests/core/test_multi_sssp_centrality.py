@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 
 from repro.baselines.oracle import oracle_sssp
 from repro.core.centrality import closeness_centrality, harmonic_centrality
+from repro.core.khop import concurrent_khop
 from repro.core.multi_sssp import concurrent_sssp
 from repro.core.sssp import sssp
+from repro.errors import InvalidQueryError
 from repro.graph import EdgeList, path_graph, range_partition, star_graph
+from repro.runtime.session import GraphSession
 
 
 def _weighted(el, seed=0, lo=0.1, hi=4.0):
@@ -62,6 +65,18 @@ class TestConcurrentSSSP:
     def test_unweighted_rejected(self, small_rmat):
         with pytest.raises(ValueError):
             concurrent_sssp(small_rmat, [0])
+
+    def test_unweighted_refused_at_the_door(self, small_rmat):
+        """Typed, and before ``prepare()`` or any seeding: the session has
+        run nothing and serves the next batch."""
+        with GraphSession(small_rmat, num_machines=3) as sess:
+            for run in (lambda: sess.multi_sssp([0, 9]), lambda: sess.sssp(9)):
+                with pytest.raises(InvalidQueryError, match="weighted graph"):
+                    run()
+            assert sess.batches_run == 0
+            got = sess.khop([0, 9], 2)
+        want = concurrent_khop(small_rmat, [0, 9], 2, num_machines=3)
+        np.testing.assert_array_equal(got.reached, want.reached)
 
     def test_batch_limits(self, small_rmat):
         w = _weighted(small_rmat)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.dynamic import DynamicGraph
 from repro.errors import MutationError
-from repro.graph import EdgeList, range_partition
+from repro.graph import CSR, EdgeList, range_partition
 from repro.runtime.session import GraphSession
 
 from tests.dynamic.conftest import (
@@ -97,9 +97,10 @@ class TestSplicing:
 class TestSlotSpace:
     """A partition's exchange plan is dropped with its edges: an insert that
     reaches a new remote vertex grows the slot space, a delete that removes
-    the last edge to one shrinks it, and traversal on the mutated session —
-    in-process (spliced in place) or pool (workers re-splice from their base
-    image) — matches a session built fresh on the mutated graph."""
+    the last edge to one shrinks it, and traversal, PageRank and multi-SSSP
+    on the mutated session — in-process (spliced in place) or pool (workers
+    re-splice from their base image) — match a session built fresh on the
+    mutated graph."""
 
     @staticmethod
     def _grow_and_shrink(sess):
@@ -127,6 +128,34 @@ class TestSlotSpace:
                 assert got.total_edges_scanned == want.total_edges_scanned
                 assert got.virtual_seconds == want.virtual_seconds
                 assert got.per_step_seconds == want.per_step_seconds
+            # GAS and multi-SSSP scatter through the same re-derived plan
+            TestSlotSpace._assert_same_run(sess.pagerank(), fresh.pagerank(), "values")
+            for side in (sess, fresh):
+                TestSlotSpace._weigh(side)
+            TestSlotSpace._assert_same_run(
+                sess.multi_sssp(sources[:32]), fresh.multi_sssp(sources[:32]),
+                "distances",
+            )
+
+    @staticmethod
+    def _weigh(sess):
+        """Dynamic graphs are unweighted and SSSP reads weights off the
+        shards: give every out-edge a pure function of its endpoints (until
+        the next splice rebuilds the shard without them)."""
+        for part in sess.pg.partitions:
+            out = part.out_csr
+            u = np.repeat(np.arange(part.lo, part.hi), out.degrees())
+            w = 1.0 + (u * 31 + out.indices * 17) % 7
+            part.out_csr = CSR(out.indptr, out.indices, w)
+            part.plan_cache = None
+
+    @staticmethod
+    def _assert_same_run(got, want, answer):
+        np.testing.assert_array_equal(getattr(got, answer), getattr(want, answer))
+        got, want = got.engine_result, want.engine_result
+        assert got.per_step_stats == want.per_step_stats
+        assert got.per_step_seconds == want.per_step_seconds
+        assert got.virtual_seconds == want.virtual_seconds
 
     @pytest.mark.parametrize("backend", ["inproc", "pool"])
     def test_boundary_grows_and_shrinks(self, dyn_graph, backend):
