@@ -500,93 +500,69 @@ def cmd_centrality(args, out) -> int:
 
 def cmd_service(args, out) -> int:
     from repro.bench.workload import random_sources
+    from repro.dynamic.stream import parse_edge_stream
+    from repro.errors import ReproError
+    from repro.qos import QosConfig, ResultCache
+    from repro.runtime.fault import RetryPolicy
     from repro.runtime.scheduler import QueryService
 
+    # traffic shape only: every setting the constructors below check is
+    # refused by them, mapped to one exit in the except clause
     if args.queries < 1:
         raise SystemExit("repro service: --queries must be >= 1")
     if args.rate <= 0:
         raise SystemExit("repro service: --rate must be > 0")
-    if not 1 <= args.batch_width <= 64:
-        raise SystemExit("repro service: --batch-width must be in [1, 64]")
     if not 0.0 <= args.reach_frac <= 1.0:
         raise SystemExit("repro service: --reach-frac must be in [0, 1]")
     if not 0.0 <= args.bulk_frac <= 1.0:
         raise SystemExit("repro service: --bulk-frac must be in [0, 1]")
-    qos = None
-    if args.lanes or args.tenant_quota:
-        from repro.qos import QosConfig
-
-        try:
-            qos = QosConfig.from_cli(
-                args.lanes, args.tenant_quota, affinity=args.affinity
-            )
-        except ValueError as exc:
-            raise SystemExit(f"repro service: {exc}")
-        if args.bulk_frac > 0.0 and "bulk" not in qos.lanes:
-            raise SystemExit(
-                "repro service: --bulk-frac needs a 'bulk' lane in --lanes"
-            )
-    cache = None
-    if args.cache is not None:
-        if args.planner != "hybrid":
-            raise SystemExit("repro service: --cache requires --planner hybrid")
-        from repro.qos import ResultCache
-
-        cache = ResultCache(capacity=args.cache, cross_check=args.cross_check)
+    if args.max_retries < 0:
+        raise SystemExit("repro service: --max-retries must be >= 0")
     instr = None
     if args.trace_out or args.metrics_out:
         from repro.telemetry import Instrumentation
 
         instr = Instrumentation()
-    if args.max_retries < 0:
-        raise SystemExit("repro service: --max-retries must be >= 0")
-    if args.deadline_ms is not None and args.deadline_ms <= 0:
-        raise SystemExit("repro service: --deadline-ms must be > 0")
-    from repro.runtime.fault import RetryPolicy
-
     el = _load(args)
-    sess = _session(
-        args, el, edge_sets=args.edge_sets, instrumentation=instr,
-        backend=args.backend,
-        retry_policy=RetryPolicy(max_attempts=args.max_retries + 1),
-    )
-    mutation_batches = []
-    if args.mutations:
-        from repro.dynamic.stream import parse_edge_stream
-
-        if args.edge_sets:
-            raise SystemExit(
-                "repro service: --mutations is incompatible with --edge-sets "
-                "(edge-set mode is a static representation)"
+    try:
+        qos = None
+        if args.lanes or args.tenant_quota:
+            qos = QosConfig.from_cli(
+                args.lanes, args.tenant_quota, affinity=args.affinity
             )
-        mutation_batches = parse_edge_stream(args.mutations)
-        sess.dynamic()
-    durability = None
-    if args.wal_dir:
-        if args.edge_sets:
-            raise SystemExit(
-                "repro service: --wal-dir is incompatible with --edge-sets "
-                "(durability covers the dynamic graph layer)"
-            )
-        if args.checkpoint_every < 1:
-            raise SystemExit(
-                "repro service: --checkpoint-every must be >= 1"
-            )
-        durability = sess.enable_durability(
-            args.wal_dir, fsync=args.fsync,
-            checkpoint_every=args.checkpoint_every,
+            if args.bulk_frac > 0.0 and "bulk" not in qos.lanes:
+                raise ValueError("--bulk-frac needs a 'bulk' lane in --lanes")
+        cache = None
+        if args.cache is not None:
+            cache = ResultCache(capacity=args.cache, cross_check=args.cross_check)
+        sess = _session(
+            args, el, edge_sets=args.edge_sets, instrumentation=instr,
+            backend=args.backend,
+            retry_policy=RetryPolicy(max_attempts=args.max_retries + 1),
         )
-    svc = QueryService(
-        sess, args.k, discipline=args.discipline,
-        batch_width=args.batch_width, use_edge_sets=args.edge_sets,
-        planner=args.planner, cross_check=args.cross_check,
-        deadline_seconds=(
-            None if args.deadline_ms is None else args.deadline_ms / 1e3
-        ),
-        max_pending=args.max_pending,
-        qos=qos,
-        cache=cache,
-    )
+        mutation_batches = []
+        if args.mutations:
+            mutation_batches = parse_edge_stream(args.mutations)
+            sess.dynamic()
+        durability = None
+        if args.wal_dir:
+            durability = sess.enable_durability(
+                args.wal_dir, fsync=args.fsync,
+                checkpoint_every=args.checkpoint_every,
+            )
+        svc = QueryService(
+            sess, args.k, discipline=args.discipline,
+            batch_width=args.batch_width, use_edge_sets=args.edge_sets,
+            planner=args.planner, cross_check=args.cross_check,
+            deadline_seconds=(
+                None if args.deadline_ms is None else args.deadline_ms / 1e3
+            ),
+            max_pending=args.max_pending,
+            qos=qos,
+            cache=cache,
+        )
+    except (ValueError, ReproError) as exc:
+        raise SystemExit(f"repro service: {exc}") from None
     for b in mutation_batches:
         svc.apply_mutations(b.inserts, b.deletes, arrival=b.arrival)
     roots = random_sources(el, args.queries, seed=args.seed)

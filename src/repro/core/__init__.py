@@ -6,14 +6,14 @@
 * :mod:`repro.core.adapters` — the probes, gathers and controls a batch
   runs next to its tasks, on either executor.
 * :mod:`repro.core.bfs` — concurrent BFS (k → ∞).
-* :mod:`repro.core.batch` — word-wide query-stream batching.
+* :mod:`repro.core.batch` — query-stream batching.
 * :mod:`repro.core.traversal` — the ``Traverse`` operator (Listing 2).
 * :mod:`repro.core.gas` / :mod:`repro.core.pagerank` — the GAS ``Update``
   interface (Listing 3) and PageRank.
 * :mod:`repro.core.sssp` — weighted, hop-constrained shortest paths.
 * :mod:`repro.core.triangles` — triangle counting via k-hop composition.
 * :mod:`repro.core.reachability` — pairwise s→t reachability (the title
-  query) with per-query early termination.
+  query): the k-hop batch with targets and per-query early termination.
 * :mod:`repro.core.kcore` — distributed k-core decomposition (H-index).
 * :mod:`repro.core.ooc` — out-of-core traversal over disk-resident
   edge-sets.
@@ -26,7 +26,6 @@ from repro.core.frontier import (
     BitFrontier,
     popcount,
     per_query_counts,
-    MAX_BATCH_WIDTH,
     MAX_WIDE_BATCH,
 )
 from repro.core.khop import DIRECTIONS, KHopResult, concurrent_khop
@@ -59,7 +58,6 @@ __all__ = [
     "BitFrontier",
     "popcount",
     "per_query_counts",
-    "MAX_BATCH_WIDTH",
     "MAX_WIDE_BATCH",
     "DIRECTIONS",
     "KHopResult",

@@ -8,16 +8,18 @@ the task class itself (``KHopPartitionTask``, ``GASPartitionTask`` — built
 as ``cls(machine, cluster, **kwargs)``, re-armed as ``task.reset(**kwargs)``)
 and the module-level functions here, the only copy, used by both executors:
 
-* probes run after every ``finalize`` and return the small per-partition
-  summaries the entry points' ``on_step`` callbacks fold (alive bits,
-  target-visited bits);
+* :func:`traversal_probe` runs after every ``finalize`` and returns the
+  partition's alive and target-visited query bits, which the traversal
+  batch's ``on_step`` folds;
 * gathers (``*_visited_counts``, ``khop_depths``, ``gas_values``) collect
   per-partition results after the run;
-* ``mask_frontier`` is reachability's early-termination control, applied to
-  every task between supersteps.
+* :func:`mask_frontier` is reachability's early-termination control, applied
+  to every task between supersteps.
 
-Combiners are :mod:`repro.runtime.message`'s (``combine_or`` for traversals;
-GAS reduces through the exchange plan and flushes with ``no_combine``).
+Query bits travel as Python ints (bit ``q`` ⇔ query ``q``, any batch width
+up to :data:`~repro.core.frontier.MAX_WIDE_BATCH`).  Combiners are
+:mod:`repro.runtime.message`'s (``combine_or`` for traversals; GAS reduces
+through the exchange plan and flushes with ``no_combine``).
 """
 
 from __future__ import annotations
@@ -31,10 +33,9 @@ if TYPE_CHECKING:  # the task modules import this one
     from repro.core.khop import KHopPartitionTask
 
 __all__ = [
-    "khop_alive",
+    "traversal_probe",
     "khop_visited_counts",
     "khop_depths",
-    "reach_probe",
     "mask_frontier",
     "gas_values",
 ]
@@ -43,12 +44,29 @@ __all__ = [
 WORD_PAYLOAD_WIDTH = 8
 
 
-# -- k-hop (any batch width up to one cache line) --------------------------- #
+# -- traversal batches (k-hop and reachability) ----------------------------- #
 
 
-def khop_alive(task: KHopPartitionTask) -> int:
-    """Probe: this partition's still-alive query bits after finalize."""
-    return int(task.state.alive_bits())
+def traversal_probe(
+    task: KHopPartitionTask,
+    queries: np.ndarray | None = None,
+    local_targets: np.ndarray | None = None,
+) -> tuple[int, int]:
+    """Probe: (alive bits, visited bits of the targets this partition owns).
+
+    ``queries[i]``'s target is local vertex ``local_targets[i]``; without
+    targets the hit bits are 0.  ``visited`` is monotone, so hit bits are
+    cumulative over the batch.
+    """
+    alive = task.state.alive_bits()
+    if queries is None or queries.size == 0:
+        return alive, 0
+    words = task.state.visited[local_targets, queries >> 6]
+    lit = (words >> (queries & 63).astype(np.uint64)) & np.uint64(1)
+    hits = 0
+    for q in queries[lit.astype(bool)].tolist():
+        hits |= 1 << q
+    return alive, hits
 
 
 def khop_visited_counts(task: KHopPartitionTask) -> np.ndarray:
@@ -59,29 +77,11 @@ def khop_depths(task: KHopPartitionTask) -> np.ndarray | None:
     return task.depths
 
 
-# -- pairwise reachability -------------------------------------------------- #
-
-
-def reach_probe(
-    task: KHopPartitionTask, target_locals: list
-) -> tuple[int, list]:
-    """Probe: (alive bits, [(query, visited-bit)] for local targets)."""
-    alive = task.state.alive_bits()
-    # reachability batches are word-wide, so each query lives in word 0
-    hits = [
-        (q, int(task.state.visited[local, 0]) >> q & 1)
-        for q, local in target_locals
-    ]
-    return alive, hits
-
-
 def mask_frontier(task: KHopPartitionTask, keep: int) -> None:
-    """Control: clear resolved queries' bits from this partition's frontier.
-
-    ``keep`` broadcasts across plane words — exact for the word-wide
-    batches reachability runs.
-    """
-    task.state.frontier &= np.uint64(keep)
+    """Control: clear every query bit not in ``keep`` from this partition's
+    frontier, on every plane word."""
+    width = 8 * task.state.words
+    task.state.frontier &= np.frombuffer(keep.to_bytes(width, "little"), "<u8")
 
 
 # -- GAS / PageRank --------------------------------------------------------- #

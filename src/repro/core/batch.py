@@ -1,4 +1,4 @@
-"""Query-stream batching: packing arbitrary query counts into word batches.
+"""Query-stream batching: packing arbitrary query counts into batches.
 
 §3.5: "A fixed number of concurrent queries are decided based on hardware
 parameters, for example, the length of the cache line."  A stream of Q
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.frontier import MAX_BATCH_WIDTH
+from repro.core.frontier import MAX_WIDE_BATCH
 from repro.core.khop import KHopResult, concurrent_khop
 from repro.graph.edgelist import EdgeList
 from repro.graph.partition import PartitionedGraph
@@ -61,7 +61,7 @@ def run_query_stream(
     graph: EdgeList | PartitionedGraph,
     sources,
     k: int | None,
-    batch_width: int = MAX_BATCH_WIDTH,
+    batch_width: int = 64,
     num_machines: int = 1,
     netmodel: NetworkModel | None = None,
     use_edge_sets: bool = False,
@@ -69,7 +69,8 @@ def run_query_stream(
     session: GraphSession | None = None,
     direction: str = "auto",
 ) -> QueryStreamResult:
-    """Execute a stream of concurrent queries in word-wide batches.
+    """Execute a stream of concurrent queries in batches of ``batch_width``
+    (up to :data:`~repro.core.frontier.MAX_WIDE_BATCH`).
 
     The graph is partitioned once into a :class:`GraphSession` and reused
     across every batch of the stream — frontier planes are re-armed in
@@ -77,8 +78,8 @@ def run_query_stream(
     batch's planes); pass a persistent ``session`` to amortise the build
     across streams too.
     """
-    if not 1 <= batch_width <= MAX_BATCH_WIDTH:
-        raise ValueError(f"batch_width must be in [1, {MAX_BATCH_WIDTH}]")
+    if not 1 <= batch_width <= MAX_WIDE_BATCH:
+        raise ValueError(f"batch_width must be in [1, {MAX_WIDE_BATCH}]")
     sources = np.asarray(sources, dtype=np.int64)
     if sources.size == 0:
         raise ValueError("at least one query required")

@@ -28,7 +28,7 @@ def concurrent_bfs(
     record_depths: bool = False,
     session=None,
 ) -> KHopResult:
-    """Run up to 64 full BFS traversals concurrently (bit-parallel batch)."""
+    """Run up to 512 full BFS traversals concurrently (bit-parallel batch)."""
     return concurrent_khop(
         graph,
         sources,

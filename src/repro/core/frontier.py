@@ -15,13 +15,12 @@ these three planes.)  One pass over an edge-set serves every query whose
 frontier intersects it: the traversal *shares* the subgraph across queries,
 which is the paper's core optimisation.
 
-The batch width is fixed by hardware parameters: one machine word holds 64
-query bits (:data:`MAX_BATCH_WIDTH`), one 64-byte cache line holds 512
-(:data:`MAX_WIDE_BATCH`).  A single :class:`BitFrontier` covers the whole
-range — planes have shape ``(num_local, words)`` with ``words =
-ceil(num_queries / 64)`` — so k-hop batches of any width and the
-pairwise-reachability engine all share one implementation, one checkpoint
-format and one set of probes and gathers (:mod:`repro.core.adapters`).
+The batch width is fixed by hardware parameters: one 64-byte cache line
+holds 512 query bits (:data:`MAX_WIDE_BATCH`), the one limit on every
+traversal batch.  Planes have shape ``(num_local, words)`` with ``words =
+ceil(num_queries / 64)``, so k-hop and pairwise-reachability batches of any
+width share one implementation, one checkpoint format and one probe
+(:mod:`repro.core.adapters`).
 """
 
 from __future__ import annotations
@@ -35,14 +34,11 @@ __all__ = [
     "words_for",
     "make_query_mask",
     "query_mask_for",
-    "MAX_BATCH_WIDTH",
     "MAX_WIDE_BATCH",
 ]
 
 _WORD = np.uint64
 _WORD_BITS = 64
-#: 64 query bits — one machine word, the default batch width.
-MAX_BATCH_WIDTH = 64
 #: 512 query bits — one 64-byte cache line of query slots (§3.5).
 MAX_WIDE_BATCH = 512
 

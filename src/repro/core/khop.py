@@ -34,9 +34,11 @@ bit-identical across ``push``, ``pull`` and ``auto`` — the direction changes
 wall-clock only.
 
 The public entry point is :func:`concurrent_khop`, for any batch width up to
-one cache line of query bits (:data:`~repro.core.frontier.MAX_WIDE_BATCH`).
-It *describes* its batch — :class:`KHopPartitionTask` plus kwargs, the
-:func:`~repro.core.adapters.khop_alive` probe, one ``on_step`` — and
+one cache line of query bits (:data:`~repro.core.frontier.MAX_WIDE_BATCH`);
+:func:`~repro.core.reachability.reachability_queries` is the same batch with
+targets.  Both go through :func:`_run_traversal`, which *describes* the
+batch — :class:`KHopPartitionTask` plus kwargs, the
+:func:`~repro.core.adapters.traversal_probe`, one ``on_step`` — and
 :meth:`~repro.runtime.session.GraphSession.run_batch` runs that description
 on whichever executor the session has.
 """
@@ -78,6 +80,17 @@ def _check_direction(direction: str, use_edge_sets: bool) -> str:
             "use_edge_sets uses the push kernel; direction='pull' conflicts"
         )
     return direction
+
+
+def _traversal_session(
+    graph, num_machines, netmodel, session, direction: str,
+    use_edge_sets: bool, asynchronous: bool = False,
+) -> GraphSession:
+    """The traversal door: every mode check, before any work runs."""
+    _check_direction(direction, use_edge_sets)
+    sess = GraphSession.for_run(graph, num_machines, netmodel, session)
+    sess.require_inproc(use_edge_sets=use_edge_sets, asynchronous=asynchronous)
+    return sess
 
 
 @dataclass
@@ -167,10 +180,6 @@ class KHopPartitionTask(PartitionTask):
         zeroed in place when the batch width matches the previous one;
         otherwise the state is re-sized.
         """
-        if use_edge_sets and self.machine.partition.edge_sets is None:
-            raise ValueError(
-                "use_edge_sets requires PartitionedGraph.build_edge_sets() first"
-            )
         self.use_edge_sets = use_edge_sets
         self.k = k
         self.level = 0
@@ -418,67 +427,25 @@ def concurrent_khop(
     Returns a :class:`KHopResult`; virtual time comes from the cluster's
     network model and counted work.
     """
-    _check_direction(direction, use_edge_sets)
-    sess = GraphSession.for_run(graph, num_machines, netmodel, session)
-    sess.require_inproc(use_edge_sets=use_edge_sets, asynchronous=asynchronous)
+    sess = _traversal_session(
+        graph, num_machines, netmodel, session, direction, use_edge_sets,
+        asynchronous,
+    )
     pg = sess.pg
     sources = sess.check_sources(sources, MAX_WIDE_BATCH)
     num_queries = int(sources.size)
-
-    completion_level = np.full(num_queries, 0, dtype=np.int64)
-    completion_seconds = np.zeros(num_queries, dtype=np.float64)
-    all_queries = (1 << num_queries) - 1
-    done_mask = 0
-
-    cap = max_supersteps
-    if k is not None:
-        cap = k if cap is None else min(cap, k)
-
-    def on_step(step_index: int, stats, now: float, probes) -> None:
-        """A query finishes the level its frontier dies everywhere, or the
-        level that uses up the hop budget."""
-        nonlocal done_mask
-        level = step_index + 1
-        finished = all_queries
-        if k is None or level < k:
-            for alive in probes:
-                finished &= ~alive
-        newly = finished & ~done_mask
-        done_mask |= newly
-        while newly:
-            q = (newly & -newly).bit_length() - 1
-            completion_level[q] = level
-            completion_seconds[q] = now
-            newly &= newly - 1
-
-    sess.prepare()
-    result = sess.run_batch(
-        KHopPartitionTask,
-        dict(
-            num_queries=num_queries,
-            k=k,
-            use_edge_sets=use_edge_sets,
-            record_depths=record_depths,
-            direction=direction,
-            push_coeff=sess.netmodel.seconds_per_edge_push,
-            pull_coeff=sess.netmodel.seconds_per_edge_pull,
-        ),
-        ("khop", use_edge_sets),
-        sources=sources,
-        combiner=combine_or,
+    completion_level, completion_seconds, resolved, _, result = _run_traversal(
+        sess, sources, k,
+        use_edge_sets=use_edge_sets,
         asynchronous=asynchronous,
-        payload_width=adapters.WORD_PAYLOAD_WIDTH * words_for(num_queries),
-        max_supersteps=cap,
-        on_step=on_step,
-        probe=adapters.khop_alive,
+        record_depths=record_depths,
+        max_supersteps=max_supersteps,
         max_virtual_seconds=max_virtual_seconds,
+        direction=direction,
     )
     reached = np.zeros(num_queries, dtype=np.int64)
     for counts in sess.gather_batch(adapters.khop_visited_counts):
         reached += counts
-
-    # queries that never produced a superstep (e.g. k == 0) complete at t=0
-    completion_seconds[completion_level == 0] = 0.0
 
     depths = None
     if record_depths:
@@ -489,13 +456,6 @@ def concurrent_khop(
             depths[part.lo : part.hi] = d
         for q, s in enumerate(sources):
             depths[int(s), q] = 0
-
-    if result.truncated:
-        resolved = np.array(
-            [bool(done_mask >> q & 1) for q in range(num_queries)]
-        )
-    else:
-        resolved = np.ones(num_queries, dtype=bool)
 
     total = result.total_stats()
     return KHopResult(
@@ -516,3 +476,109 @@ def concurrent_khop(
         push_partition_steps=total.push_partitions,
         pull_partition_steps=total.pull_partitions,
     )
+
+
+def _flags(bits: int, num_queries: int) -> np.ndarray:
+    """Query bits (bit ``q`` ⇔ query ``q``) as a bool array."""
+    raw = bits.to_bytes(8 * words_for(num_queries), "little")
+    return np.unpackbits(
+        np.frombuffer(raw, dtype=np.uint8), bitorder="little"
+    )[:num_queries].astype(bool)
+
+
+def _run_traversal(
+    sess: GraphSession,
+    sources: np.ndarray,
+    k: int | None,
+    targets: np.ndarray | None = None,
+    *,
+    use_edge_sets: bool = False,
+    asynchronous: bool = False,
+    record_depths: bool = False,
+    max_supersteps: int | None = None,
+    max_virtual_seconds: float | None = None,
+    direction: str = "auto",
+):
+    """Run one traversal batch on a validated session: k-hop, or pairwise
+    reachability when ``targets`` is given.
+
+    A query finishes at the level its target is first visited, its frontier
+    dies everywhere, or its hop budget runs out, and records that level and
+    virtual time once.  Once any target is hit, every step returns the
+    early-termination mask built from *that step's* probe (``visited`` is
+    monotone, so hits are cumulative) — never from what ``on_step``
+    remembers, which a rewound or retried run would replay too early.
+
+    Returns ``(finish_level, finish_seconds, resolved, hit, result)``:
+    ``resolved`` is all True unless a deadline truncated the run; ``hit``
+    flags the queries whose target was visited.
+    """
+    num_queries = int(sources.size)
+    finish_level = np.zeros(num_queries, dtype=np.int64)
+    finish_seconds = np.zeros(num_queries, dtype=np.float64)
+    all_queries = (1 << num_queries) - 1
+    done = hit = 0
+
+    probe_args = None
+    if targets is not None:
+        owner = sess.pg.owner_of(targets)
+        local = targets - sess.pg.bounds[owner]
+        queries = np.arange(num_queries)
+        probe_args = [
+            (queries[owner == m], local[owner == m])
+            for m in range(sess.num_machines)
+        ]
+
+    cap = max_supersteps
+    if k is not None:
+        cap = k if cap is None else min(cap, k)
+
+    def on_step(step_index: int, stats, now: float, probes):
+        nonlocal done, hit
+        level = step_index + 1
+        alive = hits = 0
+        for partition_alive, partition_hits in probes:
+            alive |= partition_alive
+            hits |= partition_hits
+        exhausted = k is not None and level >= k
+        finished = hits | (all_queries if exhausted else all_queries & ~alive)
+        newly = finished & ~done
+        done |= newly
+        while newly:
+            q = (newly & -newly).bit_length() - 1
+            finish_level[q] = level
+            finish_seconds[q] = now
+            newly &= newly - 1
+        hit = hits
+        if hits:
+            return adapters.mask_frontier, (all_queries & ~hits,)
+        return None
+
+    sess.prepare()
+    result = sess.run_batch(
+        KHopPartitionTask,
+        dict(
+            num_queries=num_queries,
+            k=k,
+            use_edge_sets=use_edge_sets,
+            record_depths=record_depths,
+            direction=direction,
+            push_coeff=sess.netmodel.seconds_per_edge_push,
+            pull_coeff=sess.netmodel.seconds_per_edge_pull,
+        ),
+        ("khop", use_edge_sets),
+        sources=sources,
+        combiner=combine_or,
+        asynchronous=asynchronous,
+        payload_width=adapters.WORD_PAYLOAD_WIDTH * words_for(num_queries),
+        max_supersteps=cap,
+        on_step=on_step,
+        probe=adapters.traversal_probe,
+        probe_args=probe_args,
+        max_virtual_seconds=max_virtual_seconds,
+    )
+    if result.truncated:
+        resolved = _flags(done, num_queries)
+    else:
+        resolved = np.ones(num_queries, dtype=bool)
+    return finish_level, finish_seconds, resolved, _flags(hit, num_queries), result

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.frontier import MAX_BATCH_WIDTH
+from repro.core.frontier import MAX_WIDE_BATCH
 from repro.core.khop import KHopPartitionTask
 from repro.graph.edgelist import EdgeList
 from repro.graph.outofcore import SpillableEdgeSetStore
@@ -93,7 +93,7 @@ def concurrent_khop_out_of_core(
     pg = sess.pg
     cluster = sess.cluster
     sess.build_edge_sets(sets_per_partition, consolidate_min_edges)
-    sources = sess.check_sources(sources, MAX_BATCH_WIDTH)
+    sources = sess.check_sources(sources, MAX_WIDE_BATCH)
     num_queries = int(sources.size)
 
     tmp = None

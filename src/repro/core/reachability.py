@@ -3,10 +3,10 @@
 "The 'reachability query' is essentially a graph traversal to search for a
 possible path between two given vertices in a graph.  Graph queries are
 often associated with constraints such as ... a maximum number of hops to
-reach a destination" (§2).  A batch of ``(source, target)`` pairs runs on
-the same bit-parallel engine as k-hop, with one extra optimisation the
-open-ended query cannot use: **early termination** — the moment query ``q``
-reaches its target (or dies), bit ``q`` is cleared from every partition's
+reach a destination" (§2).  A batch of ``(source, target)`` pairs is the
+k-hop batch with targets (:func:`~repro.core.khop._run_traversal`), plus one
+optimisation the open-ended query cannot use: **early termination** — once
+query ``q`` reaches its target, bit ``q`` is cleared from every partition's
 frontier, so resolved queries stop consuming traversal work while the rest
 of the batch continues.
 """
@@ -17,12 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core import adapters
-from repro.core.frontier import MAX_BATCH_WIDTH
-from repro.core.khop import KHopPartitionTask, _check_direction
+from repro.core.frontier import MAX_WIDE_BATCH
+from repro.core.khop import _run_traversal, _traversal_session
 from repro.graph.edgelist import EdgeList
 from repro.graph.partition import PartitionedGraph
-from repro.runtime.message import combine_or
 from repro.runtime.netmodel import NetworkModel
 from repro.runtime.session import GraphSession
 
@@ -72,11 +70,11 @@ def reachability_queries(
     max_virtual_seconds: float | None = None,
     direction: str = "auto",
 ) -> ReachabilityResult:
-    """Answer up to 64 ``source -> target`` within-``k``-hops queries at once.
+    """Answer up to 512 ``source -> target`` within-``k``-hops queries at once.
 
     Queries share the traversal exactly as in :func:`concurrent_khop`;
     additionally, a query's bit is masked out of every frontier as soon as
-    its verdict is known, shrinking the shared batch as answers arrive.
+    its target is reached, shrinking the shared batch as answers arrive.
     ``max_virtual_seconds`` deadlines the batch's virtual clock: the run
     stops at the first barrier past it, flagging still-open queries False
     in ``resolved`` (graceful degradation — both backends truncate at the
@@ -84,93 +82,32 @@ def reachability_queries(
     as in :func:`concurrent_khop` (answers and virtual clocks are
     direction-independent).
     """
-    _check_direction(direction, use_edge_sets)
-    sess = GraphSession.for_run(graph, num_machines, netmodel, session)
-    sess.require_inproc(use_edge_sets=use_edge_sets)
-    pg = sess.pg
-    sources = sess.check_sources(sources, MAX_BATCH_WIDTH)
-    num_queries = int(sources.size)
-    targets = sess.check_targets(targets, num_queries)
-
-    reachable = sources == targets
-    hops = np.where(reachable, 0, -1).astype(np.int64)
-    resolution = np.zeros(num_queries)
-    resolved_mask = int(
-        sum(1 << q for q in range(num_queries) if reachable[q])
+    sess = _traversal_session(
+        graph, num_machines, netmodel, session, direction, use_edge_sets
     )
-    target_machine = pg.owner_of(targets)
-    target_local = targets - pg.bounds[target_machine]
-
-    # each partition's probe reports the visited bit of the targets it owns
-    target_locals = [[] for _ in range(sess.num_machines)]
-    for q in range(num_queries):
-        target_locals[int(target_machine[q])].append((q, int(target_local[q])))
-
-    def on_step(step_index: int, stats, now: float, probes):
-        """Settle one level's verdicts, then drop every resolved query from
-        every frontier (early termination)."""
-        nonlocal resolved_mask
-        level = step_index + 1
-        alive = 0
-        hit_bits = 0
-        for partition_alive, hits in probes:
-            alive |= partition_alive
-            for q, bit in hits:
-                hit_bits |= bit << q
-        exhausted = k is not None and level >= k
-        for q in range(num_queries):
-            if resolved_mask >> q & 1:
-                continue
-            if hit_bits >> q & 1:
-                reachable[q] = True
-                hops[q] = level
-            elif alive >> q & 1 and not exhausted:
-                continue
-            resolution[q] = now
-            resolved_mask |= 1 << q
-        if resolved_mask:
-            return adapters.mask_frontier, (~resolved_mask & 0xFFFFFFFFFFFFFFFF,)
-        return None
-
-    sess.prepare()
-    result = sess.run_batch(
-        KHopPartitionTask,
-        dict(
-            num_queries=num_queries,
-            k=k,
-            use_edge_sets=use_edge_sets,
-            direction=direction,
-            push_coeff=sess.netmodel.seconds_per_edge_push,
-            pull_coeff=sess.netmodel.seconds_per_edge_pull,
-        ),
-        ("reach", use_edge_sets),
-        sources=sources,
-        combiner=combine_or,
-        max_supersteps=k,
-        on_step=on_step,
-        probe=adapters.reach_probe,
-        probe_args=[(locals_,) for locals_ in target_locals],
+    sources = sess.check_sources(sources, MAX_WIDE_BATCH)
+    targets = sess.check_targets(targets, int(sources.size))
+    level, seconds, resolved, hit, result = _run_traversal(
+        sess, sources, k, targets,
+        use_edge_sets=use_edge_sets,
         max_virtual_seconds=max_virtual_seconds,
+        direction=direction,
     )
-
-    if result.truncated:
-        resolved = np.array(
-            [bool(resolved_mask >> q & 1) for q in range(num_queries)]
-        )
-    else:
-        resolved = np.ones(num_queries, dtype=bool)
-
-    total = result.total_stats()
+    # source == target pairs are hit from seeding, settled at hop 0, t=0
+    same = sources == targets
+    hops = np.where(hit, level, -1)
+    hops[same] = 0
+    seconds[same] = 0.0
     return ReachabilityResult(
         sources=sources,
         targets=targets,
         k=k,
-        reachable=reachable,
+        reachable=same | hit,
         hops=hops,
-        resolution_seconds=resolution,
+        resolution_seconds=seconds,
         virtual_seconds=result.virtual_seconds,
         supersteps=result.supersteps,
-        total_edges_scanned=total.edges_scanned,
-        resolved=resolved,
+        total_edges_scanned=result.total_stats().edges_scanned,
+        resolved=resolved | same,
         truncated=result.truncated,
     )

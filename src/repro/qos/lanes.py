@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.frontier import MAX_BATCH_WIDTH
+from repro.core.frontier import MAX_WIDE_BATCH
 
 __all__ = [
     "INTERACTIVE_LANE",
@@ -55,10 +55,10 @@ class LaneSpec:
         if not (self.weight > 0.0 and self.weight == self.weight):
             raise ValueError(f"lane weight must be positive, got {self.weight!r}")
         if self.batch_width is not None and not (
-            1 <= int(self.batch_width) <= MAX_BATCH_WIDTH
+            1 <= int(self.batch_width) <= MAX_WIDE_BATCH
         ):
             raise ValueError(
-                f"lane batch_width must be in [1, {MAX_BATCH_WIDTH}], "
+                f"lane batch_width must be in [1, {MAX_WIDE_BATCH}], "
                 f"got {self.batch_width!r}"
             )
 

@@ -12,8 +12,8 @@ evaluation:
   issued queries are serialized and a query's response time will be
   determined by any backlogged queries".  Equivalent to a pool of width 1.
 * **batch** — bit-parallel mode (§3.5, Figure 13): queries are packed into
-  word-wide batches that traverse together; a query completes when its own
-  frontier dies (possibly earlier than its batch finishes the full k hops).
+  batches that traverse together; a query completes when its own frontier
+  dies (possibly earlier than its batch finishes the full k hops).
 
 :class:`QueryService` is the response-time accounting: an admission loop
 over a persistent :class:`~repro.runtime.session.GraphSession`.  Queries are
@@ -45,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.frontier import MAX_WIDE_BATCH
 from repro.errors import (
     InvalidQueryError,
     MutationError,
@@ -310,7 +311,7 @@ class QueryService:
     * ``discipline="batch"`` — the paper's bit-parallel mode.  At virtual
       time ``now = max(clock, earliest pending arrival)``, up to
       ``batch_width`` already-arrived queries are packed FIFO into one
-      64-bit-plane batch and *executed for real* on the session; a query
+      bit-parallel batch and *executed for real* on the session; a query
       finishes at ``now`` plus its own in-batch completion offset (frontiers
       that die early respond early), and the clock advances by the batch's
       measured virtual seconds.
@@ -325,8 +326,8 @@ class QueryService:
     execution strategy:
 
     * ``planner="traversal"`` (default) — point queries run on the
-      bit-parallel reachability engine, packed FIFO into word-wide batches
-      ahead of the enumeration queries;
+      bit-parallel reachability engine, packed FIFO into batches ahead of
+      the enumeration queries;
     * ``planner="hybrid"`` — point queries route to the session's resident
       distance-label index (built on first use) on a dedicated lookup lane:
       no queueing behind traversal batches, each lookup charged its
@@ -399,8 +400,8 @@ class QueryService:
     ):
         if discipline not in ("batch", "pool"):
             raise ValueError("discipline must be 'batch' or 'pool'")
-        if not 1 <= batch_width <= 64:
-            raise ValueError("batch_width must be in [1, 64]")
+        if not 1 <= batch_width <= MAX_WIDE_BATCH:
+            raise ValueError(f"batch_width must be in [1, {MAX_WIDE_BATCH}]")
         if planner not in ("traversal", "hybrid"):
             raise ValueError("planner must be 'traversal' or 'hybrid'")
         if qos is not None and not isinstance(qos, QosConfig):
@@ -423,6 +424,7 @@ class QueryService:
             raise ValueError("deadline_seconds must be positive")
         if max_pending is not None and max_pending < 1:
             raise ValueError("max_pending must be >= 1")
+        session.require_inproc(use_edge_sets=use_edge_sets)
         self.session = session
         # the session's facade unless explicitly overridden, so one
         # Instrumentation covers engine, session and service spans
@@ -526,7 +528,18 @@ class QueryService:
         Raises :class:`~repro.errors.Overloaded` when the service's
         ``max_pending`` admission bound is hit — shed load early rather
         than queueing without bound (callers can back off and resubmit).
+        Vertex ids are validated as every traversal entry validates them
+        (:class:`~repro.errors.InvalidQueryError` for non-integer or
+        out-of-range ids).
         """
+        vertex_ids = self.session._as_vertex_ids
+        source = vertex_ids(source, "source")
+        if target is not None:
+            target = vertex_ids(target, "target")
+        return self._admit(source, arrival, target, lane, tenant)
+
+    def _admit(self, source, arrival, target, lane, tenant) -> int:
+        """Queue one query whose vertex ids are already validated."""
         if (
             self.max_pending is not None
             and len(self._pending) >= self.max_pending
@@ -537,10 +550,6 @@ class QueryService:
                 f"query shed: {len(self._pending)} pending >= "
                 f"max_pending={self.max_pending}"
             )
-        if not 0 <= int(source) < self.session.num_vertices:
-            raise InvalidQueryError("source vertex out of range")
-        if target is not None and not 0 <= int(target) < self.session.num_vertices:
-            raise InvalidQueryError("target vertex out of range")
         arrival = _checked_arrival(arrival)
         if lane is None:
             lane = (
@@ -572,8 +581,9 @@ class QueryService:
         """Queue a wave of queries (``arrivals`` defaults to all-zero;
         ``targets``, when given, makes the wave point reachability queries;
         ``lane``/``tenant`` may be a single value for the whole wave or a
-        per-query sequence matching ``sources``)."""
-        sources = np.asarray(sources, dtype=np.int64)
+        per-query sequence matching ``sources``).  Ids are validated once
+        per array, before anything is queued."""
+        sources = self.session._as_vertex_ids(sources, "sources")
         if arrivals is None:
             arrivals = np.zeros(sources.size)
         arrivals = np.asarray(arrivals, dtype=np.float64)
@@ -584,11 +594,11 @@ class QueryService:
         if targets is None:
             targets = [None] * sources.size
         else:
-            targets = np.asarray(targets, dtype=np.int64)
+            targets = self.session._as_vertex_ids(targets, "targets")
             if targets.shape != sources.shape:
                 raise ValueError("targets must match sources")
         return [
-            self.submit(int(s), float(a), target=t, lane=ln, tenant=tn)
+            self._admit(s, a, t, ln, tn)
             for s, a, t, ln, tn in zip(sources, arrivals, targets, lanes, tenants)
         ]
 
@@ -1140,8 +1150,8 @@ class QueryService:
         Runs off the service's accounting books."""
         dynamic = self.session.is_dynamic
         reference = self._oracle_session(epoch) if dynamic else self.session
-        for i in range(0, sources.size, 64):
-            chunk = slice(i, min(i + 64, sources.size))
+        for i in range(0, sources.size, MAX_WIDE_BATCH):
+            chunk = slice(i, i + MAX_WIDE_BATCH)
             ref = reference.reach(sources[chunk], targets[chunk], self.k)
             if not np.array_equal(ref.reachable, verdicts[chunk]):
                 bad = np.nonzero(ref.reachable != verdicts[chunk])[0][0]

@@ -666,11 +666,12 @@ class GraphSession:
         return targets
 
     def require_inproc(self, **modes: bool) -> None:
-        """Reject execution modes the worker pool does not implement.
+        """Reject execution modes this session cannot run.
 
         Entry points call this before any work with the modes they were
         asked for (``use_edge_sets=...``, ``asynchronous=...``); a requested
-        one on a ``backend="pool"`` session is an unsupported combination.
+        one on a ``backend="pool"`` session is an unsupported combination,
+        and so is ``use_edge_sets`` before the edge sets are built.
         """
         if self.uses_pool:
             for name, requested in modes.items():
@@ -678,6 +679,11 @@ class GraphSession:
                     raise UnsupportedConfigError(
                         f"{name} requires backend='inproc'"
                     )
+        if modes.get("use_edge_sets") and not self.has_edge_sets:
+            raise UnsupportedConfigError(
+                "use_edge_sets requires built edge sets "
+                "(GraphSession(edge_sets=True) or build_edge_sets())"
+            )
 
     def _resident_key(self, cache_key: tuple) -> tuple:
         """The resident-task cache key, on either executor.

@@ -5,6 +5,7 @@ import pytest
 from repro.baselines.oracle import oracle_bfs_levels, oracle_khop_reach
 from repro.core.batch import run_query_stream
 from repro.core.bfs import concurrent_bfs, single_source_bfs
+from repro.core.frontier import MAX_WIDE_BATCH
 from repro.graph import path_graph, range_partition
 
 
@@ -79,7 +80,7 @@ class TestQueryStream:
         with pytest.raises(ValueError):
             run_query_stream(small_rmat, [0], k=1, batch_width=0)
         with pytest.raises(ValueError):
-            run_query_stream(small_rmat, [0], k=1, batch_width=65)
+            run_query_stream(small_rmat, [0], k=1, batch_width=MAX_WIDE_BATCH + 1)
 
     def test_empty_stream_rejected(self, small_rmat):
         with pytest.raises(ValueError):

@@ -302,6 +302,93 @@ class TestGoldenWire:
         assert got == self.GOLDEN[width]
 
 
+class TestGoldenWireReach:
+    """Pairwise reachability's wire, byte for byte: literals recorded at the
+    parent of the commit that made reachability run the k-hop batch (targets
+    plus an early-termination mask).  Every direction and both backends
+    share one accounting; the deadline row pins ``resolved`` as well."""
+
+    GOLDEN = {
+        1: dict(
+            messages=270, bytes=3240, edges_scanned=538, supersteps=3,
+            virtual_seconds="0.0006523886545454546", truncated=False,
+            sha256="02d29b8cae39b99a4437d746bec7cca7eebe1b36ceb6401e077e04dcf82f878a",
+        ),
+        64: dict(
+            messages=2130, bytes=25560, edges_scanned=12766, supersteps=4,
+            virtual_seconds="0.0010174314909090908", truncated=False,
+            sha256="7a6872846d41e06b7d2958036517da45bcfb5b93890e8ca76fd50f98911aee37",
+        ),
+        "deadline": dict(
+            messages=935, bytes=11220, edges_scanned=4375, supersteps=2,
+            virtual_seconds="0.0005070961454545454", truncated=True,
+            sha256="090f73624899e67c11e1da5e6820921795b4bf0cb7f48fa56a1d58be060420f0",
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return rmat_edges(9, 6000, seed=21).remove_self_loops().deduplicate()
+
+    @pytest.fixture(scope="class", params=["inproc", "pool"])
+    def sess(self, request, graph):
+        with GraphSession(graph, num_machines=3, backend=request.param) as sess:
+            yield sess
+
+    @staticmethod
+    def _pairs(graph):
+        # sources with out-edges; every third pair is source == target
+        rng = np.random.default_rng(5)
+        sources = rng.choice(np.unique(graph.src), size=64)
+        targets = rng.integers(0, graph.num_vertices, size=64)
+        targets[2::3] = sources[2::3]
+        return sources, targets
+
+    @staticmethod
+    def _wire(sess, *args, **kwargs):
+        """One reach batch's verdict digest plus its engine totals (read off
+        the ``run_batch`` call: the result carries no message counts)."""
+        seen = []
+        run_batch = sess.run_batch
+
+        def spy(*a, **kw):
+            seen.append(run_batch(*a, **kw))
+            return seen[-1]
+
+        sess.run_batch = spy
+        try:
+            res = sess.reach(*args, **kwargs)
+        finally:
+            del sess.run_batch
+        total = seen[0].total_stats()
+        digest = hashlib.sha256()
+        for arr in (
+            res.reachable.astype("<i1"), res.hops.astype("<i8"),
+            res.resolution_seconds.astype("<f8"), res.resolved.astype("<i1"),
+        ):
+            digest.update(arr.tobytes())
+        return dict(
+            messages=total.total_messages, bytes=total.total_bytes,
+            edges_scanned=res.total_edges_scanned, supersteps=res.supersteps,
+            virtual_seconds=repr(res.virtual_seconds), truncated=res.truncated,
+            sha256=digest.hexdigest(),
+        )
+
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    @pytest.mark.parametrize("width", [1, 64])
+    def test_counts_clock_and_verdicts(self, graph, sess, width, direction):
+        sources, targets = self._pairs(graph)
+        got = self._wire(
+            sess, sources[:width], targets[:width], 4, direction=direction
+        )
+        assert got == self.GOLDEN[width]
+
+    def test_deadline_truncated_batch(self, graph, sess):
+        sources, targets = self._pairs(graph)
+        got = self._wire(sess, sources, targets, None, max_virtual_seconds=3e-4)
+        assert got == self.GOLDEN["deadline"]
+
+
 class TestGoldenWireGasSssp:
     """PageRank's and multi-SSSP's wire, byte for byte, on the same graph:
     literals recorded at the parent of the commit that moved both from

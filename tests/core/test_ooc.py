@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.frontier import MAX_WIDE_BATCH
 from repro.core.khop import concurrent_khop
 from repro.core.ooc import concurrent_khop_out_of_core
 from repro.graph import range_partition
@@ -146,4 +147,6 @@ class TestOutOfCoreKHop:
         with pytest.raises(ValueError):
             concurrent_khop_out_of_core(small_rmat, [99999], k=2)
         with pytest.raises(ValueError):
-            concurrent_khop_out_of_core(small_rmat, list(range(65)), k=2)
+            concurrent_khop_out_of_core(
+                small_rmat, [0] * (MAX_WIDE_BATCH + 1), k=2
+            )

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.oracle import oracle_bfs_levels
+from repro.core.frontier import MAX_WIDE_BATCH
 from repro.core.khop import concurrent_khop
 from repro.core.reachability import reachability_queries
 from repro.graph import EdgeList, path_graph, range_partition
@@ -47,8 +48,9 @@ class TestBasics:
             reachability_queries(small_rmat, [0], [10_000], k=2)
 
     def test_too_many_pairs_rejected(self, small_rmat):
+        pairs = [i % small_rmat.num_vertices for i in range(MAX_WIDE_BATCH + 1)]
         with pytest.raises(ValueError):
-            reachability_queries(small_rmat, list(range(65)), list(range(65)), 2)
+            reachability_queries(small_rmat, pairs, pairs, 2)
 
 
 class TestCorrectness:
@@ -99,6 +101,32 @@ class TestCorrectness:
         res = reachability_queries(el, [s], [t], k=k, num_machines=2)
         expected = 0 <= levels[t] <= k
         assert bool(res.reachable[0]) == expected
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.integers(0, 23), st.integers(0, 23)),
+            min_size=1, max_size=80,
+        ),
+        width=st.integers(1, MAX_WIDE_BATCH),
+        k=st.one_of(st.none(), st.integers(0, 5)),
+        machines=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_property_any_width_matches_khop_depths(
+        self, pairs, width, k, machines, seed
+    ):
+        """Verdicts and hops of a batch of any width up to one cache line
+        equal the k-hop batch's recorded depths at each target."""
+        el = EdgeList.from_pairs(pairs, num_vertices=24)
+        rng = np.random.default_rng(seed)
+        sources, targets = rng.integers(0, 24, (2, width))
+        res = reachability_queries(el, sources, targets, k, num_machines=machines)
+        depths = concurrent_khop(
+            el, sources, k, num_machines=machines, record_depths=True
+        ).depths[targets, np.arange(width)]
+        np.testing.assert_array_equal(res.reachable, depths >= 0)
+        np.testing.assert_array_equal(res.hops, depths)
 
 
 class TestEarlyTermination:

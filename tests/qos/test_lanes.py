@@ -6,6 +6,7 @@ every assertion here is exact — there is no wall-clock jitter to tolerate.
 
 import pytest
 
+from repro.core.frontier import MAX_WIDE_BATCH
 from repro.qos.lanes import (
     BULK_LANE,
     INTERACTIVE_LANE,
@@ -27,7 +28,7 @@ class TestSpecs:
     def test_lane_batch_width_bounds(self):
         LaneSpec(batch_width=1)
         LaneSpec(batch_width=64)
-        for bad in (0, 65):
+        for bad in (0, MAX_WIDE_BATCH + 1):
             with pytest.raises(ValueError, match="batch_width"):
                 LaneSpec(batch_width=bad)
 

@@ -224,6 +224,57 @@ class TestCheckpointInterval:
             assert sess.pool().recoveries == 1
 
 
+class TestReachReplay:
+    """Reachability's early-termination mask comes from each step's probe,
+    never from what the batch's ``on_step`` remembered — so a run rewound
+    past steps that settled verdicts, or a batch retried on the degraded
+    engine, replays the fault-free masks: verdicts, hops, per-query and
+    batch clocks and scanned edges all equal the fault-free twin."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self, graph):
+        return np.random.default_rng(3).integers(0, graph.num_vertices, (2, 48))
+
+    @pytest.fixture(scope="class")
+    def ref(self, graph, pairs):
+        res = GraphSession(graph, num_machines=2).reach(*pairs, None)
+        # targets settle at several levels, so the replayed steps matter
+        assert len(set(res.hops[res.hops > 0].tolist())) >= 3
+        return res
+
+    @staticmethod
+    def _assert_twin(ref, res):
+        assert np.array_equal(ref.reachable, res.reachable)
+        assert np.array_equal(ref.hops, res.hops)
+        assert np.array_equal(ref.resolution_seconds, res.resolution_seconds)
+        assert ref.virtual_seconds == res.virtual_seconds
+        assert ref.total_edges_scanned == res.total_edges_scanned
+
+    @pytest.mark.parametrize("backend", ["inproc", "pool"])
+    def test_rewind_past_settled_verdicts(self, graph, pairs, ref, backend):
+        # C=3: a crash at superstep 2 rewinds to step 0 and replays two
+        # steps whose verdicts the first pass already settled
+        ft = FaultTolerance(checkpoint_interval=3, max_recoveries=4)
+        with GraphSession(
+            graph, num_machines=2, backend=backend, fault_tolerance=ft,
+            fault_plan=FaultPlan().crash_worker(2, 1),
+        ) as sess:
+            self._assert_twin(ref, sess.reach(*pairs, None))
+
+    def test_retry_on_the_degraded_engine(self, graph, pairs, ref):
+        # no recovery budget: losing the pool at superstep 3 re-runs the
+        # whole batch in-process, through the same description
+        ft = FaultTolerance(max_recoveries=0)
+        with GraphSession(
+            graph, num_machines=2, backend="pool", fault_tolerance=ft,
+            fault_plan=FaultPlan().crash_worker(3, 1),
+            retry_policy=RetryPolicy(max_attempts=1, base_delay=0.0, degrade=True),
+        ) as sess:
+            res = sess.reach(*pairs, None)
+            assert sess.degraded
+        self._assert_twin(ref, res)
+
+
 class TestTelemetry:
     def test_fault_counters(self, graph):
         instr = Instrumentation()

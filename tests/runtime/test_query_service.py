@@ -10,8 +10,11 @@ waves.
 import numpy as np
 import pytest
 
+from repro.baselines.oracle import oracle_bfs_levels
+from repro.core.frontier import MAX_WIDE_BATCH
 from repro.core.traversal import khop_service_time
 from repro.graph.generators import rmat_edges
+from repro.qos import LaneSpec, QosConfig
 from repro.runtime.scheduler import (
     SLOTS_PER_MACHINE,
     QueryService,
@@ -122,6 +125,35 @@ class TestBatchDiscipline:
         )
         assert svc.clock == one_shot.virtual_seconds
 
+    @pytest.mark.parametrize(
+        "qos",
+        [
+            None,
+            QosConfig(lanes={
+                "interactive": LaneSpec(weight=4, batch_width=200),
+                "bulk": LaneSpec(weight=1),
+            }),
+        ],
+        ids=["fifo", "qos"],
+    )
+    def test_batches_wider_than_one_word(self, session, qos):
+        """Point and enumeration batches past 64 queries: verdicts equal an
+        independent BFS."""
+        rng = np.random.default_rng(21)
+        n = session.num_vertices
+        points, targets = rng.integers(0, n, 400), rng.integers(0, n, 400)
+        svc = QueryService(session, k=3, batch_width=300, qos=qos)
+        svc.submit_many(points, targets=targets)
+        svc.submit_many(rng.integers(0, n, 300), lane="bulk")
+        report = svc.drain()
+        assert report.num_batches == 3
+        levels = {
+            s: oracle_bfs_levels(session.pg.edges, s) for s in set(points.tolist())
+        }
+        expected = [0 <= levels[s][t] <= 3 for s, t in zip(points.tolist(), targets)]
+        np.testing.assert_array_equal(report.reachable[:400], expected)
+        assert (report.reachable[400:] == -1).all()
+
 
 class TestServiceLifecycle:
     def test_clock_persists_across_drains(self, session):
@@ -176,7 +208,7 @@ class TestValidation:
 
     def test_bad_batch_width(self, session):
         with pytest.raises(ValueError, match="batch_width"):
-            QueryService(session, k=2, batch_width=65)
+            QueryService(session, k=2, batch_width=MAX_WIDE_BATCH + 1)
         with pytest.raises(ValueError, match="batch_width"):
             QueryService(session, k=2, batch_width=0)
 
@@ -188,6 +220,30 @@ class TestValidation:
         svc = QueryService(session, k=2)
         with pytest.raises(ValueError, match="out of range"):
             svc.submit(session.num_vertices)
+
+    def test_non_integer_and_out_of_range_ids_refused(self, session):
+        """Both doors validate ids as the traversal entries do: a float id is
+        refused, never truncated, and a refused wave queues nothing."""
+        from repro.errors import InvalidQueryError
+
+        n = session.num_vertices
+        svc = QueryService(session, k=2)
+        calls = [
+            lambda: svc.submit(3.7),
+            lambda: svc.submit(1, target=4.5),
+            lambda: svc.submit(n),
+            lambda: svc.submit(1, target=-1),
+            lambda: svc.submit_many([5.9, 2.2]),
+            lambda: svc.submit_many([1, 2], targets=[3, 4.5]),
+            lambda: svc.submit_many([0, n]),
+            lambda: svc.submit_many([0, 1], targets=[-1, 2]),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidQueryError):
+                call()
+        assert svc.num_pending == 0
+        # integral floats are exact ids and stay accepted
+        assert svc.submit_many([5.0, 2.0], targets=[1.0, 3.0]) == [0, 1]
 
     def test_bad_arrival(self, session):
         svc = QueryService(session, k=2)

@@ -130,6 +130,41 @@ class TestNewCommands:
         assert rows[0]["distance"] == 0
 
 
+class TestServiceRefusals:
+    """The constructors own every limit; the CLI maps their refusals to one
+    ``repro service:`` exit instead of re-checking with its own literals."""
+
+    @pytest.mark.parametrize(
+        "flags, match",
+        [
+            (["--batch-width", "0"], r"batch_width must be in \[1, 512\]"),
+            (["--batch-width", "513"], r"batch_width must be in \[1, 512\]"),
+            (["--deadline-ms", "0"], "deadline_seconds must be positive"),
+            (["--cache", "8"], "planner='hybrid'"),
+            (["--edge-sets", "--mutations", "{stream}"], "edge-set mode"),
+            (["--edge-sets", "--wal-dir", "{wal}"], "edge-set mode"),
+            (["--wal-dir", "{wal}", "--checkpoint-every", "0"],
+             "checkpoint_every must be >= 1"),
+        ],
+        ids=["width-0", "width-513", "deadline", "cache-traversal",
+             "mutations-edge-sets", "wal-edge-sets", "checkpoint-every"],
+    )
+    def test_constructor_refusal_exits_cleanly(self, tmp_path, flags, match):
+        stream = tmp_path / "edits.txt"
+        stream.write_text("+ 0 1\n")
+        flags = [
+            f.format(stream=stream, wal=tmp_path / "state") for f in flags
+        ]
+        with pytest.raises(SystemExit, match="^repro service: .*" + match):
+            main(["service", "--queries", "4", *flags, *SCALE], out=io.StringIO())
+
+    def test_width_past_one_word_runs(self):
+        # a burst: 300 queries in three dispatches, so batches past 64 ran
+        out = run_cli("service", "--queries", "300", "--reach-frac", "0.5",
+                      "--batch-width", "200", "--rate", "1e9", *SCALE)
+        assert "3 dispatch(es), 150 point / 150 enumeration" in out
+
+
 class TestServiceTelemetry:
     def test_service_without_flags_stays_uninstrumented(self):
         out = run_cli("service", "--queries", "8", "--k", "2", *SCALE)

@@ -110,8 +110,12 @@ def test_catching_the_base_catches_everything():
         lambda sess: sess.khop([0], 2, asynchronous=True),
         lambda sess: sess.reach([0], [1], 2, use_edge_sets=True),
         lambda sess: sess.gas(PageRankProgram(), 2, asynchronous=True),
+        lambda sess: QueryService(sess, 2, use_edge_sets=True),
     ],
-    ids=["khop-edge-sets", "khop-async", "reach-edge-sets", "gas-async"],
+    ids=[
+        "khop-edge-sets", "khop-async", "reach-edge-sets", "gas-async",
+        "service-edge-sets",
+    ],
 )
 def test_inproc_only_modes_fail_fast_and_typed_on_a_pool_session(call):
     # one check, before any work: nothing was prepared, spawned or run
@@ -130,6 +134,10 @@ def test_inproc_only_modes_fail_fast_and_typed_on_a_pool_session(call):
         lambda sess: QueryService(sess, 2, cross_check=True),
         lambda sess: sess.khop([0], 2, use_edge_sets=True, direction="pull"),
         lambda sess: sess.reach([0], [1], 2, use_edge_sets=True, direction="pull"),
+        # edge-set mode before the edge sets are built
+        lambda sess: QueryService(sess, 2, use_edge_sets=True),
+        lambda sess: sess.khop([0], 2, use_edge_sets=True),
+        lambda sess: sess.reach([0], [1], 2, use_edge_sets=True),
     ],
     ids=[
         "qos-pool-discipline",
@@ -137,6 +145,9 @@ def test_inproc_only_modes_fail_fast_and_typed_on_a_pool_session(call):
         "cross-check-static-traversal",
         "khop-edge-sets-pull",
         "reach-edge-sets-pull",
+        "service-edge-sets-unbuilt",
+        "khop-edge-sets-unbuilt",
+        "reach-edge-sets-unbuilt",
     ],
 )
 def test_unsupported_combinations_fail_typed_before_any_work(call):
