@@ -4,15 +4,17 @@ A batch handed to :meth:`~repro.runtime.session.GraphSession.run_batch` is
 described once and executed on either executor — in this process or inside
 spawned pool workers (:mod:`repro.runtime.pool`).  Everything the
 description names therefore crosses a process boundary by *qualified name*:
-the task class itself (``KHopPartitionTask``, ``GASPartitionTask`` — built
-as ``cls(machine, cluster, **kwargs)``, re-armed as ``task.reset(**kwargs)``)
-and the module-level functions here, the only copy, used by both executors:
+the task class itself (built as ``cls(machine, cluster, **kwargs)``,
+re-armed as ``task.reset(**kwargs)``), its kwargs — user programs and
+program factories included — and the module-level functions here, the only
+copy, used by both executors:
 
 * :func:`traversal_probe` runs after every ``finalize`` and returns the
   partition's alive and target-visited query bits, which the traversal
   batch's ``on_step`` folds;
-* gathers (``*_visited_counts``, ``khop_depths``, ``gas_values``) collect
-  per-partition results after the run;
+* gathers collect per-partition results after the run — visit counts,
+  depths, GAS and vertex-program values, SSSP distances, partition programs
+  (unpickled copies on the pool) and the out-of-core block-cache counters;
 * :func:`mask_frontier` is reachability's early-termination control, applied
   to every task between supersteps.
 
@@ -29,15 +31,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:  # the task modules import this one
-    from repro.core.gas import GASPartitionTask
     from repro.core.khop import KHopPartitionTask
 
 __all__ = [
     "traversal_probe",
     "khop_visited_counts",
-    "khop_depths",
+    "task_attribute",
     "mask_frontier",
-    "gas_values",
+    "ooc_release_store",
 ]
 
 #: Bytes per plane word of a combined-batch payload entry (outbox sizing).
@@ -73,8 +74,16 @@ def khop_visited_counts(task: KHopPartitionTask) -> np.ndarray:
     return task.state.visited_counts()
 
 
-def khop_depths(task: KHopPartitionTask) -> np.ndarray | None:
-    return task.depths
+def task_attribute(task, name: str):
+    """One attribute of a task: depths, values, distances, the program."""
+    return getattr(task, name)
+
+
+def ooc_release_store(task) -> tuple[int, int]:
+    """(hits, loads) of an out-of-core task's block cache, dropping the
+    store: its spill directory does not outlive the call."""
+    store, task.store = task.store, None
+    return store.hits, store.loads
 
 
 def mask_frontier(task: KHopPartitionTask, keep: int) -> None:
@@ -83,9 +92,3 @@ def mask_frontier(task: KHopPartitionTask, keep: int) -> None:
     width = 8 * task.state.words
     task.state.frontier &= np.frombuffer(keep.to_bytes(width, "little"), "<u8")
 
-
-# -- GAS / PageRank --------------------------------------------------------- #
-
-
-def gas_values(task: GASPartitionTask) -> np.ndarray:
-    return task.values

@@ -24,10 +24,13 @@ suite reimplements Listing 2's k-hop on it to prove equivalence.
 
 from __future__ import annotations
 
+import io
+import pickle
 from abc import ABC, abstractmethod
 
 import numpy as np
 
+from repro.core import adapters
 from repro.graph.edgelist import EdgeList
 from repro.graph.partition import PartitionedGraph
 from repro.runtime.cluster import SimCluster
@@ -75,7 +78,7 @@ class PartitionContext:
 
     def ifHasVertex(self, vid: int) -> bool:
         """Does the graph contain ``vid`` at all?"""
-        return 0 <= int(vid) < self._cluster.pg.num_vertices
+        return 0 <= int(vid) < self._cluster.num_vertices
 
     def isLocalVertex(self, vid: int) -> bool:
         return self._machine.lo <= int(vid) < self._machine.hi
@@ -93,7 +96,7 @@ class PartitionContext:
         return self._machine.partition.boundary_vertices().astype(np.int64)
 
     def getAllVertices(self) -> np.ndarray:
-        return np.arange(self._cluster.pg.num_vertices, dtype=np.int64)
+        return np.arange(self._cluster.num_vertices, dtype=np.int64)
 
     def barrier(self) -> None:
         """A no-op marker: the engine synchronises between supersteps.
@@ -147,11 +150,32 @@ class PartitionProgram(ABC):
 class _ProgramTask(PartitionTask):
     """Adapter: runs a PartitionProgram on the generic superstep engine."""
 
-    def __init__(self, machine, cluster: SimCluster, program: PartitionProgram):
+    def __init__(self, machine, cluster: SimCluster, program_factory):
         super().__init__(machine)
         self.cluster = cluster
-        self.program = program
-        self.ctx = PartitionContext(machine, cluster)
+        self.reset(program_factory)
+
+    def reset(self, program_factory) -> None:
+        """A fresh context, and the factory's program built on it."""
+        self.ctx = PartitionContext(self.machine, self.cluster)
+        self._next_local = {}
+        self.program = program_factory(self.ctx)
+
+    def checkpoint(self) -> bytes:
+        # at a barrier the program and its next inbox are the whole state; a
+        # context the program holds stays a reference to the live one, so a
+        # restored program's sendTo reaches the buffers the engine flushes
+        buf = io.BytesIO()
+        pickler = pickle.Pickler(buf, pickle.HIGHEST_PROTOCOL)
+        pickler.persistent_id = lambda obj: "ctx" if obj is self.ctx else None
+        pickler.dump((self.program, self.ctx.superstep, self.ctx._inbox_by_vertex))
+        return buf.getvalue()
+
+    def restore(self, state: bytes) -> None:
+        ctx = self.ctx
+        unpickler = pickle.Unpickler(io.BytesIO(state))
+        unpickler.persistent_load = lambda pid: ctx
+        self.program, ctx.superstep, ctx._inbox_by_vertex = unpickler.load()
 
     def compute(self, stats: StepStats) -> None:
         ctx = self.ctx
@@ -197,29 +221,18 @@ def run_program(
     (so programs can seed state) and must return a
     :class:`PartitionProgram`.  Programs halt when every partition votes to
     halt with empty inboxes.  Returns the program instances (holding user
-    state) and the engine result.  Program/context state is per-run (it
-    belongs to the user's program instances), so only the partitioned graph
-    and cluster are reused from a persistent ``session``.
+    state) and the engine result.  On a ``backend="pool"`` session the
+    programs run in the workers: the factory (a module-level function or a
+    ``functools.partial`` of one — a lambda is refused), the combiner and
+    the program state must pickle, and the returned programs are copies.
     """
     sess = GraphSession.for_run(graph, num_machines, netmodel, session)
-    cluster = sess.cluster
     sess.prepare()
-    tasks = []
-    programs = []
-    for m in cluster.machines:
-        task = _ProgramTask.__new__(_ProgramTask)
-        PartitionTask.__init__(task, m)
-        task.cluster = cluster
-        task.ctx = PartitionContext(m, cluster)
-        task._next_local = {}
-        program = program_factory(task.ctx)
-        task.program = program
-        programs.append(program)
-        tasks.append(task)
-
     result = sess.run_batch(
-        tasks=tasks,
+        _ProgramTask,
+        dict(program_factory=program_factory),
+        ("program",),
         combiner=combiner or no_combine,
         max_supersteps=max_supersteps,
     )
-    return programs, result
+    return sess.gather_batch(adapters.task_attribute, "program"), result

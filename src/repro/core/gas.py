@@ -208,6 +208,7 @@ def run_gas(
         max_supersteps=iterations,
     )
     values = np.empty(pg.num_vertices, dtype=np.float64)
-    for part, vals in zip(pg.partitions, sess.gather_batch(adapters.gas_values)):
+    gathered = sess.gather_batch(adapters.task_attribute, "values")
+    for part, vals in zip(pg.partitions, gathered):
         values[part.lo : part.hi] = vals
     return GASRun(values=values, iterations=result.supersteps, engine_result=result)

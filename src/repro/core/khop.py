@@ -135,18 +135,7 @@ class KHopResult:
 class KHopPartitionTask(PartitionTask):
     """One machine's share of a concurrent k-hop batch."""
 
-    def __init__(
-        self,
-        machine,
-        cluster: SimCluster,
-        num_queries: int,
-        k: int | None,
-        use_edge_sets: bool = False,
-        record_depths: bool = False,
-        direction: str = "auto",
-        push_coeff: float = PUSH_SECONDS_PER_EDGE,
-        pull_coeff: float = PULL_SECONDS_PER_EDGE,
-    ):
+    def __init__(self, machine, cluster: SimCluster, *args, **kwargs):
         super().__init__(machine)
         self.cluster = cluster
         self.state = None
@@ -154,10 +143,7 @@ class KHopPartitionTask(PartitionTask):
         # Slot plane: scratch between one compute's scatter and the flush
         # that follows it, (re)built by _arm_plane — never checkpointed.
         self._plane = None
-        self.reset(
-            num_queries, k, use_edge_sets, record_depths, direction,
-            push_coeff, pull_coeff,
-        )
+        self.reset(*args, **kwargs)  # a subclass's reset names its own args
 
     def seed(self, local_vertex: int, query_index: int) -> None:
         """Place query ``query_index``'s source at ``local_vertex``."""
@@ -451,7 +437,7 @@ def concurrent_khop(
     if record_depths:
         depths = np.full((pg.num_vertices, num_queries), -1, dtype=np.int16)
         for part, d in zip(
-            pg.partitions, sess.gather_batch(adapters.khop_depths)
+            pg.partitions, sess.gather_batch(adapters.task_attribute, "depths")
         ):
             depths[part.lo : part.hi] = d
         for q, s in enumerate(sources):

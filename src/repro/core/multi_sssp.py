@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import InvalidQueryError
+from repro.core import adapters
+from repro.errors import InvalidQueryError, UnsupportedConfigError
 from repro.graph.edgelist import EdgeList
 from repro.graph.partition import PartitionedGraph
 from repro.runtime.cluster import SimCluster
@@ -53,14 +54,20 @@ class MultiSSSPResult:
 
 
 class _MultiSSSPTask(PartitionTask):
+    checkpointed = ("dist", "active", "hop")
+
     def __init__(self, machine, cluster: SimCluster, num_queries: int,
                  max_hops: int | None):
         super().__init__(machine)
         self.cluster = cluster
+        self.reset(num_queries, max_hops)
+
+    def reset(self, num_queries: int, max_hops: int | None) -> None:
+        """Arm this task for a batch — the constructor's kwargs."""
         self.max_hops = max_hops
         self.hop = 0
-        self.dist = np.full((machine.num_local, num_queries), np.inf)
-        self.active = np.zeros(machine.num_local, dtype=bool)
+        self.dist = np.full((self.machine.num_local, num_queries), np.inf)
+        self.active = np.zeros(self.machine.num_local, dtype=bool)
 
     def seed(self, local_vertex: int, query: int) -> None:
         self.dist[local_vertex, query] = 0.0
@@ -134,26 +141,29 @@ def concurrent_sssp(
     """
     sess = GraphSession.for_run(graph, num_machines, netmodel, session)
     pg = sess.pg
-    cluster = sess.cluster
     if any(part.out_csr.weights is None for part in pg.partitions):
         raise InvalidQueryError("SSSP requires a weighted graph")
+    if sess.uses_pool and not sess.degraded and sess.is_dynamic:
+        # pool workers read the shared image: a dynamic graph's unweighted
+        # base, spliced — never weights set on this process's shards
+        raise UnsupportedConfigError("SSSP on a dynamic graph needs backend='inproc'")
     sources = sess.check_sources(sources, MAX_SSSP_BATCH)
     num_queries = int(sources.size)
 
     sess.prepare()
-    tasks = [
-        _MultiSSSPTask(m, cluster, num_queries, max_hops)
-        for m in cluster.machines
-    ]
-    sess.seed_sources(tasks, sources)
-
     result = sess.run_batch(
-        tasks=tasks, combiner=no_combine, max_supersteps=max_hops
+        _MultiSSSPTask,
+        dict(num_queries=num_queries, max_hops=max_hops),
+        ("sssp",),
+        sources=sources,
+        combiner=no_combine,
+        payload_width=8 * num_queries,
+        max_supersteps=max_hops,
     )
-
     distances = np.empty((pg.num_vertices, num_queries))
-    for t in tasks:
-        distances[t.machine.lo : t.machine.hi] = t.dist
+    gathered = sess.gather_batch(adapters.task_attribute, "dist")
+    for part, dist in zip(pg.partitions, gathered):
+        distances[part.lo : part.hi] = dist
     total = result.total_stats()
     return MultiSSSPResult(
         sources=sources,

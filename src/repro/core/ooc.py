@@ -10,6 +10,7 @@ engine; only the cost accounting (and the real memory footprint) change.
 
 from __future__ import annotations
 
+import contextlib
 import tempfile
 from dataclasses import dataclass
 from functools import partial
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core import adapters
 from repro.core.frontier import MAX_WIDE_BATCH
 from repro.core.khop import KHopPartitionTask
 from repro.graph.edgelist import EdgeList
@@ -32,11 +34,16 @@ __all__ = ["OOCKHopResult", "concurrent_khop_out_of_core"]
 class _OOCKHopTask(KHopPartitionTask):
     """K-hop partition task reading edge-sets through a spillable store."""
 
-    def __init__(self, machine, cluster, num_queries, k,
-                 store: SpillableEdgeSetStore):
+    def reset(self, num_queries, k, spill_directory, cache_blocks) -> None:
+        """Arm for a batch with a new spill store under ``spill_directory``."""
         # always the push kernel: the block scan is what pays the disk tier
-        super().__init__(machine, cluster, num_queries, k, direction="push")
-        self.store = store
+        super().reset(num_queries, k, direction="push")
+        part = self.machine.partition
+        self.store = SpillableEdgeSetStore(
+            part.edge_sets,
+            Path(spill_directory) / f"part{part.part_id}",
+            cache_blocks=cache_blocks,
+        )
 
     def _expand_push(self, plan, active: np.ndarray, stats) -> None:
         # the fetch pays the disk tier; untouched blocks never leave disk
@@ -90,56 +97,38 @@ def concurrent_khop_out_of_core(
     mode exists to demonstrate.
     """
     sess = GraphSession.for_run(graph, num_machines, netmodel, session)
-    pg = sess.pg
-    cluster = sess.cluster
+    if sess.uses_pool:  # edge sets are not in the pool's shared image
+        sess.require_inproc(use_edge_sets=True)
     sess.build_edge_sets(sets_per_partition, consolidate_min_edges)
     sources = sess.check_sources(sources, MAX_WIDE_BATCH)
     num_queries = int(sources.size)
 
-    tmp = None
-    if spill_directory is None:
-        tmp = tempfile.TemporaryDirectory(prefix="cgraph-ooc-")
-        spill_directory = tmp.name
-    try:
+    with (
+        tempfile.TemporaryDirectory(prefix="cgraph-ooc-")
+        if spill_directory is None
+        else contextlib.nullcontext(spill_directory)
+    ) as spill:
         sess.prepare()
-        stores = [
-            SpillableEdgeSetStore(
-                part.edge_sets,
-                Path(spill_directory) / f"part{part.part_id}",
-                cache_blocks=cache_blocks,
-            )
-            for part in pg.partitions
-        ]
-        # tasks are per-call: the spill store is bound to this call's
-        # spill directory, so caching them on the session would pin a
-        # (possibly temporary) directory beyond its lifetime
-        tasks = [
-            _OOCKHopTask(m, cluster, num_queries, k, stores[m.machine_id])
-            for m in cluster.machines
-        ]
-        sess.seed_sources(tasks, sources)
-
         result = sess.run_batch(
-            tasks=tasks, combiner=combine_or, max_supersteps=k
-        )
-
-        reached = np.zeros(num_queries, dtype=np.int64)
-        for t in tasks:
-            reached += t.state.visited_counts()
-        total = result.total_stats()
-        hits = sum(s.hits for s in stores)
-        loads = sum(s.loads for s in stores)
-        return OOCKHopResult(
+            _OOCKHopTask,
+            dict(num_queries=num_queries, k=k, spill_directory=spill,
+                 cache_blocks=cache_blocks),
+            ("ooc",),
             sources=sources,
-            k=k,
-            reached=reached,
-            virtual_seconds=result.virtual_seconds,
-            supersteps=result.supersteps,
-            total_edges_scanned=total.edges_scanned,
-            disk_reads=total.disk_reads,
-            disk_bytes_read=total.disk_bytes_read,
-            cache_hit_rate=hits / (hits + loads) if (hits + loads) else 1.0,
+            combiner=combine_or,
+            max_supersteps=k,
         )
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
+        reached = sum(sess.gather_batch(adapters.khop_visited_counts))
+        hits, loads = map(sum, zip(*sess.gather_batch(adapters.ooc_release_store)))
+    total = result.total_stats()
+    return OOCKHopResult(
+        sources=sources,
+        k=k,
+        reached=reached,
+        virtual_seconds=result.virtual_seconds,
+        supersteps=result.supersteps,
+        total_edges_scanned=total.edges_scanned,
+        disk_reads=total.disk_reads,
+        disk_bytes_read=total.disk_bytes_read,
+        cache_hit_rate=hits / (hits + loads) if (hits + loads) else 1.0,
+    )

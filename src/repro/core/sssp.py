@@ -53,10 +53,9 @@ def sssp(
     (:meth:`~repro.graph.edgelist.EdgeList.with_unit_weights` turns hop count
     into distance).
     """
-    sess = GraphSession.for_run(graph, num_machines, netmodel, session)
-    if not 0 <= source < sess.pg.num_vertices:
-        raise ValueError("source out of range")
-    batch = concurrent_sssp(graph, [source], max_hops, session=sess)
+    batch = concurrent_sssp(
+        graph, [source], max_hops, num_machines, netmodel, session
+    )
     return SSSPResult(
         source=source,
         distances=batch.distances[:, 0],

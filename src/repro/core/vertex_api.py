@@ -19,6 +19,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
+from repro.core import adapters
 from repro.graph.edgelist import EdgeList
 from repro.graph.partition import PartitionedGraph
 from repro.runtime.cluster import SimCluster
@@ -60,7 +61,7 @@ class VertexContext:
         return machine.partition.out_csr.degree(self.vertex - machine.lo)
 
     def num_vertices(self) -> int:
-        return self._task.cluster.pg.num_vertices
+        return self._task.cluster.num_vertices
 
     def get_value(self) -> float:
         machine = self._task.machine
@@ -94,27 +95,29 @@ class VertexCentricProgram(ABC):
 class _VertexTask(PartitionTask):
     """Runs a vertex program over one partition's local vertices."""
 
+    # at a barrier the pending buffers are empty
+    checkpointed = ("values", "active", "superstep", "_incoming")
+
     def __init__(self, machine, cluster: SimCluster, program: VertexCentricProgram):
         super().__init__(machine)
         self.cluster = cluster
+        self.reset(program)
+
+    def reset(self, program: VertexCentricProgram) -> None:
+        """Re-arm per-run state from ``program``'s initial values."""
         self.program = program
-        n_local = machine.num_local
+        vertices = range(self.machine.lo, self.machine.hi)
+        n = self.cluster.num_vertices
         self.values = np.array(
-            [
-                program.initial_value(v, cluster.pg.num_vertices)
-                for v in range(machine.lo, machine.hi)
-            ],
-            dtype=np.float64,
+            [program.initial_value(v, n) for v in vertices], dtype=np.float64
         )
         self.active = np.array(
-            [program.is_initially_active(v) for v in range(machine.lo, machine.hi)],
-            dtype=bool,
+            [program.is_initially_active(v) for v in vertices], dtype=bool
         )
         self.superstep = 0
         self._incoming: dict[int, list[float]] = {}
         self._pending_local: dict[int, list[float]] = {}
         self._pending_remote: list[tuple[int, float]] = []
-        self._current_ctx: VertexContext | None = None
 
     # called by VertexContext
     def _emit(self, destination: int, value: float) -> None:
@@ -164,19 +167,21 @@ def run_vertex_centric(
     """Run a Pregel-style vertex program to quiescence.
 
     Returns ``(values, engine_result)`` where ``values`` is the assembled
-    global per-vertex value vector.  A persistent ``session`` reuses the
-    partitioned graph and cluster; task state is per-run since it is seeded
-    from the user's program instance.
+    global per-vertex value vector.  On a ``backend="pool"`` session the
+    program runs in the workers and must pickle (a module-level class).
     """
     sess = GraphSession.for_run(graph, num_machines, netmodel, session)
     pg = sess.pg
-    cluster = sess.cluster
     sess.prepare()
-    tasks = [_VertexTask(m, cluster, program) for m in cluster.machines]
     result = sess.run_batch(
-        tasks=tasks, combiner=no_combine, max_supersteps=max_supersteps
+        _VertexTask,
+        dict(program=program),
+        ("vertex",),
+        combiner=no_combine,
+        max_supersteps=max_supersteps,
     )
     values = np.empty(pg.num_vertices, dtype=np.float64)
-    for t in tasks:
-        values[t.machine.lo : t.machine.hi] = t.values
+    gathered = sess.gather_batch(adapters.task_attribute, "values")
+    for part, vals in zip(pg.partitions, gathered):
+        values[part.lo : part.hi] = vals
     return values, result

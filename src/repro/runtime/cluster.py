@@ -101,6 +101,10 @@ class SimCluster:
     def num_machines(self) -> int:
         return len(self.machines)
 
+    @property
+    def num_vertices(self) -> int:
+        return self.pg.num_vertices
+
     def owner_of(self, vertices) -> np.ndarray:
         """Vectorised global-vertex -> machine-id lookup."""
         return self.pg.owner_of(vertices)

@@ -31,6 +31,7 @@ applied to every task before the next superstep.
 
 from __future__ import annotations
 
+import copy
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -123,23 +124,26 @@ class PartitionTask(ABC):
 
     # -- fault tolerance ------------------------------------------------- #
     #
-    # Tasks that opt into checkpoint/replay implement these two as exact
-    # inverses at a superstep barrier: ``restore(checkpoint())`` must leave
-    # the task bit-identical, so a recovered run replays into the same
-    # answer as a fault-free one.  State must be picklable (it crosses the
-    # pool's pipes) and must deep-copy anything mutable.
+    # Checkpoint/replay needs these two as exact inverses at a superstep
+    # barrier: ``restore(checkpoint())`` must leave the task bit-identical,
+    # so a recovered run replays into the same answer as a fault-free one.
+    # State must be picklable (it crosses the pool's pipes) and must be a
+    # deep copy.  By default it is the attributes ``checkpointed`` names.
+
+    checkpointed: tuple[str, ...] = ()
 
     def checkpoint(self):
         """Snapshot this task's per-run state at a superstep barrier."""
-        raise CheckpointError(
-            f"{type(self).__name__} does not support checkpoint/replay"
-        )
+        if not self.checkpointed:
+            raise CheckpointError(
+                f"{type(self).__name__} does not support checkpoint/replay"
+            )
+        return copy.deepcopy({a: getattr(self, a) for a in self.checkpointed})
 
     def restore(self, state) -> None:
         """Adopt a state previously returned by :meth:`checkpoint`."""
-        raise CheckpointError(
-            f"{type(self).__name__} does not support checkpoint/replay"
-        )
+        for name, value in copy.deepcopy(state).items():
+            setattr(self, name, value)
 
 
 @dataclass

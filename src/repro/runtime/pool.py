@@ -49,13 +49,14 @@ import atexit
 import logging
 import multiprocessing as mp
 import os
+import pickle
 import secrets
 import time
 import traceback
 
 import numpy as np
 
-from repro.errors import CorruptMessage, PoolError, WorkerLost
+from repro.errors import CorruptMessage, PoolError, UnsupportedConfigError, WorkerLost
 from repro.graph.partition import PartitionedGraph, owner_of_bounds
 from repro.runtime.cluster import Machine
 from repro.runtime.engine import EngineResult, _StepFailures, run_supersteps
@@ -96,14 +97,16 @@ _VERTEX_BYTES = 8
 class _WorkerCluster:
     """The slice of :class:`SimCluster` a task can see inside a worker.
 
-    Tasks only ever call ``cluster.owner_of`` — routing needs the bounds
-    array (a shared view), nothing else.  ``rng`` is the worker's seeded
+    Tasks call ``cluster.owner_of`` and read the graph's shape — all of it
+    the bounds array (a shared view).  ``rng`` is the worker's seeded
     generator, there for any task that needs deterministic randomness.
     """
 
     def __init__(self, bounds: np.ndarray, rng: np.random.Generator):
         self.bounds = bounds
         self.rng = rng
+        self.num_machines = len(bounds) - 1
+        self.num_vertices = int(bounds[-1])
 
     def owner_of(self, vertices) -> np.ndarray | int:
         return owner_of_bounds(self.bounds, vertices)
@@ -357,8 +360,16 @@ class WorkerPool:
     # -- pipe plumbing ------------------------------------------------------ #
 
     def _request(self, worker_id: int, message):
-        """Strict send+recv for control ops: any failure is WorkerLost."""
-        if not self._sup.send(worker_id, message):
+        """Strict send+recv for control ops: any failure is WorkerLost —
+        except a message that does not pickle, refused before it is sent."""
+        try:
+            sent = self._sup.send(worker_id, message)
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise UnsupportedConfigError(
+                f"{message[0]!r} cannot cross to the pool workers ({exc}); "
+                "use module-level classes and functions"
+            ) from None
+        if not sent:
             raise WorkerLost(
                 f"pool worker {worker_id} is gone (pipe closed on send)."
                 + MAIN_GUARD_HINT
@@ -389,7 +400,7 @@ class WorkerPool:
         """Install a task on every worker, or reset the resident one.
 
         The pool's side of the resident-task cache whose in-process side is
-        ``GraphSession.tasks_for``, keyed identically: the first batch under
+        ``GraphSession.run_batch``'s, keyed identically: the first batch under
         ``key`` builds ``build(machine, cluster, **build_kwargs)`` inside
         each worker; later batches re-arm it in place with
         ``task.reset(**reset_kwargs)``.  ``payload_width`` (bytes per
@@ -411,7 +422,8 @@ class WorkerPool:
 
         A combined per-destination batch holds distinct vertices only, so a
         worker's whole outbox never exceeds ``min(out_edges, n)`` entries —
-        a static bound that makes mid-superstep growth impossible.
+        a static bound that makes mid-superstep growth unnecessary (what an
+        uncombined program sends past it rides inline, through the pipe).
         """
         if payload_width <= self._outbox_width and self._outboxes[0] is not None:
             return

@@ -30,9 +30,7 @@ control for every task.  A session selects its **executor** with
 process (:class:`~repro.runtime.engine.SuperstepEngine`); ``"pool"`` runs
 the same description on a persistent shared-memory worker pool
 (:mod:`repro.runtime.pool`) — one OS process per machine.  Answers and
-virtual times are bit-identical either way; only wall-clock changes.
-Algorithms that build their own task lists (SSSP, k-core, user programs)
-hand them to :meth:`run_batch` ready-made and always run in-process.  Pool
+virtual times are bit-identical either way; only wall-clock changes.  Pool
 sessions should be closed (:meth:`GraphSession.close` or ``with
 GraphSession(...) as sess:``) to stop the workers.
 
@@ -121,9 +119,7 @@ class GraphSession:
         on a persistent :class:`~repro.runtime.pool.WorkerPool` — one OS
         process per machine, shards and message payloads in shared memory
         — started lazily on the first batch and stopped by :meth:`close`.
-        Results are bit-identical between backends.  Algorithms that
-        build their own tasks (SSSP, k-core, user programs) keep the
-        in-process executor on a pool session; the edge-set and
+        Results are bit-identical between backends; the edge-set and
         asynchronous modes are rejected there (:meth:`require_inproc`).
     pool_seed:
         Base seed for the pool workers' per-process RNGs (determinism).
@@ -696,33 +692,6 @@ class GraphSession:
             return cache_key + (self._dynamic.epoch,)
         return cache_key
 
-    def tasks_for(
-        self, cache_key: tuple, task_cls, task_kwargs: dict
-    ) -> list[PartitionTask]:
-        """One in-process task per machine: built on first use, *reset* on
-        reuse.
-
-        The in-process side of the resident-task cache (the pool's is
-        :meth:`~repro.runtime.pool.WorkerPool.ensure_task`, keyed
-        identically): the first batch under ``cache_key`` builds
-        ``task_cls(machine, cluster, **task_kwargs)`` per machine; later
-        batches re-arm that list in place with ``task.reset(**task_kwargs)``
-        (frontier planes zeroed, level counters rewound) instead of
-        reallocating.
-        """
-        key = self._resident_key(cache_key)
-        tasks = self._task_cache.get(key)
-        if tasks is not None:
-            for task in tasks:
-                task.reset(**task_kwargs)
-            return tasks
-        tasks = [
-            task_cls(machine, self.cluster, **task_kwargs)
-            for machine in self.cluster.machines
-        ]
-        self._task_cache[key] = tasks
-        return tasks
-
     def seed_owners(self, sources) -> np.ndarray:
         """Owning machine of each seed vertex (QoS affinity batching)."""
         return self.cluster.owner_of(np.asarray(sources, dtype=np.int64))
@@ -738,19 +707,12 @@ class GraphSession:
             per_machine[int(o)].append((int(s) - int(lo), q))
         return per_machine
 
-    def seed_sources(self, tasks: list[PartitionTask], sources: np.ndarray) -> None:
-        """Place query ``q``'s source on its owning machine's task."""
-        for task, seeds in zip(tasks, self.seeds_by_machine(sources)):
-            for local_vertex, q in seeds:
-                task.seed(local_vertex, q)
-
     def run_batch(
         self,
-        task_cls=None,
-        task_kwargs: dict | None = None,
-        cache_key: tuple | None = None,
+        task_cls,
+        task_kwargs: dict,
+        cache_key: tuple,
         *,
-        tasks: list[PartitionTask] | None = None,
         sources: np.ndarray | None = None,
         combiner=combine_or,
         asynchronous: bool = False,
@@ -771,33 +733,46 @@ class GraphSession:
         to every task after each finalize and its results are the fourth
         argument of ``on_step(step, stats, now, probes)``, which may return
         a ``(fn, args)`` control applied to every task before the next
-        superstep.  Everything that crosses to the workers of a pool session
-        (class, kwargs, probe, control) must pickle by qualified name — see
-        :mod:`repro.core.adapters`; ``payload_width`` (bytes per message
-        entry) sizes their outboxes.  Results are bit-identical on both
-        executors; collect per-partition state with :meth:`gather_batch`.
-
-        Algorithms with no description hand over ready-made ``tasks`` (one
-        per machine, already seeded) instead; those always run in-process.
+        superstep.  On a pool session what crosses to the workers (class,
+        kwargs, combiner, probe, control) must pickle by qualified name —
+        see :mod:`repro.core.adapters` — or is refused with
+        :class:`~repro.errors.UnsupportedConfigError`; ``payload_width``
+        (bytes per message entry) sizes the pool's outboxes.  Results are
+        bit-identical on both executors; collect per-partition state with
+        :meth:`gather_batch`.
         """
+        if self.uses_pool:
+            if not self._degraded:
+                result = self.run_batch_pool(
+                    task_cls, task_kwargs, cache_key,
+                    sources=sources,
+                    combiner=combiner,
+                    payload_width=payload_width,
+                    max_supersteps=max_supersteps,
+                    on_step=on_step,
+                    probe=probe,
+                    probe_args=probe_args,
+                    max_virtual_seconds=max_virtual_seconds,
+                )
+                if result is not None:
+                    return result
+            # the ladder's last rung: the same description, in-process
+            self.degraded_batches += 1
+        # resident tasks, keyed as the pool's WorkerPool.ensure_task keys them
+        key = self._resident_key(cache_key)
+        tasks = self._task_cache.get(key)
         if tasks is None:
-            if self.uses_pool:
-                if not self._degraded:
-                    return self.run_batch_pool(
-                        task_cls, task_kwargs, cache_key,
-                        sources=sources,
-                        combiner=combiner,
-                        payload_width=payload_width,
-                        max_supersteps=max_supersteps,
-                        on_step=on_step,
-                        probe=probe,
-                        probe_args=probe_args,
-                        max_virtual_seconds=max_virtual_seconds,
-                    )
-                self.degraded_batches += 1
-            tasks = self.tasks_for(cache_key, task_cls, task_kwargs)
-            if sources is not None:
-                self.seed_sources(tasks, sources)
+            tasks = self._task_cache[key] = [
+                task_cls(machine, self.cluster, **task_kwargs)
+                for machine in self.cluster.machines
+            ]
+        else:
+            for task in tasks:
+                task.reset(**task_kwargs)
+        if sources is not None:
+            for task, seeds in zip(tasks, self.seeds_by_machine(sources)):
+                for local_vertex, q in seeds:
+                    task.seed(local_vertex, q)
         engine = SuperstepEngine(
             self.cluster, tasks, combiner=combiner, asynchronous=asynchronous,
             probe=probe, probe_args=probe_args,
@@ -835,7 +810,7 @@ class GraphSession:
         probe=None,
         probe_args=None,
         max_virtual_seconds: float | None = None,
-    ) -> EngineResult:
+    ) -> EngineResult | None:
         """The retry/degrade ladder around the pool executor (the
         description is :meth:`run_batch`'s).
 
@@ -845,11 +820,14 @@ class GraphSession:
         :class:`~repro.errors.WorkerLost`, the broken pool is torn down (no
         leaked processes or segments) and the batch is retried on a fresh
         pool per :attr:`retry_policy`; once attempts (or the wall deadline)
-        run out, the last rung runs the same description on the in-process
-        executor — bit-identical answers — and the session stays degraded
-        for later batches.  A :class:`~repro.errors.WorkerTaskError` (the
-        task itself raised) is deterministic and propagates immediately: a
-        retry cannot help.
+        run out, the session degrades and this returns None: :meth:`run_batch`
+        runs the same description on the in-process executor — bit-identical
+        answers — for this and later batches.  A
+        :class:`~repro.errors.WorkerTaskError` (the task itself raised) is
+        deterministic and propagates immediately: a retry cannot help.  So
+        does a description that does not pickle
+        (:class:`~repro.errors.UnsupportedConfigError`), before any worker
+        has changed.
 
         While mutations are pending against the base image of a dynamic
         session, the worker-side build is wrapped with
@@ -918,19 +896,9 @@ class GraphSession:
                     "degrading to the in-process engine after %d failed "
                     "pool attempt(s): %s", attempt, exc,
                 )
-        # The last rung: a degraded session's run_batch runs the same
-        # description on the in-process executor (whose cluster carries no
-        # fault plan, so a sticky fault cannot chase the batch down here).
-        return self.run_batch(
-            task_cls, task_kwargs, cache_key,
-            sources=sources,
-            combiner=combiner,
-            max_supersteps=max_supersteps,
-            on_step=on_step,
-            probe=probe,
-            probe_args=probe_args,
-            max_virtual_seconds=max_virtual_seconds,
-        )
+        # degraded: the in-process cluster carries no fault plan, so a
+        # sticky fault cannot chase the batch down run_batch's last rung
+        return None
 
     def gather_batch(self, fn, *args) -> list:
         """Collect ``fn(task, *args)`` per machine from the last batch, on

@@ -28,7 +28,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.errors import CorruptMessage, PoolError
+from repro.errors import CorruptMessage
 from repro.graph.csr import CSR
 from repro.graph.partition import Partition, PartitionedGraph
 from repro.runtime.fault import batch_checksum
@@ -97,8 +97,8 @@ class BatchRef:
     segment: str
     sender: int
     dest: int
-    vertices: ArraySpec
-    payload: ArraySpec
+    vertices: ArraySpec | np.ndarray
+    payload: ArraySpec | np.ndarray
     checksum: int = -1
 
 
@@ -283,11 +283,6 @@ class OutboxWriter:
     def _write(self, arr: np.ndarray) -> ArraySpec:
         offset = _align8(self._cursor)
         end = offset + arr.nbytes
-        if end > self._shm.size:
-            raise PoolError(
-                f"outbox segment overflow (worker {self.worker_id}: "
-                f"{end} > {self._shm.size} bytes)"
-            )
         spec = ArraySpec(offset=offset, dtype=arr.dtype.str, shape=arr.shape)
         view_array(self._shm.buf, spec, writeable=True)[...] = arr
         self._cursor = end
@@ -297,14 +292,18 @@ class OutboxWriter:
         """Copy one combined batch into the segment, return its reference.
 
         The reference carries a CRC-32 of the batch bytes so the receiver
-        can prove the payload survived the trip through shared memory.
+        can prove the payload survived the trip through shared memory.  A
+        batch past the segment's end — only an uncombined user program can
+        outgrow the pool's static bound — rides inline in the reference.
         """
+        end = _align8(_align8(self._cursor) + vertices.nbytes) + payload.nbytes
+        inline = end > self._shm.size
         return BatchRef(
             segment=self._shm.name,
             sender=self.worker_id,
             dest=dest,
-            vertices=self._write(vertices),
-            payload=self._write(payload),
+            vertices=vertices if inline else self._write(vertices),
+            payload=payload if inline else self._write(payload),
             checksum=batch_checksum(vertices, payload),
         )
 
@@ -326,6 +325,8 @@ class OutboxReader:
         self._by_sender: dict[int, shared_memory.SharedMemory] = {}
 
     def view(self, ref: BatchRef) -> tuple[np.ndarray, np.ndarray]:
+        if isinstance(ref.vertices, np.ndarray):  # an inline batch
+            return ref.vertices, ref.payload
         shm = self._by_sender.get(ref.sender)
         if shm is None or shm.name != ref.segment:
             if shm is not None:

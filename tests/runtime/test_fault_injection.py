@@ -14,16 +14,19 @@ per test via ``set_fault_plan``; scenarios that poison the pool on purpose
 
 import multiprocessing as mp
 import os
+from functools import partial
 
 import numpy as np
 import pytest
 
+from repro.core.api import run_program
 from repro.core.khop import concurrent_khop
 from repro.errors import UnsupportedConfigError, WorkerLost
-from repro.graph import rmat_edges
+from repro.graph import EdgeList, rmat_edges
 from repro.runtime.fault import FaultPlan, FaultTolerance, RetryPolicy
 from repro.runtime.session import GraphSession
 from repro.telemetry import Instrumentation
+from tests.core.test_api import ListingTwoKHop
 
 
 def _pool_children():
@@ -222,6 +225,63 @@ class TestCheckpointInterval:
             assert ref.virtual_seconds == res.virtual_seconds
             assert ref.per_step_seconds == res.per_step_seconds
             assert sess.pool().recoveries == 1
+
+
+class TestSSSPReplay:
+    def test_crash_at_step_2_with_sparse_checkpoints(self, graph):
+        # multi-SSSP runs in the workers: its dist/active/hop checkpoint is
+        # what the rewind to the step-2 barrier replays from
+        rng = np.random.default_rng(3)
+        weighted = EdgeList(graph.src, graph.dst, graph.num_vertices,
+                            rng.uniform(0.1, 4.0, graph.num_edges))
+        sources = [0, 17, 333, 901, 5, 44, 555]
+        ref = GraphSession(weighted, num_machines=2).multi_sssp(sources)
+        ft = FaultTolerance(checkpoint_interval=2, max_recoveries=4)
+        with GraphSession(
+            weighted, num_machines=2, backend="pool", fault_tolerance=ft,
+            fault_plan=FaultPlan().crash_worker(2, 1),
+        ) as sess:
+            res = sess.multi_sssp(sources)
+            assert sess.pool().recoveries == 1
+            assert not sess.degraded
+        assert res.distances.tobytes() == ref.distances.tobytes()
+        assert repr(res.virtual_seconds) == repr(ref.virtual_seconds)
+        got, want = res.engine_result, ref.engine_result
+        assert got.per_step_seconds == want.per_step_seconds
+        assert got.total_stats() == want.total_stats()
+
+
+class CtxHoldingKHop(ListingTwoKHop):
+    """Listing 2 through the context its factory was handed, not the one
+    ``compute`` receives: a rewind must leave it bound to the live one."""
+
+    def __init__(self, ctx, source, k):
+        super().__init__(ctx, source, k)
+        self.ctx = ctx
+
+    def compute(self, ctx):
+        super().compute(self.ctx)
+
+
+class TestProgramReplay:
+    @pytest.mark.parametrize("backend", ["inproc", "pool"])
+    def test_program_holding_its_context(self, graph, backend):
+        factory = partial(CtxHoldingKHop, source=0, k=4)
+        want_progs, want = run_program(graph, factory, 2, max_supersteps=30)
+        ft = FaultTolerance(checkpoint_interval=2, max_recoveries=4)
+        with GraphSession(
+            graph, num_machines=2, backend=backend, fault_tolerance=ft,
+            fault_plan=FaultPlan().crash_worker(2, 1),
+        ) as sess:
+            got_progs, got = run_program(sess, factory, max_supersteps=30,
+                                          session=sess)
+            assert not sess.degraded
+            if backend == "pool":
+                assert sess.pool().recoveries == 1
+        assert [p.best for p in got_progs] == [p.best for p in want_progs]
+        assert repr(got.virtual_seconds) == repr(want.virtual_seconds)
+        assert got.per_step_seconds == want.per_step_seconds
+        assert got.total_stats() == want.total_stats()
 
 
 class TestReachReplay:

@@ -5,23 +5,30 @@ identical StepStats, identical reduction order, identical virtual clocks.
 Every test here runs the same batch on both backends and asserts exact
 equality, not tolerance: any drift is a protocol bug, not noise.
 
-The pool session is module-scoped so the whole file pays worker spawn once
-(one process per machine; spawn imports the package from scratch).  The
+The pool sessions are module-scoped so the whole file pays worker spawn
+once per session (one process per machine; spawn imports the package from
+scratch).  The
 "pool-degraded" session is a pool session whose ladder always ends on its
 last rung: one attempt, no recoveries, a sticky crash — so every batch it
 serves runs the same description on the in-process executor.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
+from repro.core.api import run_program
 from repro.core.khop import concurrent_khop
 from repro.core.pagerank import PageRankProgram
+from repro.core.vertex_api import run_vertex_centric
 from repro.errors import UnsupportedConfigError
-from repro.graph import rmat_edges
+from repro.graph import EdgeList, rmat_edges
 from repro.runtime.fault import FaultPlan, FaultTolerance, RetryPolicy
 from repro.runtime.scheduler import QueryService
 from repro.runtime.session import GraphSession
+from tests.core.test_api import ListingTwoKHop
+from tests.core.test_vertex_api import BFSVertexProgram
 
 
 @pytest.fixture(scope="module")
@@ -184,3 +191,101 @@ class TestDegeneratePool:
             res = sess.khop([0, 9], 3)
         assert np.array_equal(ref.reached, res.reached)
         assert ref.virtual_seconds == res.virtual_seconds
+
+
+@pytest.fixture(scope="module")
+def weighted(graph):
+    rng = np.random.default_rng(3)
+    return EdgeList(graph.src, graph.dst, graph.num_vertices,
+                    rng.uniform(0.1, 4.0, graph.num_edges))
+
+
+@pytest.fixture(scope="module")
+def pool3(weighted):
+    with GraphSession(weighted, num_machines=3, backend="pool") as sess:
+        yield sess
+
+
+@pytest.fixture(scope="module")
+def inproc3(weighted):
+    return GraphSession(weighted, num_machines=3)
+
+
+def _engine_row(result):
+    """A run's clock and wire: every field bit-identical across executors."""
+    total = result.total_stats()
+    return (
+        repr(result.virtual_seconds), result.per_step_seconds,
+        total.total_messages, total.total_bytes, total.edges_scanned,
+    )
+
+
+def _ran_on_workers(sess):
+    return type(sess._executor).__name__ == "WorkerPool"
+
+
+class TestDescribedBatchParity:
+    """Multi-SSSP, partition programs and vertex programs are descriptions
+    too: on a pool session they run in the workers, bit-identically."""
+
+    @pytest.mark.parametrize("max_hops", [None, 3])
+    @pytest.mark.parametrize("width", [1, 7, 32])
+    def test_multi_sssp(self, inproc3, pool3, width, max_hops):
+        sources = [(37 * q) % inproc3.num_vertices for q in range(width)]
+        a = inproc3.multi_sssp(sources, max_hops=max_hops)
+        b = pool3.multi_sssp(sources, max_hops=max_hops)
+        assert _ran_on_workers(pool3)
+        assert a.distances.tobytes() == b.distances.tobytes()
+        assert a.supersteps == b.supersteps
+        assert _engine_row(a.engine_result) == _engine_row(b.engine_result)
+
+    def test_sssp(self, inproc3, pool3):
+        a = inproc3.sssp(5, max_hops=4)
+        b = pool3.sssp(5, max_hops=4)
+        assert _ran_on_workers(pool3)
+        assert a.distances.tobytes() == b.distances.tobytes()
+        assert a.hops_used == b.hops_used
+        assert _engine_row(a.engine_result) == _engine_row(b.engine_result)
+
+    def test_partition_program(self, inproc3, pool3):
+        factory = partial(ListingTwoKHop, source=7, k=3)
+        progs_a, a = run_program(inproc3, factory, max_supersteps=50,
+                                 session=inproc3)
+        progs_b, b = run_program(pool3, factory, max_supersteps=50,
+                                 session=pool3)
+        assert _ran_on_workers(pool3)
+        # the pool hands back unpickled copies holding the same user state
+        assert [p.best for p in progs_a] == [p.best for p in progs_b]
+        assert a.supersteps == b.supersteps
+        assert _engine_row(a) == _engine_row(b)
+
+    def test_program_past_the_outbox_bound(self, inproc_sess, pool_sess):
+        # re-expansion sends one vertex several uncombined messages a step,
+        # more than the pool's static outbox bound: the excess rides inline
+        factory = partial(ListingTwoKHop, source=0, k=4)
+        progs_a, a = run_program(inproc_sess, factory, session=inproc_sess)
+        progs_b, b = run_program(pool_sess, factory, session=pool_sess)
+        assert _ran_on_workers(pool_sess)
+        assert [p.best for p in progs_a] == [p.best for p in progs_b]
+        assert _engine_row(a) == _engine_row(b)
+
+    def test_vertex_program(self, inproc3, pool3):
+        va, a = run_vertex_centric(inproc3, BFSVertexProgram(3, k=4),
+                                   max_supersteps=50, session=inproc3)
+        vb, b = run_vertex_centric(pool3, BFSVertexProgram(3, k=4),
+                                   max_supersteps=50, session=pool3)
+        assert _ran_on_workers(pool3)
+        assert va.tobytes() == vb.tobytes()
+        assert a.supersteps == b.supersteps
+        assert _engine_row(a) == _engine_row(b)
+
+    def test_degraded_session_runs_a_lambda_factory(self, inproc_sess,
+                                                    degraded_sess):
+        # the last rung runs in-process: nothing crosses, nothing must pickle
+        degraded_sess.khop([0], 1)
+        assert degraded_sess.degraded
+        factory = lambda ctx: ListingTwoKHop(ctx, 7, 3)  # noqa: E731
+        progs_a, a = run_program(inproc_sess, factory, session=inproc_sess)
+        progs_b, b = run_program(degraded_sess, factory, session=degraded_sess)
+        assert [p.best for p in progs_a] == [p.best for p in progs_b]
+        assert _engine_row(a) == _engine_row(b)

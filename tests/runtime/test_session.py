@@ -11,17 +11,26 @@ The session contract has three load-bearing properties:
    cached, and buffers are reset rather than reallocated.
 """
 
+import shutil
+from functools import partial
+
 import numpy as np
 import pytest
 
+from repro.core.api import run_program
 from repro.core.gas import run_gas
 from repro.core.khop import KHopPartitionTask, concurrent_khop
 from repro.core.multi_sssp import concurrent_sssp
+from repro.core.ooc import concurrent_khop_out_of_core
 from repro.core.pagerank import PageRankProgram, pagerank
 from repro.core.reachability import reachability_queries
+from repro.core.vertex_api import run_vertex_centric
+from repro.graph import EdgeList
 from repro.graph.generators import rmat_edges
 from repro.runtime.message import Inbox, MessageBatch
 from repro.runtime.session import GraphSession
+from tests.core.test_api import EchoOnce, ListingTwoKHop
+from tests.core.test_vertex_api import BFSVertexProgram, MaxValueProgram
 
 
 @pytest.fixture(scope="module")
@@ -284,3 +293,89 @@ class TestGasIsolation:
         again = run_gas(graph, PageRankProgram(damping=0.85), 4, session=session)
         assert not np.array_equal(one.values, other.values)
         np.testing.assert_array_equal(one.values, again.values)
+
+
+@pytest.fixture(scope="module")
+def weighted(graph):
+    rng = np.random.default_rng(4)
+    return EdgeList(graph.src, graph.dst, graph.num_vertices,
+                    rng.uniform(0.1, 4.0, graph.num_edges))
+
+
+@pytest.fixture(scope="module")
+def weighted_pool(weighted):
+    with GraphSession(weighted, num_machines=3, backend="pool") as sess:
+        yield sess
+
+
+def _engine_row(result):
+    total = result.total_stats()
+    return (
+        repr(result.virtual_seconds), result.per_step_seconds,
+        total.total_messages, total.total_bytes, total.edges_scanned,
+    )
+
+
+def _sssp(sess, width):
+    res = sess.multi_sssp(list(range(0, 3 * width, 3)), max_hops=4)
+    return res.distances.tobytes(), _engine_row(res.engine_result)
+
+
+def _program(sess, factory):
+    programs, result = run_program(sess, factory, max_supersteps=50, session=sess)
+    return [vars(p) for p in programs], _engine_row(result)
+
+
+def _vertex(sess, program):
+    values, result = run_vertex_centric(sess, program, max_supersteps=50,
+                                        session=sess)
+    return values.tobytes(), _engine_row(result)
+
+
+class TestResidentReset:
+    """Each described entry point twice on one session, the second call
+    with different inputs, equals that call on a fresh session: a ``reset``
+    that missed a field would leak the first call's state."""
+
+    @pytest.mark.parametrize("backend", ["inproc", "pool"])
+    @pytest.mark.parametrize(
+        "entry, first, second",
+        [
+            (_sssp, 7, 2),
+            # EchoOnce sends on superstep 0 only: a stale context shows
+            (_program, partial(ListingTwoKHop, source=7, k=3),
+             partial(EchoOnce, target=400, value=2.0)),
+            (_vertex, MaxValueProgram(), BFSVertexProgram(3, k=4)),
+        ],
+        ids=["multi-sssp", "partition-program", "vertex-program"],
+    )
+    def test_second_call_matches_fresh(
+        self, weighted, weighted_pool, backend, entry, first, second
+    ):
+        sess = (
+            weighted_pool if backend == "pool"
+            else GraphSession(weighted, num_machines=3)
+        )
+        entry(sess, first)
+        got = entry(sess, second)
+        assert got == entry(GraphSession(weighted, num_machines=3), second)
+
+    def test_out_of_core_opens_a_new_store(self, weighted, tmp_path):
+        def run(sess, sources, k, cache_blocks, spill):
+            res = concurrent_khop_out_of_core(
+                sess, sources, k, cache_blocks=cache_blocks,
+                spill_directory=tmp_path / spill, session=sess,
+            )
+            return (
+                res.reached.tolist(), repr(res.virtual_seconds), res.supersteps,
+                res.total_edges_scanned, res.disk_reads, res.disk_bytes_read,
+                res.cache_hit_rate,
+            )
+
+        sess = GraphSession(weighted, num_machines=3)
+        run(sess, [0, 5, 9], 2, 0, "first")
+        shutil.rmtree(tmp_path / "first")  # a stale store would read here
+        got = run(sess, [1, 2, 3, 4, 5], 3, 8, "second")
+        want = run(GraphSession(weighted, num_machines=3),
+                   [1, 2, 3, 4, 5], 3, 8, "fresh")
+        assert got == want

@@ -9,6 +9,8 @@ and tests pinning them — keep working across the fault-tolerance refactor.
 
 import pytest
 
+from repro.core.api import run_program
+from repro.core.ooc import concurrent_khop_out_of_core
 from repro.core.pagerank import PageRankProgram
 from repro.errors import (
     CheckpointError,
@@ -29,6 +31,7 @@ from repro.graph import path_graph
 from repro.qos import QosConfig, ResultCache
 from repro.runtime.scheduler import QueryService
 from repro.runtime.session import GraphSession
+from tests.core.test_api import ListingTwoKHop
 
 ALL = [
     PoolError,
@@ -111,10 +114,11 @@ def test_catching_the_base_catches_everything():
         lambda sess: sess.reach([0], [1], 2, use_edge_sets=True),
         lambda sess: sess.gas(PageRankProgram(), 2, asynchronous=True),
         lambda sess: QueryService(sess, 2, use_edge_sets=True),
+        lambda sess: concurrent_khop_out_of_core(sess, [0], 2, session=sess),
     ],
     ids=[
         "khop-edge-sets", "khop-async", "reach-edge-sets", "gas-async",
-        "service-edge-sets",
+        "service-edge-sets", "out-of-core",
     ],
 )
 def test_inproc_only_modes_fail_fast_and_typed_on_a_pool_session(call):
@@ -155,3 +159,42 @@ def test_unsupported_combinations_fail_typed_before_any_work(call):
         with pytest.raises(UnsupportedConfigError):
             call(sess)
         assert sess.batches_run == 0
+
+
+def _gas_with_a_local_class(sess):
+    class LocalRank(PageRankProgram):
+        pass
+
+    sess.gas(LocalRank(), 2)
+
+
+@pytest.mark.parametrize(
+    "call, culprit",
+    [
+        (_gas_with_a_local_class, "LocalRank"),
+        (
+            lambda sess: run_program(
+                sess, lambda ctx: ListingTwoKHop(ctx, 0, 2), session=sess
+            ),
+            "lambda",
+        ),
+    ],
+    ids=["gas-local-class", "program-lambda-factory"],
+)
+def test_unpicklable_description_is_refused_typed_and_the_pool_serves_on(
+    call, culprit
+):
+    # refused where the pool sends it, before any worker changes: no retry,
+    # no degradation, and the same pool serves the next batch
+    graph = path_graph(6)
+    want = GraphSession(graph, num_machines=2).khop([0], 3)
+    with GraphSession(graph, num_machines=2, backend="pool") as sess:
+        sess.khop([0], 3)
+        pool = sess.pool()
+        with pytest.raises(UnsupportedConfigError, match=culprit):
+            call(sess)
+        assert sess.pool_failures == 0 and not sess.degraded
+        got = sess.khop([0], 3)
+        assert sess.pool() is pool
+        assert got.reached.tolist() == want.reached.tolist()
+        assert got.virtual_seconds == want.virtual_seconds
