@@ -227,7 +227,6 @@ def run_program(
     the program state must pickle, and the returned programs are copies.
     """
     sess = GraphSession.for_run(graph, num_machines, netmodel, session)
-    sess.prepare()
     result = sess.run_batch(
         _ProgramTask,
         dict(program_factory=program_factory),

@@ -198,7 +198,6 @@ def run_gas(
     sess = GraphSession.for_run(graph, num_machines, netmodel, session)
     sess.require_inproc(asynchronous=asynchronous)
     pg = sess.pg
-    sess.prepare()
     result = sess.run_batch(
         GASPartitionTask,
         dict(program=program, initial=program.initial_values(pg.num_vertices)),

@@ -540,7 +540,6 @@ def _run_traversal(
             return adapters.mask_frontier, (all_queries & ~hits,)
         return None
 
-    sess.prepare()
     result = sess.run_batch(
         KHopPartitionTask,
         dict(

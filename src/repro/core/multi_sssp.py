@@ -150,7 +150,6 @@ def concurrent_sssp(
     sources = sess.check_sources(sources, MAX_SSSP_BATCH)
     num_queries = int(sources.size)
 
-    sess.prepare()
     result = sess.run_batch(
         _MultiSSSPTask,
         dict(num_queries=num_queries, max_hops=max_hops),

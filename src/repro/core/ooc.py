@@ -108,7 +108,6 @@ def concurrent_khop_out_of_core(
         if spill_directory is None
         else contextlib.nullcontext(spill_directory)
     ) as spill:
-        sess.prepare()
         result = sess.run_batch(
             _OOCKHopTask,
             dict(num_queries=num_queries, k=k, spill_directory=spill,

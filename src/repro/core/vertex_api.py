@@ -172,7 +172,6 @@ def run_vertex_centric(
     """
     sess = GraphSession.for_run(graph, num_machines, netmodel, session)
     pg = sess.pg
-    sess.prepare()
     result = sess.run_batch(
         _VertexTask,
         dict(program=program),

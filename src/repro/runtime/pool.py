@@ -7,11 +7,11 @@ the shared graph image once (:mod:`repro.runtime.shm`), keeps its
 :class:`~repro.runtime.engine.PartitionTask` state resident across batches,
 and runs the identical superstep protocol:
 
-1. the coordinator broadcasts ``compute``; every worker expands its local
-   frontier, flushes its outbox (:meth:`~repro.runtime.message.Outbox.flush`,
-   the call :func:`~repro.runtime.comm.exchange_sync` makes), writes the
-   combined batches into its own shared-memory outbox segment, and replies
-   with small :class:`~repro.runtime.shm.BatchRef` control records;
+1. the coordinator broadcasts ``compute``; every worker computes, flushes
+   its outbox (:meth:`~repro.runtime.message.Outbox.flush`, the call
+   :func:`~repro.runtime.comm.exchange_sync` makes) into its own
+   shared-memory outbox segment, and replies with small
+   :class:`~repro.runtime.shm.BatchRef` control records;
 2. the coordinator routes the refs by destination and broadcasts ``apply``;
    every worker reads its inbound batches as zero-copy views (sender-
    ascending order — the same reduction order as the in-process inbox),
@@ -22,25 +22,25 @@ That round is :meth:`WorkerPool.step`: the pool is the second *executor* of
 advances the same virtual clock from the per-worker :class:`StepStats` — so
 virtual times are bit-identical to the in-process engine.  Only control
 records, stats and probe results cross the pipes; payload arrays never
-leave shared memory.  The pool survives across batches (``ensure_task``
-re-arms resident task state).
+leave shared memory.  One ``begin`` per worker starts each batch on the
+long-lived pool (:meth:`WorkerPool.ensure_task`); every exchange is one
+barrier that reads every reply before raising.
 
 Fault tolerance: the pool's part is *detecting* a failed step — pipe EOF
 (crash), a reply missing past ``step_timeout`` (hang), outbound refs that
 contradict the worker's own send accounting (dropped outbox), a batch
 failing its checksum (corruption) — and *restoring* workers: respawn the
 dead ones onto the same shared segments, roll every worker back to the
-driver's last checkpoint.  Budget, rewind and replay are the driver's.  A
-run past ``max_recoveries`` shuts the pool down and raises
-:class:`~repro.errors.WorkerLost`, which the session's
-:class:`~repro.runtime.fault.RetryPolicy` turns into fresh-pool retries
-and, ultimately, transparent degradation to the in-process engine.
+driver's last checkpoint.  Budget, rewind and replay are the driver's.
+Past ``max_recoveries`` the pool shuts down and raises
+:class:`~repro.errors.WorkerLost`; the session's
+:class:`~repro.runtime.fault.RetryPolicy` retries on a fresh pool, then
+degrades to the in-process engine.
 
-Determinism: the start method is always ``spawn`` (no inherited state),
-each worker owns a :func:`numpy.random.default_rng` seeded from the pool
-seed and its worker id, and shutdown is explicit
-(:meth:`WorkerPool.shutdown`, wired to ``GraphSession.close()`` and
-``atexit``) with a terminate fallback so pytest never leaks processes.
+Determinism: workers always ``spawn`` (no inherited state) and seed their
+RNG from the pool seed and their id; :meth:`WorkerPool.shutdown` (wired to
+``GraphSession.close()`` and ``atexit``) terminates stragglers, so pytest
+never leaks processes.
 """
 
 from __future__ import annotations
@@ -53,10 +53,17 @@ import pickle
 import secrets
 import time
 import traceback
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 
-from repro.errors import CorruptMessage, PoolError, UnsupportedConfigError, WorkerLost
+from repro.errors import (
+    CorruptMessage,
+    PoolError,
+    UnsupportedConfigError,
+    WorkerLost,
+    WorkerTaskError,
+)
 from repro.graph.partition import PartitionedGraph, owner_of_bounds
 from repro.runtime.cluster import Machine
 from repro.runtime.engine import EngineResult, _StepFailures, run_supersteps
@@ -131,10 +138,8 @@ def _worker_main(
     reader = OutboxReader()
     injector = FaultInjector(fault_events)
     tasks: dict = {}
+    # ``begin`` sets the batch's task, combiner, probe, probe args and outbox
     current = None
-    combiner = combine_or
-    probe = None
-    probe_args: tuple = ()
     step_stats: StepStats | None = None
     try:
         while True:
@@ -156,7 +161,7 @@ def _worker_main(
                     stats = StepStats()
                     t0 = time.perf_counter()
                     current.compute(stats)
-                    writer.begin()
+                    writer.begin(outbox)
                     wire = machine.outbox.flush(worker_id, stats, combiner)
                     refs = [writer.write(d, b.vertices, b.payload) for d, b in wire]
                     step_stats = stats
@@ -189,25 +194,24 @@ def _worker_main(
                     conn.send(
                         ("step", vote, stats, result, time.perf_counter() - t0)
                     )
-                elif op == "install":
-                    _, key, build, kwargs = msg
+                elif op == "begin":
+                    # One message starts a batch: drop what an earlier
+                    # (possibly aborted) batch left queued, build the task
+                    # or reset the resident one, seed it, arm the run, and
+                    # reply with the batch's first checkpoint.
+                    (_, key, build, kwargs, seeds, combiner, probe, args,
+                     outbox) = msg
                     machine.reset_buffers()
-                    current = build(machine, cluster, **kwargs)
-                    tasks[key] = current
-                    conn.send(("ok", None))
-                elif op == "reset":
-                    _, key, kwargs = msg
-                    current = tasks[key]
-                    current.reset(**kwargs)
-                    conn.send(("ok", None))
-                elif op == "seed":
-                    for local_vertex, query in msg[1]:
-                        current.seed(local_vertex, query)
-                    conn.send(("ok", None))
-                elif op == "arm":
-                    _, combiner, probe, args = msg
+                    step_stats = None
                     probe_args = tuple(args) if args else ()
-                    conn.send(("ok", None))
+                    if build is not None:
+                        current = tasks[key] = build(machine, cluster, **kwargs)
+                    else:
+                        current = tasks[key]
+                        current.reset(**kwargs)
+                    for local_vertex, query in seeds:
+                        current.seed(local_vertex, query)
+                    conn.send(("ok", current.checkpoint()))
                 elif op == "call":
                     _, fn, args = msg
                     conn.send(("ok", fn(current, *args)))
@@ -223,13 +227,6 @@ def _worker_main(
                     conn.send(("ok", None))
                 elif op == "set_fault_plan":
                     injector.reset(msg[1])
-                    conn.send(("ok", None))
-                elif op == "outbox":
-                    writer.attach(msg[1])
-                    conn.send(("ok", None))
-                elif op == "prepare":
-                    machine.reset_buffers()
-                    step_stats = None
                     conn.send(("ok", None))
                 elif op == "close":
                     conn.send(("ok", None))
@@ -295,9 +292,11 @@ class WorkerPool:
         self._outboxes: list = [None] * self.num_workers
         self._outbox_width = 0
         self._outbox_gen = 0
-        self._installed: set = set()
-        self._current: tuple | None = None
-        self._armed: tuple = (combine_or, None, [()] * self.num_workers)
+        # per worker: the resident task keys, and this batch's begin message
+        # without seeds (what recovery rebuilds a replacement from)
+        self._installed: list[set] = [set() for _ in range(self.num_workers)]
+        self._begin: list = []
+        self._first_states: list | None = None
         self._closed = False
         ctx = mp.get_context(start_method)
         self._sup = Supervisor(
@@ -357,35 +356,60 @@ class WorkerPool:
         if self._closed:
             raise PoolError("worker pool is shut down")
 
-    # -- pipe plumbing ------------------------------------------------------ #
+    # -- the one exchange --------------------------------------------------- #
 
-    def _request(self, worker_id: int, message):
-        """Strict send+recv for control ops: any failure is WorkerLost —
-        except a message that does not pickle, refused before it is sent."""
-        try:
-            sent = self._sup.send(worker_id, message)
-        except (pickle.PicklingError, AttributeError, TypeError) as exc:
-            raise UnsupportedConfigError(
-                f"{message[0]!r} cannot cross to the pool workers ({exc}); "
-                "use module-level classes and functions"
-            ) from None
-        if not sent:
-            raise WorkerLost(
-                f"pool worker {worker_id} is gone (pipe closed on send)."
-                + MAIN_GUARD_HINT
-            )
-        reply = self._sup.recv(worker_id)
-        if isinstance(reply, WorkerFailure):
-            raise WorkerLost(f"pool {reply}")
-        return reply
+    def _barrier(self, messages, failures=None) -> dict[int, tuple]:
+        """Send worker ``i`` ``messages[i]`` (None: nothing), then read
+        every reply; returns each replying worker's reply fields.
 
-    def _send_each(self, messages) -> list:
-        return [
-            self._request(i, message)[1] for i, message in enumerate(messages)
-        ]
-
-    def _broadcast(self, message) -> list:
-        return self._send_each([message] * self.num_workers)
+        Every message is pickled before the first is sent, so one that does
+        not pickle is refused with UnsupportedConfigError while no worker has
+        changed.  Every reply is read before anything is raised, so the
+        pipes end each exchange in step: a task error raises WorkerTaskError,
+        then a lost worker WorkerLost — unless the caller is a superstep
+        phase passing its ``failures`` list, which collects them for the
+        driver to recover.  Only those phases arm ``step_timeout``.
+        """
+        frames = []
+        for message in messages:
+            try:
+                frames.append(
+                    None if message is None else ForkingPickler.dumps(message)
+                )
+            except (pickle.PicklingError, AttributeError, TypeError) as exc:
+                raise UnsupportedConfigError(
+                    f"{message[0]!r} cannot cross to the pool workers "
+                    f"({exc}); use module-level classes and functions"
+                ) from None
+        sup = self._sup
+        lost = [] if failures is None else failures
+        timeout = None if failures is None else self.fault_tolerance.step_timeout
+        pending = []
+        for i, frame in enumerate(frames):
+            if frame is None:
+                continue
+            if sup.send(i, frame):
+                pending.append(i)
+            else:
+                lost.append(WorkerFailure(
+                    i, CRASH, f"pipe closed on {messages[i][0]} send."
+                    + MAIN_GUARD_HINT
+                ))
+        replies: dict[int, tuple] = {}
+        errors = []
+        for i in pending:
+            reply = sup.recv(i, timeout)
+            if isinstance(reply, WorkerFailure):
+                lost.append(reply)
+            elif reply[0] == "err":
+                errors.append(f"pool worker {i} failed:\n{reply[1]}")
+            else:
+                replies[i] = reply[1:]
+        if errors:
+            raise WorkerTaskError("\n".join(errors))
+        if lost and failures is None:
+            raise WorkerLost("pool " + "; ".join(map(str, lost)))
+        return replies
 
     # -- batch protocol ------------------------------------------------------ #
 
@@ -396,41 +420,60 @@ class WorkerPool:
         build_kwargs: dict,
         reset_kwargs: dict,
         payload_width: int,
+        seeds=None,
+        combiner=combine_or,
+        probe=None,
+        probe_args=None,
     ) -> None:
-        """Install a task on every worker, or reset the resident one.
+        """Start a batch: one ``begin`` per worker, one barrier.
 
-        The pool's side of the resident-task cache whose in-process side is
-        ``GraphSession.run_batch``'s, keyed identically: the first batch under
-        ``key`` builds ``build(machine, cluster, **build_kwargs)`` inside
-        each worker; later batches re-arm it in place with
-        ``task.reset(**reset_kwargs)``.  ``payload_width`` (bytes per
-        combined-batch entry) sizes the outbox segments.
+        The pool's side of ``GraphSession.run_batch``'s resident-task cache,
+        keyed identically: a worker lacking ``key`` builds ``build(machine,
+        cluster, **build_kwargs)``, one holding it calls
+        ``task.reset(**reset_kwargs)``.  ``begin`` also drops queued
+        buffers, plants the worker's ``seeds`` and arms ``combiner`` and
+        ``probe(task, *probe_args[i])``.  ``payload_width`` (bytes per
+        entry) sizes the outboxes.
         """
         self._check_open()
-        self._ensure_outboxes(payload_width)
-        # Remember how to rebuild the current task: a respawned worker gets
-        # a fresh install of this build before its checkpoint restore.
-        self._current = (key, build, build_kwargs)
-        if key in self._installed:
-            self._broadcast(("reset", key, reset_kwargs))
-        else:
-            self._broadcast(("install", key, build, build_kwargs))
-            self._installed.add(key)
+        n = self.num_workers
+        grow = self._outboxes[0] is None or payload_width > self._outbox_width
+        gen = self._outbox_gen + grow
+        names = [f"cgp{self._token}o{i}g{gen}" for i in range(n)]
+        seeds = seeds or [()] * n
+        probe_args = probe_args or [()] * n
 
-    def _ensure_outboxes(self, payload_width: int) -> None:
-        """Grow per-worker outbox segments to fit ``payload_width`` entries.
+        def begin(i, worker_seeds, resident):
+            return (
+                "begin", key,
+                None if resident else build,
+                reset_kwargs if resident else build_kwargs,
+                worker_seeds, combiner, probe, probe_args[i], names[i],
+            )
+
+        replies = self._barrier(
+            [begin(i, seeds[i], key in self._installed[i]) for i in range(n)]
+        )
+        self._first_states = [state for (state,) in replies.values()]
+        self._begin = [begin(i, (), False) for i in range(n)]
+        for installed in self._installed:
+            installed.add(key)
+        # segments change only once every worker has accepted the batch
+        # (workers attach them at their next compute)
+        if grow:
+            self._grow_outboxes(payload_width, names)
+
+    def _grow_outboxes(self, payload_width: int, names: list[str]) -> None:
+        """Replace every outbox segment with one that fits ``payload_width``.
 
         A combined per-destination batch holds distinct vertices only, so a
         worker's whole outbox never exceeds ``min(out_edges, n)`` entries —
         a static bound that makes mid-superstep growth unnecessary (what an
         uncombined program sends past it rides inline, through the pipe).
+        Workers switch to the new segment at their next ``compute``.
         """
-        if payload_width <= self._outbox_width and self._outboxes[0] is not None:
-            return
         self._outbox_width = max(payload_width, self._outbox_width)
         self._outbox_gen += 1
-        old = list(self._outboxes)
-        messages = []
         for i, part in enumerate(self.pg.partitions):
             entries = min(part.num_out_edges, self.pg.num_vertices)
             capacity = (
@@ -438,53 +481,24 @@ class WorkerPool:
                 + 64 * self.num_workers
                 + 1024
             )
-            shm = create_segment(
-                f"cgp{self._token}o{i}g{self._outbox_gen}", capacity
-            )
-            self._outboxes[i] = shm
-            messages.append(("outbox", shm.name))
-        self._send_each(messages)
-        for shm in old:
-            if shm is not None:
-                shm.close()
-                shm.unlink()
-
-    def prepare(self) -> None:
-        """Drop queued worker-side buffers before a batch."""
-        self._check_open()
-        self._broadcast(("prepare",))
-
-    def seed(self, per_worker_seeds) -> None:
-        """Deliver each worker its ``(local_vertex, query)`` seed list."""
-        self._check_open()
-        self._send_each([("seed", seeds) for seeds in per_worker_seeds])
-
-    def arm(self, combiner=combine_or, probe=None, probe_args=None) -> None:
-        """Set the run's combiner and optional per-step probe.
-
-        ``probe(task, *args)`` runs worker-side after every finalize; its
-        results arrive in machine order as the fourth ``on_step`` argument.
-        ``probe_args`` is one tuple per worker (or None).
-        """
-        self._check_open()
-        if probe_args is None:
-            probe_args = [()] * self.num_workers
-        self._armed = (combiner, probe, list(probe_args))
-        self._send_each(
-            [("arm", combiner, probe, args) for args in probe_args]
-        )
+            old = self._outboxes[i]
+            self._outboxes[i] = create_segment(names[i], capacity)
+            if old is not None:
+                old.close()
+                old.unlink()
 
     def gather(self, fn, *args) -> list:
         """Run ``fn(task, *args)`` on every worker; results in machine order."""
         self._check_open()
-        return self._broadcast(("call", fn, args))
+        replies = self._barrier([("call", fn, args)] * self.num_workers)
+        return [value for (value,) in replies.values()]
 
     def set_fault_plan(self, plan: FaultPlan | None) -> None:
         """Adopt a new injection schedule on every live worker (test hook)."""
         self._check_open()
         self._fault_plan = plan
         self._fault_consumed = set()
-        self._send_each(
+        self._barrier(
             [
                 ("set_fault_plan", plan.events_for(i) if plan is not None else [])
                 for i in range(self.num_workers)
@@ -495,8 +509,13 @@ class WorkerPool:
 
     def checkpoint(self) -> list:
         """Snapshot every worker's task state (the driver pairs it with the
-        coordinator's clock and history at the same barrier)."""
-        return self._broadcast(("checkpoint",))
+        coordinator's clock and history at the same barrier).  A batch's
+        first snapshot is the one its ``begin`` replied with."""
+        states, self._first_states = self._first_states, None
+        if states is None:
+            replies = self._barrier([("checkpoint",)] * self.num_workers)
+            states = [state for (state,) in replies.values()]
+        return states
 
     def recover(
         self, failures: list[WorkerFailure], failed_step: int, ckpt: Checkpoint
@@ -507,8 +526,10 @@ class WorkerPool:
         (its in-memory fired-set died with it) are marked consumed on the
         coordinator side, so the replacement worker does not replay its own
         murder.  Sticky events are deliberately re-shipped — they model
-        faults that survive any number of recoveries.
+        faults that survive any number of recoveries.  A replacement gets
+        the batch's ``begin`` again, unseeded, before the restore.
         """
+        respawned: list = [None] * self.num_workers
         for f in failures:
             log.warning(
                 "recovering from pool %s at superstep %d", f, failed_step
@@ -532,52 +553,17 @@ class WorkerPool:
                     if (f.worker_id, e.event_id) not in self._fault_consumed
                 ]
             self._sup.respawn(f.worker_id, events)
-            i = f.worker_id
-            if self._outboxes[i] is not None:
-                self._request(i, ("outbox", self._outboxes[i].name))
-            if self._current is None:
-                raise WorkerLost(
-                    "cannot recover: no task was ever installed on this pool"
-                )
-            key, build, build_kwargs = self._current
-            self._request(i, ("install", key, build, build_kwargs))
-            combiner, probe, probe_args = self._armed
-            self._request(i, ("arm", combiner, probe, probe_args[i]))
-        # The replacement workers only have the current task resident.
-        self._installed = {self._current[0]} if self._current else set()
-        self._send_each([("restore", state) for state in ckpt.task_states])
-
-    def _barrier(self, messages, phase: str) -> tuple[dict[int, tuple], list]:
-        """Send each worker its message, then collect every reply.
-
-        Failures are *collected* and returned, not raised at the first one:
-        every healthy worker's reply is drained first, so the pipes are at a
-        clean protocol boundary when recovery starts.
-        """
-        sup = self._sup
-        timeout = self.fault_tolerance.step_timeout
-        failures: list[WorkerFailure] = []
-        pending = []
-        for i, message in enumerate(messages):
-            if sup.send(i, message):
-                pending.append(i)
-            else:
-                failures.append(
-                    WorkerFailure(i, CRASH, f"pipe closed on {phase} send")
-                )
-        replies: dict[int, tuple] = {}
-        for i in pending:
-            reply = sup.recv(i, timeout)
-            if isinstance(reply, WorkerFailure):
-                failures.append(reply)
-            else:
-                replies[i] = reply[1:]
-        return replies, failures
+            respawned[f.worker_id] = self._begin[f.worker_id]
+            # a replacement holds only the batch's task
+            self._installed[f.worker_id] = {self._begin[f.worker_id][1]}
+        self._barrier(respawned)
+        self._barrier([("restore", state) for state in ckpt.task_states])
 
     def step(self, step: int):
         """One compute/route/apply round; raises _StepFailures on trouble."""
         n = self.num_workers
-        outs, failures = self._barrier([("compute", step)] * n, "compute")
+        failures: list[WorkerFailure] = []
+        outs = self._barrier([("compute", step)] * n, failures)
         for i, (refs, _wall, sent) in outs.items():
             dests = sorted({ref.dest for ref in refs})
             if dests != list(sent):
@@ -595,8 +581,8 @@ class WorkerPool:
         for sender in range(n):
             for ref in outs[sender][0]:
                 routed[ref.dest].append(ref)
-        done, failures = self._barrier(
-            [("apply", inbox, step) for inbox in routed], "apply"
+        done = self._barrier(
+            [("apply", inbox, step) for inbox in routed], failures
         )
         if failures:
             raise _StepFailures(failures)

@@ -13,12 +13,12 @@ jobs arrive against it.  Before this module existed, every entry point in
 * per-algorithm task lists, *reset* between batches instead of reallocated.
 
 Every algorithm entry point follows the same ``prepare → run → gather``
-path on a session: :meth:`prepare` drops any queued messages
-(:meth:`SimCluster.reset_buffers` — stale inbox traffic must never leak
-into the next batch), :meth:`run_batch` takes the batch's *description* and
-drives it to quiescence, and :meth:`gather_batch` collects per-partition
-results.  One-shot calls construct a transient session through
-:meth:`GraphSession.for_run`, so the single code path serves both modes.
+path on a session: :meth:`run_batch` takes the batch's *description*,
+calls :meth:`prepare` to drop any queued messages (stale inbox traffic
+must never leak into the next batch) and drives it to quiescence, and
+:meth:`gather_batch` collects per-partition results.  One-shot calls
+construct a transient session through :meth:`GraphSession.for_run`, so the
+single code path serves both modes.
 
 There is **one batch contract**, whichever executor runs it: a
 resident-task cache key, a task class plus the kwargs that build it on
@@ -614,15 +614,14 @@ class GraphSession:
     # -- the prepare → seed → run path -------------------------------------- #
 
     def prepare(self) -> None:
-        """Reset shared cluster state before a batch.
+        """Reset shared cluster state before a batch (:meth:`run_batch`
+        calls it; pool workers do the same on ``begin``).
 
         Drops any queued inbox/outbox messages so traffic from a previous
         (possibly aborted) batch can never leak into this one.
         """
         with self.instr.span("session prepare", cat="session"):
             self.cluster.reset_buffers()
-            if self._pool is not None:
-                self._pool.prepare()
 
     def _as_vertex_ids(self, ids, name: str) -> np.ndarray:
         """Coerce to int64 vertex ids; reject lossy or out-of-range input."""
@@ -741,6 +740,7 @@ class GraphSession:
         bit-identical on both executors; collect per-partition state with
         :meth:`gather_batch`.
         """
+        self.prepare()
         if self.uses_pool:
             if not self._degraded:
                 result = self.run_batch_pool(
@@ -817,24 +817,22 @@ class GraphSession:
         Failure handling is layered: worker failures *within* an attempt are
         recovered by the superstep driver's checkpoint replay; an attempt
         that exhausts its recovery budget raises
-        :class:`~repro.errors.WorkerLost`, the broken pool is torn down (no
-        leaked processes or segments) and the batch is retried on a fresh
-        pool per :attr:`retry_policy`; once attempts (or the wall deadline)
-        run out, the session degrades and this returns None: :meth:`run_batch`
-        runs the same description on the in-process executor — bit-identical
-        answers — for this and later batches.  A
+        :class:`~repro.errors.WorkerLost`, the broken pool is torn down and
+        the batch is retried on a fresh pool per :attr:`retry_policy`; once
+        attempts (or the wall deadline) run out, the session degrades and
+        this returns None: :meth:`run_batch` runs the description in-process
+        — bit-identical answers — for this and later batches.  A
         :class:`~repro.errors.WorkerTaskError` (the task itself raised) is
-        deterministic and propagates immediately: a retry cannot help.  So
-        does a description that does not pickle
+        deterministic and propagates at once, the pool intact: a retry
+        cannot help.  So does a description that does not pickle
         (:class:`~repro.errors.UnsupportedConfigError`), before any worker
         has changed.
 
-        While mutations are pending against the base image of a dynamic
-        session, the worker-side build is wrapped with
-        :func:`~repro.dynamic.delta.build_with_delta` so pool workers splice
-        their attached shard up to the current epoch before building task
-        state.  The shm image itself is only repacked on compaction (which
-        closes the pool).
+        While a dynamic session has mutations pending against the base
+        image, the worker-side build is wrapped in
+        :func:`~repro.dynamic.delta.build_with_delta`, so workers splice
+        their shard up to the current epoch; the image is repacked only on
+        compaction, which closes the pool.
         """
         key = self._resident_key(cache_key)
         build, build_kwargs = task_cls, task_kwargs
@@ -857,11 +855,10 @@ class GraphSession:
             try:
                 pool = self.pool()
                 pool.ensure_task(
-                    key, build, build_kwargs, task_kwargs, payload_width
+                    key, build, build_kwargs, task_kwargs, payload_width,
+                    seeds=seeds, combiner=combiner, probe=probe,
+                    probe_args=probe_args,
                 )
-                if seeds is not None:
-                    pool.seed(seeds)
-                pool.arm(combiner=combiner, probe=probe, probe_args=probe_args)
                 return self._run_on(
                     pool, max_supersteps, on_step, max_virtual_seconds
                 )

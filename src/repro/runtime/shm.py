@@ -271,13 +271,13 @@ class OutboxWriter:
         self._shm: shared_memory.SharedMemory | None = None
         self._cursor = 0
 
-    def attach(self, name: str) -> None:
-        """Switch to a (new, larger) segment the parent just created."""
-        self.close()
-        self._shm = shared_memory.SharedMemory(name=name)
-
-    def begin(self) -> None:
-        """Start a superstep: previous batches may now be overwritten."""
+    def begin(self, name: str) -> None:
+        """Start a superstep in segment ``name``: previous batches may now
+        be overwritten.  A new name (the parent grew the outbox) is
+        attached first."""
+        if self._shm is None or self._shm.name != name:
+            self.close()
+            self._shm = shared_memory.SharedMemory(name=name)
         self._cursor = 0
 
     def _write(self, arr: np.ndarray) -> ArraySpec:

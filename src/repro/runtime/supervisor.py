@@ -11,7 +11,7 @@ turns their misbehaviour into typed facts the coordinator can act on:
 * a ``("fault", kind, detail)`` reply is a worker-side *detected* fault
   (a message batch failing its checksum) — the worker itself is fine;
 * a ``("err", traceback)`` reply is the task itself raising — that is
-  deterministic, so it escalates immediately as
+  deterministic, so once every reply is read it escalates as
   :class:`~repro.errors.WorkerTaskError` instead of becoming a
   :class:`WorkerFailure`.
 
@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-
-from repro.errors import WorkerTaskError
 
 __all__ = ["WorkerFailure", "Checkpoint", "Supervisor", "MAIN_GUARD_HINT"]
 
@@ -164,10 +162,6 @@ class Supervisor:
             proc.terminate()
             proc.join(timeout=5)
 
-    def alive(self, worker_id: int) -> bool:
-        proc = self.procs[worker_id]
-        return proc is not None and proc.is_alive()
-
     def shutdown(self) -> None:
         """Gracefully stop every worker; escalate to terminate on timeout.
 
@@ -206,13 +200,14 @@ class Supervisor:
 
     # -- transport ----------------------------------------------------------- #
 
-    def send(self, worker_id: int, message) -> bool:
-        """Send one protocol message; False means the pipe is already dead."""
+    def send(self, worker_id: int, frame) -> bool:
+        """Send one pickled protocol message; False means the pipe is
+        already dead."""
         conn = self.conns[worker_id]
         if conn is None:
             return False
         try:
-            conn.send(message)
+            conn.send_bytes(frame)
             return True
         except (BrokenPipeError, OSError):
             return False
@@ -222,10 +217,8 @@ class Supervisor:
         there is none.
 
         ``timeout`` (seconds) arms hang detection: a worker that does not
-        answer in time is killed and reported as hung.  Worker-side task
-        exceptions (``("err", tb)`` replies) raise
-        :class:`~repro.errors.WorkerTaskError` directly — they are
-        deterministic and must not enter the recovery path.
+        answer in time is killed and reported as hung.  A worker-side task
+        exception arrives as its ``("err", tb)`` reply.
         """
         conn = self.conns[worker_id]
         if conn is None:
@@ -240,10 +233,6 @@ class Supervisor:
         except (EOFError, ConnectionResetError, OSError):
             return WorkerFailure(
                 worker_id, "crash", "pipe closed before replying." + MAIN_GUARD_HINT
-            )
-        if reply[0] == "err":
-            raise WorkerTaskError(
-                f"pool worker {worker_id} failed:\n{reply[1]}"
             )
         if reply[0] == "fault":
             return WorkerFailure(worker_id, reply[1], reply[2])

@@ -9,13 +9,18 @@ children).
 
 import multiprocessing as mp
 import os
+import pickle
 
 import numpy as np
 import pytest
 
+from repro.core.api import run_program
+from repro.errors import UnsupportedConfigError
 from repro.graph import rmat_edges
 from repro.runtime.pool import WorkerPool
 from repro.runtime.session import GraphSession
+from repro.runtime.supervisor import Supervisor
+from tests.core.test_api import ListingTwoKHop
 
 
 def _pool_children():
@@ -90,6 +95,40 @@ class TestShutdown:
         assert a.virtual_seconds == b.virtual_seconds
 
 
+class TestProtocolShape:
+    """What the coordinator sends: every ``Supervisor.send``, decoded."""
+
+    @pytest.fixture
+    def sent(self, monkeypatch):
+        ops: list[tuple[int, str]] = []
+        send = Supervisor.send
+
+        def spy(sup, worker_id, frame):
+            ops.append((worker_id, pickle.loads(frame)[0]))
+            return send(sup, worker_id, frame)
+
+        monkeypatch.setattr(Supervisor, "send", spy)
+        return ops
+
+    def test_khop_batch_starts_with_one_message_per_worker(self, graph, sent):
+        with GraphSession(graph, num_machines=2, backend="pool") as sess:
+            sess.khop([0, 5], 3)
+        ops = [op for _, op in sent]
+        first_compute = ops.index("compute")
+        assert sorted(w for w, _ in sent[:first_compute]) == [0, 1]
+        assert set(ops) <= {"begin", "compute", "apply", "call", "checkpoint"}
+
+    def test_unpicklable_description_sends_nothing(self, graph, sent):
+        with GraphSession(graph, num_machines=2, backend="pool") as sess:
+            sess.khop([0], 2)
+            sent.clear()
+            with pytest.raises(UnsupportedConfigError, match="lambda"):
+                run_program(
+                    sess, lambda ctx: ListingTwoKHop(ctx, 0, 2), session=sess
+                )
+        assert sent == []
+
+
 class TestDeterminism:
     def test_spawned_workers_fixed_seed(self, graph):
         """Two pools over the same graph produce identical answers — the
@@ -114,4 +153,4 @@ class TestDeterminism:
         assert _pool_children() == []
         assert _shm_files(names) == []
         with pytest.raises(RuntimeError, match="shut down"):
-            pool.prepare()
+            pool.gather(len)

@@ -18,11 +18,11 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro.core.api import run_program
+from repro.core.api import PartitionProgram, run_program
 from repro.core.khop import concurrent_khop
 from repro.core.pagerank import PageRankProgram
 from repro.core.vertex_api import run_vertex_centric
-from repro.errors import UnsupportedConfigError
+from repro.errors import UnsupportedConfigError, WorkerTaskError
 from repro.graph import EdgeList, rmat_edges
 from repro.runtime.fault import FaultPlan, FaultTolerance, RetryPolicy
 from repro.runtime.scheduler import QueryService
@@ -182,6 +182,43 @@ class TestServiceParity:
         assert np.array_equal(a.routes, b.routes)
         assert a.clock_seconds == b.clock_seconds
         assert a.num_batches == b.num_batches
+
+
+class RaiseAtStepOne(PartitionProgram):
+    """Stays awake and raises on partition 0 at superstep 1."""
+
+    def __init__(self, ctx):
+        pass
+
+    def compute(self, ctx):
+        if ctx.partition_id == 0 and ctx.superstep == 1:
+            raise RuntimeError("program raised at superstep 1")
+
+
+def raise_on_partition_one(ctx):
+    """A program factory that raises on partition 1 only."""
+    if ctx.partition_id == 1:
+        raise RuntimeError("factory raised on partition 1")
+    return RaiseAtStepOne(ctx)
+
+
+class TestTaskErrorKeepsThePoolInStep:
+    """A task raising in one worker fails its batch typed, after every other
+    worker's reply is read: the same pool then serves the next batch."""
+
+    @pytest.mark.parametrize(
+        "factory", [RaiseAtStepOne, raise_on_partition_one],
+        ids=["step-raise", "begin-raise"],
+    )
+    def test_next_batch_matches_inproc(self, inproc_sess, pool_sess, factory):
+        with pytest.raises(WorkerTaskError, match="raised"):
+            run_program(pool_sess, factory, session=pool_sess)
+        a = inproc_sess.khop([0, 5, 9], 3)
+        b = pool_sess.khop([0, 5, 9], 3)
+        assert np.array_equal(a.reached, b.reached)
+        assert repr(a.virtual_seconds) == repr(b.virtual_seconds)
+        assert not pool_sess.degraded
+        assert pool_sess.pool().recoveries == 0
 
 
 class TestDegeneratePool:
