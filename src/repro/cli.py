@@ -158,9 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deadline-ms", type=float, default=None,
                    help="per-dispatch virtual-clock deadline; queries still "
                         "open at the deadline are reported deadline_missed")
-    p.add_argument("--max-retries", type=int, default=2,
-                   help="pool backend: batch retries before degrading to the "
-                        "in-process engine")
     p.add_argument("--max-pending", type=int, default=None,
                    help="admission bound: shed submissions past this many "
                         "pending queries")
@@ -503,7 +500,6 @@ def cmd_service(args, out) -> int:
     from repro.dynamic.stream import parse_edge_stream
     from repro.errors import ReproError
     from repro.qos import QosConfig, ResultCache
-    from repro.runtime.fault import RetryPolicy
     from repro.runtime.scheduler import QueryService
 
     # traffic shape only: every setting the constructors below check is
@@ -516,8 +512,6 @@ def cmd_service(args, out) -> int:
         raise SystemExit("repro service: --reach-frac must be in [0, 1]")
     if not 0.0 <= args.bulk_frac <= 1.0:
         raise SystemExit("repro service: --bulk-frac must be in [0, 1]")
-    if args.max_retries < 0:
-        raise SystemExit("repro service: --max-retries must be >= 0")
     instr = None
     if args.trace_out or args.metrics_out:
         from repro.telemetry import Instrumentation
@@ -538,7 +532,6 @@ def cmd_service(args, out) -> int:
         sess = _session(
             args, el, edge_sets=args.edge_sets, instrumentation=instr,
             backend=args.backend,
-            retry_policy=RetryPolicy(max_attempts=args.max_retries + 1),
         )
         mutation_batches = []
         if args.mutations:
@@ -724,12 +717,7 @@ def cmd_chaos(args, out) -> int:
 
     from repro.bench.workload import random_sources
     from repro.core.khop import concurrent_khop
-    from repro.runtime.fault import (
-        FAULT_KINDS,
-        FaultPlan,
-        FaultTolerance,
-        RetryPolicy,
-    )
+    from repro.runtime.fault import FAULT_KINDS, FaultPlan, FaultTolerance
     from repro.runtime.session import GraphSession
 
     kinds = tuple(FAULT_KINDS)
@@ -764,7 +752,6 @@ def cmd_chaos(args, out) -> int:
             step_timeout=args.step_timeout,
             max_recoveries=args.max_recoveries,
         ),
-        retry_policy=RetryPolicy(max_attempts=2),
     )
     try:
         res = concurrent_khop(sess.pg, roots, args.k, session=sess)

@@ -9,16 +9,15 @@ the builtin its call site historically raised (``RuntimeError``,
 ``except ValueError:`` clauses — and tests pinning them — keep working
 unchanged.
 
-The fault-tolerance layer (:mod:`repro.runtime.fault`,
-:mod:`repro.runtime.supervisor`) leans on the split below :class:`PoolError`:
+The fault-tolerance layer (:mod:`repro.runtime.fault`) leans on the split
+below :class:`PoolError`:
 
 * :class:`WorkerLost` — an *infrastructure* failure (crashed or hung worker
   process, recovery budget exhausted).  Non-deterministic, hence retryable:
-  :class:`~repro.runtime.session.GraphSession` re-runs the batch on a fresh
-  pool under its :class:`~repro.runtime.fault.RetryPolicy` and ultimately
-  degrades to the in-process engine.
+  :class:`~repro.runtime.session.GraphSession` reruns the batch on the
+  in-process engine unless its ``FaultTolerance.degrade`` is off.
 * :class:`WorkerTaskError` — the *task itself* raised inside a worker.
-  Deterministic, hence never retried: a fresh pool would fail identically,
+  Deterministic, hence never retried: any executor would fail identically,
   so the traceback propagates to the caller immediately.
 """
 
@@ -31,7 +30,6 @@ __all__ = [
     "WorkerTaskError",
     "CheckpointError",
     "CorruptMessage",
-    "DeadlineExceeded",
     "Overloaded",
     "InvalidQueryError",
     "MutationError",
@@ -67,10 +65,6 @@ class CheckpointError(ReproError, RuntimeError):
 class CorruptMessage(ReproError, RuntimeError):
     """A message batch failed its checksum — payload bytes changed between
     the sender's write and the receiver's read."""
-
-
-class DeadlineExceeded(ReproError, TimeoutError):
-    """A batch (or its retry budget) blew through its deadline."""
 
 
 class Overloaded(ReproError, RuntimeError):

@@ -43,12 +43,13 @@ from repro.runtime.comm import deliver_async, exchange_sync
 from repro.runtime.fault import CRASH, DELAY, FaultTolerance
 from repro.runtime.message import combine_or
 from repro.runtime.netmodel import StepStats, VirtualClock
-from repro.runtime.supervisor import Checkpoint, WorkerFailure
 
 __all__ = [
     "PartitionTask",
     "SuperstepEngine",
     "EngineResult",
+    "Checkpoint",
+    "WorkerFailure",
     "emit_superstep",
     "run_supersteps",
 ]
@@ -199,6 +200,37 @@ class EngineResult:
                 )
             rows.append(row)
         return rows
+
+
+@dataclass(frozen=True)
+class WorkerFailure:
+    """One detected worker failure, classified for the recovery path."""
+
+    worker_id: int
+    kind: str  # "crash" | "hang" | "drop_outbox" | "corrupt_inbox"
+    detail: str = ""
+
+    def __str__(self) -> str:  # pragma: no cover - cosmetic
+        suffix = f": {self.detail}" if self.detail else ""
+        return f"worker {self.worker_id} {self.kind}{suffix}"
+
+
+@dataclass
+class Checkpoint:
+    """The superstep driver's snapshot of one run at a barrier.
+
+    ``task_states`` holds every machine's ``PartitionTask.checkpoint()``
+    blob in machine order (from the executor); ``per_step_seconds`` /
+    ``history`` are the virtual clock and stats prefixes up to ``step``, so
+    recovery rewinds the *driver's* accounting to exactly the barrier the
+    tasks restore to.  Recovered runs therefore replay into bit-identical
+    answers *and* virtual clocks.
+    """
+
+    step: int
+    task_states: list
+    per_step_seconds: list[float] = field(default_factory=list)
+    history: list = field(default_factory=list, repr=False)
 
 
 class _StepFailures(Exception):

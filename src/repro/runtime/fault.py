@@ -1,4 +1,4 @@
-"""Fault model: deterministic injection schedules, retry/checkpoint policy.
+"""Fault model: deterministic injection schedules and the one fault policy.
 
 The paper's testbed is a 9-node cluster where machines crash, straggle and
 drop traffic; this module is the *model* of those failures plus the knobs
@@ -12,14 +12,12 @@ every recovery path is unit-testable and CI-reproducible:
 * :class:`FaultInjector` — the per-worker view of a plan.  Events fire
   **once**: a replayed superstep (after checkpoint recovery) does not
   re-crash, which is exactly how a real transient fault behaves.  Events
-  marked ``sticky`` re-fire every attempt — the tool for forcing a retry
-  budget to exhaust so the degradation ladder can be tested;
-* :class:`RetryPolicy` — how many fresh-pool attempts a batch gets, the
-  exponential backoff between them, the wall-clock deadline across them,
-  and whether exhaustion degrades to the in-process engine or raises;
-* :class:`FaultTolerance` — the supervisor's operating parameters: how
-  often to checkpoint, how long a worker may take one superstep phase
-  before it is declared hung, and how many recoveries one run may spend.
+  marked ``sticky`` re-fire on every replay — the tool for exhausting the
+  recovery budget so degradation can be tested;
+* :class:`FaultTolerance` — the one policy: how often to checkpoint, how
+  long a worker may take one superstep phase before it is declared hung,
+  how many recoveries one run may spend, and whether a pool batch past
+  that budget degrades to the in-process engine or raises.
 
 Message integrity is checked end-to-end with :func:`batch_checksum`: the
 sender checksums the exact bytes it wrote into shared memory, the receiver
@@ -48,7 +46,6 @@ __all__ = [
     "FaultEvent",
     "FaultPlan",
     "FaultInjector",
-    "RetryPolicy",
     "FaultTolerance",
     "batch_checksum",
 ]
@@ -103,7 +100,7 @@ class FaultEvent:
     superstep.
 
     ``seconds`` only matters for :data:`DELAY` events.  ``sticky`` events
-    survive recovery/retry (they re-fire on every attempt); normal events
+    survive recovery (they re-fire on every replay); normal events
     are one-shot.  ``event_id`` is unique within a plan so the coordinator
     can mark the events a dead worker must have consumed.
     """
@@ -301,52 +298,25 @@ class FaultInjector:
 
 
 @dataclass(frozen=True)
-class RetryPolicy:
-    """How a session treats a batch whose pool attempt was lost.
-
-    ``max_attempts`` counts *total* attempts (1 = fail fast).  Attempt
-    ``i``'s backoff sleep is ``base_delay * 2**(i-1)`` wall seconds.
-    ``deadline`` (wall seconds, measured across all attempts of one batch)
-    stops retrying early; ``degrade=True`` converts exhaustion into a
-    transparent fall-back onto the in-process engine, ``False`` raises
-    (:class:`~repro.errors.WorkerLost`, or
-    :class:`~repro.errors.DeadlineExceeded` when the deadline cut it short).
-    """
-
-    max_attempts: int = 3
-    base_delay: float = 0.05
-    deadline: float | None = None
-    degrade: bool = True
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.base_delay < 0:
-            raise ValueError("base_delay must be >= 0")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValueError("deadline must be positive")
-
-    def backoff(self, attempt: int) -> float:
-        """Sleep before attempt ``attempt + 1`` (exponential, base 2)."""
-        return float(self.base_delay * (2 ** max(attempt - 1, 0)))
-
-
-@dataclass(frozen=True)
 class FaultTolerance:
-    """The supervisor's operating parameters for one pool.
+    """The fault policy of one session, read on either executor.
 
     ``checkpoint_interval`` — snapshot resident task state every C
     supersteps (1 = every barrier, the right default for the small graphs
     of this reproduction; large graphs raise C to amortise the copy).
     ``step_timeout`` — wall seconds a worker may take to answer one
-    protocol message before it is declared hung (None = wait forever).
+    superstep phase before it is declared hung (None = wait forever).
     ``max_recoveries`` — recoveries one ``run()`` may spend before the
     batch is abandoned with :class:`~repro.errors.WorkerLost`.
+    ``degrade`` — a pool batch abandoned that way (or losing a worker
+    outside a superstep) reruns in-process, and so do later batches;
+    False raises the :class:`~repro.errors.WorkerLost` instead.
     """
 
     checkpoint_interval: int = 1
     step_timeout: float | None = None
     max_recoveries: int = 3
+    degrade: bool = True
 
     def __post_init__(self) -> None:
         if self.checkpoint_interval < 1:

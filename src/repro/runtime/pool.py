@@ -29,13 +29,12 @@ barrier that reads every reply before raising.
 Fault tolerance: the pool's part is *detecting* a failed step — pipe EOF
 (crash), a reply missing past ``step_timeout`` (hang), outbound refs that
 contradict the worker's own send accounting (dropped outbox), a batch
-failing its checksum (corruption) — and *restoring* workers: respawn the
-dead ones onto the same shared segments, roll every worker back to the
-driver's last checkpoint.  Budget, rewind and replay are the driver's.
-Past ``max_recoveries`` the pool shuts down and raises
-:class:`~repro.errors.WorkerLost`; the session's
-:class:`~repro.runtime.fault.RetryPolicy` retries on a fresh pool, then
-degrades to the in-process engine.
+failing its checksum (corruption) — and *restoring* workers: its
+:class:`Supervisor` respawns the dead ones onto the same shared segments,
+then every worker rolls back to the driver's last checkpoint.  Budget,
+rewind and replay are the driver's.  Past ``max_recoveries`` the pool shuts
+down and raises :class:`~repro.errors.WorkerLost`; the session degrades
+the batch to the in-process engine.
 
 Determinism: workers always ``spawn`` (no inherited state) and seed their
 RNG from the pool seed and their id; :meth:`WorkerPool.shutdown` (wired to
@@ -66,7 +65,13 @@ from repro.errors import (
 )
 from repro.graph.partition import PartitionedGraph, owner_of_bounds
 from repro.runtime.cluster import Machine
-from repro.runtime.engine import EngineResult, _StepFailures, run_supersteps
+from repro.runtime.engine import (
+    Checkpoint,
+    EngineResult,
+    WorkerFailure,
+    _StepFailures,
+    run_supersteps,
+)
 from repro.runtime.fault import (
     CORRUPT_INBOX,
     CRASH,
@@ -86,19 +91,22 @@ from repro.runtime.shm import (
     build_graph_image,
     create_segment,
 )
-from repro.runtime.supervisor import (
-    MAIN_GUARD_HINT,
-    Checkpoint,
-    Supervisor,
-    WorkerFailure,
-)
 
-__all__ = ["WorkerPool", "PoolError", "WorkerLost"]
+__all__ = ["WorkerPool", "Supervisor", "PoolError", "WorkerLost"]
 
 log = logging.getLogger("repro.runtime.pool")
 
 #: Upper bound on per-entry vertex-id bytes in a combined batch (int64).
 _VERTEX_BYTES = 8
+
+#: Appended to crash diagnostics: the most common *non-fault* cause of a
+#: worker dying at startup is spawn re-importing a guardless __main__.
+MAIN_GUARD_HINT = (
+    " If this happened right after pool startup, the spawned child may have "
+    "failed to re-import __main__: pool-using code must live in a real "
+    "module file with an `if __name__ == '__main__':` guard "
+    "(not a stdin/-c script)."
+)
 
 
 class _WorkerCluster:
@@ -248,6 +256,173 @@ def _worker_main(
         writer.close()
         image.close()
         conn.close()
+
+
+class Supervisor:
+    """Owns the pool's worker processes and their pipes.
+
+    The coordinator never touches ``multiprocessing`` directly: it sends and
+    receives through this object, which converts transport-level failures
+    into :class:`WorkerFailure` values (crash/hang) instead of exceptions,
+    so a barrier can finish collecting from the healthy workers before the
+    recovery decision is made.
+    """
+
+    def __init__(
+        self,
+        ctx,
+        worker_main,
+        manifest,
+        token: str,
+        base_seed: int,
+        num_workers: int,
+    ):
+        self.ctx = ctx
+        self.worker_main = worker_main
+        self.manifest = manifest
+        self.token = token
+        self.base_seed = base_seed
+        self.num_workers = num_workers
+        self.conns: list = [None] * num_workers
+        self.procs: list = [None] * num_workers
+        self.respawns = 0
+
+    # -- lifecycle ---------------------------------------------------------- #
+
+    def spawn(self, worker_id: int, fault_events=None) -> None:
+        """Start (or replace) worker ``worker_id``.
+
+        The worker re-derives its deterministic RNG seed from the pool seed
+        and its id, so a respawned worker is statistically identical to the
+        one it replaces.
+        """
+        parent_conn, child_conn = self.ctx.Pipe()
+        proc = self.ctx.Process(
+            target=self.worker_main,
+            args=(
+                child_conn,
+                self.manifest,
+                worker_id,
+                self.base_seed * 7919 + worker_id,
+                list(fault_events or []),
+            ),
+            name=f"repro-pool-{self.token}-{worker_id}",
+            daemon=True,
+        )
+        proc.start()
+        child_conn.close()
+        self.conns[worker_id] = parent_conn
+        self.procs[worker_id] = proc
+
+    def spawn_all(self, events_for=None) -> None:
+        for i in range(self.num_workers):
+            self.spawn(i, events_for(i) if events_for is not None else None)
+
+    def respawn(self, worker_id: int, fault_events=None) -> None:
+        """Reap a dead/hung worker and start its replacement."""
+        self.reap(worker_id)
+        self.spawn(worker_id, fault_events)
+        self.respawns += 1
+
+    def reap(self, worker_id: int) -> None:
+        """Best-effort teardown of one worker's pipe and process."""
+        conn = self.conns[worker_id]
+        if conn is not None:
+            try:
+                conn.close()
+            except OSError:  # pragma: no cover - already closed
+                pass
+            self.conns[worker_id] = None
+        proc = self.procs[worker_id]
+        if proc is not None:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join(timeout=5)
+            self.procs[worker_id] = None
+
+    def kill(self, worker_id: int) -> None:
+        """Forcibly terminate a hung worker (its pipe is left for reap)."""
+        proc = self.procs[worker_id]
+        if proc is not None and proc.is_alive():
+            proc.terminate()
+            proc.join(timeout=5)
+
+    def shutdown(self) -> None:
+        """Gracefully stop every worker; escalate to terminate on timeout.
+
+        Exception-safe by construction: every step is best-effort, so a
+        pool with already-dead workers (or half-closed pipes) shuts down
+        without raising — the contract ``GraphSession.close()`` relies on.
+        """
+        for conn in self.conns:
+            if conn is None:
+                continue
+            try:
+                conn.send(("close",))
+            except (BrokenPipeError, OSError):
+                pass
+        for i, conn in enumerate(self.conns):
+            if conn is None:
+                continue
+            try:
+                if conn.poll(5):
+                    conn.recv()
+            except (EOFError, OSError):
+                pass
+            try:
+                conn.close()
+            except OSError:  # pragma: no cover - already closed
+                pass
+            self.conns[i] = None
+        for i, proc in enumerate(self.procs):
+            if proc is None:
+                continue
+            proc.join(timeout=10)
+            if proc.is_alive():  # pragma: no cover - hung worker guard
+                proc.terminate()
+                proc.join(timeout=5)
+            self.procs[i] = None
+
+    # -- transport ----------------------------------------------------------- #
+
+    def send(self, worker_id: int, frame) -> bool:
+        """Send one pickled protocol message; False means the pipe is
+        already dead."""
+        conn = self.conns[worker_id]
+        if conn is None:
+            return False
+        try:
+            conn.send_bytes(frame)
+            return True
+        except (BrokenPipeError, OSError):
+            return False
+
+    def recv(self, worker_id: int, timeout: float | None = None):
+        """One worker's reply, or the :class:`WorkerFailure` explaining why
+        there is none.
+
+        ``timeout`` (seconds) arms hang detection: a worker that does not
+        answer in time is killed and reported as hung.  A worker-side task
+        exception arrives as its ``("err", tb)`` reply; a ``("fault", kind,
+        detail)`` reply is a worker-side detected fault (a failed checksum).
+        """
+        conn = self.conns[worker_id]
+        if conn is None:
+            return WorkerFailure(worker_id, "crash", "no live pipe")
+        try:
+            if timeout is not None and not conn.poll(timeout):
+                self.kill(worker_id)
+                return WorkerFailure(
+                    worker_id, "hang", f"no reply within {timeout:g}s"
+                )
+            reply = conn.recv()
+        except (EOFError, ConnectionResetError, OSError):
+            return WorkerFailure(
+                worker_id, "crash", "pipe closed before replying." + MAIN_GUARD_HINT
+            )
+        if reply[0] == "fault":
+            return WorkerFailure(worker_id, reply[1], reply[2])
+        return reply
 
 
 class WorkerPool:
@@ -619,8 +794,8 @@ class WorkerPool:
             )
         except WorkerLost:
             # Past saving for this batch: release processes and segments now
-            # so an abandoned pool cannot leak them; the session's retry
-            # policy decides what happens next (fresh pool or degradation).
+            # so an abandoned pool cannot leak them; the session decides
+            # whether the batch degrades or the loss is raised.
             self.shutdown()
             raise
 

@@ -42,12 +42,10 @@ onto the session and accounts response times on the virtual clock).
 from __future__ import annotations
 
 import logging
-import time
 
 import numpy as np
 
 from repro.errors import (
-    DeadlineExceeded,
     InvalidQueryError,
     MutationError,
     UnsupportedConfigError,
@@ -57,7 +55,7 @@ from repro.graph.edgelist import EdgeList
 from repro.graph.partition import PartitionedGraph, range_partition
 from repro.runtime.cluster import SimCluster
 from repro.runtime.engine import EngineResult, PartitionTask, SuperstepEngine
-from repro.runtime.fault import FaultPlan, FaultTolerance, RetryPolicy
+from repro.runtime.fault import FaultPlan, FaultTolerance
 from repro.runtime.message import combine_or
 from repro.runtime.netmodel import NetworkModel
 
@@ -123,16 +121,12 @@ class GraphSession:
         asynchronous modes are rejected there (:meth:`require_inproc`).
     pool_seed:
         Base seed for the pool workers' per-process RNGs (determinism).
-    retry_policy:
-        How a pool batch that loses its workers is retried
-        (:class:`~repro.runtime.fault.RetryPolicy`): fresh-pool attempts
-        with exponential backoff, an optional wall-clock deadline, and —
-        by default — transparent degradation to the in-process engine when
-        the budget is exhausted.  Answers stay bit-identical either way.
     fault_tolerance:
-        The supervisor's knobs (:class:`~repro.runtime.fault.FaultTolerance`):
-        checkpoint interval, per-step hang timeout, recovery budget.
-        Read by the shared superstep driver on either backend.
+        The one fault policy (:class:`~repro.runtime.fault.FaultTolerance`):
+        checkpoint interval, per-step hang timeout and recovery budget,
+        read by the shared superstep driver on either backend, and whether
+        a pool batch that loses its workers degrades to the in-process
+        engine (the default; answers stay bit-identical) or raises.
     fault_plan:
         A deterministic :class:`~repro.runtime.fault.FaultPlan` injection
         schedule (tests/chaos only).  On a pool session it is threaded into
@@ -151,7 +145,6 @@ class GraphSession:
         instrumentation=None,
         backend: str = "inproc",
         pool_seed: int = 0,
-        retry_policy: RetryPolicy | None = None,
         fault_tolerance: FaultTolerance | None = None,
         fault_plan: FaultPlan | None = None,
     ):
@@ -177,7 +170,6 @@ class GraphSession:
         if edge_sets:
             self.build_edge_sets(sets_per_partition, consolidate_min_edges)
         self.netmodel = netmodel or NetworkModel()
-        self.retry_policy = retry_policy or RetryPolicy()
         self.fault_tolerance = fault_tolerance or FaultTolerance()
         self.fault_plan = fault_plan
         self.cluster = SimCluster(
@@ -756,8 +748,9 @@ class GraphSession:
                 )
                 if result is not None:
                     return result
-            # the ladder's last rung: the same description, in-process
+            # degraded: the same description, in-process
             self.degraded_batches += 1
+            self.instr.on_degrade()
         # resident tasks, keyed as the pool's WorkerPool.ensure_task keys them
         key = self._resident_key(cache_key)
         tasks = self._task_cache.get(key)
@@ -811,20 +804,18 @@ class GraphSession:
         probe_args=None,
         max_virtual_seconds: float | None = None,
     ) -> EngineResult | None:
-        """The retry/degrade ladder around the pool executor (the
-        description is :meth:`run_batch`'s).
+        """One pool attempt at :meth:`run_batch`'s description.
 
-        Failure handling is layered: worker failures *within* an attempt are
-        recovered by the superstep driver's checkpoint replay; an attempt
-        that exhausts its recovery budget raises
-        :class:`~repro.errors.WorkerLost`, the broken pool is torn down and
-        the batch is retried on a fresh pool per :attr:`retry_policy`; once
-        attempts (or the wall deadline) run out, the session degrades and
-        this returns None: :meth:`run_batch` runs the description in-process
-        — bit-identical answers — for this and later batches.  A
+        Worker failures inside the run are recovered by the superstep
+        driver's checkpoint replay.  A :class:`~repro.errors.WorkerLost` —
+        the recovery budget spent, or a worker lost outside a superstep —
+        closes the pool and, unless ``fault_tolerance.degrade`` is off
+        (then it is raised), degrades the session and returns None:
+        :meth:`run_batch` runs the description in-process — bit-identical
+        answers — for this and later batches.  A
         :class:`~repro.errors.WorkerTaskError` (the task itself raised) is
-        deterministic and propagates at once, the pool intact: a retry
-        cannot help.  So does a description that does not pickle
+        deterministic and propagates at once, the pool intact.  So does a
+        description that does not pickle
         (:class:`~repro.errors.UnsupportedConfigError`), before any worker
         has changed.
 
@@ -847,54 +838,25 @@ class GraphSession:
                 "_inner_build": task_cls, "_deltas": deltas, **task_kwargs
             }
         seeds = None if sources is None else self.seeds_by_machine(sources)
-        policy = self.retry_policy
-        started = time.monotonic()
-        attempt = 0
-        while not self._degraded:
-            attempt += 1
-            try:
-                pool = self.pool()
-                pool.ensure_task(
-                    key, build, build_kwargs, task_kwargs, payload_width,
-                    seeds=seeds, combiner=combiner, probe=probe,
-                    probe_args=probe_args,
-                )
-                return self._run_on(
-                    pool, max_supersteps, on_step, max_virtual_seconds
-                )
-            except WorkerLost as exc:
-                self.pool_failures += 1
-                log.warning(
-                    "pool attempt %d/%d lost: %s",
-                    attempt, policy.max_attempts, exc,
-                )
-                # Tear the broken pool down *now*: run() already shut it
-                # down on WorkerLost, but close() also drops our handle and
-                # is the single place that guarantees no segment leaks.
-                self.close()
-                out_of_time = (
-                    policy.deadline is not None
-                    and time.monotonic() - started >= policy.deadline
-                )
-                if attempt < policy.max_attempts and not out_of_time:
-                    self.instr.on_pool_retry()
-                    time.sleep(policy.backoff(attempt))
-                    continue
-                if not policy.degrade:
-                    if out_of_time and attempt < policy.max_attempts:
-                        raise DeadlineExceeded(
-                            f"pool retry deadline ({policy.deadline:g}s) "
-                            f"passed after {attempt} attempt(s)"
-                        ) from exc
-                    raise
-                self._degraded = True
-                self.instr.on_degrade()
-                log.warning(
-                    "degrading to the in-process engine after %d failed "
-                    "pool attempt(s): %s", attempt, exc,
-                )
-        # degraded: the in-process cluster carries no fault plan, so a
-        # sticky fault cannot chase the batch down run_batch's last rung
+        try:
+            pool = self.pool()
+            pool.ensure_task(
+                key, build, build_kwargs, task_kwargs, payload_width,
+                seeds=seeds, combiner=combiner, probe=probe,
+                probe_args=probe_args,
+            )
+            return self._run_on(pool, max_supersteps, on_step, max_virtual_seconds)
+        except WorkerLost as exc:
+            self.pool_failures += 1
+            # run() may already have shut the pool down; close() also drops
+            # our handle and is the one place that guarantees no leak
+            self.close()
+            if not self.fault_tolerance.degrade:
+                raise
+            self._degraded = True
+            log.warning("degrading to the in-process engine: %s", exc)
+        # the in-process cluster carries no fault plan, so a sticky fault
+        # cannot chase the batch there
         return None
 
     def gather_batch(self, fn, *args) -> list:

@@ -107,9 +107,6 @@ class Instrumentation:
         self._checkpoints = m.counter(
             "cgraph_checkpoints_total", "superstep checkpoints taken"
         )
-        self._pool_retries = m.counter(
-            "cgraph_pool_retries_total", "batches retried on a fresh pool"
-        )
         self._degraded = m.counter(
             "cgraph_degraded_batches_total",
             "batches served by the in-process fallback after pool loss",
@@ -300,9 +297,6 @@ class Instrumentation:
 
     def on_checkpoint(self) -> None:
         self._checkpoints.inc()
-
-    def on_pool_retry(self) -> None:
-        self._pool_retries.inc()
 
     def on_degrade(self) -> None:
         self._degraded.inc()

@@ -14,6 +14,7 @@ per test via ``set_fault_plan``; scenarios that poison the pool on purpose
 
 import multiprocessing as mp
 import os
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -23,7 +24,7 @@ from repro.core.api import run_program
 from repro.core.khop import concurrent_khop
 from repro.errors import UnsupportedConfigError, WorkerLost
 from repro.graph import EdgeList, rmat_edges
-from repro.runtime.fault import FaultPlan, FaultTolerance, RetryPolicy
+from repro.runtime.fault import FaultPlan, FaultTolerance
 from repro.runtime.session import GraphSession
 from repro.telemetry import Instrumentation
 from tests.core.test_api import ListingTwoKHop
@@ -328,7 +329,6 @@ class TestReachReplay:
         with GraphSession(
             graph, num_machines=2, backend="pool", fault_tolerance=ft,
             fault_plan=FaultPlan().crash_worker(3, 1),
-            retry_policy=RetryPolicy(max_attempts=1, base_delay=0.0, degrade=True),
         ) as sess:
             res = sess.reach(*pairs, None)
             assert sess.degraded
@@ -355,12 +355,11 @@ class TestTelemetry:
 class TestRecoveryBudget:
     def test_sticky_crash_exhausts_budget_and_cleans_up(self, graph):
         others = {p.pid for p in _pool_children()}  # the shared module pool
-        ft = FaultTolerance(max_recoveries=1)
+        ft = FaultTolerance(max_recoveries=1, degrade=False)
         plan = FaultPlan().crash_worker(1, 0, sticky=True)
         sess = GraphSession(
             graph, num_machines=2, backend="pool", fault_tolerance=ft,
             fault_plan=plan,
-            retry_policy=RetryPolicy(max_attempts=1, degrade=False),
         )
         names = sess.pool().segment_names()
         with pytest.raises(WorkerLost, match="budget"):
@@ -382,17 +381,14 @@ class TestDegradationLadder:
         sess = GraphSession(
             graph, num_machines=2, backend="pool", fault_tolerance=ft,
             fault_plan=plan,
-            retry_policy=RetryPolicy(
-                max_attempts=2, base_delay=0.0, degrade=True
-            ),
         )
         try:
             res = sess.khop([0, 17, 333], 4)
-            # both fresh-pool attempts died; the in-process fallback answered
+            # the pool attempt died; the in-process fallback answered
             assert np.array_equal(ref.reached, res.reached)
             assert ref.virtual_seconds == res.virtual_seconds
             assert sess.degraded
-            assert sess.pool_failures == 2
+            assert sess.pool_failures == 1
             assert sess.degraded_batches == 1
             assert {p.pid for p in _pool_children()} <= others
 
@@ -401,7 +397,7 @@ class TestDegradationLadder:
             ref2 = inproc_sess.khop([3, 44], 3)
             assert np.array_equal(ref2.reached, res2.reached)
             assert sess.degraded_batches == 2
-            assert sess.pool_failures == 2
+            assert sess.pool_failures == 1
 
             # forgiveness: disarm the fault, reset, and the pool comes back
             sess.set_fault_plan(None)
@@ -414,6 +410,40 @@ class TestDegradationLadder:
         finally:
             sess.close()
 
+    def test_degraded_batches_counter_counts_every_batch(self, graph):
+        instr = Instrumentation()
+        with GraphSession(
+            graph, num_machines=2, backend="pool", instrumentation=instr,
+            fault_tolerance=FaultTolerance(max_recoveries=0),
+            fault_plan=FaultPlan().crash_worker(1, 0, sticky=True),
+        ) as sess:
+            for sources in ([0, 17], [3, 44], [5]):
+                sess.khop(sources, 3)
+        assert sess.degraded_batches == 3
+        counter = instr.metrics.get("cgraph_degraded_batches_total")
+        assert counter.total == sess.degraded_batches
+
+    def test_one_shot_fault_fires_once(self, graph, inproc_sess, pool_sess):
+        # no recovery budget: the one-shot crash loses the pool, and the
+        # batch degrades without the fault firing again anywhere
+        pool_sess.pool()  # the resource tracker's pipe opens once per process
+        ref = inproc_sess.khop([0, 17, 333], 4)
+        fds = len(os.listdir("/proc/self/fd"))
+        instr = Instrumentation()
+        sess = GraphSession(
+            graph, num_machines=2, backend="pool", instrumentation=instr,
+            fault_tolerance=FaultTolerance(max_recoveries=0),
+            fault_plan=FaultPlan().crash_worker(1, 0),
+        )
+        res = sess.khop([0, 17, 333], 4)
+        sess.close()
+        assert instr.metrics.get("cgraph_faults_total").total == 1
+        assert sess.pool_failures == 1
+        assert sess.degraded
+        assert np.array_equal(ref.reached, res.reached)
+        assert repr(ref.virtual_seconds) == repr(res.virtual_seconds)
+        assert len(os.listdir("/proc/self/fd")) == fds
+
 
 class TestSharedDriver:
     """One superstep driver, two executors: the same fault plan must cost
@@ -422,13 +452,11 @@ class TestSharedDriver:
     @staticmethod
     def _pagerank(graph, backend, plan, ft):
         instr = Instrumentation()
-        kwargs = {}
-        if backend == "pool":
-            # no retry ladder: an exhausted budget must surface, not degrade
-            kwargs["retry_policy"] = RetryPolicy(max_attempts=1, degrade=False)
+        # an exhausted budget must surface, not degrade
+        ft = replace(ft, degrade=False)
         with GraphSession(
             graph, num_machines=2, backend=backend, fault_plan=plan,
-            fault_tolerance=ft, instrumentation=instr, **kwargs,
+            fault_tolerance=ft, instrumentation=instr,
         ) as sess:
             try:
                 outcome = sess.pagerank(iterations=6).engine_result

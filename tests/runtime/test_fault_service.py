@@ -13,7 +13,7 @@ import pytest
 
 from repro.errors import Overloaded
 from repro.graph import rmat_edges
-from repro.runtime.fault import FaultPlan, FaultTolerance, RetryPolicy
+from repro.runtime.fault import FaultPlan, FaultTolerance
 from repro.runtime.scheduler import QueryService
 from repro.runtime.session import GraphSession
 
@@ -117,9 +117,6 @@ class TestDegradedService:
             graph, num_machines=2, backend="pool",
             fault_tolerance=FaultTolerance(max_recoveries=0),
             fault_plan=FaultPlan().crash_worker(1, 0, sticky=True),
-            retry_policy=RetryPolicy(
-                max_attempts=1, base_delay=0.0, degrade=True
-            ),
         )
         try:
             svc = QueryService(sess, k=3)

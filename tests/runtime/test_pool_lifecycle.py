@@ -17,9 +17,8 @@ import pytest
 from repro.core.api import run_program
 from repro.errors import UnsupportedConfigError
 from repro.graph import rmat_edges
-from repro.runtime.pool import WorkerPool
+from repro.runtime.pool import Supervisor, WorkerPool
 from repro.runtime.session import GraphSession
-from repro.runtime.supervisor import Supervisor
 from tests.core.test_api import ListingTwoKHop
 
 

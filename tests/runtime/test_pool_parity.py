@@ -24,7 +24,7 @@ from repro.core.pagerank import PageRankProgram
 from repro.core.vertex_api import run_vertex_centric
 from repro.errors import UnsupportedConfigError, WorkerTaskError
 from repro.graph import EdgeList, rmat_edges
-from repro.runtime.fault import FaultPlan, FaultTolerance, RetryPolicy
+from repro.runtime.fault import FaultPlan, FaultTolerance
 from repro.runtime.scheduler import QueryService
 from repro.runtime.session import GraphSession
 from tests.core.test_api import ListingTwoKHop
@@ -53,7 +53,6 @@ def degraded_sess(graph):
         graph, num_machines=2, backend="pool",
         fault_plan=FaultPlan().crash_worker(0, 0, sticky=True),
         fault_tolerance=FaultTolerance(max_recoveries=0),
-        retry_policy=RetryPolicy(max_attempts=1),
     ) as sess:
         yield sess
 

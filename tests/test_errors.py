@@ -17,7 +17,6 @@ from repro.errors import (
     CorruptCheckpoint,
     CorruptLog,
     CorruptMessage,
-    DeadlineExceeded,
     DurabilityError,
     InvalidQueryError,
     Overloaded,
@@ -39,7 +38,6 @@ ALL = [
     WorkerTaskError,
     CheckpointError,
     CorruptMessage,
-    DeadlineExceeded,
     Overloaded,
     InvalidQueryError,
     UnsupportedConfigError,
@@ -63,7 +61,6 @@ def test_every_error_is_a_repro_error(exc):
         (WorkerTaskError, RuntimeError),
         (CheckpointError, RuntimeError),
         (CorruptMessage, RuntimeError),
-        (DeadlineExceeded, TimeoutError),
         (Overloaded, RuntimeError),
         (InvalidQueryError, ValueError),
         (UnsupportedConfigError, ValueError),
