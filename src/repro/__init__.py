@@ -28,7 +28,6 @@ from repro.core.cgraph import CGraph
 from repro.core import (
     concurrent_khop,
     concurrent_bfs,
-    run_query_stream,
     reachability_queries,
     core_numbers,
     pagerank,
@@ -48,7 +47,6 @@ __all__ = [
     "QueryService",
     "concurrent_khop",
     "concurrent_bfs",
-    "run_query_stream",
     "reachability_queries",
     "core_numbers",
     "pagerank",

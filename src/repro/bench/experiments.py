@@ -33,7 +33,6 @@ from repro.baselines.serial import GeminiLikeEngine
 from repro.bench.report import format_histogram, format_series, format_table
 from repro.bench.timing import ResponseTimes
 from repro.bench.workload import QueryWorkload, random_sources
-from repro.core.batch import run_query_stream
 from repro.core.frontier import words_for
 from repro.core.khop import concurrent_khop
 from repro.core.pagerank import pagerank
@@ -570,7 +569,7 @@ def fig12_query_count_scaling(
 
     Roots for the 350-query stream are sampled from an 80-root pool by
     default (service times are per-root deterministic and memoised on the
-    session, see :meth:`GraphSession.khop_service_seconds`), which keeps
+    session, see :meth:`GraphSession.khop_service`), which keeps
     the harness wall time bounded on the dense FRS-100B analog without
     changing the response-time distribution shape.
     """
@@ -645,11 +644,10 @@ def fig13_bfs_vs_gemini(
     )
     cg_total, ge_total = [], []
     for q in counts:
-        # every count's stream reuses the one resident session
-        stream = run_query_stream(
-            sess.pg, roots[:q], k=None, batch_width=64, session=sess
-        )
-        cg_total.append(stream.total_seconds)
+        # every count is one fresh service on the one resident session
+        svc = QueryService(sess, None)
+        svc.submit_many(roots[:q])
+        cg_total.append(svc.drain().clock_seconds)
         ge_total.append(float(single[:q].sum()))
     return Fig13Result(
         counts=list(counts),
@@ -716,17 +714,19 @@ def ablation_batch_width(
     """Bit-parallel batch width sweep: W=1 is the no-bit-ops baseline (§3.5)."""
     el = load_dataset(dataset, scale)
     nm = calibrated_netmodel(dataset, scale)
-    pg = range_partition(el, num_machines)
+    sess = GraphSession(el, num_machines=num_machines, netmodel=nm)
     roots = random_sources(el, num_queries, seed=seed)
     rows = []
     for w in widths:
-        stream = run_query_stream(pg, roots, k, batch_width=w, netmodel=nm)
+        svc = QueryService(sess, k, batch_width=w)
+        svc.submit_many(roots)
+        rep = svc.drain()
         rows.append(
             {
                 "batch_width": w,
-                "total_virtual_s": stream.total_seconds,
-                "edges_scanned": stream.total_edges_scanned,
-                "supersteps": stream.total_supersteps,
+                "total_virtual_s": rep.clock_seconds,
+                "edges_scanned": rep.edges_scanned,
+                "supersteps": rep.supersteps,
             }
         )
     return AblationResult("bit-parallel batch width", rows)
@@ -874,15 +874,17 @@ def ablation_wide_batches(
     """
     el = load_dataset(dataset, scale)
     nm = calibrated_netmodel(dataset, scale)
-    pg = range_partition(el, num_machines)
+    sess = GraphSession(el, num_machines=num_machines, netmodel=nm)
     roots = random_sources(el, num_queries, seed=seed)
-    stream = run_query_stream(pg, roots, k, batch_width=64, netmodel=nm)
-    wide = concurrent_khop(pg, roots, k, netmodel=nm)
+    svc = QueryService(sess, k)
+    svc.submit_many(roots)
+    stream = svc.drain()
+    wide = sess.khop(roots, k)
     rows = [
         {
             "variant": "64-wide batch stream",
-            "edges_scanned": stream.total_edges_scanned,
-            "virtual_s": stream.total_seconds,
+            "edges_scanned": stream.edges_scanned,
+            "virtual_s": stream.clock_seconds,
             "passes": stream.num_batches,
         },
         {

@@ -197,34 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "mutation group, or never (with --wal-dir)")
 
     p = sub.add_parser(
-        "mutate",
-        help="replay an edge-mutation stream against a resident dynamic "
-             "session, optionally interleaved with k-hop queries",
-    )
-    add_common(p)
-    p.add_argument("stream",
-                   help="edge-stream file: '+ u v [arrival]' inserts, "
-                        "'- u v [arrival]' deletes; same-arrival lines form "
-                        "one atomic batch")
-    p.add_argument("--queries", type=int, default=0,
-                   help="interleave this many k-hop queries at --rate")
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--rate", type=float, default=1000.0,
-                   help="Poisson arrival rate of the interleaved queries")
-    p.add_argument("--compact-interval", type=int, default=None,
-                   help="fold the pending delta into a new base every this "
-                        "many mutated batches")
-    p.add_argument("--index-maintenance",
-                   choices=["incremental", "rebuild", "none"],
-                   default="incremental",
-                   help="what happens to a resident hub-label index when "
-                        "mutations land")
-    p.add_argument("--cross-check", action="store_true",
-                   help="assert every dispatched batch is bit-identical to "
-                        "a rebuilt-from-scratch oracle at its epoch")
-    p.add_argument("--backend", choices=["inproc", "pool"], default="inproc")
-
-    p = sub.add_parser(
         "chaos",
         help="fault-injection drill: crash/delay/corrupt pool workers under "
              "a seeded plan and assert bit-identical recovery",
@@ -351,46 +323,49 @@ def cmd_datasets(args, out) -> int:
 
 def cmd_khop(args, out) -> int:
     from repro.bench.workload import random_sources
-    from repro.core.batch import run_query_stream
+    from repro.core.khop import concurrent_khop
+    from repro.errors import ReproError
 
     el = _load(args)
     sess = _session(args, el, edge_sets=args.edge_sets)
-    roots = random_sources(el, args.queries, seed=args.seed)
-    stream = run_query_stream(
-        sess.pg, roots, args.k, use_edge_sets=args.edge_sets, session=sess,
-        direction=args.direction,
-    )
-    modes = [
-        (r.push_partition_steps, r.pull_partition_steps)
-        for r in stream.batch_results
-    ]
-    pushes, pulls = (sum(m) for m in zip(*modes))
+    try:
+        roots = random_sources(el, args.queries, seed=args.seed)
+        res = concurrent_khop(
+            sess.pg, roots, args.k, use_edge_sets=args.edge_sets, session=sess,
+            direction=args.direction,
+        )
+    except (ValueError, ReproError) as exc:
+        raise SystemExit(f"repro khop: {exc}") from None
     print(f"{args.queries} concurrent {args.k}-hop queries on {args.dataset} "
-          f"({args.machines} machines, {stream.num_batches} batch(es), "
-          f"direction={args.direction}: {pushes} push / {pulls} pull "
-          f"partition-steps)", file=out)
-    for q in range(stream.num_queries):
-        print(f"  source {int(stream.sources[q]):8d}: "
-              f"{int(stream.reached[q]):8d} reached, "
-              f"response {stream.response_seconds[q] * 1e3:9.3f} ms", file=out)
-    print(f"total virtual time: {stream.total_seconds * 1e3:.3f} ms, "
-          f"{stream.total_edges_scanned:,} edges scanned", file=out)
+          f"({args.machines} machines, 1 batch(es), "
+          f"direction={args.direction}: {res.push_partition_steps} push / "
+          f"{res.pull_partition_steps} pull partition-steps)", file=out)
+    for q in range(res.num_queries):
+        print(f"  source {int(res.sources[q]):8d}: "
+              f"{int(res.reached[q]):8d} reached, "
+              f"response {res.completion_seconds[q] * 1e3:9.3f} ms", file=out)
+    print(f"total virtual time: {res.virtual_seconds * 1e3:.3f} ms, "
+          f"{res.total_edges_scanned:,} edges scanned", file=out)
     return 0
 
 
 def cmd_reach(args, out) -> int:
     from repro.bench.workload import random_sources
     from repro.core.reachability import reachability_queries
+    from repro.errors import ReproError
 
     el = _load(args)
     sess = _session(args, el)
     rng = np.random.default_rng(args.seed)
-    sources = random_sources(el, args.pairs, seed=args.seed)
-    targets = rng.integers(0, el.num_vertices, size=args.pairs)
-    res = reachability_queries(
-        sess.pg, sources, targets, args.k, session=sess,
-        direction=args.direction,
-    )
+    try:
+        sources = random_sources(el, args.pairs, seed=args.seed)
+        targets = rng.integers(0, el.num_vertices, size=args.pairs)
+        res = reachability_queries(
+            sess.pg, sources, targets, args.k, session=sess,
+            direction=args.direction,
+        )
+    except (ValueError, ReproError) as exc:
+        raise SystemExit(f"repro reach: {exc}") from None
     print(f"{args.pairs} reachability pairs within {args.k} hops on "
           f"{args.dataset}:", file=out)
     for q in range(res.num_queries):
@@ -634,65 +609,6 @@ def cmd_service(args, out) -> int:
         if args.metrics_out:
             path = write_prometheus(instr.metrics, args.metrics_out)
             print(f"  metrics written to {path}", file=out)
-    return 0
-
-
-def cmd_mutate(args, out) -> int:
-    """Replay an edge-mutation stream against one resident dynamic session.
-
-    Queued stream batches interleave with optional k-hop query traffic on
-    the service's virtual timeline: each batch applies before the first
-    query dispatched at or after its arrival, advancing the graph epoch.
-    With ``--cross-check`` every dispatched query batch is asserted
-    bit-identical (answers and virtual clocks) to a from-scratch rebuild
-    of the graph at the batch's epoch.
-    """
-    from repro.bench.workload import random_sources
-    from repro.dynamic.stream import parse_edge_stream
-    from repro.runtime.scheduler import QueryService
-
-    if args.queries < 0:
-        raise SystemExit("repro mutate: --queries must be >= 0")
-    if args.rate <= 0:
-        raise SystemExit("repro mutate: --rate must be > 0")
-    batches = parse_edge_stream(args.stream)
-    if not batches:
-        raise SystemExit(f"repro mutate: no mutations in {args.stream}")
-    el = _load(args)
-    sess = _session(args, el, backend=args.backend)
-    sess.dynamic(
-        index_maintenance=args.index_maintenance,
-        compact_interval=args.compact_interval,
-    )
-    svc = QueryService(sess, args.k, cross_check=args.cross_check)
-    for b in batches:
-        svc.apply_mutations(b.inserts, b.deletes, arrival=b.arrival)
-    if args.queries:
-        roots = random_sources(el, args.queries, seed=args.seed)
-        rng = np.random.default_rng(args.seed)
-        arrivals = np.cumsum(
-            rng.exponential(1.0 / args.rate, size=args.queries)
-        )
-        svc.submit_many(roots, arrivals)
-    rep = svc.drain()
-    dg = sess.dynamic()
-    ins = sum(r.inserts.shape[0] for r in dg.log.records)
-    dels = sum(r.deletes.shape[0] for r in dg.log.records)
-    print(f"replayed {rep.mutations_applied} mutation batch(es) from "
-          f"{args.stream} on {args.dataset}: +{ins} / -{dels} edges", file=out)
-    print(f"  graph: epoch {sess.graph_epoch}, {sess.num_edges:,} edges, "
-          f"{dg.compactions} compaction(s), "
-          f"{dg.num_pending} pending delta edge(s)", file=out)
-    if args.queries:
-        print(f"  {args.queries} interleaved {args.k}-hop queries: "
-              f"epochs {int(rep.epochs.min())}..{int(rep.epochs.max())}, "
-              f"mean response {rep.mean_response * 1e3:.3f} ms, "
-              f"p99 {rep.p99() * 1e3:.3f} ms", file=out)
-    if args.cross_check:
-        print("  cross-check vs rebuilt-from-scratch oracle: ok "
-              "(answers and virtual clocks bit-identical)", file=out)
-    if args.backend == "pool":
-        sess.close()
     return 0
 
 
@@ -971,7 +887,6 @@ def main(argv=None, out=None) -> int:
         "path": cmd_path,
         "centrality": cmd_centrality,
         "service": cmd_service,
-        "mutate": cmd_mutate,
         "chaos": cmd_chaos,
         "recover": cmd_recover,
         "telemetry": cmd_telemetry,

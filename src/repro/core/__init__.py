@@ -6,7 +6,6 @@
 * :mod:`repro.core.adapters` — the probes, gathers and controls a batch
   runs next to its tasks, on either executor.
 * :mod:`repro.core.bfs` — concurrent BFS (k → ∞).
-* :mod:`repro.core.batch` — query-stream batching.
 * :mod:`repro.core.traversal` — the ``Traverse`` operator (Listing 2).
 * :mod:`repro.core.gas` / :mod:`repro.core.pagerank` — the GAS ``Update``
   interface (Listing 3) and PageRank.
@@ -30,8 +29,7 @@ from repro.core.frontier import (
 )
 from repro.core.khop import DIRECTIONS, KHopResult, concurrent_khop
 from repro.core.bfs import concurrent_bfs, single_source_bfs
-from repro.core.batch import QueryStreamResult, run_query_stream
-from repro.core.traversal import traverse, khop_query, khop_service_time
+from repro.core.traversal import traverse, khop_query
 from repro.core.gas import VertexProgram, run_gas, GASRun
 from repro.core.pagerank import PageRankProgram, pagerank
 from repro.core.sssp import SSSPResult, sssp
@@ -64,11 +62,8 @@ __all__ = [
     "concurrent_khop",
     "concurrent_bfs",
     "single_source_bfs",
-    "QueryStreamResult",
-    "run_query_stream",
     "traverse",
     "khop_query",
-    "khop_service_time",
     "VertexProgram",
     "run_gas",
     "GASRun",

@@ -12,7 +12,7 @@ Quickstart::
 
     g = CGraph(rmat_edges(14, 200_000, seed=1), num_machines=3)
     batch = g.khop_batch(sources=[0, 42, 99], k=3)      # concurrent queries
-    print(batch.reached, batch.completion_seconds)
+    print(batch.reached, batch.response_seconds)
 
     ranks = g.pagerank().values                          # iterative compute
 """
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.batch import QueryStreamResult, run_query_stream
 from repro.core.bfs import concurrent_bfs, single_source_bfs
 from repro.core.gas import GASRun, VertexProgram, run_gas
 from repro.core.khop import KHopResult, concurrent_khop
@@ -29,11 +28,12 @@ from repro.core.pagerank import DEFAULT_ITERATIONS, pagerank
 from repro.core.kcore import KCoreResult, core_numbers
 from repro.core.reachability import ReachabilityResult, reachability_queries
 from repro.core.sssp import SSSPResult, sssp
-from repro.core.traversal import khop_query, khop_service_time, traverse
+from repro.core.traversal import khop_query, traverse
 from repro.core.triangles import khop_triangle_count, triangle_count
 from repro.graph.edgelist import EdgeList
 from repro.graph.partition import PartitionedGraph
 from repro.runtime.netmodel import NetworkModel
+from repro.runtime.scheduler import QueryService, ServiceReport
 from repro.runtime.session import GraphSession
 
 __all__ = ["CGraph"]
@@ -126,15 +126,14 @@ class CGraph:
             self.pg, self.to_internal(sources), k, session=self.session, **kwargs
         )
 
-    def khop_batch(self, sources, k: int | None, batch_width: int = 64,
-                   **kwargs) -> QueryStreamResult:
-        """A stream of any number of concurrent queries, batched word-wide."""
-        if self.has_edge_sets:
-            kwargs.setdefault("use_edge_sets", True)
-        return run_query_stream(
-            self.pg, self.to_internal(sources), k, batch_width=batch_width,
-            session=self.session, **kwargs
-        )
+    def khop_batch(self, sources, k: int | None,
+                   batch_width: int = 64) -> ServiceReport:
+        """A stream of any number of concurrent queries, batched word-wide
+        by a :class:`QueryService` drain (all queries arrive at once)."""
+        svc = QueryService(self.session, k, batch_width=batch_width,
+                           use_edge_sets=self.has_edge_sets)
+        svc.submit_many(self.to_internal(sources))
+        return svc.drain()
 
     def reachable_within(self, source: int, k: int) -> np.ndarray:
         """Internal-id vertex set within k hops of ``source``."""
@@ -157,13 +156,6 @@ class CGraph:
         """Listing 2's Traverse with a per-level visit callback."""
         return traverse(self.pg, int(self.to_internal([source])[0]), hops,
                         visit=visit, session=self.session)
-
-    def query_service_time(self, source: int, k: int | None) -> tuple[float, int]:
-        """(virtual seconds, reach) of a standalone query — scheduler input."""
-        return khop_service_time(
-            self.pg, int(self.to_internal([source])[0]), k,
-            use_edge_sets=self.has_edge_sets, session=self.session,
-        )
 
     # -- iterative compute --------------------------------------------------#
 

@@ -83,10 +83,11 @@ def _check_direction(direction: str, use_edge_sets: bool) -> str:
 
 
 def _traversal_session(
-    graph, num_machines, netmodel, session, direction: str,
+    graph, num_machines, netmodel, session, k, direction: str,
     use_edge_sets: bool, asynchronous: bool = False,
 ) -> GraphSession:
     """The traversal door: every mode check, before any work runs."""
+    GraphSession.check_hops(k)
     _check_direction(direction, use_edge_sets)
     sess = GraphSession.for_run(graph, num_machines, netmodel, session)
     sess.require_inproc(use_edge_sets=use_edge_sets, asynchronous=asynchronous)
@@ -381,7 +382,7 @@ def concurrent_khop(
         ``len(sources)``, up to one 64-byte cache line of query bits
         (:data:`~repro.core.frontier.MAX_WIDE_BATCH` = 512, §3.5) — the
         planes simply grow a word per 64 queries; longer streams go through
-        :func:`repro.core.batch.run_query_stream`.
+        :class:`~repro.runtime.scheduler.QueryService`.
     k:
         Hop budget; ``None`` means full BFS (traverse to exhaustion).
     record_depths:
@@ -414,7 +415,7 @@ def concurrent_khop(
     network model and counted work.
     """
     sess = _traversal_session(
-        graph, num_machines, netmodel, session, direction, use_edge_sets,
+        graph, num_machines, netmodel, session, k, direction, use_edge_sets,
         asynchronous,
     )
     pg = sess.pg

@@ -96,6 +96,7 @@ def concurrent_khop_out_of_core(
     (``consolidate_min_edges``) merges tiny blocks — the §3.2 trade this
     mode exists to demonstrate.
     """
+    GraphSession.check_hops(k)
     sess = GraphSession.for_run(graph, num_machines, netmodel, session)
     if sess.uses_pool:  # edge sets are not in the pool's shared image
         sess.require_inproc(use_edge_sets=True)

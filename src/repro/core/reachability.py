@@ -83,7 +83,7 @@ def reachability_queries(
     direction-independent).
     """
     sess = _traversal_session(
-        graph, num_machines, netmodel, session, direction, use_edge_sets
+        graph, num_machines, netmodel, session, k, direction, use_edge_sets
     )
     sources = sess.check_sources(sources, MAX_WIDE_BATCH)
     targets = sess.check_targets(targets, int(sources.size))

@@ -8,9 +8,8 @@ invoking a user ``visit`` callback with each level's newly reached vertices
 — exactly the role of Listing 2's loop, but vectorised and distributed.
 
 Single-query convenience wrappers (:func:`khop_query`,
-:func:`khop_service_time`) are thin shims over the bit-parallel engine with
-batch width 1; they are what the non-bitwise query modes (Figures 7–12) cost
-out per query.
+:func:`shortest_hop_path`) are thin shims over the bit-parallel engine with
+batch width 1.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from repro.graph.edgelist import EdgeList
 from repro.graph.partition import PartitionedGraph
 from repro.runtime.netmodel import NetworkModel
 
-__all__ = ["traverse", "khop_query", "khop_service_time", "shortest_hop_path"]
+__all__ = ["traverse", "khop_query", "shortest_hop_path"]
 
 
 def traverse(
@@ -123,23 +122,3 @@ def shortest_hop_path(
     path.reverse()
     return path
 
-
-def khop_service_time(
-    graph: PartitionedGraph,
-    source: int,
-    k: int | None,
-    netmodel: NetworkModel | None = None,
-    use_edge_sets: bool = False,
-    session=None,
-    direction: str = "auto",
-) -> tuple[float, int]:
-    """(virtual seconds, vertices reached) of one standalone k-hop query.
-
-    The response-time experiments cost each query this way, then feed the
-    service times into :mod:`repro.runtime.scheduler` to model concurrency.
-    """
-    res = concurrent_khop(
-        graph, [source], k, netmodel=netmodel, use_edge_sets=use_edge_sets,
-        session=session, direction=direction,
-    )
-    return float(res.virtual_seconds), int(res.reached[0])

@@ -1,6 +1,6 @@
 """Edge-stream files: a replayable text format for mutation workloads.
 
-The ``repro mutate`` subcommand (and the ``dynamic_stream`` example) replay
+``repro service --mutations FILE`` (and the ``dynamic_stream`` example) replay
 streams in a line-oriented format, one mutation per line::
 
     # comment

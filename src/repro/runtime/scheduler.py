@@ -129,6 +129,7 @@ class _QueryRecord:
     start: float | None = None  # when its batch / slot / lookup began
     finish: float | None = None
     verdict: bool | None = None  # point queries only
+    reached: int = -1  # enumeration queries only: vertices within k hops
     route: str = "traversal"  # "index" | "cache" | "traversal"
     missed: bool = False  # its batch hit the deadline before it settled
     epoch: int = -1  # graph epoch it ran against
@@ -163,9 +164,13 @@ class ServiceReport:
     executing, so ``start - arrival`` is its queueing delay.
 
     Point reachability queries additionally carry their ``targets`` (-1 for
-    enumeration queries), their verdicts in ``reachable`` (1/0; -1 for
-    enumeration queries, whose answer is a reach *set*, not a bit) and the
-    execution strategy each query was routed to in ``routes``.
+    enumeration queries) and their verdicts in ``reachable`` (1/0; -1 for
+    enumeration queries); enumeration queries carry their answer's size in
+    ``reached`` (vertices within k hops, the partial count when a deadline
+    cut them short; -1 for point queries).  ``routes`` is the execution
+    strategy each query was routed to; ``edges_scanned`` and ``supersteps``
+    sum the drain's traversal batches (index, cache and slot lanes add
+    nothing).
     """
 
     query_ids: np.ndarray
@@ -177,8 +182,11 @@ class ServiceReport:
     clock_seconds: float
     targets: np.ndarray | None = None  # int64, -1 = no target
     reachable: np.ndarray | None = None  # int8, -1 = not a point query
+    reached: np.ndarray | None = None  # int64, -1 = point query
     routes: np.ndarray | None = None  # "index" | "traversal" per query
     busy_seconds: float = 0.0  # virtual execution time this drain dispatched
+    edges_scanned: int = 0
+    supersteps: int = 0
     #: Per-query flag: its batch hit the service deadline before the query
     #: settled (its answer is the partial/best-effort one).  None when the
     #: service runs without a deadline.
@@ -400,6 +408,7 @@ class QueryService:
     ):
         if discipline not in ("batch", "pool"):
             raise ValueError("discipline must be 'batch' or 'pool'")
+        session.check_hops(k)
         if not 1 <= batch_width <= MAX_WIDE_BATCH:
             raise ValueError(f"batch_width must be in [1, {MAX_WIDE_BATCH}]")
         if planner not in ("traversal", "hybrid"):
@@ -453,6 +462,8 @@ class QueryService:
         self.deadline_misses = 0
         self.clock = 0.0
         self.batches_dispatched = 0
+        self.edges_scanned = 0  # engine work of traversal dispatches
+        self.supersteps = 0
         self._dispatch_seq = 0  # span numbering (monotone across drains)
         self._next_id = 0
         self._pending: list[_QueryRecord] = []
@@ -467,7 +478,8 @@ class QueryService:
         # dispatched, and the lifetime counters' values at drain start
         self._due_mutations: deque[tuple] = deque()
         self._busy = 0.0
-        self._marks = (0, 0, 0, 0)  # mutations, throttled, cache hits/misses
+        # mutations, throttled, edges, supersteps, cache hits/misses
+        self._marks = (0, 0, 0, 0, 0, 0)
         self._oracle_sessions: dict[int, object] = {}  # epoch -> GraphSession
         # the QoS layer: WFQ lane state and per-tenant token buckets persist
         # across drains, like the virtual clock they run on
@@ -702,7 +714,10 @@ class QueryService:
         )
         self._pending_mutations = []
         self._busy = 0.0
-        self._marks = (self.mutations_applied, self.throttled, *self._cache_traffic())
+        self._marks = (
+            self.mutations_applied, self.throttled, self.edges_scanned,
+            self.supersteps, *self._cache_traffic(),
+        )
         dispatches = 0
         span = (
             self.instr.span(
@@ -990,6 +1005,8 @@ class QueryService:
             q.epoch = epoch
             if kind == "reach":
                 q.verdict = bool(answer[j])
+            else:
+                q.reached = int(answer[j])
             if res.resolved is None or res.resolved[j]:
                 q.finish = now + float(per_query[j])
             else:
@@ -999,6 +1016,8 @@ class QueryService:
                 self._take_token(q, now)
         self.clock = now + virtual
         self._busy += virtual
+        self.edges_scanned += res.total_edges_scanned
+        self.supersteps += res.supersteps
         if wfq_lane is not None:
             self._wfq.charge(wfq_lane, virtual)
         if self.cross_check and self.session.is_dynamic:
@@ -1044,23 +1063,24 @@ class QueryService:
         start = max(self._slots[0], q.arrival)
         self._apply_due_mutations(start)
         q.epoch = self._epoch()
-        service = self.session.khop_service_seconds(
+        live = self.session.khop_service(
             q.source, self.k, use_edge_sets=self.use_edge_sets
         )
+        service, q.reached = live
         q.start = start
         q.finish = start + service
         heapq.heapreplace(self._slots, q.finish)
         self.clock = max(self.clock, q.finish)
         self._busy += service
         if self.cross_check and self.session.is_dynamic:
-            ref = self._oracle_session(q.epoch).khop_service_seconds(
+            ref = self._oracle_session(q.epoch).khop_service(
                 q.source, self.k, use_edge_sets=self.use_edge_sets
             )
-            if ref != service:
+            if ref != live:
                 raise AssertionError(
                     f"dynamic cross-check failed for pool query "
                     f"(source {q.source}, k={self.k}, epoch {q.epoch}): "
-                    f"live service time {service!r} != oracle {ref!r}"
+                    f"live (service time, reached) {live!r} != oracle {ref!r}"
                 )
 
     def _serve_index(self, group) -> None:
@@ -1174,7 +1194,7 @@ class QueryService:
         growth since the drain started."""
         by_id = sorted(records, key=lambda q: q.query_id)
         shed, self.shed = self.shed, 0
-        mutations, throttled, hits, misses = self._marks
+        mutations, throttled, edges, supersteps, hits, misses = self._marks
         cache_hits, cache_misses = self._cache_traffic()
         return ServiceReport(
             query_ids=np.array([q.query_id for q in by_id], dtype=np.int64),
@@ -1192,8 +1212,11 @@ class QueryService:
                 [-1 if q.verdict is None else int(q.verdict) for q in by_id],
                 dtype=np.int8,
             ),
+            reached=np.array([q.reached for q in by_id], dtype=np.int64),
             routes=np.array([q.route for q in by_id], dtype="<U9"),
             busy_seconds=float(self._busy),
+            edges_scanned=self.edges_scanned - edges,
+            supersteps=self.supersteps - supersteps,
             deadline_missed=(
                 None
                 if self.deadline_seconds is None

@@ -189,7 +189,7 @@ class GraphSession:
         self.batches_run = 0
         self._task_cache: dict[tuple, list[PartitionTask]] = {}
         self._undirected_pg: PartitionedGraph | None = None
-        self._service_cache: dict[tuple, float] = {}
+        self._service_cache: dict[tuple, tuple[float, int]] = {}
         self._index_build = None  # IndexBuild, cached by index_build()
 
     # -- construction helpers ---------------------------------------------- #
@@ -637,6 +637,12 @@ class GraphSession:
             )
         return sources
 
+    @staticmethod
+    def check_hops(k: int | None) -> None:
+        """Refuse a negative hop budget (``None`` means unbounded)."""
+        if k is not None and k < 0:
+            raise InvalidQueryError(f"hop budget k must be >= 0 or None, got {k}")
+
     def check_targets(self, targets, num_queries: int) -> np.ndarray:
         """Validate a batch's target vertices (same checks as sources).
 
@@ -914,20 +920,21 @@ class GraphSession:
 
         return core_numbers(self.pg, session=self, **kwargs)
 
-    def khop_service_seconds(
+    def khop_service(
         self, source: int, k: int | None, use_edge_sets: bool = False
-    ) -> float:
-        """Standalone virtual service time of one k-hop query, memoised.
+    ) -> tuple[float, int]:
+        """``(virtual seconds, vertices reached)`` of one standalone k-hop
+        query, memoised.
 
-        Service time is a deterministic function of ``(root, k)`` on the
-        resident graph, so the response-time experiments re-cost repeated
-        roots from this cache instead of re-traversing.
+        Both are a deterministic function of ``(root, k)`` on the resident
+        graph, so the response-time experiments re-cost repeated roots from
+        this cache instead of re-traversing.
         """
         key = (int(source), k, use_edge_sets)
         cached = self._service_cache.get(key)
         if cached is None:
             res = self.khop([int(source)], k, use_edge_sets=use_edge_sets)
-            cached = float(res.virtual_seconds)
+            cached = (float(res.virtual_seconds), int(res.reached[0]))
             self._service_cache[key] = cached
         return cached
 

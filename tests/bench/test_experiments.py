@@ -174,3 +174,41 @@ class TestAblations:
     def test_reports_render(self):
         res = E.ablation_batch_width(num_queries=8, widths=(1, 8), scale=TINY)
         assert "Ablation" in res.report()
+
+
+class TestStreamDriversPinned:
+    """The batched-stream drivers' numbers, exactly: the stream is one
+    zero-arrival ``QueryService`` wave, whose clock, reach counts and
+    engine totals must not drift from the values recorded here."""
+
+    def test_fig13_cgraph_totals(self):
+        res = E.fig13_bfs_vs_gemini(counts=(1, 32, 64), scale=TINY)
+        assert [float(x).hex() for x in res.cgraph_total] == [
+            "0x1.1ff6d4998b2a5p+1",
+            "0x1.38a3161ba1928p+2",
+            "0x1.464d7cd7cd835p+2",
+        ]
+
+    def test_batch_width_rows(self):
+        res = E.ablation_batch_width(num_queries=32, widths=(1, 8, 32), scale=TINY)
+        assert res.rows == [
+            {"batch_width": 1,
+             "total_virtual_s": float.fromhex("0x1.5aa87994e125fp+1"),
+             "edges_scanned": 35719, "supersteps": 96},
+            {"batch_width": 8,
+             "total_virtual_s": float.fromhex("0x1.12651be52d088p-1"),
+             "edges_scanned": 9131, "supersteps": 12},
+            {"batch_width": 32,
+             "total_virtual_s": float.fromhex("0x1.3f8e9eed1a6dfp-3"),
+             "edges_scanned": 2763, "supersteps": 3},
+        ]
+
+    def test_wide_batch_rows(self):
+        res = E.ablation_wide_batches(num_queries=128, scale=TINY)
+        assert res.rows == [
+            {"variant": "64-wide batch stream", "edges_scanned": 5948,
+             "virtual_s": float.fromhex("0x1.45f2e08ce388fp-2"), "passes": 2},
+            {"variant": "128-wide single batch (2 words)",
+             "edges_scanned": 3252,
+             "virtual_s": float.fromhex("0x1.ae122cb0ed5e9p-3"), "passes": 1},
+        ]

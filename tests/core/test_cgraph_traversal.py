@@ -3,8 +3,9 @@
 
 from repro.baselines.oracle import oracle_khop_reach
 from repro.core.cgraph import CGraph
-from repro.core.traversal import khop_query, khop_service_time, traverse
+from repro.core.traversal import khop_query, traverse
 from repro.graph import range_partition
+from repro.runtime.session import GraphSession
 
 
 class TestTraverse:
@@ -34,7 +35,7 @@ class TestKHopQueryHelpers:
 
     def test_service_time_positive(self, small_rmat):
         pg = range_partition(small_rmat, 2)
-        seconds, reached = khop_service_time(pg, 0, 3)
+        seconds, reached = GraphSession(pg).khop_service(0, 3)
         assert seconds > 0
         assert reached == len(oracle_khop_reach(small_rmat, 0, 3))
 
@@ -98,9 +99,9 @@ class TestCGraphFacade:
         g = CGraph(small_rmat)
         assert g.triangles() == g.triangles_via_khop()
 
-    def test_query_service_time(self, small_rmat):
+    def test_standalone_query_cost(self, small_rmat):
         g = CGraph(small_rmat, num_machines=3)
-        seconds, reached = g.query_service_time(0, 3)
+        seconds, reached = g.session.khop_service(0, 3)
         assert seconds > 0 and reached > 0
 
     def test_custom_vertex_program(self, small_rmat):

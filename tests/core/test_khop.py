@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from repro.baselines.naive import naive_distributed_khop, naive_khop
 from repro.baselines.oracle import oracle_khop_reach
-from repro.core.batch import run_query_stream
 from repro.core.frontier import MAX_WIDE_BATCH
 from repro.core.khop import DIRECTIONS, concurrent_khop
 from repro.core.pagerank import pagerank
 from repro.graph import EdgeList, path_graph, range_partition, rmat_edges
+from repro.runtime.scheduler import QueryService
 from repro.runtime.session import GraphSession
 
 
@@ -105,6 +105,13 @@ class TestConcurrentBatch:
         assert (d0 == solo.depths[:, 0]).all()
 
 
+def _word_stream(session, sources, k):
+    """The word-wide (64-query) batch stream of ``sources``, drained."""
+    svc = QueryService(session, k)
+    svc.submit_many(sources)
+    return svc.drain()
+
+
 class TestWideBatches:
     """Batches wider than one machine word (multi-word planes, §3.5).  The
     plane mechanics are covered in ``tests/core/test_frontier.py``; here the
@@ -112,11 +119,15 @@ class TestWideBatches:
 
     def test_beyond_64_queries(self, small_rmat):
         sources = list(range(150))
+        sess = GraphSession(small_rmat, num_machines=2)
         wide = concurrent_khop(small_rmat, sources, k=2, num_machines=2)
-        stream = run_query_stream(small_rmat, sources, k=2, batch_width=64,
-                                  num_machines=2)
+        stream = _word_stream(sess, sources, 2)
+        levels = np.concatenate([
+            sess.khop(sources[i:i + 64], 2).completion_level
+            for i in range(0, len(sources), 64)
+        ])
         assert (wide.reached == stream.reached).all()
-        assert (wide.completion_level == stream.completion_level).all()
+        assert (wide.completion_level == levels).all()
 
     def test_completion_levels_beyond_first_word(self, line10):
         # query 0 and query 70 share a source, query 69 dies early: the
@@ -133,9 +144,9 @@ class TestWideBatches:
         pg = range_partition(medium_rmat, 2)
         sources = list(range(256))
         wide = concurrent_khop(pg, sources, k=3)
-        stream = run_query_stream(pg, sources, k=3, batch_width=64)
+        stream = _word_stream(GraphSession(pg), sources, 3)
         assert (wide.reached == stream.reached).all()
-        assert wide.total_edges_scanned < stream.total_edges_scanned
+        assert wide.total_edges_scanned < stream.edges_scanned
 
     def test_full_512(self, small_rmat):
         sources = [i % small_rmat.num_vertices for i in range(512)]

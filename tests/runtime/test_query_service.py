@@ -12,7 +12,6 @@ import pytest
 
 from repro.baselines.oracle import oracle_bfs_levels
 from repro.core.frontier import MAX_WIDE_BATCH
-from repro.core.traversal import khop_service_time
 from repro.graph.generators import rmat_edges
 from repro.qos import LaneSpec, QosConfig
 from repro.runtime.scheduler import (
@@ -42,7 +41,7 @@ class TestPoolDiscipline:
         sources = _sources(session, 50, 0)
         rng = np.random.default_rng(1)
         service_times = np.array(
-            [session.khop_service_seconds(int(s), 3) for s in sources]
+            [session.khop_service(int(s), 3)[0] for s in sources]
         )
         for arrivals in (np.sort(rng.uniform(0.0, 2.0, sources.size)), None):
             svc = QueryService(session, k=3, discipline="pool", concurrency=4)
@@ -57,7 +56,7 @@ class TestPoolDiscipline:
         svc.submit_many(sources)
         report = svc.drain()
         service_times = np.array(
-            [session.khop_service_seconds(int(s), 2) for s in sources]
+            [session.khop_service(int(s), 2)[0] for s in sources]
         )
         np.testing.assert_allclose(
             report.finish_seconds, np.cumsum(service_times), atol=1e-12
@@ -70,9 +69,9 @@ class TestPoolDiscipline:
     def test_service_times_match_standalone_queries(self, session):
         """The memoised per-root cost is a real one-query engine run."""
         for s in _sources(session, 5, 3):
-            expected, _ = khop_service_time(session.pg, int(s), 3,
-                                            session=session)
-            assert session.khop_service_seconds(int(s), 3) == expected
+            run = session.khop([int(s)], 3)
+            expected = (float(run.virtual_seconds), int(run.reached[0]))
+            assert session.khop_service(int(s), 3) == expected
 
 
 class TestBatchDiscipline:
@@ -124,6 +123,36 @@ class TestBatchDiscipline:
             report.response_seconds, one_shot.completion_seconds
         )
         assert svc.clock == one_shot.virtual_seconds
+
+    @pytest.mark.parametrize("k", [3, None], ids=["k3", "bfs"])
+    @pytest.mark.parametrize("width", [1, 7, 64])
+    def test_wave_is_a_loop_of_width_chunks(self, session, width, k):
+        """A zero-arrival wave is back-to-back ``concurrent_khop`` batches
+        of ``batch_width`` queries: a query responds after the earlier
+        batches' engine time plus its own in-batch completion offset."""
+        from repro.core.khop import concurrent_khop
+
+        sources = _sources(session, 150, 8)
+        clock, edges, supersteps = 0.0, 0, 0
+        response, reached = [], []
+        for i in range(0, sources.size, width):
+            res = concurrent_khop(
+                session.pg, sources[i:i + width], k, session=session
+            )
+            response.extend(clock + res.completion_seconds)
+            reached.extend(res.reached)
+            clock += res.virtual_seconds
+            edges += res.total_edges_scanned
+            supersteps += res.supersteps
+        svc = QueryService(session, k, batch_width=width)
+        svc.submit_many(sources)
+        report = svc.drain()
+        np.testing.assert_array_equal(report.response_seconds, response)
+        np.testing.assert_array_equal(report.reached, reached)
+        assert report.clock_seconds == clock
+        assert report.edges_scanned == edges
+        assert report.supersteps == supersteps
+        assert report.num_batches == -(-sources.size // width)
 
     @pytest.mark.parametrize(
         "qos",

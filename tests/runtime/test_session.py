@@ -258,9 +258,9 @@ class TestStateReuse:
         assert session.undirected_pg() is session.undirected_pg()
 
     def test_service_seconds_memoised(self, graph, session):
-        t1 = session.khop_service_seconds(0, 3)
+        t1 = session.khop_service(0, 3)
         before = session.batches_run
-        t2 = session.khop_service_seconds(0, 3)
+        t2 = session.khop_service(0, 3)
         assert t1 == t2
         assert session.batches_run == before  # no re-traversal
 

@@ -165,6 +165,32 @@ class TestServiceRefusals:
         assert "3 dispatch(es), 150 point / 150 enumeration" in out
 
 
+class TestQueryRefusals:
+    """``khop`` and ``reach`` map the traversal door's refusals to one
+    ``repro <command>:`` exit, as ``service`` does."""
+
+    @pytest.mark.parametrize(
+        "argv, match",
+        [
+            (["khop", "--queries", "0"], r"need 1\.\.512 sources, got 0"),
+            (["khop", "--queries", "513"], r"need 1\.\.512 sources, got 513"),
+            (["khop", "--k", "-1"], "k must be >= 0"),
+            (["reach", "--pairs", "0"], r"need 1\.\.512 sources, got 0"),
+            (["reach", "--k", "-1"], "k must be >= 0"),
+        ],
+        ids=["khop-queries-0", "khop-queries-513", "khop-k-negative",
+             "reach-pairs-0", "reach-k-negative"],
+    )
+    def test_bad_size_exits_cleanly(self, argv, match):
+        with pytest.raises(SystemExit, match=f"^repro {argv[0]}: .*{match}"):
+            main([*argv, *SCALE], out=io.StringIO())
+
+    def test_khop_past_one_word_is_one_batch(self):
+        out = run_cli("khop", "--queries", "100", "--k", "2", *SCALE)
+        assert "1 batch(es)" in out
+        assert out.count("reached") == 100
+
+
 class TestServiceTelemetry:
     def test_service_without_flags_stays_uninstrumented(self):
         out = run_cli("service", "--queries", "8", "--k", "2", *SCALE)

@@ -158,6 +158,26 @@ def test_unsupported_combinations_fail_typed_before_any_work(call):
         assert sess.batches_run == 0
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda sess: sess.khop([5], -1),
+        lambda sess: sess.reach([5], [5], -1),
+        lambda sess: concurrent_khop_out_of_core(sess, [5], -1, session=sess),
+        lambda sess: QueryService(sess, -1, planner="traversal"),
+        lambda sess: QueryService(sess, -1, planner="hybrid"),
+    ],
+    ids=[
+        "khop", "reach", "out-of-core", "service-traversal", "service-hybrid",
+    ],
+)
+def test_negative_hop_budget_is_refused_typed_before_any_work(call):
+    with GraphSession(path_graph(6), num_machines=2) as sess:
+        with pytest.raises(InvalidQueryError, match="k must be >= 0"):
+            call(sess)
+        assert sess.batches_run == 0
+
+
 def _gas_with_a_local_class(sess):
     class LocalRank(PageRankProgram):
         pass
