@@ -1727,13 +1727,7 @@ def durability_overhead(
         gc.collect()
 
         recovery_wall, recovered = _timed_value(
-            lambda: recover_session(
-                batch_root,
-                fsync="batch",
-                checkpoint_every=checkpoint_every,
-                index_maintenance="incremental",
-                churn_threshold=10.0,
-            )
+            lambda: recover_session(batch_root)
         )
         recovery = recovered._durability.last_recovery
         if int(recovered.graph_epoch) != final_epoch:

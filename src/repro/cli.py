@@ -245,17 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="durability root the crashed service was writing "
                         "(contains wal/ and checkpoints/)")
     p.add_argument("--backend", choices=["inproc", "pool"], default="inproc")
-    p.add_argument("--index-maintenance",
-                   choices=["incremental", "rebuild", "none"],
-                   default="incremental")
     p.add_argument("--cross-check", action="store_true",
                    help="also rebuild every shard from the recovered edge "
                         "set and assert the resident CSR/CSC is "
                         "bit-identical")
-    p.add_argument("--fsync", choices=["always", "batch", "none"],
-                   default="batch",
-                   help="WAL fsync policy for the recovered session")
-    p.add_argument("--checkpoint-every", type=int, default=8)
 
     p = sub.add_parser(
         "telemetry",
@@ -739,27 +732,25 @@ def _cmd_chaos_durable(args, out) -> int:
     return 0
 
 
+def _cadence(batches: int | None) -> str:
+    return "never" if batches is None else f"every {batches} batches"
+
+
 def cmd_recover(args, out) -> int:
     """Recover a crashed durable service and report the restored state."""
     from repro.errors import DurabilityError
-    from repro.runtime.session import GraphSession
+    from repro.runtime.durability import recover_session
 
-    if args.checkpoint_every < 1:
-        raise SystemExit("repro recover: --checkpoint-every must be >= 1")
     try:
-        sess = GraphSession.restore(
-            args.wal_dir,
-            backend=args.backend,
-            fsync=args.fsync,
-            checkpoint_every=args.checkpoint_every,
-            index_maintenance=args.index_maintenance,
-            cross_check=args.cross_check,
+        sess = recover_session(
+            args.wal_dir, cross_check=args.cross_check, backend=args.backend
         )
     except DurabilityError as exc:
         print(f"repro recover: {exc}", file=out)
         return 1
+    mgr = sess._durability
     try:
-        rep = sess._durability.last_recovery
+        rep = mgr.last_recovery
         print(f"recovered {args.wal_dir}: checkpoint epoch "
               f"{rep.checkpoint_epoch} -> epoch {rep.epoch} in "
               f"{rep.seconds * 1e3:.1f} ms", file=out)
@@ -775,11 +766,13 @@ def cmd_recover(args, out) -> int:
         if args.cross_check:
             print("  cross-check: resident shards bit-identical to a "
                   "rebuilt-from-scratch oracle", file=out)
-        print(f"  service resumes durably under {args.wal_dir} "
-              f"(fsync {args.fsync}, checkpoint every "
-              f"{args.checkpoint_every} batches)", file=out)
+        print(f"  service resumes durably under {args.wal_dir} with the "
+              f"recorded policy: fsync {mgr.wal.fsync_policy}, checkpoint "
+              f"{_cadence(mgr.checkpoint_every)}, compaction "
+              f"{_cadence(sess._compact_interval)}, index maintenance "
+              f"{sess._index_maintenance}", file=out)
     finally:
-        sess._durability.close()
+        mgr.close()
         sess.close()
     return 0
 

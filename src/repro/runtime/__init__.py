@@ -30,9 +30,9 @@ Layers:
   per-query response times (plus :func:`simulate_fifo_pool` for service
   times that do not come from a session).
 * :mod:`repro.runtime.durability` — whole-process crash recovery: WAL'd
-  mutations, periodic checkpoints, and
-  :func:`~repro.runtime.durability.recover_session` /
-  :meth:`GraphSession.restore` rebuilding the exact pre-crash epoch.
+  mutations, self-describing checkpoints;
+  :func:`~repro.runtime.durability.recover_session` rebuilds the exact
+  pre-crash epoch from the directory.
 """
 
 from repro.runtime.message import Inbox, MessageBatch, Outbox

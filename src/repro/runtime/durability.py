@@ -20,16 +20,18 @@ The durable directory holds two things:
   materialised edge set + frozen bounds (``edges.npz``), the resident
   hub-label index when current (``index.npz``, via the atomic
   :func:`~repro.index.storage.save_labels`), and a ``manifest.json`` of
-  CRCs published atomically (tmp + fsync + ``os.replace``).  The manifest
-  is the commit point: a directory without one is a torn checkpoint and
-  invisible to recovery.
+  CRCs and the settings the directory is written under, published
+  atomically (tmp + fsync + ``os.replace``).  The manifest is the commit
+  point: a directory without one is a torn checkpoint and invisible to
+  recovery.
 
-Recovery (:func:`recover_session`) loads the newest checkpoint whose
-payload still matches its manifest CRCs — falling back to older ones on
-:class:`~repro.errors.CorruptCheckpoint` — and replays the WAL suffix
-through the normal :meth:`GraphSession.apply_mutations` /
-:meth:`GraphSession.compact` write paths, so index maintenance and cache
-invalidation happen exactly as they did live.
+Recovery (:func:`recover_session`) takes only the path.  It loads the
+newest checkpoint whose payload still matches its manifest CRCs — falling
+back to older ones on :class:`~repro.errors.CorruptCheckpoint` — restores
+the recorded settings, and replays the WAL suffix through the normal
+:meth:`GraphSession.apply_mutations` / :meth:`GraphSession.compact` write
+paths, so index maintenance and cache invalidation happen exactly as they
+did live.
 
 Crash points (:data:`~repro.runtime.fault.DURABLE_FAULT_KINDS`) are
 injected at the three interesting instants — after a WAL append is
@@ -69,6 +71,7 @@ from repro.runtime.fault import (
 
 __all__ = [
     "CHECKPOINT_FORMAT",
+    "RETAIN",
     "DurabilityManager",
     "RecoveryReport",
     "DrillReport",
@@ -78,8 +81,13 @@ __all__ = [
     "run_durable_drill",
 ]
 
-#: Manifest schema version; bumped on incompatible layout changes.
-CHECKPOINT_FORMAT = 1
+#: Manifest schema version; bumped on incompatible layout changes
+#: (2: the manifest records the session's and the manager's settings).
+CHECKPOINT_FORMAT = 2
+
+#: Committed checkpoints kept on disk; older ones (and the WAL segments
+#: only they needed) are pruned after every checkpoint.
+RETAIN = 2
 
 _MANIFEST = "manifest.json"
 
@@ -190,27 +198,22 @@ class DurabilityManager:
         session,
         root,
         *,
-        wal: WriteAheadLog | None = None,
         fsync: str = "batch",
         checkpoint_every: int | None = 8,
-        retain: int = 2,
         fault_plan: FaultPlan | None = None,
     ):
         if checkpoint_every is not None and checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1 (or None)")
-        if retain < 1:
-            raise ValueError("retain must be >= 1")
         self.session = session
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.checkpoint_dir = self.root / "checkpoints"
         self.checkpoint_dir.mkdir(exist_ok=True)
         self.instr = session.instr
-        self.wal = wal if wal is not None else WriteAheadLog(
+        self.wal = WriteAheadLog(
             self.root / "wal", fsync=fsync, instrumentation=self.instr
         )
         self.checkpoint_every = checkpoint_every
-        self.retain = int(retain)
         plan = fault_plan if fault_plan is not None else session.fault_plan
         events = (
             [e for e in plan.events if e.kind in DURABLE_FAULT_KINDS]
@@ -344,6 +347,13 @@ class DurabilityManager:
             "compactions": int(dg.compactions),
             "mutation_batches": int(sess._mutation_batches),
             "index_epoch": index_epoch,
+            "config": {
+                "fsync": self.wal.fsync_policy,
+                "checkpoint_every": self.checkpoint_every,
+                "index_maintenance": sess._index_maintenance,
+                "compact_interval": sess._compact_interval,
+                "churn_threshold": sess._index_churn_threshold,
+            },
             "files": files,
         }
         tmp = ckdir / (_MANIFEST + ".tmp")
@@ -361,7 +371,7 @@ class DurabilityManager:
         return ckdir
 
     def _prune(self) -> None:
-        """Retention: keep the newest ``retain`` committed checkpoints,
+        """Retention: keep the newest :data:`RETAIN` committed checkpoints,
         drop torn directories, and release the WAL segments the oldest
         kept checkpoint makes redundant."""
         committed = []
@@ -370,9 +380,9 @@ class DurabilityManager:
                 committed.append(d)
             else:
                 shutil.rmtree(d, ignore_errors=True)
-        for d in committed[:-self.retain]:
+        for d in committed[:-RETAIN]:
             shutil.rmtree(d, ignore_errors=True)
-        kept = committed[-self.retain:]
+        kept = committed[-RETAIN:]
         if kept:
             self.wal.prune(int(kept[0].name.split("-")[1]))
 
@@ -400,35 +410,26 @@ class DurabilityManager:
 # --------------------------------------------------------------------------- #
 
 
-def recover_session(
-    root,
-    *,
-    backend: str = "inproc",
-    fsync: str = "batch",
-    checkpoint_every: int | None = 8,
-    retain: int = 2,
-    index_maintenance: str = "incremental",
-    churn_threshold: float = 0.02,
-    compact_interval: int | None = None,
-    cross_check: bool = False,
-    instrumentation=None,
-    session_kwargs: dict | None = None,
-):
+def recover_session(root, *, cross_check: bool = False, **session_kwargs):
     """Rebuild a :class:`GraphSession` from the durable directory ``root``.
 
     Loads the newest checkpoint whose payload validates (older ones on
-    :class:`~repro.errors.CorruptCheckpoint`), replays the WAL suffix
-    through the session's normal write paths, restores the epoch /
+    :class:`~repro.errors.CorruptCheckpoint`), restores the settings its
+    manifest records (index maintenance, compaction cadence, churn
+    threshold, WAL fsync policy, checkpoint cadence), replays the WAL
+    suffix through the session's normal write paths, restores the epoch /
     compaction / batch counters, completes any auto-compaction the crash
     interrupted, and re-attaches a :class:`DurabilityManager` over the
     same WAL so the recovered process keeps appending where the dead one
     stopped.  ``cross_check=True`` additionally asserts the recovered
     shards are byte-identical to a from-scratch partitioning of the
-    replayed edge set.
+    replayed edge set.  ``session_kwargs`` (``backend``,
+    ``instrumentation``, ...) go to the :class:`GraphSession`.
 
     Raises :class:`~repro.errors.DurabilityError` when nothing valid
-    survives, :class:`~repro.errors.CorruptLog` when the WAL contradicts
-    the checkpointed state.
+    survives (a manifest of another format counts as invalid),
+    :class:`~repro.errors.CorruptLog` when the WAL contradicts the
+    checkpointed state.
     """
     from repro.graph.partition import partition_with_bounds
     from repro.runtime.session import GraphSession
@@ -456,30 +457,32 @@ def recover_session(
             "every checkpoint failed validation: " + "; ".join(failures)
         )
     ckpt_epoch = int(manifest["epoch"])
+    config = manifest["config"]
 
-    pg = partition_with_bounds(edges, bounds)
-    sess = GraphSession(
-        pg,
-        instrumentation=instrumentation,
-        backend=backend,
-        **(session_kwargs or {}),
-    )
+    sess = GraphSession(partition_with_bounds(edges, bounds), **session_kwargs)
     # Replay must not auto-compact on its own cadence: compactions replay
-    # from their WAL records (plus the catch-up below); the configured
+    # from their WAL records (plus the catch-up below); the recorded
     # interval is restored once the session is current.
     dg = sess.dynamic(
-        index_maintenance=index_maintenance,
+        index_maintenance=config["index_maintenance"],
         compact_interval=None,
-        churn_threshold=churn_threshold,
+        churn_threshold=config["churn_threshold"],
     )
     dg.restore_epoch(ckpt_epoch, int(manifest["compactions"]))
     if labels is not None:
         sess.set_index(labels)
 
-    wal = WriteAheadLog(root / "wal", fsync=fsync, instrumentation=sess.instr)
+    # Opened now, attached after replay: the replayed batches are already
+    # in this WAL and must not be appended again.
+    mgr = DurabilityManager(
+        sess,
+        root,
+        fsync=config["fsync"],
+        checkpoint_every=config["checkpoint_every"],
+    )
     replayed = replayed_mutations = replayed_compactions = 0
     last_was_compaction = False
-    for rec in wal.records(after_epoch=ckpt_epoch):
+    for rec in mgr.wal.records(after_epoch=ckpt_epoch):
         if rec.epoch != dg.epoch + 1:
             raise CorruptLog(
                 f"WAL replay expected epoch {dg.epoch + 1}, found "
@@ -500,19 +503,12 @@ def recover_session(
             last_was_compaction = False
         replayed += 1
     sess._mutation_batches = int(manifest["mutation_batches"]) + replayed_mutations
-    sess._compact_interval = compact_interval
+    compact_interval = sess._compact_interval = config["compact_interval"]
 
     if cross_check:
         _cross_check_shards(sess)
 
-    mgr = DurabilityManager(
-        sess,
-        root,
-        wal=wal,
-        fsync=fsync,
-        checkpoint_every=checkpoint_every,
-        retain=retain,
-    ).attach()
+    mgr.attach()
 
     # Deterministic catch-up: an auto-compaction fires the moment the
     # batch counter hits the interval, so if the crash landed between that
@@ -537,7 +533,7 @@ def recover_session(
         replayed_mutations=replayed_mutations,
         replayed_compactions=replayed_compactions,
         checkpoint_fallbacks=fallbacks,
-        wal_truncated_bytes=int(wal.truncated_bytes),
+        wal_truncated_bytes=int(mgr.wal.truncated_bytes),
         seconds=seconds,
         cross_checked=bool(cross_check),
     )
@@ -611,8 +607,6 @@ def drill_config(seed: int, root, *, scale: float = 1.0, num_machines: int = 2) 
         "k": 3,
         "compact_interval": 5,
         "checkpoint_every": 4,
-        "fsync": "batch",
-        "index_maintenance": "incremental",
     }
 
 
@@ -626,12 +620,26 @@ def _drill_edges(cfg: dict):
     )
 
 
-def _drill_stream(cfg: dict, edges):
+def _drill_session(cfg: dict, backend: str = "inproc"):
+    """A fresh session on the drill graph: dynamic on the drill's
+    compaction cadence, hub-label index resident."""
+    from repro.runtime.session import GraphSession
+
+    sess = GraphSession(
+        _drill_edges(cfg), num_machines=cfg["num_machines"], backend=backend
+    )
+    sess.dynamic(compact_interval=cfg["compact_interval"], churn_threshold=10.0)
+    sess.index()
+    return sess
+
+
+def _drill_stream(cfg: dict):
     """Every mutation batch and query wave, pre-generated deterministically.
 
     Batches are generated against the evolving live edge set so every
     insert and delete is effective — the invariant that makes WAL replay
     advance the epoch exactly like the original run."""
+    edges = _drill_edges(cfg)
     rng = np.random.default_rng(cfg["seed"] + 1)
     n = edges.num_vertices
     current = set(
@@ -707,24 +715,11 @@ def _crash_child(cfg: dict) -> None:
     Always in-process: mutations, the WAL and checkpoints are coordinator
     -side state, identical across backends, and a killed child must not
     leave pool workers or shm segments behind."""
-    from repro.runtime.session import GraphSession
-
-    edges = _drill_edges(cfg)
-    batches, waves = _drill_stream(cfg, edges)
-    sess = GraphSession(edges, num_machines=cfg["num_machines"])
-    sess.dynamic(
-        index_maintenance=cfg["index_maintenance"],
-        compact_interval=cfg["compact_interval"],
-        churn_threshold=10.0,
-    )
-    if cfg["index_maintenance"] != "none":
-        sess.index()
+    sess = _drill_session(cfg)
+    batches, waves = _drill_stream(cfg)
     plan = _CRASH_BUILDERS[cfg["crash_kind"]](FaultPlan(), cfg["crash_at"])
     sess.enable_durability(
-        cfg["root"],
-        fsync=cfg["fsync"],
-        checkpoint_every=cfg["checkpoint_every"],
-        fault_plan=plan,
+        cfg["root"], checkpoint_every=cfg["checkpoint_every"], fault_plan=plan
     )
     _run_drill_workload(sess, cfg, batches, waves)
     os._exit(0)  # kill point never fired — the drill treats this as failure
@@ -788,33 +783,14 @@ def run_durable_drill(
             "never fired (workload budget too small?)"
         )
 
-    from repro.runtime.session import GraphSession
-
-    edges = _drill_edges(cfg)
-    batches, waves = _drill_stream(cfg, edges)
-    ref = GraphSession(edges, num_machines=cfg["num_machines"], backend=backend)
+    batches, waves = _drill_stream(cfg)
+    ref = _drill_session(cfg, backend)
     try:
-        ref.dynamic(
-            index_maintenance=cfg["index_maintenance"],
-            compact_interval=cfg["compact_interval"],
-            churn_threshold=10.0,
-        )
-        if cfg["index_maintenance"] != "none":
-            ref.index()
         ref_results = _run_drill_workload(ref, cfg, batches, waves)
         ref_store = ref.snapshots()
         final_ref_epoch = int(ref.graph_epoch)
 
-        sess = recover_session(
-            root,
-            backend=backend,
-            fsync=cfg["fsync"],
-            checkpoint_every=cfg["checkpoint_every"],
-            index_maintenance=cfg["index_maintenance"],
-            churn_threshold=10.0,
-            compact_interval=cfg["compact_interval"],
-            cross_check=True,
-        )
+        sess = recover_session(root, cross_check=True, backend=backend)
         try:
             recovery = sess._durability.last_recovery
             recovered_epoch = int(sess.graph_epoch)

@@ -61,7 +61,7 @@ FAULT_KINDS = (CRASH, DELAY, DROP_OUTBOX, CORRUPT_INBOX)
 # Process-level crash points of the durability layer (PR: durable service
 # state).  Unlike the worker faults above — which a supervisor recovers
 # *within* one process's lifetime — these kill the whole coordinator with
-# ``os._exit(CRASH_EXIT_CODE)`` and are survived by ``GraphSession.restore``
+# ``os._exit(CRASH_EXIT_CODE)`` and are survived by ``recover_session``
 # from the WAL + checkpoint directory.  ``step`` carries the 1-based
 # ordinal of the operation (the Nth WAL append / checkpoint / compaction)
 # and ``machine`` is 0 (there is only one coordinator).

@@ -501,23 +501,6 @@ class QueryService:
             )
         self.cache = cache
 
-    @classmethod
-    def recover(cls, wal_dir, k: int | None, *, session_kwargs=None, **service_kwargs):
-        """Stand a service back up from a crashed one's durable directory.
-
-        Recovers the session (newest valid checkpoint + WAL-suffix replay,
-        exact pre-crash epoch — see
-        :func:`repro.runtime.durability.recover_session`, which
-        ``session_kwargs`` is forwarded to) and wraps it in a fresh
-        service built with ``service_kwargs``.  In-flight *queries* of the
-        dead process are not replayed — they were never acknowledged;
-        every acknowledged mutation is.
-        """
-        from repro.runtime.durability import recover_session
-
-        session = recover_session(wal_dir, **(session_kwargs or {}))
-        return cls(session, k, **service_kwargs)
-
     # -- submission --------------------------------------------------------- #
 
     def submit(

@@ -304,6 +304,9 @@ class GraphSession:
 
     @property
     def num_edges(self) -> int:
+        """Live edges: the dynamic graph's count once mutations are on."""
+        if self._dynamic is not None:
+            return self._dynamic.num_edges
         return self.pg.num_edges
 
     @property
@@ -356,17 +359,16 @@ class GraphSession:
         ``index_maintenance`` controls what happens to a resident hub-label
         index when mutations land: ``"incremental"`` (default) patches it
         in place via resumption/repair BFS and falls back to a full
-        rebuild past ``churn_threshold`` cumulative churn; ``"rebuild"``
-        rebuilds fully on every mutated batch; ``"none"`` lets it go stale
-        (the hybrid planner then routes point queries back to traversal).
+        rebuild past ``churn_threshold`` cumulative churn; ``"none"`` lets
+        it go stale (the hybrid planner then routes point queries back to
+        traversal).
         ``compact_interval`` folds the pending delta into a new base every
         that many mutated batches.
         """
         if self._dynamic is None:
-            if index_maintenance not in ("incremental", "rebuild", "none"):
+            if index_maintenance not in ("incremental", "none"):
                 raise ValueError(
-                    "index_maintenance must be 'incremental', 'rebuild' "
-                    "or 'none'"
+                    "index_maintenance must be 'incremental' or 'none'"
                 )
             if compact_interval is not None and compact_interval < 1:
                 raise ValueError("compact_interval must be >= 1")
@@ -404,7 +406,6 @@ class GraphSession:
         *,
         fsync: str = "batch",
         checkpoint_every: int | None = 8,
-        retain: int = 2,
         fault_plan=None,
     ):
         """Make this session crash-recoverable: WAL every mutation batch
@@ -414,8 +415,9 @@ class GraphSession:
         pick non-default maintenance/compaction settings), takes a baseline
         checkpoint when the directory holds none, and returns the attached
         :class:`~repro.runtime.durability.DurabilityManager` (idempotent).
-        A later crash is survived by :meth:`GraphSession.restore` on the
-        same directory.
+        Every checkpoint records these and the dynamic settings, so
+        :func:`~repro.runtime.durability.recover_session` needs only the
+        directory after a crash.
         """
         if self._durability is not None:
             return self._durability
@@ -427,18 +429,8 @@ class GraphSession:
             wal_dir,
             fsync=fsync,
             checkpoint_every=checkpoint_every,
-            retain=retain,
             fault_plan=fault_plan,
         ).attach()
-
-    @classmethod
-    def restore(cls, wal_dir, **kwargs):
-        """Recover a session from a durable directory: newest valid
-        checkpoint + WAL-suffix replay, to the exact pre-crash epoch (see
-        :func:`repro.runtime.durability.recover_session` for knobs)."""
-        from repro.runtime.durability import recover_session
-
-        return recover_session(wal_dir, **kwargs)
 
     def apply_mutations(self, inserts=(), deletes=()):
         """Apply one edge-mutation batch to the resident graph.
@@ -477,13 +469,10 @@ class GraphSession:
             if res.deleted.size:
                 self.instr.on_mutation("delete", res.deleted.shape[0])
             self.instr.on_epoch(dg.epoch)
-        if self._index_build is not None:
-            if maintain:
-                self._patch_index(res)
-            elif self._index_maintenance == "rebuild":
-                self.index_build(rebuild=True)
-            # "none" (or an already-stale index): leave it; consumers must
-            # consult index_is_current before trusting it.
+        if maintain:
+            self._patch_index(res)
+        # otherwise ("none", or an already-stale index) leave it; consumers
+        # must consult index_is_current before trusting it.
         self._mutation_batches += 1
         # WAL-append before the caller is acknowledged (and before any
         # auto-compaction, which write-ahead-logs itself via compact()).

@@ -87,9 +87,7 @@ class TestCheckpoints:
 
     def test_periodic_cadence_and_retention(self, graph, keys, tmp_path):
         rng = np.random.default_rng(0)
-        sess, mgr = _durable(
-            graph, tmp_path, checkpoint_every=2, retain=2
-        )
+        sess, mgr = _durable(graph, tmp_path, checkpoint_every=2)
         for _ in range(6):
             sess.apply_mutations(*_batch(rng, graph.num_vertices, keys))
         # baseline + one periodic checkpoint per 2 batches
@@ -174,10 +172,7 @@ class TestRecovery:
         mgr.close()
         sess.close()
 
-        rec = recover_session(
-            tmp_path, checkpoint_every=4, churn_threshold=10.0,
-            cross_check=True,
-        )
+        rec = recover_session(tmp_path, cross_check=True)
         report = rec._durability.last_recovery
         assert int(rec.graph_epoch) == final_epoch
         assert int(rec._mutation_batches) == ref_batches
@@ -199,9 +194,7 @@ class TestRecovery:
         mgr.close()
         sess.close()
 
-        rec = GraphSession.restore(
-            tmp_path, checkpoint_every=None, churn_threshold=10.0
-        )
+        rec = recover_session(tmp_path)
         _run_mutations(rec, keys, 2, seed=9)
         epoch = int(rec.graph_epoch)
         rec._durability.close()
@@ -212,7 +205,7 @@ class TestRecovery:
         wal.close()
 
     def test_fallback_to_older_checkpoint(self, graph, keys, tmp_path):
-        sess, mgr = _durable(graph, tmp_path, checkpoint_every=2, retain=3)
+        sess, mgr = _durable(graph, tmp_path, checkpoint_every=2)
         _run_mutations(sess, keys, 4)
         final_epoch = int(sess.graph_epoch)
         ref_edges = sess.dynamic().materialize_edges()
@@ -224,7 +217,7 @@ class TestRecovery:
         data[len(data) // 2] ^= 0xFF
         (newest / "edges.npz").write_bytes(bytes(data))
 
-        rec = recover_session(tmp_path, churn_threshold=10.0)
+        rec = recover_session(tmp_path)
         report = rec._durability.last_recovery
         assert report.checkpoint_fallbacks == 1
         assert report.checkpoint_epoch < final_epoch
@@ -234,6 +227,57 @@ class TestRecovery:
         assert np.array_equal(got.dst, ref_edges.dst)
         rec._durability.close()
         rec.close()
+
+    def test_recovery_restores_the_recorded_settings(
+        self, graph, keys, tmp_path
+    ):
+        """The dead session compacted every 5 and checkpointed every 4
+        batches; given only the path, recovery resumes on both cadences
+        and ends where a run that never stopped ends."""
+        rng = np.random.default_rng(8)
+        batches = [_batch(rng, graph.num_vertices, keys) for _ in range(12)]
+
+        def session():
+            sess = GraphSession(graph, num_machines=2)
+            sess.dynamic(compact_interval=5, churn_threshold=10.0)
+            sess.index()
+            return sess
+
+        ref = session()
+        for ins, dels in batches:
+            ref.apply_mutations(ins, dels)
+        dead = session()
+        mgr = dead.enable_durability(
+            tmp_path, fsync="always", checkpoint_every=4
+        )
+        for ins, dels in batches[:7]:
+            dead.apply_mutations(ins, dels)
+        mgr.close()
+        dead.close()
+
+        rec = recover_session(tmp_path)
+        for ins, dels in batches[7:]:
+            rec.apply_mutations(ins, dels)
+        assert int(rec.graph_epoch) == int(ref.graph_epoch) == 14
+        assert rec.dynamic().compactions == ref.dynamic().compactions == 2
+        assert rec._durability.checkpoint_every == 4
+        assert rec._durability.wal.fsync_policy == "always"
+        assert rec._index_churn_threshold == 10.0
+        rec._durability.close()
+        rec.close()
+        ref.close()
+
+    def test_format_1_manifest_is_refused(self, graph, tmp_path):
+        sess, mgr = _durable(graph, tmp_path)
+        mgr.close()
+        sess.close()
+        ck = list_checkpoints(tmp_path / "checkpoints")[0]
+        manifest = json.loads((ck / "manifest.json").read_text())
+        manifest["format"] = 1
+        del manifest["config"]
+        (ck / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DurabilityError, match="manifest format 1"):
+            recover_session(tmp_path)
 
     def test_no_checkpoint_raises(self, tmp_path):
         with pytest.raises(DurabilityError, match="no committed checkpoint"):
@@ -265,7 +309,7 @@ class TestRecovery:
         with open(seg, "ab") as fh:
             fh.write(encode_record(bogus))
         with pytest.raises(CorruptLog, match="expected epoch"):
-            recover_session(tmp_path, churn_threshold=10.0)
+            recover_session(tmp_path)
 
 
 # --------------------------------------------------------------------------- #
@@ -289,7 +333,7 @@ class TestDurableService:
         mgr.close()
         sess.close()
 
-    def test_service_recover_classmethod(self, graph, keys, tmp_path):
+    def test_service_over_recovered_session(self, graph, keys, tmp_path):
         sess, mgr = _durable(graph, tmp_path, checkpoint_every=4)
         svc = QueryService(sess, k=3)
         rng = np.random.default_rng(6)
@@ -304,10 +348,7 @@ class TestDurableService:
         mgr.close()
         sess.close()
 
-        svc2 = QueryService.recover(
-            tmp_path, 3,
-            session_kwargs={"checkpoint_every": 4, "churn_threshold": 10.0},
-        )
+        svc2 = QueryService(recover_session(tmp_path), 3)
         try:
             assert int(svc2.session.graph_epoch) == epoch
             got = svc2.session.khop(sources, 3)
@@ -341,9 +382,7 @@ class TestDurabilityTelemetry:
         sess.close()
 
         instr2 = Instrumentation()
-        rec = recover_session(
-            tmp_path, churn_threshold=10.0, instrumentation=instr2
-        )
+        rec = recover_session(tmp_path, instrumentation=instr2)
         m2 = instr2.metrics
         assert m2.get("cgraph_replayed_records_total").value() == 1.0
         assert m2.get("cgraph_recovery_seconds").value() > 0.0

@@ -165,6 +165,27 @@ class TestServiceRefusals:
         assert "3 dispatch(es), 150 point / 150 enumeration" in out
 
 
+class TestRecover:
+    def test_recover_restores_the_recorded_policy(self, tmp_path):
+        """The service's durable directory is all ``recover`` needs: it
+        resumes at the service's epoch on the service's cadence."""
+        import re
+
+        stream = tmp_path / "edits.txt"
+        stream.write_text("+ 0 1 0\n+ 1 2 0.001\n- 0 1 0.002\n")
+        wal = tmp_path / "state"
+        out = run_cli("service", "--queries", "4", "--k", "2",
+                      "--mutations", str(stream), "--wal-dir", str(wal),
+                      "--checkpoint-every", "2", *SCALE)
+        epoch, edges = re.search(
+            r"graph now at epoch (\d+) \(([\d,]+) edges\)", out
+        ).groups()
+        out = run_cli("recover", "--wal-dir", str(wal), "--cross-check")
+        assert f"{edges} edges at epoch {epoch};" in out
+        assert "checkpoint every 2 batches" in out
+        assert "cross-check: resident shards bit-identical" in out
+
+
 class TestQueryRefusals:
     """``khop`` and ``reach`` map the traversal door's refusals to one
     ``repro <command>:`` exit, as ``service`` does."""
