@@ -23,7 +23,7 @@ import numpy as np
 from repro.core.centrality import closeness_centrality
 from repro.core.multi_sssp import concurrent_sssp
 from repro.core.reachability import reachability_queries
-from repro.graph import EdgeList, erdos_renyi, range_partition
+from repro.graph import EdgeList, erdos_renyi
 from repro.qos import LaneSpec, QosConfig, QuotaSpec, ResultCache
 from repro.runtime.scheduler import QueryService
 from repro.runtime.session import GraphSession
@@ -43,14 +43,14 @@ def build_topology(num_switches=3000, avg_links=5, seed=13):
 
 def main() -> None:
     net = build_topology()
-    pg = range_partition(net, 4)
+    session = GraphSession(net, num_machines=4)
     rng = np.random.default_rng(1)
     print(f"topology: {net.num_vertices} switches, {net.num_edges} links, "
           f"4 partitions\n")
 
     # --- 1. concurrent hop-constrained latency maps ----------------------- #
     ingresses = rng.choice(net.num_vertices, size=16, replace=False)
-    maps = concurrent_sssp(pg, ingresses, max_hops=4)
+    maps = concurrent_sssp(session, ingresses, max_hops=4)
     print(f"latency maps for {maps.num_queries} ingress points "
           f"(max 4 hops, one shared sweep, "
           f"{maps.total_edges_scanned:,} edge relaxations):")
@@ -63,7 +63,7 @@ def main() -> None:
     # --- 2. pairwise reachability with early termination ------------------ #
     src = rng.choice(net.num_vertices, size=12)
     dst = rng.choice(net.num_vertices, size=12)
-    reach = reachability_queries(pg, src, dst, k=3)
+    reach = reachability_queries(session, src, dst, k=3)
     ok = int(reach.reachable.sum())
     print(f"\nreachability: {ok}/12 pairs connect within 3 hops "
           f"({reach.total_edges_scanned:,} edges scanned; resolved queries "
@@ -76,14 +76,13 @@ def main() -> None:
 
     # --- 3. closeness of sampled switches over shared BFS batches --------- #
     sample = rng.choice(net.num_vertices, size=128, replace=False)
-    central = closeness_centrality(pg, roots=sample)
+    central = closeness_centrality(session, roots=sample)
     print(f"\nmost central of {sample.size} sampled switches "
           f"(BFS batches shared 64-wide):")
     for v, score in central.top(5):
         print(f"  switch {v:5d}: closeness {score:.4f}")
 
     # --- 4. SLO lanes: protect the NOC dashboard from the crawler --------- #
-    session = GraphSession(net, num_machines=4)
     qos = QosConfig(
         lanes={
             "interactive": LaneSpec(weight=8.0, batch_width=8),

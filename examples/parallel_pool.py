@@ -35,11 +35,11 @@ def main() -> None:
     sources = rng.integers(0, edges.num_vertices, size=512)
 
     inproc = GraphSession(edges, num_machines=2)
-    ref = concurrent_khop(edges, sources, 3, session=inproc)  # warm-up
+    ref = concurrent_khop(inproc, sources, 3)  # warm-up
 
     with GraphSession(edges, num_machines=2, backend="pool") as pool:
         t0 = time.perf_counter()
-        res = concurrent_khop(edges, sources, 3, session=pool)
+        res = concurrent_khop(pool, sources, 3)
         first = time.perf_counter() - t0  # includes worker spawn + image map
 
         assert np.array_equal(res.reached, ref.reached), "backends diverged"
@@ -48,9 +48,9 @@ def main() -> None:
         print(f"\nfirst pool drain (spawns workers):  {first * 1e3:8.1f} ms")
         for i in range(3):
             t0 = time.perf_counter()
-            concurrent_khop(edges, sources, 3, session=pool)
+            concurrent_khop(pool, sources, 3)
             t0_in = time.perf_counter()
-            concurrent_khop(edges, sources, 3, session=inproc)
+            concurrent_khop(inproc, sources, 3)
             t1 = time.perf_counter()
             print(
                 f"warm drain {i}: pool {(t0_in - t0) * 1e3:8.1f} ms"

@@ -53,7 +53,7 @@ def main() -> None:
     report = service.drain()
     pooled = ResponseTimes("C-Graph (pooled)", report.response_seconds)
 
-    gemini = GeminiLikeEngine(session.pg, netmodel=netmodel)
+    gemini = GeminiLikeEngine(session)
     serial = ResponseTimes(
         "serialized engine", gemini.serialized_response_times(queries, 3)
     )

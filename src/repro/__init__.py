@@ -6,7 +6,7 @@ Teodorescu -- ICPP 2018).
 
 Public entry points:
 
-* :class:`repro.CGraph` -- build once, then serve concurrent k-hop/BFS
+* :class:`repro.CGraph` -- build once, then serve concurrent k-hop
   queries, PageRank, SSSP and triangle analytics.
 * :class:`repro.GraphSession` / :class:`repro.QueryService` -- the
   persistent service runtime: one resident partitioned graph serving many
@@ -27,7 +27,6 @@ Public entry points:
 from repro.core.cgraph import CGraph
 from repro.core import (
     concurrent_khop,
-    concurrent_bfs,
     reachability_queries,
     core_numbers,
     pagerank,
@@ -46,7 +45,6 @@ __all__ = [
     "GraphSession",
     "QueryService",
     "concurrent_khop",
-    "concurrent_bfs",
     "reachability_queries",
     "core_numbers",
     "pagerank",

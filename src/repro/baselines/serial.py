@@ -12,15 +12,10 @@ queries strictly one after another (Figures 8b and 13).
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from repro.core.khop import concurrent_khop
-from repro.graph.edgelist import EdgeList
-from repro.graph.partition import PartitionedGraph, range_partition
-from repro.runtime.netmodel import NetworkModel
 from repro.runtime.scheduler import simulate_fifo_pool
+from repro.runtime.session import GraphSession
 
 __all__ = ["GeminiLikeEngine"]
 
@@ -34,26 +29,15 @@ class GeminiLikeEngine:
     BFS", so the default is 1.0.
     """
 
-    def __init__(
-        self,
-        graph: EdgeList | PartitionedGraph,
-        num_machines: int = 1,
-        netmodel: NetworkModel | None = None,
-        single_query_speedup: float = 1.0,
-    ):
-        if isinstance(graph, PartitionedGraph):
-            self.pg = graph
-        else:
-            self.pg = range_partition(graph, num_machines)
-        self.netmodel = netmodel or NetworkModel()
+    def __init__(self, sess: GraphSession, single_query_speedup: float = 1.0):
+        self.sess = sess
         if single_query_speedup <= 0:
             raise ValueError("single_query_speedup must be positive")
         self.speedup = single_query_speedup
 
     def single_query_seconds(self, source: int, k: int | None) -> float:
         """Virtual seconds for one k-hop/BFS query run alone."""
-        res = concurrent_khop(self.pg, [source], k, netmodel=self.netmodel)
-        return float(res.virtual_seconds) / self.speedup
+        return self.sess.khop_service(source, k)[0] / self.speedup
 
     def serialized_response_times(self, sources, k: int | None) -> np.ndarray:
         """Per-query response times when the stream is serialized (Fig 8b).
@@ -72,9 +56,3 @@ class GeminiLikeEngine:
         return float(
             sum(self.single_query_seconds(int(s), k) for s in np.asarray(sources))
         )
-
-    def timed_single_query_wall(self, source: int, k: int | None) -> float:
-        """Wall-clock seconds of one query (for real-measurement benches)."""
-        t0 = time.perf_counter()
-        concurrent_khop(self.pg, [source], k, netmodel=self.netmodel)
-        return time.perf_counter() - t0

@@ -324,7 +324,7 @@ def cmd_khop(args, out) -> int:
     try:
         roots = random_sources(el, args.queries, seed=args.seed)
         res = concurrent_khop(
-            sess.pg, roots, args.k, use_edge_sets=args.edge_sets, session=sess,
+            sess, roots, args.k, use_edge_sets=args.edge_sets,
             direction=args.direction,
         )
     except (ValueError, ReproError) as exc:
@@ -354,8 +354,7 @@ def cmd_reach(args, out) -> int:
         sources = random_sources(el, args.pairs, seed=args.seed)
         targets = rng.integers(0, el.num_vertices, size=args.pairs)
         res = reachability_queries(
-            sess.pg, sources, targets, args.k, session=sess,
-            direction=args.direction,
+            sess, sources, targets, args.k, direction=args.direction
         )
     except (ValueError, ReproError) as exc:
         raise SystemExit(f"repro reach: {exc}") from None
@@ -373,8 +372,8 @@ def cmd_pagerank(args, out) -> int:
     from repro.core.pagerank import pagerank
 
     sess = _session(args)
-    run = pagerank(sess.pg, iterations=args.iterations,
-                   asynchronous=args.asynchronous, session=sess)
+    run = pagerank(sess, iterations=args.iterations,
+                   asynchronous=args.asynchronous)
     mode = "async" if args.asynchronous else "sync"
     print(f"PageRank on {args.dataset}: {run.iterations} iterations ({mode}), "
           f"virtual time {run.virtual_seconds * 1e3:.2f} ms", file=out)
@@ -389,7 +388,7 @@ def cmd_sssp(args, out) -> int:
 
     el = _load(args).with_unit_weights()
     sess = _session(args, el)
-    res = sssp(sess.pg, args.source, max_hops=args.max_hops, session=sess)
+    res = sssp(sess, args.source, max_hops=args.max_hops)
     finite = np.isfinite(res.distances)
     print(f"SSSP from {args.source} on {args.dataset} "
           f"(max_hops={args.max_hops}):", file=out)
@@ -405,7 +404,7 @@ def cmd_kcore(args, out) -> int:
     from repro.core.kcore import core_numbers
 
     sess = _session(args)
-    res = core_numbers(sess.pg, num_machines=args.machines, session=sess)
+    res = core_numbers(sess)
     print(f"k-core decomposition of {args.dataset} "
           f"({res.rounds} rounds):", file=out)
     values, counts = np.unique(res.core, return_counts=True)
@@ -434,8 +433,7 @@ def cmd_path(args, out) -> int:
     from repro.core.traversal import shortest_hop_path
 
     sess = _session(args)
-    path = shortest_hop_path(sess.pg, args.source, args.target, k=args.k,
-                             session=sess)
+    path = shortest_hop_path(sess, args.source, args.target, k=args.k)
     if path is None:
         budget = "" if args.k is None else f" within {args.k} hops"
         print(f"{args.target} is not reachable from {args.source}{budget}",
@@ -454,7 +452,7 @@ def cmd_centrality(args, out) -> int:
     sess = _session(args, el)
     roots = random_sources(el, min(args.roots, el.num_vertices), seed=args.seed)
     fn = closeness_centrality if args.kind == "closeness" else harmonic_centrality
-    res = fn(sess.pg, roots=roots, session=sess)
+    res = fn(sess, roots=roots)
     print(f"{args.kind} centrality over {roots.size} sampled roots "
           f"({res.total_edges_scanned:,} edges scanned in shared batches):",
           file=out)
@@ -639,7 +637,7 @@ def cmd_chaos(args, out) -> int:
     roots = random_sources(el, args.queries, seed=args.seed)
 
     ref_sess = GraphSession(el, num_machines=args.machines)
-    ref = concurrent_khop(ref_sess.pg, roots, args.k, session=ref_sess)
+    ref = concurrent_khop(ref_sess, roots, args.k)
 
     plan = FaultPlan.random(
         args.seed, num_workers=args.machines, max_step=max(args.k - 1, 0),
@@ -663,7 +661,7 @@ def cmd_chaos(args, out) -> int:
         ),
     )
     try:
-        res = concurrent_khop(sess.pg, roots, args.k, session=sess)
+        res = concurrent_khop(sess, roots, args.k)
         recoveries = 0 if sess._pool is None else sess._pool.recoveries
         degraded = sess.degraded
     finally:

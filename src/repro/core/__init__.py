@@ -5,7 +5,6 @@
   batches of 1 to 512 queries (one cache line of query bits).
 * :mod:`repro.core.adapters` — the probes, gathers and controls a batch
   runs next to its tasks, on either executor.
-* :mod:`repro.core.bfs` — concurrent BFS (k → ∞).
 * :mod:`repro.core.traversal` — the ``Traverse`` operator (Listing 2).
 * :mod:`repro.core.gas` / :mod:`repro.core.pagerank` — the GAS ``Update``
   interface (Listing 3) and PageRank.
@@ -28,7 +27,6 @@ from repro.core.frontier import (
     MAX_WIDE_BATCH,
 )
 from repro.core.khop import DIRECTIONS, KHopResult, concurrent_khop
-from repro.core.bfs import concurrent_bfs, single_source_bfs
 from repro.core.traversal import traverse, khop_query
 from repro.core.gas import VertexProgram, run_gas, GASRun
 from repro.core.pagerank import PageRankProgram, pagerank
@@ -60,8 +58,6 @@ __all__ = [
     "DIRECTIONS",
     "KHopResult",
     "concurrent_khop",
-    "concurrent_bfs",
-    "single_source_bfs",
     "traverse",
     "khop_query",
     "VertexProgram",

@@ -31,12 +31,10 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro.core import adapters
-from repro.graph.edgelist import EdgeList
-from repro.graph.partition import PartitionedGraph
 from repro.runtime.cluster import SimCluster
 from repro.runtime.engine import EngineResult, PartitionTask
 from repro.runtime.message import no_combine
-from repro.runtime.netmodel import NetworkModel, StepStats
+from repro.runtime.netmodel import StepStats
 from repro.runtime.session import GraphSession
 
 __all__ = ["PartitionContext", "PartitionProgram", "run_program"]
@@ -207,13 +205,10 @@ class _ProgramTask(PartitionTask):
 
 
 def run_program(
-    graph: EdgeList | PartitionedGraph,
+    sess: GraphSession,
     program_factory,
-    num_machines: int = 1,
-    netmodel: NetworkModel | None = None,
     max_supersteps: int | None = None,
     combiner=None,
-    session: GraphSession | None = None,
 ) -> tuple[list[PartitionProgram], EngineResult]:
     """Instantiate one program per partition and run to quiescence.
 
@@ -226,7 +221,6 @@ def run_program(
     ``functools.partial`` of one — a lambda is refused), the combiner and
     the program state must pickle, and the returned programs are copies.
     """
-    sess = GraphSession.for_run(graph, num_machines, netmodel, session)
     result = sess.run_batch(
         _ProgramTask,
         dict(program_factory=program_factory),

@@ -16,9 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.khop import concurrent_khop
-from repro.graph.edgelist import EdgeList
-from repro.graph.partition import PartitionedGraph
-from repro.runtime.netmodel import NetworkModel
 from repro.runtime.session import GraphSession
 
 __all__ = ["CentralityResult", "closeness_centrality", "harmonic_centrality"]
@@ -48,42 +45,27 @@ class _DepthStream:
     reallocated per chunk of 64 roots.
     """
 
-    def __init__(self, session: GraphSession, roots: np.ndarray):
+    def __init__(self, session: GraphSession, roots):
         self.session = session
-        self.roots = roots
+        self.roots = (
+            np.arange(session.num_vertices)
+            if roots is None
+            else session._as_vertex_ids(roots, "roots")
+        )
         self.virtual_seconds = 0.0
         self.total_edges_scanned = 0
 
     def __iter__(self):
         for start in range(0, self.roots.size, 64):
             chunk = self.roots[start : start + 64]
-            res = concurrent_khop(
-                self.session.pg, chunk, k=None, record_depths=True,
-                session=self.session,
-            )
+            res = concurrent_khop(self.session, chunk, None, record_depths=True)
             self.virtual_seconds += res.virtual_seconds
             self.total_edges_scanned += res.total_edges_scanned
             for q in range(chunk.size):
                 yield start + q, res.depths[:, q]
 
 
-def _prepare(graph, roots, num_machines, netmodel, session):
-    sess = GraphSession.for_run(graph, num_machines, netmodel, session)
-    roots = (
-        np.arange(sess.num_vertices)
-        if roots is None
-        else np.asarray(roots, dtype=np.int64)
-    )
-    return sess, roots
-
-
-def closeness_centrality(
-    graph: EdgeList | PartitionedGraph,
-    roots=None,
-    num_machines: int = 1,
-    netmodel: NetworkModel | None = None,
-    session: GraphSession | None = None,
-) -> CentralityResult:
+def closeness_centrality(sess: GraphSession, roots=None) -> CentralityResult:
     """Wasserman–Faust closeness of ``roots`` (default: every vertex).
 
     ``C(v) = ((r-1)/(n-1)) * (r-1) / sum_of_distances`` where ``r`` is the
@@ -92,10 +74,9 @@ def closeness_centrality(
     each root (the query engine's traversal direction); on the symmetric
     social graphs of the paper the distinction vanishes.
     """
-    sess, roots = _prepare(graph, roots, num_machines, netmodel, session)
     n = sess.num_vertices
-    scores = np.zeros(roots.size)
     stream = _DepthStream(sess, roots)
+    scores = np.zeros(stream.roots.size)
     for i, depths in stream:
         reachable = depths > 0
         r = int(reachable.sum()) + 1  # + the root itself
@@ -103,29 +84,22 @@ def closeness_centrality(
         if total > 0 and n > 1:
             scores[i] = ((r - 1) / (n - 1)) * ((r - 1) / total)
     return CentralityResult(
-        roots, scores, stream.virtual_seconds, stream.total_edges_scanned
+        stream.roots, scores, stream.virtual_seconds, stream.total_edges_scanned
     )
 
 
-def harmonic_centrality(
-    graph: EdgeList | PartitionedGraph,
-    roots=None,
-    num_machines: int = 1,
-    netmodel: NetworkModel | None = None,
-    session: GraphSession | None = None,
-) -> CentralityResult:
+def harmonic_centrality(sess: GraphSession, roots=None) -> CentralityResult:
     """Harmonic centrality: ``sum over reachable u of 1 / d(v, u)``.
 
     Robust to disconnection without correction terms; same outgoing-distance
     convention as :func:`closeness_centrality`.
     """
-    sess, roots = _prepare(graph, roots, num_machines, netmodel, session)
-    scores = np.zeros(roots.size)
     stream = _DepthStream(sess, roots)
+    scores = np.zeros(stream.roots.size)
     for i, depths in stream:
         reachable = depths > 0
         if reachable.any():
             scores[i] = float((1.0 / depths[reachable]).sum())
     return CentralityResult(
-        roots, scores, stream.virtual_seconds, stream.total_edges_scanned
+        stream.roots, scores, stream.virtual_seconds, stream.total_edges_scanned
     )

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.bfs import concurrent_bfs, single_source_bfs
 from repro.core.gas import GASRun, VertexProgram, run_gas
 from repro.core.khop import KHopResult, concurrent_khop
 from repro.core.pagerank import DEFAULT_ITERATIONS, pagerank
@@ -45,9 +44,9 @@ class CGraph:
     Parameters
     ----------
     edges:
-        The input graph.  ``reindex="degree"`` (default) applies the
-        ingestion-time re-indexing of §3.1; pass ``"identity"`` to keep ids
-        (results then use the caller's ids directly).
+        The input graph.  ``reindex="identity"`` (default) keeps the
+        caller's ids; ``"degree"`` applies the ingestion-time re-indexing
+        of §3.1.
     num_machines:
         Number of simulated machines / partitions.
     netmodel:
@@ -123,7 +122,7 @@ class CGraph:
         if self.has_edge_sets:
             kwargs.setdefault("use_edge_sets", True)
         return concurrent_khop(
-            self.pg, self.to_internal(sources), k, session=self.session, **kwargs
+            self.session, self.to_internal(sources), k, **kwargs
         )
 
     def khop_batch(self, sources, k: int | None,
@@ -137,46 +136,33 @@ class CGraph:
 
     def reachable_within(self, source: int, k: int) -> np.ndarray:
         """Internal-id vertex set within k hops of ``source``."""
-        return khop_query(self.pg, int(self.to_internal([source])[0]), k,
-                          session=self.session)
-
-    def bfs(self, sources, **kwargs) -> KHopResult:
-        """Concurrent full BFS (the k→∞ case)."""
-        return concurrent_bfs(
-            self.pg, self.to_internal(sources), session=self.session, **kwargs
-        )
+        return khop_query(self.session, int(self.to_internal([source])[0]), k)
 
     def bfs_levels(self, source: int) -> np.ndarray:
         """Hop distances from one source (internal indexing)."""
-        return single_source_bfs(
-            self.pg, int(self.to_internal([source])[0]), session=self.session
-        )
+        res = traverse(self.session, int(self.to_internal([source])[0]), None)
+        return res.depths[:, 0].astype(np.int32)
 
     def traverse(self, source: int, hops: int | None, visit=None) -> KHopResult:
         """Listing 2's Traverse with a per-level visit callback."""
-        return traverse(self.pg, int(self.to_internal([source])[0]), hops,
-                        visit=visit, session=self.session)
+        return traverse(self.session, int(self.to_internal([source])[0]), hops,
+                        visit=visit)
 
     # -- iterative compute --------------------------------------------------#
 
     def pagerank(self, iterations: int = DEFAULT_ITERATIONS, **kwargs) -> GASRun:
         """Listing 3's PageRank (10 iterations by default, as in §4.1)."""
-        return pagerank(
-            self.pg, iterations=iterations, session=self.session, **kwargs
-        )
+        return pagerank(self.session, iterations=iterations, **kwargs)
 
     def run_vertex_program(self, program: VertexProgram, iterations: int,
                            **kwargs) -> GASRun:
         """Run any GAS vertex program on this graph."""
-        return run_gas(
-            self.pg, program, iterations=iterations, session=self.session,
-            **kwargs
-        )
+        return run_gas(self.session, program, iterations, **kwargs)
 
     def sssp(self, source: int, max_hops: int | None = None) -> SSSPResult:
         """Weighted shortest paths with optional hop budget (SDN queries)."""
-        return sssp(self.pg, int(self.to_internal([source])[0]),
-                    max_hops=max_hops, session=self.session)
+        return sssp(self.session, int(self.to_internal([source])[0]),
+                    max_hops=max_hops)
 
     def reach(self, sources, targets, k: int | None) -> ReachabilityResult:
         """Pairwise ``source -> target`` within-k reachability (title query).
@@ -184,18 +170,16 @@ class CGraph:
         Queries share the traversal and terminate early as verdicts settle.
         """
         return reachability_queries(
-            self.pg,
+            self.session,
             self.to_internal(sources),
             self.to_internal(targets),
             k,
             use_edge_sets=self.has_edge_sets,
-            session=self.session,
         )
 
     def core_numbers(self) -> KCoreResult:
         """Coreness of every vertex (undirected simple view), distributed."""
-        return core_numbers(self.pg, num_machines=self.num_machines,
-                            session=self.session)
+        return core_numbers(self.session)
 
     # -- derived analytics ----------------------------------------------------#
 

@@ -25,12 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import adapters
-from repro.graph.edgelist import EdgeList
-from repro.graph.partition import PartitionedGraph
 from repro.runtime.cluster import SimCluster
 from repro.runtime.engine import EngineResult, PartitionTask
 from repro.runtime.message import MessageBatch, no_combine
-from repro.runtime.netmodel import NetworkModel, StepStats
+from repro.runtime.netmodel import StepStats
 from repro.runtime.session import GraphSession
 
 __all__ = ["VertexProgram", "GASPartitionTask", "run_gas", "GASRun"]
@@ -176,26 +174,22 @@ class GASPartitionTask(PartitionTask):
 
 
 def run_gas(
-    graph: EdgeList | PartitionedGraph,
+    sess: GraphSession,
     program: VertexProgram,
     iterations: int,
-    num_machines: int = 1,
-    netmodel: NetworkModel | None = None,
     asynchronous: bool = False,
-    session: GraphSession | None = None,
 ) -> GASRun:
     """Execute a vertex program for up to ``iterations`` supersteps.
 
     Stops early if every partition's :meth:`VertexProgram.has_converged`
-    returns True.  Returns the assembled global value vector.  With a
-    persistent ``session`` the partitioned graph and cluster are reused;
-    program state (values, gathered aggregates) is re-armed per run since it
-    belongs to the program instance.
+    returns True.  Returns the assembled global value vector.  The
+    session's graph and cluster are reused; program state (values, gathered
+    aggregates) is re-armed per run since it belongs to the program
+    instance.
     On a ``backend="pool"`` session the iterations run on the worker pool
     (``program`` must be picklable; results are bit-identical, including
     float reduction order); ``asynchronous`` requires the in-process backend.
     """
-    sess = GraphSession.for_run(graph, num_machines, netmodel, session)
     sess.require_inproc(asynchronous=asynchronous)
     pg = sess.pg
     result = sess.run_batch(

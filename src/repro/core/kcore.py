@@ -21,9 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.csr import CSR
-from repro.graph.edgelist import EdgeList
-from repro.graph.partition import PartitionedGraph, range_partition
-from repro.runtime.netmodel import NetworkModel, StepStats, VirtualClock
+from repro.runtime.netmodel import StepStats, VirtualClock
 from repro.runtime.session import GraphSession
 
 __all__ = ["KCoreResult", "core_numbers", "h_index_per_row"]
@@ -65,31 +63,19 @@ class KCoreResult:
 
 
 def core_numbers(
-    graph: EdgeList | PartitionedGraph,
-    num_machines: int = 1,
-    netmodel: NetworkModel | None = None,
-    max_rounds: int | None = None,
-    session: GraphSession | None = None,
+    sess: GraphSession, max_rounds: int | None = None
 ) -> KCoreResult:
-    """Coreness of every vertex of the undirected simple view of ``graph``.
+    """Coreness of every vertex of the session's undirected simple view.
 
     Each round, every machine recomputes local H-indices from the current
     global value vector; only *changed boundary values* are charged to the
     network (values start at the degree and only decrease, so per-round
     traffic shrinks as the fixpoint nears).  Converges in at most
-    ``O(max_degree)`` rounds, usually far fewer.  With a persistent
-    ``session`` the symmetrised simple view and its partitioning are cached
-    on the session and reused across calls.
+    ``O(max_degree)`` rounds, usually far fewer.  The view and its
+    partitioning are cached on the session; rounds are charged to its cost
+    model.
     """
-    if session is not None or isinstance(graph, GraphSession):
-        sess = GraphSession.for_run(graph, num_machines, netmodel, session)
-        pg = sess.undirected_pg()
-        netmodel = netmodel or sess.netmodel
-    else:
-        edges = graph.edges if isinstance(graph, PartitionedGraph) else graph
-        simple = edges.symmetrize().remove_self_loops().deduplicate()
-        pg = range_partition(simple, num_machines)
-    netmodel = netmodel or NetworkModel()
+    pg = sess.undirected_pg()
 
     values = pg.edges.out_degrees().astype(np.int64)
     clock = VirtualClock()
@@ -116,7 +102,7 @@ def core_numbers(
                 if shipped.size:
                     stats[pid].record_send(other, int(shipped.size) * 12,
                                            int(shipped.size))
-        clock.advance(netmodel.superstep_seconds(stats))
+        clock.advance(sess.netmodel.superstep_seconds(stats))
         rounds += 1
         if not changed.any():
             break

@@ -52,15 +52,13 @@ import numpy as np
 from repro.core import adapters
 from repro.core.frontier import MAX_WIDE_BATCH, BitFrontier, words_for
 from repro.errors import UnsupportedConfigError
-from repro.graph.edgelist import EdgeList
-from repro.graph.partition import ExchangePlan, PartitionedGraph
+from repro.graph.partition import ExchangePlan
 from repro.runtime.cluster import SimCluster
 from repro.runtime.engine import PartitionTask
 from repro.runtime.message import PlaneSlice, combine_or
 from repro.runtime.netmodel import (
     PULL_SECONDS_PER_EDGE,
     PUSH_SECONDS_PER_EDGE,
-    NetworkModel,
     StepStats,
     choose_direction,
 )
@@ -82,16 +80,14 @@ def _check_direction(direction: str, use_edge_sets: bool) -> str:
     return direction
 
 
-def _traversal_session(
-    graph, num_machines, netmodel, session, k, direction: str,
-    use_edge_sets: bool, asynchronous: bool = False,
-) -> GraphSession:
+def _check_traversal(
+    sess: GraphSession, k, direction: str, use_edge_sets: bool,
+    asynchronous: bool = False,
+) -> None:
     """The traversal door: every mode check, before any work runs."""
     GraphSession.check_hops(k)
     _check_direction(direction, use_edge_sets)
-    sess = GraphSession.for_run(graph, num_machines, netmodel, session)
     sess.require_inproc(use_edge_sets=use_edge_sets, asynchronous=asynchronous)
-    return sess
 
 
 @dataclass
@@ -357,16 +353,13 @@ class KHopPartitionTask(PartitionTask):
 
 
 def concurrent_khop(
-    graph: EdgeList | PartitionedGraph,
+    sess: GraphSession,
     sources,
     k: int | None,
-    num_machines: int = 1,
-    netmodel: NetworkModel | None = None,
     use_edge_sets: bool = False,
     asynchronous: bool = False,
     record_depths: bool = False,
     max_supersteps: int | None = None,
-    session: GraphSession | None = None,
     max_virtual_seconds: float | None = None,
     direction: str = "auto",
 ) -> KHopResult:
@@ -374,9 +367,13 @@ def concurrent_khop(
 
     Parameters
     ----------
-    graph:
-        An :class:`EdgeList` (partitioned here into ``num_machines`` ranges)
-        or a pre-partitioned :class:`PartitionedGraph`.
+    sess:
+        The :class:`~repro.runtime.session.GraphSession` to run the batch
+        on; its resident tasks are reset in place.  A ``backend="pool"``
+        session runs the batch on its worker pool (bit-identical answers);
+        ``use_edge_sets`` and ``asynchronous`` require the in-process
+        backend and raise :class:`~repro.errors.UnsupportedConfigError`
+        there.
     sources:
         Global source vertex per query.  The batch width is
         ``len(sources)``, up to one 64-byte cache line of query bits
@@ -389,14 +386,6 @@ def concurrent_khop(
         Also return a dense ``(n, num_queries)`` hop-depth matrix (-1 =
         unreached).  Costs O(n·Q) memory — the paper's §3.3 level-limited
         mode is the default (depths off).
-    session:
-        A persistent :class:`~repro.runtime.session.GraphSession` to run the
-        batch on; its graph/cluster are reused and its resident tasks are
-        reset in place.  Omitted, a transient session is built per call.
-        A ``backend="pool"`` session runs the batch on its worker pool
-        (bit-identical answers, real multicore wall-clock); ``use_edge_sets``
-        and ``asynchronous`` require the in-process backend and raise
-        :class:`~repro.errors.UnsupportedConfigError` there.
     max_virtual_seconds:
         Deadline on the batch's *virtual* clock: the run stops at the first
         superstep barrier past it, marking the result ``truncated`` and
@@ -411,13 +400,10 @@ def concurrent_khop(
         wall-clock and the ``push/pull_partition_steps`` counters only.
         ``use_edge_sets`` implies the push kernel.
 
-    Returns a :class:`KHopResult`; virtual time comes from the cluster's
+    Returns a :class:`KHopResult`; virtual time comes from the session's
     network model and counted work.
     """
-    sess = _traversal_session(
-        graph, num_machines, netmodel, session, k, direction, use_edge_sets,
-        asynchronous,
-    )
+    _check_traversal(sess, k, direction, use_edge_sets, asynchronous)
     pg = sess.pg
     sources = sess.check_sources(sources, MAX_WIDE_BATCH)
     num_queries = int(sources.size)

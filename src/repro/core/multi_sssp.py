@@ -22,12 +22,10 @@ import numpy as np
 
 from repro.core import adapters
 from repro.errors import InvalidQueryError, UnsupportedConfigError
-from repro.graph.edgelist import EdgeList
-from repro.graph.partition import PartitionedGraph
 from repro.runtime.cluster import SimCluster
 from repro.runtime.engine import EngineResult, PartitionTask
 from repro.runtime.message import MessageBatch, no_combine, reduce_by_key
-from repro.runtime.netmodel import NetworkModel, StepStats
+from repro.runtime.netmodel import StepStats
 from repro.runtime.session import GraphSession
 
 __all__ = ["MultiSSSPResult", "concurrent_sssp"]
@@ -126,12 +124,7 @@ class _MultiSSSPTask(PartitionTask):
 
 
 def concurrent_sssp(
-    graph: EdgeList | PartitionedGraph,
-    sources,
-    max_hops: int | None = None,
-    num_machines: int = 1,
-    netmodel: NetworkModel | None = None,
-    session: GraphSession | None = None,
+    sess: GraphSession, sources, max_hops: int | None = None
 ) -> MultiSSSPResult:
     """Run up to 64 weighted single-source queries in one shared sweep.
 
@@ -139,7 +132,6 @@ def concurrent_sssp(
     most ``max_hops`` edges (``None`` = unconstrained).  Requires edge
     weights.
     """
-    sess = GraphSession.for_run(graph, num_machines, netmodel, session)
     pg = sess.pg
     if any(part.out_csr.weights is None for part in pg.partitions):
         raise InvalidQueryError("SSSP requires a weighted graph")

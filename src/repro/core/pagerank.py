@@ -18,9 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.gas import GASRun, VertexProgram, run_gas
-from repro.graph.edgelist import EdgeList
-from repro.graph.partition import PartitionedGraph
-from repro.runtime.netmodel import NetworkModel
+from repro.runtime.session import GraphSession
 
 __all__ = ["PageRankProgram", "pagerank"]
 
@@ -64,14 +62,11 @@ class PageRankProgram(VertexProgram):
 
 
 def pagerank(
-    graph: EdgeList | PartitionedGraph,
+    sess: GraphSession,
     iterations: int = DEFAULT_ITERATIONS,
     damping: float = 0.85,
-    num_machines: int = 1,
-    netmodel: NetworkModel | None = None,
     tolerance: float | None = None,
     asynchronous: bool = False,
-    session=None,
 ) -> GASRun:
     """Run PageRank; returns a :class:`~repro.core.gas.GASRun`.
 
@@ -79,12 +74,4 @@ def pagerank(
     ``run.virtual_seconds`` feeds the Figure 10 scalability bench.
     """
     program = PageRankProgram(damping=damping, tolerance=tolerance)
-    return run_gas(
-        graph,
-        program,
-        iterations=iterations,
-        num_machines=num_machines,
-        netmodel=netmodel,
-        asynchronous=asynchronous,
-        session=session,
-    )
+    return run_gas(sess, program, iterations, asynchronous=asynchronous)

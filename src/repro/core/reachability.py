@@ -18,10 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.frontier import MAX_WIDE_BATCH
-from repro.core.khop import _run_traversal, _traversal_session
-from repro.graph.edgelist import EdgeList
-from repro.graph.partition import PartitionedGraph
-from repro.runtime.netmodel import NetworkModel
+from repro.core.khop import _check_traversal, _run_traversal
 from repro.runtime.session import GraphSession
 
 __all__ = ["ReachabilityResult", "reachability_queries"]
@@ -59,14 +56,11 @@ class ReachabilityResult:
 
 
 def reachability_queries(
-    graph: EdgeList | PartitionedGraph,
+    sess: GraphSession,
     sources,
     targets,
     k: int | None,
-    num_machines: int = 1,
-    netmodel: NetworkModel | None = None,
     use_edge_sets: bool = False,
-    session: GraphSession | None = None,
     max_virtual_seconds: float | None = None,
     direction: str = "auto",
 ) -> ReachabilityResult:
@@ -82,9 +76,7 @@ def reachability_queries(
     as in :func:`concurrent_khop` (answers and virtual clocks are
     direction-independent).
     """
-    sess = _traversal_session(
-        graph, num_machines, netmodel, session, k, direction, use_edge_sets
-    )
+    _check_traversal(sess, k, direction, use_edge_sets)
     sources = sess.check_sources(sources, MAX_WIDE_BATCH)
     targets = sess.check_targets(targets, int(sources.size))
     level, seconds, resolved, hit, result = _run_traversal(

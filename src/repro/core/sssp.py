@@ -17,10 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.multi_sssp import concurrent_sssp
-from repro.graph.edgelist import EdgeList
-from repro.graph.partition import PartitionedGraph
 from repro.runtime.engine import EngineResult
-from repro.runtime.netmodel import NetworkModel
 from repro.runtime.session import GraphSession
 
 __all__ = ["SSSPResult", "sssp"]
@@ -38,12 +35,7 @@ class SSSPResult:
 
 
 def sssp(
-    graph: EdgeList | PartitionedGraph,
-    source: int,
-    max_hops: int | None = None,
-    num_machines: int = 1,
-    netmodel: NetworkModel | None = None,
-    session: GraphSession | None = None,
+    sess: GraphSession, source: int, max_hops: int | None = None
 ) -> SSSPResult:
     """Distributed SSSP with an optional hop budget.
 
@@ -53,9 +45,7 @@ def sssp(
     (:meth:`~repro.graph.edgelist.EdgeList.with_unit_weights` turns hop count
     into distance).
     """
-    batch = concurrent_sssp(
-        graph, [source], max_hops, num_machines, netmodel, session
-    )
+    batch = concurrent_sssp(sess, [source], max_hops)
     return SSSPResult(
         source=source,
         distances=batch.distances[:, 0],

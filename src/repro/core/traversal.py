@@ -19,21 +19,16 @@ from typing import Callable
 import numpy as np
 
 from repro.core.khop import KHopResult, concurrent_khop
-from repro.graph.edgelist import EdgeList
-from repro.graph.partition import PartitionedGraph
-from repro.runtime.netmodel import NetworkModel
+from repro.runtime.session import GraphSession
 
 __all__ = ["traverse", "khop_query", "shortest_hop_path"]
 
 
 def traverse(
-    graph: EdgeList | PartitionedGraph,
+    sess: GraphSession,
     source: int,
     hops: int | None,
     visit: Callable[[int, np.ndarray], None] | None = None,
-    num_machines: int = 1,
-    netmodel: NetworkModel | None = None,
-    session=None,
     direction: str = "auto",
 ) -> KHopResult:
     """Listing 2's ``Traverse``: visit the ≤ ``hops`` neighbourhood of ``source``.
@@ -44,14 +39,7 @@ def traverse(
     recorded.  ``direction`` selects the traversal mode (push/pull/auto).
     """
     res = concurrent_khop(
-        graph,
-        [source],
-        hops,
-        num_machines=num_machines,
-        netmodel=netmodel,
-        record_depths=True,
-        session=session,
-        direction=direction,
+        sess, [source], hops, record_depths=True, direction=direction
     )
     if visit is not None:
         depths = res.depths[:, 0]
@@ -63,30 +51,14 @@ def traverse(
     return res
 
 
-def khop_query(
-    graph: EdgeList | PartitionedGraph,
-    source: int,
-    k: int,
-    num_machines: int = 1,
-    netmodel: NetworkModel | None = None,
-    session=None,
-) -> np.ndarray:
+def khop_query(sess: GraphSession, source: int, k: int) -> np.ndarray:
     """Global ids of all vertices within ``k`` hops of ``source`` (incl. it)."""
-    res = concurrent_khop(
-        graph, [source], k, num_machines=num_machines,
-        netmodel=netmodel, record_depths=True, session=session,
-    )
+    res = concurrent_khop(sess, [source], k, record_depths=True)
     return np.nonzero(res.depths[:, 0] >= 0)[0]
 
 
 def shortest_hop_path(
-    graph: EdgeList | PartitionedGraph,
-    source: int,
-    target: int,
-    k: int | None = None,
-    num_machines: int = 1,
-    netmodel: NetworkModel | None = None,
-    session=None,
+    sess: GraphSession, source: int, target: int, k: int | None = None
 ) -> list[int] | None:
     """One minimum-hop path ``source -> ... -> target`` within ``k`` hops.
 
@@ -97,20 +69,14 @@ def shortest_hop_path(
     backward step a local scan).  Returns ``None`` when the target is not
     reachable within the budget.
     """
-    from repro.runtime.session import GraphSession
-
-    sess = GraphSession.for_run(graph, num_machines, netmodel, session)
     pg = sess.pg
-    if not 0 <= int(target) < pg.num_vertices:
-        raise ValueError("target vertex out of range")
-    res = concurrent_khop(
-        pg, [source], k, record_depths=True, session=sess,
-    )
+    target = int(sess._as_vertex_ids(target, "target"))
+    res = concurrent_khop(sess, [source], k, record_depths=True)
     depths = res.depths[:, 0]
     if depths[target] < 0:
         return None
-    path = [int(target)]
-    current = int(target)
+    path = [target]
+    current = target
     for depth in range(int(depths[target]), 0, -1):
         part = pg.partition_of(current)
         in_nbrs = part.in_csc.neighbors(current - part.lo)

@@ -20,12 +20,10 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro.core import adapters
-from repro.graph.edgelist import EdgeList
-from repro.graph.partition import PartitionedGraph
 from repro.runtime.cluster import SimCluster
 from repro.runtime.engine import EngineResult, PartitionTask
 from repro.runtime.message import no_combine
-from repro.runtime.netmodel import NetworkModel, StepStats
+from repro.runtime.netmodel import StepStats
 from repro.runtime.session import GraphSession
 
 __all__ = ["VertexContext", "VertexCentricProgram", "run_vertex_centric"]
@@ -157,12 +155,9 @@ class _VertexTask(PartitionTask):
 
 
 def run_vertex_centric(
-    graph: EdgeList | PartitionedGraph,
+    sess: GraphSession,
     program: VertexCentricProgram,
-    num_machines: int = 1,
-    netmodel: NetworkModel | None = None,
     max_supersteps: int | None = None,
-    session: GraphSession | None = None,
 ) -> tuple[np.ndarray, EngineResult]:
     """Run a Pregel-style vertex program to quiescence.
 
@@ -170,7 +165,6 @@ def run_vertex_centric(
     global per-vertex value vector.  On a ``backend="pool"`` session the
     program runs in the workers and must pickle (a module-level class).
     """
-    sess = GraphSession.for_run(graph, num_machines, netmodel, session)
     pg = sess.pg
     result = sess.run_batch(
         _VertexTask,

@@ -72,14 +72,10 @@ def induced_subgraph(edges: EdgeList, vertices) -> Subgraph:
     return Subgraph(edges=sub, vertices=vertices)
 
 
-def khop_subgraph(
-    edges: EdgeList, source: int, k: int, num_machines: int = 1
-) -> Subgraph:
+def khop_subgraph(sess, source: int, k: int) -> Subgraph:
     """The induced subgraph of everything within ``k`` hops of ``source``."""
     from repro.core.traversal import khop_query
 
-    from repro.graph.partition import range_partition
-
-    pg = range_partition(edges, num_machines)
-    members = khop_query(pg, source, k)
+    members = khop_query(sess, source, k)
+    edges = sess.dynamic().materialize_edges() if sess.is_dynamic else sess.pg.edges
     return induced_subgraph(edges, members)

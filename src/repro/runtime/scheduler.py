@@ -967,11 +967,10 @@ class QueryService:
                     max_virtual_seconds=self.deadline_seconds,
                 )
             return concurrent_khop(
-                session.pg,
+                session,
                 sources,
                 self.k,
                 use_edge_sets=self.use_edge_sets,
-                session=session,
                 max_virtual_seconds=self.deadline_seconds,
             )
 

@@ -16,9 +16,7 @@ Every algorithm entry point follows the same ``prepare → run → gather``
 path on a session: :meth:`run_batch` takes the batch's *description*,
 calls :meth:`prepare` to drop any queued messages (stale inbox traffic
 must never leak into the next batch) and drives it to quiescence, and
-:meth:`gather_batch` collects per-partition results.  One-shot calls
-construct a transient session through :meth:`GraphSession.for_run`, so the
-single code path serves both modes.
+:meth:`gather_batch` collects per-partition results.
 
 There is **one batch contract**, whichever executor runs it: a
 resident-task cache key, a task class plus the kwargs that build it on
@@ -191,29 +189,6 @@ class GraphSession:
         self._undirected_pg: PartitionedGraph | None = None
         self._service_cache: dict[tuple, tuple[float, int]] = {}
         self._index_build = None  # IndexBuild, cached by index_build()
-
-    # -- construction helpers ---------------------------------------------- #
-
-    @classmethod
-    def for_run(
-        cls,
-        graph: "EdgeList | PartitionedGraph | GraphSession",
-        num_machines: int = 1,
-        netmodel: NetworkModel | None = None,
-        session: "GraphSession | None" = None,
-    ) -> "GraphSession":
-        """Resolve the session one entry-point call runs on.
-
-        An explicit ``session`` (or a session passed as the graph) is reused
-        — its graph, cluster and network model win over the other arguments.
-        Otherwise a transient session is built, which is exactly the old
-        rebuild-per-call behaviour.
-        """
-        if session is not None:
-            return session
-        if isinstance(graph, GraphSession):
-            return graph
-        return cls(graph, num_machines=num_machines, netmodel=netmodel)
 
     # -- the parallel backend ----------------------------------------------- #
 
@@ -865,49 +840,43 @@ class GraphSession:
         """One bit-parallel batch of up to 512 concurrent k-hop queries."""
         from repro.core.khop import concurrent_khop
 
-        return concurrent_khop(self.pg, sources, k, session=self, **kwargs)
-
-    def bfs(self, sources, **kwargs):
-        """Concurrent full BFS (the k → ∞ case) on the resident graph."""
-        return self.khop(sources, None, **kwargs)
+        return concurrent_khop(self, sources, k, **kwargs)
 
     def reach(self, sources, targets, k: int | None, **kwargs):
         """Pairwise s → t within-k reachability on the resident graph."""
         from repro.core.reachability import reachability_queries
 
-        return reachability_queries(
-            self.pg, sources, targets, k, session=self, **kwargs
-        )
+        return reachability_queries(self, sources, targets, k, **kwargs)
 
     def gas(self, program, iterations: int, **kwargs):
         """Run a GAS vertex program on the resident graph."""
         from repro.core.gas import run_gas
 
-        return run_gas(self.pg, program, iterations, session=self, **kwargs)
+        return run_gas(self, program, iterations, **kwargs)
 
     def pagerank(self, **kwargs):
         """Listing 3's PageRank on the resident graph."""
         from repro.core.pagerank import pagerank
 
-        return pagerank(self.pg, session=self, **kwargs)
+        return pagerank(self, **kwargs)
 
     def sssp(self, source: int, **kwargs):
         """Weighted single-source shortest paths on the resident graph."""
         from repro.core.sssp import sssp
 
-        return sssp(self.pg, source, session=self, **kwargs)
+        return sssp(self, source, **kwargs)
 
     def multi_sssp(self, sources, **kwargs):
         """Concurrent weighted multi-query SSSP on the resident graph."""
         from repro.core.multi_sssp import concurrent_sssp
 
-        return concurrent_sssp(self.pg, sources, session=self, **kwargs)
+        return concurrent_sssp(self, sources, **kwargs)
 
     def core_numbers(self, **kwargs):
         """Coreness on the cached undirected view of the resident graph."""
         from repro.core.kcore import core_numbers
 
-        return core_numbers(self.pg, session=self, **kwargs)
+        return core_numbers(self, **kwargs)
 
     def khop_service(
         self, source: int, k: int | None, use_edge_sets: bool = False

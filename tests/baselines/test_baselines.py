@@ -8,6 +8,7 @@ from repro.baselines.naive import naive_distributed_khop, naive_khop
 from repro.baselines.oracle import oracle_khop_reach, oracle_pagerank
 from repro.baselines.serial import GeminiLikeEngine
 from repro.graph import EdgeList, range_partition
+from repro.runtime.session import GraphSession
 
 
 class TestTitanLikeDB:
@@ -76,49 +77,46 @@ class TestTitanLikeDB:
         titan = time.perf_counter() - t0
         # warm first: a cold call pays imports and lazy per-partition
         # structures, which is not the cost Figure 7 compares
-        concurrent_khop(pg, [0], 3)
+        sess = GraphSession(pg)
+        concurrent_khop(sess, [0], 3)
         t0 = time.perf_counter()
-        concurrent_khop(pg, [0], 3)
+        concurrent_khop(sess, [0], 3)
         ours = time.perf_counter() - t0
         assert titan > ours  # direction only; magnitude asserted in benches
 
 
 class TestGeminiLikeEngine:
     def test_single_query_seconds_positive(self, small_rmat):
-        e = GeminiLikeEngine(small_rmat, num_machines=2)
+        e = GeminiLikeEngine(GraphSession(small_rmat, num_machines=2))
         assert e.single_query_seconds(0, 3) > 0
 
     def test_serialization_stacks_up(self, small_rmat):
-        e = GeminiLikeEngine(small_rmat, num_machines=2)
+        e = GeminiLikeEngine(GraphSession(small_rmat, num_machines=2))
         r = e.serialized_response_times([0, 0, 0], 3)
         assert r[1] == pytest.approx(2 * r[0], rel=1e-6)
         assert r[2] == pytest.approx(3 * r[0], rel=1e-6)
 
     def test_total_time_linear_in_queries(self, small_rmat):
-        e = GeminiLikeEngine(small_rmat, num_machines=2)
+        e = GeminiLikeEngine(GraphSession(small_rmat, num_machines=2))
         one = e.total_execution_seconds([0], 3)
         four = e.total_execution_seconds([0, 0, 0, 0], 3)
         assert four == pytest.approx(4 * one, rel=1e-6)
 
     def test_speedup_factor_applied(self, small_rmat):
-        slow = GeminiLikeEngine(small_rmat, single_query_speedup=1.0)
-        fast = GeminiLikeEngine(small_rmat, single_query_speedup=2.0)
+        slow = GeminiLikeEngine(GraphSession(small_rmat), single_query_speedup=1.0)
+        fast = GeminiLikeEngine(GraphSession(small_rmat), single_query_speedup=2.0)
         assert fast.single_query_seconds(0, 3) == pytest.approx(
             slow.single_query_seconds(0, 3) / 2
         )
 
     def test_invalid_speedup(self, small_rmat):
         with pytest.raises(ValueError):
-            GeminiLikeEngine(small_rmat, single_query_speedup=0)
+            GeminiLikeEngine(GraphSession(small_rmat), single_query_speedup=0)
 
     def test_accepts_prepartitioned_graph(self, small_rmat):
         pg = range_partition(small_rmat, 3)
-        e = GeminiLikeEngine(pg)
-        assert e.pg is pg
-
-    def test_wall_measurement(self, small_rmat):
-        e = GeminiLikeEngine(small_rmat)
-        assert e.timed_single_query_wall(0, 2) > 0
+        e = GeminiLikeEngine(GraphSession(pg))
+        assert e.sess.pg is pg
 
 
 class TestNaive:

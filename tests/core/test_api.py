@@ -10,6 +10,7 @@ import pytest
 from repro.baselines.oracle import oracle_khop_reach
 from repro.core.api import PartitionContext, PartitionProgram, run_program
 from repro.graph import range_partition
+from repro.runtime.session import GraphSession
 
 
 class ListingTwoKHop(PartitionProgram):
@@ -65,9 +66,8 @@ class TestListingTwoOnAPI:
     def test_khop_program_matches_oracle(self, small_rmat, machines):
         source, k = 7, 3
         programs, result = run_program(
-            small_rmat,
+            GraphSession(small_rmat, num_machines=machines),
             lambda ctx: ListingTwoKHop(ctx, source, k),
-            num_machines=machines,
             max_supersteps=50,
         )
         visited = set().union(*(p.visited for p in programs))
@@ -76,9 +76,8 @@ class TestListingTwoOnAPI:
 
     def test_program_halts(self, small_rmat):
         _, result = run_program(
-            small_rmat,
+            GraphSession(small_rmat, num_machines=2),
             lambda ctx: ListingTwoKHop(ctx, 0, 2),
-            num_machines=2,
             max_supersteps=100,
         )
         assert result.supersteps < 100
@@ -160,7 +159,7 @@ class TestMessaging:
         pg = range_partition(tiny_graph, 2)
         target = pg.partitions[1].lo  # owned by partition 1
         programs, _ = run_program(
-            pg, lambda ctx: EchoOnce(ctx, target, 42.0), max_supersteps=5
+            GraphSession(pg), lambda ctx: EchoOnce(ctx, target, 42.0), max_supersteps=5
         )
         assert programs[1].got == [42.0]
         assert programs[0].got == []
@@ -169,7 +168,7 @@ class TestMessaging:
         pg = range_partition(tiny_graph, 2)
         target = 0  # owned by partition 0, sender is partition 0
         programs, _ = run_program(
-            pg, lambda ctx: EchoOnce(ctx, target, 7.0), max_supersteps=5
+            GraphSession(pg), lambda ctx: EchoOnce(ctx, target, 7.0), max_supersteps=5
         )
         assert programs[0].got == [7.0]
 
@@ -187,7 +186,7 @@ class TestMessaging:
                 ctx.voteToHalt()
 
         programs, _ = run_program(
-            range_partition(tiny_graph, 2), lambda ctx: MultiSend(ctx),
+            GraphSession(range_partition(tiny_graph, 2)), lambda ctx: MultiSend(ctx),
             max_supersteps=5,
         )
         assert sorted(programs[1].got) == [1.0, 2.0]

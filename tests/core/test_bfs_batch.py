@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.baselines.oracle import oracle_bfs_levels, oracle_khop_reach
-from repro.core.bfs import concurrent_bfs, single_source_bfs
 from repro.core.frontier import MAX_WIDE_BATCH
+from repro.core.khop import concurrent_khop
+from repro.core.traversal import traverse
 from repro.graph import path_graph, range_partition
 from repro.runtime.scheduler import QueryService
 from repro.runtime.session import GraphSession
@@ -13,28 +14,31 @@ from repro.runtime.session import GraphSession
 
 class TestConcurrentBFS:
     def test_reaches_everything_reachable(self, small_rmat):
-        res = concurrent_bfs(small_rmat, [0, 9, 33], num_machines=2)
+        sess = GraphSession(small_rmat, num_machines=2)
+        res = concurrent_khop(sess, [0, 9, 33], None)
         for q, s in enumerate([0, 9, 33]):
             assert res.reached[q] == len(oracle_khop_reach(small_rmat, s, None))
 
     def test_k_is_none(self, small_rmat):
-        res = concurrent_bfs(small_rmat, [0])
+        res = concurrent_khop(GraphSession(small_rmat), [0], None)
         assert res.k is None
 
-    def test_single_source_bfs_levels(self, small_rmat):
-        ours = single_source_bfs(small_rmat, 7, num_machines=3)
+    def test_traverse_depths_levels(self, small_rmat):
+        sess = GraphSession(small_rmat, num_machines=3)
+        ours = traverse(sess, 7, None).depths[:, 0]
         theirs = oracle_bfs_levels(small_rmat, 7)
         assert (ours == theirs).all()
 
-    def test_single_source_bfs_on_path(self):
+    def test_traverse_depths_on_path(self):
         el = path_graph(6, directed=True)
-        assert single_source_bfs(el, 2).tolist() == [-1, -1, 0, 1, 2, 3]
+        depths = traverse(GraphSession(el), 2, None).depths[:, 0]
+        assert depths.tolist() == [-1, -1, 0, 1, 2, 3]
 
 
 def _stream(graph, sources, k, batch_width=64, num_machines=1):
     """Drain ``sources`` as one zero-arrival wave of a fresh service."""
     svc = QueryService(
-        GraphSession.for_run(graph, num_machines), k, batch_width=batch_width
+        GraphSession(graph, num_machines=num_machines), k, batch_width=batch_width
     )
     svc.submit_many(sources)
     return svc.drain()
@@ -61,9 +65,7 @@ class TestQueryStream:
     def test_reached_matches_unbatched(self, small_rmat):
         sources = list(range(12))
         stream = _stream(small_rmat, sources, k=3, batch_width=5)
-        from repro.core.khop import concurrent_khop
-
-        direct = concurrent_khop(small_rmat, sources, k=3)
+        direct = concurrent_khop(GraphSession(small_rmat), sources, k=3)
         assert (stream.reached == direct.reached).all()
 
     def test_later_batches_respond_later(self, small_rmat):

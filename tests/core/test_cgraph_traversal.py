@@ -11,26 +11,29 @@ from repro.runtime.session import GraphSession
 class TestTraverse:
     def test_visit_called_per_level(self, line10):
         levels = {}
-        traverse(line10, 0, hops=3, visit=lambda lv, vs: levels.update({lv: vs.tolist()}))
+        traverse(
+            GraphSession(line10), 0, hops=3,
+            visit=lambda lv, vs: levels.update({lv: vs.tolist()}),
+        )
         assert levels == {1: [1], 2: [2], 3: [3]}
 
     def test_visit_skips_source_level(self, star20):
         seen = []
-        traverse(star20, 0, hops=2, visit=lambda lv, vs: seen.append(lv))
+        traverse(GraphSession(star20), 0, hops=2, visit=lambda lv, vs: seen.append(lv))
         assert 0 not in seen
 
     def test_returns_khop_result(self, small_rmat):
-        res = traverse(small_rmat, 0, hops=2)
+        res = traverse(GraphSession(small_rmat), 0, hops=2)
         assert res.reached[0] == len(oracle_khop_reach(small_rmat, 0, 2))
 
     def test_unbounded_traverse(self, small_rmat):
-        res = traverse(small_rmat, 0, hops=None)
+        res = traverse(GraphSession(small_rmat), 0, hops=None)
         assert res.reached[0] == len(oracle_khop_reach(small_rmat, 0, None))
 
 
 class TestKHopQueryHelpers:
     def test_khop_query_returns_vertex_ids(self, small_rmat):
-        got = set(khop_query(small_rmat, 7, 2).tolist())
+        got = set(khop_query(GraphSession(small_rmat), 7, 2).tolist())
         assert got == oracle_khop_reach(small_rmat, 7, 2)
 
     def test_service_time_positive(self, small_rmat):

@@ -53,7 +53,7 @@ class TestInProcessParity:
         sources = list(range(0, 80, 2))
         runs = {
             d: concurrent_khop(
-                small_rmat, sources, 3, num_machines=3,
+                GraphSession(small_rmat, num_machines=3), sources, 3,
                 record_depths=True, direction=d,
             )
             for d in DIRECTIONS
@@ -68,10 +68,10 @@ class TestInProcessParity:
     def test_full_bfs_auto_switches(self, medium_rmat):
         sources = list(range(64))
         auto = concurrent_khop(
-            medium_rmat, sources, None, num_machines=2, direction="auto"
+            GraphSession(medium_rmat, num_machines=2), sources, None, direction="auto"
         )
         push = concurrent_khop(
-            medium_rmat, sources, None, num_machines=2, direction="push"
+            GraphSession(medium_rmat, num_machines=2), sources, None, direction="push"
         )
         _assert_same(auto, push)
         # a 64-query full BFS on an R-MAT graph goes dense mid-traversal
@@ -83,7 +83,8 @@ class TestInProcessParity:
         targets = list(range(500, 532))
         runs = {
             d: reachability_queries(
-                medium_rmat, sources, targets, 6, num_machines=2, direction=d
+                GraphSession(medium_rmat, num_machines=2), sources, targets, 6,
+                direction=d,
             )
             for d in DIRECTIONS
         }
@@ -94,15 +95,19 @@ class TestInProcessParity:
 
     def test_invalid_direction_rejected(self, small_rmat):
         with pytest.raises(ValueError):
-            concurrent_khop(small_rmat, [0], 2, direction="sideways")
+            concurrent_khop(GraphSession(small_rmat), [0], 2, direction="sideways")
 
     def test_edge_sets_conflict_with_pull(self, small_rmat):
         pg = range_partition(small_rmat, 2)
         pg.build_edge_sets()
         with pytest.raises(ValueError):
-            concurrent_khop(pg, [0, 1], 2, use_edge_sets=True, direction="pull")
+            concurrent_khop(
+                GraphSession(pg), [0, 1], 2, use_edge_sets=True, direction="pull"
+            )
         # edge-set expansion has no pull kernel: auto must quietly stay push
-        res = concurrent_khop(pg, [0, 1], 2, use_edge_sets=True, direction="auto")
+        res = concurrent_khop(
+            GraphSession(pg), [0, 1], 2, use_edge_sets=True, direction="auto"
+        )
         assert res.pull_partition_steps == 0
 
     @settings(max_examples=20, deadline=None)
@@ -120,7 +125,7 @@ class TestInProcessParity:
         sources = [i % 16 for i in range(num_sources)]
         runs = [
             concurrent_khop(
-                el, sources, k, num_machines=machines,
+                GraphSession(el, num_machines=machines), sources, k,
                 record_depths=True, direction=d,
             )
             for d in DIRECTIONS
@@ -419,8 +424,8 @@ class TestPlanPathEqualsGenericPath:
         pg = range_partition(small_rmat, 3)
         pg.build_edge_sets()
         sources = list(range(0, 130, 2))
-        plain = concurrent_khop(pg, sources, 3, direction="push")
-        blocked = concurrent_khop(pg, sources, 3, use_edge_sets=True)
+        plain = concurrent_khop(GraphSession(pg), sources, 3, direction="push")
+        blocked = concurrent_khop(GraphSession(pg), sources, 3, use_edge_sets=True)
         _assert_same(blocked, plain)
         assert blocked.total_messages == plain.total_messages
         assert blocked.total_bytes == plain.total_bytes
@@ -459,11 +464,11 @@ class TestPoolParity:
     ):
         sources = list(range(48))
         ref = concurrent_khop(
-            dir_graph, sources, 4, session=dir_inproc, direction="push"
+            dir_inproc, sources, 4, direction="push"
         )
         for d in DIRECTIONS:
             res = concurrent_khop(
-                dir_graph, sources, 4, session=dir_pool, direction=d
+                dir_pool, sources, 4, direction=d
             )
             _assert_same(res, ref)
 
@@ -474,12 +479,12 @@ class TestPoolParity:
         sources = list(range(48))
         for d in ("pull", "auto"):
             ref = concurrent_khop(
-                dir_graph, sources, 4, session=dir_inproc, direction=d
+                dir_inproc, sources, 4, direction=d
             )
             before = dir_pool.pool().recoveries
             dir_pool.set_fault_plan(FaultPlan().crash_worker(1, 1))
             res = concurrent_khop(
-                dir_graph, sources, 4, session=dir_pool, direction=d
+                dir_pool, sources, 4, direction=d
             )
             _assert_same(res, ref)
             assert dir_pool.pool().recoveries == before + 1

@@ -13,6 +13,7 @@ from repro.graph import (
     star_graph,
 )
 from repro.graph.csr import build_csr
+from repro.runtime.session import GraphSession
 
 
 def _naive_h_index(values: list[int]) -> int:
@@ -63,54 +64,54 @@ class TestHIndexKernel:
 
 class TestCoreNumbers:
     def test_complete_graph(self):
-        res = core_numbers(complete_graph(6))
+        res = core_numbers(GraphSession(complete_graph(6)))
         assert (res.core == 5).all()
 
     def test_path_graph(self):
-        res = core_numbers(path_graph(10))
+        res = core_numbers(GraphSession(path_graph(10)))
         assert (res.core == 1).all()
 
     def test_star_graph(self):
-        res = core_numbers(star_graph(8))
+        res = core_numbers(GraphSession(star_graph(8)))
         assert (res.core == 1).all()
 
     def test_grid_graph(self):
-        res = core_numbers(grid_graph(4, 4))
+        res = core_numbers(GraphSession(grid_graph(4, 4)))
         assert res.core.max() == 2  # interior of a grid is 2-core
 
     def test_triangle_plus_tail(self):
         el = EdgeList.from_pairs([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
-        res = core_numbers(el)
+        res = core_numbers(GraphSession(el))
         assert res.core[:3].tolist() == [2, 2, 2]
         assert res.core[3] == 1 and res.core[4] == 1
 
     def test_matches_networkx(self, small_rmat):
         import networkx as nx
 
-        res = core_numbers(small_rmat, num_machines=3)
+        res = core_numbers(GraphSession(small_rmat, num_machines=3))
         g = nx.Graph(small_rmat.symmetrize().remove_self_loops().to_networkx())
         ref = nx.core_number(g)
         for v in range(small_rmat.num_vertices):
             assert res.core[v] == ref.get(v, 0)
 
     def test_machine_invariance(self, small_er):
-        a = core_numbers(small_er, num_machines=1).core
-        b = core_numbers(small_er, num_machines=5).core
+        a = core_numbers(GraphSession(small_er, num_machines=1)).core
+        b = core_numbers(GraphSession(small_er, num_machines=5)).core
         assert (a == b).all()
 
     def test_max_rounds_caps(self, small_rmat):
-        res = core_numbers(small_rmat, max_rounds=1)
+        res = core_numbers(GraphSession(small_rmat), max_rounds=1)
         assert res.rounds == 1
 
     def test_virtual_time_positive_multi_machine(self, small_rmat):
-        res = core_numbers(small_rmat, num_machines=3)
+        res = core_numbers(GraphSession(small_rmat, num_machines=3))
         assert res.virtual_seconds > 0
 
     def test_isolated_vertices(self):
         el = EdgeList.from_pairs([(0, 1)], num_vertices=5)
-        res = core_numbers(el)
+        res = core_numbers(GraphSession(el))
         assert res.core[2:].tolist() == [0, 0, 0]
 
     def test_empty_graph(self):
-        res = core_numbers(EdgeList.empty(4))
+        res = core_numbers(GraphSession(EdgeList.empty(4)))
         assert res.core.tolist() == [0, 0, 0, 0]

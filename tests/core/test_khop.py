@@ -19,89 +19,95 @@ from repro.runtime.session import GraphSession
 
 class TestSingleQuery:
     def test_path_graph_levels(self, line10):
-        res = concurrent_khop(line10, [0], k=4, record_depths=True)
+        res = concurrent_khop(GraphSession(line10), [0], k=4, record_depths=True)
         assert res.reached[0] == 5  # vertices 0..4
         assert res.depths[:5, 0].tolist() == [0, 1, 2, 3, 4]
         assert (res.depths[5:, 0] == -1).all()
 
     def test_star_one_hop(self, star20):
-        res = concurrent_khop(star20, [0], k=1)
+        res = concurrent_khop(GraphSession(star20), [0], k=1)
         assert res.reached[0] == 21
 
     def test_leaf_two_hops_covers_star(self, star20):
-        res = concurrent_khop(star20, [3], k=2)
+        res = concurrent_khop(GraphSession(star20), [3], k=2)
         assert res.reached[0] == 21
 
     def test_k_zero_reaches_only_source(self, small_rmat):
-        res = concurrent_khop(small_rmat, [5], k=0)
+        res = concurrent_khop(GraphSession(small_rmat), [5], k=0)
         assert res.reached[0] == 1
         assert res.supersteps == 0
         assert res.completion_seconds[0] == 0.0
 
     def test_isolated_source(self):
         el = EdgeList.from_pairs([(1, 2)], num_vertices=4)
-        res = concurrent_khop(el, [3], k=3)
+        res = concurrent_khop(GraphSession(el), [3], k=3)
         assert res.reached[0] == 1
         assert res.completion_level[0] <= 1
 
     def test_matches_oracle_various_k(self, small_rmat):
         for k in (1, 2, 3, 5):
-            res = concurrent_khop(small_rmat, [7], k=k)
+            res = concurrent_khop(GraphSession(small_rmat), [7], k=k)
             assert res.reached[0] == len(oracle_khop_reach(small_rmat, 7, k))
 
     def test_full_bfs_with_none(self, small_rmat):
-        res = concurrent_khop(small_rmat, [7], k=None)
+        res = concurrent_khop(GraphSession(small_rmat), [7], k=None)
         assert res.reached[0] == len(oracle_khop_reach(small_rmat, 7, None))
 
     def test_source_out_of_range(self, small_rmat):
         with pytest.raises(ValueError):
-            concurrent_khop(small_rmat, [9999], k=2)
+            concurrent_khop(GraphSession(small_rmat), [9999], k=2)
 
     def test_width_bounds(self, small_rmat):
         with pytest.raises(ValueError):
-            concurrent_khop(small_rmat, [], k=2)
+            concurrent_khop(GraphSession(small_rmat), [], k=2)
         with pytest.raises(ValueError):
-            concurrent_khop(small_rmat, list(range(MAX_WIDE_BATCH + 1)), k=2)
+            concurrent_khop(
+                GraphSession(small_rmat), list(range(MAX_WIDE_BATCH + 1)), k=2
+            )
 
 
 class TestConcurrentBatch:
     def test_batch_matches_individual_runs(self, small_rmat):
         sources = [0, 3, 9, 17, 40]
-        batch = concurrent_khop(small_rmat, sources, k=3)
+        batch = concurrent_khop(GraphSession(small_rmat), sources, k=3)
         for q, s in enumerate(sources):
-            solo = concurrent_khop(small_rmat, [s], k=3)
+            solo = concurrent_khop(GraphSession(small_rmat), [s], k=3)
             assert batch.reached[q] == solo.reached[0]
 
     def test_batch_matches_oracle(self, small_rmat):
         sources = [0, 3, 9]
-        res = concurrent_khop(small_rmat, sources, k=2, record_depths=True)
+        res = concurrent_khop(
+            GraphSession(small_rmat), sources, k=2, record_depths=True
+        )
         for q, s in enumerate(sources):
             expected = oracle_khop_reach(small_rmat, s, 2)
             got = set(np.nonzero(res.depths[:, q] >= 0)[0].tolist())
             assert got == expected
 
     def test_duplicate_sources_allowed(self, small_rmat):
-        res = concurrent_khop(small_rmat, [4, 4], k=2)
+        res = concurrent_khop(GraphSession(small_rmat), [4, 4], k=2)
         assert res.reached[0] == res.reached[1]
 
     def test_full_width_batch(self, small_rmat):
         sources = list(range(64))
-        res = concurrent_khop(small_rmat, sources, k=2)
+        res = concurrent_khop(GraphSession(small_rmat), sources, k=2)
         assert res.num_queries == 64
         assert (res.reached >= 1).all()
 
     def test_completion_levels_vary_with_topology(self, line10):
         # source 0 needs 4 hops to exhaust a k=9 budget on a 10-path;
         # source 8 dies after 1 hop
-        res = concurrent_khop(line10, [0, 8], k=9)
+        res = concurrent_khop(GraphSession(line10), [0, 8], k=9)
         assert res.completion_level[1] < res.completion_level[0]
         assert res.completion_seconds[1] <= res.completion_seconds[0]
 
     def test_per_query_depths_independent(self, small_rmat):
         sources = [0, 50]
-        res = concurrent_khop(small_rmat, sources, k=3, record_depths=True)
+        res = concurrent_khop(
+            GraphSession(small_rmat), sources, k=3, record_depths=True
+        )
         d0 = res.depths[:, 0]
-        solo = concurrent_khop(small_rmat, [0], k=3, record_depths=True)
+        solo = concurrent_khop(GraphSession(small_rmat), [0], k=3, record_depths=True)
         assert (d0 == solo.depths[:, 0]).all()
 
 
@@ -120,7 +126,7 @@ class TestWideBatches:
     def test_beyond_64_queries(self, small_rmat):
         sources = list(range(150))
         sess = GraphSession(small_rmat, num_machines=2)
-        wide = concurrent_khop(small_rmat, sources, k=2, num_machines=2)
+        wide = concurrent_khop(GraphSession(small_rmat, num_machines=2), sources, k=2)
         stream = _word_stream(sess, sources, 2)
         levels = np.concatenate([
             sess.khop(sources[i:i + 64], 2).completion_level
@@ -133,7 +139,7 @@ class TestWideBatches:
         # query 0 and query 70 share a source, query 69 dies early: the
         # per-level bookkeeping must not depend on which word a bit is in
         sources = [0] + [8] * 69 + [0]
-        res = concurrent_khop(line10, sources, k=9, record_depths=True)
+        res = concurrent_khop(GraphSession(line10), sources, k=9, record_depths=True)
         assert res.completion_level[70] == res.completion_level[0]
         assert res.completion_seconds[70] == res.completion_seconds[0]
         assert res.completion_level[69] < res.completion_level[70]
@@ -143,14 +149,14 @@ class TestWideBatches:
         """One 256-wide pass shares more than four 64-wide passes."""
         pg = range_partition(medium_rmat, 2)
         sources = list(range(256))
-        wide = concurrent_khop(pg, sources, k=3)
+        wide = concurrent_khop(GraphSession(pg), sources, k=3)
         stream = _word_stream(GraphSession(pg), sources, 3)
         assert (wide.reached == stream.reached).all()
         assert wide.total_edges_scanned < stream.edges_scanned
 
     def test_full_512(self, small_rmat):
         sources = [i % small_rmat.num_vertices for i in range(512)]
-        res = concurrent_khop(small_rmat, sources, k=1)
+        res = concurrent_khop(GraphSession(small_rmat), sources, k=1)
         assert res.num_queries == 512
         # duplicated sources get identical answers
         assert res.reached[0] == res.reached[256]
@@ -159,7 +165,7 @@ class TestWideBatches:
         sources = list(range(100))
         results = {
             d: concurrent_khop(
-                small_rmat, sources, k=3, num_machines=2, direction=d
+                GraphSession(small_rmat, num_machines=2), sources, k=3, direction=d
             )
             for d in ("push", "pull", "auto")
         }
@@ -181,9 +187,9 @@ class TestWideBatches:
     def test_property_wide_equals_narrow(self, pairs, width, k):
         el = EdgeList.from_pairs(pairs, num_vertices=13)
         sources = [i % 13 for i in range(width)]
-        wide = concurrent_khop(el, sources, k=k, num_machines=2)
+        wide = concurrent_khop(GraphSession(el, num_machines=2), sources, k=k)
         # compare the first 13 distinct queries against a word-wide batch
-        narrow = concurrent_khop(el, sources[:13], k=k, num_machines=2)
+        narrow = concurrent_khop(GraphSession(el, num_machines=2), sources[:13], k=k)
         assert (wide.reached[:13] == narrow.reached).all()
         assert (wide.completion_level[:13] == narrow.completion_level).all()
 
@@ -191,14 +197,18 @@ class TestWideBatches:
 class TestDistribution:
     @pytest.mark.parametrize("machines", [1, 2, 3, 5])
     def test_machine_count_does_not_change_answers(self, small_rmat, machines):
-        res = concurrent_khop(small_rmat, [0, 9, 33], k=3, num_machines=machines)
-        base = concurrent_khop(small_rmat, [0, 9, 33], k=3, num_machines=1)
+        res = concurrent_khop(
+            GraphSession(small_rmat, num_machines=machines), [0, 9, 33], k=3
+        )
+        base = concurrent_khop(
+            GraphSession(small_rmat, num_machines=1), [0, 9, 33], k=3
+        )
         assert (res.reached == base.reached).all()
         assert (res.completion_level == base.completion_level).all()
 
     def test_messages_flow_only_with_multiple_machines(self, small_rmat):
-        solo = concurrent_khop(small_rmat, [0], k=3, num_machines=1)
-        multi = concurrent_khop(small_rmat, [0], k=3, num_machines=4)
+        solo = concurrent_khop(GraphSession(small_rmat, num_machines=1), [0], k=3)
+        multi = concurrent_khop(GraphSession(small_rmat, num_machines=4), [0], k=3)
         assert solo.total_messages == 0
         assert multi.total_messages > 0
         assert multi.total_bytes > 0
@@ -206,32 +216,32 @@ class TestDistribution:
     def test_edge_set_mode_matches(self, small_rmat):
         pg = range_partition(small_rmat, 3)
         pg.build_edge_sets(sets_per_partition=4)
-        es = concurrent_khop(pg, [0, 9], k=3, use_edge_sets=True)
-        flat = concurrent_khop(small_rmat, [0, 9], k=3, num_machines=3)
+        es = concurrent_khop(GraphSession(pg), [0, 9], k=3, use_edge_sets=True)
+        flat = concurrent_khop(GraphSession(small_rmat, num_machines=3), [0, 9], k=3)
         assert (es.reached == flat.reached).all()
         assert es.total_edges_scanned == flat.total_edges_scanned
 
     def test_edge_set_mode_requires_built_sets(self, small_rmat):
         pg = range_partition(small_rmat, 2)
         with pytest.raises(ValueError):
-            concurrent_khop(pg, [0], k=2, use_edge_sets=True)
+            concurrent_khop(GraphSession(pg), [0], k=2, use_edge_sets=True)
 
     def test_consolidated_edge_sets_match(self, small_rmat):
         pg = range_partition(small_rmat, 3)
         pg.build_edge_sets(sets_per_partition=8, consolidate_min_edges=128)
-        es = concurrent_khop(pg, [0, 9], k=3, use_edge_sets=True)
-        base = concurrent_khop(small_rmat, [0, 9], k=3)
+        es = concurrent_khop(GraphSession(pg), [0, 9], k=3, use_edge_sets=True)
+        base = concurrent_khop(GraphSession(small_rmat), [0, 9], k=3)
         assert (es.reached == base.reached).all()
 
     def test_async_mode_reaches_same_set_unbounded(self, small_rmat):
         """Async delivery may shift levels but full BFS reach is identical."""
-        a = concurrent_khop(small_rmat, [0], k=None, num_machines=3,
+        a = concurrent_khop(GraphSession(small_rmat, num_machines=3), [0], k=None,
                             asynchronous=True)
-        s = concurrent_khop(small_rmat, [0], k=None, num_machines=3)
+        s = concurrent_khop(GraphSession(small_rmat, num_machines=3), [0], k=None)
         assert a.reached[0] == s.reached[0]
 
     def test_virtual_time_positive_and_decomposes(self, small_rmat):
-        res = concurrent_khop(small_rmat, [0], k=3, num_machines=2)
+        res = concurrent_khop(GraphSession(small_rmat, num_machines=2), [0], k=3)
         assert res.virtual_seconds > 0
         assert res.virtual_seconds == pytest.approx(sum(res.per_step_seconds))
 
@@ -239,12 +249,14 @@ class TestDistribution:
 class TestAgainstNaive:
     def test_matches_naive_khop(self, small_rmat):
         for s in (0, 11, 77):
-            ours = concurrent_khop(small_rmat, [s], k=3, record_depths=True)
+            ours = concurrent_khop(
+                GraphSession(small_rmat), [s], k=3, record_depths=True
+            )
             got = set(np.nonzero(ours.depths[:, 0] >= 0)[0].tolist())
             assert got == naive_khop(small_rmat, s, 3)
 
     def test_matches_naive_distributed(self, small_rmat):
-        ours = concurrent_khop(small_rmat, [5], k=2, num_machines=3,
+        ours = concurrent_khop(GraphSession(small_rmat, num_machines=3), [5], k=2,
                                record_depths=True)
         got = set(np.nonzero(ours.depths[:, 0] >= 0)[0].tolist())
         assert got == naive_distributed_khop(small_rmat, 5, 2, 3)
@@ -263,7 +275,7 @@ def test_khop_property_matches_oracle(pairs, source, k, machines):
     """For arbitrary digraphs, sources, budgets and partitionings, the
     engine's reach equals networkx's cutoff BFS."""
     el = EdgeList.from_pairs(pairs, num_vertices=21)
-    res = concurrent_khop(el, [source], k=k, num_machines=machines,
+    res = concurrent_khop(GraphSession(el, num_machines=machines), [source], k=k,
                           record_depths=True)
     expected = oracle_khop_reach(el, source, k if k > 0 else 0)
     got = set(np.nonzero(res.depths[:, 0] >= 0)[0].tolist())
@@ -298,7 +310,7 @@ class TestGoldenWire:
         graph = rmat_edges(9, 6000, seed=21).remove_self_loops().deduplicate()
         sources = np.random.default_rng(3).integers(0, graph.num_vertices, size=130)
         res = concurrent_khop(
-            graph, sources[:width], 3, num_machines=3, direction=direction
+            GraphSession(graph, num_machines=3), sources[:width], 3, direction=direction
         )
         got = dict(
             total_messages=res.total_messages,
@@ -448,10 +460,10 @@ class TestGoldenWireGasSssp:
     @pytest.mark.parametrize("backend", ["inproc", "pool"])
     def test_pagerank(self, graph, backend):
         with GraphSession(graph, num_machines=3, backend=backend) as sess:
-            run = pagerank(graph, session=sess)
+            run = pagerank(sess)
             assert self._wire(run.values, run.engine_result) == self.PAGERANK_SYNC
             if backend == "inproc":
-                run = pagerank(graph, session=sess, asynchronous=True)
+                run = pagerank(sess, asynchronous=True)
                 assert self._wire(run.values, run.engine_result) == self.PAGERANK_ASYNC
 
     @pytest.mark.parametrize("width", sorted(SSSP))

@@ -25,21 +25,21 @@ class TestConcurrentSSSP:
     def test_each_column_matches_dijkstra(self, small_rmat):
         w = _weighted(small_rmat)
         sources = [0, 9, 33, 100]
-        res = concurrent_sssp(w, sources, num_machines=3)
+        res = concurrent_sssp(GraphSession(w, num_machines=3), sources)
         for q, s in enumerate(sources):
             np.testing.assert_allclose(res.distances[:, q], oracle_sssp(w, s))
 
     def test_matches_single_query_engine(self, small_rmat):
         w = _weighted(small_rmat, seed=1)
-        res = concurrent_sssp(w, [7], num_machines=2)
-        single = sssp(w, 7, num_machines=2)
+        res = concurrent_sssp(GraphSession(w, num_machines=2), [7])
+        single = sssp(GraphSession(w, num_machines=2), 7)
         np.testing.assert_allclose(res.distances[:, 0], single.distances)
 
     def test_hop_budget(self):
         el = EdgeList.from_pairs(
             [(0, 1), (1, 2), (2, 3), (0, 3)], weights=[1, 1, 1, 10]
         )
-        res = concurrent_sssp(el, [0, 1], max_hops=1)
+        res = concurrent_sssp(GraphSession(el), [0, 1], max_hops=1)
         assert res.distances[3, 0] == 10  # forced onto the shortcut
         assert np.isinf(res.distances[3, 1])
 
@@ -49,22 +49,22 @@ class TestConcurrentSSSP:
         w = _weighted(medium_rmat, seed=2)
         pg = range_partition(w, 2)
         sources = list(range(16))
-        batch = concurrent_sssp(pg, sources)
+        batch = concurrent_sssp(GraphSession(pg), sources)
         serial_edges = sum(
-            sssp(pg, s).engine_result.total_stats().edges_scanned
+            sssp(GraphSession(pg), s).engine_result.total_stats().edges_scanned
             for s in sources
         )
         assert batch.total_edges_scanned < serial_edges
 
     def test_machine_invariance(self, small_rmat):
         w = _weighted(small_rmat, seed=3)
-        a = concurrent_sssp(w, [0, 5], num_machines=1).distances
-        b = concurrent_sssp(w, [0, 5], num_machines=4).distances
+        a = concurrent_sssp(GraphSession(w, num_machines=1), [0, 5]).distances
+        b = concurrent_sssp(GraphSession(w, num_machines=4), [0, 5]).distances
         np.testing.assert_allclose(a, b)
 
     def test_unweighted_rejected(self, small_rmat):
         with pytest.raises(ValueError):
-            concurrent_sssp(small_rmat, [0])
+            concurrent_sssp(GraphSession(small_rmat), [0])
 
     def test_unweighted_refused_at_the_door(self, small_rmat):
         """Typed, and before ``prepare()`` or any seeding: the session has
@@ -75,15 +75,15 @@ class TestConcurrentSSSP:
                     run()
             assert sess.batches_run == 0
             got = sess.khop([0, 9], 2)
-        want = concurrent_khop(small_rmat, [0, 9], 2, num_machines=3)
+        want = concurrent_khop(GraphSession(small_rmat, num_machines=3), [0, 9], 2)
         np.testing.assert_array_equal(got.reached, want.reached)
 
     def test_batch_limits(self, small_rmat):
         w = _weighted(small_rmat)
         with pytest.raises(ValueError):
-            concurrent_sssp(w, [])
+            concurrent_sssp(GraphSession(w), [])
         with pytest.raises(ValueError):
-            concurrent_sssp(w, list(range(65)))
+            concurrent_sssp(GraphSession(w), list(range(65)))
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -96,7 +96,7 @@ class TestConcurrentSSSP:
     def test_property_matches_dijkstra(self, pairs, seed):
         el = EdgeList.from_pairs(pairs, num_vertices=11).deduplicate()
         w = _weighted(el, seed=seed)
-        res = concurrent_sssp(w, [0, 5], num_machines=2)
+        res = concurrent_sssp(GraphSession(w, num_machines=2), [0, 5])
         np.testing.assert_allclose(res.distances[:, 0], oracle_sssp(w, 0))
         np.testing.assert_allclose(res.distances[:, 1], oracle_sssp(w, 5))
 
@@ -106,7 +106,7 @@ class TestCentrality:
         import networkx as nx
 
         sym = small_er.symmetrize()
-        res = closeness_centrality(sym, num_machines=2)
+        res = closeness_centrality(GraphSession(sym, num_machines=2))
         ref = nx.closeness_centrality(sym.to_networkx(), wf_improved=True)
         theirs = np.array([ref[v] for v in range(sym.num_vertices)])
         np.testing.assert_allclose(res.scores, theirs, atol=1e-12)
@@ -116,7 +116,7 @@ class TestCentrality:
 
         sym = small_er.symmetrize()
         roots = [0, 3, 7, 11]
-        res = harmonic_centrality(sym, roots=roots, num_machines=2)
+        res = harmonic_centrality(GraphSession(sym, num_machines=2), roots=roots)
         # our scores use outgoing distances; reverse the graph for networkx
         ref = nx.harmonic_centrality(sym.to_networkx().reverse(), nbunch=roots)
         np.testing.assert_allclose(
@@ -125,33 +125,39 @@ class TestCentrality:
 
     def test_star_center_most_central(self):
         el = star_graph(12)
-        res = closeness_centrality(el)
+        res = closeness_centrality(GraphSession(el))
         assert res.scores.argmax() == 0
         assert res.top(1)[0][0] == 0
 
     def test_path_ends_least_central(self):
         el = path_graph(9)
-        res = closeness_centrality(el)
+        res = closeness_centrality(GraphSession(el))
         assert res.scores.argmax() == 4  # the middle
         assert res.scores[0] == res.scores[8] == res.scores.min()
 
     def test_sampled_roots(self, small_rmat):
-        res = closeness_centrality(small_rmat, roots=[0, 1, 2])
+        res = closeness_centrality(GraphSession(small_rmat), roots=[0, 1, 2])
         assert res.scores.shape == (3,)
         assert res.virtual_seconds > 0
 
     def test_isolated_root_scores_zero(self):
         el = EdgeList.from_pairs([(0, 1)], num_vertices=3)
-        res = closeness_centrality(el, roots=[2])
+        res = closeness_centrality(GraphSession(el), roots=[2])
         assert res.scores[0] == 0.0
 
     def test_more_than_64_roots_batch(self, small_rmat):
         roots = list(range(100))
-        res = harmonic_centrality(small_rmat, roots=roots, num_machines=2)
+        res = harmonic_centrality(GraphSession(small_rmat, num_machines=2), roots=roots)
         assert res.scores.shape == (100,)
         # spot check one against a direct single run
-        solo = harmonic_centrality(small_rmat, roots=[roots[77]])
+        solo = harmonic_centrality(GraphSession(small_rmat), roots=[roots[77]])
         assert res.scores[77] == pytest.approx(solo.scores[0])
+
+    @pytest.mark.parametrize("fn", [closeness_centrality, harmonic_centrality])
+    @pytest.mark.parametrize("roots", [[1.7], ["3"], [-1], [10_000]])
+    def test_bad_roots_refused(self, small_rmat, fn, roots):
+        with pytest.raises(InvalidQueryError, match="roots|root vertex"):
+            fn(GraphSession(small_rmat), roots=roots)
 
 
 class TestNewGeneratorsAnalysis:

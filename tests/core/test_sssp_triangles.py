@@ -9,6 +9,7 @@ from repro.baselines.oracle import oracle_sssp
 from repro.core.sssp import sssp
 from repro.core.triangles import khop_triangle_count, local_triangles, triangle_count
 from repro.graph import EdgeList, complete_graph, grid_graph, path_graph, star_graph
+from repro.runtime.session import GraphSession
 
 
 class TestSSSP:
@@ -20,13 +21,13 @@ class TestSSSP:
             rng.uniform(0.1, 5.0, small_rmat.num_edges),
         )
         for machines in (1, 3):
-            res = sssp(w, 0, num_machines=machines)
+            res = sssp(GraphSession(w, num_machines=machines), 0)
             theirs = oracle_sssp(w, 0)
             np.testing.assert_allclose(res.distances, theirs)
 
     def test_unit_weights_equal_bfs_depths(self, small_rmat):
         w = small_rmat.with_unit_weights()
-        res = sssp(w, 7, num_machines=2)
+        res = sssp(GraphSession(w, num_machines=2), 7)
         from repro.baselines.oracle import oracle_bfs_levels
 
         levels = oracle_bfs_levels(small_rmat, 7)
@@ -39,33 +40,33 @@ class TestSSSP:
         el = EdgeList.from_pairs(
             [(0, 1), (1, 2), (2, 3), (0, 3)], weights=[1, 1, 1, 10]
         )
-        unlimited = sssp(el, 0)
+        unlimited = sssp(GraphSession(el), 0)
         assert unlimited.distances[3] == 3  # 3 hops, cost 3
-        capped = sssp(el, 0, max_hops=1)
+        capped = sssp(GraphSession(el), 0, max_hops=1)
         assert capped.distances[3] == 10  # must use the 1-hop shortcut
 
     def test_hop_budget_zero(self):
         el = EdgeList.from_pairs([(0, 1)], weights=[1.0])
-        res = sssp(el, 0, max_hops=0)
+        res = sssp(GraphSession(el), 0, max_hops=0)
         assert res.distances[0] == 0
         assert np.isinf(res.distances[1])
 
     def test_source_distance_zero(self, small_rmat):
-        res = sssp(small_rmat.with_unit_weights(), 5)
+        res = sssp(GraphSession(small_rmat.with_unit_weights()), 5)
         assert res.distances[5] == 0.0
 
     def test_unweighted_graph_rejected(self, small_rmat):
         with pytest.raises(ValueError):
-            sssp(small_rmat, 0)
+            sssp(GraphSession(small_rmat), 0)
 
     def test_source_out_of_range(self, small_rmat):
         with pytest.raises(ValueError):
-            sssp(small_rmat.with_unit_weights(), -1)
+            sssp(GraphSession(small_rmat.with_unit_weights()), -1)
 
     def test_negative_free_relaxation_terminates(self):
         # a cycle with positive weights must terminate
         el = EdgeList.from_pairs([(0, 1), (1, 2), (2, 0)], weights=[1, 1, 1])
-        res = sssp(el, 0)
+        res = sssp(GraphSession(el), 0)
         assert res.distances.tolist() == [0, 1, 2]
 
     @settings(max_examples=20, deadline=None)
@@ -83,7 +84,7 @@ class TestSSSP:
         el = EdgeList.from_pairs(pairs, num_vertices=13,
                                  weights=rng.uniform(0.5, 3.0, len(pairs)))
         el = el.deduplicate()
-        res = sssp(el, 0, num_machines=machines)
+        res = sssp(GraphSession(el, num_machines=machines), 0)
         np.testing.assert_allclose(res.distances, oracle_sssp(el, 0))
 
 

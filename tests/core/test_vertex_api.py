@@ -12,6 +12,7 @@ from repro.core.vertex_api import (
     run_vertex_centric,
 )
 from repro.graph import EdgeList, path_graph
+from repro.runtime.session import GraphSession
 
 
 class BFSVertexProgram(VertexCentricProgram):
@@ -57,7 +58,7 @@ class TestBFSVertexProgram:
     @pytest.mark.parametrize("machines", [1, 3])
     def test_levels_match_oracle(self, small_rmat, machines):
         values, _ = run_vertex_centric(
-            small_rmat, BFSVertexProgram(0), num_machines=machines,
+            GraphSession(small_rmat, num_machines=machines), BFSVertexProgram(0),
             max_supersteps=100,
         )
         theirs = oracle_bfs_levels(small_rmat, 0)
@@ -66,21 +67,22 @@ class TestBFSVertexProgram:
     def test_khop_budget(self, small_rmat):
         k = 2
         values, _ = run_vertex_centric(
-            small_rmat, BFSVertexProgram(7, k=k), max_supersteps=50
+            GraphSession(small_rmat), BFSVertexProgram(7, k=k), max_supersteps=50
         )
         reached = set(np.nonzero(values >= 0)[0].tolist())
         assert reached == oracle_khop_reach(small_rmat, 7, k)
 
     def test_path_superstep_count(self):
         el = path_graph(10, directed=True)
-        values, result = run_vertex_centric(el, BFSVertexProgram(0),
-                                            num_machines=2, max_supersteps=50)
+        values, result = run_vertex_centric(
+            GraphSession(el, num_machines=2), BFSVertexProgram(0), max_supersteps=50
+        )
         # vertex-centric: one hop per superstep -> ~path length supersteps
         assert result.supersteps >= 10
         assert values.astype(int).tolist() == list(range(10))
 
     def test_star(self, star20):
-        values, _ = run_vertex_centric(star20, BFSVertexProgram(0),
+        values, _ = run_vertex_centric(GraphSession(star20), BFSVertexProgram(0),
                                        max_supersteps=10)
         assert values[0] == 0
         assert (values[1:] == 1).all()
@@ -88,15 +90,19 @@ class TestBFSVertexProgram:
 
 class TestMaxValue:
     def test_converges_to_global_max_on_connected_graph(self, grid_5x5):
-        values, _ = run_vertex_centric(grid_5x5, MaxValueProgram(),
-                                       num_machines=3, max_supersteps=100)
+        values, _ = run_vertex_centric(
+            GraphSession(grid_5x5, num_machines=3), MaxValueProgram(),
+            max_supersteps=100,
+        )
         assert (values == 24).all()
 
     def test_per_component_max(self):
         el = EdgeList.from_pairs(
             [(0, 1), (1, 0), (2, 3), (3, 2)], num_vertices=4
         )
-        values, _ = run_vertex_centric(el, MaxValueProgram(), max_supersteps=20)
+        values, _ = run_vertex_centric(
+            GraphSession(el), MaxValueProgram(), max_supersteps=20
+        )
         assert values.tolist() == [1, 1, 3, 3]
 
 
@@ -112,13 +118,12 @@ class TestModelComparison:
         el = path_graph(40, directed=True)
         source, k = 0, 40
         _, vertex_result = run_vertex_centric(
-            el, BFSVertexProgram(source, k=k), num_machines=2,
+            GraphSession(el, num_machines=2), BFSVertexProgram(source, k=k),
             max_supersteps=200,
         )
         _, partition_result = run_program(
-            el,
+            GraphSession(el, num_machines=2),
             lambda ctx: ListingTwoKHop(ctx, source, k),
-            num_machines=2,
             max_supersteps=200,
         )
         assert vertex_result.supersteps >= 40
@@ -130,12 +135,12 @@ class TestModelComparison:
 
         source, k = 9, 2
         values, _ = run_vertex_centric(
-            small_rmat, BFSVertexProgram(source, k=k), max_supersteps=50
+            GraphSession(small_rmat), BFSVertexProgram(source, k=k), max_supersteps=50
         )
         vertex_reached = set(np.nonzero(values >= 0)[0].tolist())
         programs, _ = run_program(
-            small_rmat, lambda ctx: ListingTwoKHop(ctx, source, k),
-            num_machines=2, max_supersteps=50,
+            GraphSession(small_rmat, num_machines=2),
+            lambda ctx: ListingTwoKHop(ctx, source, k), max_supersteps=50,
         )
         partition_reached = set().union(*(p.visited for p in programs))
         assert vertex_reached == partition_reached == oracle_khop_reach(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.baselines.oracle import oracle_khop_reach
 from repro.graph import EdgeList, path_graph
 from repro.graph.subgraph import induced_subgraph, khop_subgraph
+from repro.runtime.session import GraphSession
 
 
 class TestInducedSubgraph:
@@ -70,12 +71,12 @@ class TestInducedSubgraph:
 
 class TestKHopSubgraph:
     def test_members_match_oracle(self, small_rmat):
-        sub = khop_subgraph(small_rmat, 7, 2, num_machines=2)
+        sub = khop_subgraph(GraphSession(small_rmat, num_machines=2), 7, 2)
         assert set(sub.vertices.tolist()) == oracle_khop_reach(small_rmat, 7, 2)
 
     def test_path_graph(self):
         el = path_graph(8, directed=True)
-        sub = khop_subgraph(el, 0, 3)
+        sub = khop_subgraph(GraphSession(el), 0, 3)
         assert sub.vertices.tolist() == [0, 1, 2, 3]
         assert sub.num_edges == 3
 
@@ -83,7 +84,14 @@ class TestKHopSubgraph:
         """The extracted neighbourhood supports further local queries."""
         from repro.core.khop import concurrent_khop
 
-        sub = khop_subgraph(small_rmat, 7, 3, num_machines=2)
+        sub = khop_subgraph(GraphSession(small_rmat, num_machines=2), 7, 3)
         local_source = int(sub.from_parent([7])[0])
-        res = concurrent_khop(sub.edges, [local_source], k=3)
+        res = concurrent_khop(GraphSession(sub.edges), [local_source], k=3)
         assert res.reached[0] == sub.num_vertices  # whole ball reachable
+
+    def test_dynamic_session_uses_live_edges(self):
+        sess = GraphSession(path_graph(8, directed=True), num_machines=2)
+        sess.apply_mutations(inserts=[(0, 5)], deletes=[(1, 2)])
+        sub = khop_subgraph(sess, 0, 2)
+        assert sub.vertices.tolist() == [0, 1, 5, 6]
+        assert sub.num_edges == 3  # 0->1, 0->5, 5->6; never the deleted 1->2

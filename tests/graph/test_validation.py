@@ -9,20 +9,23 @@ from hypothesis import strategies as st
 from repro.core.khop import concurrent_khop
 from repro.graph import EdgeList, path_graph
 from repro.graph.validation import assert_valid_khop, validate_khop_depths
+from repro.runtime.session import GraphSession
 
 
 class TestValidatorAcceptsCorrectOutputs:
     def test_engine_bfs_depths_validate(self, small_rmat):
-        res = concurrent_khop(small_rmat, [0], k=None, record_depths=True)
+        res = concurrent_khop(GraphSession(small_rmat), [0], k=None, record_depths=True)
         assert_valid_khop(small_rmat, 0, res.depths[:, 0], k=None)
 
     def test_engine_khop_depths_validate(self, small_rmat):
         for k in (1, 2, 3):
-            res = concurrent_khop(small_rmat, [7], k=k, record_depths=True)
+            res = concurrent_khop(
+                GraphSession(small_rmat), [7], k=k, record_depths=True
+            )
             assert_valid_khop(small_rmat, 7, res.depths[:, 0], k=k)
 
     def test_distributed_depths_validate(self, medium_rmat):
-        res = concurrent_khop(medium_rmat, [3], k=3, num_machines=4,
+        res = concurrent_khop(GraphSession(medium_rmat, num_machines=4), [3], k=3,
                               record_depths=True)
         assert_valid_khop(medium_rmat, 3, res.depths[:, 0], k=3)
 
@@ -97,6 +100,6 @@ def test_engine_outputs_always_validate(pairs, source, k, machines):
     """Whatever the graph, budget and partitioning, the engine's depth
     vector satisfies every structural invariant of a correct k-hop BFS."""
     el = EdgeList.from_pairs(pairs, num_vertices=13)
-    res = concurrent_khop(el, [source], k=k, num_machines=machines,
+    res = concurrent_khop(GraphSession(el, num_machines=machines), [source], k=k,
                           record_depths=True)
     assert validate_khop_depths(el, source, res.depths[:, 0], k=k) == []

@@ -9,6 +9,7 @@ from repro.runtime.comm import deliver_async, exchange_sync
 from repro.runtime.engine import PartitionTask, SuperstepEngine
 from repro.runtime.message import MessageBatch
 from repro.runtime.netmodel import StepStats
+from repro.runtime.session import GraphSession
 
 
 def _cluster(tiny_graph, p=2):
@@ -197,7 +198,7 @@ class TestStepTable:
     def test_without_netmodel(self, small_rmat):
         from repro.core.pagerank import pagerank
 
-        run = pagerank(small_rmat, iterations=3, num_machines=2)
+        run = pagerank(GraphSession(small_rmat, num_machines=2), iterations=3)
         rows = run.engine_result.step_table()
         assert len(rows) == 3
         assert "max_compute_s" not in rows[0]

@@ -95,9 +95,9 @@ class TestCrashRecovery:
 
     def test_wide_batch_parity_after_crash(self, graph, inproc_sess, pool_sess):
         sources = [i % graph.num_vertices for i in range(512)]
-        ref = concurrent_khop(graph, sources, 3, session=inproc_sess)
+        ref = concurrent_khop(inproc_sess, sources, 3)
         pool_sess.set_fault_plan(FaultPlan().crash_worker(2, 1))
-        res = concurrent_khop(graph, sources, 3, session=pool_sess)
+        res = concurrent_khop(pool_sess, sources, 3)
         assert np.array_equal(ref.reached, res.reached)
         assert ref.virtual_seconds == res.virtual_seconds
         assert not pool_sess.degraded
@@ -136,13 +136,13 @@ class TestSlotPlaneAfterRecovery:
         wide = [(7 * i) % graph.num_vertices for i in range(128)]
         narrow = [5, 77, 901]
         pool_sess.set_fault_plan(fault())
-        faulted = concurrent_khop(graph, wide, 4, session=pool_sess,
+        faulted = concurrent_khop(pool_sess, wide, 4,
                                   direction="push")
         pool_sess.set_fault_plan(None)
-        after = concurrent_khop(graph, narrow, 3, session=pool_sess,
+        after = concurrent_khop(pool_sess, narrow, 3,
                                 direction="push")
         for res, sources, k in ((faulted, wide, 4), (after, narrow, 3)):
-            ref = concurrent_khop(graph, sources, k, num_machines=2,
+            ref = concurrent_khop(GraphSession(graph, num_machines=2), sources, k,
                                   direction="push")
             assert np.array_equal(ref.reached, res.reached)
             assert np.array_equal(ref.completion_seconds, res.completion_seconds)
@@ -184,9 +184,9 @@ class TestMessageFaults:
     def test_drop_outbox_parity(self, graph, inproc_sess, pool_sess):
         # a wide batch guarantees cross-machine traffic on early steps
         sources = [i % graph.num_vertices for i in range(128)]
-        ref = concurrent_khop(graph, sources, 4, session=inproc_sess)
+        ref = concurrent_khop(inproc_sess, sources, 4)
         pool_sess.set_fault_plan(FaultPlan().drop_outbox(1, 0))
-        res = concurrent_khop(graph, sources, 4, session=pool_sess)
+        res = concurrent_khop(pool_sess, sources, 4)
         assert np.array_equal(ref.reached, res.reached)
         assert ref.virtual_seconds == res.virtual_seconds
         assert not pool_sess.degraded
@@ -268,14 +268,15 @@ class TestProgramReplay:
     @pytest.mark.parametrize("backend", ["inproc", "pool"])
     def test_program_holding_its_context(self, graph, backend):
         factory = partial(CtxHoldingKHop, source=0, k=4)
-        want_progs, want = run_program(graph, factory, 2, max_supersteps=30)
+        want_progs, want = run_program(
+            GraphSession(graph, num_machines=2), factory, max_supersteps=30
+        )
         ft = FaultTolerance(checkpoint_interval=2, max_recoveries=4)
         with GraphSession(
             graph, num_machines=2, backend=backend, fault_tolerance=ft,
             fault_plan=FaultPlan().crash_worker(2, 1),
         ) as sess:
-            got_progs, got = run_program(sess, factory, max_supersteps=30,
-                                          session=sess)
+            got_progs, got = run_program(sess, factory, max_supersteps=30)
             assert not sess.degraded
             if backend == "pool":
                 assert sess.pool().recoveries == 1

@@ -123,7 +123,7 @@ class TestProtocolShape:
             sent.clear()
             with pytest.raises(UnsupportedConfigError, match="lambda"):
                 run_program(
-                    sess, lambda ctx: ListingTwoKHop(ctx, 0, 2), session=sess
+                    sess, lambda ctx: ListingTwoKHop(ctx, 0, 2)
                 )
         assert sent == []
 

@@ -66,10 +66,8 @@ class TestKHopParity:
     @pytest.mark.parametrize("width", [4, 65, 512])
     def test_full_result_parity(self, graph, inproc_sess, other_sess, width):
         sources = [0, 17, 333, 901] + list(range(width - 4))
-        a = concurrent_khop(graph, sources, 3, record_depths=True,
-                            session=inproc_sess)
-        b = concurrent_khop(graph, sources, 3, record_depths=True,
-                            session=other_sess)
+        a = concurrent_khop(inproc_sess, sources, 3, record_depths=True)
+        b = concurrent_khop(other_sess, sources, 3, record_depths=True)
         assert other_sess.degraded == (other_sess.fault_plan is not None)
         assert np.array_equal(a.reached, b.reached)
         assert np.array_equal(a.depths, b.depths)
@@ -116,8 +114,8 @@ class TestKHopParity:
 class TestWideParity:
     def test_wide_512_batch(self, graph, inproc_sess, pool_sess):
         sources = [i % graph.num_vertices for i in range(512)]
-        a = concurrent_khop(graph, sources, 3, session=inproc_sess)
-        b = concurrent_khop(graph, sources, 3, session=pool_sess)
+        a = concurrent_khop(inproc_sess, sources, 3)
+        b = concurrent_khop(pool_sess, sources, 3)
         assert np.array_equal(a.reached, b.reached)
         assert a.virtual_seconds == b.virtual_seconds
         assert a.supersteps == b.supersteps
@@ -211,7 +209,7 @@ class TestTaskErrorKeepsThePoolInStep:
     )
     def test_next_batch_matches_inproc(self, inproc_sess, pool_sess, factory):
         with pytest.raises(WorkerTaskError, match="raised"):
-            run_program(pool_sess, factory, session=pool_sess)
+            run_program(pool_sess, factory)
         a = inproc_sess.khop([0, 5, 9], 3)
         b = pool_sess.khop([0, 5, 9], 3)
         assert np.array_equal(a.reached, b.reached)
@@ -285,10 +283,8 @@ class TestDescribedBatchParity:
 
     def test_partition_program(self, inproc3, pool3):
         factory = partial(ListingTwoKHop, source=7, k=3)
-        progs_a, a = run_program(inproc3, factory, max_supersteps=50,
-                                 session=inproc3)
-        progs_b, b = run_program(pool3, factory, max_supersteps=50,
-                                 session=pool3)
+        progs_a, a = run_program(inproc3, factory, max_supersteps=50)
+        progs_b, b = run_program(pool3, factory, max_supersteps=50)
         assert _ran_on_workers(pool3)
         # the pool hands back unpickled copies holding the same user state
         assert [p.best for p in progs_a] == [p.best for p in progs_b]
@@ -299,17 +295,17 @@ class TestDescribedBatchParity:
         # re-expansion sends one vertex several uncombined messages a step,
         # more than the pool's static outbox bound: the excess rides inline
         factory = partial(ListingTwoKHop, source=0, k=4)
-        progs_a, a = run_program(inproc_sess, factory, session=inproc_sess)
-        progs_b, b = run_program(pool_sess, factory, session=pool_sess)
+        progs_a, a = run_program(inproc_sess, factory)
+        progs_b, b = run_program(pool_sess, factory)
         assert _ran_on_workers(pool_sess)
         assert [p.best for p in progs_a] == [p.best for p in progs_b]
         assert _engine_row(a) == _engine_row(b)
 
     def test_vertex_program(self, inproc3, pool3):
         va, a = run_vertex_centric(inproc3, BFSVertexProgram(3, k=4),
-                                   max_supersteps=50, session=inproc3)
+                                   max_supersteps=50)
         vb, b = run_vertex_centric(pool3, BFSVertexProgram(3, k=4),
-                                   max_supersteps=50, session=pool3)
+                                   max_supersteps=50)
         assert _ran_on_workers(pool3)
         assert va.tobytes() == vb.tobytes()
         assert a.supersteps == b.supersteps
@@ -321,7 +317,7 @@ class TestDescribedBatchParity:
         degraded_sess.khop([0], 1)
         assert degraded_sess.degraded
         factory = lambda ctx: ListingTwoKHop(ctx, 7, 3)  # noqa: E731
-        progs_a, a = run_program(inproc_sess, factory, session=inproc_sess)
-        progs_b, b = run_program(degraded_sess, factory, session=degraded_sess)
+        progs_a, a = run_program(inproc_sess, factory)
+        progs_b, b = run_program(degraded_sess, factory)
         assert [p.best for p in progs_a] == [p.best for p in progs_b]
         assert _engine_row(a) == _engine_row(b)

@@ -115,7 +115,7 @@ class TestBatchDiscipline:
         from repro.core.khop import concurrent_khop
 
         sources = _sources(session, 20, 7)
-        one_shot = concurrent_khop(session.pg, sources, 3, session=session)
+        one_shot = concurrent_khop(session, sources, 3)
         svc = QueryService(session, k=3, discipline="batch")
         svc.submit_many(sources)
         report = svc.drain()
@@ -137,7 +137,7 @@ class TestBatchDiscipline:
         response, reached = [], []
         for i in range(0, sources.size, width):
             res = concurrent_khop(
-                session.pg, sources[i:i + width], k, session=session
+                session, sources[i:i + width], k
             )
             response.extend(clock + res.completion_seconds)
             reached.extend(res.reached)

@@ -71,10 +71,10 @@ class TestBitIdenticalReuse:
         for batch, seed in ((17, 0), (64, 1), (5, 2)):
             roots = _roots(graph, batch, seed)
             one_shot = concurrent_khop(
-                graph, roots, 3, num_machines=3, **backend_kwargs
+                GraphSession(graph, num_machines=3), roots, 3, **backend_kwargs
             )
             reused = concurrent_khop(
-                graph, roots, 3, session=session, **backend_kwargs
+                session, roots, 3, **backend_kwargs
             )
             np.testing.assert_array_equal(one_shot.reached, reused.reached)
             np.testing.assert_array_equal(
@@ -91,27 +91,26 @@ class TestBitIdenticalReuse:
     def test_gas_pagerank_matches_one_shot(self, graph, session, backend_kwargs):
         for _ in range(2):  # second run exercises the cached task list
             one_shot = pagerank(
-                graph, iterations=5, num_machines=3, **backend_kwargs
+                GraphSession(graph, num_machines=3), iterations=5, **backend_kwargs
             )
             reused = pagerank(
-                graph, iterations=5, session=session, **backend_kwargs
+                session, iterations=5, **backend_kwargs
             )
             np.testing.assert_array_equal(one_shot.values, reused.values)
             assert one_shot.virtual_seconds == reused.virtual_seconds
 
     def test_khop_depths_match(self, graph, session):
         roots = _roots(graph, 32, 3)
-        one = concurrent_khop(graph, roots, None, num_machines=3,
+        one = concurrent_khop(GraphSession(graph, num_machines=3), roots, None,
                               record_depths=True)
-        two = concurrent_khop(graph, roots, None, record_depths=True,
-                              session=session)
+        two = concurrent_khop(session, roots, None, record_depths=True)
         np.testing.assert_array_equal(one.depths, two.depths)
 
     def test_reachability_matches(self, graph, session):
         s = _roots(graph, 20, 4)
         t = _roots(graph, 20, 5)
-        one = reachability_queries(graph, s, t, 4, num_machines=3)
-        two = reachability_queries(graph, s, t, 4, session=session)
+        one = reachability_queries(GraphSession(graph, num_machines=3), s, t, 4)
+        two = reachability_queries(session, s, t, 4)
         np.testing.assert_array_equal(one.reachable, two.reachable)
         np.testing.assert_array_equal(one.hops, two.hops)
 
@@ -119,16 +118,16 @@ class TestBitIdenticalReuse:
         weighted = graph.with_unit_weights()
         wsess = GraphSession(weighted, num_machines=3)
         roots = _roots(graph, 10, 6)
-        one = concurrent_sssp(weighted, roots, max_hops=4, num_machines=3)
-        two = concurrent_sssp(weighted, roots, max_hops=4, session=wsess)
+        one = concurrent_sssp(GraphSession(weighted, num_machines=3), roots, max_hops=4)
+        two = concurrent_sssp(wsess, roots, max_hops=4)
         np.testing.assert_array_equal(one.distances, two.distances)
 
     def test_many_batches_deterministic(self, graph, session):
         """Back-to-back batches on one session never drift."""
         roots = _roots(graph, 64, 7)
-        first = concurrent_khop(graph, roots, 3, session=session)
+        first = concurrent_khop(session, roots, 3)
         for _ in range(5):
-            again = concurrent_khop(graph, roots, 3, session=session)
+            again = concurrent_khop(session, roots, 3)
             np.testing.assert_array_equal(first.reached, again.reached)
             assert first.virtual_seconds == again.virtual_seconds
 
@@ -143,14 +142,14 @@ class TestBatchIsolation:
         results are untouched.
         """
         roots = _roots(graph, 16, 8)
-        clean = concurrent_khop(graph, roots, 3, session=session)
+        clean = concurrent_khop(session, roots, 3)
         for m in session.cluster.machines:
             poison = MessageBatch(
                 np.arange(m.lo, min(m.hi, m.lo + 4), dtype=np.int64),
                 np.full(min(4, m.num_local), np.uint64(0xFFFFFFFFFFFFFFFF)),
             )
             m.inbox.append(poison)
-        after = concurrent_khop(graph, roots, 3, session=session)
+        after = concurrent_khop(session, roots, 3)
         np.testing.assert_array_equal(clean.reached, after.reached)
         assert clean.virtual_seconds == after.virtual_seconds
 
@@ -171,13 +170,13 @@ class TestBatchIsolation:
         self, graph, session, direction
     ):
         wide = _roots(graph, 64, 12)
-        cut = concurrent_khop(graph, wide, 4, session=session,
+        cut = concurrent_khop(session, wide, 4,
                               direction=direction, max_virtual_seconds=1e-9)
         assert cut.truncated and cut.supersteps == 1
         narrow = _roots(graph, 5, 13)
-        after = concurrent_khop(graph, narrow, 3, session=session,
+        after = concurrent_khop(session, narrow, 3,
                                 direction=direction)
-        fresh = concurrent_khop(graph, narrow, 3, num_machines=3,
+        fresh = concurrent_khop(GraphSession(graph, num_machines=3), narrow, 3,
                                 direction=direction)
         _assert_bit_identical(after, fresh)
 
@@ -198,13 +197,13 @@ class TestBatchIsolation:
         with monkeypatch.context() as patch:
             patch.setattr(KHopPartitionTask, "compute", raise_on_last)
             with pytest.raises(RuntimeError, match="injected"):
-                concurrent_khop(graph, wide, 3, session=session,
+                concurrent_khop(session, wide, 3,
                                 direction=direction)
         assert not session.cluster.machines[0].outbox.is_empty
         narrow = _roots(graph, 5, 15)
-        after = concurrent_khop(graph, narrow, 3, session=session,
+        after = concurrent_khop(session, narrow, 3,
                                 direction=direction)
-        fresh = concurrent_khop(graph, narrow, 3, num_machines=3,
+        fresh = concurrent_khop(GraphSession(graph, num_machines=3), narrow, 3,
                                 direction=direction)
         _assert_bit_identical(after, fresh)
 
@@ -220,7 +219,7 @@ class TestBatchIsolation:
             real_append(inbox, batch)
 
         monkeypatch.setattr(Inbox, "append", record)
-        concurrent_khop(graph, _roots(graph, 64, 16), 3, session=session,
+        concurrent_khop(session, _roots(graph, 64, 16), 3,
                         direction=direction)
         planes = session.gather_batch(lambda task: task._plane)
         boundaries = [p.exchange_plan().boundary for p in session.pg.partitions]
@@ -233,25 +232,25 @@ class TestBatchIsolation:
     def test_narrow_then_wide_batch(self, graph, session):
         """A narrower batch after a wider one must not see old query bits."""
         wide = _roots(graph, 64, 9)
-        concurrent_khop(graph, wide, 3, session=session)
+        concurrent_khop(session, wide, 3)
         narrow = wide[:3]
-        one_shot = concurrent_khop(graph, narrow, 3, num_machines=3)
-        reused = concurrent_khop(graph, narrow, 3, session=session)
+        one_shot = concurrent_khop(GraphSession(graph, num_machines=3), narrow, 3)
+        reused = concurrent_khop(session, narrow, 3)
         np.testing.assert_array_equal(one_shot.reached, reused.reached)
 
 
 class TestStateReuse:
     def test_task_lists_are_cached(self, graph, session):
         roots = _roots(graph, 8, 10)
-        concurrent_khop(graph, roots, 2, session=session)
+        concurrent_khop(session, roots, 2)
         tasks_first = session._task_cache[("khop", False)]
-        concurrent_khop(graph, roots, 2, session=session)
+        concurrent_khop(session, roots, 2)
         assert session._task_cache[("khop", False)] is tasks_first
 
     def test_batches_run_counter(self, graph, session):
         before = session.batches_run
         roots = _roots(graph, 8, 11)
-        concurrent_khop(graph, roots, 2, session=session)
+        concurrent_khop(session, roots, 2)
         assert session.batches_run == before + 1
 
     def test_undirected_view_cached(self, graph, session):
@@ -264,10 +263,9 @@ class TestStateReuse:
         assert t1 == t2
         assert session.batches_run == before  # no re-traversal
 
-    def test_for_run_resolution(self, graph, session):
-        assert GraphSession.for_run(graph, 3, None, session) is session
-        assert GraphSession.for_run(session) is session
-        transient = GraphSession.for_run(graph, 2)
+    def test_session_adopts_or_partitions(self, graph, session):
+        assert GraphSession(session.pg).pg is session.pg
+        transient = GraphSession(graph, num_machines=2)
         assert transient is not session
         assert transient.num_machines == 2
 
@@ -288,9 +286,9 @@ class TestGasIsolation:
     def test_different_programs_share_cached_structure(self, graph, session):
         """Two GAS runs with different programs reuse the structural task
         precompute but never each other's values."""
-        one = run_gas(graph, PageRankProgram(damping=0.85), 4, session=session)
-        other = run_gas(graph, PageRankProgram(damping=0.5), 4, session=session)
-        again = run_gas(graph, PageRankProgram(damping=0.85), 4, session=session)
+        one = run_gas(session, PageRankProgram(damping=0.85), 4)
+        other = run_gas(session, PageRankProgram(damping=0.5), 4)
+        again = run_gas(session, PageRankProgram(damping=0.85), 4)
         assert not np.array_equal(one.values, other.values)
         np.testing.assert_array_equal(one.values, again.values)
 
@@ -322,13 +320,12 @@ def _sssp(sess, width):
 
 
 def _program(sess, factory):
-    programs, result = run_program(sess, factory, max_supersteps=50, session=sess)
+    programs, result = run_program(sess, factory, max_supersteps=50)
     return [vars(p) for p in programs], _engine_row(result)
 
 
 def _vertex(sess, program):
-    values, result = run_vertex_centric(sess, program, max_supersteps=50,
-                                        session=sess)
+    values, result = run_vertex_centric(sess, program, max_supersteps=50)
     return values.tobytes(), _engine_row(result)
 
 
@@ -364,7 +361,7 @@ class TestResidentReset:
         def run(sess, sources, k, cache_blocks, spill):
             res = concurrent_khop_out_of_core(
                 sess, sources, k, cache_blocks=cache_blocks,
-                spill_directory=tmp_path / spill, session=sess,
+                spill_directory=tmp_path / spill,
             )
             return (
                 res.reached.tolist(), repr(res.virtual_seconds), res.supersteps,

@@ -111,7 +111,7 @@ def test_catching_the_base_catches_everything():
         lambda sess: sess.reach([0], [1], 2, use_edge_sets=True),
         lambda sess: sess.gas(PageRankProgram(), 2, asynchronous=True),
         lambda sess: QueryService(sess, 2, use_edge_sets=True),
-        lambda sess: concurrent_khop_out_of_core(sess, [0], 2, session=sess),
+        lambda sess: concurrent_khop_out_of_core(sess, [0], 2),
     ],
     ids=[
         "khop-edge-sets", "khop-async", "reach-edge-sets", "gas-async",
@@ -163,7 +163,7 @@ def test_unsupported_combinations_fail_typed_before_any_work(call):
     [
         lambda sess: sess.khop([5], -1),
         lambda sess: sess.reach([5], [5], -1),
-        lambda sess: concurrent_khop_out_of_core(sess, [5], -1, session=sess),
+        lambda sess: concurrent_khop_out_of_core(sess, [5], -1),
         lambda sess: QueryService(sess, -1, planner="traversal"),
         lambda sess: QueryService(sess, -1, planner="hybrid"),
     ],
@@ -191,7 +191,7 @@ def _gas_with_a_local_class(sess):
         (_gas_with_a_local_class, "LocalRank"),
         (
             lambda sess: run_program(
-                sess, lambda ctx: ListingTwoKHop(ctx, 0, 2), session=sess
+                sess, lambda ctx: ListingTwoKHop(ctx, 0, 2)
             ),
             "lambda",
         ),

@@ -22,6 +22,7 @@ from repro.graph import (
 )
 from repro.graph.io import read_edge_list, write_edge_list
 from repro.runtime.scheduler import SLOTS_PER_MACHINE, simulate_fifo_pool
+from repro.runtime.session import GraphSession
 
 
 class TestEndToEndWorkflows:
@@ -47,7 +48,7 @@ class TestEndToEndWorkflows:
 
         source, k = 9, 3
         expected = oracle_khop_reach(small_rmat, source, k)
-        engine = concurrent_khop(small_rmat, [source], k, num_machines=3,
+        engine = concurrent_khop(GraphSession(small_rmat, num_machines=3), [source], k,
                                  record_depths=True)
         engine_set = set(np.nonzero(engine.depths[:, 0] >= 0)[0].tolist())
         assert engine_set == expected
@@ -56,9 +57,9 @@ class TestEndToEndWorkflows:
 
     def test_pagerank_invariant_to_representation(self, small_rmat):
         """Partitions, edge-sets and reindexing never change PageRank mass."""
-        base = pagerank(small_rmat, iterations=10).values
+        base = pagerank(GraphSession(small_rmat), iterations=10).values
         re, mapping = small_rmat.reindex("degree")
-        re_run = pagerank(re, iterations=10, num_machines=3).values
+        re_run = pagerank(GraphSession(re, num_machines=3), iterations=10).values
         np.testing.assert_allclose(np.sort(base), np.sort(re_run), rtol=1e-9)
         np.testing.assert_allclose(base, re_run[mapping], rtol=1e-9)
 
@@ -84,34 +85,34 @@ class TestAdversarialGraphs:
 
     def test_single_vertex_graph(self):
         el = EdgeList.empty(1)
-        res = concurrent_khop(el, [0], k=5)
+        res = concurrent_khop(GraphSession(el), [0], k=5)
         assert res.reached[0] == 1
 
     def test_self_loops_only(self):
         el = EdgeList.from_pairs([(0, 0), (1, 1)], num_vertices=2)
-        res = concurrent_khop(el, [0], k=3)
+        res = concurrent_khop(GraphSession(el), [0], k=3)
         assert res.reached[0] == 1  # a self loop adds nothing new
 
     def test_disconnected_components(self):
         el = EdgeList.from_pairs([(0, 1), (2, 3)], num_vertices=4)
-        res = concurrent_khop(el, [0, 2], k=5)
+        res = concurrent_khop(GraphSession(el), [0, 2], k=5)
         assert res.reached.tolist() == [2, 2]
 
     def test_star_hub_query_floods_one_level(self):
         el = star_graph(1000)
-        res = concurrent_khop(el, [0], k=1, num_machines=5)
+        res = concurrent_khop(GraphSession(el, num_machines=5), [0], k=1)
         assert res.reached[0] == 1001
         assert res.completion_level[0] == 1
 
     def test_long_path_many_supersteps(self):
         el = path_graph(200, directed=True)
-        res = concurrent_khop(el, [0], k=None, num_machines=4)
+        res = concurrent_khop(GraphSession(el, num_machines=4), [0], k=None)
         assert res.supersteps == 200  # one hop per superstep + final check
         assert res.reached[0] == 200
 
     def test_dense_graph_one_superstep_covers_all(self):
         el = complete_graph(40)
-        res = concurrent_khop(el, [0], k=1, num_machines=3)
+        res = concurrent_khop(GraphSession(el, num_machines=3), [0], k=1)
         assert res.reached[0] == 40
 
     def test_extreme_skew_partitioning(self):
@@ -121,17 +122,17 @@ class TestAdversarialGraphs:
         el = EdgeList.from_pairs(hub_edges + tail_edges)
         pg = range_partition(el, 4)
         assert pg.edge_balance() < 2.5
-        res = concurrent_khop(pg, [0], 2)
+        res = concurrent_khop(GraphSession(pg), [0], 2)
         assert res.reached[0] == len(oracle_khop_reach(el, 0, 2))
 
     def test_all_sources_identical_full_width(self, small_rmat):
-        res = concurrent_khop(small_rmat, [7] * 64, k=2)
+        res = concurrent_khop(GraphSession(small_rmat), [7] * 64, k=2)
         assert (res.reached == res.reached[0]).all()
 
     def test_graph_with_sink_heavy_structure(self):
         """All edges point into one sink: traversals die immediately."""
         el = EdgeList.from_pairs([(i, 99) for i in range(99)])
-        res = concurrent_khop(el, [0, 99], k=3)
+        res = concurrent_khop(GraphSession(el), [0, 99], k=3)
         assert res.reached[0] == 2  # 0 -> sink
         assert res.reached[1] == 1  # sink has no out-edges
 
@@ -139,22 +140,22 @@ class TestAdversarialGraphs:
         from repro.core.sssp import sssp
 
         el = EdgeList.from_pairs([(0, 1), (1, 2)], weights=[0.0, 0.0])
-        res = sssp(el, 0)
+        res = sssp(GraphSession(el), 0)
         assert res.distances.tolist() == [0.0, 0.0, 0.0]
 
 
 class TestScaleStress:
     def test_wide_batch_on_generated_graph(self):
         el = graph500_kronecker(11, edgefactor=8, seed=5).remove_self_loops()
-        res = concurrent_khop(el, list(range(64)), k=3, num_machines=6)
+        res = concurrent_khop(GraphSession(el, num_machines=6), list(range(64)), k=3)
         assert res.num_queries == 64
         # spot-check a few against the oracle
         for q in (0, 31, 63):
             assert res.reached[q] == len(oracle_khop_reach(el, q, 3))
 
     def test_many_machines_relative_to_graph(self, small_rmat):
-        res = concurrent_khop(small_rmat, [0], k=3, num_machines=32)
-        base = concurrent_khop(small_rmat, [0], k=3, num_machines=1)
+        res = concurrent_khop(GraphSession(small_rmat, num_machines=32), [0], k=3)
+        base = concurrent_khop(GraphSession(small_rmat, num_machines=1), [0], k=3)
         assert res.reached[0] == base.reached[0]
 
     def test_pagerank_matches_independent_dense_reference(self):
@@ -163,7 +164,7 @@ class TestScaleStress:
         oracle treats dangling mass differently, so the strongest check is
         an independent implementation of the *same* formulation)."""
         el = graph500_kronecker(10, edgefactor=8, seed=9).remove_self_loops()
-        run = pagerank(el, iterations=20, num_machines=4)
+        run = pagerank(GraphSession(el, num_machines=4), iterations=20)
         n = el.num_vertices
         outdeg = el.out_degrees().astype(float)
         ref = np.full(n, 0.15)
