@@ -13,6 +13,7 @@ from repro.core.khop import concurrent_khop
 from repro.core.pagerank import pagerank
 from repro.graph import build_csr, range_partition, rmat_edges
 from repro.runtime.message import MessageBatch, combine_or
+from repro.runtime.session import GraphSession
 
 
 @pytest.fixture(scope="module")
@@ -32,15 +33,15 @@ def test_kernel_partition(benchmark, kernel_graph):
 
 
 def test_kernel_single_khop(benchmark, kernel_graph):
-    pg = range_partition(kernel_graph, 1)
-    res = benchmark(concurrent_khop, pg, [0], 3)
+    sess = GraphSession(kernel_graph)
+    res = benchmark(concurrent_khop, sess, [0], 3)
     assert res.reached[0] > 0
 
 
 def test_kernel_batch64_khop(benchmark, kernel_graph):
-    pg = range_partition(kernel_graph, 1)
+    sess = GraphSession(kernel_graph)
     sources = list(range(64))
-    res = benchmark(concurrent_khop, pg, sources, 3)
+    res = benchmark(concurrent_khop, sess, sources, 3)
     assert res.num_queries == 64
 
 
@@ -75,19 +76,19 @@ def test_kernel_frontier_promote(benchmark):
 
 
 def test_kernel_pagerank_iteration(benchmark, kernel_graph):
-    pg = range_partition(kernel_graph, 4)
+    sess = GraphSession(kernel_graph, num_machines=4)
     run = benchmark.pedantic(
-        pagerank, args=(pg,), kwargs={"iterations": 2, "num_machines": 4},
+        pagerank, args=(sess,), kwargs={"iterations": 2},
         rounds=3, iterations=1,
     )
     assert run.iterations == 2
 
 
 def test_kernel_wide_batch_512(benchmark, kernel_graph):
-    pg = range_partition(kernel_graph, 1)
+    sess = GraphSession(kernel_graph)
     sources = [i % kernel_graph.num_vertices for i in range(512)]
     res = benchmark.pedantic(
-        concurrent_khop, args=(pg, sources, 3), rounds=3, iterations=1
+        concurrent_khop, args=(sess, sources, 3), rounds=3, iterations=1
     )
     assert res.num_queries == 512
 
@@ -95,12 +96,12 @@ def test_kernel_wide_batch_512(benchmark, kernel_graph):
 def test_kernel_reachability_batch(benchmark, kernel_graph):
     from repro.core.reachability import reachability_queries
 
-    pg = range_partition(kernel_graph, 2)
+    sess = GraphSession(kernel_graph, num_machines=2)
     rng = np.random.default_rng(7)
     src = rng.integers(0, kernel_graph.num_vertices, 32)
     dst = rng.integers(0, kernel_graph.num_vertices, 32)
     res = benchmark.pedantic(
-        reachability_queries, args=(pg, src, dst, 3), rounds=3, iterations=1
+        reachability_queries, args=(sess, src, dst, 3), rounds=3, iterations=1
     )
     assert res.num_queries == 32
 
@@ -113,9 +114,9 @@ def test_kernel_multi_sssp(benchmark, kernel_graph):
     w = EdgeList(kernel_graph.src, kernel_graph.dst,
                  kernel_graph.num_vertices,
                  rng.uniform(0.5, 2.0, kernel_graph.num_edges))
-    pg = range_partition(w, 2)
+    sess = GraphSession(w, num_machines=2)
     res = benchmark.pedantic(
-        concurrent_sssp, args=(pg, list(range(16))), rounds=3, iterations=1
+        concurrent_sssp, args=(sess, list(range(16))), rounds=3, iterations=1
     )
     assert res.num_queries == 16
 
@@ -123,10 +124,8 @@ def test_kernel_multi_sssp(benchmark, kernel_graph):
 def test_kernel_kcore(benchmark, kernel_graph):
     from repro.core.kcore import core_numbers
 
-    res = benchmark.pedantic(
-        core_numbers, args=(kernel_graph,), kwargs={"num_machines": 2},
-        rounds=1, iterations=1,
-    )
+    sess = GraphSession(kernel_graph, num_machines=2)
+    res = benchmark.pedantic(core_numbers, args=(sess,), rounds=1, iterations=1)
     assert res.core.max() > 0
 
 
