@@ -349,7 +349,9 @@ def cmd_reach(args, out) -> int:
 
     el = _load(args)
     sess = _session(args, el)
-    rng = np.random.default_rng(args.seed)
+    # a stream of its own: random_sources draws from default_rng(seed), so
+    # reusing that seed here paired every source with itself
+    rng = np.random.default_rng([args.seed, 1])
     try:
         sources = random_sources(el, args.pairs, seed=args.seed)
         targets = rng.integers(0, el.num_vertices, size=args.pairs)
@@ -802,8 +804,11 @@ def cmd_index(args, out) -> int:
     el = _load(args)
     sess = _session(args, el)
     if args.load:
-        labels = load_labels(args.load)
-        sess.set_index(labels)
+        try:
+            labels = load_labels(args.load)
+            sess.set_index(labels)
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"repro index: {exc}") from None
         build = None
         print(f"index loaded from {args.load}", file=out)
     else:
@@ -827,7 +832,10 @@ def cmd_index(args, out) -> int:
 
     # action == "query"
     planner = IndexPlanner(labels, sess.netmodel)
-    answer = planner.answer([args.source], [args.target], args.k)
+    try:
+        answer = planner.answer([args.source], [args.target], args.k)
+    except ValueError as exc:
+        raise SystemExit(f"repro index: {exc}") from None
     dist = labels.dist(args.source, args.target)
     budget = "unbounded" if args.k is None else f"k={args.k}"
     verdict = "reachable" if answer.reachable[0] else "unreachable"

@@ -15,13 +15,18 @@ Pruned vertices are not expanded, which is where the index's size and build
 time collapse from O(n²) to roughly the label size.  The canonical-labeling
 theorem (Akiba et al. 2013) guarantees the pruned labels still answer every
 exact distance, which the property tests assert against the networkx oracle.
+
+While building, each side's labels sit in a padded 2-D slab (a row per
+vertex, ranks ascending, padding at a rank whose root distance is ∞), so
+pruning a whole BFS level is one row gather, an add and a row ``min``.  For
+a fixed order the labelling is canonical, so ``tests/index/`` holds this
+build to a pure-Python reference byte for byte.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -32,7 +37,9 @@ from repro.index.labels import HubLabels
 
 __all__ = ["IndexBuild", "build_hub_labels", "global_csr_csc", "hub_order"]
 
-_INF = np.iinfo(np.int64).max // 4
+# root and label distances are int32; ∞ plus any hop count (< n) fits in
+# int32 while n <= 2**30
+_INF = np.iinfo(np.int32).max // 2
 
 
 @dataclass
@@ -91,33 +98,60 @@ def hub_order(graph: EdgeList | PartitionedGraph) -> np.ndarray:
     return np.argsort(-degrees, kind="stable").astype(np.int64)
 
 
-class _LabelAccumulator:
-    """Per-vertex append-only label lists, finalised into CSR arrays.
+class _LabelSlab:
+    """One side's labels during construction: a padded 2-D slab.
 
-    Hub ranks are processed in ascending order, so each vertex's list is
-    already rank-sorted — finalisation is a flat copy, not a sort.
+    Row ``v`` holds ``v``'s entries in columns ``[0, length[v])``, already
+    rank-sorted because ranks are processed in ascending order.  Padding is
+    the rank ``n`` at distance 0, and the BFS keeps ``root_dist[n]`` at ∞,
+    so a prune test may read a whole padded width.  The width doubles when
+    a row fills.
     """
 
     def __init__(self, num_vertices: int):
-        self.hubs: list[list[int]] = [[] for _ in range(num_vertices)]
-        self.dists: list[list[int]] = [[] for _ in range(num_vertices)]
+        self.length = np.zeros(num_vertices, dtype=np.int64)
+        self.hubs = np.full((num_vertices, 1), num_vertices, dtype=np.int32)
+        self.dists = np.zeros((num_vertices, 1), dtype=np.int32)
+
+    def row(self, v: int) -> tuple[np.ndarray, np.ndarray]:
+        """Vertex ``v``'s ``(hubs, dists)`` entries (views into the slab)."""
+        w = self.length[v]
+        return self.hubs[v, :w], self.dists[v, :w]
 
     def append(self, vertices: np.ndarray, rank: int, dist: int) -> None:
-        for v in vertices.tolist():
-            self.hubs[v].append(rank)
-            self.dists[v].append(dist)
+        """Append ``(rank, dist)`` to each of the distinct ``vertices``."""
+        col = self.length[vertices]
+        width = self.hubs.shape[1]
+        if col.size and col.max() >= width:
+            sentinel = self.hubs.shape[0]
+            self.hubs = np.pad(self.hubs, ((0, 0), (0, width)),
+                               constant_values=sentinel)
+            self.dists = np.pad(self.dists, ((0, 0), (0, width)))
+        self.hubs[vertices, col] = rank
+        self.dists[vertices, col] = dist
+        self.length[vertices] = col + 1
+
+    def unpruned(
+        self, cand: np.ndarray, d: int, root_dist: np.ndarray
+    ) -> np.ndarray:
+        """Candidates whose entries cannot already prove a distance ``<= d``.
+
+        One 2-D gather of every candidate's padded row against the root's
+        dense rank -> distance scatter, then a row ``min``.
+        """
+        w = int(self.length[cand].max())
+        if w == 0:
+            return cand
+        via = root_dist.take(self.hubs[cand, :w])
+        via += self.dists[cand, :w]
+        return cand[via.min(axis=1) > d]
 
     def finalize(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        counts = np.array([len(h) for h in self.hubs], dtype=np.int64)
-        indptr = np.zeros(counts.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        flat_hubs = np.array(
-            [h for per_vertex in self.hubs for h in per_vertex], dtype=np.int32
-        )
-        flat_dists = np.array(
-            [d for per_vertex in self.dists for d in per_vertex], dtype=np.int32
-        )
-        return indptr, flat_hubs, flat_dists
+        """Pack the slab into CSR ``(indptr, hubs, dists)``."""
+        indptr = np.zeros(self.length.size + 1, dtype=np.int64)
+        np.cumsum(self.length, out=indptr[1:])
+        filled = np.arange(self.hubs.shape[1]) < self.length[:, None]
+        return indptr, self.hubs[filled], self.dists[filled]
 
 
 class _PrunedBFS:
@@ -129,55 +163,60 @@ class _PrunedBFS:
 
     def __init__(self, adj: CSR, num_vertices: int):
         self.adj = adj
-        # dense hub-rank -> distance scatter of the root's opposite-side label
-        self.root_dist = np.full(num_vertices, _INF, dtype=np.int64)
+        # dense hub-rank -> distance scatter of the root's opposite-side
+        # label; the extra last slot is the slab's padding rank, always ∞
+        self.root_dist = np.full(num_vertices + 1, _INF, dtype=np.int32)
         self.visited = np.zeros(num_vertices, dtype=bool)
+        # frontier dedup: each candidate writes its position, one survives
+        self.slot = np.zeros(num_vertices, dtype=np.int64)
 
     def run(
         self,
         root: int,
         rank: int,
-        root_hubs: list[int],
-        root_dists: list[int],
-        labels: _LabelAccumulator,
+        root_label: tuple[np.ndarray, np.ndarray],
+        labels: _LabelSlab,
     ) -> tuple[int, int]:
         """Pruned BFS from ``root``; labels survivors with ``(rank, d)``.
 
         The 2-hop pruning query for a candidate ``v`` at distance ``d``
-        intersects the root's opposite-side label (``root_hubs`` /
-        ``root_dists``, scattered densely by rank) with ``v``'s entries in
-        ``labels`` — the side this BFS extends.  Candidates whose existing
-        labels already prove a distance ``<= d`` are neither labeled nor
-        expanded.  Returns ``(labeled, pruned)`` visit counts.
+        intersects the root's opposite-side label (``root_label``,
+        scattered densely by rank) with ``v``'s row in ``labels`` — the side
+        this BFS extends.  Candidates whose existing labels already prove a
+        distance ``<= d`` are neither labeled nor expanded.  Returns
+        ``(labeled, pruned)`` visit counts.
         """
-        labeled = pruned = 0
+        root_hubs, root_dists = root_label
         self.root_dist[root_hubs] = root_dists
         self.root_dist[rank] = 0
 
-        frontier = np.array([root], dtype=np.int64)
+        seen = [np.array([root])]
         self.visited[root] = True
         # the root always labels itself at distance 0: no earlier hub pair
         # can witness dist(root, root) <= 0
-        labels.append(frontier, rank, 0)
-        labeled += 1
-        seen = [frontier]
-        d = 0
-        while frontier.size:
-            d += 1
-            pos, _ = self.adj.gather_edges(frontier)
-            if pos.size == 0:
-                break
-            cand = np.unique(self.adj.indices[pos].astype(np.int64))
-            cand = cand[~self.visited[cand]]
+        labels.append(seen[0], rank, 0)
+        labeled, pruned = 1, 0
+        # the first level is one row of the adjacency: a slice, no gather
+        nbrs = self.adj.indices[self.adj.indptr[root]:self.adj.indptr[root + 1]]
+        d = 1
+        while True:
+            cand = nbrs[~self.visited[nbrs]]
             if cand.size == 0:
                 break
+            at = np.arange(cand.size)
+            self.slot[cand] = at
+            cand = cand[self.slot[cand] == at]
             self.visited[cand] = True
             seen.append(cand)
-            keep = self._unpruned(cand, d, labels)
+            keep = labels.unpruned(cand, d, self.root_dist)
             pruned += int(cand.size - keep.size)
             labeled += int(keep.size)
             labels.append(keep, rank, d)
-            frontier = keep
+            if keep.size == 0:
+                break
+            pos, _ = self.adj.gather_edges(keep)
+            nbrs = self.adj.indices[pos]
+            d += 1
 
         for block in seen:
             self.visited[block] = False
@@ -185,42 +224,14 @@ class _PrunedBFS:
         self.root_dist[rank] = _INF
         return labeled, pruned
 
-    def _unpruned(
-        self, cand: np.ndarray, d: int, labels: _LabelAccumulator
-    ) -> np.ndarray:
-        """Candidates whose existing labels cannot already prove dist <= d.
 
-        One flat gather of every candidate's label slice, then a
-        ``reduceat`` segment-min: consecutive non-empty segment starts span
-        the empty ones, so filtering to non-empty starts keeps the reduce
-        aligned.
-        """
-        cand_list = cand.tolist()
-        counts = np.fromiter(
-            (len(labels.hubs[v]) for v in cand_list),
-            dtype=np.int64,
-            count=len(cand_list),
-        )
-        total = int(counts.sum())
-        if total == 0:
-            return cand
-        flat_hubs = np.fromiter(
-            chain.from_iterable(labels.hubs[v] for v in cand_list),
-            dtype=np.int64,
-            count=total,
-        )
-        flat_dists = np.fromiter(
-            chain.from_iterable(labels.dists[v] for v in cand_list),
-            dtype=np.int64,
-            count=total,
-        )
-        via = self.root_dist[flat_hubs] + flat_dists
-        starts = np.zeros(counts.size, dtype=np.int64)
-        np.cumsum(counts[:-1], out=starts[1:])
-        best = np.full(cand.size, _INF, dtype=np.int64)
-        nonempty = counts > 0
-        best[nonempty] = np.minimum.reduceat(via, starts[nonempty])
-        return cand[best > d]
+def _check_order(order, n: int) -> np.ndarray:
+    """``order`` as int64 ids, refused unless each vertex appears once."""
+    order = np.asarray(order)
+    integral = order.dtype.kind in "iu" or order.size == 0
+    if not integral or not np.array_equal(np.sort(order), np.arange(n)):
+        raise ValueError("order must be a permutation of the vertex ids")
+    return order.astype(np.int64, copy=False)
 
 
 def build_hub_labels(
@@ -235,28 +246,22 @@ def build_hub_labels(
     """
     t0 = time.perf_counter()
     n = graph.num_vertices
-    order = hub_order(graph) if order is None else np.asarray(order, np.int64)
-    if order.size != n or (n and (order.min() < 0 or order.max() >= n)):
-        raise ValueError("order must be a permutation of the vertex ids")
+    order = hub_order(graph) if order is None else _check_order(order, n)
 
     out_csr, in_csc = global_csr_csc(graph)
-    out_labels = _LabelAccumulator(n)  # per-vertex hubs it reaches
-    in_labels = _LabelAccumulator(n)  # per-vertex hubs reaching it
+    out_labels = _LabelSlab(n)  # per-vertex hubs it reaches
+    in_labels = _LabelSlab(n)  # per-vertex hubs reaching it
 
     forward = _PrunedBFS(out_csr, n)
     backward = _PrunedBFS(in_csc, n)
     labeled = pruned = 0
     for rank, root in enumerate(order.tolist()):
         # forward: d(root, v) — prune via out(root) ∩ in(v), extend in-labels
-        lab, pru = forward.run(
-            root, rank, out_labels.hubs[root], out_labels.dists[root], in_labels
-        )
+        lab, pru = forward.run(root, rank, out_labels.row(root), in_labels)
         labeled += lab
         pruned += pru
         # backward: d(v, root) — prune via out(v) ∩ in(root), extend out-labels
-        lab, pru = backward.run(
-            root, rank, in_labels.hubs[root], in_labels.dists[root], out_labels
-        )
+        lab, pru = backward.run(root, rank, in_labels.row(root), out_labels)
         labeled += lab
         pruned += pru
 

@@ -134,6 +134,11 @@ class TestValidation:
         el = rmat_edges(4, 40, seed=1)
         with pytest.raises(ValueError, match="permutation"):
             build_hub_labels(el, order=np.array([0, 0, 1]))
+        # right size and range, but not every vertex exactly once / not ids
+        path = EdgeList(np.array([0, 1]), np.array([1, 2]), num_vertices=3)
+        for order in ([2, 2, 2], [0.9, 1.5, 2.2]):
+            with pytest.raises(ValueError, match="permutation"):
+                build_hub_labels(path, order=np.array(order))
 
 
 class TestBuildAccounting:

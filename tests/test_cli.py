@@ -212,6 +212,59 @@ class TestQueryRefusals:
         assert out.count("reached") == 100
 
 
+class TestIndex:
+    """``repro index`` builds, saves, loads and answers; bad input exits as
+    one ``repro index:`` line, as in ``khop``, ``reach`` and ``service``."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        path = tmp_path / "or.npz"
+        out = run_cli("index", "build", "--save", str(path), *SCALE)
+        assert f"saved to {path}" in out
+        return path
+
+    @pytest.mark.parametrize(
+        "argv, match",
+        [
+            (["--source", "100000"], "source vertex out of range"),
+            (["--target", "-1"], "target vertex out of range"),
+            (["--k", "-1"], "k must be >= 0"),
+        ],
+        ids=["source-out-of-range", "target-out-of-range", "k-negative"],
+    )
+    def test_bad_query_exits_cleanly(self, argv, match):
+        with pytest.raises(SystemExit, match=f"^repro index: {match}"):
+            main(["index", "query", *argv, *SCALE], out=io.StringIO())
+
+    def test_missing_index_file_exits_cleanly(self, tmp_path):
+        absent = tmp_path / "absent.npz"
+        with pytest.raises(SystemExit, match="^repro index: .*No such file"):
+            main(["index", "stats", "--load", str(absent), *SCALE],
+                 out=io.StringIO())
+
+    def test_index_over_another_graph_exits_cleanly(self, saved):
+        with pytest.raises(
+            SystemExit, match=r"^repro index: index covers \d+ vertices, "
+                              r"graph has \d+"
+        ):
+            main(["index", "stats", "--load", str(saved), "--scale", "0.06"],
+                 out=io.StringIO())
+
+    def test_saved_index_answers_like_reach(self, saved):
+        import re
+
+        stats = run_cli("index", "stats", "--load", str(saved), *SCALE)
+        assert f"index loaded from {saved}" in stats
+        assert "label entries:" in stats
+        out = run_cli("reach", "--pairs", "8", "--k", "1", *SCALE)
+        pairs = re.findall(r"(\d+) -> +(\d+): (reachable|unreachable)", out)
+        assert {v for _, _, v in pairs} == {"reachable", "unreachable"}
+        for s, t, verdict in pairs:
+            out = run_cli("index", "query", "--load", str(saved),
+                          "--source", s, "--target", t, "--k", "1", *SCALE)
+            assert f"{s} -> {t} (k=1): {verdict}" in out
+
+
 class TestServiceTelemetry:
     def test_service_without_flags_stays_uninstrumented(self):
         out = run_cli("service", "--queries", "8", "--k", "2", *SCALE)
