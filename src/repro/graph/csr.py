@@ -82,35 +82,17 @@ class CSR:
 def expand_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Concatenate ``[arange(s, e) for s, e in zip(starts, ends)]`` without a loop.
 
-    The classic cumsum trick: total output length is ``sum(ends - starts)``;
-    we lay down ones, add a corrective jump at each range boundary, and
-    cumulative-sum.
+    Output position ``i`` of range ``r`` holds ``i`` plus that range's
+    shift, ``starts[r]`` minus the output offset where range ``r`` begins.
     """
     starts = np.asarray(starts, dtype=np.int64)
     ends = np.asarray(ends, dtype=np.int64)
     counts = ends - starts
     if np.any(counts < 0):
         raise ValueError("ranges must have non-negative length")
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    out = np.ones(total, dtype=np.int64)
-    boundaries = np.cumsum(counts[:-1])
-    nonempty = counts > 0
-    first_nonempty = np.argmax(nonempty)  # counts[first_nonempty] > 0 since total > 0
-    out[0] = starts[first_nonempty]
-    # At each boundary between consecutive emitted ranges, jump from the end
-    # of the previous non-empty range to the start of the next one.
-    prev_end = ends[:-1][nonempty[:-1]]
-    # Boundary positions only exist where the *previous* range was non-empty;
-    # align jumps with the starts of the ranges that follow them.
-    idx_nonempty = np.nonzero(nonempty)[0]
-    if idx_nonempty.size > 1:
-        jump_pos = np.cumsum(counts)[idx_nonempty[:-1]]
-        next_starts = starts[idx_nonempty[1:]]
-        prev_ends = ends[idx_nonempty[:-1]]
-        out[jump_pos] = next_starts - prev_ends + 1
-    return np.cumsum(out)
+    out = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    out += np.arange(out.size, dtype=np.int64)
+    return out
 
 
 def build_csr(

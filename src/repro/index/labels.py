@@ -12,9 +12,10 @@ labeling).  A k-hop reachability query is then a sorted label intersection:
 ``reach(s, t, k)  iff  dist(s, t) <= k``.
 
 Labels live in CSR-style numpy arrays — ``indptr`` into flat ``hubs`` /
-``dists`` arrays, hub *ranks* ascending within each vertex's slice — so a
-batch of point queries is answered with one vectorised lexsort-merge over
-the gathered label slices, no per-pair python loop.
+``dists`` arrays, hub *ranks* strictly ascending within each vertex's slice
+(:func:`check_labels` refuses anything else) — so a batch of point queries
+is answered with one sorted-key search over the gathered label slices, no
+sort and no per-pair python loop.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from repro.graph.csr import expand_ranges
 
-__all__ = ["HubLabels", "UNREACHABLE"]
+__all__ = ["HubLabels", "UNREACHABLE", "check_labels"]
 
 #: Public sentinel for "no path": ``dist_many`` returns -1 for such pairs.
 UNREACHABLE = -1
@@ -102,9 +103,11 @@ class HubLabels:
         """Hop distances for aligned ``(sources[i], targets[i])`` pairs.
 
         Returns an int64 array; ``UNREACHABLE`` (-1) marks pairs with no
-        path.  One vectorised pass: gather both endpoints' label slices,
-        lexsort by (pair, hub), and segment-min the distance sums at
-        adjacent out/in entries sharing a hub.
+        path.  One vectorised pass: gather both endpoints' label slices as
+        keys ``pair * n + rank``.  Ranks ascend within each slice, so both
+        key arrays come out globally sorted; one ``searchsorted`` of the
+        in-keys into the out-keys finds the hubs each pair has in common,
+        and a ``min`` per pair over their distance sums answers it.
         """
         sources = self._check_ids(sources, "source")
         targets = self._check_ids(targets, "target")
@@ -114,47 +117,28 @@ class HubLabels:
         if num_pairs == 0:
             return np.empty(0, dtype=np.int64)
 
+        n = self.num_vertices
         out_lo, out_hi = self.out_indptr[sources], self.out_indptr[sources + 1]
         in_lo, in_hi = self.in_indptr[targets], self.in_indptr[targets + 1]
         out_pos = expand_ranges(out_lo, out_hi)
         in_pos = expand_ranges(in_lo, in_hi)
-
-        pair = np.concatenate(
-            [
-                np.repeat(np.arange(num_pairs, dtype=np.int64), out_hi - out_lo),
-                np.repeat(np.arange(num_pairs, dtype=np.int64), in_hi - in_lo),
-            ]
-        )
-        hub = np.concatenate([self.out_hubs[out_pos], self.in_hubs[in_pos]])
-        dist = np.concatenate(
-            [
-                self.out_dists[out_pos].astype(np.int64),
-                self.in_dists[in_pos].astype(np.int64),
-            ]
-        )
-        side = np.concatenate(
-            [
-                np.zeros(out_pos.size, dtype=np.int8),
-                np.ones(in_pos.size, dtype=np.int8),
-            ]
-        )
+        base = np.arange(num_pairs, dtype=np.int64) * n
+        out_keys = np.repeat(base, out_hi - out_lo)
+        out_keys += self.out_hubs[out_pos]
+        in_keys = np.repeat(base, in_hi - in_lo)
+        in_keys += self.in_hubs[in_pos]
 
         result = np.full(num_pairs, _INF, dtype=np.int64)
-        if hub.size:
-            # sort by (pair, hub, side): a hub common to out(s) and in(t)
-            # becomes an adjacent out/in entry pair
-            o = np.lexsort((side, hub, pair))
-            pair, hub, dist, side = pair[o], hub[o], dist[o], side[o]
-            match = (
-                (pair[1:] == pair[:-1])
-                & (hub[1:] == hub[:-1])
-                & (side[:-1] == 0)
-                & (side[1:] == 1)
+        if out_keys.size and in_keys.size:
+            at = np.searchsorted(out_keys, in_keys)
+            np.minimum(at, out_keys.size - 1, out=at)
+            common = np.flatnonzero(out_keys[at] == in_keys)
+            total = np.add(
+                self.out_dists[out_pos[at[common]]],
+                self.in_dists[in_pos[common]],
+                dtype=np.int64,
             )
-            if match.any():
-                np.minimum.at(
-                    result, pair[:-1][match], dist[:-1][match] + dist[1:][match]
-                )
+            np.minimum.at(result, in_keys[common] // n, total)
         # a vertex always reaches itself in 0 hops, labels or not
         result[sources == targets] = 0
         result[result >= _INF] = UNREACHABLE
@@ -191,3 +175,56 @@ class HubLabels:
             f"HubLabels(n={self.num_vertices}, entries={self.num_entries}, "
             f"mean_label={self.mean_label_size:.1f})"
         )
+
+
+def check_labels(labels: HubLabels) -> HubLabels:
+    """Refuse structurally invalid labels; returns ``labels`` unchanged.
+
+    :meth:`HubLabels.dist_many` relies on every slice's ranks ascending
+    strictly, so an index read from disk or handed to a session is checked
+    here first.  Raises :class:`ValueError` naming the field when an
+    ``indptr`` is not ``n + 1`` long, starting at 0, non-decreasing and
+    ending at its ``hubs`` size; when ``hubs`` and ``dists`` differ in
+    length; when a rank is outside ``[0, n)`` or not strictly above its
+    predecessor in the slice; when a distance is negative; or when
+    ``order`` is not a permutation of the vertices.
+    """
+    n = int(labels.num_vertices)
+    for side in ("out", "in"):
+        indptr = np.asarray(getattr(labels, f"{side}_indptr"))
+        hubs = np.asarray(getattr(labels, f"{side}_hubs"))
+        dists = np.asarray(getattr(labels, f"{side}_dists"))
+        if (
+            indptr.shape != (n + 1,)
+            or indptr[0] != 0
+            or np.any(np.diff(indptr) < 0)
+            or indptr[-1] != hubs.size
+        ):
+            raise ValueError(
+                f"{side}_indptr must have length n + 1 = {n + 1}, start at 0, "
+                f"never decrease and end at {side}_hubs.size = {hubs.size}"
+            )
+        if hubs.shape != dists.shape or hubs.ndim != 1:
+            raise ValueError(
+                f"{side}_hubs and {side}_dists must be 1-D of equal length, "
+                f"got {hubs.shape} and {dists.shape}"
+            )
+        if hubs.size and (hubs.min() < 0 or hubs.max() >= n):
+            raise ValueError(f"{side}_hubs ranks must lie in [0, {n})")
+        rising = np.diff(hubs.astype(np.int64)) > 0
+        starts = indptr[1:-1]
+        rising[starts[(starts > 0) & (starts < hubs.size)] - 1] = True
+        if not rising.all():
+            v = int(np.searchsorted(indptr, np.argmin(rising) + 1, "right")) - 1
+            raise ValueError(
+                f"{side}_hubs ranks must ascend strictly within each slice "
+                f"(vertex {v})"
+            )
+        if dists.size and dists.min() < 0:
+            raise ValueError(f"{side}_dists must be non-negative")
+    order = np.asarray(labels.order)
+    if order.shape != (n,) or not np.array_equal(
+        np.sort(order), np.arange(n)
+    ):
+        raise ValueError(f"order must be a permutation of the {n} vertices")
+    return labels

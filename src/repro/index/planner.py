@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.index.labels import HubLabels
-from repro.runtime.netmodel import NetworkModel, StepStats
+from repro.runtime.netmodel import NetworkModel
 
 __all__ = ["IndexPlanner", "PointAnswer"]
 
@@ -91,14 +91,7 @@ class IndexPlanner:
         or barrier terms apply — the index is machine-local.
         """
         entries = self.labels.entries_scanned(sources, targets)
-        return np.array(
-            [
-                self.netmodel.compute_seconds(
-                    StepStats(edges_scanned=int(e), vertices_updated=1)
-                )
-                for e in entries
-            ]
-        )
+        return self.netmodel.work_seconds(entries, 1)
 
     def answer(self, sources, targets, k: int | None) -> PointAnswer:
         """Answer a batch of point queries entirely from the index."""
@@ -108,13 +101,14 @@ class IndexPlanner:
         with instr.span(
             "index lookup", cat="index", queries=int(sources.size)
         ):
+            entries = self.labels.entries_scanned(sources, targets)
             answer = PointAnswer(
                 sources=sources,
                 targets=targets,
                 k=k,
                 reachable=self.labels.reach_many(sources, targets, k),
-                service_seconds=self.query_seconds(sources, targets),
-                entries_scanned=self.labels.entries_scanned(sources, targets),
+                service_seconds=self.netmodel.work_seconds(entries, 1),
+                entries_scanned=entries,
             )
         if instr.enabled:
             instr.on_index_lookup(

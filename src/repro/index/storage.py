@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.index.labels import HubLabels
+from repro.index.labels import HubLabels, check_labels
 
 __all__ = ["save_labels", "load_labels", "labels_equal", "FORMAT_VERSION"]
 
@@ -63,7 +63,9 @@ def save_labels(labels: HubLabels, path) -> Path:
 
 
 def load_labels(path) -> HubLabels:
-    """Load an index previously written by :func:`save_labels`."""
+    """Load an index previously written by :func:`save_labels`; a file of
+    another format version or with invalid labels (:func:`check_labels`)
+    raises :class:`ValueError`."""
     with np.load(Path(path)) as data:
         version = int(data["format_version"])
         if version != FORMAT_VERSION:
@@ -71,7 +73,7 @@ def load_labels(path) -> HubLabels:
                 f"unsupported index format version {version} "
                 f"(this build reads {FORMAT_VERSION})"
             )
-        return HubLabels(
+        return check_labels(HubLabels(
             num_vertices=int(data["num_vertices"]),
             order=data["order"],
             out_indptr=data["out_indptr"],
@@ -80,7 +82,7 @@ def load_labels(path) -> HubLabels:
             in_indptr=data["in_indptr"],
             in_hubs=data["in_hubs"],
             in_dists=data["in_dists"],
-        )
+        ))
 
 
 def labels_equal(a: HubLabels, b: HubLabels) -> bool:

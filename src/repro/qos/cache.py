@@ -110,24 +110,25 @@ class ResultCache:
         n = len(srcs)
         k = int(k) if k is not None else -1
         epoch = int(epoch)
-        verdicts = np.zeros(n, dtype=bool)
-        hit_mask = np.zeros(n, dtype=bool)
         # Bound locals on the probe loop: this is the service's per-group
         # hit path, and a warm cache runs it once per query served.
         entries = self._entries
         get = entries.get
         move_to_end = entries.move_to_end
-        hits = 0
-        for i in range(n):
-            key = (srcs[i], tgts[i], k, epoch)
+        rows: list[int] = []
+        found: list[bool] = []
+        for i, key in enumerate(zip(srcs, tgts, [k] * n, [epoch] * n)):
             verdict = get(key)
             if verdict is not None:
                 move_to_end(key)
-                hit_mask[i] = True
-                verdicts[i] = verdict
-                hits += 1
-        self.hits += hits
-        self.misses += n - hits
+                rows.append(i)
+                found.append(verdict)
+        verdicts = np.zeros(n, dtype=bool)
+        hit_mask = np.zeros(n, dtype=bool)
+        verdicts[rows] = found
+        hit_mask[rows] = True
+        self.hits += len(rows)
+        self.misses += n - len(rows)
         return verdicts, hit_mask
 
     def store_many(
@@ -138,9 +139,28 @@ class ResultCache:
         epoch: int,
         verdicts: np.ndarray,
     ) -> None:
-        """Insert a whole group of fresh verdicts (index-lane miss path)."""
-        for i in range(int(len(sources))):
-            self.store(sources[i], targets[i], k, epoch, verdicts[i])
+        """Insert a whole group of fresh verdicts (index-lane miss path),
+        in order: exactly :meth:`store` per query, on bound locals."""
+        srcs = np.asarray(sources).tolist()
+        tgts = np.asarray(targets).tolist()
+        flags = np.asarray(verdicts, dtype=bool).tolist()
+        n = len(srcs)
+        k = int(k) if k is not None else -1
+        epoch = int(epoch)
+        entries = self._entries
+        move_to_end = entries.move_to_end
+        popitem = entries.popitem
+        size, capacity, evictions = len(entries), self.capacity, 0
+        for key, verdict in zip(zip(srcs, tgts, [k] * n, [epoch] * n), flags):
+            if key in entries:
+                move_to_end(key)
+            elif size >= capacity:
+                popitem(last=False)
+                evictions += 1
+            else:
+                size += 1
+            entries[key] = verdict
+        self.evictions += evictions
 
     def __repr__(self) -> str:
         return (

@@ -132,10 +132,13 @@ class NetworkModel:
 
     def compute_seconds(self, stats: StepStats) -> float:
         """One machine's compute time for a superstep."""
-        raw = (
-            self.seconds_per_edge * stats.edges_scanned
-            + self.seconds_per_vertex * stats.vertices_updated
-        )
+        return self.work_seconds(stats.edges_scanned, stats.vertices_updated)
+
+    def work_seconds(self, edges, vertices):
+        """:meth:`compute_seconds` of ``edges`` scanned and ``vertices``
+        updated; elementwise, with the same float operations, when either
+        is an array."""
+        raw = self.seconds_per_edge * edges + self.seconds_per_vertex * vertices
         effective_cores = max(self.cores_per_machine * self.parallel_efficiency, 1.0)
         return raw / effective_cores
 

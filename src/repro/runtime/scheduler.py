@@ -27,10 +27,12 @@ not come from a session (Titan's and Figure 7's wall-clock measurements,
 Gemini's serialized stream at width 1).  On a session's own service times
 it computes exactly the service's ``discipline="pool"`` recurrence.
 
-The service has one drain loop and one selector: every submitted query is
-one mutable record from which the :class:`ServiceReport` is built, and
-``drain()`` asks the selector what runs next — a group of queries, the lane
-it runs on (index/cache lookups, a worker slot, or a bit-parallel traversal
+The service has one drain loop and one selector.  Pending queries are a
+struct of arrays (one chunk per submit call); a drain concatenates them into
+one queue whose output columns — start, finish, verdict, route, … — the
+lanes write by row, and those columns *are* the :class:`ServiceReport`.
+``drain()`` asks the selector what runs next — a group of rows, the lane it
+runs on (index/cache lookups, a worker slot, or a bit-parallel traversal
 batch), and when — runs it, and asks again.  FIFO and weighted-fair
 scheduling are two rules of that selector.
 """
@@ -114,44 +116,76 @@ def simulate_fifo_pool(
 # --------------------------------------------------------------------------- #
 
 
-@dataclass(slots=True)
-class _QueryRecord:
-    """One submitted query: what was asked, then what its drain did with it
-    (``finish`` stays None until it has run)."""
-
-    query_id: int
-    source: int
-    arrival: float
-    target: int | None = None
-    lane: str = INTERACTIVE_LANE
-    tenant: str = "default"
-    eligible: float | None = None  # earliest start its tenant's quota allowed
-    start: float | None = None  # when its batch / slot / lookup began
-    finish: float | None = None
-    verdict: bool | None = None  # point queries only
-    reached: int = -1  # enumeration queries only: vertices within k hops
-    route: str = "traversal"  # "index" | "cache" | "traversal"
-    missed: bool = False  # its batch hit the deadline before it settled
-    epoch: int = -1  # graph epoch it ran against
+#: Route codes of a drain's ``route`` column, indexing :data:`_ROUTE_NAMES`.
+_TRAVERSAL, _INDEX, _CACHE = 0, 1, 2
+_ROUTE_NAMES = np.array(["traversal", "index", "cache"], dtype="<U9")
 
 
-def _checked_arrival(arrival) -> float:
+class _Queue:
+    """One drain's queries as a struct of arrays, in submission order.
+
+    The input columns are what was asked (``targets`` is -1 for enumeration
+    queries; lanes and tenants are codes into the service's name tables).
+    ``order`` is the queue order: rows sorted by arrival, ties by id.  The
+    lanes write the output columns by row; ``finish`` stays NaN until a
+    row has run.
+    """
+
+    #: The input columns and their dtypes: the columns of a pending chunk.
+    INPUTS = (
+        ("ids", np.int64), ("sources", np.int64), ("targets", np.int64),
+        ("arrivals", np.float64), ("lanes", np.int64), ("tenants", np.int64),
+    )
+    __slots__ = (
+        *(name for name, _ in INPUTS),
+        "order", "start", "finish", "verdict", "reached", "route", "missed",
+        "epoch", "eligible",
+    )
+
+    def __init__(self, ids, sources, targets, arrivals, lanes, tenants):
+        n = ids.size
+        self.ids, self.sources, self.targets = ids, sources, targets
+        self.arrivals, self.lanes, self.tenants = arrivals, lanes, tenants
+        self.order = np.lexsort((ids, arrivals))
+        self.start = np.full(n, np.nan)
+        self.finish = np.full(n, np.nan)
+        self.verdict = np.full(n, -1, dtype=np.int8)
+        self.reached = np.full(n, -1, dtype=np.int64)
+        self.route = np.full(n, _TRAVERSAL, dtype=np.int8)
+        self.missed = np.zeros(n, dtype=bool)
+        self.epoch = np.full(n, -1, dtype=np.int64)
+        #: earliest start each row's tenant quota allowed (QoS rule only)
+        self.eligible: list[float] = []
+
+    def inputs(self, rows) -> tuple:
+        """The input columns of ``rows``, as a pending chunk."""
+        return tuple(getattr(self, name)[rows] for name, _ in self.INPUTS)
+
+
+#: A pending chunk of no queries.
+_NO_QUERIES = tuple(np.empty(0, dtype=dtype) for _, dtype in _Queue.INPUTS)
+
+
+def _checked_arrivals(arrivals) -> np.ndarray:
     """NaN/inf arrivals would silently corrupt the virtual timeline (they
     sort arbitrarily and poison every max/min the drain computes), so they
     are rejected at the door alongside negative ones."""
-    arrival = float(arrival)
-    if not math.isfinite(arrival) or arrival < 0:
+    arrivals = np.asarray(arrivals, dtype=np.float64)
+    bad = ~(np.isfinite(arrivals) & (arrivals >= 0))
+    if bad.any():
+        arrival = float(arrivals[bad].flat[0])
         raise InvalidQueryError(
             f"arrival time must be finite and non-negative, got {arrival!r}"
         )
-    return arrival
+    return arrivals
 
 
-def _str_array(values: list[str]) -> np.ndarray:
-    """A numpy string array that stays well-typed when ``values`` is empty."""
-    if not values:
-        return np.empty(0, dtype="<U1")
-    return np.array(values)
+def _name_array(names: list[str], codes: np.ndarray) -> np.ndarray:
+    """``names[codes]`` as a numpy string array exactly as wide as the
+    longest name it holds (``<U1`` when empty)."""
+    used = np.flatnonzero(np.bincount(codes, minlength=len(names))).tolist()
+    width = max([1] + [len(names[c]) for c in used])
+    return np.array(names, dtype=f"<U{width}")[codes]
 
 
 @dataclass
@@ -466,7 +500,14 @@ class QueryService:
         self.supersteps = 0
         self._dispatch_seq = 0  # span numbering (monotone across drains)
         self._next_id = 0
-        self._pending: list[_QueryRecord] = []
+        # the pending queue: one tuple of input columns per submit call, in
+        # id order (see _Queue), and the name tables behind the lane and
+        # tenant codes
+        self._pending: list[tuple] = []
+        self._num_pending = 0
+        self._names: dict[str, list[str]] = {"lane": [], "tenant": []}
+        self._codes: dict[str, dict[str, int]] = {"lane": {}, "tenant": {}}
+        self._queue: _Queue | None = None  # the draining queue
         # pool-mode worker slots: next-free virtual time per slot
         self._slots: list[float] = [0.0] * self.concurrency
         heapq.heapify(self._slots)
@@ -528,47 +569,11 @@ class QueryService:
         out-of-range ids).
         """
         vertex_ids = self.session._as_vertex_ids
-        source = vertex_ids(source, "source")
-        if target is not None:
-            target = vertex_ids(target, "target")
-        return self._admit(source, arrival, target, lane, tenant)
-
-    def _admit(self, source, arrival, target, lane, tenant) -> int:
-        """Queue one query whose vertex ids are already validated."""
-        if (
-            self.max_pending is not None
-            and len(self._pending) >= self.max_pending
-        ):
-            self.shed += 1
-            self.instr.on_shed()
-            raise Overloaded(
-                f"query shed: {len(self._pending)} pending >= "
-                f"max_pending={self.max_pending}"
-            )
-        arrival = _checked_arrival(arrival)
-        if lane is None:
-            lane = (
-                self.qos.default_lane if self.qos is not None
-                else INTERACTIVE_LANE
-            )
-        elif self.qos is not None and lane not in self.qos.lanes:
-            raise InvalidQueryError(
-                f"unknown lane {lane!r}; configured lanes: "
-                f"{sorted(self.qos.lanes)}"
-            )
-        qid = self._next_id
-        self._next_id += 1
-        self._pending.append(
-            _QueryRecord(
-                qid,
-                int(source),
-                arrival,
-                None if target is None else int(target),
-                str(lane),
-                "default" if tenant is None else str(tenant),
-            )
-        )
-        return qid
+        sources = vertex_ids([source], "source")
+        targets = None if target is None else vertex_ids([target], "target")
+        return self.submit_many(
+            sources, [arrival], targets=targets, lane=lane, tenant=tenant
+        )[0]
 
     def submit_many(
         self, sources, arrivals=None, targets=None, lane=None, tenant=None
@@ -576,44 +581,94 @@ class QueryService:
         """Queue a wave of queries (``arrivals`` defaults to all-zero;
         ``targets``, when given, makes the wave point reachability queries;
         ``lane``/``tenant`` may be a single value for the whole wave or a
-        per-query sequence matching ``sources``).  Ids are validated once
-        per array, before anything is queued."""
+        per-query sequence matching ``sources``).
+
+        The whole wave is validated — ids, arrivals, lanes — before
+        anything is queued.  Past ``max_pending``, the queries that fit are
+        queued and the rest are shed: counted in ``shed`` and refused with
+        :class:`~repro.errors.Overloaded`.
+        """
         sources = self.session._as_vertex_ids(sources, "sources")
         if arrivals is None:
             arrivals = np.zeros(sources.size)
         arrivals = np.asarray(arrivals, dtype=np.float64)
         if arrivals.shape != sources.shape:
             raise ValueError("arrivals must match sources")
-        lanes = self._broadcast_wave("lane", lane, sources.size)
-        tenants = self._broadcast_wave("tenant", tenant, sources.size)
+        arrivals = _checked_arrivals(arrivals.ravel())
         if targets is None:
-            targets = [None] * sources.size
+            targets = np.full(sources.size, -1, dtype=np.int64)
         else:
             targets = self.session._as_vertex_ids(targets, "targets")
             if targets.shape != sources.shape:
                 raise ValueError("targets must match sources")
-        return [
-            self._admit(s, a, t, ln, tn)
-            for s, a, t, ln, tn in zip(sources, arrivals, targets, lanes, tenants)
-        ]
-
-    @staticmethod
-    def _broadcast_wave(name, value, size):
-        """A wave attribute is either one value for every query or a
-        per-query sequence; normalise both to a length-``size`` list."""
-        if value is None or isinstance(value, str):
-            return [value] * size
-        values = [None if v is None else str(v) for v in np.asarray(value).ravel()]
-        if len(values) != size:
-            raise ValueError(
-                f"{name} must be a single value or match sources "
-                f"(got {len(values)} for {size} queries)"
+        default_lane = (
+            self.qos.default_lane if self.qos is not None else INTERACTIVE_LANE
+        )
+        lanes = self._encode("lane", lane, sources.size, default_lane)
+        tenants = self._encode("tenant", tenant, sources.size, "default")
+        size = int(sources.size)
+        fits = size
+        if self.max_pending is not None:
+            fits = min(size, max(0, self.max_pending - self._num_pending))
+        first = self._next_id
+        if fits:
+            self._next_id += fits
+            self._num_pending += fits
+            self._pending.append((
+                np.arange(first, first + fits, dtype=np.int64),
+                sources.ravel()[:fits],
+                targets.ravel()[:fits],
+                arrivals[:fits],
+                lanes[:fits],
+                tenants[:fits],
+            ))
+        if fits < size:
+            refused = size - fits
+            self.shed += refused
+            self.instr.on_shed(refused)
+            raise Overloaded(
+                f"{refused} of {size} queries shed, {fits} queued: "
+                f"{self._num_pending - fits} pending >= "
+                f"max_pending={self.max_pending}"
             )
-        return values
+        return list(range(first, first + size))
+
+    def _encode(self, name, value, size, default) -> np.ndarray:
+        """Codes of a wave attribute that is either one value for every
+        query or a per-query sequence (None means ``default``); unknown
+        lanes of a QoS service are refused."""
+        if value is None or isinstance(value, str):
+            values = [default if value is None else value]
+        else:
+            values = [
+                default if v is None else str(v)
+                for v in np.asarray(value, dtype=object).ravel()
+            ]
+            if len(values) != size:
+                raise ValueError(
+                    f"{name} must be a single value or match sources "
+                    f"(got {len(values)} for {size} queries)"
+                )
+        names, table = self._names[name], self._codes[name]
+        distinct = dict.fromkeys(values)
+        if name == "lane" and self.qos is not None:
+            for lane in distinct:
+                if lane not in self.qos.lanes:
+                    raise InvalidQueryError(
+                        f"unknown lane {lane!r}; configured lanes: "
+                        f"{sorted(self.qos.lanes)}"
+                    )
+        for v in distinct:
+            if v not in table:
+                table[v] = len(names)
+                names.append(v)
+        if len(values) == 1:
+            return np.full(size, table[values[0]], dtype=np.int64)
+        return np.array([table[v] for v in values], dtype=np.int64)
 
     @property
     def num_pending(self) -> int:
-        return len(self._pending)
+        return self._num_pending
 
     # -- the mutation lane --------------------------------------------------- #
 
@@ -639,7 +694,7 @@ class QueryService:
             res = self.session.apply_mutations(inserts, deletes)
             self.mutations_applied += 1
             return res
-        arrival = _checked_arrival(arrival)
+        arrival = float(_checked_arrivals(arrival))
         graph = self.session.dynamic()
         inserts = graph.as_pairs(inserts, "inserts")
         deletes = graph.as_pairs(deletes, "deletes")
@@ -688,10 +743,11 @@ class QueryService:
         mutation batches that had not applied are queued again — same ids,
         arrivals and order — before the exception propagates.
         """
-        # arrival order, ties broken by submission order; arrays in the
-        # mutation tuples never get compared because seq is unique
-        queue = sorted(self._pending, key=lambda q: (q.arrival, q.query_id))
-        self._pending = []
+        chunks, self._pending, self._num_pending = self._pending, [], 0
+        queue = self._queue = _Queue(
+            *(np.concatenate(col) for col in zip(_NO_QUERIES, *chunks))
+        )
+        # arrays in the mutation tuples never get compared: seq is unique
         self._due_mutations = deque(
             sorted(self._pending_mutations, key=lambda m: (m[0], m[1]))
         )
@@ -701,52 +757,53 @@ class QueryService:
             self.mutations_applied, self.throttled, self.edges_scanned,
             self.supersteps, *self._cache_traffic(),
         )
+        size = int(queue.ids.size)
         dispatches = 0
         span = (
             self.instr.span(
                 "service drain", cat="service",
-                queries=len(queue), discipline=self.discipline,
+                queries=size, discipline=self.discipline,
             )
-            if queue
+            if size
             else nullcontext()
         )
         try:
             with span:
-                for lane, batch, now, wfq_lane in self._select(queue):
+                for lane, rows, now, wfq_lane in self._select():
                     if lane == "index":
-                        self._serve_index(batch)
-                        dispatches += len(batch)
+                        self._serve_index(rows)
+                        dispatches += len(rows)
                     elif lane == "slot":
-                        self._serve_slot(batch[0])
+                        self._serve_slot(int(rows[0]))
                         dispatches += 1
                     else:
-                        self._run_batch(lane, batch, now, wfq_lane)
+                        self._run_batch(lane, rows, now, wfq_lane)
                         dispatches += 1
                 self._apply_due_mutations(float("inf"))  # arrivals past the end
         except BaseException:
-            self._pending = sorted(
-                (q for q in queue if q.finish is None), key=lambda q: q.query_id
-            )
+            unfinished = np.isnan(queue.finish)
+            if unfinished.any():
+                self._pending.insert(0, queue.inputs(unfinished))
+                self._num_pending += int(unfinished.sum())
             self._pending_mutations = sorted(
                 self._due_mutations, key=lambda m: m[1]
             )
             self._due_mutations.clear()
             raise
+        finally:
+            self._queue = None
         report = self._report(queue, dispatches)
-        if not queue:
+        if not size:
             return report
         self.batches_dispatched += dispatches
-        missed = sum(q.missed for q in queue)
+        missed = int(queue.missed.sum())
         if missed:
             self.deadline_misses += missed
             self.instr.on_deadline_miss(missed)
         if self.instr.enabled:
-            for route, resp in zip(report.routes, report.response_seconds):
-                self.instr.on_query_done(
-                    str(route), self.discipline, float(resp)
-                )
-            for lane, resp in zip(report.lanes, report.response_seconds):
-                self.instr.on_lane_query(str(lane), float(resp))
+            responses = report.response_seconds
+            self.instr.on_queries_done(report.routes, self.discipline, responses)
+            self.instr.on_lane_queries(report.lanes, responses)
             if self.cache is not None:
                 self.instr.on_cache(
                     report.cache_hits, report.cache_misses, len(self.cache)
@@ -756,22 +813,25 @@ class QueryService:
 
     # -- the selector: what runs next ---------------------------------------- #
 
-    def _select(self, queue):
-        """Yield ``(lane, queries, now, wfq_lane)`` picks until ``queue`` is
-        served; each pick is chosen after the previous one has run.
+    def _select(self):
+        """Yield ``(lane, rows, now, wfq_lane)`` picks until the draining
+        queue is served; each pick is chosen after the previous one has run.
 
-        ``lane`` says where the group runs: ``"index"`` (the lookup lane),
-        ``"slot"`` (one query on the next free worker slot), or one
-        ``"reach"`` / ``"khop"`` traversal batch starting at ``now``.  Point
-        queries go first — the latency-sensitive class — on the index lane
-        (hybrid planner) or in FIFO reach batches; the rest follows the
-        FIFO rule, or with ``qos`` set the weighted-fair rule, which then
-        also schedules traversal-planned point queries.
+        ``rows`` index the queue's columns, in queue order.  ``lane`` says
+        where the group runs: ``"index"`` (the lookup lane), ``"slot"`` (one
+        query on the next free worker slot), or one ``"reach"`` / ``"khop"``
+        traversal batch starting at ``now``.  Point queries go first — the
+        latency-sensitive class — on the index lane (hybrid planner) or in
+        FIFO reach batches; the rest follows the FIFO rule, or with ``qos``
+        set the weighted-fair rule, which then also schedules
+        traversal-planned point queries.
         """
-        point = [q for q in queue if q.target is not None]
-        rest = queue
-        if point and (self.planner == "hybrid" or self.qos is None):
-            rest = [q for q in queue if q.target is None]
+        order = self._queue.order
+        is_point = self._queue.targets[order] >= 0
+        rest = order
+        if is_point.any() and (self.planner == "hybrid" or self.qos is None):
+            rest = order[~is_point]
+            point = order[is_point]
             if self.planner == "hybrid":
                 yield from self._subtotal(self._index_picks(point))
             else:
@@ -780,7 +840,7 @@ class QueryService:
             yield from self._fair_picks(rest)
         elif self.discipline == "pool":
             yield from self._subtotal(
-                ("slot", [q], q.arrival, None) for q in rest
+                ("slot", rest[i:i + 1], None, None) for i in range(rest.size)
             )
         else:
             yield from self._subtotal(self._fifo_picks(rest, "khop"))
@@ -793,37 +853,39 @@ class QueryService:
         yield from picks
         self._busy = outer + self._busy
 
-    def _fifo_picks(self, queries, kind: str):
+    def _fifo_picks(self, rows, kind: str):
         """The FIFO rule: the head of the line starts as soon as the clock
         and its arrival allow, joined by up to ``batch_width - 1`` queries
         behind it that have arrived by then."""
-        queue = deque(queries)
-        while queue:
-            now = max(self.clock, queue[0].arrival)
-            batch = [queue.popleft()]
-            while (
-                queue
-                and len(batch) < self.batch_width
-                and queue[0].arrival <= now
-            ):
-                batch.append(queue.popleft())
-            yield kind, batch, now, None
+        arrivals = self._queue.arrivals[rows]  # ascending: rows are in order
+        head = 0
+        while head < rows.size:
+            now = max(self.clock, float(arrivals[head]))
+            end = min(
+                head + self.batch_width,
+                int(np.searchsorted(arrivals, now, side="right")),
+            )
+            yield kind, rows[head:end], now, None
+            head = end
 
-    def _index_picks(self, point):
+    def _index_picks(self, rows):
         """Hybrid-planned point queries, split at pending-mutation arrivals:
         each group applies its due mutations first, then consults the index
         epoch — a resident index stale for the current graph epoch sends
         the group through FIFO reach batches instead of serving wrong
         answers cheaply."""
-        queue = deque(point)
-        while queue:
-            self._apply_due_mutations(queue[0].arrival)
+        arrivals = self._queue.arrivals[rows]
+        head = 0
+        while head < rows.size:
+            first = float(arrivals[head])
+            self._apply_due_mutations(first)
             horizon = (
                 self._due_mutations[0][0] if self._due_mutations else math.inf
             )
-            group = [queue.popleft()]
-            while queue and queue[0].arrival < horizon:
-                group.append(queue.popleft())
+            end = max(
+                head + 1, int(np.searchsorted(arrivals, horizon, side="left"))
+            )
+            group = rows[head:end]
             if (
                 self.session.is_dynamic
                 and self.session.has_index
@@ -831,26 +893,32 @@ class QueryService:
             ):
                 yield from self._subtotal(self._fifo_picks(group, "reach"))
             else:
-                yield "index", group, group[0].arrival, None
+                yield "index", group, first, None
+            head = end
 
-    def _eligible_start(self, q: _QueryRecord) -> float:
-        """Earliest virtual time ``q`` may start under its tenant's quota
-        (refills the tenant's bucket up to ``q``'s arrival)."""
-        bucket = self._buckets.get(q.tenant)
+    def _eligible_start(self, row: int) -> float:
+        """Earliest virtual time ``row`` may start under its tenant's quota
+        (refills the tenant's bucket up to the row's arrival)."""
+        queue = self._queue
+        arrival = float(queue.arrivals[row])
+        tenant = self._names["tenant"][queue.tenants[row]]
+        bucket = self._buckets.get(tenant)
         if bucket is None:
-            return q.arrival
-        return max(q.arrival, bucket.ready_time(q.arrival))
+            return arrival
+        return max(arrival, bucket.ready_time(arrival))
 
-    def _take_token(self, q: _QueryRecord, now: float) -> None:
-        """Consume ``q``'s quota token at dispatch; count a throttle when
+    def _take_token(self, row: int, now: float, eligible: float) -> None:
+        """Consume ``row``'s quota token at dispatch; count a throttle when
         the quota (not the queue) delayed it past its arrival."""
-        bucket = self._buckets.get(q.tenant)
+        queue = self._queue
+        tenant = self._names["tenant"][queue.tenants[row]]
+        bucket = self._buckets.get(tenant)
         if bucket is None:
             return
         bucket.take(now)
-        if q.eligible > q.arrival:
+        if eligible > queue.arrivals[row]:
             self.throttled += 1
-            self.instr.on_throttle(q.tenant)
+            self.instr.on_throttle(tenant)
 
     def _fair_picks(self, rest):
         """The weighted-fair rule: at each pick the earliest quota-eligible
@@ -865,43 +933,48 @@ class QueryService:
         eligibility per query, in arrival order — which also refills each
         bucket up to its tenant's latest queued arrival; from then on a
         query's eligibility is its arrival plus its tenant's current wait,
-        one evaluation per tenant per pick.
+        one evaluation per tenant per pick.  The ready set is walked row by
+        row: a QoS wave is a few hundred queries.
         """
         qos = self.qos
         buckets = self._buckets
-        rest = list(rest)
-        for q in rest:
-            q.eligible = self._eligible_start(q)
+        queue = self._queue
+        arrival = queue.arrivals.tolist()
+        tenant = [self._names["tenant"][c] for c in queue.tenants.tolist()]
+        lane_of = [self._names["lane"][c] for c in queue.lanes.tolist()]
+        is_point = (queue.targets >= 0).tolist()
+        eligible = queue.eligible = [0.0] * len(arrival)
+        rest = rest.tolist()
+        for r in rest:
+            eligible[r] = self._eligible_start(r)
         waits: dict[str, float] = {}  # first pick: the values above stand
 
-        def eligible(q):
-            wait = waits.get(q.tenant)
+        def eligible_now(r):
+            wait = waits.get(tenant[r])
             if wait is None:
-                return q.eligible
-            return q.arrival + wait if wait else q.arrival
+                return eligible[r]
+            return arrival[r] + wait if wait else arrival[r]
 
         while rest:
             first = math.inf
-            for q in rest:
-                if q.arrival >= first:
+            for r in rest:
+                if arrival[r] >= first:
                     break
-                first = min(first, eligible(q))
+                first = min(first, eligible_now(r))
             now = max(self.clock, first)
             ready = []
             end = 0  # how far into ``rest`` the candidate instant reaches
-            for q in rest:
-                if q.arrival > now:
+            for r in rest:
+                if arrival[r] > now:
                     break
                 end += 1
-                q.eligible = eligible(q)
-                if q.eligible <= now:
-                    ready.append(q)
-            lane = self._wfq.pick(sorted({q.lane for q in ready}))
-            lane_ready = [q for q in ready if q.lane == lane]
-            is_point = lane_ready[0].target is not None
-            kind_ready = [
-                q for q in lane_ready if (q.target is not None) == is_point
-            ]
+                eligible[r] = eligible_now(r)
+                if eligible[r] <= now:
+                    ready.append(r)
+            lane = self._wfq.pick(sorted({lane_of[r] for r in ready}))
+            lane_ready = [r for r in ready if lane_of[r] == lane]
+            point = is_point[lane_ready[0]]
+            kind_ready = [r for r in lane_ready if is_point[r] == point]
             # per-batch quota budget: a tenant contributes at most its
             # current token balance to one batch (floor 1, so every tenant
             # keeps making progress — overdraft pushes its next eligibility
@@ -909,33 +982,33 @@ class QueryService:
             if buckets:
                 budgets: dict[str, int] = {}
                 admitted = []
-                for q in kind_ready:
-                    bucket = buckets.get(q.tenant)
+                for r in kind_ready:
+                    bucket = buckets.get(tenant[r])
                     if bucket is not None:
-                        if q.tenant not in budgets:
-                            budgets[q.tenant] = max(1, bucket.available(now))
-                        if budgets[q.tenant] <= 0:
+                        if tenant[r] not in budgets:
+                            budgets[tenant[r]] = max(1, bucket.available(now))
+                        if budgets[tenant[r]] <= 0:
                             continue
-                        budgets[q.tenant] -= 1
-                    admitted.append(q)
+                        budgets[tenant[r]] -= 1
+                    admitted.append(r)
                 kind_ready = admitted
             width = min(
                 self.batch_width, qos.lanes[lane].batch_width or self.batch_width
             )
-            if qos.affinity == "partition" and len(kind_ready) > width:
-                owners = self.session.seed_owners(
-                    [q.source for q in kind_ready]
-                )
-                batch = [kind_ready[i] for i in affinity_select(owners, width)]
+            batch = np.array(kind_ready, dtype=np.int64)
+            if qos.affinity == "partition" and batch.size > width:
+                owners = self.session.seed_owners(queue.sources[batch])
+                batch = batch[affinity_select(owners, width)]
             else:
-                batch = kind_ready[:width]
-            yield ("reach" if is_point else "khop"), batch, now, lane
-            rest[:end] = [q for q in rest[:end] if q.finish is None]
-            waits = {tenant: b.wait() for tenant, b in buckets.items()}
+                batch = batch[:width]
+            yield ("reach" if point else "khop"), batch, now, lane
+            served = set(batch.tolist())
+            rest[:end] = [r for r in rest[:end] if r not in served]
+            waits = {name: b.wait() for name, b in buckets.items()}
 
     # -- the lanes: how a pick runs ------------------------------------------ #
 
-    def _run_batch(self, kind: str, batch, now: float, wfq_lane=None) -> None:
+    def _run_batch(self, kind: str, rows, now: float, wfq_lane=None) -> None:
         """Run one traversal batch at virtual time ``now`` and book it —
         the one place a query batch executes.
 
@@ -955,13 +1028,14 @@ class QueryService:
 
         self._apply_due_mutations(now)
         epoch = self._epoch()
-        sources = [q.source for q in batch]
+        queue = self._queue
+        sources = queue.sources[rows]
 
         def run(session):
             if kind == "reach":
                 return session.reach(
                     sources,
-                    [q.target for q in batch],
+                    queue.targets[rows],
                     self.k,
                     use_edge_sets=self.use_edge_sets,
                     max_virtual_seconds=self.deadline_seconds,
@@ -979,23 +1053,24 @@ class QueryService:
                 return res.reachable, res.resolution_seconds
             return res.reached, res.completion_seconds
 
-        res = self._dispatch(kind, now, len(batch), lambda: run(self.session))
+        res = self._dispatch(kind, now, len(rows), lambda: run(self.session))
         answer, per_query = answers(res)
         virtual = float(res.virtual_seconds)
-        for j, q in enumerate(batch):
-            q.start = now
-            q.epoch = epoch
-            if kind == "reach":
-                q.verdict = bool(answer[j])
-            else:
-                q.reached = int(answer[j])
-            if res.resolved is None or res.resolved[j]:
-                q.finish = now + float(per_query[j])
-            else:
-                q.finish = now + virtual
-                q.missed = True
-            if wfq_lane is not None:
-                self._take_token(q, now)
+        finish = now + np.asarray(per_query, dtype=np.float64)
+        if res.resolved is not None:
+            missed = ~np.asarray(res.resolved, dtype=bool)
+            finish[missed] = now + virtual
+            queue.missed[rows] = missed
+        queue.start[rows] = now
+        queue.epoch[rows] = epoch
+        if kind == "reach":
+            queue.verdict[rows] = answer
+        else:
+            queue.reached[rows] = answer
+        queue.finish[rows] = finish
+        if wfq_lane is not None:
+            for row in rows.tolist():
+                self._take_token(row, now, queue.eligible[row])
         self.clock = now + virtual
         self._busy += virtual
         self.edges_scanned += res.total_edges_scanned
@@ -1038,34 +1113,37 @@ class QueryService:
         ):
             return run()
 
-    def _serve_slot(self, q: _QueryRecord) -> None:
+    def _serve_slot(self, row: int) -> None:
         """One query alone on the next free worker slot, charged its
         standalone service time (memoised per root on the session) — the
         recurrence :func:`simulate_fifo_pool` computes."""
-        start = max(self._slots[0], q.arrival)
+        queue = self._queue
+        source = int(queue.sources[row])
+        start = max(self._slots[0], float(queue.arrivals[row]))
         self._apply_due_mutations(start)
-        q.epoch = self._epoch()
+        epoch = queue.epoch[row] = self._epoch()
         live = self.session.khop_service(
-            q.source, self.k, use_edge_sets=self.use_edge_sets
+            source, self.k, use_edge_sets=self.use_edge_sets
         )
-        service, q.reached = live
-        q.start = start
-        q.finish = start + service
-        heapq.heapreplace(self._slots, q.finish)
-        self.clock = max(self.clock, q.finish)
+        service, queue.reached[row] = live
+        finish = start + service
+        queue.start[row] = start
+        queue.finish[row] = finish
+        heapq.heapreplace(self._slots, finish)
+        self.clock = max(self.clock, finish)
         self._busy += service
         if self.cross_check and self.session.is_dynamic:
-            ref = self._oracle_session(q.epoch).khop_service(
-                q.source, self.k, use_edge_sets=self.use_edge_sets
+            ref = self._oracle_session(epoch).khop_service(
+                source, self.k, use_edge_sets=self.use_edge_sets
             )
             if ref != live:
                 raise AssertionError(
                     f"dynamic cross-check failed for pool query "
-                    f"(source {q.source}, k={self.k}, epoch {q.epoch}): "
+                    f"(source {source}, k={self.k}, epoch {epoch}): "
                     f"live (service time, reached) {live!r} != oracle {ref!r}"
                 )
 
-    def _serve_index(self, group) -> None:
+    def _serve_index(self, rows) -> None:
         """Serve one index-lane group, fronted by the result cache.
 
         A query starts the moment it arrives (or, under QoS, the moment its
@@ -1079,8 +1157,9 @@ class QueryService:
         planner = self.session.index_planner()  # builds the index once
         epoch = self._epoch()
         cache = self.cache
-        sources = np.array([q.source for q in group], dtype=np.int64)
-        targets = np.array([q.target for q in group], dtype=np.int64)
+        queue = self._queue
+        sources = queue.sources[rows]
+        targets = queue.targets[rows]
         if cache is not None:
             verdicts, service, hit_mask = planner.answer_cached(
                 sources, targets, self.k, epoch, cache
@@ -1089,26 +1168,28 @@ class QueryService:
             answer = planner.answer(sources, targets, self.k)
             verdicts = answer.reachable
             service = answer.service_seconds
-            hit_mask = np.zeros(len(group), dtype=bool)
-        for j, q in enumerate(group):
-            q.start = q.arrival
-            if self.qos is not None:
-                q.start = q.eligible = self._eligible_start(q)
-                self._take_token(q, q.start)
-            q.finish = q.start + float(service[j])
-            q.verdict = bool(verdicts[j])
-            q.route = "cache" if hit_mask[j] else "index"
-            q.epoch = epoch
+            hit_mask = np.zeros(rows.size, dtype=bool)
+        start = queue.arrivals[rows]
+        if self.qos is not None:
+            for j, row in enumerate(rows.tolist()):
+                start[j] = eligible = self._eligible_start(row)
+                self._take_token(row, eligible, eligible)
+        finish = start + service
+        queue.start[rows] = start
+        queue.finish[rows] = finish
+        queue.verdict[rows] = verdicts
+        queue.route[rows] = np.where(hit_mask, _CACHE, _INDEX)
+        queue.epoch[rows] = epoch
         self._busy += float(service.sum())
-        last = max(q.finish for q in group)
+        last = float(finish.max())
         self.clock = max(self.clock, last)
         if self.instr.enabled:
             self.instr.tracer.record(
                 "index lane",
                 cat="index",
-                virt_start=min(q.start for q in group),
+                virt_start=float(start.min()),
                 virt_end=last,
-                queries=len(group),
+                queries=int(rows.size),
             )
             self.instr.on_dispatch("index")
         if cache is not None and cache.cross_check and hit_mask.any():
@@ -1170,50 +1251,37 @@ class QueryService:
         cache = self.cache
         return (cache.hits, cache.misses) if cache is not None else (0, 0)
 
-    def _report(self, records, num_batches: int) -> ServiceReport:
-        """Build the drain's :class:`ServiceReport` from its query records
-        (submission order); per-drain counts are the lifetime counters'
-        growth since the drain started."""
-        by_id = sorted(records, key=lambda q: q.query_id)
+    def _report(self, queue: _Queue, num_batches: int) -> ServiceReport:
+        """Build the drain's :class:`ServiceReport` from its queue's columns
+        (already in submission order); per-drain counts are the lifetime
+        counters' growth since the drain started."""
         shed, self.shed = self.shed, 0
         mutations, throttled, edges, supersteps, hits, misses = self._marks
         cache_hits, cache_misses = self._cache_traffic()
         return ServiceReport(
-            query_ids=np.array([q.query_id for q in by_id], dtype=np.int64),
-            sources=np.array([q.source for q in by_id], dtype=np.int64),
-            arrival_seconds=np.array([q.arrival for q in by_id]),
-            start_seconds=np.array([q.start for q in by_id]),
-            finish_seconds=np.array([q.finish for q in by_id]),
+            query_ids=queue.ids,
+            sources=queue.sources,
+            arrival_seconds=queue.arrivals,
+            start_seconds=queue.start,
+            finish_seconds=queue.finish,
             num_batches=num_batches,
             clock_seconds=self.clock,
-            targets=np.array(
-                [-1 if q.target is None else q.target for q in by_id],
-                dtype=np.int64,
-            ),
-            reachable=np.array(
-                [-1 if q.verdict is None else int(q.verdict) for q in by_id],
-                dtype=np.int8,
-            ),
-            reached=np.array([q.reached for q in by_id], dtype=np.int64),
-            routes=np.array([q.route for q in by_id], dtype="<U9"),
+            targets=queue.targets,
+            reachable=queue.verdict,
+            reached=queue.reached,
+            routes=_ROUTE_NAMES[queue.route],
             busy_seconds=float(self._busy),
             edges_scanned=self.edges_scanned - edges,
             supersteps=self.supersteps - supersteps,
             deadline_missed=(
-                None
-                if self.deadline_seconds is None
-                else np.array([q.missed for q in by_id])
+                None if self.deadline_seconds is None else queue.missed
             ),
             degraded=self.session.degraded,
             shed=shed,
-            epochs=(
-                np.array([q.epoch for q in by_id], dtype=np.int64)
-                if self.session.is_dynamic
-                else None
-            ),
+            epochs=queue.epoch if self.session.is_dynamic else None,
             mutations_applied=self.mutations_applied - mutations,
-            lanes=_str_array([q.lane for q in by_id]),
-            tenants=_str_array([q.tenant for q in by_id]),
+            lanes=_name_array(self._names["lane"], queue.lanes),
+            tenants=_name_array(self._names["tenant"], queue.tenants),
             cache_hits=cache_hits - hits,
             cache_misses=cache_misses - misses,
             throttled=self.throttled - throttled,

@@ -537,14 +537,17 @@ class GraphSession:
         return self.index_build(rebuild=rebuild).labels
 
     def set_index(self, labels) -> None:
-        """Adopt a prebuilt/loaded index (e.g. from ``.npz``) as resident."""
+        """Adopt a prebuilt/loaded index (e.g. from ``.npz``) as resident;
+        structurally invalid labels are refused (:func:`check_labels`)."""
         from repro.index.build import IndexBuild
+        from repro.index.labels import check_labels
 
         if labels.num_vertices != self.num_vertices:
             raise ValueError(
                 f"index covers {labels.num_vertices} vertices, "
                 f"graph has {self.num_vertices}"
             )
+        check_labels(labels)
         self._index_build = IndexBuild(
             labels=labels, build_seconds=0.0, labeled_visits=0, pruned_visits=0
         )

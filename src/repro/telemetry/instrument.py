@@ -24,10 +24,25 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 
+import numpy as np
+
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.trace import DEFAULT_FLIGHT_RECORDER_SPANS, Tracer
 
 __all__ = ["Instrumentation", "NullInstrumentation", "NULL_INSTRUMENTATION"]
+
+
+def _groups(values):
+    """``(value, mask)`` per distinct entry of ``values``, in order of first
+    occurrence — the order one hook call per entry would create series in.
+    One pass per distinct value: a drain carries a few routes and lanes."""
+    values = np.asarray(values)
+    left = np.ones(values.size, dtype=bool)
+    while left.any():
+        value = values[np.argmax(left)]
+        mine = values == value
+        left &= ~mine
+        yield str(value), mine
 
 
 class Instrumentation:
@@ -274,11 +289,12 @@ class Instrumentation:
     def on_dispatch(self, discipline: str) -> None:
         self._batches.inc(discipline=discipline)
 
-    def on_query_done(
-        self, route: str, discipline: str, response_seconds: float
-    ) -> None:
-        self._queries.inc(route=route)
-        self._response.observe(float(response_seconds), discipline=discipline)
+    def on_queries_done(self, routes, discipline: str, response_seconds) -> None:
+        """One drain's queries: per-query ``routes`` and response times,
+        aligned, in submission order."""
+        for route, mine in _groups(routes):
+            self._queries.inc(int(mine.sum()), route=route)
+        self._response.observe_many(response_seconds, discipline=discipline)
 
     def on_clock(self, virtual_seconds: float) -> None:
         self._clock.set(float(virtual_seconds))
@@ -301,8 +317,8 @@ class Instrumentation:
     def on_degrade(self) -> None:
         self._degraded.inc()
 
-    def on_shed(self) -> None:
-        self._shed.inc()
+    def on_shed(self, count: int = 1) -> None:
+        self._shed.inc(count)
 
     def on_deadline_miss(self, count: int = 1) -> None:
         self._deadline_missed.inc(count)
@@ -341,9 +357,13 @@ class Instrumentation:
 
     # -- QoS hooks ------------------------------------------------------------ #
 
-    def on_lane_query(self, lane: str, response_seconds: float) -> None:
-        self._lane_queries.inc(lane=lane)
-        self._lane_response.observe(float(response_seconds), lane=lane)
+    def on_lane_queries(self, lanes, response_seconds) -> None:
+        """One drain's queries per SLO lane: per-query ``lanes`` and
+        response times, aligned, in submission order."""
+        response_seconds = np.asarray(response_seconds)
+        for lane, mine in _groups(lanes):
+            self._lane_queries.inc(int(mine.sum()), lane=lane)
+            self._lane_response.observe_many(response_seconds[mine], lane=lane)
 
     def on_throttle(self, tenant: str) -> None:
         self._throttled.inc(tenant=tenant)

@@ -17,12 +17,15 @@ namespace: getting a metric twice with the same name returns the same
 object; re-registering a name under a different type or label set is an
 error (silent aliasing is how metric bugs hide).
 
-Zero dependencies by design — plain dicts and floats, no client library.
+No client library: plain dicts and floats, plus numpy for observing a
+whole array at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 __all__ = [
     "Counter",
@@ -132,6 +135,24 @@ class Histogram:
                 s.bucket_counts[i] += 1
         s.total += float(value)
         s.count += 1
+
+    def observe_many(self, values, **labels) -> None:
+        """:meth:`observe` each of ``values`` in order, in one pass: the
+        same bucket counts, and the same sum, accumulated left to right."""
+        values = np.asarray(values, dtype=np.float64).ravel()
+        if values.size == 0:
+            return
+        key = _label_key(self.labelnames, labels)
+        s = self.series.get(key)
+        if s is None:
+            s = _HistogramSeries(bucket_counts=[0] * len(self.buckets))
+            self.series[key] = s
+        within = values[:, None] <= np.array(self.buckets)
+        for i, c in enumerate(np.count_nonzero(within, axis=0).tolist()):
+            s.bucket_counts[i] += c
+        running = np.add.accumulate(np.concatenate(([s.total], values)))
+        s.total = float(running[-1])
+        s.count += int(values.size)
 
     def count(self, **labels) -> int:
         s = self.series.get(_label_key(self.labelnames, labels))

@@ -22,7 +22,7 @@ from repro.index import (
     load_labels,
     save_labels,
 )
-from repro.index.labels import UNREACHABLE
+from repro.index.labels import UNREACHABLE, check_labels
 
 
 def small_graphs():
@@ -110,6 +110,30 @@ class TestEdgeCases:
         assert labels.reach_many(v, v, 0).all()
 
 
+def _swap_first_ranks(a):
+    """Swap the first two ranks of the first out-label holding two."""
+    v = int(np.argmax(np.diff(a["out_indptr"]) >= 2))
+    lo = a["out_indptr"][v]
+    a["out_hubs"][[lo, lo + 1]] = a["out_hubs"][[lo + 1, lo]]
+
+
+#: field the error names -> how a hand-made ``.npz`` breaks it
+CORRUPTIONS = {
+    "out_indptr-length": lambda a: a.update(out_indptr=a["out_indptr"][:-1]),
+    "in_indptr-start": lambda a: a.update(in_indptr=a["in_indptr"] + 1),
+    "out_indptr-decreasing": lambda a: a["out_indptr"].__setitem__(
+        1, a["out_indptr"][2] + 1
+    ),
+    "in_indptr-end": lambda a: a["in_indptr"].__setitem__(-1, 0),
+    "out_hubs-lengths": lambda a: a.update(out_dists=a["out_dists"][:-1]),
+    "in_hubs-range": lambda a: a["in_hubs"].__setitem__(0, a["num_vertices"]),
+    "in_hubs-negative": lambda a: a["in_hubs"].__setitem__(0, -1),
+    "out_hubs-ascend": _swap_first_ranks,
+    "out_dists-negative": lambda a: a["out_dists"].__setitem__(0, -1),
+    "order-permutation": lambda a: a["order"].__setitem__(0, a["order"][1]),
+}
+
+
 class TestValidation:
     @pytest.fixture(scope="class")
     def labels(self):
@@ -139,6 +163,49 @@ class TestValidation:
         for order in ([2, 2, 2], [0.9, 1.5, 2.2]):
             with pytest.raises(ValueError, match="permutation"):
                 build_hub_labels(path, order=np.array(order))
+
+    # structurally invalid labels are refused at the door — from disk and
+    # when handed to a session — with a ValueError naming the field
+    @pytest.fixture(scope="class")
+    def arrays(self, tmp_path_factory):
+        labels = build_hub_labels(rmat_edges(5, 150, seed=9)).labels
+        path = save_labels(labels, tmp_path_factory.mktemp("ok") / "ok.npz")
+        with np.load(path) as data:
+            return dict(data)
+
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_load_refuses_invalid_labels(self, arrays, case, tmp_path):
+        bad = {name: np.array(a, copy=True) for name, a in arrays.items()}
+        CORRUPTIONS[case](bad)
+        np.savez(tmp_path / "bad.npz", **bad)
+        field = case.split("-")[0]
+        with pytest.raises(ValueError, match=field):
+            load_labels(tmp_path / "bad.npz")
+
+    @staticmethod
+    def _labels(arrays, corrupt=None) -> HubLabels:
+        fields = {
+            k: np.array(a, copy=True)
+            for k, a in arrays.items()
+            if k != "format_version"
+        }
+        if corrupt is not None:
+            corrupt(fields)
+        fields["num_vertices"] = int(fields["num_vertices"])
+        return HubLabels(**fields)
+
+    def test_valid_labels_pass(self, arrays):
+        labels = self._labels(arrays)
+        assert check_labels(labels) is labels
+
+    def test_session_refuses_invalid_labels(self, arrays):
+        from repro.runtime.session import GraphSession
+
+        labels = self._labels(arrays, _swap_first_ranks)
+        with GraphSession(rmat_edges(5, 150, seed=9), num_machines=2) as sess:
+            with pytest.raises(ValueError, match="out_hubs"):
+                sess.set_index(labels)
+            assert not sess.has_index
 
 
 class TestBuildAccounting:

@@ -40,6 +40,24 @@ class TestLoadShedding:
         assert report.shed == 1
         assert report.num_queries == 4
 
+    def test_overfull_wave_queues_what_fits_and_sheds_the_rest(
+        self, inproc_sess
+    ):
+        from repro.telemetry import Instrumentation
+
+        instr = Instrumentation()
+        svc = QueryService(
+            inproc_sess, k=3, max_pending=2, instrumentation=instr
+        )
+        with pytest.raises(Overloaded, match="3 of 5 queries shed, 2 queued"):
+            svc.submit_many([1, 2, 3, 4, 5])
+        assert svc.num_pending == 2
+        assert instr.metrics.get("cgraph_queries_shed_total").value() == 3
+        report = svc.drain()
+        assert report.shed == 3
+        assert report.num_queries == 2
+        np.testing.assert_array_equal(report.sources, [1, 2])
+
     def test_shed_counter_resets_per_drain(self, inproc_sess):
         svc = QueryService(inproc_sess, k=3, max_pending=1)
         svc.submit(0)

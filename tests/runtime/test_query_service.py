@@ -301,6 +301,19 @@ class TestValidation:
             svc.submit_many([0, 1, 2], [0.0, float("nan"), 1.0])
         with pytest.raises(InvalidQueryError, match="arrival"):
             svc.submit_many([0, 1], [0.0, float("inf")], targets=[1, 2])
+        assert svc.num_pending == 0
+
+    def test_unknown_lane_rejected_in_wave(self, session):
+        """A wave with one unknown lane queues nothing."""
+        from repro.errors import InvalidQueryError
+        from repro.qos import QosConfig
+
+        svc = QueryService(session, k=2, qos=QosConfig())
+        with pytest.raises(InvalidQueryError, match="unknown lane 'nope'"):
+            svc.submit_many(
+                [1, 2, 3], lane=["interactive", "nope", "interactive"]
+            )
+        assert svc.num_pending == 0
 
     def test_non_finite_mutation_arrival_rejected(self, session, small_rmat):
         from repro.errors import InvalidQueryError

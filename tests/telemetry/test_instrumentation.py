@@ -57,7 +57,7 @@ class TestNullDefault:
         with null.span("anything", cat="x"):
             pass  # nullcontext: no tracer touched
         null.on_dispatch("batch")
-        null.on_query_done("traversal", "batch", 1.0)
+        null.on_queries_done(np.array(["traversal"]), "batch", np.ones(1))
         null.on_clock(2.0)
         null.on_index_lookup(1, 10)
         sess = GraphSession(edges, num_machines=2,

@@ -1,5 +1,6 @@
 """Metrics primitives: counters, gauges, histograms, and the registry."""
 
+import numpy as np
 import pytest
 
 from repro.telemetry.metrics import (
@@ -88,6 +89,19 @@ class TestHistogram:
             Histogram("resp", buckets=(10.0, 1.0))
         with pytest.raises(ValueError, match="strictly increasing"):
             Histogram("resp", buckets=(1.0, 1.0))
+
+    def test_observe_many_equals_observing_one_by_one(self):
+        rng = np.random.default_rng(4)
+        values = np.concatenate([rng.lognormal(-9, 3, 500), [1e-6, 0.0]])
+        one = Histogram("resp", labelnames=("lane",))
+        many = Histogram("resp", labelnames=("lane",))
+        for chunk in (values[:7], values[7:], values[:0]):
+            for v in chunk:
+                one.observe(float(v), lane="bulk")
+            many.observe_many(chunk, lane="bulk")
+        assert many.series == one.series  # the sum to the last bit
+        many.observe_many([], lane="interactive")
+        assert list(many.series) == [("bulk",)]
 
     def test_labelled_series_are_independent(self):
         h = Histogram("resp", labelnames=("discipline",), buckets=(1.0,))

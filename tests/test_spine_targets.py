@@ -12,6 +12,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.graph import rmat_edges
@@ -68,3 +69,33 @@ def test_khop_batch_runs_inside_its_bind_points(backend, bracketing):
     assert res.sources.tolist() == [0, 5, 9] and res.reached.size == 3
     seen = {span[0] for span in recorder.spans}
     assert bracketing | {"core.khop.batch"} <= seen
+
+
+def test_index_lane_runs_inside_its_bind_points():
+    """One hybrid wave with a result cache opens every index-lane span, so
+    the per-layer attribution of the point-query workload stays whole."""
+    from repro.qos import ResultCache
+    from repro.runtime.scheduler import QueryService
+
+    graph = rmat_edges(8, 3000, seed=7).remove_self_loops().deduplicate()
+    rng = np.random.default_rng(3)
+    sources, targets = rng.integers(0, graph.num_vertices, (2, 64))
+    with GraphSession(graph, num_machines=2) as sess:
+        sess.index()
+        service = QueryService(
+            sess, k=2, planner="hybrid", cache=ResultCache(capacity=32)
+        )
+        recorder = _trace().Recorder()
+        recorder.install()
+        try:
+            service.submit_many(sources, targets=targets)
+            report = service.drain()
+        finally:
+            recorder.uninstall()
+    assert report.num_queries == 64 and (report.routes == "index").all()
+    seen = {span[0] for span in recorder.spans}
+    assert {
+        "runtime.scheduler.submit", "runtime.scheduler.drain",
+        "index.planner.answer_cached", "qos.cache.lookup",
+        "index.planner.answer", "qos.cache.store",
+    } <= seen
