@@ -14,7 +14,7 @@ Run:  python examples/sdn_path_latency.py
 
 import numpy as np
 
-from repro import CGraph
+from repro import GraphSession, sssp
 from repro.graph import EdgeList, erdos_renyi
 
 
@@ -35,10 +35,10 @@ def main() -> None:
     net = build_network()
     print(f"network: {net.num_vertices} switches, {net.num_edges} directed links")
 
-    g = CGraph(net, num_machines=4)
+    sess = GraphSession(net, num_machines=4)
     controller = 0  # the SDN controller's switch
 
-    unlimited = g.sssp(controller)
+    unlimited = sssp(sess, controller)
     reachable = np.isfinite(unlimited.distances)
     print(f"\nunconstrained shortest paths from switch {controller}:")
     print(f"  reachable switches: {int(reachable.sum())}")
@@ -48,7 +48,7 @@ def main() -> None:
     print("\nhop-budget sweep (QoS constraint = route-table depth):")
     print("  hops  reachable  median_ms  stretch_vs_unlimited")
     for hops in (2, 3, 4, 6, 8):
-        capped = g.sssp(controller, max_hops=hops)
+        capped = sssp(sess, controller, max_hops=hops)
         ok = np.isfinite(capped.distances)
         both = ok & reachable
         stretch = float(
@@ -60,7 +60,7 @@ def main() -> None:
         )
 
     # a concrete QoS check: which switches meet a 3-hop, 5 ms SLA?
-    sla = g.sssp(controller, max_hops=3)
+    sla = sssp(sess, controller, max_hops=3)
     meets = np.isfinite(sla.distances) & (sla.distances <= 5.0)
     print(f"\nswitches meeting a (<=3 hops, <=5 ms) SLA: {int(meets.sum())}")
 

@@ -14,8 +14,7 @@ Run:  python examples/triangle_influence.py
 
 import numpy as np
 
-from repro import CGraph
-from repro.core.triangles import local_triangles
+from repro.core.triangles import khop_triangle_count, local_triangles, triangle_count
 from repro.graph import graph500_kronecker
 
 
@@ -26,11 +25,10 @@ def main() -> None:
         .deduplicate()
         .symmetrize()
     )
-    g = CGraph(social, num_machines=2)
-    print(f"graph: {g.num_vertices:,} users, {g.num_edges:,} friendships")
+    print(f"graph: {social.num_vertices:,} users, {social.num_edges:,} friendships")
 
-    exact = g.triangles()
-    via_khop = g.triangles_via_khop()
+    exact = triangle_count(social)
+    via_khop = khop_triangle_count(social)
     print(f"\ntriangles (sparse-matrix exact): {exact:,}")
     print(f"triangles (1/2-hop composition): {via_khop:,}")
     assert exact == via_khop, "the k-hop formulation must agree exactly"
@@ -57,7 +55,7 @@ def main() -> None:
     # the same operator a query workload would use
     rng = np.random.default_rng(5)
     sample = rng.choice(np.nonzero(deg > 0)[0], size=10, replace=False)
-    rooted = g.triangles_via_khop(roots=sample)
+    rooted = khop_triangle_count(social, roots=sample)
     print(f"\ntriangles incident to a 10-user sample (rooted k-hop): {rooted:,}")
 
 

@@ -11,8 +11,8 @@ Run:  python examples/web_pagerank.py
 
 import numpy as np
 
-from repro import CGraph
-from repro.core.gas import VertexProgram
+from repro import GraphSession, pagerank
+from repro.core.gas import VertexProgram, run_gas
 from repro.graph import rmat_edges
 
 
@@ -38,16 +38,19 @@ class ConnectedComponents(VertexProgram):
 def main() -> None:
     # A directed scale-free "web" (pages + hyperlinks).
     web = rmat_edges(15, 400_000, seed=11).remove_self_loops().deduplicate()
-    g = CGraph(web, num_machines=4, reindex="degree")
-    print(f"web graph: {g.num_vertices:,} pages, {g.num_edges:,} links")
+    # Ingestion-time re-indexing (§3.1): hubs get small ids.  The session
+    # sees only the new ids; ``mapping[page] == internal id``.
+    relabelled, mapping = web.reindex("degree")
+    sess = GraphSession(relabelled, num_machines=4)
+    print(f"web graph: {sess.num_vertices:,} pages, {sess.num_edges:,} links")
 
     # --- PageRank (Listing 3), sync vs async update model ---------------- #
     for asynchronous in (False, True):
-        run = g.pagerank(iterations=10, asynchronous=asynchronous)
+        run = pagerank(sess, iterations=10, asynchronous=asynchronous)
         label = "async" if asynchronous else "sync"
         print(f"\nPageRank ({label}, 10 iterations): "
               f"virtual time {run.virtual_seconds * 1e3:.2f} ms")
-    ranks = run.values
+    ranks = run.values[mapping]  # back to the caller's page ids
     top = np.argsort(ranks)[-10:][::-1]
     print("top-10 pages by rank:")
     for v in top:
@@ -55,8 +58,8 @@ def main() -> None:
 
     # --- A custom vertex program on the same engine ----------------------- #
     sym = web.symmetrize()
-    g2 = CGraph(sym, num_machines=4)
-    cc = g2.run_vertex_program(ConnectedComponents(), iterations=100)
+    cc = run_gas(GraphSession(sym, num_machines=4), ConnectedComponents(),
+                 iterations=100)
     labels = cc.values
     num_components = np.unique(labels).size
     sizes = np.sort(np.bincount(labels.astype(np.int64)))[::-1]

@@ -6,12 +6,13 @@ Teodorescu -- ICPP 2018).
 
 Public entry points:
 
-* :class:`repro.CGraph` -- build once, then serve concurrent k-hop
-  queries, PageRank, SSSP and triangle analytics.
-* :class:`repro.GraphSession` / :class:`repro.QueryService` -- the
-  persistent service runtime: one resident partitioned graph serving many
-  query batches, with an online admission loop producing per-query
-  response times.
+* :class:`repro.GraphSession` -- one resident partitioned graph, built
+  once.  Every job is a function that takes the session first:
+  ``concurrent_khop(sess, sources, k)``, ``reachability_queries(sess,
+  sources, targets, k)``, ``pagerank(sess)``, ``sssp(sess, source)``,
+  ``core_numbers(sess)`` (and the rest of :mod:`repro.core`).
+* :class:`repro.QueryService` -- the online admission loop over a
+  session, producing per-query response times.
 * :mod:`repro.graph` -- graph substrate (formats, partitioning, generators,
   datasets, analysis).
 * :mod:`repro.runtime` -- the simulated distributed runtime and its cost
@@ -24,7 +25,6 @@ Public entry points:
   drivers reproducing the paper's evaluation.
 """
 
-from repro.core.cgraph import CGraph
 from repro.core import (
     concurrent_khop,
     reachability_queries,
@@ -41,7 +41,6 @@ from repro.runtime.session import GraphSession
 __version__ = "1.0.0"
 
 __all__ = [
-    "CGraph",
     "GraphSession",
     "QueryService",
     "concurrent_khop",

@@ -36,6 +36,7 @@ from repro.bench.workload import QueryWorkload, random_sources
 from repro.core.frontier import words_for
 from repro.core.khop import concurrent_khop
 from repro.core.pagerank import pagerank
+from repro.core.reachability import reachability_queries
 from repro.graph import rmat_edges
 from repro.graph.analysis import effective_diameter, hop_plot
 from repro.graph.datasets import DATASETS, dataset_table, load_dataset, runtime_scale
@@ -874,7 +875,7 @@ def ablation_wide_batches(
     svc = QueryService(sess, k)
     svc.submit_many(roots)
     stream = svc.drain()
-    wide = sess.khop(roots, k)
+    wide = concurrent_khop(sess, roots, k)
     rows = [
         {
             "variant": "64-wide batch stream",
@@ -1004,7 +1005,7 @@ def index_vs_traversal(
     trav_virtual = 0.0
     t0 = time.perf_counter()
     for i in range(0, num_pairs, 64):
-        res = sess.reach(sources[i : i + 64], targets[i : i + 64], k)
+        res = reachability_queries(sess, sources[i : i + 64], targets[i : i + 64], k)
         trav_verdicts.append(res.reachable)
         trav_virtual += res.virtual_seconds
     traversal_answer_s = time.perf_counter() - t0

@@ -799,6 +799,7 @@ def cmd_telemetry(args, out) -> int:
 
 
 def cmd_index(args, out) -> int:
+    from repro.core.reachability import reachability_queries
     from repro.index import IndexPlanner, load_labels, save_labels
 
     el = _load(args)
@@ -845,7 +846,7 @@ def cmd_index(args, out) -> int:
     print(f"  label entries scanned: {int(answer.entries_scanned[0])}, "
           f"virtual cost {answer.service_seconds[0] * 1e6:.3f} us", file=out)
     if args.cross_check:
-        res = sess.reach([args.source], [args.target], args.k)
+        res = reachability_queries(sess, [args.source], [args.target], args.k)
         if bool(res.reachable[0]) != bool(answer.reachable[0]):
             print(f"  CROSS-CHECK FAILED: traversal says "
                   f"{bool(res.reachable[0])}", file=out)

@@ -1,5 +1,8 @@
 """C-Graph core: the paper's primary contribution.
 
+Each job has one spelling: a function here that takes the resident
+:class:`~repro.runtime.session.GraphSession` first.
+
 * :mod:`repro.core.frontier` — MS-BFS bit-parallel frontier planes (§3.5).
 * :mod:`repro.core.khop` — the concurrent k-hop reachability engine, for
   batches of 1 to 512 queries (one cache line of query bits).
@@ -17,7 +20,6 @@
   edge-sets.
 * :mod:`repro.core.vertex_api` — the vertex-centric (Pregel) model (§3.3).
 * :mod:`repro.core.api` — the partition-centric programming API (Listing 1).
-* :mod:`repro.core.cgraph` — the :class:`CGraph` facade.
 """
 
 from repro.core.frontier import (
@@ -27,7 +29,7 @@ from repro.core.frontier import (
     MAX_WIDE_BATCH,
 )
 from repro.core.khop import DIRECTIONS, KHopResult, concurrent_khop
-from repro.core.traversal import traverse, khop_query
+from repro.core.traversal import traverse
 from repro.core.gas import VertexProgram, run_gas, GASRun
 from repro.core.pagerank import PageRankProgram, pagerank
 from repro.core.sssp import SSSPResult, sssp
@@ -48,7 +50,6 @@ from repro.core.traversal import shortest_hop_path
 from repro.core.reachability import ReachabilityResult, reachability_queries
 from repro.core.kcore import KCoreResult, core_numbers, h_index_per_row
 from repro.core.api import PartitionContext, PartitionProgram, run_program
-from repro.core.cgraph import CGraph
 
 __all__ = [
     "BitFrontier",
@@ -59,7 +60,6 @@ __all__ = [
     "KHopResult",
     "concurrent_khop",
     "traverse",
-    "khop_query",
     "VertexProgram",
     "run_gas",
     "GASRun",
@@ -89,5 +89,4 @@ __all__ = [
     "PartitionContext",
     "PartitionProgram",
     "run_program",
-    "CGraph",
 ]

@@ -53,6 +53,7 @@ from repro.core import adapters
 from repro.core.frontier import MAX_WIDE_BATCH, BitFrontier, words_for
 from repro.errors import UnsupportedConfigError
 from repro.graph.partition import ExchangePlan
+from repro.graph.validation import check_hops
 from repro.runtime.cluster import SimCluster
 from repro.runtime.engine import PartitionTask
 from repro.runtime.message import PlaneSlice, combine_or
@@ -85,7 +86,7 @@ def _check_traversal(
     asynchronous: bool = False,
 ) -> None:
     """The traversal door: every mode check, before any work runs."""
-    GraphSession.check_hops(k)
+    check_hops(k)
     _check_direction(direction, use_edge_sets)
     sess.require_inproc(use_edge_sets=use_edge_sets, asynchronous=asynchronous)
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.core import adapters
 from repro.errors import InvalidQueryError, UnsupportedConfigError
+from repro.graph.validation import check_hops
 from repro.runtime.cluster import SimCluster
 from repro.runtime.engine import EngineResult, PartitionTask
 from repro.runtime.message import MessageBatch, no_combine, reduce_by_key
@@ -132,6 +133,7 @@ def concurrent_sssp(
     most ``max_hops`` edges (``None`` = unconstrained).  Requires edge
     weights.
     """
+    check_hops(max_hops, "max_hops")
     pg = sess.pg
     if any(part.out_csr.weights is None for part in pg.partitions):
         raise InvalidQueryError("SSSP requires a weighted graph")

@@ -22,6 +22,7 @@ from repro.core import adapters
 from repro.core.frontier import MAX_WIDE_BATCH
 from repro.core.khop import KHopPartitionTask
 from repro.graph.outofcore import SpillableEdgeSetStore
+from repro.graph.validation import check_hops
 from repro.runtime.message import combine_or
 from repro.runtime.session import GraphSession
 
@@ -89,7 +90,7 @@ def concurrent_khop_out_of_core(
     which shrinks as ``cache_blocks`` grows or as consolidation merges tiny
     blocks — the §3.2 trade this mode exists to demonstrate.
     """
-    GraphSession.check_hops(k)
+    check_hops(k)
     if sess.uses_pool:  # edge sets are not in the pool's shared image
         sess.require_inproc(use_edge_sets=True)
     sess.build_edge_sets()

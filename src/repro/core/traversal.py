@@ -7,9 +7,8 @@ visits the reachable neighbourhood level by level up to a hop budget,
 invoking a user ``visit`` callback with each level's newly reached vertices
 — exactly the role of Listing 2's loop, but vectorised and distributed.
 
-Single-query convenience wrappers (:func:`khop_query`,
-:func:`shortest_hop_path`) are thin shims over the bit-parallel engine with
-batch width 1.
+:func:`shortest_hop_path` materialises one path from a width-1 batch of the
+bit-parallel engine.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 from repro.core.khop import KHopResult, concurrent_khop
 from repro.runtime.session import GraphSession
 
-__all__ = ["traverse", "khop_query", "shortest_hop_path"]
+__all__ = ["traverse", "shortest_hop_path"]
 
 
 def traverse(
@@ -49,12 +48,6 @@ def traverse(
             if verts.size:
                 visit(level, verts)
     return res
-
-
-def khop_query(sess: GraphSession, source: int, k: int) -> np.ndarray:
-    """Global ids of all vertices within ``k`` hops of ``source`` (incl. it)."""
-    res = concurrent_khop(sess, [source], k, record_depths=True)
-    return np.nonzero(res.depths[:, 0] >= 0)[0]
 
 
 def shortest_hop_path(

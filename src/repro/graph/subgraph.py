@@ -74,8 +74,9 @@ def induced_subgraph(edges: EdgeList, vertices) -> Subgraph:
 
 def khop_subgraph(sess, source: int, k: int) -> Subgraph:
     """The induced subgraph of everything within ``k`` hops of ``source``."""
-    from repro.core.traversal import khop_query
+    from repro.core.khop import concurrent_khop
 
-    members = khop_query(sess, source, k)
+    res = concurrent_khop(sess, [source], k, record_depths=True)
+    members = np.nonzero(res.depths[:, 0] >= 0)[0]
     edges = sess.dynamic().materialize_edges() if sess.is_dynamic else sess.pg.edges
     return induced_subgraph(edges, members)

@@ -14,17 +14,33 @@ without a second implementation:
   in-neighbour at all.
 
 :func:`validate_khop_depths` returns a list of human-readable violations
-(empty = valid).
+(empty = valid).  :func:`check_hops` is the one validator of a query's hop
+budget, shared by the traversal engine and the label index.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import InvalidQueryError
 from repro.graph.csr import build_csc
 from repro.graph.edgelist import EdgeList
 
-__all__ = ["validate_khop_depths", "assert_valid_khop"]
+__all__ = ["validate_khop_depths", "assert_valid_khop", "check_hops"]
+
+
+def check_hops(k, name: str = "k") -> None:
+    """Refuse a hop budget that is not a non-negative integer (``None``
+    means unbounded).  A fractional budget would run ``ceil(k)``
+    supersteps in the engine but compare ``d <= k`` in the index."""
+    if k is None:
+        return
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise InvalidQueryError(
+            f"{name} must be an integer hop count or None, got {k!r}"
+        )
+    if k < 0:
+        raise InvalidQueryError(f"{name} must be >= 0 or None, got {k}")
 
 
 def validate_khop_depths(

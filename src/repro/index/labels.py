@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.csr import expand_ranges
+from repro.graph.validation import check_hops
 
 __all__ = ["HubLabels", "UNREACHABLE", "check_labels"]
 
@@ -151,11 +152,10 @@ class HubLabels:
     def reach_many(self, sources, targets, k: int | None) -> np.ndarray:
         """Boolean verdicts: is ``targets[i]`` within ``k`` hops of
         ``sources[i]``?  ``k=None`` means plain (unbounded) reachability."""
+        check_hops(k)
         d = self.dist_many(sources, targets)
         if k is None:
             return d >= 0
-        if k < 0:
-            raise ValueError("k must be >= 0 or None")
         return (d >= 0) & (d <= k)
 
     def reach(self, s: int, t: int, k: int | None) -> bool:

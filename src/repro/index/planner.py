@@ -2,8 +2,8 @@
 
 The index answers a *point* reachability query (one ``(s, t, k)`` pair) by
 scanning two label slices — typically tens of entries — while the traversal
-engine expands frontiers over the partitioned graph.  The planner encodes
-the dispatch rule the service layer applies per query:
+engine expands frontiers over the partitioned graph.  The service layer
+(:class:`~repro.runtime.scheduler.QueryService`) routes each query by shape:
 
 * **point reachability** (a target is given) → the index, when one is
   available; the lookup is charged to the same calibrated
@@ -29,9 +29,6 @@ from repro.index.labels import HubLabels
 from repro.runtime.netmodel import NetworkModel
 
 __all__ = ["IndexPlanner", "PointAnswer"]
-
-ROUTE_INDEX = "index"
-ROUTE_TRAVERSAL = "traversal"
 
 
 @dataclass
@@ -61,7 +58,8 @@ class PointAnswer:
 
 @dataclass
 class IndexPlanner:
-    """Routes queries between the label index and the traversal engine.
+    """Answers point queries from the label index, charged to the traversal
+    engine's cost model.
 
     ``instrumentation`` (default: the no-op null) accounts every answered
     batch — a span on the ``index`` lane plus lookup/entry counters — so
@@ -77,10 +75,6 @@ class IndexPlanner:
             from repro.telemetry.instrument import NULL_INSTRUMENTATION
 
             self.instrumentation = NULL_INSTRUMENTATION
-
-    def route(self, has_target: bool) -> str:
-        """The execution strategy for one query shape."""
-        return ROUTE_INDEX if has_target else ROUTE_TRAVERSAL
 
     def query_seconds(self, sources, targets) -> np.ndarray:
         """Virtual service time per point lookup, from the shared cost model.

@@ -680,6 +680,9 @@ def _run_drill_workload(sess, cfg, batches, waves, start_batch: int = 0):
     Returns one comparable dict per wave: the epoch it ran at, the k-hop
     reach counts and the point-reach verdicts — the exact observables the
     parity contract quantifies over."""
+    from repro.core.khop import concurrent_khop
+    from repro.core.reachability import reachability_queries
+
     results = []
     for i in range(start_batch, cfg["num_batches"]):
         ins, dels = batches[i]
@@ -687,8 +690,8 @@ def _run_drill_workload(sess, cfg, batches, waves, start_batch: int = 0):
         if (i + 1) % cfg["wave_every"] == 0:
             w = (i + 1) // cfg["wave_every"] - 1
             sources, targets = waves[w]
-            kres = sess.khop(sources, cfg["k"])
-            rres = sess.reach(sources, targets, cfg["k"])
+            kres = concurrent_khop(sess, sources, cfg["k"])
+            rres = reachability_queries(sess, sources, targets, cfg["k"])
             results.append(
                 {
                     "wave": w,

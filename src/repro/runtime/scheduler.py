@@ -54,6 +54,7 @@ from repro.errors import (
     Overloaded,
     UnsupportedConfigError,
 )
+from repro.graph.validation import check_hops
 from repro.qos.lanes import (
     INTERACTIVE_LANE,
     QosConfig,
@@ -442,7 +443,7 @@ class QueryService:
     ):
         if discipline not in ("batch", "pool"):
             raise ValueError("discipline must be 'batch' or 'pool'")
-        session.check_hops(k)
+        check_hops(k)
         if not 1 <= batch_width <= MAX_WIDE_BATCH:
             raise ValueError(f"batch_width must be in [1, {MAX_WIDE_BATCH}]")
         if planner not in ("traversal", "hybrid"):
@@ -694,6 +695,10 @@ class QueryService:
             res = self.session.apply_mutations(inserts, deletes)
             self.mutations_applied += 1
             return res
+        if np.ndim(arrival) != 0:
+            raise InvalidQueryError(
+                f"a mutation batch has one arrival time, got {arrival!r}"
+            )
         arrival = float(_checked_arrivals(arrival))
         graph = self.session.dynamic()
         inserts = graph.as_pairs(inserts, "inserts")
@@ -1025,6 +1030,7 @@ class QueryService:
         virtual clock.
         """
         from repro.core.khop import concurrent_khop
+        from repro.core.reachability import reachability_queries
 
         self._apply_due_mutations(now)
         epoch = self._epoch()
@@ -1033,7 +1039,8 @@ class QueryService:
 
         def run(session):
             if kind == "reach":
-                return session.reach(
+                return reachability_queries(
+                    session,
                     sources,
                     queue.targets[rows],
                     self.k,
@@ -1231,11 +1238,15 @@ class QueryService:
         the traversal engine's — on the live session when it is static, on
         the from-scratch oracle graph at the same epoch when it is dynamic.
         Runs off the service's accounting books."""
+        from repro.core.reachability import reachability_queries
+
         dynamic = self.session.is_dynamic
         reference = self._oracle_session(epoch) if dynamic else self.session
         for i in range(0, sources.size, MAX_WIDE_BATCH):
             chunk = slice(i, i + MAX_WIDE_BATCH)
-            ref = reference.reach(sources[chunk], targets[chunk], self.k)
+            ref = reachability_queries(
+                reference, sources[chunk], targets[chunk], self.k
+            )
             if not np.array_equal(ref.reachable, verdicts[chunk]):
                 bad = np.nonzero(ref.reachable != verdicts[chunk])[0][0]
                 s, t = int(sources[chunk][bad]), int(targets[chunk][bad])

@@ -604,12 +604,6 @@ class GraphSession:
             )
         return sources
 
-    @staticmethod
-    def check_hops(k: int | None) -> None:
-        """Refuse a negative hop budget (``None`` means unbounded)."""
-        if k is not None and k < 0:
-            raise InvalidQueryError(f"hop budget k must be >= 0 or None, got {k}")
-
     def check_targets(self, targets, num_queries: int) -> np.ndarray:
         """Validate a batch's target vertices (same checks as sources).
 
@@ -837,49 +831,19 @@ class GraphSession:
         whichever executor ran it."""
         return self._executor.gather(fn, *args)
 
-    # -- algorithm conveniences (lazy imports: core depends on runtime) ----- #
+    # -- the one algorithm method (lazy import: core depends on runtime) ---- #
 
     def khop(self, sources, k: int | None, **kwargs):
-        """One bit-parallel batch of up to 512 concurrent k-hop queries."""
+        """``concurrent_khop(self, sources, k, **kwargs)``.
+
+        Every other job is spelled only as its :mod:`repro.core` function
+        (``reachability_queries(sess, …)``, ``pagerank(sess, …)``, …).  This
+        one alias stays because the wall-clock benchmark harness calls it
+        and is versioned separately from the library.
+        """
         from repro.core.khop import concurrent_khop
 
         return concurrent_khop(self, sources, k, **kwargs)
-
-    def reach(self, sources, targets, k: int | None, **kwargs):
-        """Pairwise s → t within-k reachability on the resident graph."""
-        from repro.core.reachability import reachability_queries
-
-        return reachability_queries(self, sources, targets, k, **kwargs)
-
-    def gas(self, program, iterations: int, **kwargs):
-        """Run a GAS vertex program on the resident graph."""
-        from repro.core.gas import run_gas
-
-        return run_gas(self, program, iterations, **kwargs)
-
-    def pagerank(self, **kwargs):
-        """Listing 3's PageRank on the resident graph."""
-        from repro.core.pagerank import pagerank
-
-        return pagerank(self, **kwargs)
-
-    def sssp(self, source: int, **kwargs):
-        """Weighted single-source shortest paths on the resident graph."""
-        from repro.core.sssp import sssp
-
-        return sssp(self, source, **kwargs)
-
-    def multi_sssp(self, sources, **kwargs):
-        """Concurrent weighted multi-query SSSP on the resident graph."""
-        from repro.core.multi_sssp import concurrent_sssp
-
-        return concurrent_sssp(self, sources, **kwargs)
-
-    def core_numbers(self, **kwargs):
-        """Coreness on the cached undirected view of the resident graph."""
-        from repro.core.kcore import core_numbers
-
-        return core_numbers(self, **kwargs)
 
     def khop_service(
         self, source: int, k: int | None, use_edge_sets: bool = False
@@ -894,7 +858,9 @@ class GraphSession:
         key = (int(source), k, use_edge_sets)
         cached = self._service_cache.get(key)
         if cached is None:
-            res = self.khop([int(source)], k, use_edge_sets=use_edge_sets)
+            from repro.core.khop import concurrent_khop
+
+            res = concurrent_khop(self, [int(source)], k, use_edge_sets=use_edge_sets)
             cached = (float(res.virtual_seconds), int(res.reached[0]))
             self._service_cache[key] = cached
         return cached

@@ -11,7 +11,9 @@ from repro.baselines.naive import naive_distributed_khop, naive_khop
 from repro.baselines.oracle import oracle_khop_reach
 from repro.core.frontier import MAX_WIDE_BATCH
 from repro.core.khop import DIRECTIONS, concurrent_khop
+from repro.core.multi_sssp import concurrent_sssp
 from repro.core.pagerank import pagerank
+from repro.core.reachability import reachability_queries
 from repro.graph import EdgeList, path_graph, range_partition, rmat_edges
 from repro.runtime.scheduler import QueryService
 from repro.runtime.session import GraphSession
@@ -380,7 +382,7 @@ class TestGoldenWireReach:
 
         sess.run_batch = spy
         try:
-            res = sess.reach(*args, **kwargs)
+            res = reachability_queries(sess, *args, **kwargs)
         finally:
             del sess.run_batch
         total = seen[0].total_stats()
@@ -473,5 +475,5 @@ class TestGoldenWireGasSssp:
                             rng.uniform(0.1, 4.0, graph.num_edges))
         sources = rng.integers(0, graph.num_vertices, size=32)
         with GraphSession(weighted, num_machines=3) as sess:
-            res = sess.multi_sssp(sources[:width])
+            res = concurrent_sssp(sess, sources[:width])
         assert self._wire(res.distances, res.engine_result) == self.SSSP[width]

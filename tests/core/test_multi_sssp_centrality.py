@@ -70,7 +70,7 @@ class TestConcurrentSSSP:
         """Typed, and before ``prepare()`` or any seeding: the session has
         run nothing and serves the next batch."""
         with GraphSession(small_rmat, num_machines=3) as sess:
-            for run in (lambda: sess.multi_sssp([0, 9]), lambda: sess.sssp(9)):
+            for run in (lambda: concurrent_sssp(sess, [0, 9]), lambda: sssp(sess, 9)):
                 with pytest.raises(InvalidQueryError, match="weighted graph"):
                     run()
             assert sess.batches_run == 0

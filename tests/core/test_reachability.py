@@ -163,26 +163,3 @@ class TestEarlyTermination:
             GraphSession(p, num_machines=2), [0, 0], [2, 15], k=None
         )
         assert res.resolution_seconds[0] < res.resolution_seconds[1]
-
-
-class TestFacade:
-    def test_cgraph_reach(self, small_rmat):
-        from repro.core.cgraph import CGraph
-
-        g = CGraph(small_rmat, num_machines=2)
-        res = g.reach([0], [7], k=3)
-        levels = oracle_bfs_levels(small_rmat, 0)
-        assert bool(res.reachable[0]) == (0 <= levels[7] <= 3)
-
-    def test_cgraph_core_numbers(self, small_rmat):
-        import networkx as nx
-
-        from repro.core.cgraph import CGraph
-
-        g = CGraph(small_rmat, num_machines=3)
-        res = g.core_numbers()
-        ref = nx.core_number(
-            nx.Graph(small_rmat.symmetrize().remove_self_loops().to_networkx())
-        )
-        for v, c in ref.items():
-            assert res.core[v] == c

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core.multi_sssp import concurrent_sssp
+from repro.core.pagerank import pagerank
 from repro.dynamic import DynamicGraph
 from repro.errors import MutationError, UnsupportedConfigError
 from repro.graph import CSR, EdgeList, range_partition
@@ -129,20 +131,21 @@ class TestSlotSpace:
                 assert got.virtual_seconds == want.virtual_seconds
                 assert got.per_step_seconds == want.per_step_seconds
             # GAS and multi-SSSP scatter through the same re-derived plan
-            TestSlotSpace._assert_same_run(sess.pagerank(), fresh.pagerank(), "values")
+            TestSlotSpace._assert_same_run(pagerank(sess), pagerank(fresh), "values")
             for side in (sess, fresh):
                 TestSlotSpace._weigh(side)
             if sess.uses_pool:
                 # the workers read the unweighted shared image, not _weigh's
                 # shards: a typed refusal, and the pool keeps serving
                 with pytest.raises(UnsupportedConfigError):
-                    sess.multi_sssp(sources[:32])
+                    concurrent_sssp(sess, sources[:32])
                 np.testing.assert_array_equal(
                     sess.khop(sources, 3).reached, fresh.khop(sources, 3).reached
                 )
                 return
             TestSlotSpace._assert_same_run(
-                sess.multi_sssp(sources[:32]), fresh.multi_sssp(sources[:32]),
+                concurrent_sssp(sess, sources[:32]),
+                concurrent_sssp(fresh, sources[:32]),
                 "distances",
             )
 

@@ -9,8 +9,8 @@ pure-traversal ones.
 import numpy as np
 import pytest
 
+from repro.core.reachability import reachability_queries
 from repro.graph.generators import rmat_edges
-from repro.index.planner import ROUTE_INDEX, ROUTE_TRAVERSAL
 from repro.runtime.netmodel import StepStats
 from repro.runtime.session import GraphSession
 
@@ -33,20 +33,12 @@ def random_pairs(session, n, seed):
     )
 
 
-class TestRouting:
-    def test_point_queries_route_to_index(self, planner):
-        assert planner.route(has_target=True) == ROUTE_INDEX
-
-    def test_enumeration_routes_to_traversal(self, planner):
-        assert planner.route(has_target=False) == ROUTE_TRAVERSAL
-
-
 class TestVerdictFidelity:
     @pytest.mark.parametrize("k", [0, 1, 3, None])
     def test_bit_identical_to_traversal(self, session, planner, k):
         sources, targets = random_pairs(session, 64, seed=k or 99)
         answer = planner.answer(sources, targets, k)
-        res = session.reach(sources, targets, k)
+        res = reachability_queries(session, sources, targets, k)
         np.testing.assert_array_equal(answer.reachable, res.reachable)
 
     def test_session_index_is_cached(self, session):
@@ -75,5 +67,5 @@ class TestAccounting:
     def test_lookup_is_cheaper_than_traversal(self, session, planner):
         sources, targets = random_pairs(session, 32, seed=5)
         answer = planner.answer(sources, targets, 3)
-        res = session.reach(sources, targets, 3)
+        res = reachability_queries(session, sources, targets, 3)
         assert answer.total_seconds < res.virtual_seconds

@@ -9,6 +9,7 @@ or a live traversal.
 import numpy as np
 import pytest
 
+from repro.core.reachability import reachability_queries
 from repro.errors import InvalidQueryError
 from repro.graph.generators import rmat_edges
 from repro.qos import LaneSpec, QosConfig, QuotaSpec, ResultCache
@@ -353,7 +354,7 @@ class TestResultCache:
         rep = svc.drain()
         assert rep.cache_hits == 0 and rep.cache_misses == 25
         assert cache.invalidated == 25
-        oracle = sess.reach(src, dst, 3)
+        oracle = reachability_queries(sess, src, dst, 3)
         np.testing.assert_array_equal(
             rep.reachable.astype(bool), oracle.reachable.astype(bool)
         )

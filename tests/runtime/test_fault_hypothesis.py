@@ -15,6 +15,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.pagerank import pagerank
+from repro.core.reachability import reachability_queries
 from repro.graph import rmat_edges
 from repro.runtime.fault import FaultPlan, FaultTolerance
 from repro.runtime.session import GraphSession
@@ -34,8 +36,8 @@ def reference(graph):
     sess = GraphSession(graph, num_machines=2)
     return (
         sess.khop(SOURCES, K),
-        sess.reach(SOURCES, TARGETS, K),
-        sess.pagerank(iterations=6),
+        reachability_queries(sess, SOURCES, TARGETS, K),
+        pagerank(sess, iterations=6),
     )
 
 
@@ -85,7 +87,7 @@ def test_any_seeded_plan_is_invisible_in_reach(pool_sess, reference, seed):
     )
     pool_sess.set_fault_plan(plan)
     try:
-        res = pool_sess.reach(SOURCES, TARGETS, K)
+        res = reachability_queries(pool_sess, SOURCES, TARGETS, K)
     finally:
         pool_sess.set_fault_plan(None)
     ref = reference[1]
@@ -107,7 +109,7 @@ def test_any_seeded_plan_is_invisible_in_gas(pool_sess, reference, seed):
     )
     pool_sess.set_fault_plan(plan)
     try:
-        res = pool_sess.pagerank(iterations=6)
+        res = pagerank(pool_sess, iterations=6)
     finally:
         pool_sess.set_fault_plan(None)
     ref = reference[2]

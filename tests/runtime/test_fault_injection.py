@@ -22,6 +22,9 @@ import pytest
 
 from repro.core.api import run_program
 from repro.core.khop import concurrent_khop
+from repro.core.multi_sssp import concurrent_sssp
+from repro.core.pagerank import pagerank
+from repro.core.reachability import reachability_queries
 from repro.errors import UnsupportedConfigError, WorkerLost
 from repro.graph import EdgeList, rmat_edges
 from repro.runtime.fault import FaultPlan, FaultTolerance
@@ -84,9 +87,9 @@ class TestCrashRecovery:
     def test_reach_parity_after_crash(self, inproc_sess, pool_sess):
         sources = [0, 5, 9, 33, 101]
         targets = [9, 0, 200, 44, 101]
-        ref = inproc_sess.reach(sources, targets, 4)
+        ref = reachability_queries(inproc_sess, sources, targets, 4)
         pool_sess.set_fault_plan(FaultPlan().crash_worker(0, 1))
-        res = pool_sess.reach(sources, targets, 4)
+        res = reachability_queries(pool_sess, sources, targets, 4)
         assert np.array_equal(ref.reachable, res.reachable)
         assert np.array_equal(ref.hops, res.hops)
         assert np.array_equal(ref.resolution_seconds, res.resolution_seconds)
@@ -192,9 +195,9 @@ class TestMessageFaults:
         assert not pool_sess.degraded
 
     def test_corrupt_inbox_parity_gas(self, inproc_sess, pool_sess):
-        ref = inproc_sess.pagerank(iterations=8)
+        ref = pagerank(inproc_sess, iterations=8)
         pool_sess.set_fault_plan(FaultPlan().corrupt_inbox(2, 1))
-        res = pool_sess.pagerank(iterations=8)
+        res = pagerank(pool_sess, iterations=8)
         # float sums replayed in identical order: exact, not allclose
         assert np.array_equal(ref.values, res.values)
         assert ref.virtual_seconds == res.virtual_seconds
@@ -236,13 +239,13 @@ class TestSSSPReplay:
         weighted = EdgeList(graph.src, graph.dst, graph.num_vertices,
                             rng.uniform(0.1, 4.0, graph.num_edges))
         sources = [0, 17, 333, 901, 5, 44, 555]
-        ref = GraphSession(weighted, num_machines=2).multi_sssp(sources)
+        ref = concurrent_sssp(GraphSession(weighted, num_machines=2), sources)
         ft = FaultTolerance(checkpoint_interval=2, max_recoveries=4)
         with GraphSession(
             weighted, num_machines=2, backend="pool", fault_tolerance=ft,
             fault_plan=FaultPlan().crash_worker(2, 1),
         ) as sess:
-            res = sess.multi_sssp(sources)
+            res = concurrent_sssp(sess, sources)
             assert sess.pool().recoveries == 1
             assert not sess.degraded
         assert res.distances.tobytes() == ref.distances.tobytes()
@@ -299,7 +302,7 @@ class TestReachReplay:
 
     @pytest.fixture(scope="class")
     def ref(self, graph, pairs):
-        res = GraphSession(graph, num_machines=2).reach(*pairs, None)
+        res = reachability_queries(GraphSession(graph, num_machines=2), *pairs, None)
         # targets settle at several levels, so the replayed steps matter
         assert len(set(res.hops[res.hops > 0].tolist())) >= 3
         return res
@@ -321,7 +324,7 @@ class TestReachReplay:
             graph, num_machines=2, backend=backend, fault_tolerance=ft,
             fault_plan=FaultPlan().crash_worker(2, 1),
         ) as sess:
-            self._assert_twin(ref, sess.reach(*pairs, None))
+            self._assert_twin(ref, reachability_queries(sess, *pairs, None))
 
     def test_retry_on_the_degraded_engine(self, graph, pairs, ref):
         # no recovery budget: losing the pool at superstep 3 re-runs the
@@ -331,7 +334,7 @@ class TestReachReplay:
             graph, num_machines=2, backend="pool", fault_tolerance=ft,
             fault_plan=FaultPlan().crash_worker(3, 1),
         ) as sess:
-            res = sess.reach(*pairs, None)
+            res = reachability_queries(sess, *pairs, None)
             assert sess.degraded
         self._assert_twin(ref, res)
 
@@ -460,7 +463,7 @@ class TestSharedDriver:
             fault_tolerance=ft, instrumentation=instr,
         ) as sess:
             try:
-                outcome = sess.pagerank(iterations=6).engine_result
+                outcome = pagerank(sess, iterations=6).engine_result
             except WorkerLost as exc:
                 outcome = exc
         telemetry = {
@@ -525,7 +528,7 @@ class TestInprocResilient:
             graph, num_machines=2, fault_plan=FaultPlan().crash_worker(0, 0)
         )
         with pytest.raises(ValueError, match="fault injection requires") as exc:
-            sess.pagerank(iterations=3, asynchronous=True)
+            pagerank(sess, iterations=3, asynchronous=True)
         # typed, and raised at engine construction — before any superstep
         assert isinstance(exc.value, UnsupportedConfigError)
         assert sess.batches_run == 0

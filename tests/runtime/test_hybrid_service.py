@@ -9,6 +9,7 @@ queries keep the traversal path untouched.
 import numpy as np
 import pytest
 
+from repro.core.reachability import reachability_queries
 from repro.graph.generators import rmat_edges
 from repro.runtime.scheduler import QueryService
 from repro.runtime.session import GraphSession
@@ -140,18 +141,18 @@ class TestTargetValidation:
 
     def test_count_mismatch(self, session):
         with pytest.raises(ValueError, match="need one target per source"):
-            session.reach([0, 1], [2], 2)
+            reachability_queries(session, [0, 1], [2], 2)
 
     def test_bounds(self, session):
         with pytest.raises(ValueError, match="target vertex out of range"):
-            session.reach([0], [session.num_vertices], 2)
+            reachability_queries(session, [0], [session.num_vertices], 2)
 
     def test_non_integer_targets(self, session):
         with pytest.raises(ValueError, match="targets must be integer"):
-            session.reach([0], [1.5], 2)
+            reachability_queries(session, [0], [1.5], 2)
         with pytest.raises(ValueError, match="targets must be integer"):
-            session.reach([0], ["a"], 2)
+            reachability_queries(session, [0], ["a"], 2)
 
     def test_integral_floats_accepted(self, session):
-        res = session.reach([0], [np.float64(1.0)], 2)
+        res = reachability_queries(session, [0], [np.float64(1.0)], 2)
         assert res.targets[0] == 1

@@ -19,8 +19,12 @@ import numpy as np
 import pytest
 
 from repro.core.api import PartitionProgram, run_program
+from repro.core.gas import run_gas
 from repro.core.khop import concurrent_khop
-from repro.core.pagerank import PageRankProgram
+from repro.core.multi_sssp import concurrent_sssp
+from repro.core.pagerank import PageRankProgram, pagerank
+from repro.core.reachability import reachability_queries
+from repro.core.sssp import sssp
 from repro.core.vertex_api import run_vertex_centric
 from repro.errors import UnsupportedConfigError, WorkerTaskError
 from repro.graph import EdgeList, rmat_edges
@@ -106,7 +110,7 @@ class TestKHopParity:
         with pytest.raises(UnsupportedConfigError, match="use_edge_sets"):
             pool_sess.khop([0], 2, use_edge_sets=True)
         with pytest.raises(UnsupportedConfigError, match="use_edge_sets"):
-            pool_sess.reach([0], [1], 2, use_edge_sets=True)
+            reachability_queries(pool_sess, [0], [1], 2, use_edge_sets=True)
         with pytest.raises(UnsupportedConfigError, match="asynchronous"):
             pool_sess.khop([0], 2, asynchronous=True)
 
@@ -123,8 +127,8 @@ class TestWideParity:
 
 class TestGASParity:
     def test_pagerank_bitwise_equal(self, inproc_sess, pool_sess):
-        a = inproc_sess.pagerank(iterations=10)
-        b = pool_sess.pagerank(iterations=10)
+        a = pagerank(inproc_sess, iterations=10)
+        b = pagerank(pool_sess, iterations=10)
         # float sums in identical order: exact equality, not allclose
         assert np.array_equal(a.values, b.values)
         assert a.virtual_seconds == b.virtual_seconds
@@ -132,24 +136,24 @@ class TestGASParity:
     def test_custom_program_convergence(self, inproc_sess, pool_sess):
         prog_a = PageRankProgram(tolerance=1e-6)
         prog_b = PageRankProgram(tolerance=1e-6)
-        a = inproc_sess.gas(prog_a, iterations=50)
-        b = pool_sess.gas(prog_b, iterations=50)
+        a = run_gas(inproc_sess, prog_a, iterations=50)
+        b = run_gas(pool_sess, prog_b, iterations=50)
         assert a.iterations == b.iterations
         assert np.array_equal(a.values, b.values)
 
     def test_async_requires_inproc(self, pool_sess):
         with pytest.raises(ValueError, match="inproc"):
-            pool_sess.gas(PageRankProgram(), iterations=3, asynchronous=True)
+            run_gas(pool_sess, PageRankProgram(), iterations=3, asynchronous=True)
         with pytest.raises(UnsupportedConfigError, match="asynchronous"):
-            pool_sess.gas(PageRankProgram(), iterations=3, asynchronous=True)
+            run_gas(pool_sess, PageRankProgram(), iterations=3, asynchronous=True)
 
 
 class TestReachParity:
     def test_point_queries(self, inproc_sess, pool_sess):
         sources = [0, 5, 9, 33, 101]
         targets = [9, 0, 200, 44, 101]
-        a = inproc_sess.reach(sources, targets, 4)
-        b = pool_sess.reach(sources, targets, 4)
+        a = reachability_queries(inproc_sess, sources, targets, 4)
+        b = reachability_queries(pool_sess, sources, targets, 4)
         assert np.array_equal(a.reachable, b.reachable)
         assert np.array_equal(a.hops, b.hops)
         assert np.array_equal(a.resolution_seconds, b.resolution_seconds)
@@ -266,16 +270,16 @@ class TestDescribedBatchParity:
     @pytest.mark.parametrize("width", [1, 7, 32])
     def test_multi_sssp(self, inproc3, pool3, width, max_hops):
         sources = [(37 * q) % inproc3.num_vertices for q in range(width)]
-        a = inproc3.multi_sssp(sources, max_hops=max_hops)
-        b = pool3.multi_sssp(sources, max_hops=max_hops)
+        a = concurrent_sssp(inproc3, sources, max_hops=max_hops)
+        b = concurrent_sssp(pool3, sources, max_hops=max_hops)
         assert _ran_on_workers(pool3)
         assert a.distances.tobytes() == b.distances.tobytes()
         assert a.supersteps == b.supersteps
         assert _engine_row(a.engine_result) == _engine_row(b.engine_result)
 
     def test_sssp(self, inproc3, pool3):
-        a = inproc3.sssp(5, max_hops=4)
-        b = pool3.sssp(5, max_hops=4)
+        a = sssp(inproc3, 5, max_hops=4)
+        b = sssp(pool3, 5, max_hops=4)
         assert _ran_on_workers(pool3)
         assert a.distances.tobytes() == b.distances.tobytes()
         assert a.hops_used == b.hops_used

@@ -327,6 +327,17 @@ class TestValidation:
                 svc.apply_mutations([(0, 1)], arrival=bad)
         assert svc.num_pending_mutations == 0
 
+    def test_mutation_arrival_is_one_number(self, small_rmat):
+        from repro.errors import InvalidQueryError
+        from repro.runtime.session import GraphSession
+
+        sess = GraphSession(small_rmat, num_machines=2)
+        sess.dynamic()
+        svc = QueryService(sess, k=2)
+        with pytest.raises(InvalidQueryError, match="one arrival time"):
+            svc.apply_mutations([(0, 1)], arrival=[1.0, 2.0])
+        assert svc.num_pending_mutations == 0
+
     def test_mismatched_arrivals(self, session):
         svc = QueryService(session, k=2)
         with pytest.raises(ValueError, match="arrivals"):
@@ -363,11 +374,13 @@ class TestDrainRaises:
         svc = service()
         calls = [0]
         if kind == "khop":
-            import repro.core.khop as module
+            import repro.core.khop as owner
 
-            name, owner = "concurrent_khop", module
+            name = "concurrent_khop"
         else:
-            name, owner = "reach", GraphSession
+            import repro.core.reachability as owner
+
+            name = "reachability_queries"
         original = getattr(owner, name)
 
         def flaky(*args, **kwargs):

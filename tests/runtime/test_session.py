@@ -272,7 +272,7 @@ class TestStateReuse:
     def test_session_convenience_methods(self, graph, session):
         res = session.khop([0, 1], 2)
         assert res.num_queries == 2
-        run = session.pagerank(iterations=2)
+        run = pagerank(session, iterations=2)
         assert run.values.size == graph.num_vertices
 
     def test_check_sources_validation(self, session):
@@ -315,7 +315,7 @@ def _engine_row(result):
 
 
 def _sssp(sess, width):
-    res = sess.multi_sssp(list(range(0, 3 * width, 3)), max_hops=4)
+    res = concurrent_sssp(sess, list(range(0, 3 * width, 3)), max_hops=4)
     return res.distances.tobytes(), _engine_row(res.engine_result)
 
 

@@ -33,32 +33,32 @@ class TestReproScaleEnv:
         assert explicit.num_vertices == via_env.num_vertices
 
 
-class TestCGraphEdgeCases:
+class TestPublicSurface:
     def test_khop_with_numpy_sources(self, small_rmat):
-        from repro import CGraph
+        from repro import GraphSession, concurrent_khop
 
-        g = CGraph(small_rmat)
-        res = g.khop(np.array([0, 5], dtype=np.int32), 2)
+        sess = GraphSession(small_rmat)
+        res = concurrent_khop(sess, np.array([0, 5], dtype=np.int32), 2)
         assert res.num_queries == 2
 
     def test_netmodel_propagates(self, small_rmat):
-        from repro import CGraph, NetworkModel
+        from repro import GraphSession, NetworkModel, concurrent_khop
 
-        slow = CGraph(small_rmat, num_machines=2,
-                      netmodel=NetworkModel(seconds_per_edge=1e-5))
-        fast = CGraph(small_rmat, num_machines=2,
-                      netmodel=NetworkModel(seconds_per_edge=1e-9))
+        slow = GraphSession(small_rmat, num_machines=2,
+                            netmodel=NetworkModel(seconds_per_edge=1e-5))
+        fast = GraphSession(small_rmat, num_machines=2,
+                            netmodel=NetworkModel(seconds_per_edge=1e-9))
         assert (
-            slow.khop([0], 3).virtual_seconds
-            > fast.khop([0], 3).virtual_seconds
+            concurrent_khop(slow, [0], 3).virtual_seconds
+            > concurrent_khop(fast, [0], 3).virtual_seconds
         )
 
     def test_repr_strings(self, small_rmat):
-        from repro import CGraph
+        from repro import GraphSession
 
-        g = CGraph(small_rmat, num_machines=2)
-        assert "CGraph" in repr(g)
-        assert "PartitionedGraph" in repr(g.pg)
+        sess = GraphSession(small_rmat, num_machines=2)
+        assert "GraphSession" in repr(sess)
+        assert "PartitionedGraph" in repr(sess.pg)
 
     def test_top_level_exports_resolve(self):
         import repro

@@ -10,6 +10,8 @@ and tests pinning them — keep working across the fault-tolerance refactor.
 import pytest
 
 from repro.core.api import run_program
+from repro.core.gas import run_gas
+from repro.core.khop import concurrent_khop
 from repro.core.ooc import concurrent_khop_out_of_core
 from repro.core.pagerank import PageRankProgram
 from repro.errors import (
@@ -26,6 +28,8 @@ from repro.errors import (
     WorkerLost,
     WorkerTaskError,
 )
+from repro.core.reachability import reachability_queries
+from repro.core.sssp import sssp
 from repro.graph import path_graph
 from repro.qos import QosConfig, ResultCache
 from repro.runtime.scheduler import QueryService
@@ -108,8 +112,8 @@ def test_catching_the_base_catches_everything():
     [
         lambda sess: sess.khop([0], 2, use_edge_sets=True),
         lambda sess: sess.khop([0], 2, asynchronous=True),
-        lambda sess: sess.reach([0], [1], 2, use_edge_sets=True),
-        lambda sess: sess.gas(PageRankProgram(), 2, asynchronous=True),
+        lambda sess: reachability_queries(sess, [0], [1], 2, use_edge_sets=True),
+        lambda sess: run_gas(sess, PageRankProgram(), 2, asynchronous=True),
         lambda sess: QueryService(sess, 2, use_edge_sets=True),
         lambda sess: concurrent_khop_out_of_core(sess, [0], 2),
     ],
@@ -134,11 +138,13 @@ def test_inproc_only_modes_fail_fast_and_typed_on_a_pool_session(call):
         lambda sess: QueryService(sess, 2, cache=ResultCache(8)),
         lambda sess: QueryService(sess, 2, cross_check=True),
         lambda sess: sess.khop([0], 2, use_edge_sets=True, direction="pull"),
-        lambda sess: sess.reach([0], [1], 2, use_edge_sets=True, direction="pull"),
+        lambda sess: reachability_queries(
+            sess, [0], [1], 2, use_edge_sets=True, direction="pull"
+        ),
         # edge-set mode before the edge sets are built
         lambda sess: QueryService(sess, 2, use_edge_sets=True),
         lambda sess: sess.khop([0], 2, use_edge_sets=True),
-        lambda sess: sess.reach([0], [1], 2, use_edge_sets=True),
+        lambda sess: reachability_queries(sess, [0], [1], 2, use_edge_sets=True),
     ],
     ids=[
         "qos-pool-discipline",
@@ -162,7 +168,7 @@ def test_unsupported_combinations_fail_typed_before_any_work(call):
     "call",
     [
         lambda sess: sess.khop([5], -1),
-        lambda sess: sess.reach([5], [5], -1),
+        lambda sess: reachability_queries(sess, [5], [5], -1),
         lambda sess: concurrent_khop_out_of_core(sess, [5], -1),
         lambda sess: QueryService(sess, -1, planner="traversal"),
         lambda sess: QueryService(sess, -1, planner="hybrid"),
@@ -178,11 +184,40 @@ def test_negative_hop_budget_is_refused_typed_before_any_work(call):
         assert sess.batches_run == 0
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda sess: concurrent_khop(sess, [0, 1], 2.5),
+        lambda sess: concurrent_khop(sess, [0, 1], True),
+        lambda sess: concurrent_khop(sess, [0, 1], "2"),
+        lambda sess: reachability_queries(sess, [0], [5], 2.5),
+        lambda sess: QueryService(sess, 2.5, planner="traversal"),
+        lambda sess: QueryService(sess, 2.5, planner="hybrid"),
+        lambda sess: sess.index().reach_many([0], [5], 2.5),
+        lambda sess: sssp(sess, 0, max_hops=-1),
+        lambda sess: sssp(sess, 0, max_hops=2.5),
+    ],
+    ids=[
+        "khop-fractional", "khop-bool", "khop-str", "reach-fractional",
+        "service-traversal", "service-hybrid", "index", "sssp-negative",
+        "sssp-fractional",
+    ],
+)
+def test_malformed_hop_budget_is_refused_typed_before_any_work(call):
+    """A fractional budget would run ``ceil(k)`` supersteps in the engine
+    while the index compares ``d <= k``: the two planners would disagree."""
+    weighted = path_graph(6).with_unit_weights()
+    with GraphSession(weighted, num_machines=2) as sess:
+        with pytest.raises(InvalidQueryError, match="(k|max_hops) must be"):
+            call(sess)
+        assert sess.batches_run == 0
+
+
 def _gas_with_a_local_class(sess):
     class LocalRank(PageRankProgram):
         pass
 
-    sess.gas(LocalRank(), 2)
+    run_gas(sess, LocalRank(), 2)
 
 
 @pytest.mark.parametrize(

@@ -2,15 +2,17 @@
 
 Full example runs belong to the user (`python examples/<name>.py`); here we
 make sure every script parses, exposes a ``main`` entry point, and that the
-fastest one actually executes end to end.
+README's quickstart actually executes end to end.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES_DIR = ROOT / "examples"
 EXAMPLE_FILES = sorted(EXAMPLES_DIR.glob("*.py"))
 
 
@@ -49,3 +51,14 @@ def test_example_imports_resolve():
                         assert hasattr(module, alias.name), (
                             f"{path.name}: {node.module}.{alias.name} missing"
                         )
+
+
+def test_readme_python_blocks_run():
+    """The README's quickstart is code, not prose: every ``python`` block
+    runs, in order, in one namespace."""
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(),
+                        flags=re.DOTALL)
+    assert blocks, "README.md has no python block"
+    namespace = {"__name__": "readme"}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

@@ -6,10 +6,10 @@ and adversarial graph shapes end to end, spanning graph/runtime/core/bench.
 
 import numpy as np
 
-from repro import CGraph
 from repro.baselines.oracle import oracle_khop_reach
 from repro.bench.timing import ResponseTimes
 from repro.bench.workload import QueryWorkload
+from repro.core.kcore import core_numbers
 from repro.core.khop import concurrent_khop
 from repro.core.pagerank import pagerank
 from repro.graph import (
@@ -21,19 +21,26 @@ from repro.graph import (
     star_graph,
 )
 from repro.graph.io import read_edge_list, write_edge_list
-from repro.runtime.scheduler import SLOTS_PER_MACHINE, simulate_fifo_pool
+from repro.runtime.scheduler import (
+    SLOTS_PER_MACHINE,
+    QueryService,
+    simulate_fifo_pool,
+)
 from repro.runtime.session import GraphSession
 
 
 class TestEndToEndWorkflows:
     def test_ingest_partition_query_report(self, tmp_path, medium_rmat):
-        """The full pipeline a user runs: file -> CGraph -> workload -> stats."""
+        """The full pipeline a user runs: file -> session -> workload -> stats."""
         path = tmp_path / "edges.txt"
         write_edge_list(medium_rmat, path)
         edges = read_edge_list(path)
-        g = CGraph(edges, num_machines=4, edge_sets=True, reindex="degree")
+        relabelled, mapping = edges.reindex("degree")
+        sess = GraphSession(relabelled, num_machines=4, edge_sets=True)
         workload = QueryWorkload.generate(edges, 20, k=3, roots_per_query=1, seed=0)
-        stream = g.khop_batch(workload.all_roots(), k=3)
+        svc = QueryService(sess, 3, use_edge_sets=True)
+        svc.submit_many(mapping[workload.all_roots()])
+        stream = svc.drain()
         pooled = simulate_fifo_pool(
             stream.response_seconds, 4 * SLOTS_PER_MACHINE
         )
@@ -65,22 +72,22 @@ class TestEndToEndWorkflows:
 
     def test_query_then_iterate_same_handle(self, small_rmat):
         """The paper's deployment story: one build serves both app classes."""
-        g = CGraph(small_rmat, num_machines=3, edge_sets=True)
-        khop = g.khop([0, 5], 2)
-        ranks = g.pagerank(iterations=5)
-        cores = g.core_numbers()
+        sess = GraphSession(small_rmat, num_machines=3, edge_sets=True)
+        khop = concurrent_khop(sess, [0, 5], 2, use_edge_sets=True)
+        ranks = pagerank(sess, iterations=5)
+        cores = core_numbers(sess)
         assert khop.reached.min() >= 1
-        assert ranks.values.size == g.num_vertices
-        assert cores.core.size == g.num_vertices
+        assert ranks.values.size == sess.num_vertices
+        assert cores.core.size == sess.num_vertices
 
 
 class TestAdversarialGraphs:
     def test_empty_graph_everywhere(self):
         el = EdgeList.empty(6)
-        g = CGraph(el, num_machines=3)
-        res = g.khop([2], 3)
+        sess = GraphSession(el, num_machines=3)
+        res = concurrent_khop(sess, [2], 3)
         assert res.reached[0] == 1
-        ranks = g.pagerank(iterations=3)
+        ranks = pagerank(sess, iterations=3)
         np.testing.assert_allclose(ranks.values, 0.15)
 
     def test_single_vertex_graph(self):
