@@ -17,12 +17,17 @@ them instead:
   next task install (:func:`build_with_delta`) and patch their *attached*
   shard the same way — the coordinator never repacks shared memory until
   :meth:`DynamicGraph.compact` folds the delta into a new base;
-* the spliced CSR is built by the same counting-sort construction as the
-  base (:func:`~repro.graph.csr.build_csr`), whose output depends only on
-  the per-row edge *sets* — so an effective shard is byte-identical to a
-  partition rebuilt from scratch on the mutated edge list, which is the
-  invariant every cross-check and property test in ``tests/dynamic``
-  pins.
+* the spliced CSR is a sorted-key merge into the base: every shard is
+  sorted by ``row·n + col`` with no repeats (what
+  :func:`~repro.graph.csr.build_csr` emits), so removing the deleted
+  entries and inserting the new ones at their ``searchsorted`` slots costs
+  the batch plus one copy of the shard — never a sort — and the result is
+  byte-identical to a partition rebuilt from scratch on the mutated edge
+  list, which is the invariant every cross-check and property test in
+  ``tests/dynamic`` pins;
+* the base edge set is one sorted key array, so membership tests are a
+  ``searchsorted`` and :meth:`DynamicGraph.compact` adopts the spliced
+  shards as the new base instead of re-partitioning the edge list.
 
 Epochs
 ------
@@ -45,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import MutationError
-from repro.graph.csr import CSR, build_csr
+from repro.graph.csr import CSR, expand_ranges
 from repro.graph.edgelist import EdgeList
 from repro.graph.partition import PartitionedGraph, owner_of_bounds
 
@@ -120,6 +125,20 @@ class MutationResult:
 # --------------------------------------------------------------------------- #
 
 
+def _row_positions(base: CSR, rows: np.ndarray, cols: np.ndarray, n: int):
+    """Where each ``(rows[i], cols[i])`` sits in ``base.indices``, or the slot
+    it would be inserted at to keep its row sorted.
+
+    Only the named rows are keyed (``row·n + col``, sorted because the rows
+    are), so the cost is their degree, not the shard's size."""
+    touched = np.unique(rows)
+    starts, ends = base.indptr[touched], base.indptr[touched + 1]
+    keys = np.repeat(touched * n, ends - starts)
+    keys += base.indices[expand_ranges(starts, ends)]
+    rank = np.searchsorted(keys, rows * n + cols) - np.searchsorted(keys, rows * n)
+    return base.indptr[rows] + rank
+
+
 def splice_effective_csr(
     base: CSR,
     num_rows: int,
@@ -129,29 +148,40 @@ def splice_effective_csr(
     del_rows: np.ndarray,
     del_cols: np.ndarray,
 ) -> CSR:
-    """Rebuild one shard as ``(base − deletes) ∪ inserts``.
+    """One shard as ``(base − deletes) ∪ inserts``.
 
-    Rows are local (partition-relative), columns global.  The result is a
-    pure function of the final per-row column sets — `build_csr`'s
-    counting sort plus stable column sort erases input order — so the
-    spliced shard matches a from-scratch rebuild byte for byte.
+    Rows are local (partition-relative), columns global.  ``base`` holds
+    each row's columns ascending and without repeats (what `build_csr`
+    emits), every delete names a base entry and no insert does — the
+    pending delta's invariants.  The splice is then one sorted-key merge:
+    drop the deleted positions, insert the new columns at their slots and
+    shift ``indptr`` by the per-row counts.  Nothing of the base is
+    sorted, and the result matches a from-scratch rebuild byte for byte.
     """
-    rows = np.repeat(
-        np.arange(num_rows, dtype=np.int64), base.degrees().astype(np.int64)
+    n = num_vertices
+    ins_rows, ins_cols, del_rows, del_cols = (
+        np.asarray(a, dtype=np.int64)
+        for a in (ins_rows, ins_cols, del_rows, del_cols)
     )
-    cols = base.indices.astype(np.int64)
-    if del_rows.size:
-        keys = rows * num_vertices + cols
-        del_keys = (
-            np.asarray(del_rows, np.int64) * num_vertices
-            + np.asarray(del_cols, np.int64)
-        )
-        keep = ~np.isin(keys, del_keys)
-        rows, cols = rows[keep], cols[keep]
-    if ins_rows.size:
-        rows = np.concatenate([rows, np.asarray(ins_rows, np.int64)])
-        cols = np.concatenate([cols, np.asarray(ins_cols, np.int64)])
-    return build_csr(rows, cols, num_rows)
+    # np.insert keeps values bound for one slot in the order given
+    order = np.argsort(ins_rows * n + ins_cols)
+    ins_rows, ins_cols = ins_rows[order], ins_cols[order]
+    del_pos = np.sort(_row_positions(base, del_rows, del_cols, n))
+    ins_pos = _row_positions(base, ins_rows, ins_cols, n)
+    ins_pos -= np.searchsorted(del_pos, ins_pos)  # slots after the deletes
+    indices = base.indices
+    if del_pos.size:
+        indices = np.delete(indices, del_pos)
+    if ins_pos.size:
+        indices = np.insert(indices, ins_pos, ins_cols.astype(indices.dtype))
+    counts = (
+        base.degrees()
+        + np.bincount(ins_rows, minlength=num_rows)
+        - np.bincount(del_rows, minlength=num_rows)
+    )
+    indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return CSR(indptr=indptr, indices=indices)
 
 
 @dataclass(frozen=True)
@@ -255,7 +285,8 @@ class DynamicGraph:
             raise MutationError("dynamic graphs must be unweighted")
         n = pg.num_vertices
         base_keys = pg.edges.src.astype(np.int64) * n + pg.edges.dst.astype(np.int64)
-        if np.unique(base_keys).size != base_keys.size:
+        sorted_keys = np.unique(base_keys)
+        if sorted_keys.size != base_keys.size:
             raise MutationError(
                 "dynamic graphs need a duplicate-free base edge list "
                 "(EdgeList.deduplicate() it first)"
@@ -271,7 +302,7 @@ class DynamicGraph:
         self.log = MutationLog()
         self.epoch0_edges = pg.edges
         self.compactions = 0
-        self._base_keys: set[int] = set(base_keys.tolist())
+        self._base_keys = sorted_keys  # the base edge set, sorted int64 keys
         self._base_shards = {
             p.part_id: (p.out_csr, p.in_csc) for p in pg.partitions
         }
@@ -306,11 +337,30 @@ class DynamicGraph:
     def _sorted_keys(self, keys: set) -> np.ndarray:
         return np.array(sorted(keys), dtype=np.int64)
 
+    def _in_base(self, keys: np.ndarray) -> np.ndarray:
+        """Membership of each key in the base edge set."""
+        base = self._base_keys
+        pos = np.searchsorted(base, keys)
+        hit = pos < base.size
+        hit[hit] = base[pos[hit]] == keys[hit]
+        return hit
+
+    def _current_keys(self) -> np.ndarray:
+        """The current edge set as sorted keys: the base less the pending
+        deletes (all base entries), plus the pending inserts (none are)."""
+        keys = self._base_keys
+        if self._deleted:
+            dels = self._sorted_keys(self._deleted)
+            keys = np.delete(keys, np.searchsorted(keys, dels))
+        if self._inserted:
+            ins = self._sorted_keys(self._inserted)
+            keys = np.insert(keys, np.searchsorted(keys, ins), ins)
+        return keys
+
     def materialize_edges(self) -> EdgeList:
         """The current edge set as a fresh :class:`EdgeList` (key-sorted,
         i.e. ``(src, dst)``-lexicographic — input-order independent)."""
-        keys = (self._base_keys - self._deleted) | self._inserted
-        pairs = self._decode(self._sorted_keys(keys))
+        pairs = self._decode(self._current_keys())
         return EdgeList(pairs[:, 0], pairs[:, 1], self.num_vertices)
 
     # -- mutation ------------------------------------------------------------ #
@@ -319,20 +369,20 @@ class DynamicGraph:
         """``pairs`` as an ``(m, 2)`` int64 array, or :class:`MutationError`
         when they are not integer ``(u, v)`` pairs inside the vertex set."""
         arr = np.asarray(list(pairs) if not isinstance(pairs, np.ndarray) else pairs)
-        if arr.size == 0:
+        if arr.shape == (0,):  # an empty list names no pairs
             return np.empty((0, 2), dtype=np.int64)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise MutationError(f"{name} must be (u, v) pairs")
-        if arr.dtype.kind not in "iu":
-            if not np.array_equal(arr, arr.astype(np.int64)):
-                raise MutationError(f"{name} must be integer vertex pairs")
-        arr = arr.astype(np.int64)
-        if arr.min() < 0 or arr.max() >= self.num_vertices:
+        if arr.dtype.kind not in "iuf" or (
+            arr.dtype.kind == "f" and not np.all(np.floor(arr) == arr)
+        ):  # floor keeps NaN and inf unequal or out of range, without a warning
+            raise MutationError(f"{name} must be integer vertex pairs")
+        if arr.size and (arr.min() < 0 or arr.max() >= self.num_vertices):
             raise MutationError(
                 f"{name} endpoint out of range for n={self.num_vertices} "
                 "(the dynamic layer cannot grow the vertex set)"
             )
-        return arr
+        return arr.astype(np.int64)
 
     def apply(self, inserts=(), deletes=()) -> MutationResult:
         """Apply one mutation batch; returns what actually changed.
@@ -348,11 +398,15 @@ class DynamicGraph:
         n = self.num_vertices
         ins_keys = dict.fromkeys((ins[:, 0] * n + ins[:, 1]).tolist())
         del_keys = dict.fromkeys((dels[:, 0] * n + dels[:, 1]).tolist())
+        asked = [*ins_keys, *del_keys]
+        in_base = dict(
+            zip(asked, self._in_base(np.array(asked, dtype=np.int64)).tolist())
+        )
 
         def present(key: int) -> bool:
             if key in self._inserted:
                 return True
-            return key in self._base_keys and key not in self._deleted
+            return in_base[key] and key not in self._deleted
 
         applied_ins = [k for k in ins_keys if not present(k)]
         applied_del = [
@@ -365,7 +419,7 @@ class DynamicGraph:
             return MutationResult(self.epoch, empty, empty, noop_ins, noop_del)
 
         for k in applied_ins:
-            if k in self._base_keys:
+            if in_base[k]:
                 self._deleted.discard(k)
             else:
                 self._inserted.add(k)
@@ -380,8 +434,13 @@ class DynamicGraph:
         del_arr = self._decode(np.array(sorted(applied_del), dtype=np.int64))
         touched = self._touched_partitions(ins_arr, del_arr)
         self._touched_since_base.update(touched)
+        pending = self._pending_pairs()
         for pid in touched:
-            self._resplice_partition(pid)
+            apply_partition_delta(
+                self.pg.partitions[pid],
+                self._partition_delta(pid, *pending),
+                base=self._base_shards[pid],
+            )
         # Parent-side invariant: every resident partition carries the
         # current epoch, so build_with_delta's skip test holds on the
         # degraded in-process path.
@@ -424,13 +483,6 @@ class DynamicGraph:
             out_deletes=side(dels, 0),
             in_inserts=side(ins, 1),
             in_deletes=side(dels, 1),
-        )
-
-    def _resplice_partition(self, pid: int) -> None:
-        ins, dels = self._pending_pairs()
-        delta = self._partition_delta(pid, ins, dels)
-        apply_partition_delta(
-            self.pg.partitions[pid], delta, base=self._base_shards[pid]
         )
 
     def pool_deltas(self) -> dict[int, PartitionDelta] | None:
@@ -484,26 +536,19 @@ class DynamicGraph:
         the epoch still advances: the base arrays backing any shm image
         are replaced, so resident pool state keyed on the old epoch must
         never be reused (the session closes its pool on compaction and the
-        next batch packs a fresh image).  Effective shards spliced before
-        the compaction and shards rebuilt from the compacted edge list are
-        byte-identical, so answers are unaffected.
+        next batch packs a fresh image).  The effective shards already are
+        what a rebuild from the compacted edge list would produce, byte for
+        byte, so they become the new base as they stand.
         """
-        edges = self.materialize_edges()
-        from repro.graph.partition import partition_with_bounds
-
-        fresh = partition_with_bounds(edges, self.bounds)
-        for part, built in zip(self.pg.partitions, fresh.partitions):
-            part.out_csr = built.out_csr
-            part.in_csc = built.in_csc
+        keys = self._current_keys()
+        pairs = self._decode(keys)
+        for part in self.pg.partitions:
             part.edge_sets = None
             part.plan_cache = None
-        self.pg.edges = edges
+        self.pg.edges = EdgeList(pairs[:, 0], pairs[:, 1], self.num_vertices)
         self.epoch += 1
         self.compactions += 1
-        n = self.num_vertices
-        self._base_keys = set(
-            (edges.src.astype(np.int64) * n + edges.dst.astype(np.int64)).tolist()
-        )
+        self._base_keys = keys
         self._base_shards = {
             p.part_id: (p.out_csr, p.in_csc) for p in self.pg.partitions
         }

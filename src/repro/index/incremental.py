@@ -42,9 +42,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
+from repro.dynamic.delta import splice_effective_csr
+from repro.graph.csr import CSR, expand_ranges
 from repro.index.labels import HubLabels
 
 __all__ = ["IncrementalIndex", "IndexPatchResult"]
@@ -63,37 +66,19 @@ class IndexPatchResult:
     seconds: float = 0.0  # wall time of the patch
 
 
-def _adj_csr(adj: list, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pack an adjacency of sets into CSR arrays for vectorised BFS."""
-    counts = np.fromiter((len(s) for s in adj), dtype=np.int64, count=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    indices = np.fromiter(
-        (x for s in adj for x in s), dtype=np.int64, count=int(indptr[-1])
-    )
-    return indptr, indices
+_NO_EDGES = np.empty((0, 2), dtype=np.int64)
 
 
-def _bfs_np(
-    indptr: np.ndarray, indices: np.ndarray, root: int, n: int
-) -> np.ndarray:
+def _bfs_np(adj: CSR, root: int) -> np.ndarray:
     """Hop distances from ``root`` (``-1`` = unreachable), whole frontiers
     expanded with gather/scatter instead of per-vertex Python loops."""
-    dist = np.full(n, -1, dtype=np.int32)
+    dist = np.full(adj.num_rows, -1, dtype=np.int32)
     dist[root] = 0
     frontier = np.array([root], dtype=np.int64)
     d = 0
     while frontier.size:
         d += 1
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if not total:
-            break
-        before = np.cumsum(counts) - counts  # exclusive prefix per row
-        nbrs = indices[
-            np.repeat(starts - before, counts) + np.arange(total)
-        ]
+        nbrs = adj.indices[adj.gather_edges(frontier)[0]]
         nbrs = nbrs[dist[nbrs] < 0]
         if not nbrs.size:
             break
@@ -105,12 +90,14 @@ def _bfs_np(
 class IncrementalIndex:
     """Mutable twin of a frozen :class:`HubLabels`, patchable per batch.
 
-    Holds per-vertex ``{hub rank: distance}`` maps plus its own adjacency
-    copy (sets, updated per mutation), so patching never depends on the
-    resident graph's representation.  :meth:`finalize` re-freezes into a
-    :class:`HubLabels` with the same storage contract (ranks ascending per
-    vertex), so the planner, ``dist_many`` and the service are oblivious
-    to how the labels were produced.
+    Holds per-vertex ``{hub rank: distance}`` maps plus its own copy of the
+    adjacency — a global out-CSR and in-CSC, rows sorted, spliced per
+    mutation by the kernel that splices the graph's shards — so patching
+    never depends on the resident graph's representation.
+    :meth:`finalize` re-freezes into a :class:`HubLabels` with the same
+    storage contract (ranks ascending per vertex), so the planner,
+    ``dist_many`` and the service are oblivious to how the labels were
+    produced.
 
     Invariant maintained by every patch: **all stored entries are exact
     distances** in the current graph and the labels remain a 2-hop cover
@@ -123,9 +110,8 @@ class IncrementalIndex:
     def __init__(
         self,
         labels: HubLabels,
-        out_adj: list,
-        in_adj: list,
-        base_edges: int,
+        out_csr: CSR,
+        in_csc: CSR,
         churn_threshold: float = 0.02,
         region_threshold: float = 0.5,
     ):
@@ -165,9 +151,9 @@ class IncrementalIndex:
         )
         self._dirty_out: set[int] = set()
         self._dirty_in: set[int] = set()
-        self.out_adj = out_adj
-        self.in_adj = in_adj
-        self.base_edges = int(base_edges)
+        self.out_csr = out_csr
+        self.in_csc = in_csc
+        self.base_edges = out_csr.nnz
         self.churn_threshold = float(churn_threshold)
         self.region_threshold = float(region_threshold)
         self.mutations_since_build = 0
@@ -181,13 +167,7 @@ class IncrementalIndex:
         """
         from repro.index.build import global_csr_csc
 
-        out_csr, in_csc = global_csr_csc(graph)
-        n = labels.num_vertices
-        out_adj = [set(out_csr.neighbors(v).tolist()) for v in range(n)]
-        in_adj = [set(in_csc.neighbors(v).tolist()) for v in range(n)]
-        return cls(
-            labels, out_adj, in_adj, base_edges=int(out_csr.nnz), **kwargs
-        )
+        return cls(labels, *global_csr_csc(graph), **kwargs)
 
     # -- queries against the live (mutable) labels --------------------------- #
 
@@ -230,7 +210,7 @@ class IncrementalIndex:
             > self.churn_threshold * max(self.base_edges, 1)
         )
         if over_churn:
-            self._update_adjacency_only(ins, dels)
+            self._splice(ins, dels)
             return IndexPatchResult(
                 patched=False,
                 needs_rebuild=True,
@@ -242,34 +222,26 @@ class IncrementalIndex:
         # -- delete phase: invalidate and repair the affected region -------- #
         if dels.shape[0]:
             n = self.num_vertices
-            tails = sorted({int(u) for u, _ in dels})
-            heads = sorted({int(v) for _, v in dels})
-            out_ptr, out_idx = _adj_csr(self.out_adj, n)
-            in_ptr, in_idx = _adj_csr(self.in_adj, n)
-            old_f = {u: _bfs_np(out_ptr, out_idx, u, n) for u in tails}
-            old_b = {v: _bfs_np(in_ptr, in_idx, v, n) for v in heads}
-            for u, v in dels:
-                self.out_adj[int(u)].discard(int(v))
-                self.in_adj[int(v)].discard(int(u))
-            out_ptr, out_idx = _adj_csr(self.out_adj, n)
-            in_ptr, in_idx = _adj_csr(self.in_adj, n)
+            tails = np.unique(dels[:, 0]).tolist()
+            heads = np.unique(dels[:, 1]).tolist()
+            old_f = {u: _bfs_np(self.out_csr, u) for u in tails}
+            old_b = {v: _bfs_np(self.in_csc, v) for v in heads}
+            self._splice(_NO_EDGES, dels)
             changed_f = np.zeros(n, dtype=bool)
             changed_b = np.zeros(n, dtype=bool)
             for u in tails:
-                new = _bfs_np(out_ptr, out_idx, u, n)
+                new = _bfs_np(self.out_csr, u)
                 visits += int((old_f[u] >= 0).sum() + (new >= 0).sum())
                 changed_f |= old_f[u] != new
             for v in heads:
-                new = _bfs_np(in_ptr, in_idx, v, n)
+                new = _bfs_np(self.in_csc, v)
                 visits += int((old_b[v] >= 0).sum() + (new >= 0).sum())
                 changed_b |= old_b[v] != new
             w_f = np.flatnonzero(changed_f)
             w_b = np.flatnonzero(changed_b)
             if w_f.size + w_b.size > self.region_threshold * n:
                 # Repairing most of the graph costs more than rebuilding.
-                for u, v in ins:
-                    self.out_adj[int(u)].add(int(v))
-                    self.in_adj[int(v)].add(int(u))
+                self._splice(ins, _NO_EDGES)
                 return IndexPatchResult(
                     patched=False,
                     needs_rebuild=True,
@@ -277,7 +249,7 @@ class IncrementalIndex:
                     seconds=time.perf_counter() - t0,
                 )
             for y in w_f.tolist():
-                dists = _bfs_np(in_ptr, in_idx, y, n)  # ancestors: d(a, y)
+                dists = _bfs_np(self.in_csc, y)  # ancestors: d(a, y)
                 vs = np.flatnonzero(dists >= 0)
                 visits += vs.size
                 self.in_labels[y] = dict(
@@ -287,7 +259,7 @@ class IncrementalIndex:
                 entries += vs.size
                 repaired += 1
             for x in w_b.tolist():
-                dists = _bfs_np(out_ptr, out_idx, x, n)  # descendants: d(x, b)
+                dists = _bfs_np(self.out_csr, x)  # descendants: d(x, b)
                 vs = np.flatnonzero(dists >= 0)
                 visits += vs.size
                 self.out_labels[x] = dict(
@@ -298,13 +270,11 @@ class IncrementalIndex:
                 repaired += 1
 
         # -- insert phase: pruned resumption, one edge at a time ------------ #
-        for u, v in ins:
-            u, v = int(u), int(v)
-            self.out_adj[u].add(v)
-            self.in_adj[v].add(u)
+        for u, v in ins.tolist():
+            self._splice(np.array([[u, v]], dtype=np.int64), _NO_EDGES)
             for r, d_hu in sorted(self.in_labels[u].items()):
                 e, vis = self._resume(
-                    self.out_adj, self.in_labels, self._dirty_in,
+                    self.out_csr, self.in_labels, self._dirty_in,
                     r, v, d_hu + 1, forward=True,
                 )
                 entries += e
@@ -312,7 +282,7 @@ class IncrementalIndex:
                 resumptions += 1
             for r, d_vh in sorted(self.out_labels[v].items()):
                 e, vis = self._resume(
-                    self.in_adj, self.out_labels, self._dirty_out,
+                    self.in_csc, self.out_labels, self._dirty_out,
                     r, u, d_vh + 1, forward=False,
                 )
                 entries += e
@@ -331,7 +301,7 @@ class IncrementalIndex:
         )
 
     def _resume(
-        self, adj: list, labels: list, dirty: set, rank: int, start: int,
+        self, adj: CSR, labels: list, dirty: set, rank: int, start: int,
         start_dist: int, forward: bool,
     ) -> tuple[int, int]:
         """One pruned resumption BFS for hub ``order[rank]``.
@@ -342,6 +312,7 @@ class IncrementalIndex:
         query already matches the candidate distance.
         """
         h = int(self.order[rank])
+        indptr, indices = adj.indptr, adj.indices
         entries = visits = 0
         seen = {start}
         frontier = [start]
@@ -356,7 +327,7 @@ class IncrementalIndex:
                 labels[w][rank] = d
                 dirty.add(w)
                 entries += 1
-                for x in adj[w]:
+                for x in indices[indptr[w]:indptr[w + 1]].tolist():
                     if x not in seen:
                         seen.add(x)
                         nxt.append(x)
@@ -364,13 +335,15 @@ class IncrementalIndex:
             d += 1
         return entries, visits
 
-    def _update_adjacency_only(self, ins: np.ndarray, dels: np.ndarray) -> None:
-        for u, v in dels:
-            self.out_adj[int(u)].discard(int(v))
-            self.in_adj[int(v)].discard(int(u))
-        for u, v in ins:
-            self.out_adj[int(u)].add(int(v))
-            self.in_adj[int(v)].add(int(u))
+    def _splice(self, ins: np.ndarray, dels: np.ndarray) -> None:
+        """Bring the adjacency to ``(current − dels) ∪ ins``."""
+        n = self.num_vertices
+        self.out_csr = splice_effective_csr(
+            self.out_csr, n, n, ins[:, 0], ins[:, 1], dels[:, 0], dels[:, 1]
+        )
+        self.in_csc = splice_effective_csr(
+            self.in_csc, n, n, ins[:, 1], ins[:, 0], dels[:, 1], dels[:, 0]
+        )
 
     # -- freezing back ------------------------------------------------------- #
 
@@ -378,9 +351,9 @@ class IncrementalIndex:
         """Freeze into a :class:`HubLabels` (ranks ascending per vertex).
 
         Incremental: only vertices whose dicts diverged since the last
-        finalize are re-packed; clean rows are spliced from the cached
-        packed image, so a finalize after a small patch is O(total
-        entries) of numpy copying rather than a Python walk per entry.
+        finalize are re-packed; clean rows are copied from the cached
+        packed image a run at a time, so a finalize after a small patch
+        walks the dirty rows' entries in Python and copies the rest.
         """
         self._packed_out = self._repack(
             self.out_labels, self._packed_out, self._dirty_out
@@ -408,29 +381,35 @@ class IncrementalIndex:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if not dirty:
             return packed
-        n = self.num_vertices
         indptr0, hubs0, dists0 = packed
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        hub_segs: list[np.ndarray] = []
-        dist_segs: list[np.ndarray] = []
-        for v in range(n):
-            if v in dirty:
-                items = sorted(label_dicts[v].items())
-                hub_segs.append(np.fromiter(
-                    (r for r, _ in items), dtype=hubs0.dtype, count=len(items)
-                ))
-                dist_segs.append(np.fromiter(
-                    (d for _, d in items), dtype=dists0.dtype, count=len(items)
-                ))
-            else:
-                hub_segs.append(hubs0[indptr0[v]:indptr0[v + 1]])
-                dist_segs.append(dists0[indptr0[v]:indptr0[v + 1]])
-            indptr[v + 1] = indptr[v] + len(hub_segs[-1])
-        return (
-            indptr,
-            np.concatenate(hub_segs) if hub_segs else hubs0[:0],
-            np.concatenate(dist_segs) if dist_segs else dists0[:0],
+        rows = np.array(sorted(dirty), dtype=np.int64)
+        dicts = [label_dicts[v] for v in rows.tolist()]
+        lens = np.fromiter(map(len, dicts), dtype=np.int64, count=rows.size)
+        total = int(lens.sum())
+        hubs = np.fromiter(chain.from_iterable(dicts), hubs0.dtype, total)
+        dists = np.fromiter(
+            chain.from_iterable(map(dict.values, dicts)), dists0.dtype, total
         )
+        # one sort by (row, rank); ranks are < n, so row·n + rank is the key
+        order = np.argsort(np.repeat(rows * self.num_vertices, lens) + hubs)
+        counts = np.diff(indptr0)
+        counts[rows] = lens
+        indptr = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        out_hubs = np.empty(int(indptr[-1]), dtype=hubs0.dtype)
+        out_dists = np.empty(int(indptr[-1]), dtype=dists0.dtype)
+        at = expand_ranges(indptr[rows], indptr[rows + 1])
+        out_hubs[at] = hubs[order]
+        out_dists[at] = dists[order]
+        # the clean rows between two dirty ones move as one block
+        runs = zip([0, *(rows + 1).tolist()], [*rows.tolist(), counts.size])
+        for lo, hi in runs:
+            if lo < hi:
+                new = slice(indptr[lo], indptr[hi])
+                old = slice(indptr0[lo], indptr0[hi])
+                out_hubs[new] = hubs0[old]
+                out_dists[new] = dists0[old]
+        return indptr, out_hubs, out_dists
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

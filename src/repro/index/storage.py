@@ -22,7 +22,12 @@ FORMAT_VERSION = 1
 
 
 def save_labels(labels: HubLabels, path) -> Path:
-    """Write ``labels`` to ``path`` as a compressed ``.npz``; returns it.
+    """Write ``labels`` to ``path`` as an uncompressed ``.npz``; returns it.
+
+    Uncompressed because the writer is on the durable write path (every
+    checkpoint saves the index) and deflating costs far more time than the
+    bytes it saves are worth there; :func:`load_labels` reads deflated
+    archives too.
 
     The write is atomic: bytes go to a sibling temp file which is fsynced
     and then renamed over the target, so a crash mid-save leaves either
@@ -35,7 +40,7 @@ def save_labels(labels: HubLabels, path) -> Path:
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
-            np.savez_compressed(
+            np.savez(
                 fh,
                 format_version=np.int64(FORMAT_VERSION),
                 num_vertices=np.int64(labels.num_vertices),

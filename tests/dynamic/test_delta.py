@@ -1,5 +1,7 @@
 """Mutation log + delta-aware shards: epochs, splicing, compaction."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,45 @@ class TestApply:
         dg = dyn_session.dynamic()
         with pytest.raises(MutationError):
             dg.apply([(0, dg.num_vertices)], [])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [[True, False]],  # booleans are not vertex ids
+            np.array([[1, 0]], dtype=bool),
+            np.empty((0, 3)),  # empty, but not pairs
+            np.empty((2, 0)),
+            [[np.nan, 1]],  # refused without a numpy warning
+            [[1.5, 2]],
+            [[np.inf, 1]],
+            [["a", "b"]],
+        ],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("path", ["graph", "queued"])
+    def test_malformed_pairs_rejected(self, dyn_session, bad, path):
+        from repro.runtime.scheduler import QueryService
+
+        dg = dyn_session.dynamic()
+        svc = QueryService(dyn_session, k=2)
+        for inserts, deletes in ((bad, []), ([], bad)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(MutationError):
+                    if path == "graph":
+                        dg.apply(inserts, deletes)
+                    else:
+                        svc.apply_mutations(inserts, deletes, arrival=1.0)
+        assert dg.epoch == 0
+        assert svc.num_pending_mutations == 0
+
+    def test_empty_and_float_pairs_accepted(self, dyn_session):
+        dg = dyn_session.dynamic()
+        for empty in ((), [], np.empty((0, 2)), np.empty(0, dtype=np.int32)):
+            assert dg.as_pairs(empty, "inserts").shape == (0, 2)
+        got = dg.as_pairs([[1.0, 2.0]], "inserts")
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, [[1, 2]])
 
     def test_duplicate_base_rejected(self):
         el = EdgeList.from_pairs([(0, 1), (0, 1), (1, 2)], num_vertices=3)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.graph import EdgeList, range_partition, rmat_edges
-from repro.index.build import build_hub_labels
+from repro.index.build import build_hub_labels, global_csr_csc
 from repro.index.incremental import IncrementalIndex
+from repro.runtime.session import GraphSession
 
 from tests.dynamic.conftest import existing_edges, fresh_edges
 
@@ -139,6 +140,107 @@ class TestRepack:
         again = inc.finalize()
         assert again.out_hubs is patched.out_hubs
         assert again.in_hubs is patched.in_hubs
+
+
+class TestAdjacency:
+    """The index's own adjacency is the graph's: the splice it applies per
+    batch must leave exactly the arrays ``global_csr_csc`` concatenates
+    from the spliced shards.  The labels cannot be trusted otherwise — a
+    row out of order splices the next insert into the wrong slot, and the
+    pruned BFS then walks a graph that is not the one being labelled."""
+
+    @pytest.mark.parametrize(
+        "churn, region, patched",
+        [(10.0, 1.1, True), (0.0, 1.1, False), (10.0, 0.0, False)],
+        ids=["patched", "churn-tripped", "region-tripped"],
+    )
+    def test_matches_graph_after_every_batch(
+        self, dyn_graph, edge_keys, rng, churn, region, patched
+    ):
+        sess = GraphSession(dyn_graph, num_machines=3)
+        dg = sess.dynamic()
+        n = dg.num_vertices
+        inc = IncrementalIndex.from_graph(
+            build_hub_labels(sess.pg).labels, sess.pg,
+            churn_threshold=churn, region_threshold=region,
+        )
+        repaired = tripped = 0
+        for step in range(8):
+            dels = existing_edges(rng, n, edge_keys, step % 3)
+            guard = edge_keys | {u * n + v for u, v in dels}
+            ins = fresh_edges(rng, n, guard, 3)
+            edge_keys |= {u * n + v for u, v in ins}
+            res = dg.apply(ins, dels)
+            patch = inc.apply(res.inserted, res.deleted)
+            repaired += patch.vertices_repaired
+            tripped += patch.needs_rebuild
+            if step == 4:
+                dg.compact()
+            for got, want in zip(
+                (inc.out_csr, inc.in_csc), global_csr_csc(sess.pg)
+            ):
+                for a, b in ((got.indptr, want.indptr),
+                             (got.indices, want.indices)):
+                    assert a.dtype == b.dtype
+                    np.testing.assert_array_equal(a, b)
+        # the stream ran delete repair, or tripped the budget it guards
+        assert (repaired > 0, tripped > 0) == (patched, not patched)
+
+
+def _reference_repack(label_dicts, packed, dirty):
+    """The per-vertex repack ``finalize`` ran before it was vectorised."""
+    if not dirty:
+        return packed
+    indptr0, hubs0, dists0 = packed
+    indptr = np.zeros(len(label_dicts) + 1, dtype=np.int64)
+    hub_segs, dist_segs = [], []
+    for v in range(len(label_dicts)):
+        if v in dirty:
+            items = sorted(label_dicts[v].items())
+            hub_segs.append(np.array([r for r, _ in items], dtype=hubs0.dtype))
+            dist_segs.append(np.array([d for _, d in items], dtype=dists0.dtype))
+        else:
+            hub_segs.append(hubs0[indptr0[v]:indptr0[v + 1]])
+            dist_segs.append(dists0[indptr0[v]:indptr0[v + 1]])
+        indptr[v + 1] = indptr[v] + len(hub_segs[-1])
+    return indptr, np.concatenate(hub_segs), np.concatenate(dist_segs)
+
+
+class TestRepackReference:
+    def test_vectorised_repack_is_byte_identical(self, rng):
+        el = rmat_edges(7, 1200, seed=11).remove_self_loops().deduplicate()
+        n = el.num_vertices
+        pg = range_partition(el, 2)
+        inc = IncrementalIndex.from_graph(
+            build_hub_labels(pg).labels, pg,
+            churn_threshold=10.0, region_threshold=1.1,
+        )
+        current = {int(u) * n + int(v) for u, v in zip(el.src, el.dst)}
+        repaired = 0
+        for step in range(10):
+            dels = existing_edges(rng, n, current, int(rng.integers(0, 4)))
+            guard = current | {u * n + v for u, v in dels}
+            ins = fresh_edges(rng, n, guard, int(rng.integers(0, 4)))
+            current |= {u * n + v for u, v in ins}
+            repaired += inc.apply(_arr(ins), _arr(dels)).vertices_repaired
+            if step % 3 == 1:
+                continue  # dirty rows pile up over two batches
+            want_out = _reference_repack(
+                inc.out_labels, inc._packed_out, inc._dirty_out
+            )
+            want_in = _reference_repack(
+                inc.in_labels, inc._packed_in, inc._dirty_in
+            )
+            got = inc.finalize()
+            for name, want in zip(
+                ("out_indptr", "out_hubs", "out_dists",
+                 "in_indptr", "in_hubs", "in_dists"),
+                (*want_out, *want_in),
+            ):
+                have = getattr(got, name)
+                assert have.dtype == want.dtype, name
+                np.testing.assert_array_equal(have, want, err_msg=name)
+        assert repaired > 0  # whole rows were rewritten by delete repair
 
 
 class TestSessionIntegration:

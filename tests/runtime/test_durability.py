@@ -9,6 +9,10 @@ must answer bit-identically to a run that never crashed.
 """
 
 import json
+import shutil
+import sys
+import zipfile
+import zlib
 
 import numpy as np
 import pytest
@@ -267,6 +271,49 @@ class TestRecovery:
         rec.close()
         ref.close()
 
+    def test_compressed_checkpoint_still_recovers(self, graph, keys, tmp_path):
+        """Checkpoints were once written with ``np.savez_compressed``; the
+        same ``np.load`` reads them, so such a directory recovers to the
+        epoch and verdicts of the uncompressed one it was made from."""
+        sess, mgr = _durable(graph, tmp_path / "plain", checkpoint_every=4)
+        _run_mutations(sess, keys, 6)
+        mgr.close()
+        sess.close()
+        shutil.copytree(tmp_path / "plain", tmp_path / "deflated")
+        for ck in list_checkpoints(tmp_path / "deflated" / "checkpoints"):
+            manifest = json.loads((ck / "manifest.json").read_text())
+            for name in manifest["files"]:
+                with np.load(ck / name) as data:
+                    arrays = {key: data[key] for key in data.files}
+                np.savez_compressed(ck / name, **arrays)
+                manifest["files"][name] = zlib.crc32((ck / name).read_bytes())
+            (ck / "manifest.json").write_text(json.dumps(manifest))
+
+        rng = np.random.default_rng(4)
+        s, t = rng.integers(0, graph.num_vertices, size=(2, 512))
+        seen = []
+        for which, method in (
+            ("plain", zipfile.ZIP_STORED), ("deflated", zipfile.ZIP_DEFLATED)
+        ):
+            newest = list_checkpoints(tmp_path / which / "checkpoints")[-1]
+            for name in ("edges.npz", "index.npz"):
+                with zipfile.ZipFile(newest / name) as zf:
+                    assert {i.compress_type for i in zf.infolist()} == {method}
+            rec = recover_session(tmp_path / which, cross_check=True)
+            report = rec._durability.last_recovery
+            assert report.checkpoint_fallbacks == 0
+            edges = rec.dynamic().materialize_edges()
+            seen.append((
+                report.checkpoint_epoch, report.epoch, edges.src, edges.dst,
+                rec.index().dist_many(s, t),
+            ))
+            rec._durability.close()
+            rec.close()
+        plain, deflated = seen
+        assert plain[:2] == deflated[:2] == (4, 6)
+        for a, b in zip(plain[2:], deflated[2:]):
+            np.testing.assert_array_equal(a, b)
+
     def test_format_1_manifest_is_refused(self, graph, tmp_path):
         sess, mgr = _durable(graph, tmp_path)
         mgr.close()
@@ -310,6 +357,63 @@ class TestRecovery:
             fh.write(encode_record(bogus))
         with pytest.raises(CorruptLog, match="expected epoch"):
             recover_session(tmp_path)
+
+
+# --------------------------------------------------------------------------- #
+# the write path's cost
+# --------------------------------------------------------------------------- #
+
+
+class TestWritePathBudget:
+    """A mutation batch costs the batch, not the graph: across twelve
+    batches on a durable, incrementally indexed session — a compaction and
+    periodic checkpoints among them — nothing rebuilds a shard from an edge
+    list (``build_csr``), re-partitions the graph
+    (``partition_with_bounds``) or deflates a payload
+    (``np.savez_compressed``)."""
+
+    def test_no_whole_graph_rebuild_or_compression(
+        self, graph, keys, tmp_path, monkeypatch
+    ):
+        from repro.graph import csr, partition
+
+        sess = GraphSession(graph, num_machines=2)
+        sess.dynamic(compact_interval=5, churn_threshold=10.0)
+        sess.index()
+        mgr = sess.enable_durability(tmp_path, checkpoint_every=4)
+        calls = {}
+
+        def counted(name, fn):
+            calls[name] = 0
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name, fn in (
+            ("build_csr", csr.build_csr),
+            ("partition_with_bounds", partition.partition_with_bounds),
+        ):
+            wrapper = counted(name, fn)
+            for modname, mod in list(sys.modules.items()):
+                if modname.startswith("repro") and getattr(mod, name, None) is fn:
+                    monkeypatch.setattr(mod, name, wrapper)
+        monkeypatch.setattr(
+            np, "savez_compressed",
+            counted("savez_compressed", np.savez_compressed),
+        )
+
+        _run_mutations(sess, keys, 12)
+        sess.index()  # the deferred label repack runs on the first read
+        assert sess.dynamic().compactions == 2
+        assert mgr.checkpoints == 1 + 3
+        assert calls == {
+            "build_csr": 0, "partition_with_bounds": 0, "savez_compressed": 0
+        }
+        mgr.close()
+        sess.close()
 
 
 # --------------------------------------------------------------------------- #
