@@ -27,6 +27,7 @@ def test_ablation_edge_sets(benchmark, bench_scale):
         by_variant["flat CSR"]["edges_scanned"]
         == by_variant["edge-sets"]["edges_scanned"]
     )
+    assert by_variant["flat CSR"]["virtual_s"] == by_variant["edge-sets"]["virtual_s"]
 
 
 def test_ablation_batch_width(benchmark, bench_scale):

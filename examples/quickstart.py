@@ -22,8 +22,8 @@ def main() -> None:
     print(f"graph: {edges.num_vertices} vertices, {edges.num_edges} edges")
 
     # 2. Load it once onto a resident session: 3 simulated machines,
-    #    edge-set (cache-blocked) storage built.  Every job below is a
-    #    function that takes this session first.
+    #    each partition's edges laid out as cache-blocked edge-sets.  Every
+    #    job below is a function that takes this session first.
     sess = GraphSession(edges, num_machines=3, edge_sets=True)
     print(sess)
 
@@ -32,7 +32,7 @@ def main() -> None:
     #    sharing one pass per edge-set (§3.5).
     rng = np.random.default_rng(0)
     sources = rng.integers(0, sess.num_vertices, size=8)
-    result = concurrent_khop(sess, sources, k=3, use_edge_sets=True)
+    result = concurrent_khop(sess, sources, k=3)
     print("\n3-hop reachability (concurrent batch):")
     for q, s in enumerate(sources):
         print(

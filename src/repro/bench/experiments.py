@@ -678,18 +678,22 @@ def ablation_edge_sets(
     scale: float | None = None,
     seed: int = 6,
 ) -> AblationResult:
-    """Edge-set blocked scan vs flat CSR scan (same answers, counted work)."""
+    """Edge-set blocked scan vs flat CSR scan (same answers, counted work
+    and virtual time).  Both rows force push — the scan the layout orders;
+    pull's target-major sweep is the same under either.  ``wall_s``
+    includes each session's first plan build — for edge-sets, the one-time
+    block-major layout sort."""
     el = load_dataset(dataset, scale)
     nm = calibrated_netmodel(dataset, scale)
     roots = random_sources(el, num_queries, seed=seed)
     rows = []
-    for use_es, label in ((False, "flat CSR"), (True, "edge-sets")):
+    for edge_sets, label in ((False, "flat CSR"), (True, "edge-sets")):
         sess = GraphSession(
-            el, num_machines=num_machines, netmodel=nm, edge_sets=use_es,
+            el, num_machines=num_machines, netmodel=nm, edge_sets=edge_sets,
             consolidate_min_edges=4096,
         )
         t0 = time.perf_counter()
-        res = concurrent_khop(sess, roots, k, use_edge_sets=use_es)
+        res = concurrent_khop(sess, roots, k, direction="push")
         wall = time.perf_counter() - t0
         rows.append(
             {

@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", type=int, default=16)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--edge-sets", action="store_true",
-                   help="use the blocked edge-set representation")
+                   help="lay the graph out as edge-sets (§3.2)")
     p.add_argument("--direction", choices=["auto", "push", "pull"],
                    default="auto",
                    help="traversal direction (auto = per-partition heuristic)")
@@ -136,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Poisson arrival rate (queries per virtual second)")
     p.add_argument("--discipline", choices=["batch", "pool"], default="batch")
     p.add_argument("--batch-width", type=int, default=64)
-    p.add_argument("--edge-sets", action="store_true")
+    p.add_argument("--edge-sets", action="store_true",
+                   help="lay the graph out as edge-sets (§3.2)")
     p.add_argument("--planner", choices=["traversal", "hybrid"],
                    default="traversal",
                    help="route point reachability queries to the distance-"
@@ -294,14 +295,15 @@ def _load(args):
     return load_dataset(args.dataset, args.scale)
 
 
-def _session(args, el=None, edge_sets: bool = False, instrumentation=None,
-             **kwargs):
-    """Build the one resident session this subcommand runs on."""
+def _session(args, el=None, instrumentation=None, **kwargs):
+    """Build the one resident session this subcommand runs on (laid out
+    as edge-sets when the subcommand has ``--edge-sets`` and it is set)."""
     from repro.runtime.session import GraphSession
 
     if el is None:
         el = _load(args)
-    return GraphSession(el, num_machines=args.machines, edge_sets=edge_sets,
+    return GraphSession(el, num_machines=args.machines,
+                        edge_sets=getattr(args, "edge_sets", False),
                         instrumentation=instrumentation, **kwargs)
 
 
@@ -320,13 +322,10 @@ def cmd_khop(args, out) -> int:
     from repro.errors import ReproError
 
     el = _load(args)
-    sess = _session(args, el, edge_sets=args.edge_sets)
+    sess = _session(args, el)
     try:
         roots = random_sources(el, args.queries, seed=args.seed)
-        res = concurrent_khop(
-            sess, roots, args.k, use_edge_sets=args.edge_sets,
-            direction=args.direction,
-        )
+        res = concurrent_khop(sess, roots, args.k, direction=args.direction)
     except (ValueError, ReproError) as exc:
         raise SystemExit(f"repro khop: {exc}") from None
     print(f"{args.queries} concurrent {args.k}-hop queries on {args.dataset} "
@@ -497,10 +496,7 @@ def cmd_service(args, out) -> int:
         cache = None
         if args.cache is not None:
             cache = ResultCache(capacity=args.cache, cross_check=args.cross_check)
-        sess = _session(
-            args, el, edge_sets=args.edge_sets, instrumentation=instr,
-            backend=args.backend,
-        )
+        sess = _session(args, el, instrumentation=instr, backend=args.backend)
         mutation_batches = []
         if args.mutations:
             mutation_batches = parse_edge_stream(args.mutations)
@@ -513,7 +509,7 @@ def cmd_service(args, out) -> int:
             )
         svc = QueryService(
             sess, args.k, discipline=args.discipline,
-            batch_width=args.batch_width, use_edge_sets=args.edge_sets,
+            batch_width=args.batch_width,
             planner=args.planner, cross_check=args.cross_check,
             deadline_seconds=(
                 None if args.deadline_ms is None else args.deadline_ms / 1e3

@@ -115,12 +115,13 @@ class GASPartitionTask(PartitionTask):
         stats.edges_scanned += plan.num_edges
         local = plan.local_csr
         if local.nnz:
-            per_edge = np.repeat(scattered, plan.local_out_degree)
+            per_edge = plan.spread_local(scattered)
             if op is np.add:
-                # bincount folds in edge order; a reduceat over the sweep's
-                # local runs would sum pairwise and move low bits
+                # bincount folds in edge order (a target's edges keep their
+                # source order under any layout); a reduceat over the
+                # sweep's local runs would sum pairwise and move low bits
                 self.gathered = op(self.gathered, np.bincount(
-                    local.indices, weights=per_edge, minlength=local.num_rows
+                    local.indices, weights=per_edge, minlength=self.gathered.size
                 ))
             else:
                 op.at(self.gathered, local.indices, per_edge)

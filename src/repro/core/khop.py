@@ -19,8 +19,8 @@ superstep:
 
 * **push** (sparse): gather the active frontier's edges from the plan's
   ``local_csr`` and ``slot_csr`` and scatter-OR them into ``next`` and the
-  slot plane (with ``use_edge_sets``, edge-set by edge-set for cache
-  locality, landing in the same two planes);
+  slot plane (on a session with an edge-set layout the plan stores them
+  block-major, so the same gather scans them edge-set by edge-set, §3.2);
 * **pull** (dense): one segmented OR over the plan's target-major sweep of
   *all* out-edges — a gather of frontier words grouped by target, local rows
   OR-ed into ``next``, slot rows assigned to the slot plane.
@@ -51,7 +51,6 @@ import numpy as np
 
 from repro.core import adapters
 from repro.core.frontier import MAX_WIDE_BATCH, BitFrontier, words_for
-from repro.errors import UnsupportedConfigError
 from repro.graph.partition import ExchangePlan
 from repro.graph.validation import check_hops
 from repro.runtime.cluster import SimCluster
@@ -71,24 +70,19 @@ __all__ = ["KHopResult", "KHopPartitionTask", "concurrent_khop", "DIRECTIONS"]
 DIRECTIONS = ("auto", "push", "pull")
 
 
-def _check_direction(direction: str, use_edge_sets: bool) -> str:
+def _check_direction(direction: str) -> str:
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    if use_edge_sets and direction == "pull":
-        raise UnsupportedConfigError(
-            "use_edge_sets uses the push kernel; direction='pull' conflicts"
-        )
     return direction
 
 
 def _check_traversal(
-    sess: GraphSession, k, direction: str, use_edge_sets: bool,
-    asynchronous: bool = False,
+    sess: GraphSession, k, direction: str, asynchronous: bool = False
 ) -> None:
     """The traversal door: every mode check, before any work runs."""
     check_hops(k)
-    _check_direction(direction, use_edge_sets)
-    sess.require_inproc(use_edge_sets=use_edge_sets, asynchronous=asynchronous)
+    _check_direction(direction)
+    sess.require_inproc(asynchronous=asynchronous)
 
 
 @dataclass
@@ -151,7 +145,6 @@ class KHopPartitionTask(PartitionTask):
         self,
         num_queries: int,
         k: int | None,
-        use_edge_sets: bool = False,
         record_depths: bool = False,
         direction: str = "auto",
         push_coeff: float = PUSH_SECONDS_PER_EDGE,
@@ -164,10 +157,9 @@ class KHopPartitionTask(PartitionTask):
         zeroed in place when the batch width matches the previous one;
         otherwise the state is re-sized.
         """
-        self.use_edge_sets = use_edge_sets
         self.k = k
         self.level = 0
-        self.direction = _check_direction(direction, use_edge_sets)
+        self.direction = _check_direction(direction)
         # Coefficients travel with the task (not read off a cluster-side
         # model) so pool workers — which hold no NetworkModel — make the
         # exact same per-superstep choice as the in-process engine.
@@ -219,12 +211,7 @@ class KHopPartitionTask(PartitionTask):
             # superstep's rows (sent, dropped, abandoned by a raise or a
             # rewind), this scatter starts from zero.  Pull assigns every row.
             self._plane.fill(0)
-            if self.use_edge_sets:
-                blocks = self.machine.partition.edge_sets.row_major_blocks()
-                in_memory = ((b.row_lo, b.row_hi, lambda b=b: b) for b in blocks)
-                self._scan_blocks(in_memory, active, stats)
-            else:
-                self._expand_push(plan, active, stats)
+            self._expand_push(plan, active, stats)
         for dest, lo, hi in cuts:
             rows = self._plane[lo:hi]
             if rows.any():
@@ -247,7 +234,7 @@ class KHopPartitionTask(PartitionTask):
         Deterministic in (frontier state, coefficients): replaying from a
         checkpoint reproduces the same frontier, hence the same choices.
         """
-        if self.use_edge_sets or self.direction == "push":
+        if self.direction == "push":
             return "push"
         if self.direction == "pull":
             return "pull"
@@ -287,17 +274,24 @@ class KHopPartitionTask(PartitionTask):
     # -- expansion kernels ------------------------------------------------ #
 
     def _expand_push(self, plan: ExchangePlan, active: np.ndarray, stats) -> None:
-        """Scatter the active frontier's edges into ``next`` and the slot plane."""
-        bits = self.state.frontier.take(active, axis=0)
-        local, slot = plan.local_csr, plan.slot_csr
-        pos, counts = local.gather_edges(active)
-        self.state.or_into_next(local.indices[pos], np.repeat(bits, counts, axis=0))
-        spos, scounts = slot.gather_edges(active)
-        np.bitwise_or.at(
-            self._plane, slot.indices[spos], np.repeat(bits, scounts, axis=0)
-        )
+        """Scatter the active frontier's edges into ``next`` and the slot
+        plane, in the plan's storage order (edge-set by edge-set when it has
+        a layout)."""
+        rows, sources = plan.gather_rows(active)
+        bits = self.state.frontier.take(sources, axis=0)
+        pos, counts = plan.local_csr.gather_edges(rows)
+        spos, scounts = plan.slot_csr.gather_edges(rows)
+        targets, slots = self._read_edges(plan, pos, spos, active, stats)
+        self.state.or_into_next(targets, np.repeat(bits, counts, axis=0))
+        np.bitwise_or.at(self._plane, slots, np.repeat(bits, scounts, axis=0))
         stats.edges_scanned += int(pos.size + spos.size)
         stats.vertices_updated += int(pos.size)
+
+    def _read_edges(self, plan: ExchangePlan, pos, spos, active, stats):
+        """The targets at the (ascending) positions ``pos`` of ``local_csr``
+        and ``spos`` of ``slot_csr``: local rows and slots.  In memory here;
+        the out-of-core task reads them off disk."""
+        return plan.local_csr.indices[pos], plan.slot_csr.indices[spos]
 
     def _expand_pull(self, plan: ExchangePlan, active: np.ndarray, stats) -> None:
         """Dense sweep: one segmented OR over every out-edge, by target.
@@ -319,45 +313,11 @@ class KHopPartitionTask(PartitionTask):
         stats.edges_scanned += int(plan.out_degree[active].sum())
         stats.vertices_updated += int(plan.local_out_degree[active].sum())
 
-    def _scan_blocks(self, blocks, active: np.ndarray, stats) -> None:
-        """Left-to-right scan over edge-set blocks (§3.2), each given as
-        ``(row_lo, row_hi, fetch)``.
-
-        Only blocks whose row range intersects the active frontier are
-        fetched (the out-of-core store's ``fetch`` pays the disk tier) — the
-        shared-subgraph benefit: frontier vertices of *all* queries in one
-        block are expanded in a single pass.
-        """
-        frontier = self.state.frontier
-        for row_lo, row_hi, fetch in blocks:
-            rows = active[(active >= row_lo) & (active < row_hi)]
-            if rows.size == 0:
-                continue
-            csr = fetch().csr
-            pos, counts = csr.gather_edges(rows - row_lo)
-            if pos.size == 0:
-                continue
-            ebits = np.repeat(frontier[rows], counts, axis=0)
-            self._route(csr.indices[pos], ebits, stats)
-
-    def _route(self, targets: np.ndarray, ebits: np.ndarray, stats) -> None:
-        """Land a block scan's expanded edges (global targets, mixed
-        locality) in ``next`` and the slot plane."""
-        stats.edges_scanned += int(targets.size)
-        lo, hi = self.machine.lo, self.machine.hi
-        local = (targets >= lo) & (targets < hi)
-        self.state.or_into_next(targets[local] - lo, ebits[local])
-        stats.vertices_updated += int(np.count_nonzero(local))
-        remote = ~local
-        slots = np.searchsorted(self._plan.boundary, targets[remote])
-        np.bitwise_or.at(self._plane, slots, ebits[remote])
-
 
 def concurrent_khop(
     sess: GraphSession,
     sources,
     k: int | None,
-    use_edge_sets: bool = False,
     asynchronous: bool = False,
     record_depths: bool = False,
     max_supersteps: int | None = None,
@@ -372,9 +332,10 @@ def concurrent_khop(
         The :class:`~repro.runtime.session.GraphSession` to run the batch
         on; its resident tasks are reset in place.  A ``backend="pool"``
         session runs the batch on its worker pool (bit-identical answers);
-        ``use_edge_sets`` and ``asynchronous`` require the in-process
-        backend and raise :class:`~repro.errors.UnsupportedConfigError`
-        there.
+        ``asynchronous`` requires the in-process backend and raises
+        :class:`~repro.errors.UnsupportedConfigError` there.  A session
+        built with ``edge_sets=True`` scans its edge-set layout; answers,
+        counted work and virtual time are the flat scan's.
     sources:
         Global source vertex per query.  The batch width is
         ``len(sources)``, up to one 64-byte cache line of query bits
@@ -399,18 +360,16 @@ def concurrent_khop(
         coefficients; ``"push"``/``"pull"`` force a mode.  All three produce
         bit-identical answers and virtual clocks — the setting changes
         wall-clock and the ``push/pull_partition_steps`` counters only.
-        ``use_edge_sets`` implies the push kernel.
 
     Returns a :class:`KHopResult`; virtual time comes from the session's
     network model and counted work.
     """
-    _check_traversal(sess, k, direction, use_edge_sets, asynchronous)
+    _check_traversal(sess, k, direction, asynchronous)
     pg = sess.pg
     sources = sess.check_sources(sources, MAX_WIDE_BATCH)
     num_queries = int(sources.size)
     completion_level, completion_seconds, resolved, _, result = _run_traversal(
         sess, sources, k,
-        use_edge_sets=use_edge_sets,
         asynchronous=asynchronous,
         record_depths=record_depths,
         max_supersteps=max_supersteps,
@@ -466,7 +425,6 @@ def _run_traversal(
     k: int | None,
     targets: np.ndarray | None = None,
     *,
-    use_edge_sets: bool = False,
     asynchronous: bool = False,
     record_depths: bool = False,
     max_supersteps: int | None = None,
@@ -533,13 +491,12 @@ def _run_traversal(
         dict(
             num_queries=num_queries,
             k=k,
-            use_edge_sets=use_edge_sets,
             record_depths=record_depths,
             direction=direction,
             push_coeff=sess.netmodel.seconds_per_edge_push,
             pull_coeff=sess.netmodel.seconds_per_edge_pull,
         ),
-        ("khop", use_edge_sets),
+        ("khop",),
         sources=sources,
         combiner=combine_or,
         asynchronous=asynchronous,

@@ -82,12 +82,13 @@ class _MultiSSSPTask(PartitionTask):
             return
         plan, cuts = self.exchange_plan()
         local, slot = plan.local_csr, plan.slot_csr
-        pos, counts = local.gather_edges(rows)
-        spos, scounts = slot.gather_edges(rows)
+        plan_rows, sources = plan.gather_rows(rows)
+        pos, counts = local.gather_edges(plan_rows)
+        spos, scounts = slot.gather_edges(plan_rows)
         stats.edges_scanned += int(pos.size + spos.size)
         # candidates: the source row's distances + edge weight, per edge
         # (copied out, so the local relaxation does not feed the remote half)
-        dist = self.dist[rows]
+        dist = self.dist[sources]
         if pos.size:
             cand = np.repeat(dist, counts, axis=0) + local.weights[pos][:, None]
             self._improve(*reduce_by_key(local.indices[pos], cand, np.minimum), stats)

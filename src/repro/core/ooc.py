@@ -1,19 +1,20 @@
 """Out-of-core concurrent k-hop: traverse shards that don't fit in memory.
 
 Combines the bit-parallel engine with
-:class:`~repro.graph.outofcore.SpillableEdgeSetStore`: each machine scans
-its edge-set blocks left-to-right through an LRU block cache, paying the
-disk tier of the cost model on every miss (§3 overview: "the I/O cost may
-also involve local disk I/O").  Answers are identical to the in-memory
-engine; only the cost accounting (and the real memory footprint) change.
+:class:`~repro.graph.outofcore.SpillableEdgeSetStore`: every superstep, each
+machine reads the edge-sets its active rows fall in back from disk,
+left-to-right through an LRU block cache, paying the disk tier of the cost
+model on every miss (§3 overview: "the I/O cost may also involve local disk
+I/O").  The push kernel is the in-memory one, reading its edges from the
+fetched blocks, so answers are identical to the in-memory engine; only the
+cost accounting changes.
 """
 
 from __future__ import annotations
 
 import contextlib
 import tempfile
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,25 +33,43 @@ __all__ = ["OOCKHopResult", "concurrent_khop_out_of_core"]
 class _OOCKHopTask(KHopPartitionTask):
     """K-hop partition task reading edge-sets through a spillable store."""
 
-    def reset(self, num_queries, k, spill_directory, cache_blocks) -> None:
-        """Arm for a batch with a new spill store under ``spill_directory``."""
-        # always the push kernel: the block scan is what pays the disk tier
+    def reset(self, num_queries, k, spill_directory, cache_blocks, layouts) -> None:
+        """Arm for a batch with a new spill store under ``spill_directory``
+        of the session's plan, or of one laid out by ``layouts[part_id]``."""
+        # always the push kernel: its block reads are what pay the disk tier
         super().reset(num_queries, k, direction="push")
         part = self.machine.partition
+        if layouts is not None:  # the session has none: a copy laid out so
+            part = replace(part, edge_sets=layouts[part.part_id], plan_cache=None)
+        self._spilled = part.exchange_plan()
         self.store = SpillableEdgeSetStore(
-            part.edge_sets,
+            self._spilled,
             Path(spill_directory) / f"part{part.part_id}",
             cache_blocks=cache_blocks,
         )
 
     def _expand_push(self, plan, active: np.ndarray, stats) -> None:
-        # the fetch pays the disk tier; untouched blocks never leave disk
-        store = self.store
-        on_disk = (
-            (*store.block_bounds(i)[:2], partial(store.get_block, i, stats=stats))
-            for i in range(store.num_blocks)
-        )
-        self._scan_blocks(on_disk, active, stats)
+        # a plan's slot space is its boundary, which no layout reorders, so
+        # the session plan's cuts hold for the spilled one
+        super()._expand_push(self._spilled, active, stats)
+
+    def _read_edges(self, plan, pos, spos, active, stats):
+        # the disk tier: each block an active row falls in is fetched (a miss
+        # is charged) and read from; untouched blocks never leave disk
+        targets = np.empty(pos.size, plan.local_csr.indices.dtype)
+        slots = np.empty(spos.size, plan.slot_csr.indices.dtype)
+        for i in self.store.blocks_touching(active):
+            block = self.store.get_block(i, stats=stats)
+            _, _, local_lo, local_hi, slot_lo, slot_hi = self.store.blocks[i]
+            _read_range(targets, pos, local_lo, local_hi, block["local"])
+            _read_range(slots, spos, slot_lo, slot_hi, block["slot"])
+        return targets, slots
+
+
+def _read_range(out, pos, lo, hi, data) -> None:
+    """``out[i] = data[pos[i] - lo]`` for the sorted ``pos`` in ``[lo, hi)``."""
+    i, j = np.searchsorted(pos, (lo, hi))
+    out[i:j] = data[pos[i:j] - lo]
 
 
 @dataclass
@@ -84,18 +103,20 @@ def concurrent_khop_out_of_core(
     Each partition's blocks are spilled to ``spill_directory`` (a temporary
     directory by default) and served through an LRU cache of
     ``cache_blocks`` blocks per machine.  The block layout is the session's
-    (``GraphSession(..., edge_sets=True, consolidate_min_edges=...)``; the
-    default layout is built if it has none).  Results equal the in-memory
-    engine; the I/O counters and virtual time expose the disk tier's cost,
-    which shrinks as ``cache_blocks`` grows or as consolidation merges tiny
-    blocks — the §3.2 trade this mode exists to demonstrate.
+    (``GraphSession(..., edge_sets=True, consolidate_min_edges=...)``); a
+    session without one spills the default 8-stripe tiling, built for the
+    call and not kept.  Results equal the in-memory engine; the I/O
+    counters and virtual time expose the disk tier's cost, which shrinks as
+    ``cache_blocks`` grows or as consolidation merges tiny blocks — the
+    §3.2 trade this mode exists to demonstrate.  In-process only: a
+    ``backend="pool"`` session raises
+    :class:`~repro.errors.UnsupportedConfigError`.
     """
     check_hops(k)
-    if sess.uses_pool:  # edge sets are not in the pool's shared image
-        sess.require_inproc(use_edge_sets=True)
-    sess.build_edge_sets()
+    sess.require_inproc(out_of_core=True)
     sources = sess.check_sources(sources, MAX_WIDE_BATCH)
     num_queries = int(sources.size)
+    layouts = None if sess.has_edge_sets else sess.pg.tile_edge_sets()
 
     with (
         tempfile.TemporaryDirectory(prefix="cgraph-ooc-")
@@ -105,7 +126,7 @@ def concurrent_khop_out_of_core(
         result = sess.run_batch(
             _OOCKHopTask,
             dict(num_queries=num_queries, k=k, spill_directory=spill,
-                 cache_blocks=cache_blocks),
+                 cache_blocks=cache_blocks, layouts=layouts),
             ("ooc",),
             sources=sources,
             combiner=combine_or,

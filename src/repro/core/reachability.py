@@ -60,7 +60,6 @@ def reachability_queries(
     sources,
     targets,
     k: int | None,
-    use_edge_sets: bool = False,
     max_virtual_seconds: float | None = None,
     direction: str = "auto",
 ) -> ReachabilityResult:
@@ -76,12 +75,11 @@ def reachability_queries(
     as in :func:`concurrent_khop` (answers and virtual clocks are
     direction-independent).
     """
-    _check_traversal(sess, k, direction, use_edge_sets)
+    _check_traversal(sess, k, direction)
     sources = sess.check_sources(sources, MAX_WIDE_BATCH)
     targets = sess.check_targets(targets, int(sources.size))
     level, seconds, resolved, hit, result = _run_traversal(
         sess, sources, k, targets,
-        use_edge_sets=use_edge_sets,
         max_virtual_seconds=max_virtual_seconds,
         direction=direction,
     )

@@ -208,9 +208,9 @@ def apply_partition_delta(part, delta: PartitionDelta, base: tuple | None = None
 
     ``base`` is the ``(out_csr, in_csc)`` pair the delta is relative to;
     by default the partition's current arrays (correct on first patch of a
-    freshly attached shard).  Derived caches (edge-sets, pull index) are
-    dropped — they are rebuilt lazily and deterministically from the new
-    shards.
+    freshly attached shard).  The exchange plan is dropped — it is rebuilt
+    lazily and deterministically from the new shards, under the partition's
+    edge-set layout, whose bounds stay frozen.
     """
     base_out, base_in = base if base is not None else (part.out_csr, part.in_csc)
     n = delta.num_vertices
@@ -232,7 +232,6 @@ def apply_partition_delta(part, delta: PartitionDelta, base: tuple | None = None
         delta.in_deletes[:, 1] - part.lo,
         delta.in_deletes[:, 0],
     )
-    part.edge_sets = None
     part.plan_cache = None
     part.graph_epoch = delta.epoch
 
@@ -543,7 +542,6 @@ class DynamicGraph:
         keys = self._current_keys()
         pairs = self._decode(keys)
         for part in self.pg.partitions:
-            part.edge_sets = None
             part.plan_cache = None
         self.pg.edges = EdgeList(pairs[:, 0], pairs[:, 1], self.num_vertices)
         self.epoch += 1

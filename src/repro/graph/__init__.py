@@ -7,8 +7,9 @@ This subpackage provides everything C-Graph's core engine sits on:
   ingestion").
 * :mod:`repro.graph.csr` — vectorised CSR/CSC construction (§3.2 multi-modal
   representation).
-* :mod:`repro.graph.edgeset` — blocked *edge-set* representation with
-  horizontal/vertical consolidation (§3.2).
+* :mod:`repro.graph.edgeset` — the *edge-set* layout (stripe bounds with
+  horizontal/vertical consolidation) exchange plans are ordered by (§3.2).
+* :mod:`repro.graph.outofcore` — a disk-backed store of a plan's edge-sets.
 * :mod:`repro.graph.partition` — range-based, edge-balanced partitioning
   (§3.1) producing :class:`~repro.graph.partition.PartitionedGraph`.
 * :mod:`repro.graph.generators` — Graph500/RMAT Kronecker and classic
@@ -21,7 +22,7 @@ This subpackage provides everything C-Graph's core engine sits on:
 
 from repro.graph.edgelist import EdgeList
 from repro.graph.csr import CSR, build_csr, build_csc
-from repro.graph.edgeset import EdgeSet, EdgeSetMatrix, degree_balanced_ranges
+from repro.graph.edgeset import EdgeSetMatrix, degree_balanced_ranges
 from repro.graph.partition import (
     Partition,
     PartitionedGraph,
@@ -57,7 +58,6 @@ __all__ = [
     "CSR",
     "build_csr",
     "build_csc",
-    "EdgeSet",
     "EdgeSetMatrix",
     "degree_balanced_ranges",
     "Partition",

@@ -1,4 +1,4 @@
-"""Edge-set (blocked adjacency) representation with consolidation (§3.2).
+"""Edge-set (blocked adjacency) layout with consolidation (§3.2).
 
 A partition's adjacency matrix is tiled into *edge-sets*: blocks defined by a
 row range × column range of vertex ids.  Ranges are chosen by evenly
@@ -9,22 +9,25 @@ level cache together with its vertex values.
 
 Real graphs are sparse, so many blocks are tiny; the paper consolidates small
 adjacent edge-sets *horizontally* (helps scanning out-edges) and *vertically*
-(helps gathering from parents).  :func:`EdgeSetMatrix.consolidate` implements
+(helps gathering from parents).  :meth:`EdgeSetMatrix.consolidate` implements
 both.
 
-In this Python reproduction the blocks also bound the working set of each
-vectorised numpy pass, so the locality argument carries over directly.
+The tiling is a *layout*, not a second copy of the edges:
+:class:`EdgeSetMatrix` holds only the stripe bounds, and the partition's
+:class:`~repro.graph.partition.ExchangePlan` stores its edges block-major —
+row stripe, then column stripe, then row — so the one push kernel scans them
+block by block.  A *plan row* is one (local row, column stripe) pair; block
+``(r, c)`` is the run of plan rows of stripe ``r``'s rows in column stripe
+``c``, and each plan row's edges are contiguous, columns ascending.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from repro.graph.csr import CSR, build_csr
+from repro.graph.csr import CSR
 
-__all__ = ["EdgeSet", "EdgeSetMatrix", "degree_balanced_ranges"]
+__all__ = ["EdgeSetMatrix", "degree_balanced_ranges"]
 
 
 def degree_balanced_ranges(degrees: np.ndarray, num_ranges: int) -> np.ndarray:
@@ -53,168 +56,134 @@ def degree_balanced_ranges(degrees: np.ndarray, num_ranges: int) -> np.ndarray:
     return bounds
 
 
-@dataclass(frozen=True)
-class EdgeSet:
-    """One block of the tiled adjacency matrix.
-
-    Rows are sources in ``[row_lo, row_hi)`` (ids local to the owning
-    partition's row space) and columns are destinations in
-    ``[col_lo, col_hi)`` (global ids).  The block stores its edges in CSR over
-    its *local* row offsets, so scanning it touches a bounded working set.
-    """
-
-    row_lo: int
-    row_hi: int
-    col_lo: int
-    col_hi: int
-    csr: CSR = field(repr=False)
-
-    @property
-    def nnz(self) -> int:
-        return self.csr.nnz
-
-    @property
-    def num_rows(self) -> int:
-        return self.row_hi - self.row_lo
-
-    def nbytes(self) -> int:
-        return self.csr.nbytes()
-
-    def edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Materialise ``(src, dst)`` with src in block-owner row space."""
-        deg = self.csr.degrees()
-        src = np.repeat(np.arange(self.num_rows, dtype=np.int64), deg) + self.row_lo
-        return src, self.csr.indices.astype(np.int64)
-
-
 class EdgeSetMatrix:
-    """The set of edge-sets tiling one partition's out-edge adjacency matrix.
+    """The edge-set tiling of one partition's out-edge adjacency matrix.
 
-    Parameters
-    ----------
-    src, dst:
-        Partition-local edge arrays: ``src`` in ``[0, num_rows)`` (local row
-        ids), ``dst`` global destination ids in ``[0, num_cols)``.
-    row_bounds, col_bounds:
-        Monotone boundary arrays (as produced by
-        :func:`degree_balanced_ranges`).
-    weights:
-        Optional per-edge weights carried into each block's CSR.
+    Rows are the partition's local rows ``[0, num_rows)``, cut into stripes
+    at ``row_bounds``; columns are global ids ``[0, num_cols)``, cut at
+    ``col_bounds``.  Block ``(r, c)`` — number ``r * num_col_stripes + c``
+    in the paper's left-to-right, top-down scan order — holds the edges from
+    row stripe ``r`` into column stripe ``c``.
     """
 
-    def __init__(
-        self,
-        src: np.ndarray,
-        dst: np.ndarray,
-        num_rows: int,
-        num_cols: int,
-        row_bounds: np.ndarray,
-        col_bounds: np.ndarray,
-        weights: np.ndarray | None = None,
-    ) -> None:
+    def __init__(self, num_rows: int, num_cols: int, row_bounds, col_bounds) -> None:
         self.num_rows = int(num_rows)
         self.num_cols = int(num_cols)
         self.row_bounds = np.asarray(row_bounds, dtype=np.int64)
         self.col_bounds = np.asarray(col_bounds, dtype=np.int64)
         _check_bounds(self.row_bounds, self.num_rows)
         _check_bounds(self.col_bounds, self.num_cols)
-        src = np.asarray(src)
-        dst = np.asarray(dst)
 
-        row_blk = np.searchsorted(self.row_bounds, src, side="right") - 1
-        col_blk = np.searchsorted(self.col_bounds, dst, side="right") - 1
-        n_col_blocks = self.col_bounds.size - 1
-        key = row_blk * n_col_blocks + col_blk
-        order = np.argsort(key, kind="stable")
-
-        self.blocks: list[EdgeSet] = []
-        sorted_key = key[order]
-        # Boundaries between runs of equal block key.
-        starts = np.concatenate(
-            [[0], np.nonzero(sorted_key[1:] != sorted_key[:-1])[0] + 1, [order.size]]
+    @classmethod
+    def tile(
+        cls,
+        csr: CSR,
+        col_bounds: np.ndarray,
+        sets_per_partition: int,
+        consolidate_min_edges: int | None = None,
+    ) -> "EdgeSetMatrix":
+        """Tile a partition's out-edge CSR: ``sets_per_partition``
+        degree-balanced row stripes against the given column stripes, then
+        consolidated when ``consolidate_min_edges`` is set."""
+        tiling = cls(
+            csr.num_rows,
+            int(col_bounds[-1]),
+            degree_balanced_ranges(csr.degrees(), sets_per_partition),
+            col_bounds,
         )
-        for a, b in zip(starts[:-1], starts[1:]):
-            if a == b:
-                continue
-            sel = order[a:b]
-            blk = int(sorted_key[a])
-            ri, ci = divmod(blk, n_col_blocks)
-            row_lo, row_hi = int(self.row_bounds[ri]), int(self.row_bounds[ri + 1])
-            col_lo, col_hi = int(self.col_bounds[ci]), int(self.col_bounds[ci + 1])
-            w = None if weights is None else np.asarray(weights)[sel]
-            csr = build_csr(src[sel] - row_lo, dst[sel], row_hi - row_lo, weights=w)
-            self.blocks.append(EdgeSet(row_lo, row_hi, col_lo, col_hi, csr))
-
-    # ------------------------------------------------------------------ #
+        if consolidate_min_edges is None:
+            return tiling
+        return tiling.consolidate(csr, consolidate_min_edges)
 
     @property
-    def nnz(self) -> int:
-        return sum(b.nnz for b in self.blocks)
+    def num_row_stripes(self) -> int:
+        return int(self.row_bounds.size - 1)
+
+    @property
+    def num_col_stripes(self) -> int:
+        return int(self.col_bounds.size - 1)
+
+    @property
+    def num_blocks(self) -> int:
+        """Blocks in the grid, empty ones included."""
+        return self.num_row_stripes * self.num_col_stripes
 
     def nbytes(self) -> int:
-        return sum(b.nbytes() for b in self.blocks)
+        return int(self.row_bounds.nbytes + self.col_bounds.nbytes)
 
-    def blocks_for_rows(self, row_lo: int, row_hi: int) -> list[EdgeSet]:
-        """Blocks intersecting the row range (left-to-right scan order)."""
-        return [b for b in self.blocks if b.row_lo < row_hi and b.row_hi > row_lo]
+    def col_stripe(self, cols: np.ndarray) -> np.ndarray:
+        """Column stripe of each global column id."""
+        return np.searchsorted(self.col_bounds, cols, side="right") - 1
 
-    def row_major_blocks(self) -> list[EdgeSet]:
-        """All blocks sorted for the paper's left-to-right, top-down scan."""
-        return sorted(self.blocks, key=lambda b: (b.row_lo, b.col_lo))
+    def stripe_counts(self, csr: CSR) -> tuple[np.ndarray, np.ndarray]:
+        """Edges of ``csr`` per row stripe and per column stripe."""
+        rows = np.diff(csr.indptr[self.row_bounds])
+        cols = np.bincount(
+            self.col_stripe(csr.indices), minlength=self.num_col_stripes
+        )
+        return rows, cols
 
-    def consolidate(self, min_edges: int) -> "EdgeSetMatrix":
-        """Merge small adjacent edge-sets (horizontal first, then vertical).
+    def consolidate(self, csr: CSR, min_edges: int) -> "EdgeSetMatrix":
+        """Merge small adjacent edge-sets (horizontal and vertical).
 
-        Any block with fewer than ``min_edges`` edges is merged with its
-        neighbour in the same row stripe (horizontal consolidation); stripes
-        still too small after that are merged with the stripe below (vertical
-        consolidation).  Implemented by coarsening the boundary arrays and
-        rebuilding, which preserves the representation invariant exactly.
+        Column stripes of ``csr`` (the partition's out-edges) holding fewer
+        than ``min_edges`` edges merge with their right neighbour
+        (horizontal consolidation); row stripes likewise with the stripe
+        below (vertical consolidation).  Only the bounds coarsen.
         """
-        col_edge_counts = self._stripe_counts(axis="col")
-        new_col_bounds = _merge_bounds(self.col_bounds, col_edge_counts, min_edges)
-        row_edge_counts = self._stripe_counts(axis="row")
-        new_row_bounds = _merge_bounds(self.row_bounds, row_edge_counts, min_edges)
-        src, dst, w = self._all_edges()
+        row_counts, col_counts = self.stripe_counts(csr)
         return EdgeSetMatrix(
-            src,
-            dst,
             self.num_rows,
             self.num_cols,
-            new_row_bounds,
-            new_col_bounds,
-            weights=w,
+            _merge_bounds(self.row_bounds, row_counts, min_edges),
+            _merge_bounds(self.col_bounds, col_counts, min_edges),
         )
 
-    # ------------------------------------------------------------------ #
+    def plan_row_table(self) -> np.ndarray:
+        """``(num_rows, num_col_stripes)``: the plan row of each (local row,
+        column stripe) pair, numbered in storage (block-major) order."""
+        c = self.num_col_stripes
+        rows = np.arange(self.num_rows, dtype=np.int64)
+        stripe = np.searchsorted(self.row_bounds, rows, side="right") - 1
+        lo = self.row_bounds[stripe]
+        size = self.row_bounds[stripe + 1] - lo
+        return (lo * (c - 1) + rows)[:, None] + np.arange(c) * size[:, None]
 
-    def _all_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        srcs, dsts, ws = [], [], []
-        weighted = any(b.csr.weights is not None for b in self.blocks)
-        for b in self.blocks:
-            s, d = b.edges()
-            srcs.append(s)
-            dsts.append(d)
-            if weighted:
-                ws.append(b.csr.weights)
-        src = np.concatenate(srcs) if srcs else np.empty(0, dtype=np.int64)
-        dst = np.concatenate(dsts) if dsts else np.empty(0, dtype=np.int64)
-        w = np.concatenate(ws) if weighted and ws else None
-        return src, dst, w
+    def block_offsets(self) -> np.ndarray:
+        """Plan-row offsets of the blocks in scan order, end included:
+        block ``b`` is plan rows ``[o[b], o[b + 1])``."""
+        c = self.num_col_stripes
+        lo = self.row_bounds[:-1]
+        starts = (lo * c)[:, None] + np.arange(c) * np.diff(self.row_bounds)[:, None]
+        return np.append(starts.ravel(), self.num_rows * c)
 
-    def _stripe_counts(self, axis: str) -> np.ndarray:
-        bounds = self.row_bounds if axis == "row" else self.col_bounds
-        counts = np.zeros(bounds.size - 1, dtype=np.int64)
-        for b in self.blocks:
-            lo = b.row_lo if axis == "row" else b.col_lo
-            idx = int(np.searchsorted(bounds, lo, side="right") - 1)
-            counts[idx] += b.nnz
-        return counts
+    def block_major(
+        self, rows: np.ndarray, cols: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Order row-major edges (local ``rows``, non-decreasing; global
+        ``cols``) block-major.
+
+        Returns the stable permutation into storage order and the plan-row
+        ``indptr`` over it; a plan row keeps its edges' original order.
+        """
+        stripe = self.col_stripe(cols)
+        plan_rows = self.plan_row_table()[rows, stripe]
+        counts = np.bincount(
+            plan_rows, minlength=self.num_rows * self.num_col_stripes
+        )
+        indptr = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        # rows are sorted, so a stable sort by block alone is block-major;
+        # block ids fit a narrow integer, which numpy sorts by radix
+        row_stripe = np.searchsorted(self.row_bounds, rows, side="right") - 1
+        block = row_stripe * self.num_col_stripes + stripe
+        key = block.astype(np.min_scalar_type(self.num_blocks))
+        return np.argsort(key, kind="stable"), indptr
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"EdgeSetMatrix(rows={self.num_rows}, cols={self.num_cols}, "
-            f"blocks={len(self.blocks)}, nnz={self.nnz})"
+            f"stripes={self.num_row_stripes}x{self.num_col_stripes})"
         )
 
 
@@ -239,7 +208,7 @@ def _merge_bounds(
         if acc >= min_edges:
             kept.append(int(bounds[i + 1]))
             acc = 0
-    if kept[-1] != int(bounds[-1]):
+    if len(kept) == 1 or kept[-1] != int(bounds[-1]):  # an empty range too
         if len(kept) > 1 and acc < min_edges:
             kept[-1] = int(bounds[-1])  # fold the small tail into the last stripe
         else:

@@ -2,9 +2,11 @@
 
 "Note that a subgraph shard does not necessarily need to fit in memory; as a
 result, the I/O cost may also involve local disk I/O."  This module spills a
-partition's edge-set blocks to disk (one ``.npz`` per block, GraphChi-style)
-and serves them back through an LRU cache of configurable capacity.  Every
-cache miss is counted — block loads and bytes — so the runtime's
+partition's edge-sets to disk (one ``.npz`` per non-empty block,
+GraphChi-style) and serves them back through an LRU cache of configurable
+capacity.  A block is its slice of the partition's block-major
+:class:`~repro.graph.partition.ExchangePlan` arrays, read back whole.
+Every cache miss is counted — block loads and bytes — so the runtime's
 :class:`~repro.runtime.netmodel.NetworkModel` can charge the disk tier of
 the I/O hierarchy, and the cache-size ablation can show the locality value
 of edge-set consolidation (§3.2: "loading or persisting many such small
@@ -18,19 +20,19 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.graph.csr import CSR
-from repro.graph.edgeset import EdgeSet, EdgeSetMatrix
+from repro.graph.partition import ExchangePlan
 
 __all__ = ["SpillableEdgeSetStore"]
 
 
 class SpillableEdgeSetStore:
-    """Disk-backed block store over one partition's :class:`EdgeSetMatrix`.
+    """Disk-backed block store over one partition's :class:`ExchangePlan`.
 
     Parameters
     ----------
-    edge_sets:
-        The in-memory blocked representation to spill.
+    plan:
+        The plan to spill, one file per non-empty edge-set
+        (:meth:`ExchangePlan.blocks`; a plan without a layout is one block).
     directory:
         Where block files live (created if missing).
     cache_blocks:
@@ -39,42 +41,46 @@ class SpillableEdgeSetStore:
         paper's consolidation avoids.
     """
 
-    def __init__(self, edge_sets: EdgeSetMatrix, directory, cache_blocks: int = 4):
+    def __init__(self, plan: ExchangePlan, directory, cache_blocks: int = 4):
         if cache_blocks < 0:
             raise ValueError("cache_blocks must be >= 0")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.cache_blocks = cache_blocks
-        self._meta: list[tuple[int, int, int, int]] = []
+        blocks = plan.blocks()
+        #: ``(row_lo, row_hi, local_lo, local_hi, slot_lo, slot_hi)`` per block
+        self.blocks = np.array(blocks, np.int64).reshape(-1, 6)
         self._sizes: list[int] = []
-        self._cache: OrderedDict[int, EdgeSet] = OrderedDict()
+        self._cache: OrderedDict[int, dict] = OrderedDict()
         self.loads = 0
         self.hits = 0
         self.bytes_read = 0
-        for i, block in enumerate(edge_sets.row_major_blocks()):
-            path = self._path(i)
+        for i, (_, _, a, b, c, d) in enumerate(blocks):
             payload = {
-                "indptr": block.csr.indptr,
-                "indices": block.csr.indices,
+                "local": plan.local_csr.indices[a:b],
+                "slot": plan.slot_csr.indices[c:d],
             }
-            if block.csr.weights is not None:
-                payload["weights"] = block.csr.weights
+            if plan.local_csr.weights is not None:
+                payload["local_weights"] = plan.local_csr.weights[a:b]
+                payload["slot_weights"] = plan.slot_csr.weights[c:d]
+            path = self._path(i)
             np.savez(path, **payload)
-            self._meta.append(
-                (block.row_lo, block.row_hi, block.col_lo, block.col_hi)
-            )
             self._sizes.append(path.stat().st_size)
 
     @property
     def num_blocks(self) -> int:
-        return len(self._meta)
+        return int(self.blocks.shape[0])
 
-    def block_bounds(self, index: int) -> tuple[int, int, int, int]:
-        """(row_lo, row_hi, col_lo, col_hi) of block ``index``."""
-        return self._meta[index]
+    def blocks_touching(self, rows: np.ndarray) -> np.ndarray:
+        """Indices, in scan order, of the blocks whose row range holds any
+        of the sorted local ``rows``."""
+        lo = np.searchsorted(rows, self.blocks[:, 0])
+        hi = np.searchsorted(rows, self.blocks[:, 1])
+        return np.flatnonzero(hi > lo)
 
-    def get_block(self, index: int, stats=None) -> EdgeSet:
-        """Fetch block ``index``, loading from disk on a cache miss.
+    def get_block(self, index: int, stats=None) -> dict:
+        """Fetch block ``index`` (its arrays by name), loading from disk on
+        a cache miss.
 
         ``stats`` (a :class:`~repro.runtime.netmodel.StepStats`) receives
         ``record_disk_read`` on every miss.
@@ -83,7 +89,8 @@ class SpillableEdgeSetStore:
             self.hits += 1
             self._cache.move_to_end(index)
             return self._cache[index]
-        block = self._load(index)
+        with np.load(self._path(index)) as data:
+            block = {name: data[name] for name in data.files}
         self.loads += 1
         self.bytes_read += self._sizes[index]
         if stats is not None:
@@ -94,29 +101,11 @@ class SpillableEdgeSetStore:
                 self._cache.popitem(last=False)
         return block
 
-    def iter_blocks(self, stats=None):
-        """All blocks in row-major order, through the cache."""
-        for i in range(self.num_blocks):
-            yield self.get_block(i, stats=stats)
-
-    def hit_rate(self) -> float:
-        total = self.hits + self.loads
-        return self.hits / total if total else 1.0
-
     def resident_bytes(self) -> int:
         """Memory currently pinned by cached blocks."""
-        return sum(b.csr.nbytes() for b in self._cache.values())
+        return sum(
+            a.nbytes for block in self._cache.values() for a in block.values()
+        )
 
     def _path(self, index: int) -> Path:
         return self.directory / f"block_{index:05d}.npz"
-
-    def _load(self, index: int) -> EdgeSet:
-        row_lo, row_hi, col_lo, col_hi = self._meta[index]
-        with np.load(self._path(index)) as data:
-            weights = data["weights"] if "weights" in data.files else None
-            csr = CSR(
-                indptr=data["indptr"],
-                indices=data["indices"],
-                weights=weights,
-            )
-        return EdgeSet(row_lo, row_hi, col_lo, col_hi, csr)

@@ -5,10 +5,10 @@ chosen so each partition holds a similar number of edges ("to balance the
 workload, we optimize each partition to contain a similar number of edges").
 Each partition stores, for its local vertices:
 
-* all **out-going** edges in CSR (and, blocked, as an
-  :class:`~repro.graph.edgeset.EdgeSetMatrix`) — "assigning all out-going
-  edges of a vertex to the same partition is a way of improving the
-  efficiency of local graph traversals";
+* all **out-going** edges in CSR — "assigning all out-going edges of a
+  vertex to the same partition is a way of improving the efficiency of
+  local graph traversals" — optionally tiled into edge-sets by an
+  :class:`~repro.graph.edgeset.EdgeSetMatrix` layout;
 * all **incoming** edges in CSC — needed by gather-style algorithms
   (PageRank);
 * the partition's slice of vertex properties.
@@ -22,6 +22,8 @@ a dense *slot space* — sorted, so each destination partition owns one
 contiguous slice of it — and splits the out-edges by it, so a traversal
 superstep scatters into per-destination boundary planes with no locality
 mask, owner lookup or sort of its own (the GPOP idea: bins laid out once).
+With an edge-set layout the plan stores those edges block-major, so the same
+scan walks them edge-set by edge-set.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.errors import UnsupportedConfigError
 from repro.graph.csr import CSR, build_csr
 from repro.graph.edgelist import EdgeList
 from repro.graph.edgeset import EdgeSetMatrix, degree_balanced_ranges
@@ -67,10 +70,18 @@ class ExchangePlan:
       Sorted ids under range partitioning mean each destination partition
       owns a contiguous slice (:meth:`cuts`), and a slice's non-zero rows in
       slot order are that destination's combined wire batch.
-    * ``local_csr`` / ``slot_csr`` — ``out_csr`` split by locality, rows,
-      per-row column order and edge weights kept: columns are local rows and
-      slots.  A push kernel gathers the active rows' edges from each and
-      scatters into local state and into the slot space.
+    * ``local_csr`` / ``slot_csr`` — ``out_csr`` split by locality, per-row
+      column order and edge weights kept: columns are local rows and slots.
+      A push kernel gathers the active rows' edges from each
+      (:meth:`gather_rows`) and scatters into local state and into the slot
+      space.  Without an edge-set ``layout`` (or with one column stripe)
+      their rows are the local rows, in ``out_csr``'s order.  With one,
+      their rows are *plan rows* — (local row, column stripe) pairs — stored
+      block-major (:class:`~repro.graph.edgeset.EdgeSetMatrix`):
+      ``block_rows[v, c]`` is the plan row of local row ``v`` in column
+      stripe ``c`` and ``block_src`` maps a plan row back to its local row.
+      A target's edges keep their source order, so an order-sensitive fold
+      per target (GAS's ``bincount``) is unchanged by the layout.
     * ``sweep_sources`` / ``sweep_starts`` / ``sweep_rows`` — every out-edge
       grouped by target over the unified target space ``[local rows | slots]``
       for one segmented reduce (k-hop's pull, GAS's remote gather): run ``i``
@@ -92,10 +103,47 @@ class ExchangePlan:
     sweep_rows: np.ndarray = field(repr=False)
     out_degree: np.ndarray = field(repr=False)
     local_out_degree: np.ndarray = field(repr=False)
+    layout: EdgeSetMatrix | None = field(default=None, repr=False)
+    block_rows: np.ndarray | None = field(default=None, repr=False)
+    block_src: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def num_slots(self) -> int:
         return int(self.boundary.size)
+
+    def gather_rows(self, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, sources)``: the ``local_csr``/``slot_csr`` rows that
+        hold the out-edges of the ``active`` local rows, in storage order,
+        and the local row each one belongs to."""
+        if self.block_rows is None:
+            return active, active
+        rows = np.sort(self.block_rows[active], axis=None)
+        return rows, self.block_src[rows]
+
+    def spread_local(self, values: np.ndarray) -> np.ndarray:
+        """Per-local-row ``values`` repeated once per ``local_csr`` edge,
+        in storage order."""
+        if self.block_src is None:
+            return np.repeat(values, self.local_out_degree)
+        return np.repeat(values[self.block_src], np.diff(self.local_csr.indptr))
+
+    def blocks(self) -> list[tuple[int, int, int, int, int, int]]:
+        """The non-empty edge-sets in scan order, each ``(row_lo, row_hi,
+        local_lo, local_hi, slot_lo, slot_hi)``: its local-row range and its
+        slices of ``local_csr`` and ``slot_csr``.  Without a layout the
+        whole partition is one block."""
+        row_bounds = offsets = np.array([0, self.out_degree.size])
+        stripes = 1
+        if self.layout is not None:
+            row_bounds, offsets = self.layout.row_bounds, self.layout.block_offsets()
+            stripes = self.layout.num_col_stripes
+        local = self.local_csr.indptr[offsets]
+        slot = self.slot_csr.indptr[offsets]
+        return [
+            (int(row_bounds[b // stripes]), int(row_bounds[b // stripes + 1]),
+             int(local[b]), int(local[b + 1]), int(slot[b]), int(slot[b + 1]))
+            for b in np.flatnonzero(np.diff(local) + np.diff(slot))
+        ]
 
     @property
     def num_edges(self) -> int:
@@ -117,9 +165,10 @@ class ExchangePlan:
         arrays = (
             self.boundary, self.sweep_sources, self.sweep_starts,
             self.sweep_rows, self.out_degree, self.local_out_degree,
+            self.block_rows, self.block_src,
         )
         total = self.local_csr.nbytes() + self.slot_csr.nbytes()
-        return int(total + sum(a.nbytes for a in arrays))
+        return int(total + sum(a.nbytes for a in arrays if a is not None))
 
 
 @dataclass
@@ -138,8 +187,9 @@ class Partition:
         CSC over local rows: row ``v - lo`` lists global in-neighbours of
         ``v``.
     edge_sets:
-        Blocked form of ``out_csr`` (built lazily by
-        :meth:`PartitionedGraph.build_edge_sets`).
+        The edge-set layout the exchange plan orders ``out_csr`` by (set by
+        :meth:`PartitionedGraph.build_edge_sets`; ``None`` is one block).
+        Only bounds: it outlives edge changes, which drop just the plan.
     plan_cache:
         Lazily built :class:`ExchangePlan` (see :meth:`exchange_plan`).
     """
@@ -207,6 +257,9 @@ class PartitionedGraph:
         self.edges = edges
         self.bounds = np.asarray(bounds, dtype=np.int64)
         self.partitions = partitions
+        #: ``(sets_per_partition, consolidate_min_edges)`` of the edge-set
+        #: layout, once built
+        self.edge_set_settings: tuple[int, int | None] | None = None
 
     # -- global structure ------------------------------------------------ #
 
@@ -230,35 +283,48 @@ class PartitionedGraph:
         """The :class:`Partition` owning global vertex ``v``."""
         return self.partitions[int(self.owner_of(v))]
 
-    # -- optional blocked representation ---------------------------------- #
+    # -- the edge-set layout ---------------------------------------------- #
 
     def build_edge_sets(
         self, sets_per_partition: int = 8, consolidate_min_edges: int | None = None
     ) -> None:
-        """Tile every partition's out-edges into edge-sets (§3.2).
+        """Lay every partition's out-edges out as edge-sets (§3.2).
 
         ``sets_per_partition`` controls the number of row/column stripes per
         partition (the paper's Figure 3 uses 8 per partition); with
-        ``consolidate_min_edges`` set, tiny blocks are merged.
+        ``consolidate_min_edges`` set, tiny blocks are merged.  A graph holds
+        one layout: asking again with the same settings is a no-op, and
+        different ones raise :class:`~repro.errors.UnsupportedConfigError`.
         """
-        col_deg = self.edges.in_degrees()
-        col_bounds = degree_balanced_ranges(col_deg, sets_per_partition)
-        for part in self.partitions:
-            local_deg = part.out_csr.degrees()
-            row_bounds = degree_balanced_ranges(local_deg, sets_per_partition)
-            src, dst, w = _csr_to_edges(part.out_csr)
-            esm = EdgeSetMatrix(
-                src,
-                dst,
-                part.num_local,
-                self.num_vertices,
-                row_bounds,
-                col_bounds,
-                weights=w,
+        settings = (sets_per_partition, consolidate_min_edges)
+        if self.edge_set_settings is not None:
+            if self.edge_set_settings != settings:
+                raise UnsupportedConfigError(
+                    "the graph already has a different edge-set layout; it "
+                    "is fixed when the session is built "
+                    "(GraphSession(edge_sets=True, sets_per_partition=..., "
+                    "consolidate_min_edges=...))"
+                )
+            return
+        self.edge_set_settings = settings
+        for part, layout in zip(self.partitions, self.tile_edge_sets(*settings)):
+            part.edge_sets = layout
+            part.plan_cache = None
+
+    def tile_edge_sets(
+        self, sets_per_partition: int = 8, consolidate_min_edges: int | None = None
+    ) -> list[EdgeSetMatrix]:
+        """Each partition's edge-set tiling of its current out-edges, per
+        :meth:`build_edge_sets`'s settings, without installing it."""
+        col_bounds = degree_balanced_ranges(
+            self.edges.in_degrees(), sets_per_partition
+        )
+        return [
+            EdgeSetMatrix.tile(
+                part.out_csr, col_bounds, sets_per_partition, consolidate_min_edges
             )
-            if consolidate_min_edges is not None:
-                esm = esm.consolidate(consolidate_min_edges)
-            part.edge_sets = esm
+            for part in self.partitions
+        ]
 
     # -- stats ------------------------------------------------------------ #
 
@@ -341,12 +407,6 @@ def partition_with_bounds(edges: EdgeList, bounds: np.ndarray) -> PartitionedGra
     return PartitionedGraph(edges, bounds, partitions)
 
 
-def _csr_to_edges(csr: CSR) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    deg = csr.degrees()
-    src = np.repeat(np.arange(csr.num_rows, dtype=np.int64), deg)
-    return src, csr.indices.astype(np.int64), csr.weights
-
-
 def _masked_prefix(mask: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """``indptr`` of the CSR that keeps only the ``mask``-ed edges."""
     before = np.zeros(mask.size + 1, dtype=np.int64)
@@ -389,12 +449,24 @@ def _build_exchange_plan(part: Partition) -> ExchangePlan:
     local_sources = srcs[src_local] - shift
 
     out_degree = np.diff(out.indptr)
+    local_csr = CSR(
+        local_indptr, cols[is_local] - shift, None if w is None else w[is_local]
+    )
+    slot_csr = CSR(slot_indptr, slots, None if w is None else w[is_remote])
+    layout, block_rows, block_src = part.edge_sets, None, None
+    if layout is not None and layout.num_col_stripes > 1:
+        # Block-major: one stable sort per half by block.  With a single
+        # column stripe, plan rows are local rows and row-major already is.
+        local_rows = np.repeat(np.arange(n), np.diff(local_indptr))
+        local_csr = _block_major(layout, local_csr, local_rows, cols[is_local])
+        slot_csr = _block_major(layout, slot_csr, remote_rows, remote_cols)
+        block_rows = layout.plan_row_table()
+        block_src = np.empty(block_rows.size, dtype=np.int64)
+        block_src[block_rows] = np.arange(n)[:, None]
     return ExchangePlan(
         boundary=sorted_cols[slot_starts],
-        local_csr=CSR(
-            local_indptr, cols[is_local] - shift, None if w is None else w[is_local]
-        ),
-        slot_csr=CSR(slot_indptr, slots, None if w is None else w[is_remote]),
+        local_csr=local_csr,
+        slot_csr=slot_csr,
         sweep_sources=np.concatenate([local_sources, remote_rows[order]]),
         sweep_starts=np.concatenate(
             [row_ptr[sweep_rows], local_sources.size + slot_starts]
@@ -402,4 +474,17 @@ def _build_exchange_plan(part: Partition) -> ExchangePlan:
         sweep_rows=sweep_rows,
         out_degree=out_degree,
         local_out_degree=np.diff(local_indptr),
+        layout=layout,
+        block_rows=block_rows,
+        block_src=block_src,
     )
+
+
+def _block_major(
+    layout: EdgeSetMatrix, csr: CSR, rows: np.ndarray, cols: np.ndarray
+) -> CSR:
+    """``csr`` (row-major; ``rows``/``cols`` its edges' local rows and
+    global columns) re-laid block-major over plan rows."""
+    order, indptr = layout.block_major(rows, cols)
+    weights = None if csr.weights is None else csr.weights[order]
+    return CSR(indptr, csr.indices[order], weights)

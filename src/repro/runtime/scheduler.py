@@ -432,7 +432,6 @@ class QueryService:
         discipline: str = "batch",
         batch_width: int = 64,
         concurrency: int | None = None,
-        use_edge_sets: bool = False,
         planner: str = "traversal",
         cross_check: bool = False,
         instrumentation=None,
@@ -468,7 +467,6 @@ class QueryService:
             raise ValueError("deadline_seconds must be positive")
         if max_pending is not None and max_pending < 1:
             raise ValueError("max_pending must be >= 1")
-        session.require_inproc(use_edge_sets=use_edge_sets)
         self.session = session
         # the session's facade unless explicitly overridden, so one
         # Instrumentation covers engine, session and service spans
@@ -483,7 +481,6 @@ class QueryService:
         if concurrency < 1:
             raise ValueError("concurrency must be >= 1")
         self.concurrency = int(concurrency)
-        self.use_edge_sets = bool(use_edge_sets)
         #: Virtual-seconds budget per dispatched batch: a batch stops at the
         #: first superstep barrier past it and unresolved queries are
         #: reported with ``deadline_missed`` (graceful degradation, not an
@@ -1044,14 +1041,12 @@ class QueryService:
                     sources,
                     queue.targets[rows],
                     self.k,
-                    use_edge_sets=self.use_edge_sets,
                     max_virtual_seconds=self.deadline_seconds,
                 )
             return concurrent_khop(
                 session,
                 sources,
                 self.k,
-                use_edge_sets=self.use_edge_sets,
                 max_virtual_seconds=self.deadline_seconds,
             )
 
@@ -1129,9 +1124,7 @@ class QueryService:
         start = max(self._slots[0], float(queue.arrivals[row]))
         self._apply_due_mutations(start)
         epoch = queue.epoch[row] = self._epoch()
-        live = self.session.khop_service(
-            source, self.k, use_edge_sets=self.use_edge_sets
-        )
+        live = self.session.khop_service(source, self.k)
         service, queue.reached[row] = live
         finish = start + service
         queue.start[row] = start
@@ -1140,9 +1133,7 @@ class QueryService:
         self.clock = max(self.clock, finish)
         self._busy += service
         if self.cross_check and self.session.is_dynamic:
-            ref = self._oracle_session(epoch).khop_service(
-                source, self.k, use_edge_sets=self.use_edge_sets
-            )
+            ref = self._oracle_session(epoch).khop_service(source, self.k)
             if ref != live:
                 raise AssertionError(
                     f"dynamic cross-check failed for pool query "

@@ -9,7 +9,7 @@ jobs arrive against it.  Before this module existed, every entry point in
 
 * the :class:`~repro.graph.partition.PartitionedGraph` (built once),
 * the :class:`SimCluster` and its :class:`~repro.runtime.netmodel.NetworkModel`,
-* optional edge-set state, the cached undirected view (k-core), and
+* the cached undirected view (k-core), and
 * per-algorithm task lists, *reset* between batches instead of reallocated.
 
 Every algorithm entry point follows the same ``prepare → run → gather``
@@ -45,7 +45,6 @@ import numpy as np
 
 from repro.errors import (
     InvalidQueryError,
-    MutationError,
     UnsupportedConfigError,
     WorkerLost,
 )
@@ -101,9 +100,15 @@ class GraphSession:
     netmodel:
         Virtual-time cost model shared by every batch (calibrated default
         if omitted).
-    edge_sets:
-        Build the blocked edge-set representation eagerly (§3.2) so
-        traversal batches can run with ``use_edge_sets=True``.
+    edge_sets, sets_per_partition, consolidate_min_edges:
+        Lay each partition's exchange plan out as edge-sets (§3.2):
+        ``sets_per_partition`` degree-balanced row and column stripes,
+        blocks under ``consolidate_min_edges`` edges merged.  A layout, not
+        a mode: every job, direction, backend and the dynamic graph run on
+        it with the flat scan's answers, counted work and virtual time.  It
+        is fixed here — a graph that already has a different one is refused
+        (:class:`~repro.errors.UnsupportedConfigError`) — and survives
+        mutations (the plan is rebuilt from its frozen bounds).
     instrumentation:
         A :class:`~repro.telemetry.Instrumentation` shared by every batch,
         the cluster/engine, the query service and the index planner; the
@@ -115,8 +120,8 @@ class GraphSession:
         on a persistent :class:`~repro.runtime.pool.WorkerPool` — one OS
         process per machine, shards and message payloads in shared memory
         — started lazily on the first batch and stopped by :meth:`close`.
-        Results are bit-identical between backends; the edge-set and
-        asynchronous modes are rejected there (:meth:`require_inproc`).
+        Results are bit-identical between backends; the asynchronous and
+        out-of-core modes are rejected there (:meth:`require_inproc`).
     pool_seed:
         Base seed for the pool workers' per-process RNGs (determinism).
     fault_tolerance:
@@ -151,8 +156,7 @@ class GraphSession:
         if backend not in ("inproc", "pool"):
             raise ValueError(f"backend must be 'inproc' or 'pool', got {backend!r}")
         self.instr = instrumentation or NULL_INSTRUMENTATION
-        # dynamic-graph state (enabled lazily by dynamic()); initialised
-        # before build_edge_sets below, which consults it
+        # dynamic-graph state (enabled lazily by dynamic())
         self._dynamic = None  # DynamicGraph
         self._index_epoch = 0  # graph epoch the resident index matches
         self._inc_index = None  # IncrementalIndex twin of the labels
@@ -166,7 +170,7 @@ class GraphSession:
         else:
             self.pg = range_partition(graph, num_machines)
         if edge_sets:
-            self.build_edge_sets(sets_per_partition, consolidate_min_edges)
+            self.pg.build_edge_sets(sets_per_partition, consolidate_min_edges)
         self.netmodel = netmodel or NetworkModel()
         self.fault_tolerance = fault_tolerance or FaultTolerance()
         self.fault_plan = fault_plan
@@ -292,18 +296,6 @@ class GraphSession:
     def has_edge_sets(self) -> bool:
         return all(p.edge_sets is not None for p in self.pg.partitions)
 
-    def build_edge_sets(
-        self, sets_per_partition: int = 8, consolidate_min_edges: int | None = None
-    ) -> None:
-        """Tile partitions into LLC-sized edge-sets (§3.2), once."""
-        if self._dynamic is not None:
-            raise MutationError(
-                "edge-set mode is a static representation; it cannot be "
-                "combined with a dynamic (mutable) session"
-            )
-        if any(p.edge_sets is None for p in self.pg.partitions):
-            self.pg.build_edge_sets(sets_per_partition, consolidate_min_edges)
-
     # -- the dynamic graph (lazy import: dynamic depends on graph only) ----- #
 
     @property
@@ -347,11 +339,6 @@ class GraphSession:
                 )
             if compact_interval is not None and compact_interval < 1:
                 raise ValueError("compact_interval must be >= 1")
-            if any(p.edge_sets is not None for p in self.pg.partitions):
-                raise MutationError(
-                    "edge-set mode is a static representation; drop it "
-                    "before enabling mutations"
-                )
             from repro.dynamic.delta import DynamicGraph
 
             self._dynamic = DynamicGraph(self.pg)
@@ -623,9 +610,8 @@ class GraphSession:
         """Reject execution modes this session cannot run.
 
         Entry points call this before any work with the modes they were
-        asked for (``use_edge_sets=...``, ``asynchronous=...``); a requested
-        one on a ``backend="pool"`` session is an unsupported combination,
-        and so is ``use_edge_sets`` before the edge sets are built.
+        asked for (``asynchronous=...``, ``out_of_core=...``); a requested
+        one on a ``backend="pool"`` session is an unsupported combination.
         """
         if self.uses_pool:
             for name, requested in modes.items():
@@ -633,11 +619,6 @@ class GraphSession:
                     raise UnsupportedConfigError(
                         f"{name} requires backend='inproc'"
                     )
-        if modes.get("use_edge_sets") and not self.has_edge_sets:
-            raise UnsupportedConfigError(
-                "use_edge_sets requires built edge sets "
-                "(GraphSession(edge_sets=True) or build_edge_sets())"
-            )
 
     def _resident_key(self, cache_key: tuple) -> tuple:
         """The resident-task cache key, on either executor.
@@ -845,9 +826,7 @@ class GraphSession:
 
         return concurrent_khop(self, sources, k, **kwargs)
 
-    def khop_service(
-        self, source: int, k: int | None, use_edge_sets: bool = False
-    ) -> tuple[float, int]:
+    def khop_service(self, source: int, k: int | None) -> tuple[float, int]:
         """``(virtual seconds, vertices reached)`` of one standalone k-hop
         query, memoised.
 
@@ -855,12 +834,12 @@ class GraphSession:
         graph, so the response-time experiments re-cost repeated roots from
         this cache instead of re-traversing.
         """
-        key = (int(source), k, use_edge_sets)
+        key = (int(source), k)
         cached = self._service_cache.get(key)
         if cached is None:
             from repro.core.khop import concurrent_khop
 
-            res = concurrent_khop(self, [int(source)], k, use_edge_sets=use_edge_sets)
+            res = concurrent_khop(self, [int(source)], k)
             cached = (float(res.virtual_seconds), int(res.reached[0]))
             self._service_cache[key] = cached
         return cached

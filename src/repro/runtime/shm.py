@@ -6,7 +6,8 @@ named ``multiprocessing.shared_memory`` segments instead of pickles:
 
 * the **graph image** — every partition's CSR/CSC arrays plus the partition
   bounds, packed into one segment by the parent and attached read-only by
-  every worker exactly once at pool start;
+  every worker exactly once at pool start (each partition's edge-set layout
+  is a few stripe bounds and rides in the manifest itself);
 * per-worker **outbox segments** — each worker owns one segment into which
   it writes its combined per-destination message batches every superstep;
   peers attach lazily and read the batches as zero-copy numpy views.
@@ -30,6 +31,7 @@ import numpy as np
 
 from repro.errors import CorruptMessage
 from repro.graph.csr import CSR
+from repro.graph.edgeset import EdgeSetMatrix
 from repro.graph.partition import Partition, PartitionedGraph
 from repro.runtime.fault import batch_checksum
 
@@ -70,6 +72,7 @@ class PartitionManifest:
     hi: int
     out_csr: CSRManifest
     in_csc: CSRManifest
+    edge_sets: EdgeSetMatrix | None = None
 
 
 @dataclass(frozen=True)
@@ -144,8 +147,8 @@ def build_graph_image(
     """Pack a partitioned graph into one named segment (parent side).
 
     Returns the owning :class:`SharedMemory` (caller unlinks on shutdown)
-    and the manifest workers use to attach.  Edge-set blocks are not
-    shipped — the pool backend expands over CSR only.
+    and the manifest workers use to attach, edge-set layouts included, so
+    every worker builds its exchange plan as the parent would.
 
     ``base_shards`` (``{part_id: (out_csr, in_csc)}``) overrides the
     arrays packed for each partition.  A dynamic session passes its
@@ -185,6 +188,7 @@ def build_graph_image(
                 hi=p.hi,
                 out_csr=plan_csr(out_csr),
                 in_csc=plan_csr(in_csc),
+                edge_sets=p.edge_sets,
             )
         )
     shm = create_segment(name, planner.cursor)
@@ -241,6 +245,7 @@ def attach_graph(manifest: GraphManifest) -> AttachedGraph:
             hi=p.hi,
             out_csr=csr(p.out_csr),
             in_csc=csr(p.in_csc),
+            edge_sets=p.edge_sets,
         )
         for p in manifest.partitions
     ]

@@ -152,6 +152,7 @@ class TestAblations:
         assert len(reached) == 1  # both variants agree
         scanned = {r["edges_scanned"] for r in res.rows}
         assert len(scanned) == 1
+        assert len({r["virtual_s"] for r in res.rows}) == 1
 
     def test_batch_width_monotone_total_time(self):
         res = E.ablation_batch_width(num_queries=32, widths=(1, 8, 32), scale=TINY)

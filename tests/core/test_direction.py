@@ -17,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.frontier import make_query_mask
-from repro.core.gas import GASPartitionTask
+from repro.core.gas import GASPartitionTask, run_gas
 from repro.core.khop import DIRECTIONS, KHopPartitionTask, concurrent_khop
-from repro.core.multi_sssp import _MultiSSSPTask
+from repro.core.multi_sssp import _MultiSSSPTask, concurrent_sssp
 from repro.core.pagerank import PageRankProgram
 from repro.core.reachability import reachability_queries
 from repro.graph import EdgeList, range_partition, rmat_edges
@@ -98,17 +98,24 @@ class TestInProcessParity:
             concurrent_khop(GraphSession(small_rmat), [0], 2, direction="sideways")
 
     def test_edge_sets_conflict_with_pull(self, small_rmat):
+        """Edge-sets once ran push only (pull was refused, auto stayed
+        push).  They are a layout of the exchange plan now, and the pull
+        sweep is the same target-major one: every direction runs on an
+        edge-set session, bit-identical to each other and to flat."""
         pg = range_partition(small_rmat, 2)
         pg.build_edge_sets()
-        with pytest.raises(ValueError):
-            concurrent_khop(
-                GraphSession(pg), [0, 1], 2, use_edge_sets=True, direction="pull"
-            )
-        # edge-set expansion has no pull kernel: auto must quietly stay push
-        res = concurrent_khop(
-            GraphSession(pg), [0, 1], 2, use_edge_sets=True, direction="auto"
-        )
-        assert res.pull_partition_steps == 0
+        sources = list(range(0, 120, 3))
+        flat = concurrent_khop(GraphSession(small_rmat, num_machines=2), sources, 3)
+        runs = {
+            d: concurrent_khop(GraphSession(pg), sources, 3, direction=d)
+            for d in DIRECTIONS
+        }
+        for res in runs.values():
+            _assert_same(res, flat)
+            assert res.total_edges_scanned == flat.total_edges_scanned
+        assert runs["pull"].push_partition_steps == 0
+        assert runs["push"].pull_partition_steps == 0
+        assert runs["auto"].pull_partition_steps > 0
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -419,17 +426,156 @@ class TestPlanPathEqualsGenericPath:
             assert np.array_equal(got.dist, want.dist)
 
     def test_edge_set_scan_lands_in_the_same_planes(self, small_rmat):
-        """``_route`` (edge-set and out-of-core block scans) reaches the slot
-        plane by ``searchsorted`` on the boundary: same wire, same clock."""
+        """The block-major scan of an edge-set plan writes the same ``next``
+        and slot planes as the flat scan: same wire, same clock."""
         pg = range_partition(small_rmat, 3)
         pg.build_edge_sets()
         sources = list(range(0, 130, 2))
-        plain = concurrent_khop(GraphSession(pg), sources, 3, direction="push")
-        blocked = concurrent_khop(GraphSession(pg), sources, 3, use_edge_sets=True)
+        plain = concurrent_khop(
+            GraphSession(small_rmat, num_machines=3), sources, 3, direction="push"
+        )
+        blocked = concurrent_khop(GraphSession(pg), sources, 3, direction="push")
         _assert_same(blocked, plain)
         assert blocked.total_messages == plain.total_messages
         assert blocked.total_bytes == plain.total_bytes
         assert blocked.total_edges_scanned == plain.total_edges_scanned
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sets=st.integers(1, 5),
+        min_edges=st.sampled_from([None, 1, 8]),
+        weighted=st.booleans(),
+        **_random_digraph,
+    )
+    def test_block_major_plan_is_a_per_row_permutation(
+        self, pairs, num_vertices, machines, seed, sets, min_edges, weighted
+    ):
+        """Each block-major CSR holds, per local row, exactly the flat CSR's
+        edges (weights alongside), column stripe by column stripe; the flat
+        plan is, array for array, the plan built before layouts existed."""
+        el = EdgeList.from_pairs(pairs, num_vertices=num_vertices)
+        if weighted:
+            rng = np.random.default_rng(seed)
+            el = EdgeList(el.src, el.dst, num_vertices, weight=rng.random(el.num_edges))
+        flat_pg = range_partition(el, machines)
+        pg = range_partition(el, machines)
+        pg.build_edge_sets(sets, min_edges)
+        for flat_part, part in zip(flat_pg.partitions, pg.partitions):
+            flat, plan = flat_part.exchange_plan(), part.exchange_plan()
+            _assert_plan_equal(flat, _reference_flat_plan(flat_part))
+            _assert_block_permutation(plan, flat, part.edge_sets, part.lo)
+            assert np.array_equal(plan.boundary, flat.boundary)
+            for name in ("sweep_sources", "sweep_starts", "sweep_rows",
+                         "out_degree", "local_out_degree"):
+                assert np.array_equal(getattr(plan, name), getattr(flat, name))
+
+
+    def test_gas_and_sssp_scan_the_layout_bit_identically(self, small_rmat):
+        """GAS spreads its per-edge values, and multi-SSSP gathers, through
+        the block-major plan rows: the answers, per-step stats and clocks are
+        the flat plan's (a target's edges keep their source order, so even
+        PageRank's floating-point fold is unchanged)."""
+        w = 1.0 + (small_rmat.src * 31 + small_rmat.dst * 17) % 7
+        el = EdgeList(small_rmat.src, small_rmat.dst, small_rmat.num_vertices,
+                      weight=w)
+        flat = GraphSession(el, num_machines=3)
+        blocked = GraphSession(el, num_machines=3, edge_sets=True,
+                               sets_per_partition=4)
+        runs = [
+            (lambda s: run_gas(s, PageRankProgram(), 5), "values"),
+            (lambda s: run_gas(s, MinLabelProgram(), 5), "values"),
+            (lambda s: concurrent_sssp(s, list(range(0, 64, 2)), 4), "distances"),
+        ]
+        for run, answer in runs:
+            got, want = run(blocked), run(flat)
+            assert np.array_equal(getattr(got, answer), getattr(want, answer))
+            got, want = got.engine_result, want.engine_result
+            assert got.per_step_stats == want.per_step_stats
+            assert got.virtual_seconds == want.virtual_seconds
+
+
+def _assert_plan_equal(plan, ref):
+    for name in ("boundary", "sweep_sources", "sweep_starts", "sweep_rows",
+                 "out_degree", "local_out_degree"):
+        got, want = getattr(plan, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    for name in ("local_csr", "slot_csr"):
+        got, want = getattr(plan, name), getattr(ref, name)
+        for field in ("indptr", "indices", "weights"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert plan.block_rows is None and plan.block_src is None
+
+
+def _assert_block_permutation(plan, flat, layout, lo):
+    n = flat.out_degree.size
+    rows, sources = plan.gather_rows(np.arange(n))
+    assert np.all(np.diff(rows) > 0)  # storage (block-major) order
+    table = layout.plan_row_table()
+    stripe = np.empty(table.size, dtype=np.int64)
+    stripe[table] = np.arange(layout.num_col_stripes)
+    for name in ("local_csr", "slot_csr"):
+        got, want = getattr(plan, name), getattr(flat, name)
+        for v in range(n):
+            mine = rows[sources == v]
+            merged = np.concatenate([got.neighbors(r) for r in mine])
+            assert np.array_equal(merged, want.neighbors(v))
+            if want.weights is not None:
+                ws = np.concatenate([got.neighbor_weights(r) for r in mine])
+                assert np.array_equal(ws, want.neighbor_weights(v))
+        # every plan row's edges lie in that row's column stripe
+        if name == "local_csr":
+            cols = got.indices.astype(np.int64) + lo
+        else:
+            cols = plan.boundary[got.indices]
+        owner = np.repeat(np.arange(got.num_rows), got.degrees())
+        assert np.array_equal(stripe[owner], layout.col_stripe(cols))
+
+
+def _reference_flat_plan(part):
+    """The exchange-plan build as it stood before edge-set layouts."""
+    from repro.graph.csr import CSR
+    from repro.graph.partition import ExchangePlan, _masked_prefix
+
+    n, lo, hi = part.num_local, part.lo, part.hi
+    out = part.out_csr
+    cols = out.indices
+    shift = cols.dtype.type(lo)
+    is_local = (cols >= lo) & (cols < hi)
+    local_indptr = _masked_prefix(is_local, out.indptr)
+    slot_indptr = out.indptr - local_indptr
+    is_remote = ~is_local
+    remote_cols = cols[is_remote]
+    w = out.weights
+    order = np.argsort(remote_cols, kind="stable")
+    sorted_cols = remote_cols[order]
+    first = np.ones(sorted_cols.size, dtype=bool)
+    np.not_equal(sorted_cols[1:], sorted_cols[:-1], out=first[1:])
+    slot_starts = np.flatnonzero(first)
+    slots = np.empty(remote_cols.size, dtype=cols.dtype)
+    slots[order] = np.cumsum(first, dtype=cols.dtype) - cols.dtype.type(1)
+    remote_rows = np.repeat(np.arange(n, dtype=cols.dtype), np.diff(slot_indptr))
+    srcs = part.in_csc.indices
+    src_local = (srcs >= lo) & (srcs < hi)
+    row_ptr = _masked_prefix(src_local, part.in_csc.indptr)
+    sweep_rows = np.flatnonzero(np.diff(row_ptr))
+    local_sources = srcs[src_local] - shift
+    return ExchangePlan(
+        boundary=sorted_cols[slot_starts],
+        local_csr=CSR(
+            local_indptr, cols[is_local] - shift, None if w is None else w[is_local]
+        ),
+        slot_csr=CSR(slot_indptr, slots, None if w is None else w[is_remote]),
+        sweep_sources=np.concatenate([local_sources, remote_rows[order]]),
+        sweep_starts=np.concatenate(
+            [row_ptr[sweep_rows], local_sources.size + slot_starts]
+        ),
+        sweep_rows=sweep_rows,
+        out_degree=np.diff(out.indptr),
+        local_out_degree=np.diff(local_indptr),
+    )
 
 
 @pytest.fixture(scope="module")

@@ -218,20 +218,32 @@ class TestDistribution:
     def test_edge_set_mode_matches(self, small_rmat):
         pg = range_partition(small_rmat, 3)
         pg.build_edge_sets(sets_per_partition=4)
-        es = concurrent_khop(GraphSession(pg), [0, 9], k=3, use_edge_sets=True)
+        es = concurrent_khop(GraphSession(pg), [0, 9], k=3)
         flat = concurrent_khop(GraphSession(small_rmat, num_machines=3), [0, 9], k=3)
         assert (es.reached == flat.reached).all()
         assert es.total_edges_scanned == flat.total_edges_scanned
+        assert es.virtual_seconds == flat.virtual_seconds
 
     def test_edge_set_mode_requires_built_sets(self, small_rmat):
+        """The layout is the graph's, built before (or by) the session; a
+        graph without one scans a single block, and there is no per-call
+        switch."""
         pg = range_partition(small_rmat, 2)
-        with pytest.raises(ValueError):
-            concurrent_khop(GraphSession(pg), [0], k=2, use_edge_sets=True)
+        sess = GraphSession(pg)
+        assert not sess.has_edge_sets
+        plan = pg.partitions[0].exchange_plan()
+        assert plan.layout is None and len(plan.blocks()) == 1
+        with pytest.raises(TypeError):
+            concurrent_khop(sess, [0], k=2, use_edge_sets=True)
+        built = GraphSession(small_rmat, num_machines=2, edge_sets=True,
+                             sets_per_partition=4)
+        assert built.has_edge_sets
+        assert len(built.pg.partitions[0].exchange_plan().blocks()) > 1
 
     def test_consolidated_edge_sets_match(self, small_rmat):
         pg = range_partition(small_rmat, 3)
         pg.build_edge_sets(sets_per_partition=8, consolidate_min_edges=128)
-        es = concurrent_khop(GraphSession(pg), [0, 9], k=3, use_edge_sets=True)
+        es = concurrent_khop(GraphSession(pg), [0, 9], k=3)
         base = concurrent_khop(GraphSession(small_rmat), [0, 9], k=3)
         assert (es.reached == base.reached).all()
 

@@ -12,34 +12,41 @@ from repro.runtime.netmodel import StepStats
 from repro.runtime.session import GraphSession
 
 
+def _plan(graph, sets):
+    pg = range_partition(graph, 1)
+    pg.build_edge_sets(sets_per_partition=sets)
+    return pg.partitions[0].exchange_plan()
+
+
 @pytest.fixture
 def spilled_store(tmp_path, small_rmat):
-    pg = range_partition(small_rmat, 1)
-    pg.build_edge_sets(sets_per_partition=4)
-    store = SpillableEdgeSetStore(
-        pg.partitions[0].edge_sets, tmp_path / "blocks", cache_blocks=2
-    )
-    return store, pg
+    plan = _plan(small_rmat, 4)
+    return SpillableEdgeSetStore(plan, tmp_path / "blocks", cache_blocks=2), plan
 
 
 class TestSpillableStore:
     def test_blocks_roundtrip(self, spilled_store, small_rmat):
-        store, pg = spilled_store
+        store, plan = spilled_store
         total = 0
-        for block in store.iter_blocks():
-            total += block.nnz
+        for i in range(store.num_blocks):
+            block = store.get_block(i)
+            total += block["local"].size + block["slot"].size
         assert total == small_rmat.num_edges
 
     def test_block_content_identical(self, spilled_store):
-        store, pg = spilled_store
-        original = pg.partitions[0].edge_sets.row_major_blocks()
-        for i, orig in enumerate(original):
+        """Each file is its block's slice of the plan arrays, read back by
+        the block's offsets."""
+        store, plan = spilled_store
+        blocks = plan.blocks()
+        assert store.num_blocks == len(blocks) > 1
+        for i, (row_lo, row_hi, a, b, c, d) in enumerate(blocks):
             loaded = store.get_block(i)
-            assert (loaded.csr.indptr == orig.csr.indptr).all()
-            assert (loaded.csr.indices == orig.csr.indices).all()
-            assert store.block_bounds(i) == (
-                orig.row_lo, orig.row_hi, orig.col_lo, orig.col_hi
-            )
+            assert np.array_equal(loaded["local"], plan.local_csr.indices[a:b])
+            assert np.array_equal(loaded["slot"], plan.slot_csr.indices[c:d])
+            assert tuple(store.blocks[i]) == blocks[i]
+        # the blocks tile both CSRs in scan order
+        assert blocks[0][2] == 0 and blocks[-1][3] == plan.local_csr.nnz
+        assert all(x[3] == y[2] and x[5] == y[4] for x, y in zip(blocks, blocks[1:]))
 
     def test_lru_caching(self, spilled_store):
         store, _ = spilled_store
@@ -54,10 +61,8 @@ class TestSpillableStore:
         assert store.loads == 4
 
     def test_zero_cache_always_misses(self, tmp_path, small_rmat):
-        pg = range_partition(small_rmat, 1)
-        pg.build_edge_sets(sets_per_partition=4)
         store = SpillableEdgeSetStore(
-            pg.partitions[0].edge_sets, tmp_path / "b0", cache_blocks=0
+            _plan(small_rmat, 4), tmp_path / "b0", cache_blocks=0
         )
         store.get_block(0)
         store.get_block(0)
@@ -66,10 +71,8 @@ class TestSpillableStore:
         assert store.resident_bytes() == 0
 
     def test_negative_cache_rejected(self, tmp_path, small_rmat):
-        pg = range_partition(small_rmat, 1)
-        pg.build_edge_sets(sets_per_partition=2)
         with pytest.raises(ValueError):
-            SpillableEdgeSetStore(pg.partitions[0].edge_sets, tmp_path, -1)
+            SpillableEdgeSetStore(_plan(small_rmat, 2), tmp_path, -1)
 
     def test_stats_charged_on_miss(self, spilled_store):
         store, _ = spilled_store
@@ -84,14 +87,12 @@ class TestSpillableStore:
         from repro.graph import EdgeList
 
         el = EdgeList.from_pairs([(0, 1), (1, 0)], weights=[2.5, 1.5])
-        pg = range_partition(el, 1)
-        pg.build_edge_sets(sets_per_partition=1)
-        store = SpillableEdgeSetStore(
-            pg.partitions[0].edge_sets, tmp_path / "w", cache_blocks=1
-        )
+        store = SpillableEdgeSetStore(_plan(el, 1), tmp_path / "w", cache_blocks=1)
         weights = []
-        for block in store.iter_blocks():
-            weights.extend(block.csr.weights.tolist())
+        for i in range(store.num_blocks):
+            block = store.get_block(i)
+            weights.extend(block["local_weights"].tolist())
+            weights.extend(block["slot_weights"].tolist())
         assert sorted(weights) == [1.5, 2.5]
 
 
@@ -120,8 +121,10 @@ class TestOutOfCoreKHop:
                                             cache_blocks=1)
         large = concurrent_khop_out_of_core(GraphSession(small_rmat), [0, 9], k=3,
                                             cache_blocks=64)
-        assert large.disk_reads <= small.disk_reads
-        assert large.cache_hit_rate >= small.cache_hit_rate
+        # the default call spills the 8-stripe tiling: a cache that holds
+        # every block reads each once
+        assert large.disk_reads < small.disk_reads
+        assert large.cache_hit_rate > small.cache_hit_rate
         assert (large.reached == small.reached).all()
 
     def test_consolidation_cuts_disk_reads(self, small_rmat):
@@ -145,13 +148,39 @@ class TestOutOfCoreKHop:
         sess = GraphSession(small_rmat, num_machines=3, edge_sets=True,
                             sets_per_partition=8, consolidate_min_edges=4096)
         layout = [p.edge_sets for p in sess.pg.partitions]
-        num_blocks = sum(len(es.row_major_blocks()) for es in layout)
+        num_blocks = sum(len(p.exchange_plan().blocks()) for p in sess.pg.partitions)
         for _ in range(2):
             res = concurrent_khop_out_of_core(sess, [0, 9], k=3, cache_blocks=64)
             assert all(p.edge_sets is es for p, es in zip(sess.pg.partitions, layout))
             assert 0 < res.disk_reads <= num_blocks
         with pytest.raises(TypeError):
             concurrent_khop_out_of_core(sess, [0], k=3, sets_per_partition=2)
+        # a session without a layout spills the default 8-stripe tiling,
+        # built for the call: the session keeps no layout
+        flat_sess = GraphSession(small_rmat, num_machines=3)
+        flat = concurrent_khop_out_of_core(flat_sess, [0, 9], k=3, cache_blocks=64)
+        default = GraphSession(small_rmat, num_machines=3, edge_sets=True)
+        assert not flat_sess.has_edge_sets
+        assert all(p.plan_cache.layout is None for p in flat_sess.pg.partitions)
+        assert flat.disk_reads > 3
+        assert flat.disk_reads == concurrent_khop_out_of_core(
+            default, [0, 9], k=3, cache_blocks=64
+        ).disk_reads
+        assert (flat.reached == res.reached).all()
+
+    def test_edges_are_read_from_disk(self, small_rmat, monkeypatch):
+        """The kernel expands from the blocks it fetched, not from memory:
+        a block read back wrong changes the answer."""
+        ref = concurrent_khop_out_of_core(GraphSession(small_rmat), [0, 9], k=3)
+        fetch = SpillableEdgeSetStore.get_block
+
+        def zeroed(store, index, stats=None):
+            block = fetch(store, index, stats=stats)
+            return {**block, "local": np.zeros_like(block["local"])}
+
+        monkeypatch.setattr(SpillableEdgeSetStore, "get_block", zeroed)
+        bad = concurrent_khop_out_of_core(GraphSession(small_rmat), [0, 9], k=3)
+        assert (bad.reached < ref.reached).all()
 
     def test_explicit_spill_directory(self, tmp_path, small_rmat):
         res = concurrent_khop_out_of_core(

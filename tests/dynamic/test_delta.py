@@ -17,6 +17,7 @@ from tests.dynamic.conftest import (
     existing_edges,
     fresh_edges,
 )
+from tests.runtime.test_pool_parity import plan_layout
 
 
 class TestApply:
@@ -258,3 +259,62 @@ class TestCompact:
         assert not res.changed
         assert dg.epoch == 1
         assert dg.compactions == 1
+
+
+class TestEdgeSetLayout:
+    """An edge-set layout is stripe bounds only, frozen when the session is
+    built: every splice (in place, or worker-side from the pool's base
+    image) and every compaction rebuilds the plan under the same bounds, so
+    an edge-set dynamic session answers, scans and charges exactly like a
+    flat one at every epoch."""
+
+    @pytest.mark.parametrize("backend", ["inproc", "pool"])
+    def test_matches_flat_through_mutations_and_compaction(
+        self, dyn_graph, edge_keys, rng, backend
+    ):
+        sources = list(range(0, 130, 2))
+        n = dyn_graph.num_vertices
+        steps = [
+            (fresh_edges(rng, n, edge_keys, 6), []),
+            ([], existing_edges(rng, n, edge_keys, 6)),
+            (fresh_edges(rng, n, edge_keys, 4), existing_edges(rng, n, edge_keys, 4)),
+            None,  # compaction
+            (fresh_edges(rng, n, edge_keys, 3), existing_edges(rng, n, edge_keys, 3)),
+        ]
+        with GraphSession(
+            dyn_graph, num_machines=2, backend=backend, edge_sets=True,
+            sets_per_partition=4,
+        ) as blocked:
+            flat = GraphSession(dyn_graph, num_machines=2)
+            layout = [p.edge_sets for p in blocked.pg.partitions]
+            for sess in (blocked, flat):
+                sess.dynamic(churn_threshold=10.0)
+            for step in steps:
+                for sess in (blocked, flat):
+                    if step is None:
+                        sess.compact()
+                    else:
+                        sess.apply_mutations(*step)
+                assert blocked.graph_epoch == flat.graph_epoch
+                assert all(
+                    p.edge_sets is es for p, es in zip(blocked.pg.partitions, layout)
+                )
+                assert blocked.pg.partitions[0].exchange_plan().block_rows is not None
+                for direction in ("push", "pull"):
+                    got = blocked.khop(sources, 3, direction=direction)
+                    want = flat.khop(sources, 3, direction=direction)
+                    np.testing.assert_array_equal(got.reached, want.reached)
+                    assert got.total_edges_scanned == want.total_edges_scanned
+                    assert got.total_bytes == want.total_bytes
+                    assert got.virtual_seconds == want.virtual_seconds
+            assert not blocked.degraded
+            assert blocked.dynamic().compactions == 1
+            # the same settings again, on shards that changed since the
+            # layout froze: not a different layout
+            GraphSession(blocked.pg, edge_sets=True, sets_per_partition=4).close()
+            held = [p.edge_sets for p in blocked.pg.partitions]
+            assert all(es is lay for es, lay in zip(held, layout))
+            if blocked.uses_pool:  # the workers spliced under the same bounds
+                assert [lay[2] for lay in blocked.gather_batch(plan_layout)] == [
+                    True, True
+                ]

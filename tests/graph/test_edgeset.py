@@ -1,22 +1,50 @@
-"""Unit tests for the edge-set (blocked adjacency) representation."""
+"""Unit tests for the edge-set (blocked adjacency) layout."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import EdgeSetMatrix, degree_balanced_ranges
+from repro.graph import EdgeSetMatrix, build_csr, degree_balanced_ranges
 
 
-def _matrix_from_edges(pairs, n, row_blocks=2, col_blocks=2, weights=None):
+def _tiled(pairs, n, row_blocks=2, col_blocks=2, weights=None):
+    """``(layout, csr)``: degree-balanced stripes over ``pairs`` and the
+    pairs' CSR."""
     src = np.array([a for a, _ in pairs], dtype=np.int64)
     dst = np.array([b for _, b in pairs], dtype=np.int64)
-    deg_out = np.bincount(src, minlength=n)
-    deg_in = np.bincount(dst, minlength=n)
-    rb = degree_balanced_ranges(deg_out, row_blocks)
-    cb = degree_balanced_ranges(deg_in, col_blocks)
     w = None if weights is None else np.asarray(weights, dtype=np.float64)
-    return EdgeSetMatrix(src, dst, n, n, rb, cb, weights=w)
+    csr = build_csr(src, dst, n, weights=w)
+    layout = EdgeSetMatrix(
+        n, n,
+        degree_balanced_ranges(np.bincount(src, minlength=n), row_blocks),
+        degree_balanced_ranges(np.bincount(dst, minlength=n), col_blocks),
+    )
+    return layout, csr
+
+
+def _blocks(layout, csr):
+    """Per block in scan order: ``(row_lo, row_hi, col_lo, col_hi, src, dst,
+    weights)`` of the edges stored there, in storage order."""
+    rows = np.repeat(np.arange(csr.num_rows), csr.degrees())
+    order, indptr = layout.block_major(rows, csr.indices)
+    src, dst = rows[order], csr.indices[order].astype(np.int64)
+    w = None if csr.weights is None else csr.weights[order]
+    edge_offsets = indptr[layout.block_offsets()]
+    stripes = layout.num_col_stripes
+    out = []
+    for b, (a, z) in enumerate(zip(edge_offsets[:-1], edge_offsets[1:])):
+        r, c = divmod(b, stripes)
+        out.append((
+            int(layout.row_bounds[r]), int(layout.row_bounds[r + 1]),
+            int(layout.col_bounds[c]), int(layout.col_bounds[c + 1]),
+            src[a:z], dst[a:z], None if w is None else w[a:z],
+        ))
+    return out
+
+
+def _nonempty(layout, csr):
+    return sum(1 for b in _blocks(layout, csr) if b[4].size)
 
 
 class TestDegreeBalancedRanges:
@@ -66,98 +94,116 @@ class TestDegreeBalancedRanges:
 class TestEdgeSetMatrix:
     def test_blocks_cover_all_edges(self, small_rmat):
         n = small_rmat.num_vertices
-        m = _matrix_from_edges(
+        layout, csr = _tiled(
             list(zip(small_rmat.src.tolist(), small_rmat.dst.tolist())), n, 4, 4
         )
-        assert m.nnz == small_rmat.num_edges
+        assert sum(b[4].size for b in _blocks(layout, csr)) == small_rmat.num_edges
+        assert layout.num_blocks == 16
 
     def test_block_membership_respects_ranges(self):
         pairs = [(0, 0), (0, 3), (3, 0), (3, 3)]
-        m = _matrix_from_edges(pairs, 4, 2, 2)
-        for b in m.blocks:
-            src, dst = b.edges()
-            assert ((src >= b.row_lo) & (src < b.row_hi)).all()
-            assert ((dst >= b.col_lo) & (dst < b.col_hi)).all()
+        layout, csr = _tiled(pairs, 4, 2, 2)
+        for row_lo, row_hi, col_lo, col_hi, src, dst, _ in _blocks(layout, csr):
+            assert ((src >= row_lo) & (src < row_hi)).all()
+            assert ((dst >= col_lo) & (dst < col_hi)).all()
 
     def test_edges_roundtrip(self, small_rmat):
         n = small_rmat.num_vertices
         pairs = list(zip(small_rmat.src.tolist(), small_rmat.dst.tolist()))
-        m = _matrix_from_edges(pairs, n, 3, 5)
+        layout, csr = _tiled(pairs, n, 3, 5)
         rebuilt = []
-        for b in m.blocks:
-            s, d = b.edges()
-            rebuilt.extend(zip(s.tolist(), d.tolist()))
+        for *_, src, dst, _ in _blocks(layout, csr):
+            rebuilt.extend(zip(src.tolist(), dst.tolist()))
         assert sorted(rebuilt) == sorted(pairs)
 
     def test_weights_preserved(self):
         pairs = [(0, 1), (1, 0), (1, 1)]
-        m = _matrix_from_edges(pairs, 2, 1, 1, weights=[1.0, 2.0, 3.0])
-        blk = m.blocks[0]
-        assert blk.csr.weights is not None
-        assert sorted(blk.csr.weights.tolist()) == [1.0, 2.0, 3.0]
+        layout, csr = _tiled(pairs, 2, 1, 1, weights=[1.0, 2.0, 3.0])
+        (block,) = _blocks(layout, csr)
+        assert block[6] is not None
+        assert sorted(block[6].tolist()) == [1.0, 2.0, 3.0]
 
     def test_row_major_ordering(self, small_rmat):
+        """Storage order is the paper's scan: row stripe, then column
+        stripe, then row, then column."""
         n = small_rmat.num_vertices
         pairs = list(zip(small_rmat.src.tolist(), small_rmat.dst.tolist()))
-        m = _matrix_from_edges(pairs, n, 4, 4)
-        ordered = m.row_major_blocks()
-        keys = [(b.row_lo, b.col_lo) for b in ordered]
+        layout, csr = _tiled(pairs, n, 4, 4)
+        blocks = _blocks(layout, csr)
+        keys = [(b[0], b[2]) for b in blocks]
         assert keys == sorted(keys)
+        for *_, src, dst, _ in blocks:
+            assert np.all(np.diff(src) >= 0)
+            assert np.all((np.diff(src) > 0) | (np.diff(dst) >= 0))
 
     def test_blocks_for_rows(self):
+        """A row's plan rows are one per column stripe, inside the blocks of
+        its row stripe."""
         pairs = [(0, 0), (3, 3)]
-        m = _matrix_from_edges(pairs, 4, 2, 2)
-        first_rows = m.blocks_for_rows(0, 1)
-        assert all(b.row_lo < 1 for b in first_rows)
-        assert sum(b.nnz for b in first_rows) == 1
+        layout, csr = _tiled(pairs, 4, 2, 2)
+        table = layout.plan_row_table()
+        offsets = layout.block_offsets()
+        assert table.shape == (4, 2)
+        assert np.array_equal(np.sort(table, axis=None), np.arange(8))
+        stripe = np.searchsorted(layout.row_bounds, np.arange(4), side="right") - 1
+        for v in range(4):
+            for c in range(2):
+                b = stripe[v] * 2 + c
+                assert offsets[b] <= table[v, c] < offsets[b + 1]
+        first_rows = [b for b in _blocks(layout, csr) if b[0] < 1]
+        assert sum(b[4].size for b in first_rows) == 1
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
             EdgeSetMatrix(
-                np.array([0]), np.array([0]), 2, 2,
+                2, 2,
                 row_bounds=np.array([0, 1]),  # doesn't span [0, 2]
                 col_bounds=np.array([0, 2]),
             )
+        with pytest.raises(ValueError):
+            EdgeSetMatrix(2, 2, [0, 2, 1, 2], [0, 2])  # not monotone
 
     def test_empty_matrix(self):
-        m = EdgeSetMatrix(
-            np.empty(0, int), np.empty(0, int), 4, 4,
-            row_bounds=np.array([0, 2, 4]), col_bounds=np.array([0, 4]),
+        layout = EdgeSetMatrix(
+            4, 4, row_bounds=np.array([0, 2, 4]), col_bounds=np.array([0, 4]),
         )
-        assert m.nnz == 0
-        assert m.blocks == []
+        csr = build_csr(np.empty(0, int), np.empty(0, int), 4)
+        assert all(b[4].size == 0 for b in _blocks(layout, csr))
+        assert _nonempty(layout, csr) == 0
+        order, indptr = layout.block_major(np.empty(0, int), np.empty(0, int))
+        assert order.size == 0 and np.array_equal(indptr, np.zeros(5))
 
 
 class TestConsolidation:
-    def test_consolidate_preserves_edges(self, small_rmat):
+    def _fragmented(self, small_rmat):
         n = small_rmat.num_vertices
         pairs = list(zip(small_rmat.src.tolist(), small_rmat.dst.tolist()))
-        m = _matrix_from_edges(pairs, n, 8, 8)
-        c = m.consolidate(min_edges=100)
-        assert c.nnz == m.nnz
+        return _tiled(pairs, n, 8, 8)
+
+    def test_consolidate_preserves_edges(self, small_rmat):
+        layout, csr = self._fragmented(small_rmat)
+        c = layout.consolidate(csr, min_edges=100)
+        assert sum(b[4].size for b in _blocks(c, csr)) == csr.nnz
 
     def test_consolidate_reduces_block_count(self, small_rmat):
-        n = small_rmat.num_vertices
-        pairs = list(zip(small_rmat.src.tolist(), small_rmat.dst.tolist()))
-        m = _matrix_from_edges(pairs, n, 8, 8)
-        c = m.consolidate(min_edges=m.nnz)  # forces a single stripe each way
-        assert len(c.blocks) <= len(m.blocks)
-        assert len(c.blocks) == 1
+        layout, csr = self._fragmented(small_rmat)
+        c = layout.consolidate(csr, min_edges=csr.nnz)  # one stripe each way
+        assert _nonempty(c, csr) <= _nonempty(layout, csr)
+        assert c.num_blocks == 1 and _nonempty(c, csr) == 1
 
     def test_consolidate_respects_min_edges_per_stripe(self, small_rmat):
-        n = small_rmat.num_vertices
-        pairs = list(zip(small_rmat.src.tolist(), small_rmat.dst.tolist()))
-        m = _matrix_from_edges(pairs, n, 8, 8)
-        c = m.consolidate(min_edges=50)
+        layout, csr = self._fragmented(small_rmat)
+        c = layout.consolidate(csr, min_edges=50)
         # every column stripe except possibly the last has >= 50 edges
-        stripe_counts = {}
-        for b in c.blocks:
-            stripe_counts[b.col_lo] = stripe_counts.get(b.col_lo, 0) + b.nnz
-        counts = [stripe_counts[k] for k in sorted(stripe_counts)]
+        _, counts = c.stripe_counts(csr)
         assert all(cnt >= 50 for cnt in counts[:-1])
+        rows, _ = c.stripe_counts(csr)
+        assert all(cnt >= 50 for cnt in rows[:-1])
 
     def test_consolidate_noop_when_blocks_large(self):
         pairs = [(i % 4, (i * 7) % 4) for i in range(64)]
-        m = _matrix_from_edges(pairs, 4, 1, 1)
-        c = m.consolidate(min_edges=1)
-        assert len(c.blocks) == len(m.blocks) == 1
+        layout, csr = _tiled(pairs, 4, 1, 1)
+        c = layout.consolidate(csr, min_edges=1)
+        assert np.array_equal(c.row_bounds, layout.row_bounds)
+        assert np.array_equal(c.col_bounds, layout.col_bounds)
+        assert _nonempty(c, csr) == _nonempty(layout, csr) == 1

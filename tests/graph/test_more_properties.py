@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import EdgeList, range_partition
+from repro.graph import EdgeList, build_csr, range_partition
 from repro.graph.edgeset import EdgeSetMatrix, degree_balanced_ranges
 from repro.runtime.netmodel import NetworkModel, StepStats
 
@@ -15,46 +15,51 @@ pairs_strategy = st.lists(
 )
 
 
+def _tiled(el, blocks):
+    rb = degree_balanced_ranges(el.out_degrees(), blocks)
+    cb = degree_balanced_ranges(el.in_degrees(), blocks)
+    csr = build_csr(el.src.astype(np.int64), el.dst.astype(np.int64), 16)
+    return EdgeSetMatrix(16, 16, rb, cb), csr
+
+
+def _edge_blocks(layout, csr):
+    """Block of every edge in storage order, and the edges themselves."""
+    rows = np.repeat(np.arange(csr.num_rows), csr.degrees())
+    order, indptr = layout.block_major(rows, csr.indices)
+    sizes = np.diff(indptr[layout.block_offsets()])
+    edges = sorted(zip(rows[order].tolist(), csr.indices[order].tolist()))
+    return sizes, edges
+
+
 class TestConsolidationInvariants:
     @settings(max_examples=40, deadline=None)
     @given(pairs=pairs_strategy, min_edges=st.integers(1, 100),
            blocks=st.integers(1, 6))
     def test_consolidation_preserves_edge_multiset(self, pairs, min_edges, blocks):
         el = EdgeList.from_pairs(pairs, num_vertices=16)
-        rb = degree_balanced_ranges(el.out_degrees(), blocks)
-        cb = degree_balanced_ranges(el.in_degrees(), blocks)
-        m = EdgeSetMatrix(el.src.astype(np.int64), el.dst.astype(np.int64),
-                          16, 16, rb, cb)
-        c = m.consolidate(min_edges)
-        def edge_multiset(matrix):
-            out = []
-            for b in matrix.blocks:
-                s, d = b.edges()
-                out.extend(zip(s.tolist(), d.tolist()))
-            return sorted(out)
-        assert edge_multiset(c) == edge_multiset(m)
+        m, csr = _tiled(el, blocks)
+        c = m.consolidate(csr, min_edges)
+        assert _edge_blocks(c, csr)[1] == _edge_blocks(m, csr)[1] == sorted(pairs)
 
     @settings(max_examples=40, deadline=None)
     @given(pairs=pairs_strategy, min_edges=st.integers(1, 100))
     def test_consolidation_never_adds_blocks(self, pairs, min_edges):
         el = EdgeList.from_pairs(pairs, num_vertices=16)
-        rb = degree_balanced_ranges(el.out_degrees(), 4)
-        cb = degree_balanced_ranges(el.in_degrees(), 4)
-        m = EdgeSetMatrix(el.src.astype(np.int64), el.dst.astype(np.int64),
-                          16, 16, rb, cb)
-        assert len(m.consolidate(min_edges).blocks) <= len(m.blocks)
+        m, csr = _tiled(el, 4)
+        c = m.consolidate(csr, min_edges)
+        assert c.num_blocks <= m.num_blocks
+        nonempty = [np.count_nonzero(_edge_blocks(x, csr)[0]) for x in (c, m)]
+        assert nonempty[0] <= nonempty[1]
 
     @settings(max_examples=25, deadline=None)
     @given(pairs=pairs_strategy)
     def test_consolidation_idempotent_at_fixpoint(self, pairs):
         el = EdgeList.from_pairs(pairs, num_vertices=16)
-        rb = degree_balanced_ranges(el.out_degrees(), 4)
-        cb = degree_balanced_ranges(el.in_degrees(), 4)
-        m = EdgeSetMatrix(el.src.astype(np.int64), el.dst.astype(np.int64),
-                          16, 16, rb, cb)
-        once = m.consolidate(5)
-        twice = once.consolidate(5)
-        assert len(twice.blocks) == len(once.blocks)
+        m, csr = _tiled(el, 4)
+        once = m.consolidate(csr, 5)
+        twice = once.consolidate(csr, 5)
+        assert np.array_equal(twice.row_bounds, once.row_bounds)
+        assert np.array_equal(twice.col_bounds, once.col_bounds)
 
 
 class TestOwnershipAlgebra:

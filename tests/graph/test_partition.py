@@ -117,19 +117,29 @@ class TestEdgeSetsOnPartitions:
         pg.build_edge_sets(sets_per_partition=4)
         for part in pg.partitions:
             assert part.edge_sets is not None
-            assert part.edge_sets.nnz == part.num_out_edges
+            plan = part.exchange_plan()
+            assert plan.layout is part.edge_sets
+            stored = sum(b - a + d - c for _, _, a, b, c, d in plan.blocks())
+            assert stored == part.num_out_edges
 
     def test_build_edge_sets_with_consolidation(self, small_rmat):
         pg = range_partition(small_rmat, 3)
         pg.build_edge_sets(sets_per_partition=8, consolidate_min_edges=64)
         for part in pg.partitions:
-            assert part.edge_sets.nnz == part.num_out_edges
+            plan = part.exchange_plan()
+            stored = sum(b - a + d - c for _, _, a, b, c, d in plan.blocks())
+            assert stored == part.num_out_edges
+            assert part.edge_sets.num_blocks <= 64
 
     def test_nbytes_accounting(self, small_rmat):
         pg = range_partition(small_rmat, 2)
         before = pg.nbytes()
         pg.build_edge_sets(sets_per_partition=4)
         assert pg.nbytes() > before
+        flat = range_partition(small_rmat, 2)
+        for part, flat_part in zip(pg.partitions, flat.partitions):
+            # the block tables are the layout's only per-row cost
+            assert part.exchange_plan().nbytes() > flat_part.exchange_plan().nbytes()
 
 
 @settings(max_examples=30, deadline=None)

@@ -105,14 +105,71 @@ class TestKHopParity:
         assert a.reached[0] == 1
 
     def test_edge_sets_require_inproc(self, pool_sess):
-        with pytest.raises(ValueError, match="inproc"):
+        """Edge-sets once required the in-process backend; they are a layout
+        of the exchange plan now and run on the pool (TestEdgeSetParity).
+        The per-call keyword is gone; the asynchronous engine stays
+        in-process only."""
+        with pytest.raises(TypeError, match="use_edge_sets"):
             pool_sess.khop([0], 2, use_edge_sets=True)
-        with pytest.raises(UnsupportedConfigError, match="use_edge_sets"):
-            pool_sess.khop([0], 2, use_edge_sets=True)
-        with pytest.raises(UnsupportedConfigError, match="use_edge_sets"):
+        with pytest.raises(TypeError, match="use_edge_sets"):
             reachability_queries(pool_sess, [0], [1], 2, use_edge_sets=True)
         with pytest.raises(UnsupportedConfigError, match="asynchronous"):
             pool_sess.khop([0], 2, asynchronous=True)
+
+
+def plan_layout(task):
+    """Worker-side view of the task's exchange plan: ``(row bounds, column
+    bounds, blocked)`` of its layout, ``None`` for a flat plan."""
+    plan = task.machine.partition.exchange_plan()
+    if plan.layout is None:
+        return None
+    layout = plan.layout
+    return layout.row_bounds.tolist(), layout.col_bounds.tolist(), (
+        plan.block_rows is not None
+    )
+
+
+@pytest.fixture(scope="module")
+def edge_set_pool(graph):
+    with GraphSession(
+        graph, num_machines=2, backend="pool", edge_sets=True,
+        sets_per_partition=4, consolidate_min_edges=256,
+    ) as sess:
+        yield sess
+
+
+class TestEdgeSetParity:
+    def test_pool_matches_inproc_on_the_edge_set_layout(
+        self, graph, inproc_sess, edge_set_pool
+    ):
+        """The layout bounds ship in the shm manifest: workers build the
+        same block-major plans, so the pool answers, scans and charges
+        exactly what the in-process engine does — flat or blocked."""
+        edge_set_inproc = GraphSession(
+            graph, num_machines=2, edge_sets=True, sets_per_partition=4,
+            consolidate_min_edges=256,
+        )
+        sources = [0, 17, 333, 901] + list(range(60))
+        for direction in ("push", "pull", "auto"):
+            a = concurrent_khop(edge_set_inproc, sources, 3, direction=direction)
+            b = concurrent_khop(edge_set_pool, sources, 3, direction=direction)
+            flat = concurrent_khop(inproc_sess, sources, 3, direction=direction)
+            for res in (b, flat):
+                assert np.array_equal(res.reached, a.reached)
+                assert np.array_equal(res.completion_seconds, a.completion_seconds)
+                assert res.total_edges_scanned == a.total_edges_scanned
+                assert res.virtual_seconds == a.virtual_seconds
+                assert res.total_bytes == a.total_bytes
+        assert not edge_set_pool.degraded
+        # the workers built their plans under the parent's layout
+        assert edge_set_pool.gather_batch(plan_layout) == [
+            (p.edge_sets.row_bounds.tolist(), p.edge_sets.col_bounds.tolist(), True)
+            for p in edge_set_pool.pg.partitions
+        ]
+        reach = reachability_queries(edge_set_pool, [0, 5], [9, 3], 3)
+        want = reachability_queries(inproc_sess, [0, 5], [9, 3], 3)
+        assert np.array_equal(reach.reachable, want.reachable)
+        assert reach.virtual_seconds == want.virtual_seconds
 
 
 class TestWideParity:

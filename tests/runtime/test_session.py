@@ -243,9 +243,9 @@ class TestStateReuse:
     def test_task_lists_are_cached(self, graph, session):
         roots = _roots(graph, 8, 10)
         concurrent_khop(session, roots, 2)
-        tasks_first = session._task_cache[("khop", False)]
+        tasks_first = session._task_cache[("khop",)]
         concurrent_khop(session, roots, 2)
-        assert session._task_cache[("khop", False)] is tasks_first
+        assert session._task_cache[("khop",)] is tasks_first
 
     def test_batches_run_counter(self, graph, session):
         before = session.batches_run

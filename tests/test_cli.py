@@ -57,6 +57,10 @@ class TestCommands:
     def test_khop_with_edge_sets(self):
         out = run_cli("khop", "--queries", "2", "--edge-sets", *SCALE)
         assert "reached" in out
+        # a layout: every direction prints exactly what the flat run does
+        for direction in ("push", "pull"):
+            argv = ("khop", "--queries", "2", "--direction", direction, *SCALE)
+            assert run_cli(*argv, "--edge-sets") == run_cli(*argv)
 
     def test_reach(self):
         out = run_cli("reach", "--pairs", "3", "--k", "3", *SCALE)
@@ -141,13 +145,11 @@ class TestServiceRefusals:
             (["--batch-width", "513"], r"batch_width must be in \[1, 512\]"),
             (["--deadline-ms", "0"], "deadline_seconds must be positive"),
             (["--cache", "8"], "planner='hybrid'"),
-            (["--edge-sets", "--mutations", "{stream}"], "edge-set mode"),
-            (["--edge-sets", "--wal-dir", "{wal}"], "edge-set mode"),
             (["--wal-dir", "{wal}", "--checkpoint-every", "0"],
              "checkpoint_every must be >= 1"),
         ],
         ids=["width-0", "width-513", "deadline", "cache-traversal",
-             "mutations-edge-sets", "wal-edge-sets", "checkpoint-every"],
+             "checkpoint-every"],
     )
     def test_constructor_refusal_exits_cleanly(self, tmp_path, flags, match):
         stream = tmp_path / "edits.txt"
@@ -157,6 +159,29 @@ class TestServiceRefusals:
         ]
         with pytest.raises(SystemExit, match="^repro service: .*" + match):
             main(["service", "--queries", "4", *flags, *SCALE], out=io.StringIO())
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--mutations", "{stream}"],
+            ["--mutations", "{stream}", "--wal-dir", "{wal}"],
+        ],
+        ids=["mutations-edge-sets", "wal-edge-sets"],
+    )
+    def test_edge_sets_serve_a_dynamic_graph(self, tmp_path, flags):
+        # once refused as a static mode: the layout's bounds are frozen and
+        # each mutated shard's plan is rebuilt under them, so the report is
+        # the flat service's, line for line
+        stream = tmp_path / "edits.txt"
+        stream.write_text("+ 0 1\n+ 1 2\n")
+        outs = []
+        for layout in ([], ["--edge-sets"]):
+            wal = tmp_path / f"state{len(outs)}"
+            argv = [f.format(stream=stream, wal=wal) for f in flags]
+            out = run_cli("service", "--queries", "4", *argv, *layout, *SCALE)
+            outs.append(out.replace(str(wal), "<wal>"))
+        assert outs[0] == outs[1]
+        assert "graph now at epoch 1" in outs[1]
 
     def test_width_past_one_word_runs(self):
         # a burst: 300 queries in three dispatches, so batches past 64 ran

@@ -108,24 +108,22 @@ def test_catching_the_base_catches_everything():
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, mode",
     [
-        lambda sess: sess.khop([0], 2, use_edge_sets=True),
-        lambda sess: sess.khop([0], 2, asynchronous=True),
-        lambda sess: reachability_queries(sess, [0], [1], 2, use_edge_sets=True),
-        lambda sess: run_gas(sess, PageRankProgram(), 2, asynchronous=True),
-        lambda sess: QueryService(sess, 2, use_edge_sets=True),
-        lambda sess: concurrent_khop_out_of_core(sess, [0], 2),
+        (lambda sess: sess.khop([0], 2, asynchronous=True), "asynchronous"),
+        (lambda sess: run_gas(sess, PageRankProgram(), 2, asynchronous=True),
+         "asynchronous"),
+        (lambda sess: concurrent_khop_out_of_core(sess, [0], 2), "out_of_core"),
     ],
-    ids=[
-        "khop-edge-sets", "khop-async", "reach-edge-sets", "gas-async",
-        "service-edge-sets", "out-of-core",
-    ],
+    ids=["khop-async", "gas-async", "out-of-core"],
 )
-def test_inproc_only_modes_fail_fast_and_typed_on_a_pool_session(call):
-    # one check, before any work: nothing was prepared, spawned or run
+def test_inproc_only_modes_fail_fast_and_typed_on_a_pool_session(call, mode):
+    # one check, before any work: nothing was prepared, spawned or run; the
+    # refusal names the mode the caller asked for
     with GraphSession(path_graph(6), num_machines=2, backend="pool") as sess:
-        with pytest.raises(UnsupportedConfigError, match="backend='inproc'"):
+        with pytest.raises(
+            UnsupportedConfigError, match=f"^{mode} requires backend='inproc'$"
+        ):
             call(sess)
         assert sess._pool is None
         assert sess.batches_run == 0
@@ -134,27 +132,85 @@ def test_inproc_only_modes_fail_fast_and_typed_on_a_pool_session(call):
 @pytest.mark.parametrize(
     "call",
     [
+        lambda sess: sess.khop([0], 2).reached,
+        lambda sess: reachability_queries(sess, [0], [4], 2).reachable,
+        lambda sess: _drained(QueryService(sess, 2)).reached,
+        lambda sess: sess.khop([0], 2, direction="pull").reached,
+        lambda sess: reachability_queries(
+            sess, [0], [4], 2, direction="pull"
+        ).reachable,
+    ],
+    ids=[
+        "khop-edge-sets", "reach-edge-sets", "service-edge-sets",
+        "khop-edge-sets-pull", "reach-edge-sets-pull",
+    ],
+)
+def test_edge_set_layout_runs_where_it_was_refused(call):
+    # edge-sets are a layout of the exchange plan, not a mode: the pool
+    # backend and the pull direction run on it with the flat answers
+    want = call(GraphSession(path_graph(6), num_machines=2))
+    with GraphSession(
+        path_graph(6), num_machines=2, edge_sets=True, sets_per_partition=2,
+        backend="pool",
+    ) as sess:
+        assert sess.has_edge_sets
+        assert call(sess).tolist() == want.tolist()
+        assert not sess.degraded
+
+
+def _drained(svc):
+    svc.submit_many([0, 1])
+    return svc.drain()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda sess: sess.khop([0], 2, use_edge_sets=True),
+        lambda sess: reachability_queries(sess, [0], [1], 2, use_edge_sets=True),
+        lambda sess: QueryService(sess, 2, use_edge_sets=True),
+    ],
+    ids=[
+        "khop-edge-sets-unbuilt", "reach-edge-sets-unbuilt",
+        "service-edge-sets-unbuilt",
+    ],
+)
+def test_the_per_call_edge_set_switch_is_gone(call):
+    # the layout is the session's: there is no mode to ask for per call
+    # (and so none to ask for before a layout exists)
+    with GraphSession(path_graph(6), num_machines=2) as sess:
+        with pytest.raises(TypeError, match="use_edge_sets"):
+            call(sess)
+        assert sess.batches_run == 0
+
+
+def test_a_second_edge_set_layout_is_refused_typed():
+    sess = GraphSession(
+        path_graph(64), num_machines=2, edge_sets=True, sets_per_partition=2
+    )
+    held = [p.edge_sets for p in sess.pg.partitions]
+    sess.pg.build_edge_sets(sets_per_partition=2)  # the same one: a no-op
+    with pytest.raises(UnsupportedConfigError, match="different edge-set layout"):
+        sess.pg.build_edge_sets(sets_per_partition=8, consolidate_min_edges=10**9)
+    with pytest.raises(UnsupportedConfigError, match="different edge-set layout"):
+        GraphSession(sess.pg, edge_sets=True, sets_per_partition=8)
+    assert all(p.edge_sets is es for p, es in zip(sess.pg.partitions, held))
+    assert [es.num_blocks for es in held] == [4, 4]
+    # the layout is a constructor setting: no session method re-tiles it
+    assert not hasattr(GraphSession, "build_edge_sets")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
         lambda sess: QueryService(sess, 2, discipline="pool", qos=QosConfig()),
         lambda sess: QueryService(sess, 2, cache=ResultCache(8)),
         lambda sess: QueryService(sess, 2, cross_check=True),
-        lambda sess: sess.khop([0], 2, use_edge_sets=True, direction="pull"),
-        lambda sess: reachability_queries(
-            sess, [0], [1], 2, use_edge_sets=True, direction="pull"
-        ),
-        # edge-set mode before the edge sets are built
-        lambda sess: QueryService(sess, 2, use_edge_sets=True),
-        lambda sess: sess.khop([0], 2, use_edge_sets=True),
-        lambda sess: reachability_queries(sess, [0], [1], 2, use_edge_sets=True),
     ],
     ids=[
         "qos-pool-discipline",
         "cache-without-hybrid",
         "cross-check-static-traversal",
-        "khop-edge-sets-pull",
-        "reach-edge-sets-pull",
-        "service-edge-sets-unbuilt",
-        "khop-edge-sets-unbuilt",
-        "reach-edge-sets-unbuilt",
     ],
 )
 def test_unsupported_combinations_fail_typed_before_any_work(call):

@@ -38,7 +38,7 @@ class TestEndToEndWorkflows:
         relabelled, mapping = edges.reindex("degree")
         sess = GraphSession(relabelled, num_machines=4, edge_sets=True)
         workload = QueryWorkload.generate(edges, 20, k=3, roots_per_query=1, seed=0)
-        svc = QueryService(sess, 3, use_edge_sets=True)
+        svc = QueryService(sess, 3)
         svc.submit_many(mapping[workload.all_roots()])
         stream = svc.drain()
         pooled = simulate_fifo_pool(
@@ -69,11 +69,18 @@ class TestEndToEndWorkflows:
         re_run = pagerank(GraphSession(re, num_machines=3), iterations=10).values
         np.testing.assert_allclose(np.sort(base), np.sort(re_run), rtol=1e-9)
         np.testing.assert_allclose(base, re_run[mapping], rtol=1e-9)
+        # the edge-set layout keeps each target's fold order: bit-identical
+        blocked = GraphSession(small_rmat, num_machines=3, edge_sets=True)
+        flat = GraphSession(small_rmat, num_machines=3)
+        assert np.array_equal(
+            pagerank(blocked, iterations=10).values,
+            pagerank(flat, iterations=10).values,
+        )
 
     def test_query_then_iterate_same_handle(self, small_rmat):
         """The paper's deployment story: one build serves both app classes."""
         sess = GraphSession(small_rmat, num_machines=3, edge_sets=True)
-        khop = concurrent_khop(sess, [0, 5], 2, use_edge_sets=True)
+        khop = concurrent_khop(sess, [0, 5], 2)
         ranks = pagerank(sess, iterations=5)
         cores = core_numbers(sess)
         assert khop.reached.min() >= 1
