@@ -690,7 +690,7 @@ def ablation_edge_sets(
     for edge_sets, label in ((False, "flat CSR"), (True, "edge-sets")):
         sess = GraphSession(
             el, num_machines=num_machines, netmodel=nm, edge_sets=edge_sets,
-            consolidate_min_edges=4096,
+            consolidate_min_edges=4096 if edge_sets else None,
         )
         t0 = time.perf_counter()
         res = concurrent_khop(sess, roots, k, direction="push")

@@ -146,8 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fraction of queries submitted as point s->t "
                         "reachability queries (with random targets)")
     p.add_argument("--cross-check", action="store_true",
-                   help="hybrid planner: assert index answers match the "
-                        "traversal engine")
+                   help="hybrid planner: assert index and cache answers "
+                        "match the traversal engine")
     p.add_argument("--trace-out", default=None,
                    help="write a chrome://tracing-loadable span trace of the "
                         "drain to this .json path (enables instrumentation)")
@@ -174,10 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="TENANT=RATE[:BURST]",
                    help="token-bucket quota for one tenant (tokens per "
                         "virtual second); repeatable")
-    p.add_argument("--affinity", choices=["partition", "none"],
-                   default="partition",
-                   help="QoS batch packing: group queries whose seeds share "
-                        "a partition into the same wide-BFS words")
     p.add_argument("--bulk-frac", type=float, default=0.0,
                    help="fraction of queries submitted on the 'bulk' lane "
                         "as tenant 'bulk' (QoS demo traffic mix)")
@@ -488,14 +484,12 @@ def cmd_service(args, out) -> int:
     try:
         qos = None
         if args.lanes or args.tenant_quota:
-            qos = QosConfig.from_cli(
-                args.lanes, args.tenant_quota, affinity=args.affinity
-            )
+            qos = QosConfig.from_cli(args.lanes, args.tenant_quota)
             if args.bulk_frac > 0.0 and "bulk" not in qos.lanes:
                 raise ValueError("--bulk-frac needs a 'bulk' lane in --lanes")
         cache = None
         if args.cache is not None:
-            cache = ResultCache(capacity=args.cache, cross_check=args.cross_check)
+            cache = ResultCache(capacity=args.cache)
         sess = _session(args, el, instrumentation=instr, backend=args.backend)
         mutation_batches = []
         if args.mutations:

@@ -33,7 +33,6 @@ __all__ = [
     "per_query_counts",
     "words_for",
     "make_query_mask",
-    "query_mask_for",
     "MAX_WIDE_BATCH",
 ]
 
@@ -63,23 +62,6 @@ def make_query_mask(num_queries: int) -> np.ndarray:
     mask[:full] = np.uint64(0xFFFFFFFFFFFFFFFF)
     if rem:
         mask[full] = np.uint64((1 << rem) - 1)
-    return mask
-
-
-def query_mask_for(indices, num_queries: int) -> np.ndarray:
-    """The ``(words,)`` uint64 mask with exactly ``indices``' query bits set.
-
-    Used for sub-batch masks — e.g. the per-partition affinity planes of the
-    QoS layer, where each plane marks the queries whose seeds a partition
-    owns.  Every index must lie in ``[0, num_queries)``.
-    """
-    num_queries = int(num_queries)
-    mask = np.zeros(words_for(num_queries), dtype=_WORD)
-    for q in np.asarray(indices, dtype=np.int64).ravel():
-        if not 0 <= q < num_queries:
-            raise ValueError(f"query index {q} out of batch of {num_queries}")
-        w, b = divmod(int(q), _WORD_BITS)
-        mask[w] |= np.uint64(1 << b)
     return mask
 
 
@@ -234,18 +216,6 @@ class BitFrontier:
         self.frontier, self.next = newly, self.frontier
         self.next.fill(0)
         return newly
-
-    # -- density accounting (push/pull direction heuristic) ----------------- #
-
-    def active_count(self) -> int:
-        """Number of local vertices with any frontier bit set."""
-        return int(self.active_vertices().size)
-
-    def density(self) -> float:
-        """Fraction of local vertices currently in any query's frontier."""
-        if self.num_local == 0:
-            return 0.0
-        return self.active_count() / self.num_local
 
     # -- accounting --------------------------------------------------------- #
 

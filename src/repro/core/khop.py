@@ -320,7 +320,6 @@ def concurrent_khop(
     k: int | None,
     asynchronous: bool = False,
     record_depths: bool = False,
-    max_supersteps: int | None = None,
     max_virtual_seconds: float | None = None,
     direction: str = "auto",
 ) -> KHopResult:
@@ -372,7 +371,6 @@ def concurrent_khop(
         sess, sources, k,
         asynchronous=asynchronous,
         record_depths=record_depths,
-        max_supersteps=max_supersteps,
         max_virtual_seconds=max_virtual_seconds,
         direction=direction,
     )
@@ -427,7 +425,6 @@ def _run_traversal(
     *,
     asynchronous: bool = False,
     record_depths: bool = False,
-    max_supersteps: int | None = None,
     max_virtual_seconds: float | None = None,
     direction: str = "auto",
 ):
@@ -460,10 +457,6 @@ def _run_traversal(
             (queries[owner == m], local[owner == m])
             for m in range(sess.num_machines)
         ]
-
-    cap = max_supersteps
-    if k is not None:
-        cap = k if cap is None else min(cap, k)
 
     def on_step(step_index: int, stats, now: float, probes):
         nonlocal done, hit
@@ -501,7 +494,7 @@ def _run_traversal(
         combiner=combine_or,
         asynchronous=asynchronous,
         payload_width=adapters.WORD_PAYLOAD_WIDTH * words_for(num_queries),
-        max_supersteps=cap,
+        max_supersteps=k,
         on_step=on_step,
         probe=adapters.traversal_probe,
         probe_args=probe_args,

@@ -100,14 +100,13 @@ def build_csr(
     dst: np.ndarray,
     num_rows: int,
     weights: np.ndarray | None = None,
-    sort_columns: bool = True,
 ) -> CSR:
     """Build a CSR over rows ``[0, num_rows)`` from an edge list.
 
-    Edges are grouped by source with a stable counting sort; within a row,
-    columns are additionally sorted ascending when ``sort_columns`` (the
-    paper updates "the vertex value array in ascending order" for cache
-    locality while enumerating an edge-set).
+    Edges are grouped by source and, within a row, columns are sorted
+    ascending (the paper updates "the vertex value array in ascending order"
+    for cache locality while enumerating an edge-set; the dynamic graph's
+    shard splice relies on the sorted rows).
     """
     src = np.asarray(src)
     dst = np.asarray(dst, dtype=np.int32)
@@ -118,13 +117,10 @@ def build_csr(
         raise ValueError("row id out of range")
     indptr = np.zeros(num_rows + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    if sort_columns:
-        # Single-key stable sort: key = src * n_cols_bound + dst would risk
-        # overflow; two stable passes (dst then src) give the same order.
-        order = np.argsort(dst, kind="stable")
-        order = order[np.argsort(src[order], kind="stable")]
-    else:
-        order = np.argsort(src, kind="stable")
+    # Single-key stable sort: key = src * n_cols_bound + dst would risk
+    # overflow; two stable passes (dst then src) give the same order.
+    order = np.argsort(dst, kind="stable")
+    order = order[np.argsort(src[order], kind="stable")]
     indices = dst[order]
     w = None if weights is None else np.asarray(weights, dtype=np.float64)[order]
     return CSR(indptr=indptr, indices=indices, weights=w)
@@ -135,11 +131,10 @@ def build_csc(
     dst: np.ndarray,
     num_cols: int,
     weights: np.ndarray | None = None,
-    sort_rows: bool = True,
 ) -> CSR:
     """Build a CSC (stored as the CSR of the reversed edges).
 
     Row ``v`` of the result lists the *in*-neighbours (sources) of vertex
     ``v`` — the access pattern PageRank's gather phase needs.
     """
-    return build_csr(dst, src, num_cols, weights=weights, sort_columns=sort_rows)
+    return build_csr(dst, src, num_cols, weights=weights)

@@ -18,8 +18,8 @@ __all__ = ["DenseVertexValues", "LevelLimitedValues"]
 class DenseVertexValues:
     """Baseline store: one dense value array per query for all vertices."""
 
-    def __init__(self, num_vertices: int, num_queries: int, fill: float = -1.0):
-        self.values = np.full((num_queries, num_vertices), fill, dtype=np.float64)
+    def __init__(self, num_vertices: int, num_queries: int):
+        self.values = np.full((num_queries, num_vertices), -1.0)
 
     def set_level(self, query: int, vertices: np.ndarray, value: float) -> None:
         """Record ``value`` for ``vertices`` under ``query``."""

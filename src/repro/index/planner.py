@@ -120,15 +120,15 @@ class IndexPlanner:
         epochs on the way in, so a stale verdict is unreachable — then
         answers the misses from the label index and stores their verdicts
         for the next repeat.  Returns ``(verdicts, service_seconds,
-        hit_mask)``: hits are charged the cache's flat hit cost, misses
-        their label-scan cost.
+        hit_mask)``: hits are charged one vertex-update (a hash probe),
+        misses their label-scan cost.
         """
         sources = np.asarray(sources, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
         cache.on_epoch(epoch)
         verdicts, hit_mask = cache.lookup_many(sources, targets, k, epoch)
         service = np.zeros(sources.size, dtype=np.float64)
-        service[hit_mask] = cache.hit_seconds
+        service[hit_mask] = self.netmodel.work_seconds(0, 1)
         miss = np.nonzero(~hit_mask)[0]
         if miss.size:
             answer = self.answer(sources[miss], targets[miss], k)

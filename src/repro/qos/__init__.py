@@ -6,12 +6,13 @@ admission and the traversal/index kernels:
 * :mod:`repro.qos.lanes` — SLO classes (``interactive`` vs ``bulk``),
   per-tenant token-bucket quotas on the virtual clock, and a deterministic
   weighted fair queue that replaces the FIFO drain order;
-* :mod:`repro.qos.locality` — seed-partition-affinity batching that groups
-  concurrent queries whose seeds share partitions into the same wide-BFS
-  words;
+* :mod:`repro.qos.locality` — seed-partition-affinity batching, the one
+  packing rule: a lane whose admitted queries overflow its width takes
+  those whose seeds share the oldest query's partition first;
 * :mod:`repro.qos.cache` — a bounded LRU result cache for repeated
   point-reach queries keyed on ``(source, target, k, graph_epoch)`` and
-  invalidated by the mutation lane's epoch advance.
+  invalidated by the mutation lane's epoch advance; the key does not name
+  the graph, so one cache serves one session.
 
 Everything here is pure scheduling policy: answers stay bit-identical to the
 FIFO drain (verdicts depend only on the graph epoch, never on batch
@@ -30,11 +31,7 @@ from repro.qos.lanes import (
     WeightedFairQueue,
     default_lanes,
 )
-from repro.qos.locality import (
-    affinity_select,
-    locality_score,
-    partition_query_masks,
-)
+from repro.qos.locality import affinity_select
 
 __all__ = [
     "BULK_LANE",
@@ -47,6 +44,4 @@ __all__ = [
     "WeightedFairQueue",
     "affinity_select",
     "default_lanes",
-    "locality_score",
-    "partition_query_masks",
 ]

@@ -1,19 +1,19 @@
 """Bounded LRU result cache for repeated point-reach queries.
 
 Entries are keyed on ``(source, target, k, graph_epoch)``: a verdict is only
-ever replayed for the exact graph version it was computed against, so the
-cache can never serve a stale answer — the mutation lane's epoch advance
-makes every older entry unreachable, and :meth:`ResultCache.on_epoch` sweeps
-them out eagerly so capacity is not wasted on dead epochs.
+ever replayed for the exact graph version it was computed against, so within
+one session the cache can never serve a stale answer — the mutation lane's
+epoch advance makes every older entry unreachable, and
+:meth:`ResultCache.on_epoch` sweeps them out eagerly so capacity is not
+wasted on dead epochs.  The key does not name the graph, so a cache serves
+one session: the first :class:`~repro.runtime.scheduler.QueryService` it is
+wired to binds it, and a service on any other session refuses it.
 
-A hit is charged ``hit_seconds`` on the virtual clock (one vertex-update
-under the calibrated cost model — a hash probe, set by the service at wiring
-time), versus the index lane's per-query label merge; the wall-clock path is
-a dict probe versus the planner's vectorised label scan.  ``cross_check``
-mode re-executes every hit against the live planner and raises on any
-mismatch — the paranoid mode
-``tests/qos/test_qos_service.py::test_cross_check_catches_a_poisoned_cache``
-runs under.
+A hit is charged one vertex-update under the session's cost model (a hash
+probe), versus the index lane's per-query label merge; the wall-clock path
+is a dict probe versus the planner's vectorised label scan.  The service's
+own ``cross_check=True`` re-answers every index-lane verdict, hits
+included, on the traversal engine.
 """
 
 from __future__ import annotations
@@ -28,19 +28,13 @@ __all__ = ["ResultCache"]
 class ResultCache:
     """Bounded LRU map ``(source, target, k, epoch) -> reachable verdict``."""
 
-    def __init__(
-        self,
-        capacity: int = 4096,
-        hit_seconds: float | None = None,
-        cross_check: bool = False,
-    ):
+    def __init__(self, capacity: int = 4096):
         if int(capacity) < 1:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
-        #: Virtual seconds charged per hit; the service fills this in from
-        #: its session's cost model when left ``None``.
-        self.hit_seconds = None if hit_seconds is None else float(hit_seconds)
-        self.cross_check = bool(cross_check)
+        #: The :class:`~repro.runtime.session.GraphSession` whose verdicts
+        #: this cache holds; set by the first service it is wired to.
+        self.session = None
         self._entries: OrderedDict[tuple[int, int, int, int], bool] = OrderedDict()
         self._epoch = 0
         self.hits = 0
@@ -73,33 +67,11 @@ class ResultCache:
         self.invalidated += len(stale)
         return len(stale)
 
-    def lookup(self, source: int, target: int, k: int, epoch: int) -> bool | None:
-        """The cached verdict, refreshed to most-recently-used, or ``None``."""
-        key = (int(source), int(target), -1 if k is None else int(k), int(epoch))
-        verdict = self._entries.get(key)
-        if verdict is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return verdict
-
-    def store(self, source: int, target: int, k: int, epoch: int, verdict: bool) -> None:
-        """Insert (or refresh) a verdict, evicting the LRU entry when full."""
-        key = (int(source), int(target), -1 if k is None else int(k), int(epoch))
-        if key in self._entries:
-            self._entries.move_to_end(key)
-        elif len(self._entries) >= self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-        self._entries[key] = bool(verdict)
-
-    # -- batch interface (the service's index-lane hot path) ---------------- #
-
     def lookup_many(
         self, sources: np.ndarray, targets: np.ndarray, k: int, epoch: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Probe a whole point-query group at once.
+        """Probe a whole point-query group at once, refreshing each hit to
+        most-recently-used.
 
         Returns ``(verdicts, hit_mask)`` — ``verdicts[i]`` is only meaningful
         where ``hit_mask[i]``.  This is exactly the loop the service's index
@@ -139,8 +111,9 @@ class ResultCache:
         epoch: int,
         verdicts: np.ndarray,
     ) -> None:
-        """Insert a whole group of fresh verdicts (index-lane miss path),
-        in order: exactly :meth:`store` per query, on bound locals."""
+        """Insert (or refresh) a whole group of fresh verdicts (index-lane
+        miss path) in order, evicting the least recently used entry when
+        full."""
         srcs = np.asarray(sources).tolist()
         tgts = np.asarray(targets).tolist()
         flags = np.asarray(verdicts, dtype=bool).tolist()

@@ -97,15 +97,13 @@ class QosConfig:
     ``lanes`` maps lane name to :class:`LaneSpec`; ``quotas`` maps tenant name
     to :class:`QuotaSpec` (tenants without an entry are unthrottled);
     ``default_lane`` is assigned to queries submitted without an explicit
-    lane; ``affinity`` selects the batching policy — ``"partition"`` groups
-    same-seed-partition queries into the same wide-BFS words,
-    ``"none"`` fills batches in arrival order.
+    lane.  A lane whose admitted queries overflow its width is packed with
+    seed-partition affinity (:func:`~repro.qos.locality.affinity_select`).
     """
 
     lanes: dict[str, LaneSpec] = field(default_factory=default_lanes)
     quotas: dict[str, QuotaSpec] = field(default_factory=dict)
     default_lane: str = INTERACTIVE_LANE
-    affinity: str = "partition"
 
     def __post_init__(self) -> None:
         if not self.lanes:
@@ -120,10 +118,6 @@ class QosConfig:
             raise ValueError(
                 f"default lane {self.default_lane!r} is not a configured lane"
             )
-        if self.affinity not in ("partition", "none"):
-            raise ValueError(
-                f"affinity must be 'partition' or 'none', got {self.affinity!r}"
-            )
 
     @classmethod
     def from_cli(
@@ -131,7 +125,6 @@ class QosConfig:
         lanes: str | None = None,
         quotas: list[str] | None = None,
         default_lane: str | None = None,
-        affinity: str = "partition",
     ) -> QosConfig:
         """Parse CLI syntax: ``--lanes 'interactive=8,bulk=1:32'`` and
         repeated ``--tenant-quota 'crawler=2000:4'`` (rate[:burst])."""
@@ -163,12 +156,7 @@ class QosConfig:
                 INTERACTIVE_LANE if INTERACTIVE_LANE in lane_map
                 else sorted(lane_map)[0]
             )
-        return cls(
-            lanes=lane_map,
-            quotas=quota_map,
-            default_lane=default_lane,
-            affinity=affinity,
-        )
+        return cls(lanes=lane_map, quotas=quota_map, default_lane=default_lane)
 
 
 class TokenBucket:

@@ -9,24 +9,15 @@ in the anchor's partition, then fill the remaining width in arrival order.
 
 Selection is a pure function of the candidate order and their seed owners —
 no clocks, no randomness — so affinity batching preserves the service's
-bit-identical determinism guarantees.  The per-partition query-mask planes
-(:func:`partition_query_masks`) are built with the same word layout as
-:class:`repro.core.frontier.BitFrontier` query masks, so a batch's locality
-structure can be inspected (or charged to telemetry) in the frontier's own
-vocabulary.
+bit-identical determinism guarantees.  It is the QoS drain's one packing
+rule, applied whenever a lane's admitted queries overflow its width.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.frontier import query_mask_for, words_for
-
-__all__ = [
-    "affinity_select",
-    "partition_query_masks",
-    "locality_score",
-]
+__all__ = ["affinity_select"]
 
 
 def affinity_select(owners: np.ndarray, width: int) -> np.ndarray:
@@ -48,40 +39,3 @@ def affinity_select(owners: np.ndarray, width: int) -> np.ndarray:
         return same[:width]
     others = np.nonzero(owners != owners[0])[0]
     return np.sort(np.concatenate([same, others[: width - same.size]]))
-
-
-def partition_query_masks(
-    owners: np.ndarray, num_partitions: int, num_queries: int | None = None
-) -> np.ndarray:
-    """Per-partition BitFrontier-style query-mask planes for one batch.
-
-    Returns a ``(num_partitions, words)`` uint64 array whose row ``p`` has
-    query bit ``q`` set iff partition ``p`` owns query ``q``'s seed — the
-    seed plane each partition ORs into its level-0 frontier, and the shape
-    telemetry uses to report batch locality.
-    """
-    owners = np.asarray(owners, dtype=np.int64)
-    if num_queries is None:
-        num_queries = int(owners.size)
-    if owners.size > num_queries:
-        raise ValueError(
-            f"{owners.size} owners do not fit a batch of {num_queries}"
-        )
-    if owners.size and not (0 <= owners.min() and owners.max() < num_partitions):
-        raise ValueError("seed owner out of partition range")
-    masks = np.zeros((int(num_partitions), words_for(num_queries)), dtype=np.uint64)
-    for p in np.unique(owners):
-        masks[p] = query_mask_for(np.nonzero(owners == p)[0], num_queries)
-    return masks
-
-
-def locality_score(owners: np.ndarray) -> float:
-    """Fraction of a batch's seeds owned by its most popular partition.
-
-    1.0 means the whole batch seeds in one partition (perfect affinity);
-    ``1 / num_partitions`` is the expectation for random placement.
-    """
-    owners = np.asarray(owners, dtype=np.int64)
-    if owners.size == 0:
-        return 0.0
-    return float(np.bincount(owners).max()) / float(owners.size)

@@ -395,7 +395,7 @@ class SuperstepEngine:
         self.fault_tolerance = cluster.fault_tolerance or FaultTolerance()
         netmodel = cluster.netmodel
         if asynchronous and not netmodel.async_overlap:
-            netmodel = netmodel.with_async(True)
+            netmodel = netmodel.with_async()
         self.netmodel = netmodel
 
     def run(

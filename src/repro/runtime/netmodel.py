@@ -180,20 +180,11 @@ class NetworkModel:
         barrier = self.barrier_seconds if len(per_machine) > 1 else 0.0
         return max(compute) + max(comm) + barrier
 
-    def with_async(self, enabled: bool = True) -> "NetworkModel":
-        """A copy of this model with the asynchronous overlap toggled."""
+    def with_async(self) -> "NetworkModel":
+        """A copy of this model with the asynchronous overlap on."""
         from dataclasses import replace
 
-        return replace(self, async_overlap=enabled)
-
-    def choose_direction(self, frontier_edges: int, local_edges: int) -> str:
-        """Pick ``"push"`` or ``"pull"`` for one partition-superstep."""
-        return choose_direction(
-            frontier_edges,
-            local_edges,
-            self.seconds_per_edge_push,
-            self.seconds_per_edge_pull,
-        )
+        return replace(self, async_overlap=True)
 
 
 def choose_direction(

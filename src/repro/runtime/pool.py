@@ -36,10 +36,9 @@ rewind and replay are the driver's.  Past ``max_recoveries`` the pool shuts
 down and raises :class:`~repro.errors.WorkerLost`; the session degrades
 the batch to the in-process engine.
 
-Determinism: workers always ``spawn`` (no inherited state) and seed their
-RNG from the pool seed and their id; :meth:`WorkerPool.shutdown` (wired to
-``GraphSession.close()`` and ``atexit``) terminates stragglers, so pytest
-never leaks processes.
+Determinism: workers always ``spawn`` (no inherited state);
+:meth:`WorkerPool.shutdown` (wired to ``GraphSession.close()`` and
+``atexit``) terminates stragglers, so pytest never leaks processes.
 """
 
 from __future__ import annotations
@@ -113,13 +112,11 @@ class _WorkerCluster:
     """The slice of :class:`SimCluster` a task can see inside a worker.
 
     Tasks call ``cluster.owner_of`` and read the graph's shape — all of it
-    the bounds array (a shared view).  ``rng`` is the worker's seeded
-    generator, there for any task that needs deterministic randomness.
+    the bounds array (a shared view).
     """
 
-    def __init__(self, bounds: np.ndarray, rng: np.random.Generator):
+    def __init__(self, bounds: np.ndarray):
         self.bounds = bounds
-        self.rng = rng
         self.num_machines = len(bounds) - 1
         self.num_vertices = int(bounds[-1])
 
@@ -127,9 +124,7 @@ class _WorkerCluster:
         return owner_of_bounds(self.bounds, vertices)
 
 
-def _worker_main(
-    conn, manifest, worker_id: int, rng_seed: int, fault_events=None
-) -> None:
+def _worker_main(conn, manifest, worker_id: int, fault_events=None) -> None:
     """One pool worker: attach the image once, then serve ops until close.
 
     Every callable received over the pipe (task classes, probes, gathers,
@@ -141,7 +136,7 @@ def _worker_main(
     """
     image = attach_graph(manifest)
     machine = Machine(worker_id, image.partitions[worker_id])
-    cluster = _WorkerCluster(image.bounds, np.random.default_rng(rng_seed))
+    cluster = _WorkerCluster(image.bounds)
     writer = OutboxWriter(worker_id)
     reader = OutboxReader()
     injector = FaultInjector(fault_events)
@@ -274,14 +269,12 @@ class Supervisor:
         worker_main,
         manifest,
         token: str,
-        base_seed: int,
         num_workers: int,
     ):
         self.ctx = ctx
         self.worker_main = worker_main
         self.manifest = manifest
         self.token = token
-        self.base_seed = base_seed
         self.num_workers = num_workers
         self.conns: list = [None] * num_workers
         self.procs: list = [None] * num_workers
@@ -290,12 +283,7 @@ class Supervisor:
     # -- lifecycle ---------------------------------------------------------- #
 
     def spawn(self, worker_id: int, fault_events=None) -> None:
-        """Start (or replace) worker ``worker_id``.
-
-        The worker re-derives its deterministic RNG seed from the pool seed
-        and its id, so a respawned worker is statistically identical to the
-        one it replaces.
-        """
+        """Start (or replace) worker ``worker_id``."""
         parent_conn, child_conn = self.ctx.Pipe()
         proc = self.ctx.Process(
             target=self.worker_main,
@@ -303,7 +291,6 @@ class Supervisor:
                 child_conn,
                 self.manifest,
                 worker_id,
-                self.base_seed * 7919 + worker_id,
                 list(fault_events or []),
             ),
             name=f"repro-pool-{self.token}-{worker_id}",
@@ -441,8 +428,6 @@ class WorkerPool:
         pg: PartitionedGraph,
         netmodel: NetworkModel | None = None,
         instrumentation=None,
-        start_method: str = "spawn",
-        seed: int = 0,
         fault_plan: FaultPlan | None = None,
         fault_tolerance: FaultTolerance | None = None,
         base_shards=None,
@@ -453,7 +438,6 @@ class WorkerPool:
         self.netmodel = netmodel or NetworkModel()
         self.instr = instrumentation or NULL_INSTRUMENTATION
         self.num_workers = pg.num_partitions
-        self.rng_seed = seed
         self.fault_tolerance = fault_tolerance or FaultTolerance()
         self._fault_plan = fault_plan
         self._fault_consumed: set[tuple[int, int]] = set()
@@ -473,9 +457,9 @@ class WorkerPool:
         self._begin: list = []
         self._first_states: list | None = None
         self._closed = False
-        ctx = mp.get_context(start_method)
         self._sup = Supervisor(
-            ctx, _worker_main, manifest, self._token, seed, self.num_workers
+            mp.get_context("spawn"), _worker_main, manifest, self._token,
+            self.num_workers,
         )
         try:
             self._sup.spawn_all(

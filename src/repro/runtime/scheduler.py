@@ -86,19 +86,22 @@ def simulate_fifo_pool(
     """Response times of queries run FIFO on ``concurrency`` worker slots.
 
     Queries are admitted in index order (ties in arrival time keep index
-    order).  Returns ``finish - arrival`` per query.
+    order).  Returns ``finish - arrival`` per query.  Service times and
+    arrivals must be finite and non-negative, as the service requires.
     """
     service = np.asarray(service_times, dtype=np.float64)
     if concurrency < 1:
         raise ValueError("concurrency must be >= 1")
-    if np.any(service < 0):
-        raise ValueError("service times must be non-negative")
+    if not np.all(np.isfinite(service) & (service >= 0)):
+        raise ValueError("service times must be finite and non-negative")
     n = service.size
     arrivals = (
         np.zeros(n) if arrival_times is None else np.asarray(arrival_times, float)
     )
     if arrivals.shape != service.shape:
         raise ValueError("arrival_times must match service_times")
+    if not np.all(np.isfinite(arrivals) & (arrivals >= 0)):
+        raise ValueError("arrival times must be finite and non-negative")
     order = np.argsort(arrivals, kind="stable")
     free: list[float] = [0.0] * concurrency
     heapq.heapify(free)
@@ -416,9 +419,11 @@ class QueryService:
     (hybrid planner only) fronts the index lane: repeated point-reach
     queries keyed ``(source, target, k, graph_epoch)`` are answered from a
     bounded LRU at one vertex-update of virtual cost (route ``"cache"``),
-    and the mutation lane's epoch advance invalidates older entries so a
-    stale verdict is unreachable by construction.  The cache's own
-    ``cross_check`` mode re-executes every hit against the live planner.
+    and the mutation lane's epoch advance invalidates older entries, so
+    within one session a stale verdict is unreachable by construction.
+    The key does not name the graph, so a cache serves one session: a
+    service on another session refuses it.  ``cross_check=True`` re-answers
+    cache hits on the traversal engine like every other index-lane verdict.
 
     The virtual clock persists across drains — the session stays resident
     between waves of arrivals, which is the deployment model the paper
@@ -434,7 +439,6 @@ class QueryService:
         concurrency: int | None = None,
         planner: str = "traversal",
         cross_check: bool = False,
-        instrumentation=None,
         deadline_seconds: float | None = None,
         max_pending: int | None = None,
         qos: QosConfig | None = None,
@@ -459,6 +463,11 @@ class QueryService:
                 "the result cache fronts the index lane; it requires "
                 "planner='hybrid'"
             )
+        if cache is not None and cache.session not in (None, session):
+            raise UnsupportedConfigError(
+                "the result cache already serves another session; its keys "
+                "(source, target, k, epoch) do not name the graph"
+            )
         if cross_check and planner != "hybrid" and not session.is_dynamic:
             raise UnsupportedConfigError(
                 "cross_check needs the hybrid planner or a dynamic session"
@@ -468,9 +477,9 @@ class QueryService:
         if max_pending is not None and max_pending < 1:
             raise ValueError("max_pending must be >= 1")
         self.session = session
-        # the session's facade unless explicitly overridden, so one
-        # Instrumentation covers engine, session and service spans
-        self.instr = session.instr if instrumentation is None else instrumentation
+        # the session's facade: one Instrumentation covers engine, session
+        # and service spans
+        self.instr = session.instr
         self.k = k
         self.discipline = discipline
         self.planner = planner
@@ -530,14 +539,8 @@ class QueryService:
             else {}
         )
         self.throttled = 0
-        # the result cache (hybrid planner): hit cost defaults to one
-        # vertex-update under the session's calibrated cost model
-        if cache is not None and cache.hit_seconds is None:
-            from repro.runtime.netmodel import StepStats
-
-            cache.hit_seconds = float(
-                session.netmodel.compute_seconds(StepStats(vertices_updated=1))
-            )
+        if cache is not None:
+            cache.session = session
         self.cache = cache
 
     # -- submission --------------------------------------------------------- #
@@ -998,11 +1001,9 @@ class QueryService:
                 self.batch_width, qos.lanes[lane].batch_width or self.batch_width
             )
             batch = np.array(kind_ready, dtype=np.int64)
-            if qos.affinity == "partition" and batch.size > width:
+            if batch.size > width:
                 owners = self.session.seed_owners(queue.sources[batch])
                 batch = batch[affinity_select(owners, width)]
-            else:
-                batch = batch[:width]
             yield ("reach" if point else "khop"), batch, now, lane
             served = set(batch.tolist())
             rest[:end] = [r for r in rest[:end] if r not in served]
@@ -1190,18 +1191,6 @@ class QueryService:
                 queries=int(rows.size),
             )
             self.instr.on_dispatch("index")
-        if cache is not None and cache.cross_check and hit_mask.any():
-            hit = np.nonzero(hit_mask)[0]
-            ref = planner.answer(sources[hit], targets[hit], self.k)
-            if not np.array_equal(ref.reachable, verdicts[hit]):
-                bad = np.nonzero(ref.reachable != verdicts[hit])[0][0]
-                s, t = int(sources[hit][bad]), int(targets[hit][bad])
-                raise AssertionError(
-                    f"stale cache verdict for ({s} -> {t}, k={self.k}, "
-                    f"epoch {epoch}): cache says "
-                    f"{bool(verdicts[hit][bad])}, live planner says "
-                    f"{bool(ref.reachable[bad])}"
-                )
         if self.cross_check:
             self._check_index_verdicts(sources, targets, verdicts, epoch)
 

@@ -108,7 +108,10 @@ class GraphSession:
         it with the flat scan's answers, counted work and virtual time.  It
         is fixed here — a graph that already has a different one is refused
         (:class:`~repro.errors.UnsupportedConfigError`) — and survives
-        mutations (the plan is rebuilt from its frozen bounds).
+        mutations (the plan is rebuilt from its frozen bounds).  The two
+        settings without ``edge_sets=True`` are refused
+        (:class:`~repro.errors.UnsupportedConfigError`): nothing would read
+        them.
     instrumentation:
         A :class:`~repro.telemetry.Instrumentation` shared by every batch,
         the cluster/engine, the query service and the index planner; the
@@ -122,8 +125,6 @@ class GraphSession:
         — started lazily on the first batch and stopped by :meth:`close`.
         Results are bit-identical between backends; the asynchronous and
         out-of-core modes are rejected there (:meth:`require_inproc`).
-    pool_seed:
-        Base seed for the pool workers' per-process RNGs (determinism).
     fault_tolerance:
         The one fault policy (:class:`~repro.runtime.fault.FaultTolerance`):
         checkpoint interval, per-step hang timeout and recovery budget,
@@ -143,11 +144,10 @@ class GraphSession:
         num_machines: int = 1,
         netmodel: NetworkModel | None = None,
         edge_sets: bool = False,
-        sets_per_partition: int = 8,
+        sets_per_partition: int | None = None,
         consolidate_min_edges: int | None = None,
         instrumentation=None,
         backend: str = "inproc",
-        pool_seed: int = 0,
         fault_tolerance: FaultTolerance | None = None,
         fault_plan: FaultPlan | None = None,
     ):
@@ -155,6 +155,13 @@ class GraphSession:
 
         if backend not in ("inproc", "pool"):
             raise ValueError(f"backend must be 'inproc' or 'pool', got {backend!r}")
+        if not edge_sets and (
+            sets_per_partition is not None or consolidate_min_edges is not None
+        ):
+            raise UnsupportedConfigError(
+                "sets_per_partition and consolidate_min_edges lay out edge-sets;"
+                " pass edge_sets=True with them"
+            )
         self.instr = instrumentation or NULL_INSTRUMENTATION
         # dynamic-graph state (enabled lazily by dynamic())
         self._dynamic = None  # DynamicGraph
@@ -170,7 +177,10 @@ class GraphSession:
         else:
             self.pg = range_partition(graph, num_machines)
         if edge_sets:
-            self.pg.build_edge_sets(sets_per_partition, consolidate_min_edges)
+            self.pg.build_edge_sets(
+                8 if sets_per_partition is None else sets_per_partition,
+                consolidate_min_edges,
+            )
         self.netmodel = netmodel or NetworkModel()
         self.fault_tolerance = fault_tolerance or FaultTolerance()
         self.fault_plan = fault_plan
@@ -182,7 +192,6 @@ class GraphSession:
             fault_tolerance=self.fault_tolerance,
         )
         self.backend = backend
-        self.pool_seed = pool_seed
         self._pool = None  # WorkerPool, started lazily by pool()
         self._degraded = False
         self._executor = None  # whichever executor ran the last batch
@@ -214,7 +223,6 @@ class GraphSession:
                     self.pg,
                     netmodel=self.netmodel,
                     instrumentation=self.instr,
-                    seed=self.pool_seed,
                     fault_plan=self.fault_plan,
                     fault_tolerance=self.fault_tolerance,
                     # Pool deltas are cumulative relative to the base image;

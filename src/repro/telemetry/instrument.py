@@ -27,7 +27,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.trace import DEFAULT_FLIGHT_RECORDER_SPANS, Tracer
+from repro.telemetry.trace import Tracer
 
 __all__ = ["Instrumentation", "NullInstrumentation", "NULL_INSTRUMENTATION"]
 
@@ -50,16 +50,9 @@ class Instrumentation:
 
     enabled = True
 
-    def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
-        flight_recorder_spans: int = DEFAULT_FLIGHT_RECORDER_SPANS,
-    ):
-        self.metrics = registry if registry is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer(
-            capacity=flight_recorder_spans
-        )
+    def __init__(self):
+        self.metrics = MetricsRegistry()
+        self.tracer = Tracer()
         m = self.metrics
         self._messages = m.counter(
             "cgraph_messages_total",

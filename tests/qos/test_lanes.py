@@ -61,23 +61,16 @@ class TestQosConfig:
         with pytest.raises(TypeError, match="QuotaSpec"):
             QosConfig(quotas={"crawler": 100.0})
 
-    def test_affinity_values(self):
-        QosConfig(affinity="none")
-        with pytest.raises(ValueError, match="affinity"):
-            QosConfig(affinity="numa")
-
     def test_from_cli_round_trip(self):
         cfg = QosConfig.from_cli(
             "interactive=8,bulk=1:32",
             ["crawler=2000:4", "frontend=1e6"],
-            affinity="none",
         )
         assert cfg.lanes["interactive"] == LaneSpec(weight=8.0)
         assert cfg.lanes["bulk"] == LaneSpec(weight=1.0, batch_width=32)
         assert cfg.quotas["crawler"] == QuotaSpec(rate=2000.0, burst=4.0)
         assert cfg.quotas["frontend"] == QuotaSpec(rate=1e6, burst=1.0)
         assert cfg.default_lane == INTERACTIVE_LANE
-        assert cfg.affinity == "none"
 
     def test_from_cli_defaults(self):
         cfg = QosConfig.from_cli(None, None)

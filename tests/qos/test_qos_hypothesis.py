@@ -1,7 +1,7 @@
 """Property tests: *any* QoS configuration preserves answers and determinism.
 
-Hypothesis draws lane weights, batch-width caps, quotas and affinity
-modes; for every draw the weighted-fair drain must return verdicts
+Hypothesis draws lane weights, batch-width caps and quotas; for every
+draw the weighted-fair drain must return verdicts
 bit-identical to the FIFO drain of the same trace (scheduling may move a
 query in time, never change its answer — a point verdict depends only on
 ``(source, target, k, graph epoch)``), and every draw must replay
@@ -92,11 +92,7 @@ def qos_configs(draw):
         )
     if draw(st.booleans()):
         quotas["frontend"] = QuotaSpec(rate=1e5, burst=2.0)
-    return QosConfig(
-        lanes=lanes,
-        quotas=quotas,
-        affinity=draw(st.sampled_from(["partition", "none"])),
-    )
+    return QosConfig(lanes=lanes, quotas=quotas)
 
 
 @settings(
@@ -175,9 +171,14 @@ def test_any_config_survives_mid_drain_mutations(graph, trace, cfg, mut_seed):
                 "bulk": LaneSpec(weight=1.0),
             },
             quotas={"crawler": QuotaSpec(rate=2e4, burst=2.0)},
-            affinity="partition",
         ),
-        QosConfig(affinity="none"),
+        # widths below each lane's backlog: every batch is affinity-packed
+        QosConfig(
+            lanes={
+                "interactive": LaneSpec(weight=2.0, batch_width=4),
+                "bulk": LaneSpec(weight=1.0, batch_width=8),
+            },
+        ),
     ],
 )
 def test_qos_report_bit_identical_across_backends(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.reachability import reachability_queries
-from repro.errors import InvalidQueryError
+from repro.errors import InvalidQueryError, UnsupportedConfigError
 from repro.graph.generators import rmat_edges
 from repro.qos import LaneSpec, QosConfig, QuotaSpec, ResultCache
 from repro.qos.lanes import TokenBucket
@@ -93,16 +93,20 @@ class TestWfqAnswers:
         assert a.throttled == b.throttled
 
     def test_affinity_modes_agree_on_answers(self, session):
-        verdicts = {}
-        for affinity in ("partition", "none"):
-            svc = QueryService(
-                session, k=3, qos=QosConfig(affinity=affinity)
-            )
-            two_lane_trace(session, svc)
-            verdicts[affinity] = svc.drain().reachable
-        np.testing.assert_array_equal(
-            verdicts["partition"], verdicts["none"]
+        """Lanes narrower than their backlog pack every batch by seed
+        partition; the verdicts are still the FIFO service's."""
+        qos = QosConfig(
+            lanes={
+                "interactive": LaneSpec(weight=8.0, batch_width=4),
+                "bulk": LaneSpec(weight=1.0, batch_width=8),
+            }
         )
+        verdicts = []
+        for cfg in (qos, None):
+            svc = QueryService(session, k=3, qos=cfg)
+            two_lane_trace(session, svc)
+            verdicts.append(svc.drain().reachable)
+        np.testing.assert_array_equal(verdicts[0], verdicts[1])
 
     def test_interactive_jumps_the_bulk_backlog(self, session):
         """An interactive query arriving mid-backlog starts well before the
@@ -292,10 +296,11 @@ class TestLaneReport:
         assert (rep.lanes == "bulk").all()
         assert (rep.tenants == "crawler").all()
 
-    def test_telemetry_counters(self, session):
+    def test_telemetry_counters(self, graph):
         instr = Instrumentation()
-        svc = QueryService(session, k=2, qos=QosConfig(), instrumentation=instr)
-        two_lane_trace(session, svc, bulk=12, interactive=3)
+        sess = GraphSession(graph, num_machines=3, instrumentation=instr)
+        svc = QueryService(sess, k=2, qos=QosConfig())
+        two_lane_trace(sess, svc, bulk=12, interactive=3)
         svc.drain()
         m = instr.metrics
         assert m.get("cgraph_lane_queries_total").value(lane="bulk") == 12
@@ -325,7 +330,7 @@ class TestResultCache:
         assert "cache=40h/0m" in repr(second)
 
     def test_hits_are_cheaper_on_the_virtual_clock(self, session, hybrid):
-        svc, cache = hybrid
+        svc, _ = hybrid
         src, dst = point_wave(session, 30, seed=11)
         svc.submit_many(src, targets=dst)
         first = svc.drain()
@@ -335,7 +340,7 @@ class TestResultCache:
         hits = second.routes == "cache"
         np.testing.assert_allclose(
             second.finish_seconds[hits] - second.start_seconds[hits],
-            cache.hit_seconds,
+            svc.session.netmodel.work_seconds(0, 1),
         )
 
     def test_epoch_advance_invalidates(self, graph):
@@ -361,8 +366,10 @@ class TestResultCache:
 
     def test_cross_check_catches_a_poisoned_cache(self, graph):
         sess = GraphSession(graph, num_machines=2)
-        cache = ResultCache(capacity=64, cross_check=True)
-        svc = QueryService(sess, k=3, planner="hybrid", cache=cache)
+        cache = ResultCache(capacity=64)
+        svc = QueryService(
+            sess, k=3, planner="hybrid", cache=cache, cross_check=True
+        )
         rng = np.random.default_rng(13)
         src = rng.integers(0, sess.num_vertices, 10)
         dst = rng.integers(0, sess.num_vertices, 10)
@@ -371,8 +378,40 @@ class TestResultCache:
         for key in list(cache._entries):  # poison every cached verdict
             cache._entries[key] = not cache._entries[key]
         svc.submit_many(src, targets=dst)
-        with pytest.raises(AssertionError, match="stale cache verdict"):
+        with pytest.raises(AssertionError, match="index cross-check failed"):
             svc.drain()
+
+    def test_cache_serves_one_session(self):
+        """The key ``(s, t, k, epoch)`` does not name the graph: a cache
+        wired to one session is refused by a service on another, whose
+        epoch-0 keys would replay the first graph's verdicts."""
+        first, second = (
+            GraphSession(
+                rmat_edges(8, 2000, seed=seed).remove_self_loops().deduplicate(),
+                num_machines=2,
+            )
+            for seed in (1, 2)
+        )
+        cache = ResultCache(capacity=512)
+        QueryService(first, k=2, planner="hybrid", cache=cache)
+        with pytest.raises(UnsupportedConfigError, match="another session"):
+            QueryService(second, k=2, planner="hybrid", cache=cache)
+
+    def test_one_session_may_share_a_cache_across_k(self, graph):
+        """``k`` is in the key, so services with different hop budgets on
+        the same session share one cache and stay exact."""
+        sess = GraphSession(graph, num_machines=2)
+        cache = ResultCache(capacity=512)
+        src, dst = point_wave(sess, 30, seed=14)
+        for k in (2, 3, 2, 3):
+            svc = QueryService(sess, k=k, planner="hybrid", cache=cache)
+            svc.submit_many(src, targets=dst)
+            rep = svc.drain()
+            np.testing.assert_array_equal(
+                rep.reachable.astype(bool),
+                reachability_queries(sess, src, dst, k).reachable.astype(bool),
+            )
+        assert cache.hits == 60
 
 
 class TestValidation:

@@ -40,15 +40,12 @@ class TestLoadShedding:
         assert report.shed == 1
         assert report.num_queries == 4
 
-    def test_overfull_wave_queues_what_fits_and_sheds_the_rest(
-        self, inproc_sess
-    ):
+    def test_overfull_wave_queues_what_fits_and_sheds_the_rest(self, graph):
         from repro.telemetry import Instrumentation
 
         instr = Instrumentation()
-        svc = QueryService(
-            inproc_sess, k=3, max_pending=2, instrumentation=instr
-        )
+        sess = GraphSession(graph, num_machines=2, instrumentation=instr)
+        svc = QueryService(sess, k=3, max_pending=2)
         with pytest.raises(Overloaded, match="3 of 5 queries shed, 2 queued"):
             svc.submit_many([1, 2, 3, 4, 5])
         assert svc.num_pending == 2

@@ -251,11 +251,24 @@ class TestChooseDirection:
         ) == "push"
 
     def test_model_method_uses_model_coefficients(self):
-        nm = NetworkModel(seconds_per_edge_push=1.0, seconds_per_edge_pull=1.0)
-        assert nm.choose_direction(1000, 999) == "pull"
-        assert nm.choose_direction(1000, 1000) == "push"
-        default = NetworkModel()
-        assert default.choose_direction(1000, 3999) == "pull"
+        """``direction="auto"`` decides with the session model's
+        per-direction coefficients: a free pull sweep always pulls, a free
+        push always pushes."""
+        from repro.core.khop import concurrent_khop
+        from repro.graph.generators import rmat_edges
+        from repro.runtime.session import GraphSession
+
+        el = rmat_edges(8, 2000, seed=1)
+        steps = {}
+        for push, pull in ((1.0, 0.0), (0.0, 1.0)):
+            nm = NetworkModel(
+                seconds_per_edge_push=push, seconds_per_edge_pull=pull
+            )
+            sess = GraphSession(el, num_machines=2, netmodel=nm)
+            res = concurrent_khop(sess, [0, 1, 2], 3)
+            steps[push] = (res.push_partition_steps, res.pull_partition_steps)
+        assert steps[1.0][0] == 0 and steps[1.0][1] > 0
+        assert steps[0.0][1] == 0 and steps[0.0][0] > 0
 
     @settings(max_examples=60, deadline=None)
     @given(

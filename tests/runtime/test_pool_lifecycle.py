@@ -130,9 +130,8 @@ class TestProtocolShape:
 
 class TestDeterminism:
     def test_spawned_workers_fixed_seed(self, graph):
-        """Two pools over the same graph produce identical answers — the
-        per-worker RNG seeding is derived from the session seed, never from
-        process ids or time."""
+        """Two pools over the same graph produce identical answers — nothing
+        a worker computes depends on process ids or time."""
         results = []
         for _ in range(2):
             with GraphSession(graph, num_machines=3, backend="pool") as sess:
@@ -144,7 +143,7 @@ class TestDeterminism:
     def test_bare_pool_shutdown(self, graph):
         """A WorkerPool used directly (no session) still cleans up fully."""
         pg = GraphSession(graph, num_machines=2).pg
-        pool = WorkerPool(pg, seed=123)
+        pool = WorkerPool(pg)
         names = pool.segment_names()
         assert not pool.closed
         pool.shutdown()

@@ -43,6 +43,22 @@ class TestFifoPool:
         with pytest.raises(ValueError):
             simulate_fifo_pool([-1.0], 1)
 
+    @pytest.mark.parametrize(
+        "service, arrivals",
+        [
+            ([1.0, float("nan")], None),
+            ([1.0, float("inf")], None),
+            ([1.0, 2.0], [0.0, float("nan")]),
+            ([1.0, 2.0], [0.0, float("inf")]),
+            ([1.0, 2.0], [0.0, -5.0]),
+        ],
+        ids=["nan-service", "inf-service", "nan-arrival", "inf-arrival",
+             "negative-arrival"],
+    )
+    def test_inputs_the_service_refuses_are_rejected(self, service, arrivals):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            simulate_fifo_pool(service, 2, arrival_times=arrivals)
+
     def test_mismatched_arrivals_rejected(self):
         with pytest.raises(ValueError):
             simulate_fifo_pool([1.0, 2.0], 1, arrival_times=[0.0])

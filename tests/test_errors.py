@@ -7,11 +7,16 @@ pre-existing ``except RuntimeError:`` / ``except ValueError:`` handlers —
 and tests pinning them — keep working across the fault-tolerance refactor.
 """
 
+import numpy as np
 import pytest
 
+import repro.core.frontier
+import repro.qos
+from repro.cli import build_parser
 from repro.core.api import run_program
+from repro.core.frontier import BitFrontier
 from repro.core.gas import run_gas
-from repro.core.khop import concurrent_khop
+from repro.core.khop import _run_traversal, concurrent_khop
 from repro.core.ooc import concurrent_khop_out_of_core
 from repro.core.pagerank import PageRankProgram
 from repro.errors import (
@@ -31,9 +36,14 @@ from repro.errors import (
 from repro.core.reachability import reachability_queries
 from repro.core.sssp import sssp
 from repro.graph import path_graph
+from repro.graph.csr import build_csc, build_csr
+from repro.graph.properties import DenseVertexValues
 from repro.qos import QosConfig, ResultCache
+from repro.runtime.netmodel import NetworkModel
+from repro.runtime.pool import WorkerPool
 from repro.runtime.scheduler import QueryService
 from repro.runtime.session import GraphSession
+from repro.telemetry.instrument import Instrumentation
 from tests.core.test_api import ListingTwoKHop
 
 ALL = [
@@ -184,6 +194,19 @@ def test_the_per_call_edge_set_switch_is_gone(call):
         assert sess.batches_run == 0
 
 
+@pytest.mark.parametrize(
+    "layout", [{"consolidate_min_edges": 10}, {"sets_per_partition": 3}],
+    ids=["consolidate-min-edges", "sets-per-partition"],
+)
+def test_layout_settings_without_edge_sets_are_refused_typed(layout):
+    # without edge_sets=True nothing would read them: refuse, do not ignore
+    with pytest.raises(UnsupportedConfigError, match="edge_sets=True"):
+        GraphSession(path_graph(6), num_machines=2, **layout)
+    with GraphSession(path_graph(6), num_machines=2, edge_sets=True,
+                      **layout) as sess:
+        assert sess.has_edge_sets
+
+
 def test_a_second_edge_set_layout_is_refused_typed():
     sess = GraphSession(
         path_graph(64), num_machines=2, edge_sets=True, sets_per_partition=2
@@ -306,3 +329,65 @@ def test_unpicklable_description_is_refused_typed_and_the_pool_serves_on(
         assert sess.pool() is pool
         assert got.reached.tolist() == want.reached.tolist()
         assert got.virtual_seconds == want.virtual_seconds
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda sess: GraphSession(path_graph(6), pool_seed=0),
+        lambda sess: WorkerPool(None, seed=0),
+        lambda sess: WorkerPool(None, start_method="spawn"),
+        lambda sess: Instrumentation(registry=None),
+        lambda sess: Instrumentation(tracer=None),
+        lambda sess: Instrumentation(flight_recorder_spans=8),
+        lambda sess: QueryService(sess, 2, instrumentation=None),
+        lambda sess: ResultCache(8, hit_seconds=1.0),
+        lambda sess: ResultCache(8, cross_check=True),
+        lambda sess: QosConfig(affinity="none"),
+        lambda sess: QosConfig.from_cli(None, None, affinity="none"),
+        lambda sess: concurrent_khop(sess, [0], 2, max_supersteps=1),
+        lambda sess: _run_traversal(sess, np.array([0]), 2, max_supersteps=1),
+        lambda sess: build_csr(np.array([0]), np.array([1]), 2,
+                               sort_columns=False),
+        lambda sess: build_csc(np.array([0]), np.array([1]), 2,
+                               sort_rows=False),
+        lambda sess: DenseVertexValues(4, 1, fill=0.0),
+        lambda sess: NetworkModel().with_async(enabled=True),
+    ],
+    ids=[
+        "session-pool-seed", "pool-seed", "pool-start-method",
+        "instrumentation-registry", "instrumentation-tracer",
+        "instrumentation-flight-recorder-spans", "service-instrumentation",
+        "cache-hit-seconds", "cache-cross-check", "qos-affinity",
+        "qos-from-cli-affinity", "khop-max-supersteps",
+        "traversal-max-supersteps", "csr-sort-columns", "csc-sort-rows",
+        "dense-values-fill", "netmodel-with-async-enabled",
+    ],
+)
+def test_removed_settings_are_gone(call):
+    with GraphSession(path_graph(6), num_machines=2) as sess:
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            call(sess)
+        assert sess.batches_run == 0
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [
+        (ResultCache, "lookup"),
+        (ResultCache, "store"),
+        (NetworkModel, "choose_direction"),
+        (BitFrontier, "active_count"),
+        (BitFrontier, "density"),
+        (repro.qos, "partition_query_masks"),
+        (repro.qos, "locality_score"),
+        (repro.core.frontier, "query_mask_for"),
+    ],
+)
+def test_removed_helpers_are_gone(owner, name):
+    assert not hasattr(owner, name)
+
+
+def test_the_affinity_flag_is_gone():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["service", "--affinity", "none"])
