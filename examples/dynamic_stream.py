@@ -6,18 +6,18 @@ queries keep arriving.  This example drives the dynamic graph layer
 end to end:
 
 1. builds a web-graph analog into a ``GraphSession`` and enables the
-   dynamic layer — streaming mutations, epoch-versioned snapshots, and
-   incremental maintenance of the resident 2-hop index;
+   dynamic layer — streaming mutations, an epoch history any past
+   version replays from, and incremental maintenance of the resident
+   2-hop index;
 2. runs an online ``QueryService`` with the hybrid planner while edge
    mutation batches arrive *between* query waves: every dispatched batch
    runs against one consistent epoch, the index is patched in place
    (resumption BFS for inserts, invalidate-and-repair for deletes), and
-   point queries keep routing to the index lane because it never goes
-   stale;
+   point queries keep routing to the index lane;
 3. compacts the delta into a fresh base mid-stream and shows the epoch
    advancing without the edge set changing;
-4. replays an old epoch from the snapshot store to prove any past
-   version stays queryable.
+4. replays an old epoch from the dynamic graph's history to prove any
+   past version stays queryable.
 
 Run:  python examples/dynamic_stream.py
 """
@@ -68,18 +68,16 @@ def main() -> None:
             f"  wave {wave}: epoch {res.epoch:2d}  "
             f"+{len(inserts)}/-{len(deletes)} edges  "
             f"pending delta {dynamic.num_pending:2d}  "
-            f"index lane {index_hits}/{report.num_queries}  "
-            f"index current: {session.index_is_current}"
+            f"index lane {index_hits}/{report.num_queries}"
         )
 
     print(f"\ncompactions so far: {dynamic.compactions} "
           f"(every 4th mutated batch folds the delta into a new base)")
 
-    # Any past epoch stays queryable: replay epoch 2 from the log.
-    store = session.snapshots()
-    old = store.edges_at(2)
-    now = store.edges_at(dynamic.epoch)
-    print(f"snapshot replay: epoch 2 had {old.num_edges:,} edges, "
+    # Any past epoch stays queryable: replay epoch 2 from the history.
+    old = dynamic.edges_at(2)
+    now = dynamic.edges_at(dynamic.epoch)
+    print(f"history replay: epoch 2 had {old.num_edges:,} edges, "
           f"epoch {dynamic.epoch} has {now.num_edges:,}")
     assert now.num_edges == len(live)
     print("done: mutations, queries, compaction and replay on one session")

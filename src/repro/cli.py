@@ -512,10 +512,10 @@ def cmd_service(args, out) -> int:
             qos=qos,
             cache=cache,
         )
+        for b in mutation_batches:
+            svc.apply_mutations(b.inserts, b.deletes, arrival=b.arrival)
     except (ValueError, ReproError) as exc:
         raise SystemExit(f"repro service: {exc}") from None
-    for b in mutation_batches:
-        svc.apply_mutations(b.inserts, b.deletes, arrival=b.arrival)
     roots = random_sources(el, args.queries, seed=args.seed)
     rng = np.random.default_rng(args.seed)
     arrivals = np.cumsum(rng.exponential(1.0 / args.rate, size=args.queries))
@@ -759,8 +759,7 @@ def cmd_recover(args, out) -> int:
         print(f"  service resumes durably under {args.wal_dir} with the "
               f"recorded policy: fsync {mgr.wal.fsync_policy}, checkpoint "
               f"{_cadence(mgr.checkpoint_every)}, compaction "
-              f"{_cadence(sess._compact_interval)}, index maintenance "
-              f"{sess._index_maintenance}", file=out)
+              f"{_cadence(sess._compact_interval)}", file=out)
     finally:
         mgr.close()
         sess.close()

@@ -73,8 +73,10 @@ def core_numbers(
     traffic shrinks as the fixpoint nears).  Converges in at most
     ``O(max_degree)`` rounds, usually far fewer.  The view and its
     partitioning are cached on the session; rounds are charged to its cost
-    model.
+    model.  The rounds run here, outside the superstep executor, so a
+    ``backend="pool"`` session is refused rather than served in-process.
     """
+    sess.require_inproc(kcore=True)
     pg = sess.undirected_pg()
 
     values = pg.edges.out_degrees().astype(np.int64)

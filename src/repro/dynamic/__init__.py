@@ -6,18 +6,18 @@ subpackage keeps one :class:`~repro.graph.partition.PartitionedGraph`
 resident (and its shared-memory image attached to pool workers) while the
 edge set changes underneath it:
 
-* :mod:`repro.dynamic.delta` — the mutation log and the delta-aware
-  partitioned CSR/CSC: mutations splice *effective* shards over the frozen
+* :mod:`repro.dynamic.delta` — the delta-aware partitioned CSR/CSC and
+  its epoch history: mutations splice *effective* shards over the frozen
   base arrays in place, so traversal kernels (push scatter and dense pull
   alike) read base+delta transparently and the shm graph image stays valid
-  between compactions.  :func:`~repro.dynamic.delta.build_with_delta` is
-  the pool-side twin: it patches a worker's attached shard before
-  delegating to the algorithm's real task builder.
-* :mod:`repro.dynamic.snapshot` — epoch-versioned snapshots: the mutation
-  log replays to the exact edge set (and an oracle partitioning) of any
-  past epoch, which is what the service's cross-check mode compares
-  answers against.
-* :mod:`repro.dynamic.wal` — the durable twin of the in-memory log: an
+  between compactions, and ``DynamicGraph.edges_at(e)`` /
+  ``graph_at(e)`` replay the history to the exact edge set (and an oracle
+  partitioning) of any past epoch, which is what the service's
+  cross-check mode compares answers against.
+  :func:`~repro.dynamic.delta.build_with_delta` is the pool-side twin: it
+  patches a worker's attached shard before delegating to the algorithm's
+  real task builder.
+* :mod:`repro.dynamic.wal` — the durable twin of the in-memory history: an
   append-only, CRC32-framed write-ahead log with torn-tail repair, the
   substrate of whole-process crash recovery
   (:mod:`repro.runtime.durability`).
@@ -30,7 +30,6 @@ Index maintenance for the dynamic graph lives with the index itself in
 
 from repro.dynamic.delta import (
     DynamicGraph,
-    MutationLog,
     MutationRecord,
     MutationResult,
     PartitionDelta,
@@ -38,20 +37,16 @@ from repro.dynamic.delta import (
     build_with_delta,
     splice_effective_csr,
 )
-from repro.dynamic.snapshot import GraphSnapshot, SnapshotStore
 from repro.dynamic.wal import FSYNC_POLICIES, WriteAheadLog
 
 __all__ = [
     "FSYNC_POLICIES",
     "WriteAheadLog",
     "DynamicGraph",
-    "MutationLog",
     "MutationRecord",
     "MutationResult",
     "PartitionDelta",
     "apply_partition_delta",
     "build_with_delta",
     "splice_effective_csr",
-    "GraphSnapshot",
-    "SnapshotStore",
 ]

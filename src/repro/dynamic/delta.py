@@ -1,4 +1,4 @@
-"""The mutation log and the delta-aware partitioned CSR/CSC.
+"""The dynamic graph: epoch history and the delta-aware partitioned CSR/CSC.
 
 A :class:`~repro.graph.partition.PartitionedGraph` is built once and then
 shared: the in-process engine reads its shards directly and the pool
@@ -35,8 +35,14 @@ The graph version counter.  Every batch of applied mutations (and every
 compaction) advances :attr:`DynamicGraph.epoch` by one; a query batch runs
 entirely against the epoch current at its dispatch.  The session joins the
 epoch into its task cache keys, so resident task state can never straddle
-two graph versions, and :mod:`repro.dynamic.snapshot` replays the
-:class:`MutationLog` to reconstruct any epoch's exact edge set.
+two graph versions.  :attr:`DynamicGraph.history` holds one
+:class:`MutationRecord` per epoch advance, and
+:meth:`DynamicGraph.edges_at` / :meth:`DynamicGraph.graph_at` replay it to
+the exact edge set — and a from-scratch oracle partitioning — of any past
+epoch: shard construction is a pure function of the edge set, so the
+oracle's shards are byte-identical to the resident graph's effective
+shards at the same epoch, which is what the service's cross-check mode and
+the dynamic property suite compare against.
 
 Dynamic graphs are restricted to unweighted, duplicate-free base edge
 lists (reachability's natural domain): set semantics make insert-existing
@@ -52,11 +58,14 @@ import numpy as np
 from repro.errors import MutationError
 from repro.graph.csr import CSR, expand_ranges
 from repro.graph.edgelist import EdgeList
-from repro.graph.partition import PartitionedGraph, owner_of_bounds
+from repro.graph.partition import (
+    PartitionedGraph,
+    owner_of_bounds,
+    partition_with_bounds,
+)
 
 __all__ = [
     "DynamicGraph",
-    "MutationLog",
     "MutationRecord",
     "MutationResult",
     "PartitionDelta",
@@ -67,41 +76,19 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------- #
-# the mutation log
+# mutation records
 # --------------------------------------------------------------------------- #
 
 
 @dataclass(frozen=True)
 class MutationRecord:
-    """One applied mutation batch (or compaction) in the log."""
+    """One applied mutation batch (or compaction): an entry of
+    :attr:`DynamicGraph.history` and one frame of the write-ahead log."""
 
     epoch: int  # the epoch this batch created
     inserts: np.ndarray = field(repr=False)  # (k, 2) int64, applied only
     deletes: np.ndarray = field(repr=False)  # (k, 2) int64, applied only
     compaction: bool = False
-
-
-class MutationLog:
-    """Append-only history of applied mutation batches, epoch-ordered.
-
-    The log is the source of truth for snapshot replay: epoch ``e``'s edge
-    set is the initial set with every record of epoch ``<= e`` applied.
-    """
-
-    def __init__(self) -> None:
-        self.records: list[MutationRecord] = []
-
-    def append(self, record: MutationRecord) -> None:
-        if self.records and record.epoch <= self.records[-1].epoch:
-            raise MutationError("mutation log epochs must be increasing")
-        self.records.append(record)
-
-    def through(self, epoch: int) -> list[MutationRecord]:
-        """Records up to and including ``epoch`` (all of them for -1 < e)."""
-        return [r for r in self.records if r.epoch <= epoch]
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 @dataclass(frozen=True)
@@ -276,7 +263,10 @@ class DynamicGraph:
     the epoch and re-splices the touched partitions' shards, and
     :meth:`compact` folds the pending delta into a new base (after which
     the pool must repack its shm image — the session handles that by
-    closing the pool on compaction).
+    closing the pool on compaction).  Both append to :attr:`history`,
+    which :meth:`edges_at` and :meth:`graph_at` replay.  This class moves
+    the graph only; a session's resident index follows the mutations that
+    go through :meth:`~repro.runtime.session.GraphSession.apply_mutations`.
     """
 
     def __init__(self, pg: PartitionedGraph):
@@ -294,12 +284,12 @@ class DynamicGraph:
         self.num_vertices = n
         self.bounds = pg.bounds.copy()
         self.epoch = 0
-        # The epoch the resident base edge list corresponds to — 0 for a
-        # graph built live, the checkpoint's epoch after restore_epoch().
-        # Snapshot replay starts here, not at 0.
+        # The epoch history starts at — 0 for a graph built live, the
+        # checkpoint's epoch after restore_epoch() — with its edge set, and
+        # one record per epoch advance since.
         self.base_epoch = 0
-        self.log = MutationLog()
-        self.epoch0_edges = pg.edges
+        self._base_epoch_keys = sorted_keys
+        self.history: list[MutationRecord] = []
         self.compactions = 0
         self._base_keys = sorted_keys  # the base edge set, sorted int64 keys
         self._base_shards = {
@@ -327,6 +317,10 @@ class DynamicGraph:
     @property
     def num_edges(self) -> int:
         return self.pg.edges.num_edges - len(self._deleted) + len(self._inserted)
+
+    def _encode(self, pairs: np.ndarray) -> np.ndarray:
+        """(k, 2) endpoint pairs -> int64 keys ``u·n + v``."""
+        return pairs[:, 0] * self.num_vertices + pairs[:, 1]
 
     def _decode(self, keys: np.ndarray) -> np.ndarray:
         """Sorted int64 keys -> (k, 2) global endpoint pairs."""
@@ -359,8 +353,43 @@ class DynamicGraph:
     def materialize_edges(self) -> EdgeList:
         """The current edge set as a fresh :class:`EdgeList` (key-sorted,
         i.e. ``(src, dst)``-lexicographic — input-order independent)."""
-        pairs = self._decode(self._current_keys())
+        return self._edge_list(self._current_keys())
+
+    def _edge_list(self, keys: np.ndarray) -> EdgeList:
+        pairs = self._decode(keys)
         return EdgeList(pairs[:, 0], pairs[:, 1], self.num_vertices)
+
+    # -- history ------------------------------------------------------------- #
+
+    def edges_at(self, epoch: int) -> EdgeList:
+        """The exact edge set of ``epoch`` (key-sorted, like
+        :meth:`materialize_edges`), replayed from :attr:`history`.
+
+        Every record holds effective subsets only — each delete names a
+        present edge, each insert an absent one — so the replay is a
+        sorted-key delete and insert per record, never a set of all edges.
+        Epochs before :attr:`base_epoch` are not reconstructible (a
+        restored graph starts its history at the checkpoint)."""
+        if not self.base_epoch <= epoch <= self.epoch:
+            raise MutationError(
+                f"epoch {epoch} outside [{self.base_epoch}, {self.epoch}]"
+            )
+        keys = self._base_epoch_keys
+        for rec in self.history:
+            if rec.epoch > epoch:
+                break
+            if rec.compaction:
+                continue  # representation change only
+            keys = np.delete(keys, np.searchsorted(keys, self._encode(rec.deletes)))
+            ins = self._encode(rec.inserts)
+            keys = np.insert(keys, np.searchsorted(keys, ins), ins)
+        return self._edge_list(keys)
+
+    def graph_at(self, epoch: int) -> PartitionedGraph:
+        """A from-scratch oracle partitioning of ``epoch``'s edge set under
+        the frozen bounds — shard arrays byte-identical to the resident
+        graph's effective shards at that epoch."""
+        return partition_with_bounds(self.edges_at(epoch), self.bounds)
 
     # -- mutation ------------------------------------------------------------ #
 
@@ -394,9 +423,8 @@ class DynamicGraph:
         """
         ins = self.as_pairs(inserts, "inserts")
         dels = self.as_pairs(deletes, "deletes")
-        n = self.num_vertices
-        ins_keys = dict.fromkeys((ins[:, 0] * n + ins[:, 1]).tolist())
-        del_keys = dict.fromkeys((dels[:, 0] * n + dels[:, 1]).tolist())
+        ins_keys = dict.fromkeys(self._encode(ins).tolist())
+        del_keys = dict.fromkeys(self._encode(dels).tolist())
         asked = [*ins_keys, *del_keys]
         in_base = dict(
             zip(asked, self._in_base(np.array(asked, dtype=np.int64)).tolist())
@@ -445,7 +473,7 @@ class DynamicGraph:
         # degraded in-process path.
         for p in self.pg.partitions:
             p.graph_epoch = self.epoch
-        self.log.append(MutationRecord(self.epoch, ins_arr, del_arr))
+        self.history.append(MutationRecord(self.epoch, ins_arr, del_arr))
         return MutationResult(
             self.epoch, ins_arr, del_arr, noop_ins, noop_del, tuple(touched)
         )
@@ -513,10 +541,10 @@ class DynamicGraph:
         counters so WAL suffix replay advances them exactly as the
         original process did.  Only valid before any mutation: the base
         arrays must BE the checkpointed state."""
-        if self.epoch != 0 or self.log.records or self.has_pending:
+        if self.epoch != 0 or self.history or self.has_pending:
             raise MutationError(
                 "restore_epoch requires a pristine dynamic graph "
-                "(no mutations, no log records)"
+                "(no mutations, no history)"
             )
         if epoch < 0 or compactions < 0:
             raise MutationError("restored epoch/compactions must be >= 0")
@@ -540,10 +568,9 @@ class DynamicGraph:
         byte, so they become the new base as they stand.
         """
         keys = self._current_keys()
-        pairs = self._decode(keys)
         for part in self.pg.partitions:
             part.plan_cache = None
-        self.pg.edges = EdgeList(pairs[:, 0], pairs[:, 1], self.num_vertices)
+        self.pg.edges = self._edge_list(keys)
         self.epoch += 1
         self.compactions += 1
         self._base_keys = keys
@@ -556,7 +583,9 @@ class DynamicGraph:
         for p in self.pg.partitions:
             p.graph_epoch = self.epoch
         empty = np.empty((0, 2), dtype=np.int64)
-        self.log.append(MutationRecord(self.epoch, empty, empty, compaction=True))
+        self.history.append(
+            MutationRecord(self.epoch, empty, empty, compaction=True)
+        )
         return MutationResult(self.epoch, empty, empty)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -10,14 +10,15 @@ streams in a line-oriented format, one mutation per line::
 
 ``+``/``a``/``add``/``insert`` insert, ``-``/``d``/``del``/``delete``
 delete; the optional fourth column is the virtual arrival time (seconds,
-default 0.0) at which the mutation becomes due.  **Consecutive lines with
-the same arrival form one atomic batch** — they apply as a single epoch
-advance, exactly like one
+finite and non-negative, default 0.0) at which the mutation becomes due.
+**Consecutive lines with the same arrival form one atomic batch** — they
+apply as a single epoch advance, exactly like one
 :meth:`~repro.runtime.scheduler.QueryService.apply_mutations` call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import MutationError
@@ -77,9 +78,10 @@ def parse_edge_stream(source) -> list[MutationBatch]:
             raise MutationError(
                 f"edge-stream line {lineno}: {exc}"
             ) from None
-        if arrival < 0:
+        if not 0.0 <= arrival < math.inf:  # NaN fails both comparisons
             raise MutationError(
-                f"edge-stream line {lineno}: arrival must be non-negative"
+                f"edge-stream line {lineno}: arrival must be finite and "
+                f"non-negative, got {parts[3]!r}"
             )
         if not batches or batches[-1].arrival != arrival:
             batches.append(MutationBatch(arrival))

@@ -1,7 +1,7 @@
 """The write-ahead log: CRC32-framed mutation records on disk.
 
-The dynamic layer's :class:`~repro.dynamic.delta.MutationLog` is the
-in-memory source of truth for epoch replay — and evaporates with the
+The dynamic graph's :attr:`~repro.dynamic.delta.DynamicGraph.history` is
+the in-memory source of truth for epoch replay — and evaporates with the
 process.  :class:`WriteAheadLog` is its durable twin: every *applied*
 mutation batch (and every compaction) is framed, checksummed and appended
 to a segment file before the caller is acknowledged, so a fresh process

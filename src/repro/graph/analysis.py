@@ -26,17 +26,18 @@ __all__ = [
 ]
 
 
-def bfs_levels(edges: EdgeList, source: int, csr=None) -> np.ndarray:
+def bfs_levels(edges: EdgeList | None, source: int, csr=None) -> np.ndarray:
     """Hop distance from ``source`` to every vertex (-1 when unreachable).
 
     A frontier-array BFS: each level expands all frontier out-edges in one
     vectorised pass (the single-query ancestor of the engine in
-    :mod:`repro.core`).
+    :mod:`repro.core`).  It walks ``csr`` when given — any square adjacency,
+    e.g. an in-CSC for distances *to* ``source`` — and sizes the levels
+    from its rows; ``edges`` is only read to build the out-CSR otherwise.
     """
-    n = edges.num_vertices
     if csr is None:
-        csr = build_csr(edges.src, edges.dst, n)
-    level = np.full(n, -1, dtype=np.int32)
+        csr = build_csr(edges.src, edges.dst, edges.num_vertices)
+    level = np.full(csr.num_rows, -1, dtype=np.int32)
     level[source] = 0
     frontier = np.array([source], dtype=np.int64)
     depth = 0

@@ -47,6 +47,7 @@ from itertools import chain
 import numpy as np
 
 from repro.dynamic.delta import splice_effective_csr
+from repro.graph.analysis import bfs_levels
 from repro.graph.csr import CSR, expand_ranges
 from repro.index.labels import HubLabels
 
@@ -67,24 +68,6 @@ class IndexPatchResult:
 
 
 _NO_EDGES = np.empty((0, 2), dtype=np.int64)
-
-
-def _bfs_np(adj: CSR, root: int) -> np.ndarray:
-    """Hop distances from ``root`` (``-1`` = unreachable), whole frontiers
-    expanded with gather/scatter instead of per-vertex Python loops."""
-    dist = np.full(adj.num_rows, -1, dtype=np.int32)
-    dist[root] = 0
-    frontier = np.array([root], dtype=np.int64)
-    d = 0
-    while frontier.size:
-        d += 1
-        nbrs = adj.indices[adj.gather_edges(frontier)[0]]
-        nbrs = nbrs[dist[nbrs] < 0]
-        if not nbrs.size:
-            break
-        frontier = np.unique(nbrs)
-        dist[frontier] = d
-    return dist
 
 
 class IncrementalIndex:
@@ -224,17 +207,17 @@ class IncrementalIndex:
             n = self.num_vertices
             tails = np.unique(dels[:, 0]).tolist()
             heads = np.unique(dels[:, 1]).tolist()
-            old_f = {u: _bfs_np(self.out_csr, u) for u in tails}
-            old_b = {v: _bfs_np(self.in_csc, v) for v in heads}
+            old_f = {u: bfs_levels(None, u, self.out_csr) for u in tails}
+            old_b = {v: bfs_levels(None, v, self.in_csc) for v in heads}
             self._splice(_NO_EDGES, dels)
             changed_f = np.zeros(n, dtype=bool)
             changed_b = np.zeros(n, dtype=bool)
             for u in tails:
-                new = _bfs_np(self.out_csr, u)
+                new = bfs_levels(None, u, self.out_csr)
                 visits += int((old_f[u] >= 0).sum() + (new >= 0).sum())
                 changed_f |= old_f[u] != new
             for v in heads:
-                new = _bfs_np(self.in_csc, v)
+                new = bfs_levels(None, v, self.in_csc)
                 visits += int((old_b[v] >= 0).sum() + (new >= 0).sum())
                 changed_b |= old_b[v] != new
             w_f = np.flatnonzero(changed_f)
@@ -249,7 +232,7 @@ class IncrementalIndex:
                     seconds=time.perf_counter() - t0,
                 )
             for y in w_f.tolist():
-                dists = _bfs_np(self.in_csc, y)  # ancestors: d(a, y)
+                dists = bfs_levels(None, y, self.in_csc)  # ancestors: d(a, y)
                 vs = np.flatnonzero(dists >= 0)
                 visits += vs.size
                 self.in_labels[y] = dict(
@@ -259,7 +242,7 @@ class IncrementalIndex:
                 entries += vs.size
                 repaired += 1
             for x in w_b.tolist():
-                dists = _bfs_np(self.out_csr, x)  # descendants: d(x, b)
+                dists = bfs_levels(None, x, self.out_csr)  # descendants: d(x, b)
                 vs = np.flatnonzero(dists >= 0)
                 visits += vs.size
                 self.out_labels[x] = dict(

@@ -3,10 +3,9 @@
 PR 5 made *worker* failures invisible; this module survives losing the
 coordinator itself.  The contract is exact-epoch recovery: a fresh process
 pointed at the durable directory reconstructs the graph, the epoch
-counters, the resident index and the mutation-batch accounting of the
-dead one, then resumes — answers, verdicts and graph epochs bit-identical
-to a run that never crashed (the drill at the bottom of this module is
-that statement, executable).
+counters and the resident index of the dead one, then resumes — answers,
+verdicts and graph epochs bit-identical to a run that never crashed (the
+drill at the bottom of this module is that statement, executable).
 
 The durable directory holds two things:
 
@@ -18,7 +17,7 @@ The durable directory holds two things:
   fold from the record).
 * ``checkpoints/ckpt-{epoch}/`` — periodic full snapshots: the
   materialised edge set + frozen bounds (``edges.npz``), the resident
-  hub-label index when current (``index.npz``, via the atomic
+  hub-label index if there is one (``index.npz``, via the atomic
   :func:`~repro.index.storage.save_labels`), and a ``manifest.json`` of
   CRCs and the settings the directory is written under, published
   atomically (tmp + fsync + ``os.replace``).  The manifest is the commit
@@ -27,7 +26,11 @@ The durable directory holds two things:
   zlib was about 70 % of a checkpoint's wall time, and the space it saves
   (about 4.5 MB → 0.6 MB on the OR-100M analog) is capped by retention at
   :data:`RETAIN` checkpoints.  ``np.load`` reads either kind, so a
-  checkpoint written deflated by an older build still recovers.
+  checkpoint written deflated by an older build still recovers.  The
+  batch count is ``epoch − compactions``, derived rather than stored;
+  recovery ignores the keys older builds wrote for it and for the index
+  epoch and maintenance mode (``mutation_batches``, ``index_epoch``,
+  ``config.index_maintenance``), so their directories recover unchanged.
 
 Recovery (:func:`recover_session`) takes only the path.  It loads the
 newest checkpoint whose payload still matches its manifest CRCs — falling
@@ -242,9 +245,9 @@ class DurabilityManager:
         mutation — without it, a WAL with no checkpoint under it would be
         unreplayable.  It is not a crash point: the injected kill ordinals
         count periodic checkpoints only."""
-        self.session.dynamic()  # durability presumes the mutation layer
+        dg = self.session.dynamic()  # durability presumes the mutation layer
         self.session._durability = self
-        self._appends = int(self.session._mutation_batches)
+        self._appends = dg.epoch - dg.compactions
         if not list_checkpoints(self.checkpoint_dir):
             self.checkpoint(crashable=False)
         return self
@@ -332,13 +335,11 @@ class DurabilityManager:
             fh.flush()
             os.fsync(fh.fileno())
         files["edges.npz"] = _crc_file(epath)
-        index_epoch = None
-        if sess.has_index and sess.index_is_current:
+        if sess.has_index:
             from repro.index.storage import save_labels
 
             ipath = save_labels(sess.index(), ckdir / "index.npz")
             files["index.npz"] = _crc_file(ipath)
-            index_epoch = epoch
         if crashable:
             self._checkpoints_taken += 1
             self._maybe_crash(CRASH_MID_CHECKPOINT, self._checkpoints_taken)
@@ -349,12 +350,9 @@ class DurabilityManager:
             "num_edges": int(edges.num_edges),
             "bounds": [int(b) for b in dg.bounds],
             "compactions": int(dg.compactions),
-            "mutation_batches": int(sess._mutation_batches),
-            "index_epoch": index_epoch,
             "config": {
                 "fsync": self.wal.fsync_policy,
                 "checkpoint_every": self.checkpoint_every,
-                "index_maintenance": sess._index_maintenance,
                 "compact_interval": sess._compact_interval,
                 "churn_threshold": sess._index_churn_threshold,
             },
@@ -419,13 +417,12 @@ def recover_session(root, *, cross_check: bool = False, **session_kwargs):
 
     Loads the newest checkpoint whose payload validates (older ones on
     :class:`~repro.errors.CorruptCheckpoint`), restores the settings its
-    manifest records (index maintenance, compaction cadence, churn
-    threshold, WAL fsync policy, checkpoint cadence), replays the WAL
-    suffix through the session's normal write paths, restores the epoch /
-    compaction / batch counters, completes any auto-compaction the crash
-    interrupted, and re-attaches a :class:`DurabilityManager` over the
-    same WAL so the recovered process keeps appending where the dead one
-    stopped.  ``cross_check=True`` additionally asserts the recovered
+    manifest records (compaction cadence, churn threshold, WAL fsync
+    policy, checkpoint cadence), restores the epoch and compaction
+    counters, replays the WAL suffix through the session's normal write
+    paths, completes any auto-compaction the crash interrupted, and
+    re-attaches a :class:`DurabilityManager` over the same WAL so the
+    recovered process keeps appending where the dead one stopped.  ``cross_check=True`` additionally asserts the recovered
     shards are byte-identical to a from-scratch partitioning of the
     replayed edge set.  ``session_kwargs`` (``backend``,
     ``instrumentation``, ...) go to the :class:`GraphSession`.
@@ -468,9 +465,7 @@ def recover_session(root, *, cross_check: bool = False, **session_kwargs):
     # from their WAL records (plus the catch-up below); the recorded
     # interval is restored once the session is current.
     dg = sess.dynamic(
-        index_maintenance=config["index_maintenance"],
-        compact_interval=None,
-        churn_threshold=config["churn_threshold"],
+        compact_interval=None, churn_threshold=config["churn_threshold"]
     )
     dg.restore_epoch(ckpt_epoch, int(manifest["compactions"]))
     if labels is not None:
@@ -506,7 +501,6 @@ def recover_session(root, *, cross_check: bool = False, **session_kwargs):
             replayed_mutations += 1
             last_was_compaction = False
         replayed += 1
-    sess._mutation_batches = int(manifest["mutation_batches"]) + replayed_mutations
     compact_interval = sess._compact_interval = config["compact_interval"]
 
     if cross_check:
@@ -515,14 +509,16 @@ def recover_session(root, *, cross_check: bool = False, **session_kwargs):
     mgr.attach()
 
     # Deterministic catch-up: an auto-compaction fires the moment the
-    # batch counter hits the interval, so if the crash landed between that
-    # batch's ack and its compaction's WAL record, the uninterrupted run
-    # is one compaction ahead — run it now (logged through the fresh
-    # manager, so the WAL stays the prefix of the resumed history).
+    # batch count (epoch − compactions) hits the interval, so if the crash
+    # landed between that batch's ack and its compaction's WAL record, the
+    # uninterrupted run is one compaction ahead — run it now (logged
+    # through the fresh manager, so the WAL stays the prefix of the
+    # resumed history).
+    batches = dg.epoch - dg.compactions
     if (
         compact_interval is not None
-        and sess._mutation_batches > 0
-        and sess._mutation_batches % compact_interval == 0
+        and batches > 0
+        and batches % compact_interval == 0
         and not last_was_compaction
     ):
         sess.compact()
@@ -794,15 +790,15 @@ def run_durable_drill(
     ref = _drill_session(cfg, backend)
     try:
         ref_results = _run_drill_workload(ref, cfg, batches, waves)
-        ref_store = ref.snapshots()
         final_ref_epoch = int(ref.graph_epoch)
 
         sess = recover_session(root, cross_check=True, backend=backend)
         try:
             recovery = sess._durability.last_recovery
-            recovered_epoch = int(sess.graph_epoch)
-            rec_edges = sess.dynamic().materialize_edges()
-            ref_edges = ref_store.edges_at(recovered_epoch)
+            dg = sess.dynamic()
+            recovered_epoch = int(dg.epoch)
+            rec_edges = dg.materialize_edges()
+            ref_edges = ref.dynamic().edges_at(recovered_epoch)
             if not (
                 np.array_equal(rec_edges.src, ref_edges.src)
                 and np.array_equal(rec_edges.dst, ref_edges.dst)
@@ -811,7 +807,7 @@ def run_durable_drill(
                     f"recovered edge set at epoch {recovered_epoch} diverges "
                     "from the uninterrupted run"
                 )
-            start_batch = int(sess._mutation_batches)
+            start_batch = dg.epoch - dg.compactions
             rec_results = _run_drill_workload(
                 sess, cfg, batches, waves, start_batch=start_batch
             )

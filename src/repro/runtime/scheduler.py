@@ -875,10 +875,8 @@ class QueryService:
 
     def _index_picks(self, rows):
         """Hybrid-planned point queries, split at pending-mutation arrivals:
-        each group applies its due mutations first, then consults the index
-        epoch — a resident index stale for the current graph epoch sends
-        the group through FIFO reach batches instead of serving wrong
-        answers cheaply."""
+        each group applies its due mutations first (which patch the
+        resident index), then runs on the index lane."""
         arrivals = self._queue.arrivals[rows]
         head = 0
         while head < rows.size:
@@ -890,15 +888,7 @@ class QueryService:
             end = max(
                 head + 1, int(np.searchsorted(arrivals, horizon, side="left"))
             )
-            group = rows[head:end]
-            if (
-                self.session.is_dynamic
-                and self.session.has_index
-                and not self.session.index_is_current
-            ):
-                yield from self._subtotal(self._fifo_picks(group, "reach"))
-            else:
-                yield "index", group, first, None
+            yield "index", rows[head:end], first, None
             head = end
 
     def _eligible_start(self, row: int) -> float:
@@ -1199,14 +1189,14 @@ class QueryService:
     _ORACLE_CACHE_CAP = 4
 
     def _oracle_session(self, epoch: int):
-        """An in-process session over the snapshot store's from-scratch
+        """An in-process session over the dynamic graph's from-scratch
         partitioning of ``epoch``, sharing the live session's cost model.
         Small LRU-ish cache: drains revisit at most a few recent epochs."""
         sess = self._oracle_sessions.get(epoch)
         if sess is None:
             from repro.runtime.session import GraphSession
 
-            graph = self.session.snapshots().graph_at(epoch)
+            graph = self.session.dynamic().graph_at(epoch)
             sess = GraphSession(graph, netmodel=self.session.netmodel)
             while len(self._oracle_sessions) >= self._ORACLE_CACHE_CAP:
                 self._oracle_sessions.pop(next(iter(self._oracle_sessions)))

@@ -165,12 +165,9 @@ class GraphSession:
         self.instr = instrumentation or NULL_INSTRUMENTATION
         # dynamic-graph state (enabled lazily by dynamic())
         self._dynamic = None  # DynamicGraph
-        self._index_epoch = 0  # graph epoch the resident index matches
         self._inc_index = None  # IncrementalIndex twin of the labels
-        self._index_maintenance = "incremental"
         self._compact_interval: int | None = None
         self._index_churn_threshold = 0.02
-        self._mutation_batches = 0
         self._durability = None  # DurabilityManager, via enable_durability()
         if isinstance(graph, PartitionedGraph):
             self.pg = graph
@@ -316,11 +313,6 @@ class GraphSession:
         """The resident graph's version counter (0 for a static session)."""
         return self._dynamic.epoch if self._dynamic is not None else 0
 
-    @property
-    def index_is_current(self) -> bool:
-        """Whether the resident index (if any) matches the graph epoch."""
-        return self._index_epoch == self.graph_epoch
-
     def dynamic(
         self,
         index_maintenance: str = "incremental",
@@ -331,36 +323,24 @@ class GraphSession:
         :class:`~repro.dynamic.delta.DynamicGraph` (idempotent — the
         configuration arguments only apply on the first call).
 
-        ``index_maintenance`` controls what happens to a resident hub-label
-        index when mutations land: ``"incremental"`` (default) patches it
-        in place via resumption/repair BFS and falls back to a full
-        rebuild past ``churn_threshold`` cumulative churn; ``"none"`` lets
-        it go stale (the hybrid planner then routes point queries back to
-        traversal).
-        ``compact_interval`` folds the pending delta into a new base every
-        that many mutated batches.
+        A resident hub-label index is patched in place on every mutated
+        batch (resumption/repair BFS), with a full rebuild past
+        ``churn_threshold`` cumulative churn, so it is always current;
+        ``index_maintenance`` names that one mode and is kept for callers
+        that still pass it.  ``compact_interval`` folds the pending delta
+        into a new base every that many mutated batches.
         """
+        if index_maintenance != "incremental":
+            raise ValueError("index_maintenance must be 'incremental'")
         if self._dynamic is None:
-            if index_maintenance not in ("incremental", "none"):
-                raise ValueError(
-                    "index_maintenance must be 'incremental' or 'none'"
-                )
             if compact_interval is not None and compact_interval < 1:
                 raise ValueError("compact_interval must be >= 1")
             from repro.dynamic.delta import DynamicGraph
 
             self._dynamic = DynamicGraph(self.pg)
-            self._index_maintenance = index_maintenance
             self._compact_interval = compact_interval
             self._index_churn_threshold = float(churn_threshold)
         return self._dynamic
-
-    def snapshots(self):
-        """A :class:`~repro.dynamic.snapshot.SnapshotStore` replaying any
-        past epoch of the (dynamic) resident graph."""
-        from repro.dynamic.snapshot import SnapshotStore
-
-        return SnapshotStore.of(self.dynamic())
 
     # -- durability (lazy import: durability depends on dynamic + index) ----- #
 
@@ -382,7 +362,7 @@ class GraphSession:
         under ``wal_dir`` and checkpoint every ``checkpoint_every`` batches.
 
         Enables the dynamic layer if needed (call :meth:`dynamic` first to
-        pick non-default maintenance/compaction settings), takes a baseline
+        pick non-default compaction settings), takes a baseline
         checkpoint when the directory holds none, and returns the attached
         :class:`~repro.runtime.durability.DurabilityManager` (idempotent).
         Every checkpoint records these and the dynamic settings, so
@@ -407,21 +387,17 @@ class GraphSession:
 
         The one write path of the dynamic layer: splices the touched
         partitions' effective shards in place (advancing the graph epoch),
-        invalidates every epoch-dependent cache, maintains the resident
-        index per the session's maintenance mode, and triggers compaction
-        on the configured interval.  Returns the
+        invalidates every epoch-dependent cache, patches the resident index
+        and triggers compaction on the configured interval (every that
+        many mutated batches, i.e. when ``epoch − compactions`` is a
+        multiple of it).  Returns the
         :class:`~repro.dynamic.delta.MutationResult` (``.changed`` is
         False — and nothing else happens — for an all-no-op batch).
         """
         dg = self.dynamic()
         # An incremental patch needs the pre-mutation adjacency, so the
         # index twin must exist before the graph changes underneath it.
-        maintain = (
-            self._index_maintenance == "incremental"
-            and self._index_build is not None
-            and self.index_is_current
-        )
-        if maintain and self._inc_index is None:
+        if self.has_index and self._inc_index is None:
             from repro.index.incremental import IncrementalIndex
 
             self._inc_index = IncrementalIndex.from_graph(
@@ -439,18 +415,15 @@ class GraphSession:
             if res.deleted.size:
                 self.instr.on_mutation("delete", res.deleted.shape[0])
             self.instr.on_epoch(dg.epoch)
-        if maintain:
+        if self.has_index:
             self._patch_index(res)
-        # otherwise ("none", or an already-stale index) leave it; consumers
-        # must consult index_is_current before trusting it.
-        self._mutation_batches += 1
         # WAL-append before the caller is acknowledged (and before any
         # auto-compaction, which write-ahead-logs itself via compact()).
         if self._durability is not None:
             self._durability.on_mutation(res)
         if (
             self._compact_interval is not None
-            and self._mutation_batches % self._compact_interval == 0
+            and (dg.epoch - dg.compactions) % self._compact_interval == 0
         ):
             self.compact()
         return res
@@ -475,10 +448,6 @@ class GraphSession:
         if self.instr.enabled:
             self.instr.on_compaction()
             self.instr.on_epoch(dg.epoch)
-        # Compaction is representation-only: an index current for the
-        # pre-compaction epoch is current for the post-compaction one.
-        if self._index_epoch == res.epoch - 1:
-            self._index_epoch = res.epoch
         return res
 
     def _invalidate_epoch_caches(self) -> None:
@@ -502,7 +471,6 @@ class GraphSession:
             build_seconds=patch.seconds,
             labeled_visits=patch.entries_patched,
         )
-        self._index_epoch = self.graph_epoch
 
     # -- the reachability index (lazy import: index depends on graph only) -- #
 
@@ -517,7 +485,6 @@ class GraphSession:
         if self._index_build is None or rebuild:
             with self.instr.span("index build", cat="index"):
                 self._index_build = build_hub_labels(self.pg)
-            self._index_epoch = self.graph_epoch
             self._inc_index = None
         return self._index_build
 
@@ -546,7 +513,6 @@ class GraphSession:
         self._index_build = IndexBuild(
             labels=labels, build_seconds=0.0, labeled_visits=0, pruned_visits=0
         )
-        self._index_epoch = self.graph_epoch
         self._inc_index = None
 
     def index_planner(self):

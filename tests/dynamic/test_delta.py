@@ -57,7 +57,7 @@ class TestApply:
         assert res.changed
         assert dg.epoch == 2
         assert dg.num_pending == 0  # re-deleting a pending insert cancels it
-        oracle = dyn_session.snapshots().graph_at(dg.epoch)
+        oracle = dg.graph_at(dg.epoch)
         assert_shards_equal(dg.pg, oracle)
 
     def test_out_of_range_endpoint_rejected(self, dyn_session):
@@ -120,7 +120,7 @@ class TestSplicing:
             ins = fresh_edges(rng, n, edge_keys, 4)
             dels = existing_edges(rng, n, edge_keys, 3)
             dg.apply(ins, dels)
-            oracle = dyn_session.snapshots().graph_at(dg.epoch)
+            oracle = dg.graph_at(dg.epoch)
             assert_shards_equal(dg.pg, oracle)
 
     def test_traversal_sees_mutations(self, dyn_session, edge_keys, rng):
@@ -161,7 +161,7 @@ class TestSlotSpace:
 
     @staticmethod
     def _assert_matches_fresh(sess, sources):
-        oracle = sess.snapshots().graph_at(sess.graph_epoch)
+        oracle = sess.dynamic().graph_at(sess.graph_epoch)
         with GraphSession(oracle) as fresh:
             for direction in ("push", "pull"):
                 got = sess.khop(sources, 3, direction=direction)
@@ -239,17 +239,17 @@ class TestCompact:
         n = dg.num_vertices
         dg.apply(fresh_edges(rng, n, edge_keys, 3),
                  existing_edges(rng, n, edge_keys, 2))
-        edges_before = dyn_session.snapshots().edges_at(dg.epoch)
+        edges_before = dg.edges_at(dg.epoch)
         res = dg.compact()
         assert res.epoch == dg.epoch
         assert dg.num_pending == 0
         assert dg.compactions == 1
         # Representation-only: the edge set is unchanged across the
         # compaction epoch, and the shards still match the oracle.
-        edges_after = dyn_session.snapshots().edges_at(dg.epoch)
+        edges_after = dg.edges_at(dg.epoch)
         np.testing.assert_array_equal(edges_before.src, edges_after.src)
         np.testing.assert_array_equal(edges_before.dst, edges_after.dst)
-        assert_shards_equal(dg.pg, dyn_session.snapshots().graph_at(dg.epoch))
+        assert_shards_equal(dg.pg, dg.graph_at(dg.epoch))
 
     def test_compact_without_pending_still_versions(self, dyn_session):
         # Compaction is representation-only but always advances the epoch

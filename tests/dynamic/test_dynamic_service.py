@@ -126,28 +126,25 @@ class TestCrossCheck:
 
 
 class TestHybridRouting:
-    def test_stale_index_falls_back_to_traversal(
-        self, dyn_graph, edge_keys, rng
-    ):
-        sess = GraphSession(dyn_graph, num_machines=2)
-        sess.dynamic(index_maintenance="none")
-        sess.index()
-        svc = QueryService(sess, k=3, planner="hybrid")
-        n = sess.num_vertices
-        u = _roots(dyn_graph, 1)[0]
-        v = int(dyn_graph.dst[0])
-
-        svc.submit(u, target=v)
+    def test_patched_index_keeps_the_index_lane(self, dyn_session, edge_keys, rng):
+        # a resident index is patched by every mutation, so point queries
+        # on either side of a queued batch all ride the index lane, and
+        # cross_check re-answers each group on the oracle graph of its epoch
+        dyn_session.index()
+        svc = QueryService(dyn_session, k=3, planner="hybrid", cross_check=True)
+        n = dyn_session.num_vertices
+        sources = rng.integers(0, n, size=8)
+        targets = rng.integers(0, n, size=8)
+        svc.submit_many(
+            sources.tolist(), arrivals=np.arange(8) * 1e-3,
+            targets=targets.tolist(),
+        )
+        svc.apply_mutations(fresh_edges(rng, n, edge_keys, 3),
+                            existing_edges(rng, n, edge_keys, 2),
+                            arrival=3.5e-3)
         rep = svc.drain()
-        assert list(rep.routes) == ["index"]
-
-        # Mutating without maintenance leaves the index stale; the planner
-        # must stop trusting it and route point queries to traversal.
-        svc.apply_mutations(fresh_edges(rng, n, edge_keys, 1), [])
-        assert not sess.index_is_current
-        svc.submit(u, target=v)
-        rep = svc.drain()
-        assert list(rep.routes) == ["traversal"]
+        assert list(rep.routes) == ["index"] * 8
+        np.testing.assert_array_equal(rep.epochs, [0] * 4 + [1] * 4)
 
 
 class TestPoolBackend:

@@ -248,31 +248,25 @@ class TestSessionIntegration:
         dg = dyn_session.dynamic()
         n = dg.num_vertices
         dyn_session.index()
-        assert dyn_session.index_is_current
         # Mutations must flow through the session's write path for index
         # maintenance to happen; DynamicGraph.apply alone only moves the
         # graph.
         dyn_session.apply_mutations(fresh_edges(rng, n, edge_keys, 3),
                                     existing_edges(rng, n, edge_keys, 2))
-        assert dyn_session.index_is_current
         # The patched resident index answers like a from-scratch build of
         # the mutated graph.
-        rebuilt = build_hub_labels(
-            dyn_session.snapshots().graph_at(dg.epoch)
-        ).labels
+        rebuilt = build_hub_labels(dg.graph_at(dg.epoch)).labels
         s = rng.integers(0, n, size=1024)
         t = rng.integers(0, n, size=1024)
         np.testing.assert_array_equal(
             dyn_session.index().dist_many(s, t), rebuilt.dist_many(s, t)
         )
 
-    def test_maintenance_none_goes_stale(self, dyn_graph, edge_keys, rng):
-        from repro.runtime.session import GraphSession
-
+    def test_maintenance_accepts_only_incremental(self, dyn_graph):
+        # a resident index is always patched; the keyword names that one
+        # mode, and the stale-index mode it once offered is refused
         sess = GraphSession(dyn_graph, num_machines=2)
-        dg = sess.dynamic(index_maintenance="none")
-        sess.index()
-        sess.apply_mutations(
-            fresh_edges(rng, dg.num_vertices, edge_keys, 1), []
-        )
-        assert not sess.index_is_current
+        with pytest.raises(ValueError, match="must be 'incremental'"):
+            sess.dynamic(index_maintenance="none")
+        assert not sess.is_dynamic
+        assert sess.dynamic(index_maintenance="incremental").epoch == 0

@@ -142,7 +142,7 @@ def test_any_config_survives_mid_drain_mutations(graph, trace, cfg, mut_seed):
 
     def run():
         sess = GraphSession(graph, num_machines=2)
-        sess.dynamic(index_maintenance="incremental")
+        sess.dynamic()
         svc = QueryService(sess, k=K, qos=cfg, cross_check=True)
         submit_trace(svc, trace)
         mut_rng = np.random.default_rng(mut_seed)

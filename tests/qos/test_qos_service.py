@@ -345,7 +345,7 @@ class TestResultCache:
 
     def test_epoch_advance_invalidates(self, graph):
         sess = GraphSession(graph, num_machines=2)
-        sess.dynamic(index_maintenance="incremental")
+        sess.dynamic()
         cache = ResultCache(capacity=512)
         svc = QueryService(sess, k=3, planner="hybrid", cache=cache)
         rng = np.random.default_rng(12)

@@ -1,8 +1,9 @@
 """Durability suite: checkpoints, recovery, group commit, crash drills.
 
 The contract under test is exact-epoch recovery: a fresh process pointed
-at the durable directory reconstructs the graph, the epoch counters, the
-resident index and the mutation accounting of the dead one.  The crash
+at the durable directory reconstructs the graph, the epoch counters and
+the resident index of the dead one (the batch count is derived from the
+counters: ``epoch − compactions``).  The crash
 drills at the bottom execute that statement end to end — a child process
 is killed mid-write at each seeded crash point and the recovered session
 must answer bit-identically to a run that never crashed.
@@ -172,14 +173,13 @@ class TestRecovery:
         _run_mutations(sess, keys, 6)
         final_epoch = int(sess.graph_epoch)
         ref_edges = sess.dynamic().materialize_edges()
-        ref_batches = int(sess._mutation_batches)
         mgr.close()
         sess.close()
 
         rec = recover_session(tmp_path, cross_check=True)
         report = rec._durability.last_recovery
         assert int(rec.graph_epoch) == final_epoch
-        assert int(rec._mutation_batches) == ref_batches
+        assert rec.dynamic().epoch - rec.dynamic().compactions == 6
         got = rec.dynamic().materialize_edges()
         assert np.array_equal(got.src, ref_edges.src)
         assert np.array_equal(got.dst, ref_edges.dst)
@@ -313,6 +313,41 @@ class TestRecovery:
         assert plain[:2] == deflated[:2] == (4, 6)
         for a, b in zip(plain[2:], deflated[2:]):
             np.testing.assert_array_equal(a, b)
+
+    def test_manifest_with_retired_keys_recovers(self, graph, keys, tmp_path):
+        """Older builds also stored the batch count, the index epoch and
+        the index maintenance mode; recovery ignores all three, so such a
+        directory recovers to the same epoch, edge set and batch count."""
+        sess = GraphSession(graph, num_machines=2)
+        dg = sess.dynamic(compact_interval=3, churn_threshold=10.0)
+        sess.index()
+        mgr = sess.enable_durability(tmp_path, checkpoint_every=4)
+        _run_mutations(sess, keys, 7)
+        want = (dg.epoch, dg.compactions, dg.materialize_edges())
+        assert want[:2] == (9, 2)
+        mgr.close()
+        sess.close()
+        for ck in list_checkpoints(tmp_path / "checkpoints"):
+            manifest = json.loads((ck / "manifest.json").read_text())
+            assert not {"mutation_batches", "index_epoch"} & set(manifest)
+            assert "index_maintenance" not in manifest["config"]
+            epoch = manifest["epoch"]
+            manifest["mutation_batches"] = epoch - manifest["compactions"]
+            manifest["index_epoch"] = epoch
+            manifest["config"]["index_maintenance"] = "incremental"
+            (ck / "manifest.json").write_text(json.dumps(manifest))
+
+        rec = recover_session(tmp_path, cross_check=True)
+        got = rec.dynamic()
+        assert rec._durability.last_recovery.checkpoint_fallbacks == 0
+        assert (got.epoch, got.compactions) == want[:2]
+        assert got.epoch - got.compactions == 7
+        edges = got.materialize_edges()
+        np.testing.assert_array_equal(edges.src, want[2].src)
+        np.testing.assert_array_equal(edges.dst, want[2].dst)
+        assert rec.has_index
+        rec._durability.close()
+        rec.close()
 
     def test_format_1_manifest_is_refused(self, graph, tmp_path):
         sess, mgr = _durable(graph, tmp_path)

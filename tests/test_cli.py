@@ -161,6 +161,24 @@ class TestServiceRefusals:
             main(["service", "--queries", "4", *flags, *SCALE], out=io.StringIO())
 
     @pytest.mark.parametrize(
+        "line, match",
+        [
+            ("+ 0 1 nan", "line 1: arrival must be finite"),
+            ("+ 0 1 inf", "line 1: arrival must be finite"),
+            ("+ 0 99999999 0", "inserts endpoint out of range"),
+        ],
+        ids=["arrival-nan", "arrival-inf", "endpoint-out-of-range"],
+    )
+    def test_malformed_stream_exits_cleanly(self, tmp_path, line, match):
+        # the parser refuses what it can see; the graph refuses the rest
+        # when the stream is queued, inside the same refusal clause
+        stream = tmp_path / "edits.txt"
+        stream.write_text(line + "\n")
+        with pytest.raises(SystemExit, match="^repro service: .*" + match):
+            main(["service", "--queries", "4", "--mutations", str(stream),
+                  *SCALE], out=io.StringIO())
+
+    @pytest.mark.parametrize(
         "flags",
         [
             ["--mutations", "{stream}"],

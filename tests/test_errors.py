@@ -7,15 +7,20 @@ pre-existing ``except RuntimeError:`` / ``except ValueError:`` handlers —
 and tests pinning them — keep working across the fault-tolerance refactor.
 """
 
+import importlib.util
+
 import numpy as np
 import pytest
 
 import repro.core.frontier
+import repro.dynamic
+import repro.dynamic.delta
 import repro.qos
 from repro.cli import build_parser
 from repro.core.api import run_program
 from repro.core.frontier import BitFrontier
 from repro.core.gas import run_gas
+from repro.core.kcore import core_numbers
 from repro.core.khop import _run_traversal, concurrent_khop
 from repro.core.ooc import concurrent_khop_out_of_core
 from repro.core.pagerank import PageRankProgram
@@ -124,8 +129,9 @@ def test_catching_the_base_catches_everything():
         (lambda sess: run_gas(sess, PageRankProgram(), 2, asynchronous=True),
          "asynchronous"),
         (lambda sess: concurrent_khop_out_of_core(sess, [0], 2), "out_of_core"),
+        (lambda sess: core_numbers(sess), "kcore"),
     ],
-    ids=["khop-async", "gas-async", "out-of-core"],
+    ids=["khop-async", "gas-async", "out-of-core", "kcore"],
 )
 def test_inproc_only_modes_fail_fast_and_typed_on_a_pool_session(call, mode):
     # one check, before any work: nothing was prepared, spawned or run; the
@@ -371,6 +377,12 @@ def test_removed_settings_are_gone(call):
         assert sess.batches_run == 0
 
 
+def _dynamic_session():
+    sess = GraphSession(path_graph(6))
+    sess.dynamic()
+    return sess
+
+
 @pytest.mark.parametrize(
     "owner, name",
     [
@@ -382,10 +394,23 @@ def test_removed_settings_are_gone(call):
         (repro.qos, "partition_query_masks"),
         (repro.qos, "locality_score"),
         (repro.core.frontier, "query_mask_for"),
+        (repro.dynamic, "SnapshotStore"),
+        (repro.dynamic, "GraphSnapshot"),
+        (repro.dynamic, "MutationLog"),
+        (repro.dynamic.delta, "MutationLog"),
+        (GraphSession, "snapshots"),
+        (GraphSession, "index_is_current"),
+        (_dynamic_session(), "_index_epoch"),
+        (_dynamic_session(), "_mutation_batches"),
     ],
 )
 def test_removed_helpers_are_gone(owner, name):
     assert not hasattr(owner, name)
+
+
+def test_the_snapshot_module_is_gone():
+    # DynamicGraph.edges_at / graph_at replay the epoch history
+    assert importlib.util.find_spec("repro.dynamic.snapshot") is None
 
 
 def test_the_affinity_flag_is_gone():
