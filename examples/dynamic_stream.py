@@ -14,8 +14,9 @@ end to end:
    runs against one consistent epoch, the index is patched in place
    (resumption BFS for inserts, invalidate-and-repair for deletes), and
    point queries keep routing to the index lane;
-3. compacts the delta into a fresh base mid-stream and shows the epoch
-   advancing without the edge set changing;
+3. compacts mid-stream (a new epoch over the same edge set, which
+   retires a pool's shared-memory image) and shows the epoch advancing
+   without the edge set changing;
 4. replays an old epoch from the dynamic graph's history to prove any
    past version stays queryable.
 
@@ -67,12 +68,12 @@ def main() -> None:
         print(
             f"  wave {wave}: epoch {res.epoch:2d}  "
             f"+{len(inserts)}/-{len(deletes)} edges  "
-            f"pending delta {dynamic.num_pending:2d}  "
+            f"{session.num_edges:,} edges  "
             f"index lane {index_hits}/{report.num_queries}"
         )
 
     print(f"\ncompactions so far: {dynamic.compactions} "
-          f"(every 4th mutated batch folds the delta into a new base)")
+          f"(one after every 4th mutated batch)")
 
     # Any past epoch stays queryable: replay epoch 2 from the history.
     old = dynamic.edges_at(2)

@@ -79,7 +79,7 @@ def core_numbers(
     sess.require_inproc(kcore=True)
     pg = sess.undirected_pg()
 
-    values = pg.edges.out_degrees().astype(np.int64)
+    values = pg.out_degrees().astype(np.int64)
     clock = VirtualClock()
     rounds = 0
     boundary = [p.boundary_vertices() for p in pg.partitions]

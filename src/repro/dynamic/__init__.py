@@ -6,17 +6,17 @@ subpackage keeps one :class:`~repro.graph.partition.PartitionedGraph`
 resident (and its shared-memory image attached to pool workers) while the
 edge set changes underneath it:
 
-* :mod:`repro.dynamic.delta` — the delta-aware partitioned CSR/CSC and
-  its epoch history: mutations splice *effective* shards over the frozen
-  base arrays in place, so traversal kernels (push scatter and dense pull
-  alike) read base+delta transparently and the shm graph image stays valid
-  between compactions, and ``DynamicGraph.edges_at(e)`` /
-  ``graph_at(e)`` replay the history to the exact edge set (and an oracle
-  partitioning) of any past epoch, which is what the service's
-  cross-check mode compares answers against.
+* :mod:`repro.dynamic.delta` — the live shards and their epoch history:
+  each mutation batch splices the touched partitions' shards in place by
+  its own effective record (:func:`~repro.dynamic.delta.splice_record`),
+  so traversal kernels (push scatter and dense pull alike) read the
+  current graph with no base copy beside it, and
+  ``DynamicGraph.edges_at(e)`` / ``graph_at(e)`` replay the history to the
+  exact edge set (and an oracle partitioning) of any past epoch, which is
+  what the service's cross-check mode compares answers against.
   :func:`~repro.dynamic.delta.build_with_delta` is the pool-side twin: it
-  patches a worker's attached shard before delegating to the algorithm's
-  real task builder.
+  splices a worker's attached shard by the records newer than the shm
+  image before delegating to the algorithm's real task builder.
 * :mod:`repro.dynamic.wal` — the durable twin of the in-memory history: an
   append-only, CRC32-framed write-ahead log with torn-tail repair, the
   substrate of whole-process crash recovery
@@ -32,10 +32,9 @@ from repro.dynamic.delta import (
     DynamicGraph,
     MutationRecord,
     MutationResult,
-    PartitionDelta,
-    apply_partition_delta,
     build_with_delta,
     splice_effective_csr,
+    splice_record,
 )
 from repro.dynamic.wal import FSYNC_POLICIES, WriteAheadLog
 
@@ -45,8 +44,7 @@ __all__ = [
     "DynamicGraph",
     "MutationRecord",
     "MutationResult",
-    "PartitionDelta",
-    "apply_partition_delta",
     "build_with_delta",
     "splice_effective_csr",
+    "splice_record",
 ]

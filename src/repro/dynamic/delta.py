@@ -1,33 +1,31 @@
-"""The dynamic graph: epoch history and the delta-aware partitioned CSR/CSC.
+"""The dynamic graph: epoch history over the live partition shards.
 
 A :class:`~repro.graph.partition.PartitionedGraph` is built once and then
 shared: the in-process engine reads its shards directly and the pool
 backend packs the same arrays into one shared-memory image the workers
-attach for their whole lifetime.  Rebuilding that world per edge mutation
-would forfeit everything the resident-session design buys, so the dynamic
-layer keeps the *base* arrays frozen and splices **effective shards** over
-them instead:
+attach for their whole lifetime.  The shards are the graph, and each
+mutation batch moves them forward by its own effective
+:class:`MutationRecord`:
 
-* every partition's ``out_csr``/``in_csc`` attribute is swapped in place
-  for a freshly built CSR over ``(base − deleted) ∪ inserted``, touching
-  only the partitions that own a mutated endpoint — resident
-  :class:`~repro.runtime.cluster.Machine` objects and the shm graph image
-  both stay valid;
-* pool workers receive the pending per-partition delta piggybacked on the
-  next task install (:func:`build_with_delta`) and patch their *attached*
-  shard the same way — the coordinator never repacks shared memory until
-  :meth:`DynamicGraph.compact` folds the delta into a new base;
-* the spliced CSR is a sorted-key merge into the base: every shard is
-  sorted by ``row·n + col`` with no repeats (what
-  :func:`~repro.graph.csr.build_csr` emits), so removing the deleted
-  entries and inserting the new ones at their ``searchsorted`` slots costs
-  the batch plus one copy of the shard — never a sort — and the result is
-  byte-identical to a partition rebuilt from scratch on the mutated edge
-  list, which is the invariant every cross-check and property test in
-  ``tests/dynamic`` pins;
-* the base edge set is one sorted key array, so membership tests are a
-  ``searchsorted`` and :meth:`DynamicGraph.compact` adopts the spliced
-  shards as the new base instead of re-partitioning the edge list.
+* :meth:`DynamicGraph.apply` tests each named pair against its owner's
+  sorted out-CSR row, keeps the effective ones (each delete names a
+  present edge, each insert an absent one) and hands that record to
+  :func:`splice_record`, which swaps the touched partitions'
+  ``out_csr``/``in_csc`` for spliced copies in place — resident
+  :class:`~repro.runtime.cluster.Machine` objects stay valid;
+* pool workers receive the records newer than their shm image on the next
+  task install (:func:`build_with_delta`) and splice their *attached*
+  shard with the same :func:`splice_record`, skipping records at or below
+  the shard's epoch — a respawned worker re-attaches the image and replays
+  them all; the coordinator repacks the image only when
+  :meth:`DynamicGraph.compact` retires it;
+* the splice is a sorted-key merge: every shard is sorted by
+  ``row·n + col`` with no repeats (what :func:`~repro.graph.csr.build_csr`
+  emits), so removing the deleted entries and inserting the new ones at
+  their ``searchsorted`` slots costs the batch plus one copy of the shard —
+  never a sort — and the result is byte-identical to a partition rebuilt
+  from scratch on the mutated edge list, which is the invariant every
+  cross-check and property test in ``tests/dynamic`` pins.
 
 Epochs
 ------
@@ -40,13 +38,13 @@ two graph versions.  :attr:`DynamicGraph.history` holds one
 :meth:`DynamicGraph.edges_at` / :meth:`DynamicGraph.graph_at` replay it to
 the exact edge set — and a from-scratch oracle partitioning — of any past
 epoch: shard construction is a pure function of the edge set, so the
-oracle's shards are byte-identical to the resident graph's effective
-shards at the same epoch, which is what the service's cross-check mode and
-the dynamic property suite compare against.
+oracle's shards are byte-identical to the live shards at the same epoch,
+which is what the service's cross-check mode and the dynamic property
+suite compare against.
 
-Dynamic graphs are restricted to unweighted, duplicate-free base edge
-lists (reachability's natural domain): set semantics make insert-existing
-and delete-absent well-defined no-ops.
+Dynamic graphs are restricted to unweighted, duplicate-free graphs
+(reachability's natural domain): set semantics make insert-existing and
+delete-absent well-defined no-ops.
 """
 
 from __future__ import annotations
@@ -59,6 +57,7 @@ from repro.errors import MutationError
 from repro.graph.csr import CSR, expand_ranges
 from repro.graph.edgelist import EdgeList
 from repro.graph.partition import (
+    Partition,
     PartitionedGraph,
     owner_of_bounds,
     partition_with_bounds,
@@ -68,10 +67,9 @@ __all__ = [
     "DynamicGraph",
     "MutationRecord",
     "MutationResult",
-    "PartitionDelta",
-    "apply_partition_delta",
     "build_with_delta",
     "splice_effective_csr",
+    "splice_record",
 ]
 
 
@@ -83,7 +81,8 @@ __all__ = [
 @dataclass(frozen=True)
 class MutationRecord:
     """One applied mutation batch (or compaction): an entry of
-    :attr:`DynamicGraph.history` and one frame of the write-ahead log."""
+    :attr:`DynamicGraph.history`, one frame of the write-ahead log and what
+    a pool worker splices its shard by."""
 
     epoch: int  # the epoch this batch created
     inserts: np.ndarray = field(repr=False)  # (k, 2) int64, applied only
@@ -108,7 +107,7 @@ class MutationResult:
 
 
 # --------------------------------------------------------------------------- #
-# effective-shard construction (shared by parent, workers, degraded path)
+# the splice (shared by the coordinator and the pool workers)
 # --------------------------------------------------------------------------- #
 
 
@@ -139,11 +138,12 @@ def splice_effective_csr(
 
     Rows are local (partition-relative), columns global.  ``base`` holds
     each row's columns ascending and without repeats (what `build_csr`
-    emits), every delete names a base entry and no insert does — the
-    pending delta's invariants.  The splice is then one sorted-key merge:
-    drop the deleted positions, insert the new columns at their slots and
-    shift ``indptr`` by the per-row counts.  Nothing of the base is
-    sorted, and the result matches a from-scratch rebuild byte for byte.
+    emits), every delete names a base entry and no insert does — what an
+    effective :class:`MutationRecord` guarantees.  The splice is then one
+    sorted-key merge: drop the deleted positions, insert the new columns
+    at their slots and shift ``indptr`` by the per-row counts.  Nothing of
+    the base is sorted, and the result matches a from-scratch rebuild byte
+    for byte.
     """
     n = num_vertices
     ins_rows, ins_cols, del_rows, del_cols = (
@@ -171,81 +171,55 @@ def splice_effective_csr(
     return CSR(indptr=indptr, indices=indices)
 
 
-@dataclass(frozen=True)
-class PartitionDelta:
-    """The cumulative pending delta for one partition, relative to its base.
+def splice_record(part: Partition, rec: MutationRecord, num_vertices: int) -> None:
+    """Bring ``part``'s shards from the epoch before ``rec`` to ``rec.epoch``.
 
-    Endpoint pairs are global ``(u, v)`` ids; ``out_*`` mutate the
-    partition's out-CSR (it owns ``u``), ``in_*`` its in-CSC (it owns
-    ``v``).  Picklable — this is the payload `build_with_delta` broadcasts
-    to pool workers.
+    ``rec`` holds effective pairs only, so every delete the partition owns
+    names one of its entries and no insert does — what
+    :func:`splice_effective_csr` needs.  The out-CSR takes the pairs whose
+    source the partition owns, the in-CSC those whose target it owns; a
+    partition the record does not touch keeps its arrays and exchange plan
+    and only moves its epoch.  The coordinator and the pool workers both
+    call this, so their shards stay byte-identical.
     """
 
-    part_id: int
-    epoch: int  # the graph epoch this delta brings the shard to
-    num_vertices: int
-    out_inserts: np.ndarray = field(repr=False)  # (k, 2) int64
-    out_deletes: np.ndarray = field(repr=False)
-    in_inserts: np.ndarray = field(repr=False)
-    in_deletes: np.ndarray = field(repr=False)
+    def owned(pairs: np.ndarray, col: int) -> np.ndarray:
+        return pairs[(pairs[:, col] >= part.lo) & (pairs[:, col] < part.hi)]
+
+    lo, rows = part.lo, part.num_local
+    ins, dels = owned(rec.inserts, 0), owned(rec.deletes, 0)
+    if ins.size or dels.size:
+        part.out_csr = splice_effective_csr(
+            part.out_csr, rows, num_vertices,
+            ins[:, 0] - lo, ins[:, 1], dels[:, 0] - lo, dels[:, 1],
+        )
+        part.plan_cache = None
+    ins, dels = owned(rec.inserts, 1), owned(rec.deletes, 1)
+    if ins.size or dels.size:
+        part.in_csc = splice_effective_csr(
+            part.in_csc, rows, num_vertices,
+            ins[:, 1] - lo, ins[:, 0], dels[:, 1] - lo, dels[:, 0],
+        )
+        part.plan_cache = None
+    part.graph_epoch = rec.epoch
 
 
-def apply_partition_delta(part, delta: PartitionDelta, base: tuple | None = None):
-    """Swap ``part``'s shards for their effective (base+delta) versions.
-
-    ``base`` is the ``(out_csr, in_csc)`` pair the delta is relative to;
-    by default the partition's current arrays (correct on first patch of a
-    freshly attached shard).  The exchange plan is dropped — it is rebuilt
-    lazily and deterministically from the new shards, under the partition's
-    edge-set layout, whose bounds stay frozen.
-    """
-    base_out, base_in = base if base is not None else (part.out_csr, part.in_csc)
-    n = delta.num_vertices
-    part.out_csr = splice_effective_csr(
-        base_out,
-        part.num_local,
-        n,
-        delta.out_inserts[:, 0] - part.lo,
-        delta.out_inserts[:, 1],
-        delta.out_deletes[:, 0] - part.lo,
-        delta.out_deletes[:, 1],
-    )
-    part.in_csc = splice_effective_csr(
-        base_in,
-        part.num_local,
-        n,
-        delta.in_inserts[:, 1] - part.lo,
-        delta.in_inserts[:, 0],
-        delta.in_deletes[:, 1] - part.lo,
-        delta.in_deletes[:, 0],
-    )
-    part.plan_cache = None
-    part.graph_epoch = delta.epoch
-
-
-#: Worker-process registry of pristine attached shards, keyed by partition
-#: id.  A pool worker owns exactly one partition whose base arrays live in
-#: the (immutable between compactions) shm image; the first delta install
-#: stashes those views here so every later cumulative delta re-splices
-#: from the true base, and a respawned worker starts from an empty
-#: registry against a freshly attached image.
-_WORKER_BASE: dict[int, tuple[CSR, CSR]] = {}
-
-
-def build_with_delta(machine, cluster, _inner_build=None, _deltas=None, **kwargs):
-    """Pool task builder that patches the worker's shard, then delegates.
+def build_with_delta(machine, cluster, _inner_build=None, _records=(), **kwargs):
+    """Pool task builder that splices the worker's shard, then delegates.
 
     Installed in place of the algorithm's real ``build`` whenever the
-    session has pending deltas: ``_deltas`` maps partition id to its
-    :class:`PartitionDelta` and ``_inner_build`` is the wrapped task class
-    (e.g. :class:`repro.core.khop.KHopPartitionTask`).  The patch is
-    skipped when the shard already sits at the delta's epoch.
+    session's graph moved past the pool's shm image: ``_records`` are the
+    :attr:`DynamicGraph.history` records newer than the image and
+    ``_inner_build`` is the wrapped task class (e.g.
+    :class:`repro.core.khop.KHopPartitionTask`).  Records at or below the
+    shard's epoch are skipped, so a live worker splices only what it has
+    not seen and a respawned one (its shard back at the image's epoch)
+    replays them all.
     """
     part = machine.partition
-    delta = None if _deltas is None else _deltas.get(part.part_id)
-    if delta is not None and getattr(part, "graph_epoch", 0) != delta.epoch:
-        base = _WORKER_BASE.setdefault(part.part_id, (part.out_csr, part.in_csc))
-        apply_partition_delta(part, delta, base=base)
+    for rec in _records:
+        if rec.epoch > part.graph_epoch:
+            splice_record(part, rec, cluster.num_vertices)
     return _inner_build(machine, cluster, **kwargs)
 
 
@@ -258,65 +232,42 @@ class DynamicGraph:
     """Streaming edge mutations over one resident partitioned graph.
 
     Wraps (and mutates in place) a :class:`PartitionedGraph` whose
-    partition bounds are frozen for the graph's lifetime.  The current
-    edge set is ``(base − deleted) ∪ inserted``; :meth:`apply` advances
-    the epoch and re-splices the touched partitions' shards, and
-    :meth:`compact` folds the pending delta into a new base (after which
-    the pool must repack its shm image — the session handles that by
-    closing the pool on compaction).  Both append to :attr:`history`,
-    which :meth:`edges_at` and :meth:`graph_at` replay.  This class moves
-    the graph only; a session's resident index follows the mutations that
-    go through :meth:`~repro.runtime.session.GraphSession.apply_mutations`.
+    partition bounds are frozen for the graph's lifetime.  Its shards are
+    the current edge set: :meth:`apply` advances the epoch and splices the
+    touched partitions by the batch's record, and :meth:`compact` marks a
+    new epoch that retires the pool's shm image (the session closes its
+    pool on compaction and the next batch packs the current shards).  Both
+    append to :attr:`history`, which :meth:`edges_at` and :meth:`graph_at`
+    replay.  This class moves the graph only; a session's resident index
+    follows the mutations that go through
+    :meth:`~repro.runtime.session.GraphSession.apply_mutations`.
     """
 
     def __init__(self, pg: PartitionedGraph):
-        if pg.edges.weight is not None:
+        if any(p.out_csr.weights is not None for p in pg.partitions):
             raise MutationError("dynamic graphs must be unweighted")
-        n = pg.num_vertices
-        base_keys = pg.edges.src.astype(np.int64) * n + pg.edges.dst.astype(np.int64)
-        sorted_keys = np.unique(base_keys)
-        if sorted_keys.size != base_keys.size:
+        self.pg = pg
+        self.num_vertices = n = pg.num_vertices
+        edges = pg.edge_list()
+        keys = edges.src.astype(np.int64) * n + edges.dst
+        if keys.size and not np.all(np.diff(keys)):
             raise MutationError(
                 "dynamic graphs need a duplicate-free base edge list "
                 "(EdgeList.deduplicate() it first)"
             )
-        self.pg = pg
-        self.num_vertices = n
         self.bounds = pg.bounds.copy()
         self.epoch = 0
         # The epoch history starts at — 0 for a graph built live, the
         # checkpoint's epoch after restore_epoch() — with its edge set, and
         # one record per epoch advance since.
         self.base_epoch = 0
-        self._base_epoch_keys = sorted_keys
+        self._base_epoch_keys = keys
         self.history: list[MutationRecord] = []
         self.compactions = 0
-        self._base_keys = sorted_keys  # the base edge set, sorted int64 keys
-        self._base_shards = {
-            p.part_id: (p.out_csr, p.in_csc) for p in pg.partitions
-        }
-        self._inserted: set[int] = set()  # pending, disjoint from base
-        self._deleted: set[int] = set()  # pending, subset of base
-        # Partitions mutated since the base shards were (re)built: the
-        # set pool_deltas() must cover even when pending nets to empty,
-        # so a patched worker can converge back onto the base image.
-        self._touched_since_base: set[int] = set()
         for p in pg.partitions:
             p.graph_epoch = 0
 
     # -- state -------------------------------------------------------------- #
-
-    @property
-    def num_pending(self) -> int:
-        return len(self._inserted) + len(self._deleted)
-
-    @property
-    def has_pending(self) -> bool:
-        return bool(self._inserted or self._deleted)
-
-    @property
-    def num_edges(self) -> int:
-        return self.pg.edges.num_edges - len(self._deleted) + len(self._inserted)
 
     def _encode(self, pairs: np.ndarray) -> np.ndarray:
         """(k, 2) endpoint pairs -> int64 keys ``u·n + v``."""
@@ -327,33 +278,26 @@ class DynamicGraph:
         n = self.num_vertices
         return np.stack([keys // n, keys % n], axis=1) if keys.size else keys.reshape(0, 2)
 
-    def _sorted_keys(self, keys: set) -> np.ndarray:
-        return np.array(sorted(keys), dtype=np.int64)
-
-    def _in_base(self, keys: np.ndarray) -> np.ndarray:
-        """Membership of each key in the base edge set."""
-        base = self._base_keys
-        pos = np.searchsorted(base, keys)
-        hit = pos < base.size
-        hit[hit] = base[pos[hit]] == keys[hit]
+    def _present(self, pairs: np.ndarray) -> np.ndarray:
+        """Whether each ``(u, v)`` is a current edge: a search of ``u``'s
+        sorted row in its owning partition's out-CSR."""
+        hit = np.zeros(len(pairs), dtype=bool)
+        owners = owner_of_bounds(self.bounds, pairs[:, 0])
+        for pid in np.unique(owners).tolist():
+            mine = owners == pid
+            part = self.pg.partitions[pid]
+            out = part.out_csr
+            rows, cols = pairs[mine, 0] - part.lo, pairs[mine, 1]
+            pos = _row_positions(out, rows, cols, self.num_vertices)
+            found = pos < out.indptr[rows + 1]
+            found[found] = out.indices[pos[found]] == cols[found]
+            hit[mine] = found
         return hit
-
-    def _current_keys(self) -> np.ndarray:
-        """The current edge set as sorted keys: the base less the pending
-        deletes (all base entries), plus the pending inserts (none are)."""
-        keys = self._base_keys
-        if self._deleted:
-            dels = self._sorted_keys(self._deleted)
-            keys = np.delete(keys, np.searchsorted(keys, dels))
-        if self._inserted:
-            ins = self._sorted_keys(self._inserted)
-            keys = np.insert(keys, np.searchsorted(keys, ins), ins)
-        return keys
 
     def materialize_edges(self) -> EdgeList:
         """The current edge set as a fresh :class:`EdgeList` (key-sorted,
         i.e. ``(src, dst)``-lexicographic — input-order independent)."""
-        return self._edge_list(self._current_keys())
+        return self.pg.edge_list()
 
     def _edge_list(self, keys: np.ndarray) -> EdgeList:
         pairs = self._decode(keys)
@@ -379,7 +323,7 @@ class DynamicGraph:
             if rec.epoch > epoch:
                 break
             if rec.compaction:
-                continue  # representation change only
+                continue  # same edge set
             keys = np.delete(keys, np.searchsorted(keys, self._encode(rec.deletes)))
             ins = self._encode(rec.inserts)
             keys = np.insert(keys, np.searchsorted(keys, ins), ins)
@@ -387,8 +331,8 @@ class DynamicGraph:
 
     def graph_at(self, epoch: int) -> PartitionedGraph:
         """A from-scratch oracle partitioning of ``epoch``'s edge set under
-        the frozen bounds — shard arrays byte-identical to the resident
-        graph's effective shards at that epoch."""
+        the frozen bounds — shard arrays byte-identical to the live shards
+        at that epoch."""
         return partition_with_bounds(self.edges_at(epoch), self.bounds)
 
     # -- mutation ------------------------------------------------------------ #
@@ -421,115 +365,30 @@ class DynamicGraph:
         is a no-op; a batch with no net effect does **not** advance the
         epoch.
         """
-        ins = self.as_pairs(inserts, "inserts")
-        dels = self.as_pairs(deletes, "deletes")
-        ins_keys = dict.fromkeys(self._encode(ins).tolist())
-        del_keys = dict.fromkeys(self._encode(dels).tolist())
-        asked = [*ins_keys, *del_keys]
-        in_base = dict(
-            zip(asked, self._in_base(np.array(asked, dtype=np.int64)).tolist())
-        )
+        ins_keys = np.unique(self._encode(self.as_pairs(inserts, "inserts")))
+        del_keys = np.unique(self._encode(self.as_pairs(deletes, "deletes")))
+        ins_arr = self._decode(ins_keys)
+        ins_arr = ins_arr[~self._present(ins_arr)]
+        del_arr = self._decode(np.setdiff1d(del_keys, ins_keys, assume_unique=True))
+        del_arr = del_arr[self._present(del_arr)]
+        noop_ins = ins_keys.size - len(ins_arr)
+        noop_del = del_keys.size - len(del_arr)
+        if not ins_arr.size and not del_arr.size:
+            return MutationResult(self.epoch, ins_arr, del_arr, noop_ins, noop_del)
 
-        def present(key: int) -> bool:
-            if key in self._inserted:
-                return True
-            return in_base[key] and key not in self._deleted
-
-        applied_ins = [k for k in ins_keys if not present(k)]
-        applied_del = [
-            k for k in del_keys if k not in ins_keys and present(k)
-        ]
-        noop_ins = len(ins_keys) - len(applied_ins)
-        noop_del = len(del_keys) - len(applied_del)
-        if not applied_ins and not applied_del:
-            empty = np.empty((0, 2), dtype=np.int64)
-            return MutationResult(self.epoch, empty, empty, noop_ins, noop_del)
-
-        for k in applied_ins:
-            if in_base[k]:
-                self._deleted.discard(k)
-            else:
-                self._inserted.add(k)
-        for k in applied_del:
-            if k in self._inserted:
-                self._inserted.discard(k)
-            else:
-                self._deleted.add(k)
         self.epoch += 1
-
-        ins_arr = self._decode(np.array(sorted(applied_ins), dtype=np.int64))
-        del_arr = self._decode(np.array(sorted(applied_del), dtype=np.int64))
-        touched = self._touched_partitions(ins_arr, del_arr)
-        self._touched_since_base.update(touched)
-        pending = self._pending_pairs()
-        for pid in touched:
-            apply_partition_delta(
-                self.pg.partitions[pid],
-                self._partition_delta(pid, *pending),
-                base=self._base_shards[pid],
-            )
-        # Parent-side invariant: every resident partition carries the
-        # current epoch, so build_with_delta's skip test holds on the
-        # degraded in-process path.
-        for p in self.pg.partitions:
-            p.graph_epoch = self.epoch
-        self.history.append(MutationRecord(self.epoch, ins_arr, del_arr))
+        rec = MutationRecord(self.epoch, ins_arr, del_arr)
+        for part in self.pg.partitions:
+            splice_record(part, rec, self.num_vertices)
+        self.history.append(rec)
         return MutationResult(
-            self.epoch, ins_arr, del_arr, noop_ins, noop_del, tuple(touched)
+            self.epoch, ins_arr, del_arr, noop_ins, noop_del,
+            self._touched_partitions(ins_arr, del_arr),
         )
 
-    def _touched_partitions(self, ins: np.ndarray, dels: np.ndarray) -> list[int]:
+    def _touched_partitions(self, ins: np.ndarray, dels: np.ndarray) -> tuple:
         endpoints = np.concatenate([ins.ravel(), dels.ravel()])
-        if not endpoints.size:
-            return []
-        owners = owner_of_bounds(self.bounds, endpoints)
-        return sorted(set(np.asarray(owners).tolist()))
-
-    def _pending_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cumulative pending (inserts, deletes) as sorted (k, 2) arrays."""
-        return (
-            self._decode(self._sorted_keys(self._inserted)),
-            self._decode(self._sorted_keys(self._deleted)),
-        )
-
-    def _partition_delta(self, pid: int, ins: np.ndarray, dels: np.ndarray):
-        part = self.pg.partitions[pid]
-        lo, hi = part.lo, part.hi
-
-        def side(pairs: np.ndarray, col: int) -> np.ndarray:
-            if not pairs.size:
-                return pairs.reshape(0, 2)
-            mask = (pairs[:, col] >= lo) & (pairs[:, col] < hi)
-            return pairs[mask]
-
-        return PartitionDelta(
-            part_id=pid,
-            epoch=self.epoch,
-            num_vertices=self.num_vertices,
-            out_inserts=side(ins, 0),
-            out_deletes=side(dels, 0),
-            in_inserts=side(ins, 1),
-            in_deletes=side(dels, 1),
-        )
-
-    def pool_deltas(self) -> dict[int, PartitionDelta] | None:
-        """Pending per-partition deltas for pool broadcast (None when clean).
-
-        Ships a delta for every partition mutated since the base image —
-        cumulative relative to that image, stamped with the current epoch
-        — so a worker (fresh, respawned, or lagging several epochs)
-        always converges on the same effective shard.  A partition whose
-        pending delta netted back to empty still gets an (empty) delta:
-        a worker patched at an earlier epoch must re-splice to return to
-        the base arrays.
-        """
-        if not self._touched_since_base:
-            return None
-        ins, dels = self._pending_pairs()
-        deltas = {}
-        for pid in sorted(self._touched_since_base):
-            deltas[pid] = self._partition_delta(pid, ins, dels)
-        return deltas or None
+        return tuple(np.unique(owner_of_bounds(self.bounds, endpoints)).tolist())
 
     # -- recovery ------------------------------------------------------------ #
 
@@ -539,9 +398,9 @@ class DynamicGraph:
         Recovery rebuilds the graph from checkpointed edges — so the
         *content* is already epoch ``epoch``; this aligns the version
         counters so WAL suffix replay advances them exactly as the
-        original process did.  Only valid before any mutation: the base
-        arrays must BE the checkpointed state."""
-        if self.epoch != 0 or self.history or self.has_pending:
+        original process did.  Only valid before any mutation: the shards
+        must BE the checkpointed state."""
+        if self.epoch != 0 or self.history:
             raise MutationError(
                 "restore_epoch requires a pristine dynamic graph "
                 "(no mutations, no history)"
@@ -557,39 +416,25 @@ class DynamicGraph:
     # -- compaction ---------------------------------------------------------- #
 
     def compact(self) -> MutationResult:
-        """Fold the pending delta into a new base edge list.
+        """Mark a compaction: a new epoch over the same edge set.
 
-        The graph itself does not change — only its representation — but
-        the epoch still advances: the base arrays backing any shm image
-        are replaced, so resident pool state keyed on the old epoch must
-        never be reused (the session closes its pool on compaction and the
-        next batch packs a fresh image).  The effective shards already are
-        what a rebuild from the compacted edge list would produce, byte for
-        byte, so they become the new base as they stand.
+        The shards do not change, but the epoch still advances and a
+        record joins the history (and the WAL): the compaction retires the
+        pool's shm image, so resident pool state keyed on the old epoch is
+        never reused — the session closes its pool here and the next batch
+        packs the current shards.
         """
-        keys = self._current_keys()
-        for part in self.pg.partitions:
-            part.plan_cache = None
-        self.pg.edges = self._edge_list(keys)
         self.epoch += 1
         self.compactions += 1
-        self._base_keys = keys
-        self._base_shards = {
-            p.part_id: (p.out_csr, p.in_csc) for p in self.pg.partitions
-        }
-        self._inserted.clear()
-        self._deleted.clear()
-        self._touched_since_base.clear()
-        for p in self.pg.partitions:
-            p.graph_epoch = self.epoch
         empty = np.empty((0, 2), dtype=np.int64)
-        self.history.append(
-            MutationRecord(self.epoch, empty, empty, compaction=True)
-        )
+        rec = MutationRecord(self.epoch, empty, empty, compaction=True)
+        for part in self.pg.partitions:
+            part.graph_epoch = self.epoch
+        self.history.append(rec)
         return MutationResult(self.epoch, empty, empty)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"DynamicGraph(n={self.num_vertices}, m={self.num_edges}, "
-            f"epoch={self.epoch}, pending={self.num_pending})"
+            f"DynamicGraph(n={self.num_vertices}, m={self.pg.num_edges}, "
+            f"epoch={self.epoch})"
         )

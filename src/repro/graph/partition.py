@@ -192,6 +192,9 @@ class Partition:
         Only bounds: it outlives edge changes, which drop just the plan.
     plan_cache:
         Lazily built :class:`ExchangePlan` (see :meth:`exchange_plan`).
+    graph_epoch:
+        The dynamic graph's epoch the shards hold (0 for a static graph);
+        :func:`~repro.dynamic.delta.splice_record` advances it.
     """
 
     part_id: int
@@ -201,6 +204,7 @@ class Partition:
     in_csc: CSR = field(repr=False)
     edge_sets: EdgeSetMatrix | None = field(default=None, repr=False)
     plan_cache: ExchangePlan | None = field(default=None, repr=False)
+    graph_epoch: int = 0
 
     @property
     def num_local(self) -> int:
@@ -251,10 +255,11 @@ class PartitionedGraph:
 
     The object is the hand-off point between the graph substrate and the
     runtime: the runtime assigns one :class:`Partition` per simulated machine.
+    The shards are the graph: no edge list is kept beside them, and
+    :meth:`edge_list` rebuilds one when a caller needs it.
     """
 
-    def __init__(self, edges: EdgeList, bounds: np.ndarray, partitions: list[Partition]):
-        self.edges = edges
+    def __init__(self, bounds: np.ndarray, partitions: list[Partition]):
         self.bounds = np.asarray(bounds, dtype=np.int64)
         self.partitions = partitions
         #: ``(sets_per_partition, consolidate_min_edges)`` of the edge-set
@@ -265,11 +270,11 @@ class PartitionedGraph:
 
     @property
     def num_vertices(self) -> int:
-        return self.edges.num_vertices
+        return int(self.bounds[-1])
 
     @property
     def num_edges(self) -> int:
-        return self.edges.num_edges
+        return sum(p.out_csr.nnz for p in self.partitions)
 
     @property
     def num_partitions(self) -> int:
@@ -282,6 +287,26 @@ class PartitionedGraph:
     def partition_of(self, v: int) -> Partition:
         """The :class:`Partition` owning global vertex ``v``."""
         return self.partitions[int(self.owner_of(v))]
+
+    def out_degrees(self) -> np.ndarray:
+        """Out-degree of every vertex, from the out-CSR rows."""
+        return np.concatenate([p.out_csr.degrees() for p in self.partitions])
+
+    def in_degrees(self) -> np.ndarray:
+        """In-degree of every vertex, from the in-CSC rows."""
+        return np.concatenate([p.in_csc.degrees() for p in self.partitions])
+
+    def edge_list(self) -> EdgeList:
+        """The graph's edges rebuilt from the out-CSR rows, key-sorted
+        (``(src, dst)``-lexicographic, whatever the input order was)."""
+        parts = self.partitions
+        src = np.concatenate(
+            [np.repeat(np.arange(p.lo, p.hi), p.out_csr.degrees()) for p in parts]
+        )
+        dst = np.concatenate([p.out_csr.indices for p in parts])
+        weights = [p.out_csr.weights for p in parts]
+        weight = None if any(w is None for w in weights) else np.concatenate(weights)
+        return EdgeList(src, dst, self.num_vertices, weight=weight)
 
     # -- the edge-set layout ---------------------------------------------- #
 
@@ -316,9 +341,7 @@ class PartitionedGraph:
     ) -> list[EdgeSetMatrix]:
         """Each partition's edge-set tiling of its current out-edges, per
         :meth:`build_edge_sets`'s settings, without installing it."""
-        col_bounds = degree_balanced_ranges(
-            self.edges.in_degrees(), sets_per_partition
-        )
+        col_bounds = degree_balanced_ranges(self.in_degrees(), sets_per_partition)
         return [
             EdgeSetMatrix.tile(
                 part.out_csr, col_bounds, sets_per_partition, consolidate_min_edges
@@ -404,7 +427,7 @@ def partition_with_bounds(edges: EdgeList, bounds: np.ndarray) -> PartitionedGra
             weights=None if w is None else w[in_mask],
         )
         partitions.append(Partition(pid, lo, hi, out_csr, in_csc))
-    return PartitionedGraph(edges, bounds, partitions)
+    return PartitionedGraph(bounds, partitions)
 
 
 def _masked_prefix(mask: np.ndarray, indptr: np.ndarray) -> np.ndarray:

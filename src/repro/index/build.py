@@ -91,9 +91,11 @@ def _concat_shards(shards: list[CSR]) -> CSR:
 
 
 def hub_order(graph: EdgeList | PartitionedGraph) -> np.ndarray:
-    """Vertex ids in hub-rank order: total degree descending, id ascending."""
-    edges = graph if isinstance(graph, EdgeList) else graph.edges
-    degrees = edges.out_degrees() + edges.in_degrees()
+    """Vertex ids in hub-rank order: total degree descending, id ascending.
+
+    A partitioned graph's degrees are read off its shards, so a dynamic
+    session ranks by the current graph."""
+    degrees = graph.out_degrees() + graph.in_degrees()
     # argsort on -degree is stable, so equal degrees keep ascending ids
     return np.argsort(-degrees, kind="stable").astype(np.int64)
 

@@ -31,6 +31,8 @@ The durable directory holds two things:
   recovery ignores the keys older builds wrote for it and for the index
   epoch and maintenance mode (``mutation_batches``, ``index_epoch``,
   ``config.index_maintenance``), so their directories recover unchanged.
+  The edge-set layout's settings are ``config.edge_sets`` (null without
+  one); a manifest without the key recovers with no layout.
 
 Recovery (:func:`recover_session`) takes only the path.  It loads the
 newest checkpoint whose payload still matches its manifest CRCs — falling
@@ -355,6 +357,7 @@ class DurabilityManager:
                 "checkpoint_every": self.checkpoint_every,
                 "compact_interval": sess._compact_interval,
                 "churn_threshold": sess._index_churn_threshold,
+                "edge_sets": sess.pg.edge_set_settings,
             },
             "files": files,
         }
@@ -418,11 +421,12 @@ def recover_session(root, *, cross_check: bool = False, **session_kwargs):
     Loads the newest checkpoint whose payload validates (older ones on
     :class:`~repro.errors.CorruptCheckpoint`), restores the settings its
     manifest records (compaction cadence, churn threshold, WAL fsync
-    policy, checkpoint cadence), restores the epoch and compaction
-    counters, replays the WAL suffix through the session's normal write
-    paths, completes any auto-compaction the crash interrupted, and
-    re-attaches a :class:`DurabilityManager` over the same WAL so the
-    recovered process keeps appending where the dead one stopped.  ``cross_check=True`` additionally asserts the recovered
+    policy, checkpoint cadence, edge-set layout), restores the epoch and
+    compaction counters, replays the WAL suffix through the session's
+    normal write paths, completes any auto-compaction the crash
+    interrupted, and re-attaches a :class:`DurabilityManager` over the same
+    WAL so the recovered process keeps appending where the dead one
+    stopped.  ``cross_check=True`` additionally asserts the recovered
     shards are byte-identical to a from-scratch partitioning of the
     replayed edge set.  ``session_kwargs`` (``backend``,
     ``instrumentation``, ...) go to the :class:`GraphSession`.
@@ -460,7 +464,10 @@ def recover_session(root, *, cross_check: bool = False, **session_kwargs):
     ckpt_epoch = int(manifest["epoch"])
     config = manifest["config"]
 
-    sess = GraphSession(partition_with_bounds(edges, bounds), **session_kwargs)
+    pg = partition_with_bounds(edges, bounds)
+    if config.get("edge_sets") is not None:  # absent in older manifests
+        pg.build_edge_sets(*config["edge_sets"])
+    sess = GraphSession(pg, **session_kwargs)
     # Replay must not auto-compact on its own cadence: compactions replay
     # from their WAL records (plus the catch-up below); the recorded
     # interval is restored once the session is current.

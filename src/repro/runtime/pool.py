@@ -430,7 +430,6 @@ class WorkerPool:
         instrumentation=None,
         fault_plan: FaultPlan | None = None,
         fault_tolerance: FaultTolerance | None = None,
-        base_shards=None,
     ):
         from repro.telemetry.instrument import NULL_INSTRUMENTATION
 
@@ -442,12 +441,10 @@ class WorkerPool:
         self._fault_plan = fault_plan
         self._fault_consumed: set[tuple[int, int]] = set()
         self._token = secrets.token_hex(4)
-        # A dynamic session hands us its pristine base shards: partition
-        # deltas are cumulative relative to the base image, so packing the
-        # parent's spliced arrays would make workers double-apply them.
-        self._image, manifest = build_graph_image(
-            pg, f"cgp{self._token}", base_shards=base_shards
-        )
+        self._image, manifest = build_graph_image(pg, f"cgp{self._token}")
+        #: the graph epoch the image holds: a dynamic session ships the
+        #: mutation records newer than this with every task install
+        self.image_epoch = min(p.epoch for p in manifest.partitions)
         self._outboxes: list = [None] * self.num_workers
         self._outbox_width = 0
         self._outbox_gen = 0

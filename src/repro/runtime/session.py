@@ -222,14 +222,6 @@ class GraphSession:
                     instrumentation=self.instr,
                     fault_plan=self.fault_plan,
                     fault_tolerance=self.fault_tolerance,
-                    # Pool deltas are cumulative relative to the base image;
-                    # a pool started after mutations must pack the pristine
-                    # base shards, not the spliced arrays.
-                    base_shards=(
-                        self._dynamic._base_shards
-                        if self._dynamic is not None
-                        else None
-                    ),
                 )
         return self._pool
 
@@ -288,9 +280,6 @@ class GraphSession:
 
     @property
     def num_edges(self) -> int:
-        """Live edges: the dynamic graph's count once mutations are on."""
-        if self._dynamic is not None:
-            return self._dynamic.num_edges
         return self.pg.num_edges
 
     @property
@@ -327,8 +316,9 @@ class GraphSession:
         batch (resumption/repair BFS), with a full rebuild past
         ``churn_threshold`` cumulative churn, so it is always current;
         ``index_maintenance`` names that one mode and is kept for callers
-        that still pass it.  ``compact_interval`` folds the pending delta
-        into a new base every that many mutated batches.
+        that still pass it.  ``compact_interval`` compacts (a new epoch
+        that retires the pool's shm image) every that many mutated
+        batches.
         """
         if index_maintenance != "incremental":
             raise ValueError("index_maintenance must be 'incremental'")
@@ -386,7 +376,7 @@ class GraphSession:
         """Apply one edge-mutation batch to the resident graph.
 
         The one write path of the dynamic layer: splices the touched
-        partitions' effective shards in place (advancing the graph epoch),
+        partitions' shards in place (advancing the graph epoch),
         invalidates every epoch-dependent cache, patches the resident index
         and triggers compaction on the configured interval (every that
         many mutated batches, i.e. when ``epoch − compactions`` is a
@@ -429,12 +419,13 @@ class GraphSession:
         return res
 
     def compact(self):
-        """Fold pending deltas into a new base (see
+        """Compact the dynamic graph (see
         :meth:`~repro.dynamic.delta.DynamicGraph.compact`).
 
-        Advances the epoch without changing the graph; the pool is closed
-        because its shm image holds the old base arrays — the next pool
-        batch packs a fresh image from the compacted graph.
+        Advances the epoch without changing the graph and retires the shm
+        image: the pool is closed, and the next pool batch packs a fresh
+        image of the current shards, so no worker replays the records
+        before this epoch again.
         """
         dg = self.dynamic()
         # True write-ahead: the compaction's record is durable before the
@@ -526,7 +517,7 @@ class GraphSession:
         """The partitioned undirected simple view, built once (k-core)."""
         if self._undirected_pg is None:
             simple = (
-                self.pg.edges.symmetrize().remove_self_loops().deduplicate()
+                self.pg.edge_list().symmetrize().remove_self_loops().deduplicate()
             )
             self._undirected_pg = range_partition(simple, self.num_machines)
         return self._undirected_pg
@@ -741,27 +732,28 @@ class GraphSession:
         (:class:`~repro.errors.UnsupportedConfigError`), before any worker
         has changed.
 
-        While a dynamic session has mutations pending against the base
-        image, the worker-side build is wrapped in
-        :func:`~repro.dynamic.delta.build_with_delta`, so workers splice
-        their shard up to the current epoch; the image is repacked only on
-        compaction, which closes the pool.
+        While a dynamic session's graph is past the pool's shm image, the
+        worker-side build is wrapped in
+        :func:`~repro.dynamic.delta.build_with_delta` with the history
+        records newer than the image, so workers splice their shard up to
+        the current epoch; the image is repacked only on compaction, which
+        closes the pool.
         """
         key = self._resident_key(cache_key)
-        build, build_kwargs = task_cls, task_kwargs
-        deltas = (
-            self._dynamic.pool_deltas() if self._dynamic is not None else None
-        )
-        if deltas is not None:
-            from repro.dynamic.delta import build_with_delta
-
-            build = build_with_delta
-            build_kwargs = {
-                "_inner_build": task_cls, "_deltas": deltas, **task_kwargs
-            }
         seeds = None if sources is None else self.seeds_by_machine(sources)
         try:
             pool = self.pool()
+            build, build_kwargs = task_cls, task_kwargs
+            behind = self.graph_epoch - pool.image_epoch
+            if behind:
+                from repro.dynamic.delta import build_with_delta
+
+                # history holds one record per epoch advance, newest last
+                records = self._dynamic.history[-behind:]
+                build = build_with_delta
+                build_kwargs = {
+                    "_inner_build": task_cls, "_records": records, **task_kwargs
+                }
             pool.ensure_task(
                 key, build, build_kwargs, task_kwargs, payload_width,
                 seeds=seeds, combiner=combiner, probe=probe,

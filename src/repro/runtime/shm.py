@@ -7,7 +7,8 @@ named ``multiprocessing.shared_memory`` segments instead of pickles:
 * the **graph image** — every partition's CSR/CSC arrays plus the partition
   bounds, packed into one segment by the parent and attached read-only by
   every worker exactly once at pool start (each partition's edge-set layout
-  is a few stripe bounds and rides in the manifest itself);
+  is a few stripe bounds and rides in the manifest itself, as does the
+  graph epoch its shards hold);
 * per-worker **outbox segments** — each worker owns one segment into which
   it writes its combined per-destination message batches every superstep;
   peers attach lazily and read the batches as zero-copy numpy views.
@@ -73,6 +74,7 @@ class PartitionManifest:
     out_csr: CSRManifest
     in_csc: CSRManifest
     edge_sets: EdgeSetMatrix | None = None
+    epoch: int = 0  # the dynamic graph's epoch the packed shards hold
 
 
 @dataclass(frozen=True)
@@ -80,8 +82,6 @@ class GraphManifest:
     """Everything a worker needs to rebuild its shard over shared views."""
 
     segment: str
-    num_vertices: int
-    num_edges: int
     bounds: ArraySpec
     partitions: list[PartitionManifest]
 
@@ -142,20 +142,17 @@ class _Planner:
 
 
 def build_graph_image(
-    pg: PartitionedGraph, name: str, base_shards=None
+    pg: PartitionedGraph, name: str
 ) -> tuple[shared_memory.SharedMemory, GraphManifest]:
-    """Pack a partitioned graph into one named segment (parent side).
+    """Pack a partitioned graph's current shards into one named segment
+    (parent side).
 
     Returns the owning :class:`SharedMemory` (caller unlinks on shutdown)
     and the manifest workers use to attach, edge-set layouts included, so
-    every worker builds its exchange plan as the parent would.
-
-    ``base_shards`` (``{part_id: (out_csr, in_csc)}``) overrides the
-    arrays packed for each partition.  A dynamic session passes its
-    pristine base shards here: partition deltas are cumulative relative
-    to the *base* image, so a pool started while mutations are pending
-    must not pack the parent's already-spliced arrays — the worker-side
-    splice would re-apply the delta on top of them.
+    every worker builds its exchange plan as the parent would.  Each
+    partition's manifest is stamped with the graph epoch its shards hold:
+    a worker splices only the mutation records newer than that
+    (:func:`~repro.dynamic.delta.build_with_delta`).
     """
     planner = _Planner()
     copies: list[tuple[ArraySpec, np.ndarray]] = []
@@ -172,32 +169,24 @@ def build_graph_image(
             weights=None if csr.weights is None else plan(csr.weights),
         )
 
-    def shards_of(p) -> tuple[CSR, CSR]:
-        if base_shards is not None and p.part_id in base_shards:
-            return base_shards[p.part_id]
-        return p.out_csr, p.in_csc
-
     bounds_spec = plan(pg.bounds)
-    part_manifests = []
-    for p in pg.partitions:
-        out_csr, in_csc = shards_of(p)
-        part_manifests.append(
-            PartitionManifest(
-                part_id=p.part_id,
-                lo=p.lo,
-                hi=p.hi,
-                out_csr=plan_csr(out_csr),
-                in_csc=plan_csr(in_csc),
-                edge_sets=p.edge_sets,
-            )
+    part_manifests = [
+        PartitionManifest(
+            part_id=p.part_id,
+            lo=p.lo,
+            hi=p.hi,
+            out_csr=plan_csr(p.out_csr),
+            in_csc=plan_csr(p.in_csc),
+            edge_sets=p.edge_sets,
+            epoch=p.graph_epoch,
         )
+        for p in pg.partitions
+    ]
     shm = create_segment(name, planner.cursor)
     for spec, arr in copies:
         view_array(shm.buf, spec, writeable=True)[...] = arr
     manifest = GraphManifest(
         segment=shm.name,
-        num_vertices=pg.num_vertices,
-        num_edges=pg.num_edges,
         bounds=bounds_spec,
         partitions=part_manifests,
     )
@@ -209,8 +198,6 @@ class AttachedGraph:
     """A worker's zero-copy handle on the shared graph image."""
 
     segment: shared_memory.SharedMemory
-    num_vertices: int
-    num_edges: int
     bounds: np.ndarray
     partitions: list[Partition]
 
@@ -246,13 +233,12 @@ def attach_graph(manifest: GraphManifest) -> AttachedGraph:
             out_csr=csr(p.out_csr),
             in_csc=csr(p.in_csc),
             edge_sets=p.edge_sets,
+            graph_epoch=p.epoch,
         )
         for p in manifest.partitions
     ]
     return AttachedGraph(
         segment=shm,
-        num_vertices=manifest.num_vertices,
-        num_edges=manifest.num_edges,
         bounds=view_array(shm.buf, manifest.bounds),
         partitions=partitions,
     )

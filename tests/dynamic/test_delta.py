@@ -5,11 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.core.kcore import core_numbers
 from repro.core.multi_sssp import concurrent_sssp
 from repro.core.pagerank import pagerank
 from repro.dynamic import DynamicGraph
 from repro.errors import MutationError, UnsupportedConfigError
 from repro.graph import CSR, EdgeList, range_partition
+from repro.index.build import build_hub_labels
+from repro.index.storage import labels_equal
 from repro.runtime.session import GraphSession
 
 from tests.dynamic.conftest import (
@@ -24,7 +27,7 @@ class TestApply:
     def test_advances_epoch_and_edge_count(self, dyn_session, edge_keys, rng):
         dg = dyn_session.dynamic()
         n = dg.num_vertices
-        base_edges = dg.num_edges
+        base_edges = dyn_session.num_edges
         ins = fresh_edges(rng, n, edge_keys, 3)
         dels = existing_edges(rng, n, edge_keys, 2)
         res = dg.apply(ins, dels)
@@ -32,8 +35,10 @@ class TestApply:
         assert res.epoch == 1 == dg.epoch
         assert res.inserted.shape == (3, 2)
         assert res.deleted.shape == (2, 2)
-        assert dg.num_edges == base_edges + 1
-        assert dg.num_pending == 5
+        assert dyn_session.num_edges == dg.pg.num_edges == base_edges + 1
+        (rec,) = dg.history  # the batch's effective record
+        np.testing.assert_array_equal(rec.inserts, res.inserted)
+        np.testing.assert_array_equal(rec.deletes, res.deleted)
 
     def test_noop_batch_changes_nothing(self, dyn_session, edge_keys, rng):
         dg = dyn_session.dynamic()
@@ -46,7 +51,7 @@ class TestApply:
         assert res.noop_inserts == 1
         assert res.noop_deletes == 1
         assert dg.epoch == 0
-        assert dg.num_pending == 0
+        assert dg.history == []
 
     def test_insert_then_delete_round_trips(self, dyn_session, edge_keys, rng):
         dg = dyn_session.dynamic()
@@ -56,7 +61,10 @@ class TestApply:
         res = dg.apply([], [edge])
         assert res.changed
         assert dg.epoch == 2
-        assert dg.num_pending == 0  # re-deleting a pending insert cancels it
+        # deleting the insert brings back the epoch-0 edge set
+        back, base = dg.materialize_edges(), dg.edges_at(0)
+        np.testing.assert_array_equal(back.src, base.src)
+        np.testing.assert_array_equal(back.dst, base.dst)
         oracle = dg.graph_at(dg.epoch)
         assert_shards_equal(dg.pg, oracle)
 
@@ -123,11 +131,13 @@ class TestSplicing:
             oracle = dg.graph_at(dg.epoch)
             assert_shards_equal(dg.pg, oracle)
 
-    def test_traversal_sees_mutations(self, dyn_session, edge_keys, rng):
+    def test_traversal_sees_mutations(
+        self, dyn_session, dyn_graph, edge_keys, rng
+    ):
         # A vertex made reachable by an inserted edge must show up in khop.
         dg = dyn_session.dynamic()
         n = dg.num_vertices
-        src = int(dyn_session.pg.edges.src[0])
+        src = int(dyn_graph.src[0])
         before = dyn_session.khop([src], 1)
         (edge,) = fresh_edges(rng, n, edge_keys, 1)
         u, v = src, edge[1]
@@ -136,6 +146,49 @@ class TestSplicing:
         dg.apply([(u, v)], [])
         after = dyn_session.khop([src], 1)
         assert after.reached[0] >= before.reached[0]
+
+
+class TestLiveShardReaders:
+    """Everything that reads the graph reads the live shards, so a dynamic
+    session between compactions answers for its current edge set."""
+
+    def test_kcore_sees_an_uncompacted_insert(self):
+        # a path 0-1-2 closed into a triangle
+        path = EdgeList.from_pairs([(0, 1), (1, 2)], num_vertices=4)
+        sess = GraphSession(path, num_machines=2)
+        sess.dynamic()
+        sess.apply_mutations([(0, 2)], [])
+        fresh = GraphSession(sess.dynamic().edges_at(sess.graph_epoch), 2)
+        assert core_numbers(sess).core.tolist() == [2, 2, 2, 0]
+        assert core_numbers(fresh).core.tolist() == [2, 2, 2, 0]
+
+    def test_index_rebuild_ranks_hubs_by_the_current_degrees(
+        self, dyn_session, dyn_graph, edge_keys, rng
+    ):
+        dg = dyn_session.dynamic()
+        n = dg.num_vertices
+        dyn_session.index()
+        # make the least-connected vertex the top hub
+        quiet = int(np.argmin(dyn_graph.total_degrees()))
+        fanout = [(quiet, v) for v in range(n) if v != quiet][:60]
+        dyn_session.apply_mutations(fanout, existing_edges(rng, n, edge_keys, 5))
+        got = dyn_session.index_build(rebuild=True).labels
+        want = build_hub_labels(dg.graph_at(dg.epoch)).labels
+        assert labels_equal(got, want)
+
+    def test_edge_count_is_live_between_compactions(
+        self, dyn_session, edge_keys, rng
+    ):
+        dg = dyn_session.dynamic()
+        n = dg.num_vertices
+        for _ in range(3):
+            dyn_session.apply_mutations(
+                fresh_edges(rng, n, edge_keys, 4),
+                existing_edges(rng, n, edge_keys, 1),
+            )
+            assert dyn_session.pg.num_edges == dyn_session.num_edges
+            assert dyn_session.num_edges == len(edge_keys)
+        assert dg.compactions == 0
 
 
 class TestSlotSpace:
@@ -242,7 +295,7 @@ class TestCompact:
         edges_before = dg.edges_at(dg.epoch)
         res = dg.compact()
         assert res.epoch == dg.epoch
-        assert dg.num_pending == 0
+        assert dg.history[-1].compaction
         assert dg.compactions == 1
         # Representation-only: the edge set is unchanged across the
         # compaction epoch, and the shards still match the oracle.

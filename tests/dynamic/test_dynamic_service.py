@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import MutationError
+from repro.runtime.fault import FaultPlan
 from repro.runtime.scheduler import QueryService
 from repro.runtime.session import GraphSession
 
@@ -28,13 +29,15 @@ class TestMutationLane:
         assert res.epoch == 1 == dyn_session.graph_epoch
         assert svc.mutations_applied == 1
 
-    def test_queued_mutations_interleave(self, dyn_session, edge_keys, rng):
+    def test_queued_mutations_interleave(
+        self, dyn_session, dyn_graph, edge_keys, rng
+    ):
         # One query before the mutation's arrival, one far after: the
         # mutation must apply between them, and each query's recorded
         # epoch says which graph version served it.
         svc = QueryService(dyn_session, k=2)
         n = dyn_session.num_vertices
-        early, late = _roots(dyn_session.pg.edges, 2)
+        early, late = _roots(dyn_graph, 2)
         svc.submit(early, arrival=0.0)
         svc.submit(late, arrival=1e6)
         assert (
@@ -101,19 +104,21 @@ class TestMutationLane:
         rep = svc.drain()
         assert rep.mutations_applied == 2
         assert dg.compactions == 2
-        assert dg.num_pending == 0
+        assert dg.history[-1].compaction
         assert dg.epoch == 4
         np.testing.assert_array_equal(rep.epochs, [0, 4])
 
 
 class TestCrossCheck:
-    def test_interleaved_drain_passes_oracle(self, dyn_session, edge_keys, rng):
+    def test_interleaved_drain_passes_oracle(
+        self, dyn_session, dyn_graph, edge_keys, rng
+    ):
         # cross_check on a dynamic session replays every dispatched batch
         # on a rebuilt-from-scratch graph at the batch's epoch and raises
         # on any answer/clock divergence.
         svc = QueryService(dyn_session, k=2, cross_check=True)
         n = dyn_session.num_vertices
-        roots = _roots(dyn_session.pg.edges, 4)
+        roots = _roots(dyn_graph, 4)
         for i, r in enumerate(roots):
             svc.submit(r, arrival=float(i) * 1e6)
         svc.apply_mutations(fresh_edges(rng, n, edge_keys, 2),
@@ -190,3 +195,26 @@ class TestPoolBackend:
             rep = svc.drain()  # oracle cross-check: answers and clocks
             assert not rep.degraded
             assert sess.graph_epoch == 2
+
+    def test_respawned_worker_replays_the_records(self, dyn_graph, edge_keys, rng):
+        # The image is packed at epoch 0 and three batches follow.  A
+        # worker killed mid-batch comes back attached to that image, so it
+        # must splice every record since then to answer for epoch 3.
+        with GraphSession(dyn_graph, num_machines=2, backend="pool") as sess:
+            sess.dynamic(churn_threshold=10.0)
+            svc = QueryService(sess, k=2, cross_check=True)
+            n = sess.num_vertices
+            roots = _roots(dyn_graph, 4)
+            svc.submit(roots[0], arrival=0.0)
+            svc.drain()  # starts the pool
+            for _ in range(3):
+                sess.apply_mutations(fresh_edges(rng, n, edge_keys, 3),
+                                     existing_edges(rng, n, edge_keys, 2))
+            assert sess.pool().image_epoch == 0
+            sess.set_fault_plan(FaultPlan().crash_worker(1, 0))
+            for i, r in enumerate(roots):
+                svc.submit(r, arrival=1e6 * (i + 1))
+            rep = svc.drain()  # cross-checked against graph_at(3)
+            assert not rep.degraded
+            assert sess.pool().recoveries == 1
+            np.testing.assert_array_equal(rep.epochs, [3] * len(roots))

@@ -159,3 +159,28 @@ def test_partition_edge_conservation_property(pairs, p):
             for t in part.out_csr.neighbors(v_local):
                 out_edges.append((v_local + part.lo, int(t)))
     assert sorted(out_edges) == sorted(pairs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(st.integers(0, 25), st.integers(0, 25)), min_size=0, max_size=120
+    ),
+    p=st.integers(1, 6),
+)
+def test_the_shards_are_the_graph(pairs, p):
+    """With no edge list held, the graph's shape and edges come back from
+    the shards: ``edge_list()`` is the input sorted by ``(src, dst)``,
+    duplicates and weights included, and the degrees match the input's."""
+    weights = np.arange(len(pairs), dtype=np.float64)
+    el = EdgeList.from_pairs(pairs, num_vertices=26, weights=weights)
+    pg = range_partition(el, p)
+    assert (pg.num_vertices, pg.num_edges) == (26, len(pairs))
+    got = pg.edge_list()
+    want = sorted(zip(el.src.tolist(), el.dst.tolist(), el.weight.tolist()))
+    triples = zip(got.src.tolist(), got.dst.tolist(), got.weight.tolist())
+    assert sorted(triples) == want
+    keys = [(u, v) for u, v, _ in want]
+    assert list(zip(got.src.tolist(), got.dst.tolist())) == keys
+    np.testing.assert_array_equal(pg.out_degrees(), el.out_degrees())
+    np.testing.assert_array_equal(pg.in_degrees(), el.in_degrees())

@@ -316,8 +316,10 @@ class TestRecovery:
 
     def test_manifest_with_retired_keys_recovers(self, graph, keys, tmp_path):
         """Older builds also stored the batch count, the index epoch and
-        the index maintenance mode; recovery ignores all three, so such a
-        directory recovers to the same epoch, edge set and batch count."""
+        the index maintenance mode, and wrote no edge-set layout key;
+        recovery ignores the three and reads the missing key as no layout,
+        so such a directory recovers to the same epoch, edge set and batch
+        count."""
         sess = GraphSession(graph, num_machines=2)
         dg = sess.dynamic(compact_interval=3, churn_threshold=10.0)
         sess.index()
@@ -335,6 +337,7 @@ class TestRecovery:
             manifest["mutation_batches"] = epoch - manifest["compactions"]
             manifest["index_epoch"] = epoch
             manifest["config"]["index_maintenance"] = "incremental"
+            assert manifest["config"].pop("edge_sets") is None
             (ck / "manifest.json").write_text(json.dumps(manifest))
 
         rec = recover_session(tmp_path, cross_check=True)
@@ -346,6 +349,25 @@ class TestRecovery:
         np.testing.assert_array_equal(edges.src, want[2].src)
         np.testing.assert_array_equal(edges.dst, want[2].dst)
         assert rec.has_index
+        assert not rec.has_edge_sets
+        rec._durability.close()
+        rec.close()
+
+    def test_edge_set_layout_recovers_from_the_path(self, graph, keys, tmp_path):
+        sess = GraphSession(
+            graph, num_machines=2, edge_sets=True, sets_per_partition=4
+        )
+        sess.dynamic(churn_threshold=10.0)
+        mgr = sess.enable_durability(tmp_path, checkpoint_every=2)
+        _run_mutations(sess, keys, 3)
+        mgr.close()
+        sess.close()
+        rec = recover_session(tmp_path, cross_check=True)
+        assert rec.pg.edge_set_settings == (4, None)
+        assert rec.has_edge_sets
+        for ck in list_checkpoints(tmp_path / "checkpoints"):
+            manifest = json.loads((ck / "manifest.json").read_text())
+            assert manifest["config"]["edge_sets"] == [4, None]
         rec._durability.close()
         rec.close()
 

@@ -176,9 +176,8 @@ class TestBatchDiscipline:
         svc.submit_many(rng.integers(0, n, 300), lane="bulk")
         report = svc.drain()
         assert report.num_batches == 3
-        levels = {
-            s: oracle_bfs_levels(session.pg.edges, s) for s in set(points.tolist())
-        }
+        edges = session.pg.edge_list()
+        levels = {s: oracle_bfs_levels(edges, s) for s in set(points.tolist())}
         expected = [0 <= levels[s][t] <= 3 for s, t in zip(points.tolist(), targets)]
         np.testing.assert_array_equal(report.reachable[:400], expected)
         assert (report.reachable[400:] == -1).all()

@@ -15,6 +15,7 @@ import pytest
 import repro.core.frontier
 import repro.dynamic
 import repro.dynamic.delta
+import repro.graph
 import repro.qos
 from repro.cli import build_parser
 from repro.core.api import run_program
@@ -24,6 +25,7 @@ from repro.core.kcore import core_numbers
 from repro.core.khop import _run_traversal, concurrent_khop
 from repro.core.ooc import concurrent_khop_out_of_core
 from repro.core.pagerank import PageRankProgram
+from repro.dynamic import DynamicGraph
 from repro.errors import (
     CheckpointError,
     CorruptCheckpoint,
@@ -48,6 +50,7 @@ from repro.runtime.netmodel import NetworkModel
 from repro.runtime.pool import WorkerPool
 from repro.runtime.scheduler import QueryService
 from repro.runtime.session import GraphSession
+from repro.runtime.shm import build_graph_image
 from repro.telemetry.instrument import Instrumentation
 from tests.core.test_api import ListingTwoKHop
 
@@ -359,6 +362,8 @@ def test_unpicklable_description_is_refused_typed_and_the_pool_serves_on(
                                sort_rows=False),
         lambda sess: DenseVertexValues(4, 1, fill=0.0),
         lambda sess: NetworkModel().with_async(enabled=True),
+        lambda sess: build_graph_image(sess.pg, "unused", base_shards=None),
+        lambda sess: WorkerPool(None, base_shards=None),
     ],
     ids=[
         "session-pool-seed", "pool-seed", "pool-start-method",
@@ -368,6 +373,7 @@ def test_unpicklable_description_is_refused_typed_and_the_pool_serves_on(
         "qos-from-cli-affinity", "khop-max-supersteps",
         "traversal-max-supersteps", "csr-sort-columns", "csc-sort-rows",
         "dense-values-fill", "netmodel-with-async-enabled",
+        "graph-image-base-shards", "pool-base-shards",
     ],
 )
 def test_removed_settings_are_gone(call):
@@ -402,6 +408,16 @@ def _dynamic_session():
         (GraphSession, "index_is_current"),
         (_dynamic_session(), "_index_epoch"),
         (_dynamic_session(), "_mutation_batches"),
+        (repro.dynamic, "PartitionDelta"),
+        (repro.dynamic.delta, "PartitionDelta"),
+        (repro.dynamic, "apply_partition_delta"),
+        (repro.dynamic.delta, "apply_partition_delta"),
+        (DynamicGraph, "pool_deltas"),
+        (DynamicGraph, "num_pending"),
+        (DynamicGraph, "has_pending"),
+        (DynamicGraph, "num_edges"),
+        (_dynamic_session().pg, "edges"),
+        (repro.graph, "subgraph"),
     ],
 )
 def test_removed_helpers_are_gone(owner, name):
@@ -411,6 +427,10 @@ def test_removed_helpers_are_gone(owner, name):
 def test_the_snapshot_module_is_gone():
     # DynamicGraph.edges_at / graph_at replay the epoch history
     assert importlib.util.find_spec("repro.dynamic.snapshot") is None
+
+
+def test_the_subgraph_module_is_gone():
+    assert importlib.util.find_spec("repro.graph.subgraph") is None
 
 
 def test_the_affinity_flag_is_gone():
