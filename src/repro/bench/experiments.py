@@ -1717,9 +1717,7 @@ def durability_overhead(
             )
         # Simulate the crash: abandon the durable session as-is —
         # recovery must load the checkpoint and replay the suffix.  The
-        # restore phases below run one session at a time (a resident
-        # twin's label store is millions of live gc-tracked objects that
-        # would slow an unrelated clock by ~35%).
+        # restore phases below run one session at a time.
         mgr.close()
         durable.close()
         off.close()

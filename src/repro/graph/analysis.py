@@ -31,9 +31,10 @@ def bfs_levels(edges: EdgeList | None, source: int, csr=None) -> np.ndarray:
 
     A frontier-array BFS: each level expands all frontier out-edges in one
     vectorised pass (the single-query ancestor of the engine in
-    :mod:`repro.core`).  It walks ``csr`` when given — any square adjacency,
-    e.g. an in-CSC for distances *to* ``source`` — and sizes the levels
-    from its rows; ``edges`` is only read to build the out-CSR otherwise.
+    :mod:`repro.core`).  It walks ``csr`` when given — any square adjacency
+    with ``num_rows`` and ``targets``, e.g. an in-CSC for distances *to*
+    ``source`` — and sizes the levels from its rows; ``edges`` is only read
+    to build the out-CSR otherwise.
     """
     if csr is None:
         csr = build_csr(edges.src, edges.dst, edges.num_vertices)
@@ -43,8 +44,7 @@ def bfs_levels(edges: EdgeList | None, source: int, csr=None) -> np.ndarray:
     depth = 0
     while frontier.size:
         depth += 1
-        pos, _ = csr.gather_edges(frontier)
-        targets = csr.indices[pos]
+        targets = csr.targets(frontier)
         fresh = targets[level[targets] < 0]
         if fresh.size == 0:
             break

@@ -71,6 +71,15 @@ class CSR:
         ends = self.indptr[rows + 1]
         return expand_ranges(starts, ends), (ends - starts)
 
+    def targets(self, rows: np.ndarray) -> np.ndarray:
+        """Columns of every edge out of ``rows``, in row order, repeats kept
+        (a view when ``rows`` is one row)."""
+        if rows.size == 1:
+            v = int(rows[0])
+            return self.indices[self.indptr[v] : self.indptr[v + 1]]
+        pos, _ = self.gather_edges(rows)
+        return self.indices[pos]
+
     def nbytes(self) -> int:
         """Total memory footprint of the stored arrays."""
         total = self.indptr.nbytes + self.indices.nbytes

@@ -160,7 +160,8 @@ class _PrunedBFS:
     """One direction's reusable pruned-BFS scratch state.
 
     ``adj`` is the out-CSR for the forward direction (extending in-labels)
-    or the in-CSC for the backward direction (extending out-labels).
+    or the in-CSC for the backward direction (extending out-labels); any
+    adjacency with ``targets`` will do.
     """
 
     def __init__(self, adj: CSR, num_vertices: int):
@@ -174,50 +175,51 @@ class _PrunedBFS:
 
     def run(
         self,
-        root: int,
+        start: int,
+        dist: int,
         rank: int,
         root_label: tuple[np.ndarray, np.ndarray],
-        labels: _LabelSlab,
+        labels,
     ) -> tuple[int, int]:
-        """Pruned BFS from ``root``; labels survivors with ``(rank, d)``.
+        """Pruned BFS for hub ``rank`` from ``start`` at distance ``dist``;
+        labels survivors with ``(rank, d)``.
 
-        The 2-hop pruning query for a candidate ``v`` at distance ``d``
-        intersects the root's opposite-side label (``root_label``,
-        scattered densely by rank) with ``v``'s row in ``labels`` — the side
-        this BFS extends.  Candidates whose existing labels already prove a
-        distance ``<= d`` are neither labeled nor expanded.  Returns
-        ``(labeled, pruned)`` visit counts.
+        The build starts at the hub itself at 0, which no earlier hub pair
+        can prune (none witnesses ``dist(root, root) <= 0``), so distance 0
+        skips the test; an insert's resumption (:mod:`repro.index.incremental`)
+        starts at the new edge's far end, one hop past the hub's distance to
+        its near end.  The 2-hop pruning query for a
+        candidate ``v`` at distance ``d`` intersects the hub's opposite-side
+        label (``root_label``, scattered densely by rank) with ``v``'s row
+        in ``labels`` — the side this BFS extends, any store with the slab's
+        ``unpruned`` and ``append``.  Candidates whose existing labels
+        already prove a distance ``<= d`` are neither labeled nor expanded.
+        Returns ``(labeled, pruned)`` visit counts.
         """
         root_hubs, root_dists = root_label
         self.root_dist[root_hubs] = root_dists
         self.root_dist[rank] = 0
 
-        seen = [np.array([root])]
-        self.visited[root] = True
-        # the root always labels itself at distance 0: no earlier hub pair
-        # can witness dist(root, root) <= 0
-        labels.append(seen[0], rank, 0)
-        labeled, pruned = 1, 0
-        # the first level is one row of the adjacency: a slice, no gather
-        nbrs = self.adj.indices[self.adj.indptr[root]:self.adj.indptr[root + 1]]
-        d = 1
+        cand = np.array([start])
+        seen = []
+        labeled = pruned = 0
+        d = dist
         while True:
+            self.visited[cand] = True
+            seen.append(cand)
+            keep = labels.unpruned(cand, d, self.root_dist) if d else cand
+            pruned += int(cand.size - keep.size)
+            labeled += int(keep.size)
+            if keep.size == 0:
+                break
+            labels.append(keep, rank, d)
+            nbrs = self.adj.targets(keep)
             cand = nbrs[~self.visited[nbrs]]
             if cand.size == 0:
                 break
             at = np.arange(cand.size)
             self.slot[cand] = at
             cand = cand[self.slot[cand] == at]
-            self.visited[cand] = True
-            seen.append(cand)
-            keep = labels.unpruned(cand, d, self.root_dist)
-            pruned += int(cand.size - keep.size)
-            labeled += int(keep.size)
-            labels.append(keep, rank, d)
-            if keep.size == 0:
-                break
-            pos, _ = self.adj.gather_edges(keep)
-            nbrs = self.adj.indices[pos]
             d += 1
 
         for block in seen:
@@ -259,11 +261,11 @@ def build_hub_labels(
     labeled = pruned = 0
     for rank, root in enumerate(order.tolist()):
         # forward: d(root, v) — prune via out(root) ∩ in(v), extend in-labels
-        lab, pru = forward.run(root, rank, out_labels.row(root), in_labels)
+        lab, pru = forward.run(root, 0, rank, out_labels.row(root), in_labels)
         labeled += lab
         pruned += pru
         # backward: d(v, root) — prune via out(v) ∩ in(root), extend out-labels
-        lab, pru = backward.run(root, rank, in_labels.row(root), out_labels)
+        lab, pru = backward.run(root, 0, rank, in_labels.row(root), out_labels)
         labeled += lab
         pruned += pru
 

@@ -2,53 +2,49 @@
 
 A full :func:`~repro.index.build.build_hub_labels` run is one pruned BFS
 per vertex — the right cost to pay once, the wrong cost to pay per edge
-mutation.  This module patches the resident labels in place, TOL-style
-(Zhu et al., SIGMOD'14 maintain a total-order reachability labeling under
-``addEdge``/``DeleteNode`` the same way):
+mutation.  This module patches the resident labels once a batch has landed
+on the live shards, TOL-style (Zhu et al., SIGMOD'14 maintain a total-order
+labeling under ``addEdge``/``DeleteNode`` the same way).  Every BFS walks
+the global CSR/CSC concatenated from the shards, with the batch's own
+edits masked so that each step sees the graph it is about.
 
 **Insert** — pruned resumption BFS (Akiba–Iwata–Yoshida).  Inserting
 ``(u, v)`` can only create shorter paths *through* that edge, and the
 prefix ``h ⇝ u`` of any such path is unaffected, so for every entry
-``(h, d_hu)`` of ``u``'s in-label a forward BFS resumes from ``v`` at
-distance ``d_hu + 1``, writing ``in``-label entries where the current
-two-hop query cannot already match the candidate distance (the standard
-PLL prune); symmetrically backward from ``u`` over ``v``'s out-label.
-Edges of a batch are applied one at a time, so each resumption runs
-against exact labels for the previous graph — the induction the published
-correctness proof needs.
+``(h, d_hu)`` of ``u``'s in-label the build's own pruned BFS resumes from
+``v`` at distance ``d_hu + 1``, writing in-label entries where the current
+two-hop query cannot already match the candidate distance; symmetrically
+backward from ``u`` over ``v``'s out-label.  Edges of a batch go in one at
+a time, the later ones hidden, so each resumption runs against exact
+labels for the previous graph — the induction the correctness proof needs.
 
-**Delete** — invalidate-and-repair over the affected region.  If deleting
-edge set ``D`` changes ``d(x, y)``, then along any old shortest path the
-*first* deleted edge ``(u, v)`` has ``d(u, y)`` changed (else the intact
-prefix plus a surviving ``u ⇝ y`` path would preserve ``d(x, y)``), and
-the *last* deleted edge ``(u', v')`` has ``d(x, v')`` changed.  So the
-changed pairs are contained in ``W_b × W_f`` where ``W_f`` collects
-vertices whose distance *from* some deleted tail changed (old/new forward
-BFS diff per distinct tail) and ``W_b`` vertices whose distance *to* some
-deleted head changed.  Repair recomputes full exact in-labels for
-``W_f`` and full exact out-labels for ``W_b``; every surviving entry
-elsewhere is provably still exact, and a repaired pair always finds an
-exact witness through the source's own hub.
+**Delete** — invalidate-and-repair, before the batch's inserts.  If
+deleting edge set ``D`` changes ``d(x, y)``, then along any old shortest
+path the *first* deleted edge ``(u, v)`` has ``d(u, y)`` changed and the
+*last* one ``(u', v')`` has ``d(x, v')`` changed.  So the changed pairs lie
+in ``W_b × W_f``, where ``W_f`` collects vertices whose distance *from*
+some deleted tail changed (old/new forward BFS diff, the old BFS walking
+the deleted edges) and ``W_b`` those whose distance *to* some deleted head
+changed.  Repair rewrites full exact in-labels for ``W_f`` and out-labels
+for ``W_b``; every other entry is provably still exact, and a repaired
+pair always finds an exact witness through the source's own hub.
 
-**Staleness budget** — incremental patching wins only at low churn.  The
-index tracks cumulative applied mutations since its last full build and
-reports ``needs_rebuild`` once they exceed ``churn_threshold`` of the
-base edge count (or when a delete's affected region exceeds
-``region_threshold`` of the vertices, where repair would out-cost a
-rebuild); the session then rebuilds instead of patching.
+**Staleness budget** — past ``churn_threshold`` cumulative mutations per
+edge of the last full build, or a delete region over ``region_threshold``
+of the vertices (where repair would out-cost a rebuild), the patch reports
+``needs_rebuild`` and the session rebuilds instead.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from repro.dynamic.delta import splice_effective_csr
 from repro.graph.analysis import bfs_levels
 from repro.graph.csr import CSR, expand_ranges
+from repro.index.build import _INF, _PrunedBFS, global_csr_csc
 from repro.index.labels import HubLabels
 
 __all__ = ["IncrementalIndex", "IndexPatchResult"]
@@ -58,29 +54,170 @@ __all__ = ["IncrementalIndex", "IndexPatchResult"]
 class IndexPatchResult:
     """Accounting for one :meth:`IncrementalIndex.apply` call."""
 
-    patched: bool  # labels were updated in place
     needs_rebuild: bool  # budget exceeded: caller must rebuild fully
     entries_patched: int = 0  # label entries written
     vertices_repaired: int = 0  # full-label recomputations (deletes)
-    resumptions: int = 0  # pruned resumption BFS runs (inserts)
-    visits: int = 0  # total BFS vertex visits
     seconds: float = 0.0  # wall time of the patch
 
 
-_NO_EDGES = np.empty((0, 2), dtype=np.int64)
+class _LabelRows:
+    """One side's labels while patching: a frozen image plus an overlay.
+
+    Row ``v`` is ``hubs[start[v]:start[v] + length[v]]`` (and ``dists``).
+    The packed ``(indptr, hubs, dists)`` image of the last :meth:`finalize`
+    fills the front of the buffers and is never written, so the labels
+    handed out stay frozen; a row patched since is rewritten behind it, in
+    any rank order, and :meth:`finalize` sorts and re-packs only those.
+    """
+
+    def __init__(self, indptr: np.ndarray, hubs: np.ndarray, dists: np.ndarray):
+        self.image = (indptr, hubs, dists)
+        self.hubs, self.dists = hubs, dists
+        self.used = hubs.size
+        self.start = indptr[:-1].copy()
+        self.length = np.diff(indptr)
+        self.moved = np.zeros(self.length.size, dtype=bool)
+
+    def row(self, v: int) -> tuple[np.ndarray, np.ndarray]:
+        """Vertex ``v``'s ``(hubs, dists)`` (views of written, unchanging
+        buffer positions)."""
+        at = slice(self.start[v], self.start[v] + self.length[v])
+        return self.hubs[at], self.dists[at]
+
+    def best(self, rows: np.ndarray, root_dist: np.ndarray) -> np.ndarray:
+        """Per row, its entries' minimum ``root_dist[hub] + dist`` (∞ when
+        none): one gather over every row, then a segmented ``min``."""
+        length = self.length[rows]
+        pos = expand_ranges(self.start[rows], self.start[rows] + length)
+        via = root_dist.take(self.hubs[pos]) + self.dists[pos]
+        best = np.full(rows.size, _INF, dtype=np.int32)
+        some = length > 0
+        if via.size:
+            best[some] = np.minimum.reduceat(via, (np.cumsum(length) - length)[some])
+        return best
+
+    def unpruned(self, cand: np.ndarray, d, root_dist: np.ndarray) -> np.ndarray:
+        """Candidates whose entries cannot already prove a distance ``<= d``."""
+        return cand[self.best(cand, root_dist) > d]
+
+    def append(self, vertices: np.ndarray, rank: int, dist: int) -> None:
+        """Give each of the distinct ``vertices`` the entry ``(rank, dist)``:
+        a new entry, or a lower distance for the one it holds."""
+        length = self.length[vertices]
+        src = expand_ranges(self.start[vertices], self.start[vertices] + length)
+        held = self.hubs[src] == rank
+        has = np.zeros(vertices.size, dtype=bool)
+        has[np.repeat(np.arange(vertices.size), length)[held]] = True
+        new_len = length + ~has
+        at = self._reserve(int(new_len.sum())) + np.cumsum(new_len) - new_len
+        dst = expand_ranges(at, at + length)
+        self.hubs[dst] = self.hubs[src]
+        self.dists[dst] = self.dists[src]
+        self.dists[dst[held]] = dist
+        tail = (at + length)[~has]
+        self.hubs[tail] = rank
+        self.dists[tail] = dist
+        self._moved(vertices, at, new_len)
+
+    def set_row(self, v: int, hubs: np.ndarray, dists: np.ndarray) -> None:
+        """Replace vertex ``v``'s row by ``(hubs, dists)``."""
+        at = self._reserve(hubs.size)
+        self.hubs[at:at + hubs.size] = hubs
+        self.dists[at:at + hubs.size] = dists
+        self._moved(v, at, hubs.size)
+
+    def _moved(self, rows, at, length) -> None:
+        self.start[rows] = at
+        self.length[rows] = length
+        self.moved[rows] = True
+
+    def _reserve(self, count: int) -> int:
+        """Offset of ``count`` fresh buffer slots past every written one."""
+        at = self.used
+        if at + count > self.hubs.size:  # new buffers: an image keeps the old
+            cap = max(2 * self.hubs.size, at + count)
+            self.hubs = np.resize(self.hubs, cap)
+            self.dists = np.resize(self.dists, cap)
+        self.used = at + count
+        return at
+
+    def finalize(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The packed image, re-packed when rows moved."""
+        rows = np.flatnonzero(self.moved)
+        if rows.size == 0:
+            return self.image
+        n, lens = self.length.size, self.length[rows]
+        # sort each moved row by rank where it lies (row·n + rank is the key)
+        at = expand_ranges(self.start[rows], self.start[rows] + lens)
+        by_rank = at[np.argsort(np.repeat(rows * n, lens) + self.hubs[at])]
+        self.hubs[at], self.dists[at] = self.hubs[by_rank], self.dists[by_rank]
+        # now each moved row, and each run of clean rows, is one slice
+        cuts = np.unique(np.concatenate(([0, n], rows, rows + 1)))
+        lo, hi = cuts[:-1], cuts[1:] - 1
+        first, last = self.start[lo], self.start[hi] + self.length[hi]
+        ends = list(zip(first.tolist(), last.tolist()))
+        self.hubs, self.dists = (
+            np.concatenate([buf[a:b] for a, b in ends])
+            for buf in (self.hubs, self.dists)
+        )
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(self.length, out=indptr[1:])
+        self.image = (indptr, self.hubs, self.dists)
+        self.used, self.start = self.hubs.size, indptr[:-1].copy()
+        self.moved[:] = False
+        return self.image
+
+
+class _BatchView:
+    """One direction of the live graph as one step of a batch sees it.
+
+    ``adj`` is the global out-CSR (or in-CSC) after the batch: its inserted
+    edges are hidden until :meth:`reveal` lets each in, and the deleted ones
+    are walked until :meth:`drop`.  Pairs are ``(row, column)`` in this
+    direction.
+    """
+
+    def __init__(self, adj: CSR, ins: np.ndarray, dels: np.ndarray):
+        self.adj = adj
+        self.num_rows = adj.num_rows
+        self.del_rows, self.del_cols = dels[:, 0], dels[:, 1]
+        self.ins_at = [
+            adj.indptr[u]
+            + np.searchsorted(adj.indices[adj.indptr[u]:adj.indptr[u + 1]], v)
+            for u, v in ins.tolist()
+        ]
+        self.hidden = np.zeros(adj.nnz, dtype=bool)
+        self.hidden[self.ins_at] = True
+
+    def drop(self) -> None:
+        """Stop walking the deleted edges."""
+        self.del_rows = self.del_rows[:0]
+
+    def reveal(self, i: int) -> None:
+        """Walk the batch's ``i``-th insert from now on."""
+        self.hidden[self.ins_at[i]] = False
+
+    def targets(self, rows: np.ndarray) -> np.ndarray:
+        pos, _ = self.adj.gather_edges(rows)
+        nbrs = self.adj.indices[pos[~self.hidden[pos]]]
+        if self.del_rows.size:
+            extra = self.del_cols[np.isin(self.del_rows, rows)]
+            nbrs = np.concatenate((nbrs, extra))
+        return nbrs
 
 
 class IncrementalIndex:
-    """Mutable twin of a frozen :class:`HubLabels`, patchable per batch.
+    """Patchable twin of a frozen :class:`HubLabels`, one batch at a time.
 
-    Holds per-vertex ``{hub rank: distance}`` maps plus its own copy of the
-    adjacency — a global out-CSR and in-CSC, rows sorted, spliced per
-    mutation by the kernel that splices the graph's shards — so patching
-    never depends on the resident graph's representation.
-    :meth:`finalize` re-freezes into a :class:`HubLabels` with the same
-    storage contract (ranks ascending per vertex), so the planner,
-    ``dist_many`` and the service are oblivious to how the labels were
-    produced.
+    Holds the frozen hub order and each side's labels as a
+    :class:`_LabelRows` — the packed arrays plus the rows patched since the
+    last :meth:`finalize` — and reads the graph from ``pg``'s live shards,
+    so it keeps no adjacency of its own.  ``labels`` must be exact for the
+    graph ``pg`` holds before the first batch handed to :meth:`apply`; the
+    twin may be made before or after that batch lands.  :meth:`finalize`
+    re-freezes into a :class:`HubLabels` with the same storage contract
+    (ranks ascending per vertex), so the planner, ``dist_many`` and the
+    service are oblivious to how the labels were produced.
 
     Invariant maintained by every patch: **all stored entries are exact
     distances** in the current graph and the labels remain a 2-hop cover
@@ -93,86 +230,27 @@ class IncrementalIndex:
     def __init__(
         self,
         labels: HubLabels,
-        out_csr: CSR,
-        in_csc: CSR,
+        pg,
         churn_threshold: float = 0.02,
         region_threshold: float = 0.5,
     ):
         n = labels.num_vertices
         self.num_vertices = n
+        self.pg = pg
         self.order = labels.order.copy()
         self.rank_of = np.empty(n, dtype=np.int64)
         self.rank_of[self.order] = np.arange(n, dtype=np.int64)
-        self.out_labels = [
-            dict(
-                zip(
-                    labels.out_hubs[labels.out_indptr[v]:labels.out_indptr[v + 1]].tolist(),
-                    labels.out_dists[labels.out_indptr[v]:labels.out_indptr[v + 1]].tolist(),
-                )
-            )
-            for v in range(n)
-        ]
-        self.in_labels = [
-            dict(
-                zip(
-                    labels.in_hubs[labels.in_indptr[v]:labels.in_indptr[v + 1]].tolist(),
-                    labels.in_dists[labels.in_indptr[v]:labels.in_indptr[v + 1]].tolist(),
-                )
-            )
-            for v in range(n)
-        ]
-        # Packed image of the labels as of the last finalize (seeded from
-        # the input build), plus the vertices whose dicts diverged from it.
-        # finalize() then re-packs only the dirty rows.
-        self._packed_out = (
-            labels.out_indptr.copy(), labels.out_hubs.copy(),
-            labels.out_dists.copy(),
-        )
-        self._packed_in = (
-            labels.in_indptr.copy(), labels.in_hubs.copy(),
-            labels.in_dists.copy(),
-        )
-        self._dirty_out: set[int] = set()
-        self._dirty_in: set[int] = set()
-        self.out_csr = out_csr
-        self.in_csc = in_csc
-        self.base_edges = out_csr.nnz
+        self.out_rows = _LabelRows(labels.out_indptr, labels.out_hubs, labels.out_dists)
+        self.in_rows = _LabelRows(labels.in_indptr, labels.in_hubs, labels.in_dists)
+        self.base_edges = None  # the labels' graph's edge count, set by apply
         self.churn_threshold = float(churn_threshold)
         self.region_threshold = float(region_threshold)
         self.mutations_since_build = 0
-        self.entries_patched_total = 0
-
-    @classmethod
-    def from_graph(cls, labels: HubLabels, graph, **kwargs) -> "IncrementalIndex":
-        """Construct from the resident graph (its current global CSR/CSC).
-
-        ``graph`` must be at the same epoch the labels were built at.
-        """
-        from repro.index.build import global_csr_csc
-
-        return cls(labels, *global_csr_csc(graph), **kwargs)
-
-    # -- queries against the live (mutable) labels --------------------------- #
-
-    def _query(self, x: int, y: int) -> float:
-        """Current two-hop distance estimate for ``x -> y``."""
-        lx, ly = self.out_labels[x], self.in_labels[y]
-        if len(ly) < len(lx):
-            best = min(
-                (lx[r] + d for r, d in ly.items() if r in lx),
-                default=float("inf"),
-            )
-        else:
-            best = min(
-                (d + ly[r] for r, d in lx.items() if r in ly),
-                default=float("inf"),
-            )
-        return best
 
     # -- the patch ----------------------------------------------------------- #
 
     def apply(self, inserts: np.ndarray, deletes: np.ndarray) -> IndexPatchResult:
-        """Patch the labels for one *applied* mutation batch.
+        """Patch the labels for one batch already applied to the shards.
 
         ``inserts``/``deletes`` are the ``(k, 2)`` arrays a
         :class:`~repro.dynamic.delta.MutationResult` reports — already
@@ -180,174 +258,110 @@ class IncrementalIndex:
         then inserts one edge at a time, mirroring the set semantics of
         :meth:`~repro.dynamic.delta.DynamicGraph.apply`.
 
-        When the staleness budget trips, the adjacency is still brought
-        up to date but the labels are **not** patched — the caller must
-        rebuild from scratch (and construct a fresh IncrementalIndex).
+        When the staleness budget trips the labels are **not** patched —
+        the caller must rebuild from scratch (and make a fresh twin).
         """
         t0 = time.perf_counter()
         ins = np.asarray(inserts, dtype=np.int64).reshape(-1, 2)
         dels = np.asarray(deletes, dtype=np.int64).reshape(-1, 2)
+        if self.base_edges is None:
+            self.base_edges = self.pg.num_edges - len(ins) + len(dels)
         self.mutations_since_build += int(ins.shape[0] + dels.shape[0])
-        over_churn = (
-            self.mutations_since_build
-            > self.churn_threshold * max(self.base_edges, 1)
-        )
-        if over_churn:
-            self._splice(ins, dels)
+        budget = self.churn_threshold * max(self.base_edges, 1)
+        if self.mutations_since_build > budget:
             return IndexPatchResult(
-                patched=False,
-                needs_rebuild=True,
-                seconds=time.perf_counter() - t0,
+                needs_rebuild=True, seconds=time.perf_counter() - t0
             )
 
-        entries = visits = repaired = resumptions = 0
+        out_csr, in_csc = global_csr_csc(self.pg)
+        fwd = _BatchView(out_csr, ins, dels)
+        bwd = _BatchView(in_csc, ins[:, ::-1], dels[:, ::-1])
+        entries = repaired = 0
 
         # -- delete phase: invalidate and repair the affected region -------- #
         if dels.shape[0]:
             n = self.num_vertices
-            tails = np.unique(dels[:, 0]).tolist()
-            heads = np.unique(dels[:, 1]).tolist()
-            old_f = {u: bfs_levels(None, u, self.out_csr) for u in tails}
-            old_b = {v: bfs_levels(None, v, self.in_csc) for v in heads}
-            self._splice(_NO_EDGES, dels)
+            tails, heads = np.unique(dels[:, 0]), np.unique(dels[:, 1])
+            old_f = [bfs_levels(None, u, fwd) for u in tails.tolist()]
+            old_b = [bfs_levels(None, v, bwd) for v in heads.tolist()]
+            fwd.drop()
+            bwd.drop()
             changed_f = np.zeros(n, dtype=bool)
             changed_b = np.zeros(n, dtype=bool)
-            for u in tails:
-                new = bfs_levels(None, u, self.out_csr)
-                visits += int((old_f[u] >= 0).sum() + (new >= 0).sum())
-                changed_f |= old_f[u] != new
-            for v in heads:
-                new = bfs_levels(None, v, self.in_csc)
-                visits += int((old_b[v] >= 0).sum() + (new >= 0).sum())
-                changed_b |= old_b[v] != new
+            for u, old in zip(tails.tolist(), old_f):
+                changed_f |= old != bfs_levels(None, u, fwd)
+            for v, old in zip(heads.tolist(), old_b):
+                changed_b |= old != bfs_levels(None, v, bwd)
             w_f = np.flatnonzero(changed_f)
             w_b = np.flatnonzero(changed_b)
             if w_f.size + w_b.size > self.region_threshold * n:
                 # Repairing most of the graph costs more than rebuilding.
-                self._splice(ins, _NO_EDGES)
                 return IndexPatchResult(
-                    patched=False,
-                    needs_rebuild=True,
-                    visits=visits,
-                    seconds=time.perf_counter() - t0,
+                    needs_rebuild=True, seconds=time.perf_counter() - t0
                 )
-            for y in w_f.tolist():
-                dists = bfs_levels(None, y, self.in_csc)  # ancestors: d(a, y)
-                vs = np.flatnonzero(dists >= 0)
-                visits += vs.size
-                self.in_labels[y] = dict(
-                    zip(self.rank_of[vs].tolist(), dists[vs].tolist())
-                )
-                self._dirty_in.add(y)
-                entries += vs.size
-                repaired += 1
-            for x in w_b.tolist():
-                dists = bfs_levels(None, x, self.out_csr)  # descendants: d(x, b)
-                vs = np.flatnonzero(dists >= 0)
-                visits += vs.size
-                self.out_labels[x] = dict(
-                    zip(self.rank_of[vs].tolist(), dists[vs].tolist())
-                )
-                self._dirty_out.add(x)
-                entries += vs.size
-                repaired += 1
+            # in-labels: every ancestor a at d(a, y); out-labels: descendants
+            for rows, view, ends in (
+                (self.in_rows, bwd, w_f), (self.out_rows, fwd, w_b)
+            ):
+                for y in ends.tolist():
+                    dists = bfs_levels(None, y, view)
+                    vs = np.flatnonzero(dists >= 0)
+                    rows.set_row(y, self.rank_of[vs], dists[vs])
+                    entries += vs.size
+                    repaired += 1
 
         # -- insert phase: pruned resumption, one edge at a time ------------ #
-        for u, v in ins.tolist():
-            self._splice(np.array([[u, v]], dtype=np.int64), _NO_EDGES)
-            for r, d_hu in sorted(self.in_labels[u].items()):
-                e, vis = self._resume(
-                    self.out_csr, self.in_labels, self._dirty_in,
-                    r, v, d_hu + 1, forward=True,
-                )
-                entries += e
-                visits += vis
-                resumptions += 1
-            for r, d_vh in sorted(self.out_labels[v].items()):
-                e, vis = self._resume(
-                    self.in_csc, self.out_labels, self._dirty_out,
-                    r, u, d_vh + 1, forward=False,
-                )
-                entries += e
-                visits += vis
-                resumptions += 1
+        forward = _PrunedBFS(fwd, self.num_vertices)
+        backward = _PrunedBFS(bwd, self.num_vertices)
+        for i, (u, v) in enumerate(ins.tolist()):
+            fwd.reveal(i)
+            bwd.reveal(i)
+            # hubs reaching u now reach v: extend in-labels from v
+            entries += self._resume(forward, self.in_rows, self.out_rows, u, v)
+            # hubs v reaches are now reached from u: extend out-labels from u
+            entries += self._resume(backward, self.out_rows, self.in_rows, v, u)
 
-        self.entries_patched_total += entries
         return IndexPatchResult(
-            patched=True,
             needs_rebuild=False,
             entries_patched=entries,
             vertices_repaired=repaired,
-            resumptions=resumptions,
-            visits=visits,
             seconds=time.perf_counter() - t0,
         )
 
     def _resume(
-        self, adj: CSR, labels: list, dirty: set, rank: int, start: int,
-        start_dist: int, forward: bool,
-    ) -> tuple[int, int]:
-        """One pruned resumption BFS for hub ``order[rank]``.
+        self, bfs: _PrunedBFS, extend: _LabelRows, opposite: _LabelRows,
+        near: int, start: int,
+    ) -> int:
+        """Resume the pruned BFS of every hub in ``near``'s ``extend`` row
+        from ``start``, one hop further; returns the entries written.
 
-        ``forward=True`` walks out-edges writing in-label entries (hub
-        reaches the visited vertices); ``forward=False`` walks in-edges
-        writing out-label entries.  Prunes wherever the current two-hop
-        query already matches the candidate distance.
+        One gather first tests every hub's two-hop query at ``start``: a
+        hub it already covers would be cut at its first vertex, and the
+        resumptions before it only lower queries, so it is skipped.
         """
-        h = int(self.order[rank])
-        indptr, indices = adj.indptr, adj.indices
-        entries = visits = 0
-        seen = {start}
-        frontier = [start]
-        d = start_dist
-        while frontier:
-            nxt = []
-            for w in frontier:
-                visits += 1
-                q = self._query(h, w) if forward else self._query(w, h)
-                if q <= d:
-                    continue  # covered: neither label nor expand
-                labels[w][rank] = d
-                dirty.add(w)
-                entries += 1
-                for x in indices[indptr[w]:indptr[w + 1]].tolist():
-                    if x not in seen:
-                        seen.add(x)
-                        nxt.append(x)
-            frontier = nxt
-            d += 1
-        return entries, visits
-
-    def _splice(self, ins: np.ndarray, dels: np.ndarray) -> None:
-        """Bring the adjacency to ``(current − dels) ∪ ins``."""
-        n = self.num_vertices
-        self.out_csr = splice_effective_csr(
-            self.out_csr, n, n, ins[:, 0], ins[:, 1], dels[:, 0], dels[:, 1]
-        )
-        self.in_csc = splice_effective_csr(
-            self.in_csc, n, n, ins[:, 1], ins[:, 0], dels[:, 1], dels[:, 0]
-        )
+        hubs, dists = extend.row(near)
+        start_hubs, start_dists = extend.row(start)
+        scatter = bfs.root_dist  # all ∞ between runs
+        scatter[start_hubs] = start_dists
+        need = opposite.best(self.order[hubs], scatter) > dists + 1
+        scatter[start_hubs] = _INF
+        entries = 0
+        for rank, d in sorted(zip(hubs[need].tolist(), dists[need].tolist())):
+            h = int(self.order[rank])
+            entries += bfs.run(start, d + 1, rank, opposite.row(h), extend)[0]
+        return entries
 
     # -- freezing back ------------------------------------------------------- #
 
     def finalize(self) -> HubLabels:
         """Freeze into a :class:`HubLabels` (ranks ascending per vertex).
 
-        Incremental: only vertices whose dicts diverged since the last
-        finalize are re-packed; clean rows are copied from the cached
-        packed image a run at a time, so a finalize after a small patch
-        walks the dirty rows' entries in Python and copies the rest.
+        Incremental: only rows patched since the last finalize are sorted
+        and re-packed; clean rows are copied from the last image a run at a
+        time, and with nothing patched that image is handed back as is.
         """
-        self._packed_out = self._repack(
-            self.out_labels, self._packed_out, self._dirty_out
-        )
-        self._dirty_out = set()
-        self._packed_in = self._repack(
-            self.in_labels, self._packed_in, self._dirty_in
-        )
-        self._dirty_in = set()
-        out_indptr, out_hubs, out_dists = self._packed_out
-        in_indptr, in_hubs, in_dists = self._packed_in
+        out_indptr, out_hubs, out_dists = self.out_rows.finalize()
+        in_indptr, in_hubs, in_dists = self.in_rows.finalize()
         return HubLabels(
             num_vertices=self.num_vertices,
             order=self.order.copy(),
@@ -358,41 +372,6 @@ class IncrementalIndex:
             in_hubs=in_hubs,
             in_dists=in_dists,
         )
-
-    def _repack(
-        self, label_dicts: list, packed: tuple, dirty: set
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if not dirty:
-            return packed
-        indptr0, hubs0, dists0 = packed
-        rows = np.array(sorted(dirty), dtype=np.int64)
-        dicts = [label_dicts[v] for v in rows.tolist()]
-        lens = np.fromiter(map(len, dicts), dtype=np.int64, count=rows.size)
-        total = int(lens.sum())
-        hubs = np.fromiter(chain.from_iterable(dicts), hubs0.dtype, total)
-        dists = np.fromiter(
-            chain.from_iterable(map(dict.values, dicts)), dists0.dtype, total
-        )
-        # one sort by (row, rank); ranks are < n, so row·n + rank is the key
-        order = np.argsort(np.repeat(rows * self.num_vertices, lens) + hubs)
-        counts = np.diff(indptr0)
-        counts[rows] = lens
-        indptr = np.zeros(counts.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        out_hubs = np.empty(int(indptr[-1]), dtype=hubs0.dtype)
-        out_dists = np.empty(int(indptr[-1]), dtype=dists0.dtype)
-        at = expand_ranges(indptr[rows], indptr[rows + 1])
-        out_hubs[at] = hubs[order]
-        out_dists[at] = dists[order]
-        # the clean rows between two dirty ones move as one block
-        runs = zip([0, *(rows + 1).tolist()], [*rows.tolist(), counts.size])
-        for lo, hi in runs:
-            if lo < hi:
-                new = slice(indptr[lo], indptr[hi])
-                old = slice(indptr0[lo], indptr0[hi])
-                out_hubs[new] = hubs0[old]
-                out_dists[new] = dists0[old]
-        return indptr, out_hubs, out_dists
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

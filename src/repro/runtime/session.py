@@ -40,6 +40,7 @@ onto the session and accounts response times on the virtual clock).
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 
@@ -65,9 +66,9 @@ class _PatchedIndexBuild:
     """:class:`~repro.index.build.IndexBuild` facade over a freshly patched
     :class:`~repro.index.incremental.IncrementalIndex`.
 
-    ``labels`` packs the twin's dicts back into frozen arrays on first
-    access (and freezes the result: later patches go through a new facade,
-    so a held reference keeps the labels it first observed).  This keeps
+    ``labels`` packs the twin's patched rows back into frozen arrays on
+    first access (and freezes the result: later patches go through a new
+    facade, so a held reference keeps the labels it first observed).  This keeps
     ``apply_mutations`` free of per-batch repack cost when no query reads
     the index between batches.
     """
@@ -325,6 +326,8 @@ class GraphSession:
         if self._dynamic is None:
             if compact_interval is not None and compact_interval < 1:
                 raise ValueError("compact_interval must be >= 1")
+            if not (math.isfinite(churn_threshold) and churn_threshold >= 0):
+                raise ValueError("churn_threshold must be finite and >= 0")
             from repro.dynamic.delta import DynamicGraph
 
             self._dynamic = DynamicGraph(self.pg)
@@ -385,15 +388,6 @@ class GraphSession:
         False — and nothing else happens — for an all-no-op batch).
         """
         dg = self.dynamic()
-        # An incremental patch needs the pre-mutation adjacency, so the
-        # index twin must exist before the graph changes underneath it.
-        if self.has_index and self._inc_index is None:
-            from repro.index.incremental import IncrementalIndex
-
-            self._inc_index = IncrementalIndex.from_graph(
-                self.index(), self.pg,
-                churn_threshold=self._index_churn_threshold,
-            )
         with self.instr.span("apply mutations", cat="dynamic"):
             res = dg.apply(inserts, deletes)
         if not res.changed:
@@ -448,6 +442,15 @@ class GraphSession:
         self._undirected_pg = None
 
     def _patch_index(self, res) -> None:
+        if self._inc_index is None:
+            from repro.index.incremental import IncrementalIndex
+
+            # the resident labels are still the pre-batch ones: the twin
+            # patches them over the shards the batch just spliced
+            self._inc_index = IncrementalIndex(
+                self.index(), self.pg,
+                churn_threshold=self._index_churn_threshold,
+            )
         patch = self._inc_index.apply(res.inserted, res.deleted)
         if patch.needs_rebuild:
             self.index_build(rebuild=True)

@@ -4,13 +4,17 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.dynamic.delta import DynamicGraph
 from repro.graph import EdgeList, range_partition, rmat_edges
-from repro.index.build import build_hub_labels, global_csr_csc
+from repro.index.build import build_hub_labels
 from repro.index.incremental import IncrementalIndex
 from repro.runtime.session import GraphSession
 
 from tests.dynamic.conftest import existing_edges, fresh_edges
+from tests.index.incremental_reference import IncrementalIndex as ReferenceIndex
 
 
 def _pairs(edges):
@@ -35,55 +39,46 @@ def _bfs_matrix(pairs, n):
     return out
 
 
-def _arr(pairs):
-    if not pairs:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.array(pairs, dtype=np.int64)
+def _twin(pg, **kwargs):
+    """A dynamic graph over ``pg`` and an index twin of its built labels."""
+    labels = build_hub_labels(pg).labels
+    return DynamicGraph(pg), IncrementalIndex(labels, pg, **kwargs)
 
 
 class TestExactness:
     def test_mixed_batches_match_bfs_oracle(self, rng):
         el = rmat_edges(7, 1200, seed=3).remove_self_loops().deduplicate()
         n = el.num_vertices
-        pg = range_partition(el, 2)
-        inc = IncrementalIndex.from_graph(
-            build_hub_labels(pg).labels, pg,
-            churn_threshold=10.0, region_threshold=1.1,
+        dg, inc = _twin(
+            range_partition(el, 2), churn_threshold=10.0, region_threshold=1.1
         )
         current = {int(u) * n + int(v) for u, v in zip(el.src, el.dst)}
         live = _pairs(el)
         src, dst = np.divmod(np.arange(n * n, dtype=np.int64), n)
         for _ in range(3):
-            # Keep the batch's inserts and deletes disjoint: the index
-            # patch API takes *netted* batches (DynamicGraph.apply nets
-            # out insert-then-delete of the same edge before handing the
-            # result to the index).
             dels = existing_edges(rng, n, current, 4)
             guard = current | {u * n + v for u, v in dels}
             ins = fresh_edges(rng, n, guard, 5)
             current |= {u * n + v for u, v in ins}
-            res = inc.apply(_arr(ins), _arr(dels))
-            assert not res.needs_rebuild
+            res = dg.apply(ins, dels)
+            patch = inc.apply(res.inserted, res.deleted)
+            assert not patch.needs_rebuild
             live = (live - set(dels)) | set(ins)
             got = inc.finalize().dist_many(src, dst).reshape(n, n)
             np.testing.assert_array_equal(got, _bfs_matrix(live, n))
 
     def test_insert_only_patch_matches_rebuild(self, dyn_graph, rng):
         n = dyn_graph.num_vertices
-        pg = range_partition(dyn_graph, 2)
-        inc = IncrementalIndex.from_graph(build_hub_labels(pg).labels, pg)
+        dg, inc = _twin(range_partition(dyn_graph, 2))
         current = {
             int(u) * n + int(v)
             for u, v in zip(dyn_graph.src, dyn_graph.dst)
         }
-        ins = fresh_edges(rng, n, current, 10)
-        res = inc.apply(_arr(ins), _arr([]))
-        assert not res.needs_rebuild
-        assert res.entries_patched > 0
-        arr = np.array(sorted(current), dtype=np.int64)
-        rebuilt = build_hub_labels(
-            range_partition(EdgeList(arr // n, arr % n, n), 2)
-        ).labels
+        res = dg.apply(fresh_edges(rng, n, current, 10))
+        patch = inc.apply(res.inserted, res.deleted)
+        assert not patch.needs_rebuild
+        assert patch.entries_patched > 0
+        rebuilt = build_hub_labels(dg.graph_at(dg.epoch)).labels
         s = rng.integers(0, n, size=2048)
         t = rng.integers(0, n, size=2048)
         np.testing.assert_array_equal(
@@ -92,44 +87,37 @@ class TestExactness:
 
 
 class TestBudgets:
-    def test_churn_threshold_trips_rebuild(self, dyn_graph):
-        pg = range_partition(dyn_graph, 2)
-        inc = IncrementalIndex.from_graph(
-            build_hub_labels(pg).labels, pg, churn_threshold=0.0
-        )
-        res = inc.apply(_arr([(0, 1)]), _arr([]))
-        assert res.needs_rebuild
+    def test_churn_threshold_trips_rebuild(self, dyn_graph, edge_keys, rng):
+        dg, inc = _twin(range_partition(dyn_graph, 2), churn_threshold=0.0)
+        res = dg.apply(fresh_edges(rng, dg.num_vertices, edge_keys, 1))
+        assert inc.apply(res.inserted, res.deleted).needs_rebuild
 
     def test_region_threshold_trips_on_delete(self):
         el = EdgeList.from_pairs([(0, 1), (1, 2), (2, 3)], num_vertices=4)
-        pg = range_partition(el, 1)
-        inc = IncrementalIndex.from_graph(
-            build_hub_labels(pg).labels, pg, region_threshold=0.0
-        )
-        res = inc.apply(_arr([]), _arr([(1, 2)]))
-        assert res.needs_rebuild
+        dg, inc = _twin(range_partition(el, 1), region_threshold=0.0)
+        res = dg.apply(deletes=[(1, 2)])
+        assert inc.apply(res.inserted, res.deleted).needs_rebuild
 
 
 class TestRepack:
     def test_clean_finalize_reuses_arrays(self, dyn_graph):
-        pg = range_partition(dyn_graph, 2)
-        inc = IncrementalIndex.from_graph(build_hub_labels(pg).labels, pg)
+        _, inc = _twin(range_partition(dyn_graph, 2))
         first = inc.finalize()
         second = inc.finalize()
-        # No dirty rows: finalize hands back the cached packed arrays.
+        # No patched rows: finalize hands back the packed arrays.
         assert second.out_hubs is first.out_hubs
         assert second.in_hubs is first.in_hubs
 
     def test_dirty_rows_repacked_once(self, dyn_graph, rng):
         n = dyn_graph.num_vertices
-        pg = range_partition(dyn_graph, 2)
-        inc = IncrementalIndex.from_graph(build_hub_labels(pg).labels, pg)
+        dg, inc = _twin(range_partition(dyn_graph, 2))
         base = inc.finalize()
         current = {
             int(u) * n + int(v)
             for u, v in zip(dyn_graph.src, dyn_graph.dst)
         }
-        inc.apply(_arr(fresh_edges(rng, n, current, 2)), _arr([]))
+        res = dg.apply(fresh_edges(rng, n, current, 2))
+        inc.apply(res.inserted, res.deleted)
         patched = inc.finalize()
         # A fresh edge always changes at least one label side (its repack
         # replaces that side's arrays); untouched sides keep theirs.
@@ -142,105 +130,95 @@ class TestRepack:
         assert again.in_hubs is patched.in_hubs
 
 
-class TestAdjacency:
-    """The index's own adjacency is the graph's: the splice it applies per
-    batch must leave exactly the arrays ``global_csr_csc`` concatenates
-    from the spliced shards.  The labels cannot be trusted otherwise — a
-    row out of order splices the next insert into the wrong slot, and the
-    pruned BFS then walks a graph that is not the one being labelled."""
+_FIELDS = (
+    "order", "out_indptr", "out_hubs", "out_dists",
+    "in_indptr", "in_hubs", "in_dists",
+)
 
-    @pytest.mark.parametrize(
-        "churn, region, patched",
-        [(10.0, 1.1, True), (0.0, 1.1, False), (10.0, 0.0, False)],
-        ids=["patched", "churn-tripped", "region-tripped"],
+
+@st.composite
+def _streams(draw):
+    """A small graph, a partition count and netted insert/delete batches."""
+    n = draw(st.integers(4, 24))
+    vid = st.integers(0, n - 1)
+    pairs = draw(st.sets(st.tuples(vid, vid), max_size=3 * n))
+    base = sorted((u, v) for u, v in pairs if u != v)
+    el = EdgeList.from_pairs(base, num_vertices=n)
+    batches = []
+    current = set(base)
+    for _ in range(draw(st.integers(1, 6))):
+        dels = set()
+        if current:
+            dels = draw(st.sets(st.sampled_from(sorted(current)), max_size=2))
+        ins = {
+            (u, v)
+            for u, v in draw(st.sets(st.tuples(vid, vid), max_size=4))
+            if u != v and (u, v) not in current
+        }
+        current = (current - dels) | ins
+        batches.append((sorted(ins), sorted(dels)))
+    return el, draw(st.integers(1, 4)), batches
+
+
+class TestReferenceParity:
+    """The patch writes what the dict-label patch it replaced wrote
+    (``tests/index/incremental_reference.py``): after every batch the
+    frozen labels are byte-identical, dtypes included, and the rebuild
+    decision and the accounting agree."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        stream=_streams(),
+        region=st.sampled_from([0.0, 0.1, 0.3, 1.1]),
+        churn=st.sampled_from([0.05, 10.0]),
     )
-    def test_matches_graph_after_every_batch(
-        self, dyn_graph, edge_keys, rng, churn, region, patched
+    def test_labels_equal_the_dict_patch_after_every_batch(
+        self, stream, region, churn
     ):
-        sess = GraphSession(dyn_graph, num_machines=3)
-        dg = sess.dynamic()
-        n = dg.num_vertices
-        inc = IncrementalIndex.from_graph(
-            build_hub_labels(sess.pg).labels, sess.pg,
-            churn_threshold=churn, region_threshold=region,
-        )
-        repaired = tripped = 0
-        for step in range(8):
-            dels = existing_edges(rng, n, edge_keys, step % 3)
-            guard = edge_keys | {u * n + v for u, v in dels}
-            ins = fresh_edges(rng, n, guard, 3)
-            edge_keys |= {u * n + v for u, v in ins}
+        el, parts, batches = stream
+        pg = range_partition(el, parts)
+        dg = DynamicGraph(pg)
+        kwargs = dict(churn_threshold=churn, region_threshold=region)
+        inc = ref = None
+        for ins, dels in batches:
+            if inc is None:  # a fresh twin of freshly built labels
+                labels = build_hub_labels(pg).labels
+                inc = IncrementalIndex(labels, pg, **kwargs)
+                ref = ReferenceIndex.from_graph(labels, pg, **kwargs)
             res = dg.apply(ins, dels)
-            patch = inc.apply(res.inserted, res.deleted)
-            repaired += patch.vertices_repaired
-            tripped += patch.needs_rebuild
-            if step == 4:
-                dg.compact()
-            for got, want in zip(
-                (inc.out_csr, inc.in_csc), global_csr_csc(sess.pg)
-            ):
-                for a, b in ((got.indptr, want.indptr),
-                             (got.indices, want.indices)):
-                    assert a.dtype == b.dtype
-                    np.testing.assert_array_equal(a, b)
-        # the stream ran delete repair, or tripped the budget it guards
-        assert (repaired > 0, tripped > 0) == (patched, not patched)
+            if not res.changed:
+                continue
+            got = inc.apply(res.inserted, res.deleted)
+            want = ref.apply(res.inserted, res.deleted)
+            for name in ("needs_rebuild", "entries_patched", "vertices_repaired"):
+                assert getattr(got, name) == getattr(want, name), name
+            if got.needs_rebuild:
+                inc = ref = None
+                continue
+            have, oracle = inc.finalize(), ref.finalize()
+            for name in _FIELDS:
+                a, b = getattr(have, name), getattr(oracle, name)
+                assert a.dtype == b.dtype, name
+                np.testing.assert_array_equal(a, b, err_msg=name)
 
-
-def _reference_repack(label_dicts, packed, dirty):
-    """The per-vertex repack ``finalize`` ran before it was vectorised."""
-    if not dirty:
-        return packed
-    indptr0, hubs0, dists0 = packed
-    indptr = np.zeros(len(label_dicts) + 1, dtype=np.int64)
-    hub_segs, dist_segs = [], []
-    for v in range(len(label_dicts)):
-        if v in dirty:
-            items = sorted(label_dicts[v].items())
-            hub_segs.append(np.array([r for r, _ in items], dtype=hubs0.dtype))
-            dist_segs.append(np.array([d for _, d in items], dtype=dists0.dtype))
-        else:
-            hub_segs.append(hubs0[indptr0[v]:indptr0[v + 1]])
-            dist_segs.append(dists0[indptr0[v]:indptr0[v + 1]])
-        indptr[v + 1] = indptr[v] + len(hub_segs[-1])
-    return indptr, np.concatenate(hub_segs), np.concatenate(dist_segs)
-
-
-class TestRepackReference:
-    def test_vectorised_repack_is_byte_identical(self, rng):
-        el = rmat_edges(7, 1200, seed=11).remove_self_loops().deduplicate()
-        n = el.num_vertices
-        pg = range_partition(el, 2)
-        inc = IncrementalIndex.from_graph(
-            build_hub_labels(pg).labels, pg,
-            churn_threshold=10.0, region_threshold=1.1,
+    def test_a_delete_that_trips_and_one_that_does_not(self):
+        # 0→1→2→3 plus the shortcut 0→2: deleting 0→1 moves d(0, 1) alone
+        # (a region of 2 of the 4 vertices); deleting 2→3 cuts 3 off from
+        # every vertex (a region of all 4)
+        el = EdgeList.from_pairs(
+            [(0, 1), (1, 2), (2, 3), (0, 2)], num_vertices=4
         )
-        current = {int(u) * n + int(v) for u, v in zip(el.src, el.dst)}
-        repaired = 0
-        for step in range(10):
-            dels = existing_edges(rng, n, current, int(rng.integers(0, 4)))
-            guard = current | {u * n + v for u, v in dels}
-            ins = fresh_edges(rng, n, guard, int(rng.integers(0, 4)))
-            current |= {u * n + v for u, v in ins}
-            repaired += inc.apply(_arr(ins), _arr(dels)).vertices_repaired
-            if step % 3 == 1:
-                continue  # dirty rows pile up over two batches
-            want_out = _reference_repack(
-                inc.out_labels, inc._packed_out, inc._dirty_out
+        for dels, trips in (([(0, 1)], False), ([(2, 3)], True)):
+            pg = range_partition(el, 2)
+            budget = dict(churn_threshold=10.0, region_threshold=0.5)
+            dg, inc = _twin(pg, **budget)
+            ref = ReferenceIndex.from_graph(
+                build_hub_labels(pg).labels, pg, **budget
             )
-            want_in = _reference_repack(
-                inc.in_labels, inc._packed_in, inc._dirty_in
-            )
-            got = inc.finalize()
-            for name, want in zip(
-                ("out_indptr", "out_hubs", "out_dists",
-                 "in_indptr", "in_hubs", "in_dists"),
-                (*want_out, *want_in),
-            ):
-                have = getattr(got, name)
-                assert have.dtype == want.dtype, name
-                np.testing.assert_array_equal(have, want, err_msg=name)
-        assert repaired > 0  # whole rows were rewritten by delete repair
+            res = dg.apply(deletes=dels)
+            got = inc.apply(res.inserted, res.deleted)
+            assert got.needs_rebuild is trips
+            assert ref.apply(res.inserted, res.deleted).needs_rebuild is trips
 
 
 class TestSessionIntegration:
@@ -270,3 +248,15 @@ class TestSessionIntegration:
             sess.dynamic(index_maintenance="none")
         assert not sess.is_dynamic
         assert sess.dynamic(index_maintenance="incremental").epoch == 0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.01])
+    def test_churn_threshold_must_be_finite_and_non_negative(
+        self, dyn_graph, bad
+    ):
+        # NaN never trips the rebuild budget, a negative one trips it on
+        # every batch; recovery passes the manifest's value through here
+        sess = GraphSession(dyn_graph, num_machines=2)
+        with pytest.raises(ValueError, match="churn_threshold"):
+            sess.dynamic(churn_threshold=bad)
+        assert not sess.is_dynamic
+        assert sess.dynamic(churn_threshold=0.0).epoch == 0

@@ -15,8 +15,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dynamic.delta import DynamicGraph
 from repro.graph.edgelist import EdgeList
 from repro.graph.generators import rmat_edges
+from repro.graph.partition import range_partition
 from repro.index import (
     HubLabels,
     IndexPlanner,
@@ -103,8 +105,10 @@ def patched_labels(draw):
     """Labels of a built graph after random netted insert/delete batches."""
     el = draw(digraphs()).remove_self_loops().deduplicate()
     n = el.num_vertices
-    inc = IncrementalIndex.from_graph(
-        build_hub_labels(el).labels, el,
+    pg = range_partition(el, 1)
+    dg = DynamicGraph(pg)
+    inc = IncrementalIndex(
+        build_hub_labels(pg).labels, pg,
         churn_threshold=1e9, region_threshold=2.0,
     )
     current = {(int(u), int(v)) for u, v in zip(el.src, el.dst)}
@@ -119,10 +123,8 @@ def patched_labels(draw):
             if u != v and (u, v) not in current
         }
         current = (current - dels) | ins
-        inc.apply(
-            np.array(sorted(ins), dtype=np.int64).reshape(-1, 2),
-            np.array(sorted(dels), dtype=np.int64).reshape(-1, 2),
-        )
+        res = dg.apply(sorted(ins), sorted(dels))
+        inc.apply(res.inserted, res.deleted)
     return inc.finalize()
 
 

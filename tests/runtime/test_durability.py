@@ -427,11 +427,14 @@ class TestWritePathBudget:
     periodic checkpoints among them — nothing rebuilds a shard from an edge
     list (``build_csr``), re-partitions the graph
     (``partition_with_bounds``) or deflates a payload
-    (``np.savez_compressed``)."""
+    (``np.savez_compressed``), and only the shards a batch touches are
+    spliced (``splice_effective_csr``): the index patch walks them and
+    splices nothing of its own."""
 
     def test_no_whole_graph_rebuild_or_compression(
         self, graph, keys, tmp_path, monkeypatch
     ):
+        from repro.dynamic import delta
         from repro.graph import csr, partition
 
         sess = GraphSession(graph, num_machines=2)
@@ -452,6 +455,7 @@ class TestWritePathBudget:
         for name, fn in (
             ("build_csr", csr.build_csr),
             ("partition_with_bounds", partition.partition_with_bounds),
+            ("splice_effective_csr", delta.splice_effective_csr),
         ):
             wrapper = counted(name, fn)
             for modname, mod in list(sys.modules.items()):
@@ -466,8 +470,21 @@ class TestWritePathBudget:
         sess.index()  # the deferred label repack runs on the first read
         assert sess.dynamic().compactions == 2
         assert mgr.checkpoints == 1 + 3
+        # one out-CSR splice per partition owning a source of the batch,
+        # one in-CSC splice per partition owning a target
+        owner = sess.pg.owner_of
+        shard_splices = sum(
+            np.unique(owner(pairs[:, 0])).size + np.unique(owner(pairs[:, 1])).size
+            for pairs in (
+                np.concatenate((rec.inserts, rec.deletes))
+                for rec in sess.dynamic().history
+                if not rec.compaction
+            )
+        )
+        assert len(sess.dynamic().history) == 12 + 2
         assert calls == {
-            "build_csr": 0, "partition_with_bounds": 0, "savez_compressed": 0
+            "build_csr": 0, "partition_with_bounds": 0, "savez_compressed": 0,
+            "splice_effective_csr": shard_splices,
         }
         mgr.close()
         sess.close()

@@ -45,6 +45,7 @@ from repro.core.sssp import sssp
 from repro.graph import path_graph
 from repro.graph.csr import build_csc, build_csr
 from repro.graph.properties import DenseVertexValues
+from repro.index.incremental import IncrementalIndex
 from repro.qos import QosConfig, ResultCache
 from repro.runtime.netmodel import NetworkModel
 from repro.runtime.pool import WorkerPool
@@ -389,6 +390,11 @@ def _dynamic_session():
     return sess
 
 
+def _index_twin():
+    sess = _dynamic_session()
+    return IncrementalIndex(sess.index(), sess.pg)
+
+
 @pytest.mark.parametrize(
     "owner, name",
     [
@@ -418,6 +424,11 @@ def _dynamic_session():
         (DynamicGraph, "num_edges"),
         (_dynamic_session().pg, "edges"),
         (repro.graph, "subgraph"),
+        (_index_twin(), "out_csr"),
+        (_index_twin(), "in_csc"),
+        (IncrementalIndex, "_splice"),
+        (IncrementalIndex, "_repack"),
+        (IncrementalIndex, "from_graph"),
     ],
 )
 def test_removed_helpers_are_gone(owner, name):
