@@ -54,13 +54,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import MutationError
-from repro.graph.csr import CSR, expand_ranges
+from repro.graph.csr import CSR, row_positions, splice_csr
 from repro.graph.edgelist import EdgeList
 from repro.graph.partition import (
     Partition,
     PartitionedGraph,
     owner_of_bounds,
     partition_with_bounds,
+    splice_plan,
 )
 
 __all__ = [
@@ -111,64 +112,24 @@ class MutationResult:
 # --------------------------------------------------------------------------- #
 
 
-def _row_positions(base: CSR, rows: np.ndarray, cols: np.ndarray, n: int):
-    """Where each ``(rows[i], cols[i])`` sits in ``base.indices``, or the slot
-    it would be inserted at to keep its row sorted.
-
-    Only the named rows are keyed (``row·n + col``, sorted because the rows
-    are), so the cost is their degree, not the shard's size."""
-    touched = np.unique(rows)
-    starts, ends = base.indptr[touched], base.indptr[touched + 1]
-    keys = np.repeat(touched * n, ends - starts)
-    keys += base.indices[expand_ranges(starts, ends)]
-    rank = np.searchsorted(keys, rows * n + cols) - np.searchsorted(keys, rows * n)
-    return base.indptr[rows] + rank
-
-
 def splice_effective_csr(
     base: CSR,
-    num_rows: int,
     num_vertices: int,
     ins_rows: np.ndarray,
     ins_cols: np.ndarray,
     del_rows: np.ndarray,
     del_cols: np.ndarray,
 ) -> CSR:
-    """One shard as ``(base − deletes) ∪ inserts``.
+    """One shard (local rows, global columns below ``num_vertices``) as
+    ``(base − deletes) ∪ inserts``.
 
-    Rows are local (partition-relative), columns global.  ``base`` holds
-    each row's columns ascending and without repeats (what `build_csr`
-    emits), every delete names a base entry and no insert does — what an
-    effective :class:`MutationRecord` guarantees.  The splice is then one
-    sorted-key merge: drop the deleted positions, insert the new columns
-    at their slots and shift ``indptr`` by the per-row counts.  Nothing of
-    the base is sorted, and the result matches a from-scratch rebuild byte
-    for byte.
+    ``base`` holds each row's columns ascending and without repeats (what
+    `build_csr` emits), every delete names a base entry and no insert does —
+    what an effective :class:`MutationRecord` guarantees — so the splice is
+    :func:`~repro.graph.csr.splice_csr`'s sorted-key merge, and the result
+    matches a from-scratch rebuild byte for byte.
     """
-    n = num_vertices
-    ins_rows, ins_cols, del_rows, del_cols = (
-        np.asarray(a, dtype=np.int64)
-        for a in (ins_rows, ins_cols, del_rows, del_cols)
-    )
-    # np.insert keeps values bound for one slot in the order given
-    order = np.argsort(ins_rows * n + ins_cols)
-    ins_rows, ins_cols = ins_rows[order], ins_cols[order]
-    del_pos = np.sort(_row_positions(base, del_rows, del_cols, n))
-    ins_pos = _row_positions(base, ins_rows, ins_cols, n)
-    ins_pos -= np.searchsorted(del_pos, ins_pos)  # slots after the deletes
-    indices = base.indices
-    if del_pos.size:
-        indices = np.delete(indices, del_pos)
-    if ins_pos.size:
-        indices = np.insert(indices, ins_pos, ins_cols.astype(indices.dtype))
-    counts = (
-        base.degrees()
-        + np.bincount(ins_rows, minlength=num_rows)
-        - np.bincount(del_rows, minlength=num_rows)
-    )
-    indptr = np.zeros(num_rows + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return CSR(indptr=indptr, indices=indices)
+    return splice_csr(base, num_vertices, ins_rows, ins_cols, del_rows, del_cols)
 
 
 def splice_record(part: Partition, rec: MutationRecord, num_vertices: int) -> None:
@@ -177,30 +138,33 @@ def splice_record(part: Partition, rec: MutationRecord, num_vertices: int) -> No
     ``rec`` holds effective pairs only, so every delete the partition owns
     names one of its entries and no insert does — what
     :func:`splice_effective_csr` needs.  The out-CSR takes the pairs whose
-    source the partition owns, the in-CSC those whose target it owns; a
-    partition the record does not touch keeps its arrays and exchange plan
-    and only moves its epoch.  The coordinator and the pool workers both
-    call this, so their shards stay byte-identical.
+    source the partition owns, the in-CSC those whose target it owns.  A
+    built exchange plan is spliced with the shard
+    (:func:`~repro.graph.partition.splice_plan`): the out-edges fix it, so
+    an in-CSC change from remote sources leaves it as it is, and a
+    partition the record does not touch keeps its arrays and plan and only
+    moves its epoch.  The coordinator and the pool workers both call this,
+    so their shards and plans stay byte-identical.
     """
 
     def owned(pairs: np.ndarray, col: int) -> np.ndarray:
         return pairs[(pairs[:, col] >= part.lo) & (pairs[:, col] < part.hi)]
 
-    lo, rows = part.lo, part.num_local
+    lo = part.lo
     ins, dels = owned(rec.inserts, 0), owned(rec.deletes, 0)
     if ins.size or dels.size:
         part.out_csr = splice_effective_csr(
-            part.out_csr, rows, num_vertices,
+            part.out_csr, num_vertices,
             ins[:, 0] - lo, ins[:, 1], dels[:, 0] - lo, dels[:, 1],
         )
-        part.plan_cache = None
+        if part.plan_cache is not None:
+            part.plan_cache = splice_plan(part.plan_cache, part, ins, dels)
     ins, dels = owned(rec.inserts, 1), owned(rec.deletes, 1)
     if ins.size or dels.size:
         part.in_csc = splice_effective_csr(
-            part.in_csc, rows, num_vertices,
+            part.in_csc, num_vertices,
             ins[:, 1] - lo, ins[:, 0], dels[:, 1] - lo, dels[:, 0],
         )
-        part.plan_cache = None
     part.graph_epoch = rec.epoch
 
 
@@ -288,7 +252,7 @@ class DynamicGraph:
             part = self.pg.partitions[pid]
             out = part.out_csr
             rows, cols = pairs[mine, 0] - part.lo, pairs[mine, 1]
-            pos = _row_positions(out, rows, cols, self.num_vertices)
+            pos = row_positions(out, rows, cols, self.num_vertices)
             found = pos < out.indptr[rows + 1]
             found[found] = out.indices[pos[found]] == cols[found]
             hit[mine] = found

@@ -16,7 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CSR", "build_csr", "build_csc", "expand_ranges"]
+__all__ = [
+    "CSR",
+    "build_csr",
+    "build_csc",
+    "expand_ranges",
+    "row_positions",
+    "splice_csr",
+]
 
 
 @dataclass(frozen=True)
@@ -102,6 +109,67 @@ def expand_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     out = np.repeat(starts - (np.cumsum(counts) - counts), counts)
     out += np.arange(out.size, dtype=np.int64)
     return out
+
+
+def row_positions(
+    csr: CSR, rows: np.ndarray, cols: np.ndarray, width: int
+) -> np.ndarray:
+    """Where each ``(rows[i], cols[i])`` sits in ``csr.indices``, or the slot
+    it would be inserted at to keep its row sorted.
+
+    ``csr`` holds each row's columns ascending and below ``width``.  Only the
+    named rows are keyed (``row·width + col``, sorted because the rows are),
+    so the cost is their degree, not the array's size."""
+    touched = np.unique(rows)
+    starts, ends = csr.indptr[touched], csr.indptr[touched + 1]
+    keys = np.repeat(touched * width, ends - starts)
+    keys += csr.indices[expand_ranges(starts, ends)]
+    rank = np.searchsorted(keys, rows * width + cols) - np.searchsorted(keys, rows * width)
+    return csr.indptr[rows] + rank
+
+
+def splice_csr(
+    csr: CSR,
+    width: int,
+    ins_rows: np.ndarray,
+    ins_cols: np.ndarray,
+    del_rows: np.ndarray,
+    del_cols: np.ndarray,
+) -> CSR:
+    """``csr`` with the ``(del_rows, del_cols)`` entries removed and the
+    ``(ins_rows, ins_cols)`` ones added — the sorted-key merge.
+
+    Each row's columns are ascending, without repeats and below ``width``;
+    every delete names an entry and no insert does.  The deleted positions
+    are dropped, the new columns inserted at their ``searchsorted`` slots
+    and ``indptr`` shifted by the per-row counts: one copy of the arrays,
+    never a sort of them, and the rows stay sorted.  ``csr`` is returned
+    as is when there is nothing to splice; it is never written.
+    """
+    ins_rows, ins_cols, del_rows, del_cols = (
+        np.asarray(a, dtype=np.int64) for a in (ins_rows, ins_cols, del_rows, del_cols)
+    )
+    k = del_rows.size
+    if not (k or ins_rows.size):
+        return csr
+    # deletes first, then the inserts in key order: np.insert keeps values
+    # bound for one slot in the order given
+    order = np.argsort(ins_rows * width + ins_cols)
+    rows = np.concatenate([del_rows, ins_rows[order]])
+    cols = np.concatenate([del_cols, ins_cols[order]])
+    pos = row_positions(csr, rows, cols, width)
+    indices = csr.indices
+    if k:
+        del_pos = np.sort(pos[:k])
+        indices = np.delete(indices, del_pos)
+        pos[k:] -= np.searchsorted(del_pos, pos[k:])  # slots after the deletes
+    if k < rows.size:
+        indices = np.insert(indices, pos[k:], cols[k:].astype(indices.dtype))
+    moved = np.bincount(rows[k:], minlength=csr.num_rows)
+    moved -= np.bincount(rows[:k], minlength=csr.num_rows)
+    indptr = csr.indptr.copy()
+    indptr[1:] += np.cumsum(moved)
+    return CSR(indptr=indptr, indices=indices)
 
 
 def build_csr(

@@ -28,12 +28,12 @@ scan walks them edge-set by edge-set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.errors import UnsupportedConfigError
-from repro.graph.csr import CSR, build_csr
+from repro.graph.csr import CSR, build_csr, splice_csr
 from repro.graph.edgelist import EdgeList
 from repro.graph.edgeset import EdgeSetMatrix, degree_balanced_ranges
 
@@ -44,6 +44,7 @@ __all__ = [
     "range_partition",
     "partition_with_bounds",
     "owner_of_bounds",
+    "splice_plan",
 ]
 
 
@@ -63,7 +64,8 @@ class ExchangePlan:
     Built from ``out_csr``/``in_csc`` and cached on the partition.  The build
     is a pure function of the partition's edges, so every process (in-process
     engine, pool workers, a worker restarted after a fault) derives an
-    identical plan, and it is dropped wherever the edges change.
+    identical plan, and a mutation batch splices it with the shard
+    (:func:`splice_plan`) into the plan a rebuild would give.
 
     * ``boundary`` — the sorted, unique remote out-neighbours (global ids).
       Position in it is a **slot**; a sender keeps one plane row per slot.
@@ -189,7 +191,7 @@ class Partition:
     edge_sets:
         The edge-set layout the exchange plan orders ``out_csr`` by (set by
         :meth:`PartitionedGraph.build_edge_sets`; ``None`` is one block).
-        Only bounds: it outlives edge changes, which drop just the plan.
+        Only bounds: it outlives edge changes, which splice the plan under it.
     plan_cache:
         Lazily built :class:`ExchangePlan` (see :meth:`exchange_plan`).
     graph_epoch:
@@ -500,6 +502,114 @@ def _build_exchange_plan(part: Partition) -> ExchangePlan:
         layout=layout,
         block_rows=block_rows,
         block_src=block_src,
+    )
+
+
+def splice_plan(
+    plan: ExchangePlan, part: Partition, ins: np.ndarray, dels: np.ndarray
+) -> ExchangePlan | None:
+    """``plan`` moved forward by one batch: a new plan equal to
+    :func:`_build_exchange_plan` of the spliced ``part``.
+
+    ``ins``/``dels`` are the batch's ``(k, 2)`` global out-edge pairs whose
+    source ``part`` owns, effective against ``plan`` (each delete names one
+    of its edges, no insert does).  Every part of a plan is sorted by key, so
+    each is spliced by :func:`~repro.graph.csr.splice_csr` — the batch plus
+    one copy, never a sort: ``local_csr`` and ``slot_csr`` over plan rows (a
+    column stripe keeps a row's columns ascending, so an edge-set layout
+    splices alike) and the sweep as a CSR over the target space ``[local
+    rows | slots]``.  A remote target the batch reaches first takes a slot
+    at its ``searchsorted`` position, a target whose last edge goes gives
+    its slot up, and the later slot ids move with them.  ``plan`` is never
+    written: tasks and queued batches may still hold it.  A weighted plan
+    gives ``None`` (rebuilt on next use): dynamic shards are unweighted.
+    """
+    if plan.local_csr.weights is not None:
+        return None
+    n, lo, hi = part.num_local, part.lo, part.hi
+    ins_u, ins_v = ins[:, 0] - lo, ins[:, 1]
+    del_u, del_v = dels[:, 0] - lo, dels[:, 1]
+    ins_local = (ins_v >= lo) & (ins_v < hi)
+    del_local = (del_v >= lo) & (del_v < hi)
+
+    def plan_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        if plan.block_rows is None:
+            return u
+        return plan.block_rows[u, plan.layout.col_stripe(v)]
+
+    def relabel(csr: CSR, new_ids: np.ndarray) -> CSR:
+        return CSR(csr.indptr, new_ids.astype(csr.indices.dtype).take(csr.indices))
+
+    # The slots: the old boundary's, and the remote targets the batch
+    # reaches first, each at its place among them (an old slot moves up by
+    # the fresh targets below it).  Slots whose runs empty (``live`` below)
+    # are dropped at the end.
+    old = plan.boundary
+    runs = np.diff(np.append(plan.sweep_starts, plan.sweep_sources.size))
+    local_runs = plan.sweep_rows.size
+    slots, slot_runs, slot_csr = old, runs[local_runs:], plan.slot_csr
+    reached = np.unique(ins_v[~ins_local])
+    at = np.searchsorted(old, reached)
+    known = at < old.size
+    known[known] = old[at[known]] == reached[known]
+    if not known.all():
+        at, fresh = at[~known], reached[~known]
+        slots = np.insert(old, at, fresh)
+        slot_runs = np.insert(slot_runs, at, 0)
+        slot_csr = relabel(slot_csr, np.arange(old.size) + np.searchsorted(fresh, old))
+
+    # The sweep as a CSR over [local rows | slots], source rows as columns.
+    counts = np.zeros(n, dtype=np.int64)
+    counts[plan.sweep_rows] = runs[:local_runs]
+    counts = np.concatenate([counts, slot_runs])
+    sweep = CSR(np.concatenate([[0], np.cumsum(counts)]), plan.sweep_sources)
+
+    def target(v: np.ndarray, local: np.ndarray) -> np.ndarray:
+        return np.where(local, v - lo, n + np.searchsorted(slots, v))
+
+    sweep = splice_csr(
+        sweep, n,
+        target(ins_v, ins_local), ins_u, target(del_v, del_local), del_u,
+    )
+    counts = sweep.degrees()
+    sweep_rows = np.flatnonzero(counts[:n])
+    live = counts[n:] > 0  # a slot always has an edge
+
+    ins_t, del_t = ins_v[~ins_local], del_v[~del_local]
+    slot_csr = splice_csr(
+        slot_csr, slots.size,
+        plan_rows(ins_u[~ins_local], ins_t), np.searchsorted(slots, ins_t),
+        plan_rows(del_u[~del_local], del_t), np.searchsorted(slots, del_t),
+    )
+    boundary = slots
+    if not live.all():  # drop the slots whose last edge went, close the gaps
+        boundary = slots[live]
+        slot_csr = relabel(slot_csr, np.cumsum(live) - 1)
+
+    local_csr = splice_csr(
+        plan.local_csr, n,
+        plan_rows(ins_u[ins_local], ins_v[ins_local]), ins_v[ins_local] - lo,
+        plan_rows(del_u[del_local], del_v[del_local]), del_v[del_local] - lo,
+    )
+
+    def moved(degree: np.ndarray, plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+        grown = degree + np.bincount(plus, minlength=n)
+        return grown - np.bincount(minus, minlength=n)
+
+    return replace(
+        plan,
+        boundary=boundary,
+        local_csr=local_csr,
+        slot_csr=slot_csr,
+        sweep_sources=sweep.indices,
+        sweep_starts=np.concatenate(
+            [sweep.indptr[sweep_rows], sweep.indptr[n:-1][live]]
+        ),
+        sweep_rows=sweep_rows,
+        out_degree=moved(plan.out_degree, ins_u, del_u),
+        local_out_degree=moved(
+            plan.local_out_degree, ins_u[ins_local], del_u[del_local]
+        ),
     )
 
 

@@ -361,6 +361,12 @@ class DurabilityManager:
             },
             "files": files,
         }
+        twin = sess._inc_index
+        if twin is not None:  # the index's churn since its last full build
+            manifest["index_churn"] = {
+                "mutations_since_build": twin.mutations_since_build,
+                "base_edges": twin.base_edges,
+            }
         tmp = ckdir / (_MANIFEST + ".tmp")
         with open(tmp, "w") as fh:
             json.dump(manifest, fh, indent=1)
@@ -422,14 +428,15 @@ def recover_session(root, *, cross_check: bool = False, **session_kwargs):
     :class:`~repro.errors.CorruptCheckpoint`), restores the settings its
     manifest records (compaction cadence, churn threshold, WAL fsync
     policy, checkpoint cadence, edge-set layout), restores the epoch and
-    compaction counters, replays the WAL suffix through the session's
-    normal write paths, completes any auto-compaction the crash
-    interrupted, and re-attaches a :class:`DurabilityManager` over the same
-    WAL so the recovered process keeps appending where the dead one
-    stopped.  ``cross_check=True`` additionally asserts the recovered
-    shards are byte-identical to a from-scratch partitioning of the
-    replayed edge set.  ``session_kwargs`` (``backend``,
-    ``instrumentation``, ...) go to the :class:`GraphSession`.
+    compaction counters and the index's churn since its last build (so it
+    rebuilds at the batches an uninterrupted run would), replays the WAL
+    suffix through the session's normal write paths, completes any
+    auto-compaction the crash interrupted, and re-attaches a
+    :class:`DurabilityManager` over the same WAL so the recovered process
+    keeps appending where the dead one stopped.  ``cross_check=True``
+    additionally asserts the recovered shards are byte-identical to a
+    from-scratch partitioning of the replayed edge set.  ``session_kwargs``
+    (``backend``, ``instrumentation``, ...) go to the :class:`GraphSession`.
 
     Raises :class:`~repro.errors.DurabilityError` when nothing valid
     survives (a manifest of another format counts as invalid),
@@ -477,6 +484,15 @@ def recover_session(root, *, cross_check: bool = False, **session_kwargs):
     dg.restore_epoch(ckpt_epoch, int(manifest["compactions"]))
     if labels is not None:
         sess.set_index(labels)
+        churn = manifest.get("index_churn")  # absent: the twin counts from 0
+        if churn is not None:
+            from repro.index.incremental import IncrementalIndex
+
+            sess._inc_index = twin = IncrementalIndex(
+                labels, sess.pg, churn_threshold=config["churn_threshold"]
+            )
+            twin.mutations_since_build = int(churn["mutations_since_build"])
+            twin.base_edges = int(churn["base_edges"])
 
     # Opened now, attached after replay: the replayed batches are already
     # in this WAL and must not be appended again.

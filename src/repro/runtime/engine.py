@@ -104,7 +104,7 @@ class PartitionTask(ABC):
         """``(plan, cuts)``: the partition's
         :class:`~repro.graph.partition.ExchangePlan` and each destination's
         ``(dest, lo, hi)`` slice of its slot space — owners looked up (through
-        ``self.cluster``) once per plan, so a mutation that drops it re-arms."""
+        ``self.cluster``) once per plan, so a batch that splices it re-arms."""
         plan = self.machine.partition.exchange_plan()
         if plan is not self._plan:
             self._plan = plan

@@ -109,7 +109,7 @@ class GraphSession:
         it with the flat scan's answers, counted work and virtual time.  It
         is fixed here — a graph that already has a different one is refused
         (:class:`~repro.errors.UnsupportedConfigError`) — and survives
-        mutations (the plan is rebuilt from its frozen bounds).  The two
+        mutations (the plan is spliced under its frozen bounds).  The two
         settings without ``edge_sets=True`` are refused
         (:class:`~repro.errors.UnsupportedConfigError`): nothing would read
         them.

@@ -192,7 +192,7 @@ class TestLiveShardReaders:
 
 
 class TestSlotSpace:
-    """A partition's exchange plan is dropped with its edges: an insert that
+    """A partition's exchange plan is spliced with its shard: an insert that
     reaches a new remote vertex grows the slot space, a delete that removes
     the last edge to one shrinks it, and traversal, PageRank and multi-SSSP
     on the mutated session — in-process (spliced in place) or pool (workers
@@ -317,9 +317,9 @@ class TestCompact:
 class TestEdgeSetLayout:
     """An edge-set layout is stripe bounds only, frozen when the session is
     built: every splice (in place, or worker-side from the pool's base
-    image) and every compaction rebuilds the plan under the same bounds, so
-    an edge-set dynamic session answers, scans and charges exactly like a
-    flat one at every epoch."""
+    image) splices the plan under the same bounds, and a fresh image
+    rebuilds it under them, so an edge-set dynamic session answers, scans
+    and charges exactly like a flat one at every epoch."""
 
     @pytest.mark.parametrize("backend", ["inproc", "pool"])
     def test_matches_flat_through_mutations_and_compaction(

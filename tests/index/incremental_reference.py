@@ -293,10 +293,10 @@ class IncrementalIndex:
         """Bring the adjacency to ``(current − dels) ∪ ins``."""
         n = self.num_vertices
         self.out_csr = splice_effective_csr(
-            self.out_csr, n, n, ins[:, 0], ins[:, 1], dels[:, 0], dels[:, 1]
+            self.out_csr, n, ins[:, 0], ins[:, 1], dels[:, 0], dels[:, 1]
         )
         self.in_csc = splice_effective_csr(
-            self.in_csc, n, n, ins[:, 1], ins[:, 0], dels[:, 1], dels[:, 0]
+            self.in_csc, n, ins[:, 1], ins[:, 0], dels[:, 1], dels[:, 0]
         )
 
     # -- freezing back ------------------------------------------------------- #

@@ -18,6 +18,7 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.core.khop import concurrent_khop
 from repro.dynamic.wal import WriteAheadLog, encode_record
 from repro.dynamic.delta import MutationRecord
 from repro.errors import CorruptCheckpoint, CorruptLog, DurabilityError
@@ -271,6 +272,52 @@ class TestRecovery:
         rec.close()
         ref.close()
 
+    def test_recovered_index_rebuilds_at_the_same_batches(self, tmp_path):
+        """The checkpoint carries the index's churn since its last build,
+        so a recovered session spends the same rebuild budget (12
+        mutations here; 10 batches of 3 inserts, a checkpoint every 2,
+        a crash after batch 3) and ends on the same labels as a session
+        that never stopped."""
+        from repro.index.storage import labels_equal
+
+        graph = rmat_edges(7, 600, seed=3).remove_self_loops().deduplicate()
+        n = graph.num_vertices
+        current = {int(u) * n + int(v) for u, v in zip(graph.src, graph.dst)}
+        rng = np.random.default_rng(5)
+        batches = [fresh_edges(rng, n, current, 3) for _ in range(10)]
+
+        def session():
+            sess = GraphSession(graph, num_machines=2)
+            sess.dynamic(churn_threshold=12.5 / graph.num_edges)
+            sess.index()
+            return sess
+
+        def rebuilt_at(sess, todo, first):
+            """The batch numbers whose patch tripped a rebuild (which
+            drops the twin until the next batch)."""
+            out = []
+            for i, ins in enumerate(todo, start=first):
+                sess.apply_mutations(ins, [])
+                if sess._inc_index is None:
+                    out.append(i)
+            return out
+
+        ref = session()
+        assert rebuilt_at(ref, batches, 1) == [5, 10]
+        dead = session()
+        mgr = dead.enable_durability(tmp_path, checkpoint_every=2)
+        rebuilt_at(dead, batches[:3], 1)
+        mgr.close()
+        dead.close()
+
+        rec = recover_session(tmp_path)
+        assert rec._durability.last_recovery.checkpoint_epoch == 2
+        assert rebuilt_at(rec, batches[3:], 4) == [5, 10]
+        assert labels_equal(rec.index(), ref.index())
+        rec._durability.close()
+        rec.close()
+        ref.close()
+
     def test_compressed_checkpoint_still_recovers(self, graph, keys, tmp_path):
         """Checkpoints were once written with ``np.savez_compressed``; the
         same ``np.load`` reads them, so such a directory recovers to the
@@ -429,7 +476,9 @@ class TestWritePathBudget:
     (``partition_with_bounds``) or deflates a payload
     (``np.savez_compressed``), and only the shards a batch touches are
     spliced (``splice_effective_csr``): the index patch walks them and
-    splices nothing of its own."""
+    splices nothing of its own.  A k-hop wave runs before the batches and
+    after each one, and none rebuilds an exchange plan
+    (``_build_exchange_plan``): each is spliced with its shard."""
 
     def test_no_whole_graph_rebuild_or_compression(
         self, graph, keys, tmp_path, monkeypatch
@@ -441,6 +490,8 @@ class TestWritePathBudget:
         sess.dynamic(compact_interval=5, churn_threshold=10.0)
         sess.index()
         mgr = sess.enable_durability(tmp_path, checkpoint_every=4)
+        sources = list(range(0, sess.num_vertices, 4))
+        concurrent_khop(sess, sources, 3)  # every plan is built here
         calls = {}
 
         def counted(name, fn):
@@ -456,6 +507,7 @@ class TestWritePathBudget:
             ("build_csr", csr.build_csr),
             ("partition_with_bounds", partition.partition_with_bounds),
             ("splice_effective_csr", delta.splice_effective_csr),
+            ("_build_exchange_plan", partition._build_exchange_plan),
         ):
             wrapper = counted(name, fn)
             for modname, mod in list(sys.modules.items()):
@@ -466,7 +518,10 @@ class TestWritePathBudget:
             counted("savez_compressed", np.savez_compressed),
         )
 
-        _run_mutations(sess, keys, 12)
+        rng = np.random.default_rng(2)
+        for _ in range(12):
+            sess.apply_mutations(*_batch(rng, sess.num_vertices, keys))
+            concurrent_khop(sess, sources, 3)
         sess.index()  # the deferred label repack runs on the first read
         assert sess.dynamic().compactions == 2
         assert mgr.checkpoints == 1 + 3
@@ -484,7 +539,7 @@ class TestWritePathBudget:
         assert len(sess.dynamic().history) == 12 + 2
         assert calls == {
             "build_csr": 0, "partition_with_bounds": 0, "savez_compressed": 0,
-            "splice_effective_csr": shard_splices,
+            "splice_effective_csr": shard_splices, "_build_exchange_plan": 0,
         }
         mgr.close()
         sess.close()
