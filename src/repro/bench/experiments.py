@@ -1641,7 +1641,7 @@ def durability_overhead(
 
     def twin() -> GraphSession:
         sess = GraphSession(el, num_machines=num_machines)
-        sess.dynamic(churn_threshold=10.0)
+        sess.dynamic()
         sess.index()  # resident at epoch 0, checkpointed when durable
         return sess
 

@@ -755,7 +755,9 @@ def cmd_recover(args, out) -> int:
               f"index {'resident' if sess.has_index else 'absent'}", file=out)
         if args.cross_check:
             print("  cross-check: resident shards bit-identical to a "
-                  "rebuilt-from-scratch oracle", file=out)
+                  "rebuilt-from-scratch oracle"
+                  + ("; index equal to its hub order's build"
+                     if sess.has_index else ""), file=out)
         print(f"  service resumes durably under {args.wal_dir} with the "
               f"recorded policy: fsync {mgr.wal.fsync_policy}, checkpoint "
               f"{_cadence(mgr.checkpoint_every)}, compaction "

@@ -108,6 +108,9 @@ class ExchangePlan:
     layout: EdgeSetMatrix | None = field(default=None, repr=False)
     block_rows: np.ndarray | None = field(default=None, repr=False)
     block_src: np.ndarray | None = field(default=None, repr=False)
+    # :meth:`cuts` under the graph's bounds, kept by the first task to read
+    # the plan (a plan is only ever read under its graph's one set of bounds)
+    slot_cuts = None
 
     @property
     def num_slots(self) -> int:

@@ -175,58 +175,63 @@ class _PrunedBFS:
 
     def run(
         self,
-        start: int,
-        dist: int,
+        starts: list,
+        dists: list,
         rank: int,
         root_label: tuple[np.ndarray, np.ndarray],
         labels,
-    ) -> tuple[int, int]:
-        """Pruned BFS for hub ``rank`` from ``start`` at distance ``dist``;
+    ) -> tuple[np.ndarray, int]:
+        """Pruned BFS for hub ``rank``, entering at each of the distinct
+        ``starts`` at the matching distance in ``dists`` (ascending);
         labels survivors with ``(rank, d)``.
 
         The build starts at the hub itself at 0, which no earlier hub pair
         can prune (none witnesses ``dist(root, root) <= 0``), so distance 0
         skips the test; an insert's resumption (:mod:`repro.index.incremental`)
-        starts at the new edge's far end, one hop past the hub's distance to
-        its near end.  The 2-hop pruning query for a
+        enters at the new edges' far ends, one hop past the hub's distance
+        to their near ends.  The 2-hop pruning query for a
         candidate ``v`` at distance ``d`` intersects the hub's opposite-side
         label (``root_label``, scattered densely by rank) with ``v``'s row
         in ``labels`` — the side this BFS extends, any store with the slab's
         ``unpruned`` and ``append``.  Candidates whose existing labels
         already prove a distance ``<= d`` are neither labeled nor expanded.
-        Returns ``(labeled, pruned)`` visit counts.
+        Returns the labeled vertices and the count of pruned visits.
         """
         root_hubs, root_dists = root_label
         self.root_dist[root_hubs] = root_dists
         self.root_dist[rank] = 0
 
-        cand = np.array([start])
-        seen = []
-        labeled = pruned = 0
-        d = dist
+        cand = np.empty(0, dtype=np.int64)
+        seen, labeled = [], []
+        pruned = entered = 0
+        d = dists[0]
         while True:
-            self.visited[cand] = True
-            seen.append(cand)
-            keep = labels.unpruned(cand, d, self.root_dist) if d else cand
-            pruned += int(cand.size - keep.size)
-            labeled += int(keep.size)
-            if keep.size == 0:
+            if entered < len(dists) and dists[entered] == d:  # seeds enter
+                stop = entered + dists[entered:].count(d)
+                cand = np.concatenate((cand, starts[entered:stop]))
+                entered = stop
+            cand = cand[~self.visited[cand]]
+            if cand.size:
+                at = np.arange(cand.size)
+                self.slot[cand] = at
+                cand = cand[self.slot[cand] == at]
+                self.visited[cand] = True
+                seen.append(cand)
+                keep = labels.unpruned(cand, d, self.root_dist) if d else cand
+                pruned += int(cand.size - keep.size)
+                if keep.size:
+                    labels.append(keep, rank, d)
+                    labeled.append(keep)
+                cand = self.adj.targets(keep) if keep.size else keep
+            if cand.size == 0 and entered == len(dists):
                 break
-            labels.append(keep, rank, d)
-            nbrs = self.adj.targets(keep)
-            cand = nbrs[~self.visited[nbrs]]
-            if cand.size == 0:
-                break
-            at = np.arange(cand.size)
-            self.slot[cand] = at
-            cand = cand[self.slot[cand] == at]
-            d += 1
+            d = d + 1 if cand.size else dists[entered]
 
         for block in seen:
             self.visited[block] = False
         self.root_dist[root_hubs] = _INF
         self.root_dist[rank] = _INF
-        return labeled, pruned
+        return (np.concatenate(labeled) if labeled else cand), pruned
 
 
 def _check_order(order, n: int) -> np.ndarray:
@@ -261,12 +266,12 @@ def build_hub_labels(
     labeled = pruned = 0
     for rank, root in enumerate(order.tolist()):
         # forward: d(root, v) — prune via out(root) ∩ in(v), extend in-labels
-        lab, pru = forward.run(root, 0, rank, out_labels.row(root), in_labels)
-        labeled += lab
+        lab, pru = forward.run([root], [0], rank, out_labels.row(root), in_labels)
+        labeled += lab.size
         pruned += pru
         # backward: d(v, root) — prune via out(v) ∩ in(root), extend out-labels
-        lab, pru = backward.run(root, 0, rank, in_labels.row(root), out_labels)
-        labeled += lab
+        lab, pru = backward.run([root], [0], rank, in_labels.row(root), out_labels)
+        labeled += lab.size
         pruned += pru
 
     out_indptr, out_hubs, out_dists = out_labels.finalize()

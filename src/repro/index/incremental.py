@@ -3,61 +3,44 @@
 A full :func:`~repro.index.build.build_hub_labels` run is one pruned BFS
 per vertex — the right cost to pay once, the wrong cost to pay per edge
 mutation.  This module patches the resident labels once a batch has landed
-on the live shards, TOL-style (Zhu et al., SIGMOD'14 maintain a total-order
-labeling under ``addEdge``/``DeleteNode`` the same way).  Every BFS walks
-the global CSR/CSC concatenated from the shards, with the batch's own
-edits masked so that each step sees the graph it is about.
+on the live shards, TOL-style (Zhu et al., SIGMOD'14).  **Invariant:**
+after every batch the labels equal ``build_hub_labels(graph,
+order=frozen)`` entry for entry.  That labelling is canonical — hub ``h``
+labels ``x`` iff no higher-ranked vertex lies on a shortest path between
+them — so a batch changes only the entries of pairs whose shortest paths
+it changed, and the build's own :class:`~repro.index.build._PrunedBFS`
+restores them hub by hub in the build's order (rank ascending, forward
+before backward), each run pruning against labels already final for the
+ranks above it.  Every BFS walks the global CSR/CSC of the shards.
 
-**Insert** — pruned resumption BFS (Akiba–Iwata–Yoshida).  Inserting
-``(u, v)`` can only create shorter paths *through* that edge, and the
-prefix ``h ⇝ u`` of any such path is unaffected, so for every entry
-``(h, d_hu)`` of ``u``'s in-label the build's own pruned BFS resumes from
-``v`` at distance ``d_hu + 1``, writing in-label entries where the current
-two-hop query cannot already match the candidate distance; symmetrically
-backward from ``u`` over ``v``'s out-label.  Edges of a batch go in one at
-a time, the later ones hidden, so each resumption runs against exact
-labels for the previous graph — the induction the correctness proof needs.
+**Delete** — D'Angelo, D'Emidio and Frigioni's decremental step, before
+the batch's inserts (which stay hidden).  A hub whose BFS reached ``v``
+only over a deleted ``(u, v)`` drops its entries on that side and runs
+again.  An entry a run loses can unprune a lower-ranked run: the losing
+vertex's own on the other side, and that of any hub which reached the
+vertex from a labeled predecessor and would no longer prune it there.
+Those run again in their turn.
 
-**Delete** — invalidate-and-repair, before the batch's inserts.  If
-deleting edge set ``D`` changes ``d(x, y)``, then along any old shortest
-path the *first* deleted edge ``(u, v)`` has ``d(u, y)`` changed and the
-*last* one ``(u', v')`` has ``d(x, v')`` changed.  So the changed pairs lie
-in ``W_b × W_f``, where ``W_f`` collects vertices whose distance *from*
-some deleted tail changed (old/new forward BFS diff, the old BFS walking
-the deleted edges) and ``W_b`` those whose distance *to* some deleted head
-changed.  Repair rewrites full exact in-labels for ``W_f`` and out-labels
-for ``W_b``; every other entry is provably still exact, and a repaired
-pair always finds an exact witness through the source's own hub.
-
-**Staleness budget** — past ``churn_threshold`` cumulative mutations per
-edge of the last full build, or a delete region over ``region_threshold``
-of the vertices (where repair would out-cost a rebuild), the patch reports
-``needs_rebuild`` and the session rebuilds instead.
+**Insert** — pruned resumption (Akiba–Iwata–Yoshida).  A new shortest
+path through ``(u, v)`` keeps its prefix ``h ⇝ u``, so every hub of
+``u``'s in-label resumes its forward BFS at ``v``, one hop past
+``d(h, u)`` (a batch's edges as one run per hub), and every hub of
+``v``'s out-label its backward BFS at ``u``.  An entry the new paths
+dominate has its witness among the entries just written, in its own row
+or in its hub's opposite row; those candidates are tested, and dropped.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
+import heapq
 
 import numpy as np
 
-from repro.graph.analysis import bfs_levels
-from repro.graph.csr import CSR, expand_ranges
+from repro.graph.csr import expand_ranges, splice_csr
 from repro.index.build import _INF, _PrunedBFS, global_csr_csc
 from repro.index.labels import HubLabels
 
-__all__ = ["IncrementalIndex", "IndexPatchResult"]
-
-
-@dataclass(frozen=True)
-class IndexPatchResult:
-    """Accounting for one :meth:`IncrementalIndex.apply` call."""
-
-    needs_rebuild: bool  # budget exceeded: caller must rebuild fully
-    entries_patched: int = 0  # label entries written
-    vertices_repaired: int = 0  # full-label recomputations (deletes)
-    seconds: float = 0.0  # wall time of the patch
+__all__ = ["IncrementalIndex"]
 
 
 class _LabelRows:
@@ -84,6 +67,14 @@ class _LabelRows:
         at = slice(self.start[v], self.start[v] + self.length[v])
         return self.hubs[at], self.dists[at]
 
+    def entries(self, rows: np.ndarray):
+        """``(owner, hubs, dists)`` of every entry of ``rows``; ``owner``
+        indexes ``rows``."""
+        length = self.length[rows]
+        at = expand_ranges(self.start[rows], self.start[rows] + length)
+        owner = np.repeat(np.arange(rows.size), length)
+        return owner, self.hubs[at], self.dists[at]
+
     def best(self, rows: np.ndarray, root_dist: np.ndarray) -> np.ndarray:
         """Per row, its entries' minimum ``root_dist[hub] + dist`` (∞ when
         none): one gather over every row, then a segmented ``min``."""
@@ -99,6 +90,22 @@ class _LabelRows:
     def unpruned(self, cand: np.ndarray, d, root_dist: np.ndarray) -> np.ndarray:
         """Candidates whose entries cannot already prove a distance ``<= d``."""
         return cand[self.best(cand, root_dist) > d]
+
+    def holders(self, ranks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, hubs, dists)`` of every entry whose hub is in ``ranks``."""
+        indptr, hubs, dists = self.image
+        pos = np.flatnonzero(np.isin(hubs, ranks) if np.ndim(ranks) else hubs == ranks)
+        rows = np.searchsorted(indptr, pos, side="right") - 1
+        clean = ~self.moved[rows]
+        rows, pos = rows[clean], pos[clean]
+        moved = np.flatnonzero(self.moved)
+        owner, mhubs, mdists = self.entries(moved)
+        hit = np.isin(mhubs, ranks) if np.ndim(ranks) else mhubs == ranks
+        return (
+            np.concatenate((rows, moved[owner[hit]])),
+            np.concatenate((hubs[pos], mhubs[hit])),
+            np.concatenate((dists[pos], mdists[hit])),
+        )
 
     def append(self, vertices: np.ndarray, rank: int, dist: int) -> None:
         """Give each of the distinct ``vertices`` the entry ``(rank, dist)``:
@@ -119,12 +126,22 @@ class _LabelRows:
         self.dists[tail] = dist
         self._moved(vertices, at, new_len)
 
-    def set_row(self, v: int, hubs: np.ndarray, dists: np.ndarray) -> None:
-        """Replace vertex ``v``'s row by ``(hubs, dists)``."""
-        at = self._reserve(hubs.size)
-        self.hubs[at:at + hubs.size] = hubs
-        self.dists[at:at + hubs.size] = dists
-        self._moved(v, at, hubs.size)
+    def drop(self, rows: np.ndarray, ranks: np.ndarray) -> None:
+        """Remove hub ``ranks[i]`` from row ``rows[i]``, for every ``i``."""
+        if rows.size == 0:
+            return
+        vs, which = np.unique(rows, return_inverse=True)
+        length = self.length[vs]
+        src = expand_ranges(self.start[vs], self.start[vs] + length)
+        owner = np.repeat(np.arange(vs.size), length)
+        key = self.length.size + 1  # beyond every rank
+        gone = np.isin(owner * key + self.hubs[src], which * key + ranks)
+        keep = src[~gone]
+        new_len = length - np.bincount(owner[gone], minlength=vs.size)
+        at = self._reserve(keep.size)
+        self.hubs[at:at + keep.size] = self.hubs[keep]
+        self.dists[at:at + keep.size] = self.dists[keep]
+        self._moved(vs, at + np.cumsum(new_len) - new_len, new_len)
 
     def _moved(self, rows, at, length) -> None:
         self.start[rows] = at
@@ -168,72 +185,33 @@ class _LabelRows:
         return self.image
 
 
-class _BatchView:
-    """One direction of the live graph as one step of a batch sees it.
+class _Side:
+    """One direction of the build: its BFS, the labels that BFS extends
+    (in-labels forward, out-labels backward), the labels its roots prune
+    with, and the reverse adjacency (who reaches a vertex in one hop)."""
 
-    ``adj`` is the global out-CSR (or in-CSC) after the batch: its inserted
-    edges are hidden until :meth:`reveal` lets each in, and the deleted ones
-    are walked until :meth:`drop`.  Pairs are ``(row, column)`` in this
-    direction.
-    """
-
-    def __init__(self, adj: CSR, ins: np.ndarray, dels: np.ndarray):
-        self.adj = adj
-        self.num_rows = adj.num_rows
-        self.del_rows, self.del_cols = dels[:, 0], dels[:, 1]
-        self.ins_at = [
-            adj.indptr[u]
-            + np.searchsorted(adj.indices[adj.indptr[u]:adj.indptr[u + 1]], v)
-            for u, v in ins.tolist()
-        ]
-        self.hidden = np.zeros(adj.nnz, dtype=bool)
-        self.hidden[self.ins_at] = True
-
-    def drop(self) -> None:
-        """Stop walking the deleted edges."""
-        self.del_rows = self.del_rows[:0]
-
-    def reveal(self, i: int) -> None:
-        """Walk the batch's ``i``-th insert from now on."""
-        self.hidden[self.ins_at[i]] = False
-
-    def targets(self, rows: np.ndarray) -> np.ndarray:
-        pos, _ = self.adj.gather_edges(rows)
-        nbrs = self.adj.indices[pos[~self.hidden[pos]]]
-        if self.del_rows.size:
-            extra = self.del_cols[np.isin(self.del_rows, rows)]
-            nbrs = np.concatenate((nbrs, extra))
-        return nbrs
+    def __init__(self, adj, back, extend: _LabelRows, opposite: _LabelRows, n):
+        self.bfs = _PrunedBFS(adj, n)
+        self.back = back
+        self.extend = extend
+        self.opposite = opposite
 
 
 class IncrementalIndex:
     """Patchable twin of a frozen :class:`HubLabels`, one batch at a time.
 
     Holds the frozen hub order and each side's labels as a
-    :class:`_LabelRows` — the packed arrays plus the rows patched since the
-    last :meth:`finalize` — and reads the graph from ``pg``'s live shards,
-    so it keeps no adjacency of its own.  ``labels`` must be exact for the
+    :class:`_LabelRows` (the packed arrays plus the rows patched since the
+    last :meth:`finalize`) and reads the graph from ``pg``'s live shards.
+    ``labels`` must be the build's labels, under their own order, of the
     graph ``pg`` holds before the first batch handed to :meth:`apply`; the
-    twin may be made before or after that batch lands.  :meth:`finalize`
-    re-freezes into a :class:`HubLabels` with the same storage contract
-    (ranks ascending per vertex), so the planner, ``dist_many`` and the
-    service are oblivious to how the labels were produced.
-
-    Invariant maintained by every patch: **all stored entries are exact
-    distances** in the current graph and the labels remain a 2-hop cover
-    — queries through :meth:`finalize`'s output match a from-scratch
-    build's answers (not necessarily its exact entry set; full-label
-    repairs over-approximate the *pruned* entry set, which is what the
-    staleness budget bounds).
+    twin may be made before or after that batch lands.  Every patch keeps
+    them the build's labels of the current graph under that order, so the
+    planner, ``dist_many`` and the service cannot tell a patched index
+    from a rebuilt one.
     """
 
-    def __init__(
-        self,
-        labels: HubLabels,
-        pg,
-        churn_threshold: float = 0.02,
-        region_threshold: float = 0.5,
-    ):
+    def __init__(self, labels: HubLabels, pg):
         n = labels.num_vertices
         self.num_vertices = n
         self.pg = pg
@@ -242,139 +220,197 @@ class IncrementalIndex:
         self.rank_of[self.order] = np.arange(n, dtype=np.int64)
         self.out_rows = _LabelRows(labels.out_indptr, labels.out_hubs, labels.out_dists)
         self.in_rows = _LabelRows(labels.in_indptr, labels.in_hubs, labels.in_dists)
-        self.base_edges = None  # the labels' graph's edge count, set by apply
-        self.churn_threshold = float(churn_threshold)
-        self.region_threshold = float(region_threshold)
-        self.mutations_since_build = 0
+        self.frozen = labels  # what finalize hands out until the next patch
 
     # -- the patch ----------------------------------------------------------- #
 
-    def apply(self, inserts: np.ndarray, deletes: np.ndarray) -> IndexPatchResult:
-        """Patch the labels for one batch already applied to the shards.
+    def apply(self, inserts: np.ndarray, deletes: np.ndarray) -> int:
+        """Patch the labels for one batch already applied to the shards;
+        returns the label entries written.
 
         ``inserts``/``deletes`` are the ``(k, 2)`` arrays a
         :class:`~repro.dynamic.delta.MutationResult` reports — already
-        canonical (disjoint, no no-ops).  Deletes are processed first,
-        then inserts one edge at a time, mirroring the set semantics of
-        :meth:`~repro.dynamic.delta.DynamicGraph.apply`.
-
-        When the staleness budget trips the labels are **not** patched —
-        the caller must rebuild from scratch (and make a fresh twin).
+        canonical (disjoint, no no-ops).  Deletes are processed first, over
+        the graph without the batch's inserts, then the inserts, mirroring
+        the set semantics of :meth:`~repro.dynamic.delta.DynamicGraph.apply`.
         """
-        t0 = time.perf_counter()
         ins = np.asarray(inserts, dtype=np.int64).reshape(-1, 2)
         dels = np.asarray(deletes, dtype=np.int64).reshape(-1, 2)
-        if self.base_edges is None:
-            self.base_edges = self.pg.num_edges - len(ins) + len(dels)
-        self.mutations_since_build += int(ins.shape[0] + dels.shape[0])
-        budget = self.churn_threshold * max(self.base_edges, 1)
-        if self.mutations_since_build > budget:
-            return IndexPatchResult(
-                needs_rebuild=True, seconds=time.perf_counter() - t0
-            )
-
         out_csr, in_csc = global_csr_csc(self.pg)
-        fwd = _BatchView(out_csr, ins, dels)
-        bwd = _BatchView(in_csc, ins[:, ::-1], dels[:, ::-1])
-        entries = repaired = 0
+        self.frozen, entries = None, 0
+        if dels.size:  # over the graph without the batch's inserts
+            n, none = self.num_vertices, ins[:0, 0]
+            before = (splice_csr(out_csr, n, none, none, ins[:, 0], ins[:, 1]),
+                      splice_csr(in_csc, n, none, none, ins[:, 1], ins[:, 0]))
+            entries += self._delete(self._sides(*before), dels)
+        if ins.size:
+            entries += self._insert(self._sides(out_csr, in_csc), ins)
+        return entries
 
-        # -- delete phase: invalidate and repair the affected region -------- #
-        if dels.shape[0]:
-            n = self.num_vertices
-            tails, heads = np.unique(dels[:, 0]), np.unique(dels[:, 1])
-            old_f = [bfs_levels(None, u, fwd) for u in tails.tolist()]
-            old_b = [bfs_levels(None, v, bwd) for v in heads.tolist()]
-            fwd.drop()
-            bwd.drop()
-            changed_f = np.zeros(n, dtype=bool)
-            changed_b = np.zeros(n, dtype=bool)
-            for u, old in zip(tails.tolist(), old_f):
-                changed_f |= old != bfs_levels(None, u, fwd)
-            for v, old in zip(heads.tolist(), old_b):
-                changed_b |= old != bfs_levels(None, v, bwd)
-            w_f = np.flatnonzero(changed_f)
-            w_b = np.flatnonzero(changed_b)
-            if w_f.size + w_b.size > self.region_threshold * n:
-                # Repairing most of the graph costs more than rebuilding.
-                return IndexPatchResult(
-                    needs_rebuild=True, seconds=time.perf_counter() - t0
-                )
-            # in-labels: every ancestor a at d(a, y); out-labels: descendants
-            for rows, view, ends in (
-                (self.in_rows, bwd, w_f), (self.out_rows, fwd, w_b)
-            ):
-                for y in ends.tolist():
-                    dists = bfs_levels(None, y, view)
-                    vs = np.flatnonzero(dists >= 0)
-                    rows.set_row(y, self.rank_of[vs], dists[vs])
-                    entries += vs.size
-                    repaired += 1
-
-        # -- insert phase: pruned resumption, one edge at a time ------------ #
-        forward = _PrunedBFS(fwd, self.num_vertices)
-        backward = _PrunedBFS(bwd, self.num_vertices)
-        for i, (u, v) in enumerate(ins.tolist()):
-            fwd.reveal(i)
-            bwd.reveal(i)
-            # hubs reaching u now reach v: extend in-labels from v
-            entries += self._resume(forward, self.in_rows, self.out_rows, u, v)
-            # hubs v reaches are now reached from u: extend out-labels from u
-            entries += self._resume(backward, self.out_rows, self.in_rows, v, u)
-
-        return IndexPatchResult(
-            needs_rebuild=False,
-            entries_patched=entries,
-            vertices_repaired=repaired,
-            seconds=time.perf_counter() - t0,
+    def _sides(self, fwd, bwd) -> tuple[_Side, _Side]:
+        n = self.num_vertices
+        return (
+            _Side(fwd, bwd, self.in_rows, self.out_rows, n),
+            _Side(bwd, fwd, self.out_rows, self.in_rows, n),
         )
 
-    def _resume(
-        self, bfs: _PrunedBFS, extend: _LabelRows, opposite: _LabelRows,
-        near: int, start: int,
-    ) -> int:
-        """Resume the pruned BFS of every hub in ``near``'s ``extend`` row
-        from ``start``, one hop further; returns the entries written.
-
-        One gather first tests every hub's two-hop query at ``start``: a
-        hub it already covers would be cut at its first vertex, and the
-        resumptions before it only lower queries, so it is skipped.
-        """
-        hubs, dists = extend.row(near)
-        start_hubs, start_dists = extend.row(start)
-        scatter = bfs.root_dist  # all ∞ between runs
-        scatter[start_hubs] = start_dists
-        need = opposite.best(self.order[hubs], scatter) > dists + 1
-        scatter[start_hubs] = _INF
+    def _delete(self, sides, dels: np.ndarray) -> int:
+        """Run again, in the build's order, every hub BFS the deletes
+        change; returns the entries written."""
+        todo = set()
+        for s, side in enumerate(sides):
+            for far in np.unique(dels[:, 1 - s]).tolist():
+                todo.update((r, s) for r in self._crossing(side, far))
+        heap = sorted(todo)
         entries = 0
-        for rank, d in sorted(zip(hubs[need].tolist(), dists[need].tolist())):
-            h = int(self.order[rank])
-            entries += bfs.run(start, d + 1, rank, opposite.row(h), extend)[0]
+        while heap:
+            rank, s = heapq.heappop(heap)
+            side, hub = sides[s], int(self.order[rank])
+            rows, _, dists = side.extend.holders(rank)
+            side.extend.drop(rows, np.full(rows.size, rank))
+            labeled, _ = side.bfs.run(
+                [hub], [0], rank, side.opposite.row(hub), side.extend
+            )
+            entries += labeled.size
+            fresh = self._unpruned_by(side, s, rank, rows, dists) - todo
+            todo |= fresh
+            for nxt in fresh:
+                heapq.heappush(heap, nxt)
         return entries
+
+    def _crossing(self, side: _Side, far: int) -> list[int]:
+        """Ranks whose BFS on ``side`` labeled ``far``, the head of a deleted
+        edge there, from no predecessor it still has (read before the
+        batch's labels change): none they label is one hop closer."""
+        without = np.full(self.num_vertices, _INF, dtype=np.int64)
+        _, hubs, dists = side.extend.entries(side.back.targets(np.array([far])))
+        np.minimum.at(without, hubs, dists + 1)
+        hubs, dists = side.extend.row(far)
+        return hubs[(dists > 0) & (without[hubs] > dists)].tolist()
+
+    def _unpruned_by(self, side: _Side, s: int, rank: int, rows, dists):
+        """The runs a run of hub ``rank`` (its entries were ``(rows,
+        dists)``) may unprune by an entry it lost: the losing vertex's own
+        run on the other side, and that of each lower hub which reached it
+        from a labeled predecessor, could have been pruned there by the lost
+        entry, and whose prune test, the kernel's, fails there now."""
+        n = self.num_vertices
+        now = np.full(n, _INF, dtype=np.int64)
+        held, _, held_dists = side.extend.holders(rank)
+        now[held] = held_dists
+        lost = now[rows] > dists
+        xs, was = rows[lost], dists[lost]
+        runs = {(int(r), 1 - s) for r in self.rank_of[xs] if r > rank}
+        pos, degree = side.back.gather_edges(xs)
+        owner = np.repeat(np.arange(xs.size), degree)
+        at, hubs, d = side.extend.entries(side.back.indices[pos])
+        at, level = owner[at], d + 1
+        to_hub = np.full(n, _INF, dtype=np.int64)  # by rank: d(h, hub)
+        held, _, held_dists = side.opposite.holders(rank)
+        to_hub[self.rank_of[held]] = held_dists
+        near = np.flatnonzero((hubs > rank) & (to_hub[hubs] + was[at] <= level))
+        # each (vertex, hub) once, at the level the hub's BFS first reached it
+        near = near[np.argsort(level[near], kind="stable")]
+        near = near[np.unique(at[near] * n + hubs[near], return_index=True)[1]]
+        at, hubs, level = at[near], hubs[near], level[near]
+        test = _two_hop_below(side.extend, xs[at], side.opposite,
+                              self.order[hubs], hubs + 1, n)
+        return runs | {(int(r), s) for r in hubs[test > level]}
+
+    def _insert(self, sides, ins: np.ndarray) -> int:
+        """Resume every hub BFS the inserts extend, in the build's order,
+        then drop the entries the new paths dominate; returns the entries
+        written."""
+        n, seeds = self.num_vertices, {}
+        for s, side in enumerate(sides):
+            # hubs reaching u now reach v: forward from v; hubs v reaches
+            # are now reached from u: backward from u.  A hub whose 2-hop
+            # query already covers the far end would be cut there.
+            for near, far in (ins if s == 0 else ins[:, ::-1]).tolist():
+                hubs, dists = side.extend.row(near)
+                covered = _two_hop_below(side.opposite, self.order[hubs], side.extend,
+                                         np.full(hubs.size, far), n, n)
+                need = covered > dists + 1
+                for r, d in zip(hubs[need].tolist(), dists[need].tolist()):
+                    entry = seeds.setdefault((r, s), {})  # far end -> distance
+                    entry[far] = min(entry.get(far, d + 1), d + 1)
+        written = ([], [])  # per side: the rows each run wrote
+        for (rank, s), entry in sorted(seeds.items()):
+            side, hub = sides[s], int(self.order[rank])
+            starts = sorted(entry, key=entry.get)
+            labeled, _ = side.bfs.run(
+                starts, [entry[v] for v in starts], rank,
+                side.opposite.row(hub), side.extend,
+            )
+            written[s].append(labeled)
+        entries = sum(w.size for side in written for w in side)
+        written = [np.unique(np.concatenate(w or [ins[:0, 0]])) for w in written]
+        for s, side in enumerate(sides):
+            side.extend.drop(*self._dominated(side, written[s], written[1 - s]))
+        return entries
+
+    def _dominated(self, side: _Side, rows: np.ndarray, hubs: np.ndarray):
+        """``(rows, ranks)`` of this side's entries that a higher-ranked
+        vertex on one of their shortest paths now covers, by the 2-hop
+        query over the ranks above theirs.  An entry ``(h, x)`` whose
+        shortest paths the batch changed has its witness among the entries
+        just written: in ``x``'s row (one of ``rows``) or in ``h``'s
+        opposite row (one of ``hubs``), so only those entries are tested."""
+        at, ranks, dists = side.extend.entries(rows)
+        more = side.extend.holders(self.rank_of[hubs])
+        rows, ranks, dists = (
+            np.concatenate(pair) for pair in zip((rows[at], ranks, dists), more)
+        )
+        best = _two_hop_below(side.extend, rows, side.opposite,
+                              self.order[ranks], ranks, self.num_vertices)
+        covered = best <= dists
+        return rows[covered], ranks[covered]
 
     # -- freezing back ------------------------------------------------------- #
 
     def finalize(self) -> HubLabels:
-        """Freeze into a :class:`HubLabels` (ranks ascending per vertex).
+        """Freeze into a :class:`HubLabels` (ranks ascending per vertex),
+        the same object until the next patch.
 
         Incremental: only rows patched since the last finalize are sorted
         and re-packed; clean rows are copied from the last image a run at a
         time, and with nothing patched that image is handed back as is.
         """
-        out_indptr, out_hubs, out_dists = self.out_rows.finalize()
-        in_indptr, in_hubs, in_dists = self.in_rows.finalize()
-        return HubLabels(
-            num_vertices=self.num_vertices,
-            order=self.order.copy(),
-            out_indptr=out_indptr,
-            out_hubs=out_hubs,
-            out_dists=out_dists,
-            in_indptr=in_indptr,
-            in_hubs=in_hubs,
-            in_dists=in_dists,
-        )
+        if self.frozen is None:
+            out_indptr, out_hubs, out_dists = self.out_rows.finalize()
+            in_indptr, in_hubs, in_dists = self.in_rows.finalize()
+            self.frozen = HubLabels(
+                num_vertices=self.num_vertices,
+                order=self.order.copy(),
+                out_indptr=out_indptr,
+                out_hubs=out_hubs,
+                out_dists=out_dists,
+                in_indptr=in_indptr,
+                in_hubs=in_hubs,
+                in_dists=in_dists,
+            )
+        return self.frozen
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"IncrementalIndex(n={self.num_vertices}, "
-            f"mutations_since_build={self.mutations_since_build})"
-        )
+
+def _two_hop_below(a: _LabelRows, a_rows, b: _LabelRows, b_rows, bound, n: int):
+    """Per pair ``i``, the least ``a[a_rows[i]][w] + b[b_rows[i]][w]`` over
+    the hubs ``w < bound[i]`` (∞ when none; ``bound`` may be one rank).
+
+    The side with fewer distinct rows is scattered densely, a bounded block
+    of rows at a time; the other is gathered per pair and reduced."""
+    if np.unique(a_rows).size > np.unique(b_rows).size:
+        a, a_rows, b, b_rows = b, b_rows, a, a_rows
+    bound = np.broadcast_to(bound, a_rows.shape)
+    keys, group = np.unique(a_rows, return_inverse=True)
+    block = max(1, (1 << 20) // (n + 1))
+    best = np.full(bound.size, _INF, dtype=np.int32)
+    for lo in range(0, keys.size, block):
+        pairs = np.flatnonzero((group >= lo) & (group < lo + block))
+        dense = np.full((min(block, keys.size - lo), n + 1), _INF, dtype=np.int32)
+        at, hubs, d = a.entries(keys[lo:lo + block])
+        dense[at, hubs] = d
+        at, hubs, d = b.entries(b_rows[pairs])
+        via = dense[group[pairs][at] - lo, hubs] + d
+        via[hubs >= bound[pairs][at]] = _INF
+        np.minimum.at(best, pairs[at], via)
+    return best

@@ -356,17 +356,10 @@ class DurabilityManager:
                 "fsync": self.wal.fsync_policy,
                 "checkpoint_every": self.checkpoint_every,
                 "compact_interval": sess._compact_interval,
-                "churn_threshold": sess._index_churn_threshold,
                 "edge_sets": sess.pg.edge_set_settings,
             },
             "files": files,
         }
-        twin = sess._inc_index
-        if twin is not None:  # the index's churn since its last full build
-            manifest["index_churn"] = {
-                "mutations_since_build": twin.mutations_since_build,
-                "base_edges": twin.base_edges,
-            }
         tmp = ckdir / (_MANIFEST + ".tmp")
         with open(tmp, "w") as fh:
             json.dump(manifest, fh, indent=1)
@@ -426,17 +419,19 @@ def recover_session(root, *, cross_check: bool = False, **session_kwargs):
 
     Loads the newest checkpoint whose payload validates (older ones on
     :class:`~repro.errors.CorruptCheckpoint`), restores the settings its
-    manifest records (compaction cadence, churn threshold, WAL fsync
-    policy, checkpoint cadence, edge-set layout), restores the epoch and
-    compaction counters and the index's churn since its last build (so it
-    rebuilds at the batches an uninterrupted run would), replays the WAL
+    manifest records (compaction cadence, WAL fsync policy, checkpoint
+    cadence, edge-set layout; a manifest's ``churn_threshold`` and
+    ``index_churn`` keys, from before the index patch was canonical, are
+    ignored), restores the epoch and compaction counters, replays the WAL
     suffix through the session's normal write paths, completes any
     auto-compaction the crash interrupted, and re-attaches a
     :class:`DurabilityManager` over the same WAL so the recovered process
     keeps appending where the dead one stopped.  ``cross_check=True``
     additionally asserts the recovered shards are byte-identical to a
-    from-scratch partitioning of the replayed edge set.  ``session_kwargs``
-    (``backend``, ``instrumentation``, ...) go to the :class:`GraphSession`.
+    from-scratch partitioning of the replayed edge set, and a recovered
+    index equal to a build of that graph under the checkpointed hub order.
+    ``session_kwargs`` (``backend``, ``instrumentation``, ...) go to the
+    :class:`GraphSession`.
 
     Raises :class:`~repro.errors.DurabilityError` when nothing valid
     survives (a manifest of another format counts as invalid),
@@ -478,21 +473,10 @@ def recover_session(root, *, cross_check: bool = False, **session_kwargs):
     # Replay must not auto-compact on its own cadence: compactions replay
     # from their WAL records (plus the catch-up below); the recorded
     # interval is restored once the session is current.
-    dg = sess.dynamic(
-        compact_interval=None, churn_threshold=config["churn_threshold"]
-    )
+    dg = sess.dynamic(compact_interval=None)
     dg.restore_epoch(ckpt_epoch, int(manifest["compactions"]))
     if labels is not None:
         sess.set_index(labels)
-        churn = manifest.get("index_churn")  # absent: the twin counts from 0
-        if churn is not None:
-            from repro.index.incremental import IncrementalIndex
-
-            sess._inc_index = twin = IncrementalIndex(
-                labels, sess.pg, churn_threshold=config["churn_threshold"]
-            )
-            twin.mutations_since_build = int(churn["mutations_since_build"])
-            twin.base_edges = int(churn["base_edges"])
 
     # Opened now, attached after replay: the replayed batches are already
     # in this WAL and must not be appended again.
@@ -527,7 +511,7 @@ def recover_session(root, *, cross_check: bool = False, **session_kwargs):
     compact_interval = sess._compact_interval = config["compact_interval"]
 
     if cross_check:
-        _cross_check_shards(sess)
+        _cross_check(sess, None if labels is None else labels.order)
 
     mgr.attach()
 
@@ -563,10 +547,13 @@ def recover_session(root, *, cross_check: bool = False, **session_kwargs):
     return sess
 
 
-def _cross_check_shards(sess) -> None:
+def _cross_check(sess, order) -> None:
     """Assert the recovered effective shards are byte-identical to a
-    from-scratch partitioning of the replayed edge set."""
+    from-scratch partitioning of the replayed edge set, and a recovered
+    index (its hub ``order`` given) equal to a build of that graph."""
     from repro.graph.partition import partition_with_bounds
+    from repro.index.build import build_hub_labels
+    from repro.index.storage import labels_equal
 
     dg = sess.dynamic()
     oracle = partition_with_bounds(dg.materialize_edges(), dg.bounds)
@@ -582,6 +569,13 @@ def _cross_check_shards(sess) -> None:
                 f"cross-check failed: partition {live.part_id} diverges "
                 "from a from-scratch rebuild of the recovered edge set"
             )
+    if order is not None and not labels_equal(
+        sess.index(), build_hub_labels(oracle, order=order).labels
+    ):
+        raise DurabilityError(
+            "cross-check failed: the recovered index differs from a build "
+            "of the recovered graph under its hub order"
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -651,7 +645,7 @@ def _drill_session(cfg: dict, backend: str = "inproc"):
     sess = GraphSession(
         _drill_edges(cfg), num_machines=cfg["num_machines"], backend=backend
     )
-    sess.dynamic(compact_interval=cfg["compact_interval"], churn_threshold=10.0)
+    sess.dynamic(compact_interval=cfg["compact_interval"])
     sess.index()
     return sess
 

@@ -97,19 +97,17 @@ class PartitionTask(ABC):
 
     def __init__(self, machine):
         self.machine = machine
-        self._plan = None
-        self._cuts: list[tuple[int, int, int]] = []
 
     def exchange_plan(self):
         """``(plan, cuts)``: the partition's
         :class:`~repro.graph.partition.ExchangePlan` and each destination's
         ``(dest, lo, hi)`` slice of its slot space — owners looked up (through
-        ``self.cluster``) once per plan, so a batch that splices it re-arms."""
+        ``self.cluster``) once per plan and kept with it, so only a plan a
+        batch splices derives them again."""
         plan = self.machine.partition.exchange_plan()
-        if plan is not self._plan:
-            self._plan = plan
-            self._cuts = plan.cuts(self.cluster.owner_of(plan.boundary))
-        return plan, self._cuts
+        if plan.slot_cuts is None:
+            plan.slot_cuts = plan.cuts(self.cluster.owner_of(plan.boundary))
+        return plan, plan.slot_cuts
 
     @abstractmethod
     def compute(self, stats: StepStats) -> None:

@@ -40,7 +40,6 @@ onto the session and accounts response times on the virtual clock).
 from __future__ import annotations
 
 import logging
-import math
 
 import numpy as np
 
@@ -60,32 +59,6 @@ from repro.runtime.netmodel import NetworkModel
 __all__ = ["GraphSession"]
 
 log = logging.getLogger("repro.runtime.session")
-
-
-class _PatchedIndexBuild:
-    """:class:`~repro.index.build.IndexBuild` facade over a freshly patched
-    :class:`~repro.index.incremental.IncrementalIndex`.
-
-    ``labels`` packs the twin's patched rows back into frozen arrays on
-    first access (and freezes the result: later patches go through a new
-    facade, so a held reference keeps the labels it first observed).  This keeps
-    ``apply_mutations`` free of per-batch repack cost when no query reads
-    the index between batches.
-    """
-
-    pruned_visits = 0
-
-    def __init__(self, inc, build_seconds: float, labeled_visits: int):
-        self._inc = inc
-        self.build_seconds = build_seconds
-        self.labeled_visits = labeled_visits
-        self._labels = None
-
-    @property
-    def labels(self):
-        if self._labels is None:
-            self._labels = self._inc.finalize()
-        return self._labels
 
 
 class GraphSession:
@@ -168,7 +141,6 @@ class GraphSession:
         self._dynamic = None  # DynamicGraph
         self._inc_index = None  # IncrementalIndex twin of the labels
         self._compact_interval: int | None = None
-        self._index_churn_threshold = 0.02
         self._durability = None  # DurabilityManager, via enable_durability()
         if isinstance(graph, PartitionedGraph):
             self.pg = graph
@@ -307,15 +279,14 @@ class GraphSession:
         self,
         index_maintenance: str = "incremental",
         compact_interval: int | None = None,
-        churn_threshold: float = 0.02,
     ):
         """Enable streaming mutations; returns the resident
         :class:`~repro.dynamic.delta.DynamicGraph` (idempotent — the
         configuration arguments only apply on the first call).
 
         A resident hub-label index is patched in place on every mutated
-        batch (resumption/repair BFS), with a full rebuild past
-        ``churn_threshold`` cumulative churn, so it is always current;
+        batch, back to the labels a build under its frozen hub order would
+        give the new graph, so it is always current;
         ``index_maintenance`` names that one mode and is kept for callers
         that still pass it.  ``compact_interval`` compacts (a new epoch
         that retires the pool's shm image) every that many mutated
@@ -326,13 +297,10 @@ class GraphSession:
         if self._dynamic is None:
             if compact_interval is not None and compact_interval < 1:
                 raise ValueError("compact_interval must be >= 1")
-            if not (math.isfinite(churn_threshold) and churn_threshold >= 0):
-                raise ValueError("churn_threshold must be finite and >= 0")
             from repro.dynamic.delta import DynamicGraph
 
             self._dynamic = DynamicGraph(self.pg)
             self._compact_interval = compact_interval
-            self._index_churn_threshold = float(churn_threshold)
         return self._dynamic
 
     # -- durability (lazy import: durability depends on dynamic + index) ----- #
@@ -447,24 +415,11 @@ class GraphSession:
 
             # the resident labels are still the pre-batch ones: the twin
             # patches them over the shards the batch just spliced
-            self._inc_index = IncrementalIndex(
-                self.index(), self.pg,
-                churn_threshold=self._index_churn_threshold,
-            )
-        patch = self._inc_index.apply(res.inserted, res.deleted)
-        if patch.needs_rebuild:
-            self.index_build(rebuild=True)
-            return
-        self.instr.on_index_patch(patch.entries_patched)
+            self._inc_index = IncrementalIndex(self.index(), self.pg)
         # Packing the patched labels back into frozen arrays is deferred
-        # to the first consumer (planner/dist query): a mutation burst
-        # with no interleaved index reads pays one repack, not one per
-        # batch.
-        self._index_build = _PatchedIndexBuild(
-            self._inc_index,
-            build_seconds=patch.seconds,
-            labeled_visits=patch.entries_patched,
-        )
+        # to the first index read: a mutation burst with no interleaved
+        # index reads pays one repack, not one per batch.
+        self.instr.on_index_patch(self._inc_index.apply(res.inserted, res.deleted))
 
     # -- the reachability index (lazy import: index depends on graph only) -- #
 
@@ -472,17 +427,18 @@ class GraphSession:
     def has_index(self) -> bool:
         return self._index_build is not None
 
-    def index_build(self, rebuild: bool = False):
-        """Build (once) and return the index with its build accounting."""
+    def index_build(self):
+        """Build (once) and return the index with its build accounting
+        (a dynamic session patches the labels since: see :meth:`index`)."""
         from repro.index.build import build_hub_labels
 
-        if self._index_build is None or rebuild:
+        if self._index_build is None:
             with self.instr.span("index build", cat="index"):
                 self._index_build = build_hub_labels(self.pg)
             self._inc_index = None
         return self._index_build
 
-    def index(self, rebuild: bool = False):
+    def index(self):
         """The resident :class:`~repro.index.labels.HubLabels`, built once.
 
         The pruned distance-label index is the session's second query
@@ -490,7 +446,9 @@ class GraphSession:
         amortising one build over every later query (the hybrid planner in
         :class:`~repro.runtime.scheduler.QueryService` routes to it).
         """
-        return self.index_build(rebuild=rebuild).labels
+        if self._inc_index is not None:
+            return self._inc_index.finalize()
+        return self.index_build().labels
 
     def set_index(self, labels) -> None:
         """Adopt a prebuilt/loaded index (e.g. from ``.npz``) as resident;

@@ -15,10 +15,9 @@ def dyn_graph():
 
 @pytest.fixture
 def dyn_session(dyn_graph):
-    """In-process dynamic session (churn threshold high enough that the
-    incremental index never trips a rebuild inside a test)."""
+    """In-process dynamic session."""
     sess = GraphSession(dyn_graph, num_machines=2)
-    sess.dynamic(churn_threshold=10.0)
+    sess.dynamic()
     return sess
 
 

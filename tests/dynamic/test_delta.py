@@ -167,12 +167,11 @@ class TestLiveShardReaders:
     ):
         dg = dyn_session.dynamic()
         n = dg.num_vertices
-        dyn_session.index()
-        # make the least-connected vertex the top hub
+        # lift the least-connected vertex up the hub order, then build
         quiet = int(np.argmin(dyn_graph.total_degrees()))
         fanout = [(quiet, v) for v in range(n) if v != quiet][:60]
         dyn_session.apply_mutations(fanout, existing_edges(rng, n, edge_keys, 5))
-        got = dyn_session.index_build(rebuild=True).labels
+        got = dyn_session.index()
         want = build_hub_labels(dg.graph_at(dg.epoch)).labels
         assert labels_equal(got, want)
 
@@ -268,7 +267,7 @@ class TestSlotSpace:
     def test_boundary_grows_and_shrinks(self, dyn_graph, backend):
         sources = list(range(0, 130, 2))
         with GraphSession(dyn_graph, num_machines=2, backend=backend) as sess:
-            sess.dynamic(churn_threshold=10.0)
+            sess.dynamic()
             self._assert_matches_fresh(sess, sources)  # plans built at epoch 0
             part = sess.pg.partitions[0]
             before = part.exchange_plan().boundary.copy()
@@ -341,7 +340,7 @@ class TestEdgeSetLayout:
             flat = GraphSession(dyn_graph, num_machines=2)
             layout = [p.edge_sets for p in blocked.pg.partitions]
             for sess in (blocked, flat):
-                sess.dynamic(churn_threshold=10.0)
+                sess.dynamic()
             for step in steps:
                 for sess in (blocked, flat):
                     if step is None:

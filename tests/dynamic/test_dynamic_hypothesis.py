@@ -93,7 +93,7 @@ def test_inproc_interleaved_program_matches_oracle(base_graph, seed):
         for u, v in zip(base_graph.src.tolist(), base_graph.dst.tolist())
     }
     sess = GraphSession(base_graph, num_machines=2)
-    sess.dynamic(churn_threshold=10.0, compact_interval=2)
+    sess.dynamic(compact_interval=2)
     svc = QueryService(sess, k=K, cross_check=True)
     epochs = _run(svc, _program(rng, n, keys, num_events=6))
     assert epochs[-1] == sess.graph_epoch
@@ -110,7 +110,7 @@ def pool_state(base_graph):
         for u, v in zip(base_graph.src.tolist(), base_graph.dst.tolist())
     }
     with GraphSession(base_graph, num_machines=2, backend="pool") as sess:
-        sess.dynamic(churn_threshold=10.0, compact_interval=2)
+        sess.dynamic(compact_interval=2)
         yield sess, keys
 
 

@@ -65,7 +65,7 @@ class TestMutationLane:
         reports = []
         for disturb in (True, False):
             sess = GraphSession(dyn_graph, num_machines=2)
-            sess.dynamic(churn_threshold=10.0)
+            sess.dynamic()
             svc = QueryService(sess, k=2)
             svc.submit(early, arrival=0.0)
             svc.submit(late, arrival=1e6)
@@ -89,7 +89,7 @@ class TestMutationLane:
 
     def test_compaction_mid_drain(self, dyn_graph, edge_keys, rng):
         sess = GraphSession(dyn_graph, num_machines=2)
-        dg = sess.dynamic(compact_interval=1, churn_threshold=10.0)
+        dg = sess.dynamic(compact_interval=1)
         svc = QueryService(sess, k=2)
         n = sess.num_vertices
         a, b = _roots(dyn_graph, 2)
@@ -158,7 +158,7 @@ class TestPoolBackend:
         # (which retires its graph image) without degrading to inproc —
         # cross_check asserts answers and clocks against the oracle.
         with GraphSession(dyn_graph, num_machines=2, backend="pool") as sess:
-            sess.dynamic(compact_interval=1, churn_threshold=10.0)
+            sess.dynamic(compact_interval=1)
             svc = QueryService(sess, k=2, cross_check=True)
             n = sess.num_vertices
             a, b = _roots(dyn_graph, 2)
@@ -183,7 +183,7 @@ class TestPoolBackend:
         # (duplicate edges skewing the virtual clock) and kept an insert
         # resident in the image even after a later delete cancelled it.
         with GraphSession(dyn_graph, num_machines=2, backend="pool") as sess:
-            sess.dynamic(churn_threshold=10.0)
+            sess.dynamic()
             svc = QueryService(sess, k=3, cross_check=True)
             n = sess.num_vertices
             (edge,) = fresh_edges(rng, n, edge_keys, 1)
@@ -201,7 +201,7 @@ class TestPoolBackend:
         # worker killed mid-batch comes back attached to that image, so it
         # must splice every record since then to answer for epoch 3.
         with GraphSession(dyn_graph, num_machines=2, backend="pool") as sess:
-            sess.dynamic(churn_threshold=10.0)
+            sess.dynamic()
             svc = QueryService(sess, k=2, cross_check=True)
             n = sess.num_vertices
             roots = _roots(dyn_graph, 4)

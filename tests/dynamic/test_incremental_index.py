@@ -1,20 +1,22 @@
-"""Incremental 2-hop index maintenance: exactness, budgets, repacking."""
+"""Incremental 2-hop index maintenance: canonical labels, exactness, repacking."""
 
+import tempfile
 from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dynamic.delta import DynamicGraph
 from repro.graph import EdgeList, range_partition, rmat_edges
 from repro.index.build import build_hub_labels
 from repro.index.incremental import IncrementalIndex
+from repro.index.storage import labels_equal
+from repro.runtime.durability import recover_session
 from repro.runtime.session import GraphSession
 
 from tests.dynamic.conftest import existing_edges, fresh_edges
-from tests.index.incremental_reference import IncrementalIndex as ReferenceIndex
 
 
 def _pairs(edges):
@@ -39,19 +41,17 @@ def _bfs_matrix(pairs, n):
     return out
 
 
-def _twin(pg, **kwargs):
+def _twin(pg):
     """A dynamic graph over ``pg`` and an index twin of its built labels."""
     labels = build_hub_labels(pg).labels
-    return DynamicGraph(pg), IncrementalIndex(labels, pg, **kwargs)
+    return DynamicGraph(pg), IncrementalIndex(labels, pg)
 
 
 class TestExactness:
     def test_mixed_batches_match_bfs_oracle(self, rng):
         el = rmat_edges(7, 1200, seed=3).remove_self_loops().deduplicate()
         n = el.num_vertices
-        dg, inc = _twin(
-            range_partition(el, 2), churn_threshold=10.0, region_threshold=1.1
-        )
+        dg, inc = _twin(range_partition(el, 2))
         current = {int(u) * n + int(v) for u, v in zip(el.src, el.dst)}
         live = _pairs(el)
         src, dst = np.divmod(np.arange(n * n, dtype=np.int64), n)
@@ -61,8 +61,7 @@ class TestExactness:
             ins = fresh_edges(rng, n, guard, 5)
             current |= {u * n + v for u, v in ins}
             res = dg.apply(ins, dels)
-            patch = inc.apply(res.inserted, res.deleted)
-            assert not patch.needs_rebuild
+            inc.apply(res.inserted, res.deleted)
             live = (live - set(dels)) | set(ins)
             got = inc.finalize().dist_many(src, dst).reshape(n, n)
             np.testing.assert_array_equal(got, _bfs_matrix(live, n))
@@ -75,28 +74,13 @@ class TestExactness:
             for u, v in zip(dyn_graph.src, dyn_graph.dst)
         }
         res = dg.apply(fresh_edges(rng, n, current, 10))
-        patch = inc.apply(res.inserted, res.deleted)
-        assert not patch.needs_rebuild
-        assert patch.entries_patched > 0
+        assert inc.apply(res.inserted, res.deleted) > 0  # entries written
         rebuilt = build_hub_labels(dg.graph_at(dg.epoch)).labels
         s = rng.integers(0, n, size=2048)
         t = rng.integers(0, n, size=2048)
         np.testing.assert_array_equal(
             inc.finalize().dist_many(s, t), rebuilt.dist_many(s, t)
         )
-
-
-class TestBudgets:
-    def test_churn_threshold_trips_rebuild(self, dyn_graph, edge_keys, rng):
-        dg, inc = _twin(range_partition(dyn_graph, 2), churn_threshold=0.0)
-        res = dg.apply(fresh_edges(rng, dg.num_vertices, edge_keys, 1))
-        assert inc.apply(res.inserted, res.deleted).needs_rebuild
-
-    def test_region_threshold_trips_on_delete(self):
-        el = EdgeList.from_pairs([(0, 1), (1, 2), (2, 3)], num_vertices=4)
-        dg, inc = _twin(range_partition(el, 1), region_threshold=0.0)
-        res = dg.apply(deletes=[(1, 2)])
-        assert inc.apply(res.inserted, res.deleted).needs_rebuild
 
 
 class TestRepack:
@@ -130,20 +114,13 @@ class TestRepack:
         assert again.in_hubs is patched.in_hubs
 
 
-_FIELDS = (
-    "order", "out_indptr", "out_hubs", "out_dists",
-    "in_indptr", "in_hubs", "in_dists",
-)
-
-
 @st.composite
 def _streams(draw):
     """A small graph, a partition count and netted insert/delete batches."""
     n = draw(st.integers(4, 24))
     vid = st.integers(0, n - 1)
-    pairs = draw(st.sets(st.tuples(vid, vid), max_size=3 * n))
+    pairs = draw(st.sets(st.tuples(vid, vid), min_size=n, max_size=3 * n))
     base = sorted((u, v) for u, v in pairs if u != v)
-    el = EdgeList.from_pairs(base, num_vertices=n)
     batches = []
     current = set(base)
     for _ in range(draw(st.integers(1, 6))):
@@ -157,68 +134,50 @@ def _streams(draw):
         }
         current = (current - dels) | ins
         batches.append((sorted(ins), sorted(dels)))
-    return el, draw(st.integers(1, 4)), batches
+    return n, base, batches
 
 
-class TestReferenceParity:
-    """The patch writes what the dict-label patch it replaced wrote
-    (``tests/index/incremental_reference.py``): after every batch the
-    frozen labels are byte-identical, dtypes included, and the rebuild
-    decision and the accounting agree."""
+class TestCanonicalLabels:
+    """After every batch the patched labels are the build's labelling of
+    the current graph under the frozen hub order, entry for entry — on
+    flat and edge-set sessions of 1–4 partitions, across a recovery from
+    the durable directory mid-stream."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
         stream=_streams(),
-        region=st.sampled_from([0.0, 0.1, 0.3, 1.1]),
-        churn=st.sampled_from([0.05, 10.0]),
+        parts=st.integers(1, 4),
+        edge_sets=st.booleans(),
+        recover_at=st.integers(0, 6),
     )
-    def test_labels_equal_the_dict_patch_after_every_batch(
-        self, stream, region, churn
+    # 0→1→2→3 plus the shortcut 0→2: deleting 2→3 cuts 3 off from every
+    # vertex; deleting 0→1 then moves d(0, 1) alone
+    @example(
+        stream=(4, [(0, 1), (0, 2), (1, 2), (2, 3)], [([], [(2, 3)]),
+                                                      ([], [(0, 1)])]),
+        parts=2, edge_sets=False, recover_at=1,
+    )
+    def test_labels_equal_a_frozen_order_build_after_every_batch(
+        self, stream, parts, edge_sets, recover_at
     ):
-        el, parts, batches = stream
-        pg = range_partition(el, parts)
-        dg = DynamicGraph(pg)
-        kwargs = dict(churn_threshold=churn, region_threshold=region)
-        inc = ref = None
-        for ins, dels in batches:
-            if inc is None:  # a fresh twin of freshly built labels
-                labels = build_hub_labels(pg).labels
-                inc = IncrementalIndex(labels, pg, **kwargs)
-                ref = ReferenceIndex.from_graph(labels, pg, **kwargs)
-            res = dg.apply(ins, dels)
-            if not res.changed:
-                continue
-            got = inc.apply(res.inserted, res.deleted)
-            want = ref.apply(res.inserted, res.deleted)
-            for name in ("needs_rebuild", "entries_patched", "vertices_repaired"):
-                assert getattr(got, name) == getattr(want, name), name
-            if got.needs_rebuild:
-                inc = ref = None
-                continue
-            have, oracle = inc.finalize(), ref.finalize()
-            for name in _FIELDS:
-                a, b = getattr(have, name), getattr(oracle, name)
-                assert a.dtype == b.dtype, name
-                np.testing.assert_array_equal(a, b, err_msg=name)
-
-    def test_a_delete_that_trips_and_one_that_does_not(self):
-        # 0→1→2→3 plus the shortcut 0→2: deleting 0→1 moves d(0, 1) alone
-        # (a region of 2 of the 4 vertices); deleting 2→3 cuts 3 off from
-        # every vertex (a region of all 4)
-        el = EdgeList.from_pairs(
-            [(0, 1), (1, 2), (2, 3), (0, 2)], num_vertices=4
-        )
-        for dels, trips in (([(0, 1)], False), ([(2, 3)], True)):
-            pg = range_partition(el, 2)
-            budget = dict(churn_threshold=10.0, region_threshold=0.5)
-            dg, inc = _twin(pg, **budget)
-            ref = ReferenceIndex.from_graph(
-                build_hub_labels(pg).labels, pg, **budget
-            )
-            res = dg.apply(deletes=dels)
-            got = inc.apply(res.inserted, res.deleted)
-            assert got.needs_rebuild is trips
-            assert ref.apply(res.inserted, res.deleted).needs_rebuild is trips
+        n, base, batches = stream
+        el = EdgeList.from_pairs(base, num_vertices=n)
+        with tempfile.TemporaryDirectory() as root:
+            sess = GraphSession(el, num_machines=parts, edge_sets=edge_sets)
+            frozen = sess.index().order
+            mgr = sess.enable_durability(root, fsync="none", checkpoint_every=3)
+            for i, (ins, dels) in enumerate(batches):
+                if i == recover_at:
+                    mgr.close()
+                    sess.close()
+                    sess = recover_session(root)
+                    mgr = sess._durability
+                sess.apply_mutations(ins, dels)
+                dg = sess.dynamic()
+                want = build_hub_labels(dg.graph_at(dg.epoch), order=frozen)
+                assert labels_equal(sess.index(), want.labels)
+            mgr.close()
+            sess.close()
 
 
 class TestSessionIntegration:
@@ -248,15 +207,3 @@ class TestSessionIntegration:
             sess.dynamic(index_maintenance="none")
         assert not sess.is_dynamic
         assert sess.dynamic(index_maintenance="incremental").epoch == 0
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.01])
-    def test_churn_threshold_must_be_finite_and_non_negative(
-        self, dyn_graph, bad
-    ):
-        # NaN never trips the rebuild budget, a negative one trips it on
-        # every batch; recovery passes the manifest's value through here
-        sess = GraphSession(dyn_graph, num_machines=2)
-        with pytest.raises(ValueError, match="churn_threshold"):
-            sess.dynamic(churn_threshold=bad)
-        assert not sess.is_dynamic
-        assert sess.dynamic(churn_threshold=0.0).epoch == 0

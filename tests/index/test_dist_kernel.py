@@ -107,10 +107,7 @@ def patched_labels(draw):
     n = el.num_vertices
     pg = range_partition(el, 1)
     dg = DynamicGraph(pg)
-    inc = IncrementalIndex(
-        build_hub_labels(pg).labels, pg,
-        churn_threshold=1e9, region_threshold=2.0,
-    )
+    inc = IncrementalIndex(build_hub_labels(pg).labels, pg)
     current = {(int(u), int(v)) for u, v in zip(el.src, el.dst)}
     for _ in range(draw(st.integers(1, 3))):
         dels = set()

@@ -23,6 +23,7 @@ from repro.dynamic.wal import WriteAheadLog, encode_record
 from repro.dynamic.delta import MutationRecord
 from repro.errors import CorruptCheckpoint, CorruptLog, DurabilityError
 from repro.graph import rmat_edges
+from repro.index.storage import labels_equal
 from repro.runtime.durability import (
     CHECKPOINT_FORMAT,
     list_checkpoints,
@@ -63,7 +64,7 @@ def _batch(rng, n, current, n_ins=4, n_del=2):
 
 def _durable(graph, root, *, index=True, instr=None, **kw):
     sess = GraphSession(graph, num_machines=2, instrumentation=instr)
-    sess.dynamic(churn_threshold=10.0)
+    sess.dynamic()
     if index:
         sess.index()
     mgr = sess.enable_durability(root, **kw)
@@ -244,7 +245,7 @@ class TestRecovery:
 
         def session():
             sess = GraphSession(graph, num_machines=2)
-            sess.dynamic(compact_interval=5, churn_threshold=10.0)
+            sess.dynamic(compact_interval=5)
             sess.index()
             return sess
 
@@ -267,56 +268,39 @@ class TestRecovery:
         assert rec.dynamic().compactions == ref.dynamic().compactions == 2
         assert rec._durability.checkpoint_every == 4
         assert rec._durability.wal.fsync_policy == "always"
-        assert rec._index_churn_threshold == 10.0
         rec._durability.close()
         rec.close()
         ref.close()
 
-    def test_recovered_index_rebuilds_at_the_same_batches(self, tmp_path):
-        """The checkpoint carries the index's churn since its last build,
-        so a recovered session spends the same rebuild budget (12
-        mutations here; 10 batches of 3 inserts, a checkpoint every 2,
-        a crash after batch 3) and ends on the same labels as a session
-        that never stopped."""
-        from repro.index.storage import labels_equal
-
-        graph = rmat_edges(7, 600, seed=3).remove_self_loops().deduplicate()
-        n = graph.num_vertices
-        current = {int(u) * n + int(v) for u, v in zip(graph.src, graph.dst)}
-        rng = np.random.default_rng(5)
-        batches = [fresh_edges(rng, n, current, 3) for _ in range(10)]
-
-        def session():
-            sess = GraphSession(graph, num_machines=2)
-            sess.dynamic(churn_threshold=12.5 / graph.num_edges)
-            sess.index()
-            return sess
-
-        def rebuilt_at(sess, todo, first):
-            """The batch numbers whose patch tripped a rebuild (which
-            drops the twin until the next batch)."""
-            out = []
-            for i, ins in enumerate(todo, start=first):
-                sess.apply_mutations(ins, [])
-                if sess._inc_index is None:
-                    out.append(i)
-            return out
-
-        ref = session()
-        assert rebuilt_at(ref, batches, 1) == [5, 10]
-        dead = session()
-        mgr = dead.enable_durability(tmp_path, checkpoint_every=2)
-        rebuilt_at(dead, batches[:3], 1)
+    def test_manifest_with_index_budget_keys_still_recovers(
+        self, graph, keys, tmp_path
+    ):
+        """Checkpoints once carried the index's rebuild budget:
+        ``config.churn_threshold`` and the ``index_churn`` counters.  The
+        patched index is now canonical and keeps no budget, so a directory
+        whose manifests hold both keys recovers with them ignored, and the
+        recovered index is the build's labelling of the recovered graph."""
+        sess, mgr = _durable(graph, tmp_path, checkpoint_every=4)
+        _run_mutations(sess, keys, 6)
+        final_epoch = int(sess.graph_epoch)
+        want = sess.index()
         mgr.close()
-        dead.close()
+        sess.close()
+        for ck in list_checkpoints(tmp_path / "checkpoints"):
+            path = ck / "manifest.json"
+            manifest = json.loads(path.read_text())
+            manifest["config"]["churn_threshold"] = 0.02
+            manifest["index_churn"] = {
+                "mutations_since_build": 12, "base_edges": graph.num_edges,
+            }
+            path.write_text(json.dumps(manifest))
 
-        rec = recover_session(tmp_path)
-        assert rec._durability.last_recovery.checkpoint_epoch == 2
-        assert rebuilt_at(rec, batches[3:], 4) == [5, 10]
-        assert labels_equal(rec.index(), ref.index())
+        rec = recover_session(tmp_path, cross_check=True)
+        assert rec._durability.last_recovery.cross_checked
+        assert int(rec.graph_epoch) == final_epoch
+        assert labels_equal(rec.index(), want)
         rec._durability.close()
         rec.close()
-        ref.close()
 
     def test_compressed_checkpoint_still_recovers(self, graph, keys, tmp_path):
         """Checkpoints were once written with ``np.savez_compressed``; the
@@ -368,7 +352,7 @@ class TestRecovery:
         so such a directory recovers to the same epoch, edge set and batch
         count."""
         sess = GraphSession(graph, num_machines=2)
-        dg = sess.dynamic(compact_interval=3, churn_threshold=10.0)
+        dg = sess.dynamic(compact_interval=3)
         sess.index()
         mgr = sess.enable_durability(tmp_path, checkpoint_every=4)
         _run_mutations(sess, keys, 7)
@@ -404,7 +388,7 @@ class TestRecovery:
         sess = GraphSession(
             graph, num_machines=2, edge_sets=True, sets_per_partition=4
         )
-        sess.dynamic(churn_threshold=10.0)
+        sess.dynamic()
         mgr = sess.enable_durability(tmp_path, checkpoint_every=2)
         _run_mutations(sess, keys, 3)
         mgr.close()
@@ -476,7 +460,7 @@ class TestWritePathBudget:
     (``partition_with_bounds``) or deflates a payload
     (``np.savez_compressed``), and only the shards a batch touches are
     spliced (``splice_effective_csr``): the index patch walks them and
-    splices nothing of its own.  A k-hop wave runs before the batches and
+    splices no shard of its own.  A k-hop wave runs before the batches and
     after each one, and none rebuilds an exchange plan
     (``_build_exchange_plan``): each is spliced with its shard."""
 
@@ -487,7 +471,7 @@ class TestWritePathBudget:
         from repro.graph import csr, partition
 
         sess = GraphSession(graph, num_machines=2)
-        sess.dynamic(compact_interval=5, churn_threshold=10.0)
+        sess.dynamic(compact_interval=5)
         sess.index()
         mgr = sess.enable_durability(tmp_path, checkpoint_every=4)
         sources = list(range(0, sess.num_vertices, 4))
@@ -542,6 +526,37 @@ class TestWritePathBudget:
             "splice_effective_csr": shard_splices, "_build_exchange_plan": 0,
         }
         mgr.close()
+        sess.close()
+
+
+    def test_a_one_partition_batch_derives_one_plans_cuts(
+        self, graph, keys, monkeypatch
+    ):
+        """A plan keeps the cuts derived from it, so after a batch inside
+        one partition only that partition's spliced plan derives them
+        again: the other tasks are made afresh for the new epoch but read
+        the cuts their unchanged plans keep."""
+        from repro.graph.partition import ExchangePlan
+
+        sess = GraphSession(graph, num_machines=2)
+        sess.dynamic()
+        sources = list(range(0, sess.num_vertices, 4))
+        concurrent_khop(sess, sources, 3)  # every plan derives its cuts here
+        derived = []
+        cuts = ExchangePlan.cuts
+        monkeypatch.setattr(
+            ExchangePlan, "cuts",
+            lambda plan, owners: derived.append(plan) or cuts(plan, owners),
+        )
+        n, hi = graph.num_vertices, int(sess.pg.bounds[1])
+        edge = next(
+            (u, v) for u in range(hi) for v in range(hi)
+            if u != v and u * n + v not in keys
+        )
+        sess.apply_mutations([edge], [])
+        concurrent_khop(sess, sources, 3)
+        assert len(derived) == 1
+        assert derived[0] is sess.pg.partitions[0].exchange_plan()
         sess.close()
 
 

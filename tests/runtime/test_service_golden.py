@@ -62,12 +62,12 @@ ROWS = {
 
 PINS = {
     "deadline": "02a12a1b0ad5b7ff075bc898b31a85fb2732f92b3beb0c533c62a9f43db2c16d",
-    "hybrid-cache-fifo-dynamic": "313cd63bf87ecdcd74e9e1b85cb2474b1ef5f32eb82c337f2a097aedcd87ccdc",
+    "hybrid-cache-fifo-dynamic": "392d807c345321d5c883ed7998ad69aef8f0fe891d08447448e9fd68b68cba78",
     "hybrid-cache-fifo-static": "243d4182897192216f7a08c8b45d3a1625ad07965c97258371b84a0d169e2127",
-    "hybrid-cache-paced-dynamic": "4b441dbbbbd4fa0874873b549463a484d57de0ef290fece856f232f7b7ff874d",
-    "hybrid-cache-qos-dynamic": "b14611791c39689911015f78514a925c8b492abc894b3c7782f88c52b18cfada",
+    "hybrid-cache-paced-dynamic": "5f5553adfd9b0f5153ea6baa3b4f9b0d7e684f98bb2acf424fc89813411667b4",
+    "hybrid-cache-qos-dynamic": "f7eb4f3c596ae37cc3e1c3f1cfefe9b961d78e24b3c27fa33710540b783ec749",
     "hybrid-cache-qos-static": "982b8a10e776f16fa1bac3fd303c5ead1f18eae13c8b005a851673977e75a8ca",
-    "hybrid-fifo-dynamic": "788d3fcb0527478fe609dbd2aba3345b8307bafbe22fb53a0acf687cc1d7b57c",
+    "hybrid-fifo-dynamic": "9d2cc2d47e2ab78fc10c49fa77cd6d3087b721225c6b103d835a77d88671bb57",
     "hybrid-fifo-static": "ee46ca18707dc7d17df4f31f75df887259358bdcb36679e4143f8c777a24ce2b",
     "hybrid-qos-dynamic": "5725cb0018d20f93916bfb9a6b2b2bb0b7c00f26401c7c25ca76996a18936a7a",
     "hybrid-qos-static": "b8f570a80a2f8d987b62c6c9e66d66db131b9fe8877280807ad197605a73d919",
