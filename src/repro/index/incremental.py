@@ -173,14 +173,18 @@ class _LabelRows:
         lo, hi = cuts[:-1], cuts[1:] - 1
         first, last = self.start[lo], self.start[hi] + self.length[hi]
         ends = list(zip(first.tolist(), last.tolist()))
-        self.hubs, self.dists = (
-            np.concatenate([buf[a:b] for a, b in ends])
-            for buf in (self.hubs, self.dists)
-        )
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(self.length, out=indptr[1:])
-        self.image = (indptr, self.hubs, self.dists)
-        self.used, self.start = self.hubs.size, indptr[:-1].copy()
+        size = int(indptr[-1])
+        # pack into the front of new buffers twice the size, so the next
+        # patches append behind the image instead of regrowing the side
+        hubs = np.empty(2 * size, dtype=self.hubs.dtype)
+        dists = np.empty(2 * size, dtype=self.dists.dtype)
+        np.concatenate([self.hubs[a:b] for a, b in ends], out=hubs[:size])
+        np.concatenate([self.dists[a:b] for a, b in ends], out=dists[:size])
+        self.hubs, self.dists = hubs, dists
+        self.image = (indptr, self.hubs[:size], self.dists[:size])
+        self.used, self.start = size, indptr[:-1].copy()
         self.moved[:] = False
         return self.image
 

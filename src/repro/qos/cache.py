@@ -9,20 +9,73 @@ wasted on dead epochs.  The key does not name the graph, so a cache serves
 one session: the first :class:`~repro.runtime.scheduler.QueryService` it is
 wired to binds it, and a service on any other session refuses it.
 
+The entries live in array columns, one generation per ``(k, epoch)``: a
+sorted int64 key ``(source << 32) | target`` and, beside it, the entry's
+``last_used`` tick with the verdict in its low bit.  The clock ticks once
+per probed or stored row, so the ticks keep the order an ``OrderedDict``'s
+``move_to_end`` would.  A group probe is one ``searchsorted`` plus a tick
+scatter; a group store is one ``partition`` of the ticks (the least
+recently used go) and one sorted insert.  No per-query loop runs in the
+interpreter.  Vertex ids fit in 31 bits, as the label index's int32 ranks
+already require.
+
 A hit is charged one vertex-update under the session's cost model (a hash
-probe), versus the index lane's per-query label merge; the wall-clock path
-is a dict probe versus the planner's vectorised label scan.  The service's
-own ``cross_check=True`` re-answers every index-lane verdict, hits
-included, on the traversal engine.
+probe), versus the index lane's per-query label merge.  The service's own
+``cross_check=True`` re-answers every index-lane verdict, hits included, on
+the traversal engine.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 
 __all__ = ["ResultCache"]
+
+
+class _Generation:
+    """The columns of one ``(k, epoch)``: ``keys`` ascending and, at the same
+    positions, ``used`` — the key's ``last_used`` tick shifted left one bit,
+    its verdict in the low bit.  Ticks are unique, so ``used`` orders
+    entries by recency."""
+
+    __slots__ = ("keys", "used")
+
+    def __init__(self):
+        self.keys = np.empty(0, dtype=np.int64)
+        self.used = np.empty(0, dtype=np.int64)
+
+    def find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(positions, present)`` of ascending ``keys``; a position is only
+        meaningful where ``present``."""
+        pos = np.searchsorted(self.keys, keys)
+        if self.keys.size == 0:
+            return pos, np.zeros(keys.size, dtype=bool)
+        return pos, self.keys[np.minimum(pos, self.keys.size - 1)] == keys
+
+    def keep(self, mask: np.ndarray) -> None:
+        self.keys, self.used = self.keys[mask], self.used[mask]
+
+    def insert(self, keys: np.ndarray, used: np.ndarray) -> None:
+        """Merge absent ``keys`` (ascending) and their ``used`` into the
+        columns."""
+        at = np.searchsorted(self.keys, keys) + np.arange(keys.size)
+        old = np.ones(self.keys.size + keys.size, dtype=bool)
+        old[at] = False
+        for name, new in (("keys", keys), ("used", used)):
+            merged = np.empty(old.size, dtype=np.int64)
+            merged[old] = getattr(self, name)
+            merged[at] = new
+            setattr(self, name, merged)
+
+
+def _generation(k, epoch) -> tuple[int, int]:
+    return (int(k) if k is not None else -1, int(epoch))
+
+
+def _keys(sources, targets) -> np.ndarray:
+    return (np.asarray(sources, dtype=np.int64) << 32) | np.asarray(
+        targets, dtype=np.int64
+    )
 
 
 class ResultCache:
@@ -35,7 +88,8 @@ class ResultCache:
         #: The :class:`~repro.runtime.session.GraphSession` whose verdicts
         #: this cache holds; set by the first service it is wired to.
         self.session = None
-        self._entries: OrderedDict[tuple[int, int, int, int], bool] = OrderedDict()
+        self._generations: dict[tuple[int, int], _Generation] = {}
+        self._clock = 0  # the next row's last_used tick
         self._epoch = 0
         self.hits = 0
         self.misses = 0
@@ -43,7 +97,7 @@ class ResultCache:
         self.invalidated = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(gen.keys.size for gen in self._generations.values())
 
     @property
     def hit_ratio(self) -> float:
@@ -61,11 +115,10 @@ class ResultCache:
         if epoch <= self._epoch:
             return 0
         self._epoch = epoch
-        stale = [key for key in self._entries if key[3] < epoch]
-        for key in stale:
-            del self._entries[key]
-        self.invalidated += len(stale)
-        return len(stale)
+        stale = [key for key in self._generations if key[1] < epoch]
+        dropped = sum(self._generations.pop(key).keys.size for key in stale)
+        self.invalidated += dropped
+        return dropped
 
     def lookup_many(
         self, sources: np.ndarray, targets: np.ndarray, k: int, epoch: int
@@ -74,33 +127,30 @@ class ResultCache:
         most-recently-used.
 
         Returns ``(verdicts, hit_mask)`` — ``verdicts[i]`` is only meaningful
-        where ``hit_mask[i]``.  This is exactly the loop the service's index
+        where ``hit_mask[i]``.  This is exactly the probe the service's index
         lane runs per group, exposed so benchmarks time the real hit path.
         """
-        srcs = np.asarray(sources).tolist()
-        tgts = np.asarray(targets).tolist()
-        n = len(srcs)
-        k = int(k) if k is not None else -1
-        epoch = int(epoch)
-        # Bound locals on the probe loop: this is the service's per-group
-        # hit path, and a warm cache runs it once per query served.
-        entries = self._entries
-        get = entries.get
-        move_to_end = entries.move_to_end
-        rows: list[int] = []
-        found: list[bool] = []
-        for i, key in enumerate(zip(srcs, tgts, [k] * n, [epoch] * n)):
-            verdict = get(key)
-            if verdict is not None:
-                move_to_end(key)
-                rows.append(i)
-                found.append(verdict)
-        verdicts = np.zeros(n, dtype=bool)
+        keys = _keys(sources, targets)
+        n = keys.size
+        clock, self._clock = self._clock, self._clock + n
+        gen = self._generations.get(_generation(k, epoch))
+        if gen is None:
+            self.misses += n
+            return np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        order = np.argsort(keys)  # ascending probes walk the column fastest
+        pos, found = gen.find(keys[order])
         hit_mask = np.zeros(n, dtype=bool)
-        verdicts[rows] = found
-        hit_mask[rows] = True
-        self.hits += len(rows)
-        self.misses += n - len(rows)
+        hit_mask[order] = found
+        where = np.empty(n, dtype=np.int64)
+        where[order] = pos
+        rows = np.flatnonzero(hit_mask)
+        at = where[rows]
+        verdicts = np.zeros(n, dtype=bool)
+        verdicts[rows] = flags = gen.used[at] & 1
+        # a repeated key keeps its last row's tick, as move_to_end would
+        gen.used[at] = (clock + rows) << 1 | flags
+        self.hits += rows.size
+        self.misses += n - rows.size
         return verdicts, hit_mask
 
     def store_many(
@@ -112,32 +162,46 @@ class ResultCache:
         verdicts: np.ndarray,
     ) -> None:
         """Insert (or refresh) a whole group of fresh verdicts (index-lane
-        miss path) in order, evicting the least recently used entry when
-        full."""
-        srcs = np.asarray(sources).tolist()
-        tgts = np.asarray(targets).tolist()
-        flags = np.asarray(verdicts, dtype=bool).tolist()
-        n = len(srcs)
-        k = int(k) if k is not None else -1
-        epoch = int(epoch)
-        entries = self._entries
-        move_to_end = entries.move_to_end
-        popitem = entries.popitem
-        size, capacity, evictions = len(entries), self.capacity, 0
-        for key, verdict in zip(zip(srcs, tgts, [k] * n, [epoch] * n), flags):
-            if key in entries:
-                move_to_end(key)
-            elif size >= capacity:
-                popitem(last=False)
-                evictions += 1
-            else:
-                size += 1
-            entries[key] = verdict
-        self.evictions += evictions
+        miss path) in order, evicting the least recently used entries when
+        full.
+
+        A key stored twice keeps its last verdict and tick.  ``evictions``
+        counts the entries that leave: a key pushed out and stored again
+        within one call (only when more than ``capacity`` other keys come
+        between) is counted once, where a one-at-a-time LRU counts a pop
+        per reinsertion.
+        """
+        keys = _keys(sources, targets)
+        n = keys.size
+        clock, self._clock = self._clock, self._clock + n
+        # the last occurrence of each key, keys ascending
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        last = np.ones(n, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=last[:-1])
+        rows, keys = order[last], keys[last]
+        used = (clock + rows) << 1 | np.asarray(verdicts, dtype=bool)[rows]
+        gen = self._generations.setdefault(_generation(k, epoch), _Generation())
+        at, present = gen.find(keys)
+        gen.used[at[present]] = used[present]
+        keys, used = keys[~present], used[~present]
+        over = len(self) + keys.size - self.capacity
+        if over > 0:
+            # the ``over`` oldest ticks go: cached entries first, as every
+            # tick of this call is newer, then this call's oldest keys
+            self.evictions += over
+            gens = list(self._generations.values())
+            every = np.concatenate([g.used for g in gens] + [used])
+            cut = np.partition(every, over - 1)[over - 1]
+            for g in gens:
+                g.keep(g.used > cut)
+            fresh = used > cut
+            keys, used = keys[fresh], used[fresh]
+        gen.insert(keys, used)
 
     def __repr__(self) -> str:
         return (
-            f"ResultCache(entries={len(self._entries)}/{self.capacity}, "
+            f"ResultCache(entries={len(self)}/{self.capacity}, "
             f"hits={self.hits}, misses={self.misses}, "
             f"hit_ratio={self.hit_ratio:.3f}, evictions={self.evictions}, "
             f"invalidated={self.invalidated}, epoch={self._epoch})"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.dynamic.delta import DynamicGraph
 from repro.graph import EdgeList, range_partition, rmat_edges
 from repro.index.build import build_hub_labels
-from repro.index.incremental import IncrementalIndex
+from repro.index.incremental import IncrementalIndex, _LabelRows
 from repro.index.storage import labels_equal
 from repro.runtime.durability import recover_session
 from repro.runtime.session import GraphSession
@@ -112,6 +112,24 @@ class TestRepack:
         again = inc.finalize()
         assert again.out_hubs is patched.out_hubs
         assert again.in_hubs is patched.in_hubs
+
+    def test_append_after_finalize_fills_the_slack(self, dyn_graph):
+        """A repack leaves room behind the image: the next append writes
+        there without regrowing the buffers, and the image handed out
+        before it does not change."""
+        labels = build_hub_labels(range_partition(dyn_graph, 2)).labels
+        rows = _LabelRows(labels.out_indptr, labels.out_hubs, labels.out_dists)
+        n = labels.num_vertices
+        rows.append(np.arange(0, n, 3), n - 1, 5)
+        image = rows.finalize()
+        frozen = [a.copy() for a in image]
+        hubs, dists = rows.hubs, rows.dists
+        rows.append(np.arange(1, n, 3), n - 2, 6)
+        assert rows.hubs is hubs and rows.dists is dists
+        for got, want in zip(image, frozen):
+            np.testing.assert_array_equal(got, want)
+        for v in range(1, n, 3):  # and the append landed
+            assert n - 2 in rows.row(v)[0].tolist()
 
 
 @st.composite

@@ -375,8 +375,8 @@ class TestResultCache:
         dst = rng.integers(0, sess.num_vertices, 10)
         svc.submit_many(src, targets=dst)
         svc.drain()
-        for key in list(cache._entries):  # poison every cached verdict
-            cache._entries[key] = not cache._entries[key]
+        for gen in cache._generations.values():  # poison every cached verdict
+            gen.used ^= 1
         svc.submit_many(src, targets=dst)
         with pytest.raises(AssertionError, match="index cross-check failed"):
             svc.drain()
