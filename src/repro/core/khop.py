@@ -33,6 +33,15 @@ leave the same two planes, so answers, messages and virtual clocks are
 bit-identical across ``push``, ``pull`` and ``auto`` — the direction changes
 wall-clock only.
 
+One kernel, two ways to run it.  :class:`KHopPartitionTask`'s ``compute``,
+``apply_inbox`` and ``finalize`` run machine by machine on the pool workers,
+the asynchronous engine and the out-of-core task.  A synchronous in-process
+batch runs :class:`_FusedStep`: under range partitioning (§3.1) every
+partition's planes are row slices of session-wide ones, so each partition's
+expansion writes them in place, and one count of the lit slot rows by
+(sender, destination), one gather of them into ``next`` and one promote
+finish the superstep for every machine.
+
 The public entry point is :func:`concurrent_khop`, for any batch width up to
 one cache line of query bits (:data:`~repro.core.frontier.MAX_WIDE_BATCH`);
 :func:`~repro.core.reachability.reachability_queries` is the same batch with
@@ -195,6 +204,11 @@ class KHopPartitionTask(PartitionTask):
 
     # -- PartitionTask interface ---------------------------------------- #
 
+    @classmethod
+    def fused(cls, tasks, probe, args):
+        """A :class:`_FusedStep`; not for a subclass, which may read edges off disk."""
+        return _FusedStep(tasks, probe, args) if cls is KHopPartitionTask else None
+
     def compute(self, stats: StepStats) -> None:
         if self.k is not None and self.level >= self.k:
             return
@@ -202,6 +216,17 @@ class KHopPartitionTask(PartitionTask):
         if active.size == 0:
             return
         plan, cuts = self._arm_plane()
+        self._expand(plan, active, stats)
+        for dest, lo, hi in cuts:
+            rows = self._plane[lo:hi]
+            if rows.any():
+                self.machine.outbox.append(
+                    dest, PlaneSlice(plan.boundary[lo:hi], rows)
+                )
+
+    def _expand(self, plan: ExchangePlan, active: np.ndarray, stats) -> None:
+        """One superstep's expansion of the ``active`` local rows into
+        ``next`` and the slot plane, in the direction this partition picks."""
         if self._choose_mode(plan, active) == "pull":
             stats.pull_partitions += 1
             self._expand_pull(plan, active, stats)
@@ -212,12 +237,6 @@ class KHopPartitionTask(PartitionTask):
             # rewind), this scatter starts from zero.  Pull assigns every row.
             self._plane.fill(0)
             self._expand_push(plan, active, stats)
-        for dest, lo, hi in cuts:
-            rows = self._plane[lo:hi]
-            if rows.any():
-                self.machine.outbox.append(
-                    dest, PlaneSlice(plan.boundary[lo:hi], rows)
-                )
 
     def _arm_plane(self) -> tuple[ExchangePlan, list]:
         """The partition's plan and cuts, with a slot plane that matches —
@@ -252,22 +271,9 @@ class KHopPartitionTask(PartitionTask):
 
     def finalize(self) -> bool:
         newly = self.state.promote()
-        if self.depths is not None and newly.any():
-            rows = np.nonzero(newly.any(axis=1))[0]
-            # one vectorised unpack of all query bits per touched vertex
-            # (explicit little-endian view keeps byte order platform-stable)
-            words = self.state.words
-            bits = np.unpackbits(
-                newly[rows]
-                .astype("<u8", copy=False)
-                .view(np.uint8)
-                .reshape(rows.size, 8 * words),
-                axis=1,
-                bitorder="little",
-            )[:, : self.state.num_queries]
-            r, q = np.nonzero(bits)
-            self.depths[rows[r], q] = self.level + 1
         self.level += 1
+        if self.depths is not None:
+            _record_depths(self.depths, newly, self.level, self.state.num_queries)
         budget_left = self.k is None or self.level < self.k
         return bool(budget_left and self.state.frontier.any())
 
@@ -312,6 +318,107 @@ class KHopPartitionTask(PartitionTask):
             self._plane[...] = ored[num_local:]
         stats.edges_scanned += int(plan.out_degree[active].sum())
         stats.vertices_updated += int(plan.local_out_degree[active].sum())
+
+
+def _record_depths(depths, newly, level: int, num_queries: int) -> None:
+    """``depths[v, q] = level`` where ``newly`` has bit ``q`` (one unpack)."""
+    rows = np.flatnonzero(newly.any(axis=1))
+    # explicit little-endian view keeps byte order platform-stable
+    bytes_ = newly[rows].astype("<u8", copy=False).view(np.uint8)
+    r, q = np.nonzero(np.unpackbits(bytes_, axis=1, bitorder="little")[:, :num_queries])
+    depths[rows[r], q] = level
+
+
+class _FusedStep:
+    """Every machine's superstep of a synchronous in-process batch at once.
+
+    The tasks' planes are row slices of session-wide ``frontier``,
+    ``visited`` and ``targets`` planes (``targets`` is ``next``, then every
+    partition's slot plane), so probes, gathers, controls and checkpoints
+    read them unchanged.  Each partition expands with its own kernel
+    (:meth:`KHopPartitionTask._expand`), straight into those planes; the
+    exchange, the delivery and the promote run once for all of them.
+    """
+
+    def __init__(self, tasks: list[KHopPartitionTask], probe, probe_args: list):
+        """Arm for one batch over the reset, seeded task planes."""
+        self.tasks, self.probe, self.probe_args, t0 = tasks, probe, probe_args, tasks[0]
+        self.view = view = t0.cluster.pg.exchange_view()
+        self.plans = [t.exchange_plan()[0] for t in tasks]
+        n, words = int(view.bounds[-1]), t0.state.words
+        states = [t.state for t in tasks]
+        self.frontier = _whole(states, "frontier", (n, words), view.bounds)
+        self.visited = _whole(states, "visited", (n, words), view.bounds)
+        shape = (view.slot_bounds[-1], words)  # next, then every slot plane
+        self.targets = _whole(states, "next", shape, view.bounds)
+        self.depths = None
+        if t0.depths is not None:
+            shape = (n, t0.state.num_queries)
+            self.depths = _whole(tasks, "depths", shape, view.bounds)
+        for t, lo, hi in zip(tasks, view.slot_bounds[:-1], view.slot_bounds[1:]):
+            t._plane = self.targets[lo:hi]
+
+    def step(self) -> tuple[list, list[StepStats], list | None]:
+        tasks, view, t0 = self.tasks, self.view, self.tasks[0]
+        frontier, visited, targets = self.frontier, self.visited, self.targets
+        num, n = len(tasks), visited.shape[0]
+        nxt, slots = targets[:n], targets[n:]
+        stats = [StepStats() for _ in tasks]
+        sent = np.zeros((num, num), np.int64)  # messages, sender by destination
+        active = frontier.any(axis=1).nonzero()[0]
+        if active.size and (t0.k is None or t0.level < t0.k):
+            slots.fill(0)  # an idle partition's slot rows send nothing
+            cut = np.searchsorted(active, view.bounds).tolist()
+            for i, lo in enumerate(view.bounds[:-1].tolist()):
+                if cut[i] < cut[i + 1]:
+                    rows = active[cut[i] : cut[i + 1]] - lo
+                    tasks[i]._expand(self.plans[i], rows, stats[i])
+            if view.num_slots:  # the exchange: one message per lit slot row
+                sent = np.bincount(
+                    view.slot_pair[slots.any(axis=1)], minlength=num * num
+                ).reshape(num, num)
+                np.bitwise_or.reduceat(
+                    targets.take(view.inbox_order, axis=0),
+                    view.inbox_starts, axis=0, out=nxt,
+                )
+        nbytes = sent * (view.id_bytes[:, None] + 8 * frontier.shape[1])
+        for sender, dest in zip(*(a.tolist() for a in sent.nonzero())):
+            stats[sender].messages_sent[dest] = int(sent[sender, dest])
+            stats[sender].bytes_sent[dest] = int(nbytes[sender, dest])
+        for mine, delivered in zip(stats, sent.sum(axis=0).tolist()):
+            mine.vertices_updated += delivered
+        # BitFrontier.promote on every partition, then the votes
+        np.bitwise_and(nxt, ~visited, out=nxt)
+        nxt &= t0.state.query_mask
+        visited |= nxt
+        frontier[...] = nxt
+        nxt.fill(0)
+        level = t0.level + 1
+        for t in tasks:
+            t.level = level
+        if self.depths is not None:
+            _record_depths(self.depths, frontier, level, t0.state.num_queries)
+        alive = np.diff(np.searchsorted(frontier.any(axis=1).nonzero()[0], view.bounds))
+        votes = ((alive > 0) & (t0.k is None or level < t0.k)).tolist()
+        return votes, stats, None if self.probe is None else [
+            self.probe(t, *a) for t, a in zip(tasks, self.probe_args)]
+
+
+def _whole(owners: list, name: str, shape: tuple, bounds: np.ndarray) -> np.ndarray:
+    """The session-wide plane whose row slices are the owners' ``name``
+    planes.  ``reset`` cleared and seeding wrote the last batch's through
+    those slices, so one of the same shape is kept; otherwise a new one
+    takes a copy of each owner's plane and becomes what it slices."""
+    whole = getattr(owners[0], name).base
+    if (
+        whole is None or whole.shape != shape
+        or any(getattr(o, name).base is not whole for o in owners)
+    ):
+        whole = np.zeros(shape, getattr(owners[0], name).dtype)
+        for o, lo, hi in zip(owners, bounds[:-1], bounds[1:]):
+            whole[lo:hi] = getattr(o, name)
+            setattr(o, name, whole[lo:hi])
+    return whole
 
 
 def concurrent_khop(

@@ -28,6 +28,7 @@ scan walks them edge-set by edge-set.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -41,6 +42,7 @@ __all__ = [
     "Partition",
     "PartitionedGraph",
     "ExchangePlan",
+    "ExchangeView",
     "range_partition",
     "partition_with_bounds",
     "owner_of_bounds",
@@ -176,6 +178,42 @@ class ExchangePlan:
         return int(total + sum(a.nbytes for a in arrays if a is not None))
 
 
+class ExchangeView:
+    """What a superstep over every partition at once (the in-process k-hop)
+    needs beside each partition's own :class:`ExchangePlan`: no edge-sized
+    array, so a plan a batch splices costs the view one pass over the
+    vertices and slots.
+
+    Targets live in one space: vertex ``v`` is row ``v``, then each
+    partition's slots from ``slot_bounds[i]``.  ``slot_pair`` is each slot's
+    (sender, destination); ``inbox_order`` runs each vertex's row with the
+    slots that target it, one run per vertex (the delivery).  The view
+    holds its plans weakly: a replaced plan is freed, not kept for the
+    comparison that finds it stale.
+    """
+
+    def __init__(self, pg: PartitionedGraph, plans: list[ExchangePlan]):
+        n = pg.num_vertices
+        self._plans = [weakref.ref(p) for p in plans]
+        self.bounds = pg.bounds
+        self.slot_bounds = n + np.cumsum([0] + [p.num_slots for p in plans])
+        self.num_slots = int(self.slot_bounds[-1]) - n
+        pairs = [np.zeros(0, np.int64)]  # per slot: sender * partitions + destination
+        for i, p in enumerate(plans):
+            if p.slot_cuts is None:  # kept with the plan: a spliced one derives them
+                p.slot_cuts = p.cuts(pg.owner_of(p.boundary))
+            pairs += [np.full(b - a, i * len(plans) + d) for d, a, b in p.slot_cuts]
+        self.slot_pair = np.concatenate(pairs)
+        self.id_bytes = np.array([p.boundary.itemsize for p in plans])
+        keys = np.concatenate([np.arange(n)] + [p.boundary for p in plans])
+        self.inbox_order = np.argsort(keys, kind="stable")
+        self.inbox_starts = np.flatnonzero(np.diff(keys[self.inbox_order], prepend=-1))
+
+    def reads(self, plans: list[ExchangePlan]) -> bool:
+        """Whether the view was built from exactly these plan objects."""
+        return all(ref() is p for ref, p in zip(self._plans, plans))
+
+
 @dataclass
 class Partition:
     """One machine's subgraph shard.
@@ -270,6 +308,7 @@ class PartitionedGraph:
         #: ``(sets_per_partition, consolidate_min_edges)`` of the edge-set
         #: layout, once built
         self.edge_set_settings: tuple[int, int | None] | None = None
+        self._exchange_view: ExchangeView | None = None
 
     # -- global structure ------------------------------------------------ #
 
@@ -284,6 +323,15 @@ class PartitionedGraph:
     @property
     def num_partitions(self) -> int:
         return len(self.partitions)
+
+    def exchange_view(self) -> ExchangeView:
+        """The :class:`ExchangeView` of the current plans, rebuilt when one
+        was replaced."""
+        plans = [part.exchange_plan() for part in self.partitions]
+        view = self._exchange_view
+        if view is None or not view.reads(plans):
+            view = self._exchange_view = ExchangeView(self, plans)
+        return view
 
     def owner_of(self, v) -> np.ndarray | int:
         """Vectorised owner lookup: global id(s) -> partition id(s)."""

@@ -20,8 +20,10 @@ the answer and its virtual-time cost, identically on either backend.
 An *executor* supplies only how one step runs, how task state is saved and
 restored, and how a function reaches every task (``step``, ``checkpoint``,
 ``recover``, ``gather`` — see :class:`SuperstepEngine`).  There are two:
-:class:`SuperstepEngine` (every machine serially in this process) and
-:class:`~repro.runtime.pool.WorkerPool` (one OS process per machine).  Both
+:class:`SuperstepEngine` (every machine serially in this process, or, for a
+task class whose :meth:`PartitionTask.fused` gives one, every machine's
+synchronous step at once) and :class:`~repro.runtime.pool.WorkerPool` (one
+OS process per machine).  Both
 honour the same batch contract: an optional per-step ``probe(task, *args)``
 evaluated next to the task after every finalize, whose per-machine results
 are the fourth argument of ``on_step(step, stats, now, probes)``; an
@@ -97,6 +99,12 @@ class PartitionTask(ABC):
 
     def __init__(self, machine):
         self.machine = machine
+
+    @classmethod
+    def fused(cls, tasks: list, probe, probe_args: list):
+        """What runs every task's synchronous superstep at once (``step()``
+        → votes, stats, probes), or None: the engine loops over machines."""
+        return None
 
     def exchange_plan(self):
         """``(plan, cuts)``: the partition's
@@ -389,6 +397,9 @@ class SuperstepEngine:
         self.asynchronous = asynchronous
         self.probe = probe
         self.probe_args = probe_args or [()] * len(tasks)
+        self._fused = None if asynchronous else type(tasks[0]).fused(
+            tasks, probe, self.probe_args
+        )
         self.instr = cluster.instr
         self.fault_tolerance = cluster.fault_tolerance or FaultTolerance()
         netmodel = cluster.netmodel
@@ -412,7 +423,9 @@ class SuperstepEngine:
         (reachability's early termination).  Caps, deadlines and recovery
         are :func:`run_supersteps`'s.
         """
-        return run_supersteps(self, max_supersteps, on_step, max_virtual_seconds)
+        result = run_supersteps(self, max_supersteps, on_step, max_virtual_seconds)
+        self._fused = None  # the session keeps this engine: let go of the batch's plans
+        return result
 
     # -- the executor protocol ------------------------------------------- #
 
@@ -438,6 +451,8 @@ class SuperstepEngine:
                     time.sleep(event.seconds)
             if crashed:
                 raise _StepFailures(crashed)
+        if self._fused is not None:
+            return (*self._fused.step(), None)
         stats = [StepStats() for _ in tasks]
         if self.asynchronous:
             for i, task in enumerate(tasks):

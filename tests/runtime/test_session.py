@@ -43,6 +43,12 @@ def session(graph):
     return GraphSession(graph, num_machines=3)
 
 
+def _per_machine_loop(monkeypatch):
+    """Run in-process k-hop batches through compute, flush, apply, finalize
+    per machine, as the pool and the asynchronous engine do."""
+    monkeypatch.setattr(KHopPartitionTask, "fused", classmethod(lambda *a: None))
+
+
 def _roots(graph, n, seed):
     rng = np.random.default_rng(seed)
     return rng.integers(0, graph.num_vertices, n)
@@ -164,6 +170,9 @@ class TestBatchIsolation:
     # and read by the flush) is task state outside the checkpoint: whatever
     # an interrupted batch left in it must not reach the next batch's wire.
     # Push is forced because only the scatter depends on what the plane held.
+    # The in-process k-hop runs its fused step (no per-task slot plane, see
+    # tests/core/test_fused_superstep.py); the two tests that drive the
+    # per-machine loop's compute and flush switch it off.
 
     @pytest.mark.parametrize("direction", ["push", "auto"])
     def test_truncated_batch_leaves_nothing_in_the_slot_plane(
@@ -186,6 +195,7 @@ class TestBatchIsolation:
     ):
         """Machine 2 raises in its compute; machines 0 and 1 have already
         scattered and queued their plane slices, which are never flushed."""
+        _per_machine_loop(monkeypatch)
         real_compute = KHopPartitionTask.compute
 
         def raise_on_last(task, stats):
@@ -211,6 +221,7 @@ class TestBatchIsolation:
     def test_delivered_batches_never_alias_a_slot_plane(
         self, graph, session, direction, monkeypatch
     ):
+        _per_machine_loop(monkeypatch)
         delivered = []
         real_append = Inbox.append
 
