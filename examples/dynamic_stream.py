@@ -14,9 +14,8 @@ end to end:
    runs against one consistent epoch, the index is patched in place
    (resumption BFS for inserts, invalidate-and-repair for deletes), and
    point queries keep routing to the index lane;
-3. compacts mid-stream (a new epoch over the same edge set, which
-   retires a pool's shared-memory image) and shows the epoch advancing
-   without the edge set changing;
+3. compacts mid-stream (a new epoch over the same edge set) and shows
+   the epoch advancing without the edge set changing;
 4. replays an old epoch from the dynamic graph's history to prove any
    past version stays queryable.
 

@@ -13,10 +13,9 @@ edge set changes underneath it:
   current graph with no base copy beside it, and
   ``DynamicGraph.edges_at(e)`` / ``graph_at(e)`` replay the history to the
   exact edge set (and an oracle partitioning) of any past epoch, which is
-  what the service's cross-check mode compares answers against.
-  :func:`~repro.dynamic.delta.build_with_delta` is the pool-side twin: it
-  splices a worker's attached shard by the records newer than the shm
-  image before delegating to the algorithm's real task builder.
+  what the service's cross-check mode compares answers against.  Pool
+  workers splice their attached shard with the same function, by the
+  records newer than the shm image that each batch's ``begin`` carries.
 * :mod:`repro.dynamic.wal` — the durable twin of the in-memory history: an
   append-only, CRC32-framed write-ahead log with torn-tail repair, the
   substrate of whole-process crash recovery
@@ -32,7 +31,6 @@ from repro.dynamic.delta import (
     DynamicGraph,
     MutationRecord,
     MutationResult,
-    build_with_delta,
     splice_effective_csr,
     splice_record,
 )
@@ -44,7 +42,6 @@ __all__ = [
     "DynamicGraph",
     "MutationRecord",
     "MutationResult",
-    "build_with_delta",
     "splice_effective_csr",
     "splice_record",
 ]

@@ -13,12 +13,12 @@ mutation batch moves them forward by its own effective
   :func:`splice_record`, which swaps the touched partitions'
   ``out_csr``/``in_csc`` for spliced copies in place — resident
   :class:`~repro.runtime.cluster.Machine` objects stay valid;
-* pool workers receive the records newer than their shm image on the next
-  task install (:func:`build_with_delta`) and splice their *attached*
-  shard with the same :func:`splice_record`, skipping records at or below
-  the shard's epoch — a respawned worker re-attaches the image and replays
-  them all; the coordinator repacks the image only when
-  :meth:`DynamicGraph.compact` retires it;
+* every pool batch's ``begin`` carries the records newer than the shm
+  image, and a worker splices its *attached* shard with the same
+  :func:`splice_record`, skipping records at or below the shard's epoch —
+  a respawned worker re-attaches the image and replays them all; the
+  session repacks the image once the records pass a bound
+  (:meth:`~repro.runtime.session.GraphSession.run_batch_pool`);
 * the splice is a sorted-key merge: every shard is sorted by
   ``row·n + col`` with no repeats (what :func:`~repro.graph.csr.build_csr`
   emits), so removing the deleted entries and inserting the new ones at
@@ -31,9 +31,9 @@ Epochs
 ------
 The graph version counter.  Every batch of applied mutations (and every
 compaction) advances :attr:`DynamicGraph.epoch` by one; a query batch runs
-entirely against the epoch current at its dispatch.  The session joins the
-epoch into its task cache keys, so resident task state can never straddle
-two graph versions.  :attr:`DynamicGraph.history` holds one
+entirely against the epoch current at its dispatch.  An epoch advance
+drops resident task state on both executors, so it can never straddle two
+graph versions.  :attr:`DynamicGraph.history` holds one
 :class:`MutationRecord` per epoch advance, and
 :meth:`DynamicGraph.edges_at` / :meth:`DynamicGraph.graph_at` replay it to
 the exact edge set — and a from-scratch oracle partitioning — of any past
@@ -68,7 +68,6 @@ __all__ = [
     "DynamicGraph",
     "MutationRecord",
     "MutationResult",
-    "build_with_delta",
     "splice_effective_csr",
     "splice_record",
 ]
@@ -168,25 +167,6 @@ def splice_record(part: Partition, rec: MutationRecord, num_vertices: int) -> No
     part.graph_epoch = rec.epoch
 
 
-def build_with_delta(machine, cluster, _inner_build=None, _records=(), **kwargs):
-    """Pool task builder that splices the worker's shard, then delegates.
-
-    Installed in place of the algorithm's real ``build`` whenever the
-    session's graph moved past the pool's shm image: ``_records`` are the
-    :attr:`DynamicGraph.history` records newer than the image and
-    ``_inner_build`` is the wrapped task class (e.g.
-    :class:`repro.core.khop.KHopPartitionTask`).  Records at or below the
-    shard's epoch are skipped, so a live worker splices only what it has
-    not seen and a respawned one (its shard back at the image's epoch)
-    replays them all.
-    """
-    part = machine.partition
-    for rec in _records:
-        if rec.epoch > part.graph_epoch:
-            splice_record(part, rec, cluster.num_vertices)
-    return _inner_build(machine, cluster, **kwargs)
-
-
 # --------------------------------------------------------------------------- #
 # the dynamic graph
 # --------------------------------------------------------------------------- #
@@ -199,12 +179,10 @@ class DynamicGraph:
     partition bounds are frozen for the graph's lifetime.  Its shards are
     the current edge set: :meth:`apply` advances the epoch and splices the
     touched partitions by the batch's record, and :meth:`compact` marks a
-    new epoch that retires the pool's shm image (the session closes its
-    pool on compaction and the next batch packs the current shards).  Both
-    append to :attr:`history`, which :meth:`edges_at` and :meth:`graph_at`
-    replay.  This class moves the graph only; a session's resident index
-    follows the mutations that go through
-    :meth:`~repro.runtime.session.GraphSession.apply_mutations`.
+    new epoch over the same edges.  Both append to :attr:`history`, which
+    :meth:`edges_at` and :meth:`graph_at` replay.  This class moves the
+    graph only; a session's resident index follows the mutations that go
+    through :meth:`~repro.runtime.session.GraphSession.apply_mutations`.
     """
 
     def __init__(self, pg: PartitionedGraph):
@@ -383,10 +361,9 @@ class DynamicGraph:
         """Mark a compaction: a new epoch over the same edge set.
 
         The shards do not change, but the epoch still advances and a
-        record joins the history (and the WAL): the compaction retires the
-        pool's shm image, so resident pool state keyed on the old epoch is
-        never reused — the session closes its pool here and the next batch
-        packs the current shards.
+        record joins the history (and the WAL), so like any epoch advance
+        it drops resident task state; a pool worker splices the empty
+        record to move its shard's epoch.
         """
         self.epoch += 1
         self.compactions += 1

@@ -55,6 +55,7 @@ from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 
+from repro.dynamic.delta import splice_record
 from repro.errors import (
     CorruptMessage,
     PoolError,
@@ -199,16 +200,24 @@ def _worker_main(conn, manifest, worker_id: int, fault_events=None) -> None:
                     )
                 elif op == "begin":
                     # One message starts a batch: drop what an earlier
-                    # (possibly aborted) batch left queued, build the task
-                    # or reset the resident one, seed it, arm the run, and
-                    # reply with the batch's first checkpoint.
-                    (_, key, build, kwargs, seeds, combiner, probe, args,
-                     outbox) = msg
+                    # (possibly aborted) batch left queued, splice the shard
+                    # up to the batch's epoch (a new epoch drops every
+                    # resident task), build the task or reset the resident
+                    # one, seed it, arm the run, and reply with the batch's
+                    # first checkpoint.
+                    (_, key, task_cls, kwargs, records, seeds, combiner,
+                     probe, args, outbox) = msg
                     machine.reset_buffers()
                     step_stats = None
                     probe_args = tuple(args) if args else ()
-                    if build is not None:
-                        current = tasks[key] = build(machine, cluster, **kwargs)
+                    part = machine.partition
+                    fresh = [r for r in records if r.epoch > part.graph_epoch]
+                    for rec in fresh:
+                        splice_record(part, rec, cluster.num_vertices)
+                    if fresh:
+                        tasks.clear()
+                    if task_cls is not None:
+                        current = tasks[key] = task_cls(machine, cluster, **kwargs)
                     else:
                         current = tasks[key]
                         current.reset(**kwargs)
@@ -443,13 +452,14 @@ class WorkerPool:
         self._token = secrets.token_hex(4)
         self._image, manifest = build_graph_image(pg, f"cgp{self._token}")
         #: the graph epoch the image holds: a dynamic session ships the
-        #: mutation records newer than this with every task install
-        self.image_epoch = min(p.epoch for p in manifest.partitions)
+        #: mutation records newer than this with every ``begin``
+        self.image_epoch = self._epoch = min(p.epoch for p in manifest.partitions)
         self._outboxes: list = [None] * self.num_workers
         self._outbox_width = 0
         self._outbox_gen = 0
-        # per worker: the resident task keys, and this batch's begin message
-        # without seeds (what recovery rebuilds a replacement from)
+        # per worker: the task keys resident at ``_epoch`` (the last batch's
+        # graph epoch), and this batch's begin message without seeds (what
+        # recovery rebuilds a replacement from)
         self._installed: list[set] = [set() for _ in range(self.num_workers)]
         self._begin: list = []
         self._first_states: list | None = None
@@ -572,24 +582,30 @@ class WorkerPool:
     def ensure_task(
         self,
         key: tuple,
-        build,
-        build_kwargs: dict,
-        reset_kwargs: dict,
+        task_cls,
+        kwargs: dict,
         payload_width: int,
+        epoch: int,
+        records=(),
         seeds=None,
         combiner=combine_or,
         probe=None,
         probe_args=None,
     ) -> None:
-        """Start a batch: one ``begin`` per worker, one barrier.
+        """Start a batch at graph ``epoch``: one ``begin`` per worker, one
+        barrier.
 
-        The pool's side of ``GraphSession.run_batch``'s resident-task cache,
-        keyed identically: a worker lacking ``key`` builds ``build(machine,
-        cluster, **build_kwargs)``, one holding it calls
-        ``task.reset(**reset_kwargs)``.  ``begin`` also drops queued
-        buffers, plants the worker's ``seeds`` and arms ``combiner`` and
-        ``probe(task, *probe_args[i])``.  ``payload_width`` (bytes per
-        entry) sizes the outboxes.
+        ``records`` are the mutation records since the shm image (empty
+        while the graph is at ``image_epoch``); a worker splices those newer
+        than its shard with :func:`~repro.dynamic.delta.splice_record`, and
+        one that spliced any drops every resident task — the in-process
+        rule, where an epoch advance clears the session's task cache.  The
+        coordinator forgets what it installed when ``epoch`` changes, so a
+        worker lacking ``key`` builds ``task_cls(machine, cluster,
+        **kwargs)`` and one holding it calls ``task.reset(**kwargs)``.
+        ``begin`` also drops queued buffers, plants the worker's ``seeds``
+        and arms ``combiner`` and ``probe(task, *probe_args[i])``.
+        ``payload_width`` (bytes per entry) sizes the outboxes.
         """
         self._check_open()
         n = self.num_workers
@@ -598,12 +614,14 @@ class WorkerPool:
         names = [f"cgp{self._token}o{i}g{gen}" for i in range(n)]
         seeds = seeds or [()] * n
         probe_args = probe_args or [()] * n
+        if epoch != self._epoch:
+            self._epoch = epoch
+            for installed in self._installed:
+                installed.clear()
 
         def begin(i, worker_seeds, resident):
             return (
-                "begin", key,
-                None if resident else build,
-                reset_kwargs if resident else build_kwargs,
+                "begin", key, None if resident else task_cls, kwargs, records,
                 worker_seeds, combiner, probe, probe_args[i], names[i],
             )
 

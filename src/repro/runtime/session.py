@@ -60,6 +60,13 @@ __all__ = ["GraphSession"]
 
 log = logging.getLogger("repro.runtime.session")
 
+#: A pool batch repacks the shm image once the graph is more than this many
+#: mutation records past it (see :meth:`GraphSession.run_batch_pool`).  On
+#: FR-1B with 2 workers (2-core host), a respawned worker splices a 4-insert
+#: record in ~4.3 ms and a pool restart takes ~850 ms, so replaying the
+#: bound costs ~8 % of a restart.
+_REPLAY_BOUND = 16
+
 
 class GraphSession:
     """The resident runtime for one graph: cluster, cost model, task state.
@@ -289,8 +296,7 @@ class GraphSession:
         give the new graph, so it is always current;
         ``index_maintenance`` names that one mode and is kept for callers
         that still pass it.  ``compact_interval`` compacts (a new epoch
-        that retires the pool's shm image) every that many mutated
-        batches.
+        over the same edges) every that many mutated batches.
         """
         if index_maintenance != "incremental":
             raise ValueError("index_maintenance must be 'incremental'")
@@ -384,10 +390,9 @@ class GraphSession:
         """Compact the dynamic graph (see
         :meth:`~repro.dynamic.delta.DynamicGraph.compact`).
 
-        Advances the epoch without changing the graph and retires the shm
-        image: the pool is closed, and the next pool batch packs a fresh
-        image of the current shards, so no worker replays the records
-        before this epoch again.
+        Advances the epoch without changing the graph.  Like any epoch
+        advance it drops the resident tasks, in process and on the pool's
+        next ``begin``; the pool itself keeps running.
         """
         dg = self.dynamic()
         # True write-ahead: the compaction's record is durable before the
@@ -397,7 +402,6 @@ class GraphSession:
         with self.instr.span("compact", cat="dynamic"):
             res = dg.compact()
         self._invalidate_epoch_caches()
-        self.close()
         if self.instr.enabled:
             self.instr.on_compaction()
             self.instr.on_epoch(dg.epoch)
@@ -546,17 +550,6 @@ class GraphSession:
                         f"{name} requires backend='inproc'"
                     )
 
-    def _resident_key(self, cache_key: tuple) -> tuple:
-        """The resident-task cache key, on either executor.
-
-        On a dynamic session the graph epoch is joined into the key, so
-        resident task state never straddles two graph versions (the
-        in-process cache is also dropped on every epoch advance).
-        """
-        if self._dynamic is not None:
-            return cache_key + (self._dynamic.epoch,)
-        return cache_key
-
     def seed_owners(self, sources) -> np.ndarray:
         """Owning machine of each seed vertex (QoS affinity batching)."""
         return self.cluster.owner_of(np.asarray(sources, dtype=np.int64))
@@ -626,10 +619,10 @@ class GraphSession:
             self.degraded_batches += 1
             self.instr.on_degrade()
         # resident tasks, keyed as the pool's WorkerPool.ensure_task keys them
-        key = self._resident_key(cache_key)
-        tasks = self._task_cache.get(key)
+        # (an epoch advance clears the cache)
+        tasks = self._task_cache.get(cache_key)
         if tasks is None:
-            tasks = self._task_cache[key] = [
+            tasks = self._task_cache[cache_key] = [
                 task_cls(machine, self.cluster, **task_kwargs)
                 for machine in self.cluster.machines
             ]
@@ -693,30 +686,27 @@ class GraphSession:
         (:class:`~repro.errors.UnsupportedConfigError`), before any worker
         has changed.
 
-        While a dynamic session's graph is past the pool's shm image, the
-        worker-side build is wrapped in
-        :func:`~repro.dynamic.delta.build_with_delta` with the history
-        records newer than the image, so workers splice their shard up to
-        the current epoch; the image is repacked only on compaction, which
-        closes the pool.
+        While a dynamic session's graph is past the pool's shm image, each
+        ``begin`` carries the history records since the image, and workers
+        splice their shard up to the current epoch
+        (:meth:`~repro.runtime.pool.WorkerPool.ensure_task`).  Once the
+        graph is more than ``_REPLAY_BOUND`` records past the image, the
+        pool is repacked: closed, and started again on the current shards,
+        which bounds what every ``begin`` ships and what a respawned worker
+        replays.
         """
-        key = self._resident_key(cache_key)
         seeds = None if sources is None else self.seeds_by_machine(sources)
         try:
             pool = self.pool()
-            build, build_kwargs = task_cls, task_kwargs
             behind = self.graph_epoch - pool.image_epoch
-            if behind:
-                from repro.dynamic.delta import build_with_delta
-
-                # history holds one record per epoch advance, newest last
-                records = self._dynamic.history[-behind:]
-                build = build_with_delta
-                build_kwargs = {
-                    "_inner_build": task_cls, "_records": records, **task_kwargs
-                }
+            if behind > _REPLAY_BOUND:
+                self.close()
+                pool, behind = self.pool(), 0
+            # history holds one record per epoch advance, newest last
+            records = self._dynamic.history[-behind:] if behind else []
             pool.ensure_task(
-                key, build, build_kwargs, task_kwargs, payload_width,
+                cache_key, task_cls, task_kwargs, payload_width,
+                self.graph_epoch, records,
                 seeds=seeds, combiner=combiner, probe=probe,
                 probe_args=probe_args,
             )

@@ -152,7 +152,7 @@ def build_graph_image(
     every worker builds its exchange plan as the parent would.  Each
     partition's manifest is stamped with the graph epoch its shards hold:
     a worker splices only the mutation records newer than that
-    (:func:`~repro.dynamic.delta.build_with_delta`).
+    (:meth:`~repro.runtime.pool.WorkerPool.ensure_task`).
     """
     planner = _Planner()
     copies: list[tuple[ArraySpec, np.ndarray]] = []

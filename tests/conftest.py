@@ -2,6 +2,8 @@
 
 import multiprocessing
 import os
+import tempfile
+from multiprocessing import resource_tracker
 
 import numpy as np
 import pytest
@@ -23,12 +25,39 @@ def _pool_segments() -> set:
     return {n for n in os.listdir("/dev/shm") if n.startswith("cgp")}
 
 
+def _pipe_and_socket_fds() -> set:
+    """``(fd, target)`` of this process's open pipes and sockets."""
+    if not os.path.isdir("/proc/self/fd"):
+        return set()
+    fds = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:  # closed since the listing (the listing's own fd)
+            continue
+        if target.startswith(("pipe:", "socket:")):
+            fds.add((int(fd), target))
+    return fds
+
+
+def _temp_dirs() -> set:
+    """The library's ``cgraph-*`` temporary directories."""
+    root = tempfile.gettempdir()
+    return {n for n in os.listdir(root) if n.startswith("cgraph-")}
+
+
 @pytest.fixture(scope="module", autouse=True)
 def no_leaked_pool_state():
-    """Suite-wide leak guard: no ``/dev/shm/cgp*`` segment and no
-    ``repro-pool-*`` worker a test module starts may outlive the module."""
+    """Suite-wide leak guard: no ``/dev/shm/cgp*`` segment, ``repro-pool-*``
+    worker, pipe or socket fd, or ``cgraph-*`` temporary directory a test
+    module opens may outlive the module."""
+    # The stdlib's resource tracker holds one pipe for the process's whole
+    # life; start it first so its fd is not blamed on the first pool module.
+    resource_tracker.ensure_running()
     segments = _pool_segments()
     children = {p.pid for p in multiprocessing.active_children()}
+    fds = _pipe_and_socket_fds()
+    temp_dirs = _temp_dirs()
     yield
     leaked_workers = [
         p.name
@@ -38,6 +67,10 @@ def no_leaked_pool_state():
     assert not leaked_workers, f"pool workers outlived the module: {leaked_workers}"
     leaked_segments = sorted(_pool_segments() - segments)
     assert not leaked_segments, f"shm segments outlived the module: {leaked_segments}"
+    leaked_fds = sorted(_pipe_and_socket_fds() - fds)
+    assert not leaked_fds, f"pipe/socket fds outlived the module: {leaked_fds}"
+    leaked_dirs = sorted(_temp_dirs() - temp_dirs)
+    assert not leaked_dirs, f"temp dirs outlived the module: {leaked_dirs}"
 
 
 @pytest.fixture

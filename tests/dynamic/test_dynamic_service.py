@@ -155,8 +155,8 @@ class TestHybridRouting:
 class TestPoolBackend:
     def test_pool_parity_with_compaction(self, dyn_graph, edge_keys, rng):
         # The shm pool must survive mutations and a mid-drain compaction
-        # (which retires its graph image) without degrading to inproc —
-        # cross_check asserts answers and clocks against the oracle.
+        # without degrading to inproc — cross_check asserts answers and
+        # clocks against the oracle.
         with GraphSession(dyn_graph, num_machines=2, backend="pool") as sess:
             sess.dynamic(compact_interval=1)
             svc = QueryService(sess, k=2, cross_check=True)
@@ -218,3 +218,97 @@ class TestPoolBackend:
             assert not rep.degraded
             assert sess.pool().recoveries == 1
             np.testing.assert_array_equal(rep.epochs, [3] * len(roots))
+
+    def test_an_epoch_advance_drops_the_workers_resident_tasks(
+        self, dyn_graph, edge_keys, rng
+    ):
+        # Each round moves the graph one epoch and runs a k-hop there: the
+        # workers keep only the current epoch's task, as the in-process
+        # cache does, and answer for that epoch (cross-checked).
+        with GraphSession(dyn_graph, num_machines=2, backend="pool") as sess:
+            sess.dynamic()
+            svc = QueryService(sess, k=2, cross_check=True)
+            n = sess.num_vertices
+            roots = _roots(dyn_graph, 7)
+            svc.submit(roots[0], arrival=0.0)
+            svc.drain()  # packs the image at epoch 0
+            for i, r in enumerate(roots[1:], start=1):
+                sess.apply_mutations(fresh_edges(rng, n, edge_keys, 2),
+                                     existing_edges(rng, n, edge_keys, 1))
+                svc.submit(r, arrival=1e6 * i)
+                rep = svc.drain()
+                assert not rep.degraded
+                np.testing.assert_array_equal(rep.epochs, [i])
+            pool = sess.pool()
+            assert [len(keys) for keys in pool._installed] == [1, 1]
+            assert pool.image_epoch == 0 and pool.recoveries == 0
+
+    def test_compaction_keeps_the_pool(self, dyn_graph, edge_keys, rng):
+        with GraphSession(dyn_graph, num_machines=2, backend="pool") as sess:
+            sess.dynamic()
+            svc = QueryService(sess, k=2, cross_check=True)
+            n = sess.num_vertices
+            a, b = _roots(dyn_graph, 2)
+            sess.apply_mutations(fresh_edges(rng, n, edge_keys, 2),
+                                 existing_edges(rng, n, edge_keys, 1))
+            svc.submit(a, arrival=0.0)
+            svc.drain()
+            pool = sess.pool()
+            pids = [p.pid for p in pool._sup.procs]
+            sess.compact()
+            svc.submit(b, arrival=1e6)
+            rep = svc.drain()
+            assert not rep.degraded
+            np.testing.assert_array_equal(rep.epochs, [2])
+            assert sess.pool() is pool and not pool.closed
+            assert [p.pid for p in pool._sup.procs] == pids
+            assert pool.recoveries == 0
+
+    def test_replay_past_the_bound_repacks(
+        self, dyn_graph, edge_keys, rng, monkeypatch
+    ):
+        # With a bound of 2, the batch after the third record repacks the
+        # image at the current epoch; a worker killed after that replays
+        # only the one record since the repack.
+        from repro.runtime import pool as pool_mod
+        from repro.runtime import session as session_mod
+
+        monkeypatch.setattr(session_mod, "_REPLAY_BOUND", 2)
+        shipped = []
+        ensure_task = pool_mod.WorkerPool.ensure_task
+
+        def spy(self, key, task_cls, kwargs, payload_width, epoch, records=(),
+                **kw):
+            shipped.append([rec.epoch for rec in records])
+            return ensure_task(self, key, task_cls, kwargs, payload_width,
+                               epoch, records, **kw)
+
+        monkeypatch.setattr(pool_mod.WorkerPool, "ensure_task", spy)
+        with GraphSession(dyn_graph, num_machines=2, backend="pool") as sess:
+            sess.dynamic()
+            svc = QueryService(sess, k=2, cross_check=True)
+            n = sess.num_vertices
+            roots = _roots(dyn_graph, 4)
+
+            def mutate_then_query(i):
+                sess.apply_mutations(fresh_edges(rng, n, edge_keys, 2),
+                                     existing_edges(rng, n, edge_keys, 1))
+                svc.submit(roots[i], arrival=1e6 * i)
+                rep = svc.drain()
+                assert not rep.degraded
+                np.testing.assert_array_equal(rep.epochs, [sess.graph_epoch])
+
+            svc.submit(roots[0], arrival=0.0)
+            svc.drain()  # packs the image at epoch 0
+            first = sess.pool()
+            for _ in range(2):
+                sess.apply_mutations(fresh_edges(rng, n, edge_keys, 2),
+                                     existing_edges(rng, n, edge_keys, 1))
+            mutate_then_query(1)  # three records behind: repack
+            repacked = sess.pool()
+            assert first.closed and repacked is not first
+            assert repacked.image_epoch == sess.graph_epoch == 3
+            sess.set_fault_plan(FaultPlan().crash_worker(1, 0))
+            mutate_then_query(2)
+            assert repacked.recoveries == 1 and sess.pool() is repacked
+            assert shipped == [[], [], [4]]
