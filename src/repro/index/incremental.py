@@ -224,7 +224,8 @@ class IncrementalIndex:
         self.rank_of[self.order] = np.arange(n, dtype=np.int64)
         self.out_rows = _LabelRows(labels.out_indptr, labels.out_hubs, labels.out_dists)
         self.in_rows = _LabelRows(labels.in_indptr, labels.in_hubs, labels.in_dists)
-        self.frozen = labels  # what finalize hands out until the next patch
+        self.frozen = labels  # the labels finalize handed out last
+        self.dirty = False  # patched since
 
     # -- the patch ----------------------------------------------------------- #
 
@@ -241,7 +242,7 @@ class IncrementalIndex:
         ins = np.asarray(inserts, dtype=np.int64).reshape(-1, 2)
         dels = np.asarray(deletes, dtype=np.int64).reshape(-1, 2)
         out_csr, in_csc = global_csr_csc(self.pg)
-        self.frozen, entries = None, 0
+        self.dirty, entries = True, 0
         if dels.size:  # over the graph without the batch's inserts
             n, none = self.num_vertices, ins[:0, 0]
             before = (splice_csr(out_csr, n, none, none, ins[:, 0], ins[:, 1]),
@@ -379,11 +380,14 @@ class IncrementalIndex:
         Incremental: only rows patched since the last finalize are sorted
         and re-packed; clean rows are copied from the last image a run at a
         time, and with nothing patched that image is handed back as is.
+        The last image's dense head, when derived, is carried the same way:
+        copied, with only the moved rows rewritten.
         """
-        if self.frozen is None:
+        if self.dirty:
+            moved = [np.flatnonzero(r.moved) for r in (self.out_rows, self.in_rows)]
             out_indptr, out_hubs, out_dists = self.out_rows.finalize()
             in_indptr, in_hubs, in_dists = self.in_rows.finalize()
-            self.frozen = HubLabels(
+            labels = HubLabels(
                 num_vertices=self.num_vertices,
                 order=self.order.copy(),
                 out_indptr=out_indptr,
@@ -393,6 +397,8 @@ class IncrementalIndex:
                 in_hubs=in_hubs,
                 in_dists=in_dists,
             )
+            labels.carry_head(self.frozen, *moved)
+            self.frozen, self.dirty = labels, False
         return self.frozen
 
 

@@ -14,13 +14,19 @@ labeling).  A k-hop reachability query is then a sorted label intersection:
 Labels live in CSR-style numpy arrays — ``indptr`` into flat ``hubs`` /
 ``dists`` arrays, hub *ranks* strictly ascending within each vertex's slice
 (:func:`check_labels` refuses anything else) — so a batch of point queries
-is answered with one sorted-key search over the gathered label slices, no
-sort and no per-pair python loop.
+is answered with no sort and no per-pair python loop.
+
+Entries crowd the top ranks, so each side also has a derived, never saved
+**head**: ``plane[v, r]`` is ``v``'s distance to hub rank ``r < width``
+(``_NONE`` if none or ``>= _FAR``) over the row's leading ``length[v]``
+entries, those of rank ``< width``.  ``dist_many`` answers heads with one
+uint8 gather and a row ``min`` and merges only the tails.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +40,44 @@ UNREACHABLE = -1
 
 # Internal sentinel kept far from int64 overflow when two of them are added.
 _INF = np.iinfo(np.int64).max // 4
+
+# A head cell with no entry, and the least distance a head cannot hold:
+# two held distances sum to at most 2 * 63 < _NONE <= any sum with a _NONE.
+_NONE, _FAR = 127, 64
+
+
+class _Head(NamedTuple):
+    """One side's head; ``short``: a distance ``>= _FAR`` left out (merge whole)."""
+
+    plane: np.ndarray  # uint8 (n, width)
+    length: np.ndarray  # int64 (n,)
+    short: np.ndarray  # bool (n,)
+
+
+def _head_width(n: int, label_bytes: int) -> int:
+    """The largest power of two ``<= n`` whose two heads (``2 n width``
+    bytes) fit in the label arrays' bytes; 1 when none does."""
+    return 1 << max(int(min(n, label_bytes // max(2 * n, 1))).bit_length() - 1, 0)
+
+
+def _write_head(indptr, hubs, dists, width: int, head=None, rows=None) -> _Head:
+    """One side's head derived whole, or ``rows`` of ``head`` rewritten in
+    place."""
+    if head is None:
+        rows = np.arange(indptr.size - 1)
+        head = _Head(np.empty((rows.size, width), np.uint8),
+                     np.empty(rows.size, np.int64), np.empty(rows.size, bool))
+    lo, lens = indptr[rows], indptr[rows + 1] - indptr[rows]
+    pos = expand_ranges(lo, lo + lens)
+    owner = np.repeat(np.arange(rows.size), lens)
+    rank, dist = hubs[pos], dists[pos]
+    below = rank < width
+    held = below & (dist < _FAR)
+    head.plane[rows] = _NONE
+    head.plane[rows[owner[held]], rank[held]] = dist[held]
+    head.length[rows] = np.bincount(owner[below], minlength=rows.size)
+    head.short[rows] = head.length[rows] > np.bincount(owner[held], minlength=rows.size)
+    return head
 
 
 @dataclass(frozen=True)
@@ -55,6 +99,8 @@ class HubLabels:
     in_indptr: np.ndarray  # int64, (n + 1,)
     in_hubs: np.ndarray  # int32
     in_dists: np.ndarray  # int32
+    # (out, in) heads, derived on first use (``head``); never saved
+    _head: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     # -- stats ------------------------------------------------------------- #
 
@@ -77,20 +123,37 @@ class HubLabels:
         return out, inn
 
     def nbytes(self) -> int:
-        return int(
-            sum(
-                a.nbytes
-                for a in (
-                    self.order,
-                    self.out_indptr,
-                    self.out_hubs,
-                    self.out_dists,
-                    self.in_indptr,
-                    self.in_hubs,
-                    self.in_dists,
-                )
+        return int(self.order.nbytes + sum(
+            a.nbytes for side in self._sides() for a in side))
+
+    # -- the dense head ---------------------------------------------------- #
+
+    def _sides(self) -> tuple[tuple, tuple]:
+        return ((self.out_indptr, self.out_hubs, self.out_dists),
+                (self.in_indptr, self.in_hubs, self.in_dists))
+
+    @property
+    def head(self) -> tuple[_Head, _Head]:
+        """The ``(out, in)`` heads, derived whole on first use."""
+        if self._head is None:
+            size = sum(h.nbytes + d.nbytes for _, h, d in self._sides())
+            width = _head_width(self.num_vertices, size)
+            heads = tuple(_write_head(*side, width) for side in self._sides())
+            object.__setattr__(self, "_head", heads)
+        return self._head
+
+    def carry_head(self, prior: HubLabels, out_rows, in_rows) -> None:
+        """Take over ``prior``'s heads, when derived, and their width: only
+        the rows moved since (``out_rows``, ``in_rows``) are rewritten, in
+        place, and ``prior`` derives its own again if it is read."""
+        if prior._head is not None:
+            width = prior._head[0].plane.shape[1]
+            heads = tuple(
+                _write_head(*side, width, old, rows) for side, old, rows in
+                zip(self._sides(), prior._head, (out_rows, in_rows))
             )
-        )
+            object.__setattr__(prior, "_head", None)
+            object.__setattr__(self, "_head", heads)
 
     # -- queries ----------------------------------------------------------- #
 
@@ -104,11 +167,13 @@ class HubLabels:
         """Hop distances for aligned ``(sources[i], targets[i])`` pairs.
 
         Returns an int64 array; ``UNREACHABLE`` (-1) marks pairs with no
-        path.  One vectorised pass: gather both endpoints' label slices as
-        keys ``pair * n + rank``.  Ranks ascend within each slice, so both
-        key arrays come out globally sorted; one ``searchsorted`` of the
-        in-keys into the out-keys finds the hubs each pair has in common,
-        and a ``min`` per pair over their distance sums answers it.
+        path.  The heads answer one part: a gather of both endpoints' head
+        rows, a uint8 add (at most 254) and a row ``min``.  The tails past
+        them (whole rows when either head is ``short``) are gathered as keys
+        ``pair * n + rank``.  Ranks ascend within each slice, so both key
+        arrays come out globally sorted; one ``searchsorted`` of the in-keys
+        into the out-keys finds the hubs each pair has in common, and a
+        ``min`` per pair over their distance sums and the head's answers it.
         """
         sources = self._check_ids(sources, "source")
         targets = self._check_ids(targets, "target")
@@ -119,8 +184,13 @@ class HubLabels:
             return np.empty(0, dtype=np.int64)
 
         n = self.num_vertices
-        out_lo, out_hi = self.out_indptr[sources], self.out_indptr[sources + 1]
-        in_lo, in_hi = self.in_indptr[targets], self.in_indptr[targets + 1]
+        out_head, in_head = self.head
+        near = (out_head.plane[sources] + in_head.plane[targets]).min(axis=1)
+        result = np.where(near < _NONE, near.astype(np.int64), _INF)
+        part = ~(out_head.short[sources] | in_head.short[targets])
+        out_lo = self.out_indptr[sources] + out_head.length[sources] * part
+        in_lo = self.in_indptr[targets] + in_head.length[targets] * part
+        out_hi, in_hi = self.out_indptr[sources + 1], self.in_indptr[targets + 1]
         out_pos = expand_ranges(out_lo, out_hi)
         in_pos = expand_ranges(in_lo, in_hi)
         base = np.arange(num_pairs, dtype=np.int64) * n
@@ -129,7 +199,6 @@ class HubLabels:
         in_keys = np.repeat(base, in_hi - in_lo)
         in_keys += self.in_hubs[in_pos]
 
-        result = np.full(num_pairs, _INF, dtype=np.int64)
         if out_keys.size and in_keys.size:
             at = np.searchsorted(out_keys, in_keys)
             np.minimum(at, out_keys.size - 1, out=at)
@@ -190,10 +259,8 @@ def check_labels(labels: HubLabels) -> HubLabels:
     ``order`` is not a permutation of the vertices.
     """
     n = int(labels.num_vertices)
-    for side in ("out", "in"):
-        indptr = np.asarray(getattr(labels, f"{side}_indptr"))
-        hubs = np.asarray(getattr(labels, f"{side}_hubs"))
-        dists = np.asarray(getattr(labels, f"{side}_dists"))
+    for side, arrays in zip(("out", "in"), labels._sides()):
+        indptr, hubs, dists = map(np.asarray, arrays)
         if (
             indptr.shape != (n + 1,)
             or indptr[0] != 0

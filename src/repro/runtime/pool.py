@@ -310,9 +310,9 @@ class Supervisor:
         self.conns[worker_id] = parent_conn
         self.procs[worker_id] = proc
 
-    def spawn_all(self, events_for=None) -> None:
+    def spawn_all(self, events_for) -> None:
         for i in range(self.num_workers):
-            self.spawn(i, events_for(i) if events_for is not None else None)
+            self.spawn(i, events_for(i))
 
     def respawn(self, worker_id: int, fault_events=None) -> None:
         """Reap a dead/hung worker and start its replacement."""
@@ -439,6 +439,7 @@ class WorkerPool:
         instrumentation=None,
         fault_plan: FaultPlan | None = None,
         fault_tolerance: FaultTolerance | None = None,
+        fault_consumed: set | None = None,
     ):
         from repro.telemetry.instrument import NULL_INSTRUMENTATION
 
@@ -448,7 +449,8 @@ class WorkerPool:
         self.num_workers = pg.num_partitions
         self.fault_tolerance = fault_tolerance or FaultTolerance()
         self._fault_plan = fault_plan
-        self._fault_consumed: set[tuple[int, int]] = set()
+        # (worker, event id) of fired one-shots; a session's outlives the pool
+        self._fault_consumed = set() if fault_consumed is None else fault_consumed
         self._token = secrets.token_hex(4)
         self._image, manifest = build_graph_image(pg, f"cgp{self._token}")
         #: the graph epoch the image holds: a dynamic session ships the
@@ -469,9 +471,7 @@ class WorkerPool:
             self.num_workers,
         )
         try:
-            self._sup.spawn_all(
-                fault_plan.events_for if fault_plan is not None else None
-            )
+            self._sup.spawn_all(self._events_for)
         except Exception:
             self.shutdown()
             raise
@@ -667,11 +667,16 @@ class WorkerPool:
         replies = self._barrier([("call", fn, args)] * self.num_workers)
         return [value for (value,) in replies.values()]
 
+    def _events_for(self, worker: int) -> list:
+        """The plan's events for ``worker`` less the one-shots it fired."""
+        plan = self._fault_plan.events_for(worker) if self._fault_plan else []
+        return [e for e in plan if (worker, e.event_id) not in self._fault_consumed]
+
     def set_fault_plan(self, plan: FaultPlan | None) -> None:
         """Adopt a new injection schedule on every live worker (test hook)."""
         self._check_open()
         self._fault_plan = plan
-        self._fault_consumed = set()
+        self._fault_consumed.clear()
         self._barrier(
             [
                 ("set_fault_plan", plan.events_for(i) if plan is not None else [])
@@ -696,11 +701,11 @@ class WorkerPool:
     ) -> None:
         """Respawn the dead, then roll *every* worker back to ``ckpt``.
 
-        One-shot fault events a dead worker's injector had already consumed
-        (its in-memory fired-set died with it) are marked consumed on the
-        coordinator side, so the replacement worker does not replay its own
-        murder.  Sticky events are deliberately re-shipped — they model
-        faults that survive any number of recoveries.  A replacement gets
+        One-shot fault events a failed worker's injector had already
+        consumed (a dead one's fired-set died with it) are marked consumed
+        on the coordinator side, so neither the replacement worker nor a
+        pool the session starts later replays them.  Sticky events are
+        deliberately re-shipped — they model faults that survive any number of recoveries.  A replacement gets
         the batch's ``begin`` again, unseeded, before the restore.
         """
         respawned: list = [None] * self.num_workers
@@ -708,6 +713,10 @@ class WorkerPool:
             log.warning(
                 "recovering from pool %s at superstep %d", f, failed_step
             )
+            if self._fault_plan is not None:
+                for e in self._fault_plan.events_for(f.worker_id):
+                    if not e.sticky and e.step <= failed_step:
+                        self._fault_consumed.add((f.worker_id, e.event_id))
             if f.kind not in ("crash", "hang"):
                 # Live worker (dropped outbox / corrupt inbox): it replied,
                 # its own injector already marked the event fired; nothing
@@ -716,17 +725,7 @@ class WorkerPool:
                 # observed before the kernel finishes tearing the process
                 # down, so liveness polls race with detection.
                 continue
-            events: list = []
-            if self._fault_plan is not None:
-                for e in self._fault_plan.events_for(f.worker_id):
-                    if not e.sticky and e.step <= failed_step:
-                        self._fault_consumed.add((f.worker_id, e.event_id))
-                events = [
-                    e
-                    for e in self._fault_plan.events_for(f.worker_id)
-                    if (f.worker_id, e.event_id) not in self._fault_consumed
-                ]
-            self._sup.respawn(f.worker_id, events)
+            self._sup.respawn(f.worker_id, self._events_for(f.worker_id))
             respawned[f.worker_id] = self._begin[f.worker_id]
             # a replacement holds only the batch's task
             self._installed[f.worker_id] = {self._begin[f.worker_id][1]}

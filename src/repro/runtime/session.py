@@ -161,6 +161,8 @@ class GraphSession:
         self.netmodel = netmodel or NetworkModel()
         self.fault_tolerance = fault_tolerance or FaultTolerance()
         self.fault_plan = fault_plan
+        # (worker, event id) of fired one-shot pool faults, across repacks
+        self._fault_consumed: set[tuple[int, int]] = set()
         self.cluster = SimCluster(
             self.pg,
             self.netmodel,
@@ -202,6 +204,7 @@ class GraphSession:
                     instrumentation=self.instr,
                     fault_plan=self.fault_plan,
                     fault_tolerance=self.fault_tolerance,
+                    fault_consumed=self._fault_consumed,
                 )
         return self._pool
 
@@ -221,8 +224,10 @@ class GraphSession:
         in-process sessions arm the cluster's injector.  Never both — the
         degraded fallback of a pool session must run fault-free, or a
         sticky fault would chase the batch down the degradation ladder.
+        The one-shot faults a pool fired are forgotten with the old plan.
         """
         self.fault_plan = plan
+        self._fault_consumed.clear()
         if self.uses_pool:
             if self._pool is not None and not self._pool.closed:
                 self._pool.set_fault_plan(plan)

@@ -312,3 +312,25 @@ class TestPoolBackend:
             mutate_then_query(2)
             assert repacked.recoveries == 1 and sess.pool() is repacked
             assert shipped == [[], [], [4]]
+
+    def test_a_one_shot_fault_fires_once_across_a_repack(
+        self, dyn_graph, edge_keys, rng
+    ):
+        # The crash fires on the first pool and is recovered there; 20
+        # records later the next batch repacks (past the bound of 16),
+        # and the new pool's workers must not be armed with it again.
+        with GraphSession(
+            dyn_graph, num_machines=2, backend="pool",
+            fault_plan=FaultPlan().crash_worker(0, 1),
+        ) as sess:
+            sess.dynamic()
+            n = sess.num_vertices
+            roots = _roots(dyn_graph, 2)
+            sess.khop([roots[0]], 2)
+            first = sess.pool()
+            for _ in range(20):
+                sess.apply_mutations(fresh_edges(rng, n, edge_keys, 1), [])
+            sess.khop([roots[1]], 2)
+            repacked = sess.pool()
+            assert first.closed and repacked is not first
+            assert first.recoveries + repacked.recoveries == 1

@@ -1,15 +1,20 @@
 """The label kernel and the lookup cost, held to plain-Python references.
 
-``HubLabels.dist_many`` answers a pair by searching one sorted key array in
-another; here it must equal the per-pair dict intersection of the same
-labels for every pair of a graph — self pairs, empty labels and isolated
-vertices included — whether the labels were built, patched incrementally,
-round-tripped through ``.npz`` or drawn at random.  ``IndexPlanner``'s
-per-lookup cost must equal the cost model's scalar formula bit for bit.
+``HubLabels.dist_many`` answers a pair from a dense head (a uint8 gather and
+a row ``min``) and a sorted-key merge of the tails past it; here it must
+equal the per-pair dict intersection of the same labels for every pair of
+a graph — self pairs, empty labels and isolated vertices included — whether
+the labels were built, patched incrementally (heads carried across the
+patch), round-tripped through ``.npz`` or drawn at random.  With the width
+rule patched to 1, 2 and 4 (mostly tail) or to ``n`` and past it (all
+head) the split moves, and chains longer than 127 hops hold distances the
+head cannot.  ``IndexPlanner``'s per-lookup cost must equal the cost
+model's scalar formula bit for bit.
 """
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -26,6 +31,7 @@ from repro.index import (
     load_labels,
     save_labels,
 )
+from repro.index import labels as labels_module
 from repro.index.incremental import IncrementalIndex
 from repro.index.labels import UNREACHABLE, check_labels
 from repro.runtime.netmodel import NetworkModel, StepStats
@@ -101,15 +107,31 @@ def random_labels(draw):
 
 
 @st.composite
-def patched_labels(draw):
-    """Labels of a built graph after random netted insert/delete batches."""
-    el = draw(digraphs()).remove_self_loops().deduplicate()
+def long_chains(draw):
+    """A path of 130–160 vertices in any order, with up to three extra
+    edges: distances past 127 hops."""
+    n = draw(st.integers(130, 160))
+    ids = np.array(draw(st.permutations(range(n))))
+    vid = st.integers(0, n - 1)
+    extra = np.array(draw(st.lists(st.tuples(vid, vid), max_size=3)),
+                     dtype=np.int64).reshape(-1, 2)
+    return EdgeList(np.concatenate((ids[:-1], extra[:, 0])),
+                    np.concatenate((ids[1:], extra[:, 1])), num_vertices=n)
+
+
+@st.composite
+def patched_labels(draw, graphs=digraphs()):
+    """Labels of a built graph after random netted insert/delete batches;
+    a head read before a batch is carried across it."""
+    el = draw(graphs).remove_self_loops().deduplicate()
     n = el.num_vertices
     pg = range_partition(el, 1)
     dg = DynamicGraph(pg)
     inc = IncrementalIndex(build_hub_labels(pg).labels, pg)
     current = {(int(u), int(v)) for u, v in zip(el.src, el.dst)}
     for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            inc.finalize().head
         dels = set()
         if current:
             dels = draw(st.sets(st.sampled_from(sorted(current)), max_size=3))
@@ -163,6 +185,59 @@ class TestDistManyReference:
         assert labels.dist_many(s, t).tolist() == [
             reference_dist(labels, a, b) for a, b in pairs
         ]
+
+
+def _some_pairs(n: int, seed: int):
+    """Every pair of a small graph; 400 random pairs, the self pairs of
+    the first ten vertices and all pairs among ten more of a large one."""
+    if n <= 16:
+        return np.divmod(np.arange(n * n, dtype=np.int64), n)
+    rng = np.random.default_rng(seed)
+    few = rng.choice(n, 10, replace=False)
+    s = np.concatenate((rng.integers(0, n, 400), np.arange(10), np.repeat(few, 10)))
+    t = np.concatenate((rng.integers(0, n, 400), np.arange(10), np.tile(few, 10)))
+    return s, t
+
+
+class TestDenseHead:
+    """The head/tail split at every width, on every label source and on
+    chains past the head's distance cap."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        width=st.sampled_from([1, 2, 4, "n", "2n"]),
+        chain=st.booleans(),
+        seed=st.integers(0, 99),
+        data=st.data(),
+    )
+    def test_head_and_tail_equal_dict_intersection(self, width, chain, seed, data):
+        def rule(n, label_bytes):
+            return {"n": max(n, 1), "2n": 2 * n + 1}.get(width, width)
+
+        with mock.patch.object(labels_module, "_head_width", rule):
+            if chain:
+                labels = data.draw(st.one_of(
+                    long_chains().map(lambda el: build_hub_labels(el).labels),
+                    patched_labels(long_chains()),
+                ))
+            else:
+                labels = data.draw(any_labels())
+            s, t = _some_pairs(labels.num_vertices, seed)
+            got = labels.dist_many(s, t)
+        assert labels.head[0].plane.shape[1] == rule(labels.num_vertices, 0)
+        assert got.tolist() == [
+            reference_dist(labels, a, b) for a, b in zip(s.tolist(), t.tolist())
+        ]
+
+    def test_a_chain_longer_than_the_cap_answers_end_to_end(self):
+        n = 200
+        labels = build_hub_labels(EdgeList(np.arange(n - 1), np.arange(1, n),
+                                           num_vertices=n)).labels
+        with mock.patch.object(labels_module, "_head_width", lambda n, b: 2 * n):
+            got = labels.dist_many([0, 0, 5, n - 1], [n - 1, 130, 133, 0])
+            out, inn = labels.head
+        assert got.tolist() == [n - 1, 130, 128, UNREACHABLE]
+        assert out.short.any() or inn.short.any()  # a head stopped early
 
 
 class TestLookupCost:
