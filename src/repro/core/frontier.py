@@ -40,6 +40,10 @@ _WORD = np.uint64
 _WORD_BITS = 64
 #: 512 query bits — one 64-byte cache line of query slots (§3.5).
 MAX_WIDE_BATCH = 512
+#: ``_BYTE_BITS[b, i]`` is bit ``i`` of byte value ``b``.
+_BYTE_BITS = np.unpackbits(
+    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
+).astype(np.int64)
 
 
 def words_for(num_queries: int) -> int:
@@ -89,9 +93,9 @@ def per_query_counts(bits: np.ndarray, num_queries: int) -> np.ndarray:
 
     ``bits`` is a 1-D word array (one word per vertex) or a 2-D
     ``(vertices, words)`` plane; query ``q`` lives in word ``q // 64``,
-    bit ``q % 64``.  One vectorised ``np.unpackbits`` pass expands every
-    word to its bit columns and a single column sum produces all counts —
-    no per-query Python loop.
+    bit ``q % 64``.  One ``bincount`` of ``(byte column << 8) | byte value``
+    keys, times the 256×8 bit table, gives every bit column's count — exact
+    at any width, without expanding the plane to a byte per bit.
     """
     arr = np.asarray(bits, dtype=_WORD)
     if arr.ndim == 1:
@@ -101,15 +105,11 @@ def per_query_counts(bits: np.ndarray, num_queries: int) -> np.ndarray:
         raise ValueError(
             f"{num_queries} queries do not fit in {words} word(s)"
         )
-    if n == 0:
-        return np.zeros(num_queries, dtype=np.int64)
     # explicit little-endian view keeps byte order platform-stable
-    expanded = np.unpackbits(
-        arr.astype("<u8", copy=False).view(np.uint8).reshape(n, words * 8),
-        axis=1,
-        bitorder="little",
-    )[:, :num_queries]
-    return expanded.sum(axis=0, dtype=np.int64)
+    by = arr.astype("<u8", copy=False).view(np.uint8).reshape(n, words * 8)
+    keys = by + (np.arange(words * 8, dtype=np.intp) << 8)
+    hist = np.bincount(keys.ravel(), minlength=words * 8 * 256)
+    return (hist.reshape(words * 8, 256) @ _BYTE_BITS).ravel()[:num_queries]
 
 
 class BitFrontier:
@@ -147,7 +147,7 @@ class BitFrontier:
 
         ``next`` is all-zero at every superstep barrier (:meth:`promote`
         just swapped-and-cleared it), so a zero plane is elided — pool
-        checkpoints ship two planes per worker, not three.
+        checkpoints write two planes per worker, not three.
         """
         nxt = self.next.copy() if self.next.any() else None
         return self.frontier.copy(), nxt, self.visited.copy()

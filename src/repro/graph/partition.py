@@ -90,7 +90,8 @@ class ExchangePlan:
       grouped by target over the unified target space ``[local rows | slots]``
       for one segmented reduce (k-hop's pull, GAS's remote gather): run ``i``
       is ``sweep_sources[sweep_starts[i]:sweep_starts[i+1]]`` (local source
-      rows, ascending — a stable sort by target).  The first
+      rows, ascending — a stable sort by target; ``intp``, so a pull's
+      ``take`` indexes with it unconverted).  The first
       ``len(sweep_rows)`` runs are the local target rows with a local
       in-edge; the remaining ``num_slots`` runs are the slots in order (a
       slot always has an edge).
@@ -543,7 +544,9 @@ def _build_exchange_plan(part: Partition) -> ExchangePlan:
         boundary=sorted_cols[slot_starts],
         local_csr=local_csr,
         slot_csr=slot_csr,
-        sweep_sources=np.concatenate([local_sources, remote_rows[order]]),
+        sweep_sources=np.concatenate(
+            [local_sources, remote_rows[order]], dtype=np.intp
+        ),
         sweep_starts=np.concatenate(
             [row_ptr[sweep_rows], local_sources.size + slot_starts]
         ),

@@ -134,8 +134,8 @@ class PartitionTask(ABC):
     # Checkpoint/replay needs these two as exact inverses at a superstep
     # barrier: ``restore(checkpoint())`` must leave the task bit-identical,
     # so a recovered run replays into the same answer as a fault-free one.
-    # State must be picklable (it crosses the pool's pipes) and must be a
-    # deep copy.  By default it is the attributes ``checkpointed`` names.
+    # State must be picklable (the pool pickles it into shared memory) and
+    # a deep copy.  By default it is the attributes ``checkpointed`` names.
 
     checkpointed: tuple[str, ...] = ()
 

@@ -15,26 +15,27 @@ and runs the identical superstep protocol:
 2. the coordinator routes the refs by destination and broadcasts ``apply``;
    every worker reads its inbound batches as zero-copy views (sender-
    ascending order — the same reduction order as the in-process inbox),
-   verifies each batch's checksum, applies, finalizes, and votes.
+   verifies each batch's checksum, applies, finalizes, votes and — when
+   the driver checkpoints after this step — snapshots its task.
 
 That round is :meth:`WorkerPool.step`: the pool is the second *executor* of
 :func:`~repro.runtime.engine.run_supersteps`, the one superstep loop, which
 advances the same virtual clock from the per-worker :class:`StepStats` — so
 virtual times are bit-identical to the in-process engine.  Only control
-records, stats and probe results cross the pipes; payload arrays never
-leave shared memory.  One ``begin`` per worker starts each batch on the
-long-lived pool (:meth:`WorkerPool.ensure_task`); every exchange is one
-barrier that reads every reply before raising.
+records, stats, probe results and pickle streams cross the pipes; payload
+arrays and checkpoint buffers stay in shared memory.  One ``begin`` per
+worker starts each batch (:meth:`WorkerPool.ensure_task`) and snapshots
+the seeded task; every exchange is one barrier that reads every reply first.
 
 Fault tolerance: the pool's part is *detecting* a failed step — pipe EOF
 (crash), a reply missing past ``step_timeout`` (hang), outbound refs that
 contradict the worker's own send accounting (dropped outbox), a batch
 failing its checksum (corruption) — and *restoring* workers: its
 :class:`Supervisor` respawns the dead ones onto the same shared segments,
-then every worker rolls back to the driver's last checkpoint.  Budget,
-rewind and replay are the driver's.  Past ``max_recoveries`` the pool shuts
-down and raises :class:`~repro.errors.WorkerLost`; the session degrades
-the batch to the in-process engine.
+then every worker rolls back to the driver's last checkpoint: one slot of
+its two-slot checkpoint segment (snapshots go to the other; a replayed
+``begin`` takes none).  Past ``max_recoveries`` the pool shuts down and
+raises :class:`~repro.errors.WorkerLost`; the session degrades the batch.
 
 Determinism: workers always ``spawn`` (no inherited state);
 :meth:`WorkerPool.shutdown` (wired to ``GraphSession.close()`` and
@@ -51,6 +52,8 @@ import pickle
 import secrets
 import time
 import traceback
+from dataclasses import dataclass
+from multiprocessing import shared_memory
 from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
@@ -109,6 +112,18 @@ MAIN_GUARD_HINT = (
 )
 
 
+@dataclass(frozen=True)
+class _Snapshot:
+    """One worker's task checkpoint, as it crosses the pipe: the protocol-5
+    pickle stream, and where its out-of-band buffers are — ``spans``
+    (``(start, end)``) of the worker's checkpoint segment, or ``inline``
+    when they did not fit their slot."""
+
+    data: bytes
+    spans: tuple = ()
+    inline: tuple = ()
+
+
 class _WorkerCluster:
     """The slice of :class:`SimCluster` a task can see inside a worker.
 
@@ -142,9 +157,30 @@ def _worker_main(conn, manifest, worker_id: int, fault_events=None) -> None:
     reader = OutboxReader()
     injector = FaultInjector(fault_events)
     tasks: dict = {}
-    # ``begin`` sets the batch's task, combiner, probe, probe args and outbox
+    # ``begin`` sets the batch's task, combiner, probe, probe args, outbox
+    # and checkpoint segment (``store``)
     current = None
     step_stats: StepStats | None = None
+    store, slot_bytes = None, 0
+
+    def snapshot(slot):
+        """The task's checkpoint, its buffers written into ``slot``."""
+        if slot is None:
+            return None
+        buffers = []
+        data = pickle.dumps(
+            current.checkpoint(), protocol=5, buffer_callback=buffers.append
+        )
+        raws = [b.raw() for b in buffers]
+        if sum(r.nbytes for r in raws) > slot_bytes:
+            return _Snapshot(data, inline=tuple(bytearray(r) for r in raws))
+        spans, cursor = [], slot * slot_bytes
+        for raw in raws:
+            spans.append((cursor, cursor + raw.nbytes))
+            store.buf[cursor : cursor + raw.nbytes] = raw
+            cursor += raw.nbytes
+        return _Snapshot(data, tuple(spans))
+
     try:
         while True:
             try:
@@ -177,7 +213,7 @@ def _worker_main(conn, manifest, worker_id: int, fault_events=None) -> None:
                         refs = []
                     conn.send(("out", refs, time.perf_counter() - t0, sent))
                 elif op == "apply":
-                    _, inbox, step = msg
+                    _, inbox, step, slot = msg
                     t0 = time.perf_counter()
                     stats = step_stats if step_stats is not None else StepStats()
                     step_stats = None
@@ -195,18 +231,23 @@ def _worker_main(conn, manifest, worker_id: int, fault_events=None) -> None:
                     current.apply_inbox(stats)
                     vote = current.finalize()
                     result = probe(current, *probe_args) if probe else None
-                    conn.send(
-                        ("step", vote, stats, result, time.perf_counter() - t0)
-                    )
+                    state = snapshot(slot)
+                    wall = time.perf_counter() - t0
+                    conn.send(("step", vote, stats, result, wall, state))
                 elif op == "begin":
                     # One message starts a batch: drop what an earlier
                     # (possibly aborted) batch left queued, splice the shard
                     # up to the batch's epoch (a new epoch drops every
                     # resident task), build the task or reset the resident
                     # one, seed it, arm the run, and reply with the batch's
-                    # first checkpoint.
+                    # first checkpoint — unless this is a respawned worker's
+                    # replay, whose snapshot would land on the live one.
                     (_, key, task_cls, kwargs, records, seeds, combiner,
-                     probe, args, outbox) = msg
+                     probe, args, outbox, (segment, slot_bytes), slot) = msg
+                    if store is None or store.name != segment:
+                        if store is not None:
+                            store.close()
+                        store = shared_memory.SharedMemory(name=segment)
                     machine.reset_buffers()
                     step_stats = None
                     probe_args = tuple(args) if args else ()
@@ -223,17 +264,22 @@ def _worker_main(conn, manifest, worker_id: int, fault_events=None) -> None:
                         current.reset(**kwargs)
                     for local_vertex, query in seeds:
                         current.seed(local_vertex, query)
-                    conn.send(("ok", current.checkpoint()))
+                    conn.send(("ok", snapshot(slot)))
                 elif op == "call":
                     _, fn, args = msg
                     conn.send(("ok", fn(current, *args)))
                 elif op == "checkpoint":
-                    conn.send(("ok", current.checkpoint()))
+                    conn.send(("ok", snapshot(msg[1])))
                 elif op == "restore":
                     # Roll back to a superstep barrier: task state from the
                     # snapshot, in-flight buffers dropped (they belong to
-                    # the abandoned step).
-                    current.restore(msg[1])
+                    # the abandoned step).  The state is rebuilt over
+                    # copies of its buffers.
+                    snap = msg[1]
+                    buffers = snap.inline or [
+                        bytearray(store.buf[a:b]) for a, b in snap.spans
+                    ]
+                    current.restore(pickle.loads(snap.data, buffers=buffers))
                     machine.reset_buffers()
                     step_stats = None
                     conn.send(("ok", None))
@@ -258,6 +304,8 @@ def _worker_main(conn, manifest, worker_id: int, fault_events=None) -> None:
         machine = None
         reader.close()
         writer.close()
+        if store is not None:
+            store.close()
         image.close()
         conn.close()
 
@@ -459,12 +507,18 @@ class WorkerPool:
         self._outboxes: list = [None] * self.num_workers
         self._outbox_width = 0
         self._outbox_gen = 0
+        # per worker a two-slot checkpoint segment: the driver's checkpoint
+        # is in ``_slot``, a snapshot goes to the other; ``_ready`` holds the
+        # snapshots the next checkpoint hands out, ``_need`` the largest inline one
+        self._ckpts: list = [None] * self.num_workers
+        self._slot_bytes = self._need = self._slot = 0
+        self._ready: list | None = None
+        self._max_steps: int | None = None
         # per worker: the task keys resident at ``_epoch`` (the last batch's
-        # graph epoch), and this batch's begin message without seeds (what
-        # recovery rebuilds a replacement from)
+        # graph epoch), and this batch's begin message without seeds or a
+        # snapshot (what recovery rebuilds a replacement from)
         self._installed: list[set] = [set() for _ in range(self.num_workers)]
         self._begin: list = []
-        self._first_states: list | None = None
         self._closed = False
         self._sup = Supervisor(
             mp.get_context("spawn"), _worker_main, manifest, self._token,
@@ -489,7 +543,9 @@ class WorkerPool:
         return self._sup.respawns
 
     def _segments(self) -> list:
-        return [self._image] + [s for s in self._outboxes if s is not None]
+        return [self._image] + [
+            s for s in self._outboxes + self._ckpts if s is not None
+        ]
 
     def segment_names(self) -> list[str]:
         """Names of every live segment this pool owns (leak checks)."""
@@ -517,6 +573,7 @@ class WorkerPool:
             except OSError:  # pragma: no cover - defensive
                 log.warning("failed to unlink segment %s", shm.name, exc_info=True)
         self._outboxes = [None] * self.num_workers
+        self._ckpts = [None] * self.num_workers
 
     def _check_open(self) -> None:
         if self._closed:
@@ -605,13 +662,21 @@ class WorkerPool:
         **kwargs)`` and one holding it calls ``task.reset(**kwargs)``.
         ``begin`` also drops queued buffers, plants the worker's ``seeds``
         and arms ``combiner`` and ``probe(task, *probe_args[i])``.
-        ``payload_width`` (bytes per entry) sizes the outboxes.
+        ``payload_width`` (bytes per entry) sizes the outboxes and the
+        checkpoint slots.  Every worker replies with a snapshot of its
+        seeded task: the batch's first checkpoint.
         """
         self._check_open()
         n = self.num_workers
         grow = self._outboxes[0] is None or payload_width > self._outbox_width
         gen = self._outbox_gen + grow
         names = [f"cgp{self._token}o{i}g{gen}" for i in range(n)]
+        # no checkpoint is live between batches: the slots may move now
+        rows = max(p.num_local for p in self.pg.partitions)
+        slot_bytes = max(self._need, 3 * rows * payload_width)
+        if self._ckpts[0] is None or slot_bytes > self._slot_bytes:
+            self._grow_checkpoints(slot_bytes)
+        ckpts = [(s.name, self._slot_bytes) for s in self._ckpts]
         seeds = seeds or [()] * n
         probe_args = probe_args or [()] * n
         if epoch != self._epoch:
@@ -619,17 +684,19 @@ class WorkerPool:
             for installed in self._installed:
                 installed.clear()
 
-        def begin(i, worker_seeds, resident):
+        def begin(i, worker_seeds, resident, slot):
             return (
                 "begin", key, None if resident else task_cls, kwargs, records,
                 worker_seeds, combiner, probe, probe_args[i], names[i],
+                ckpts[i], slot,
             )
 
-        replies = self._barrier(
-            [begin(i, seeds[i], key in self._installed[i]) for i in range(n)]
-        )
-        self._first_states = [state for (state,) in replies.values()]
-        self._begin = [begin(i, (), False) for i in range(n)]
+        replies = self._barrier([
+            begin(i, seeds[i], key in self._installed[i], 1 - self._slot)
+            for i in range(n)
+        ])
+        self._ready = [state for (state,) in replies.values()]
+        self._begin = [begin(i, (), False, None) for i in range(n)]
         for installed in self._installed:
             installed.add(key)
         # segments change only once every worker has accepted the batch
@@ -661,9 +728,25 @@ class WorkerPool:
                 old.close()
                 old.unlink()
 
+    def _grow_checkpoints(self, slot_bytes: int) -> None:
+        """Replace every checkpoint segment with one of two ``slot_bytes``
+        slots: by rule, three ``(rows, payload_width)`` planes (a traversal's
+        frontier, next and visited) or the largest inline snapshot, if more."""
+        self._slot_bytes = slot_bytes
+        for i, old in enumerate(self._ckpts):
+            # named by size, which only grows
+            name = f"cgp{self._token}c{i}s{slot_bytes}"
+            self._ckpts[i] = create_segment(name, 2 * slot_bytes)
+            if old is not None:
+                old.close()
+                old.unlink()
+
     def gather(self, fn, *args) -> list:
-        """Run ``fn(task, *args)`` on every worker; results in machine order."""
+        """Run ``fn(task, *args)`` on every worker; results in machine order.
+        A control this way changes the tasks after a step's snapshots were
+        taken, so they are dropped."""
         self._check_open()
+        self._ready = None
         replies = self._barrier([("call", fn, args)] * self.num_workers)
         return [value for (value,) in replies.values()]
 
@@ -688,12 +771,18 @@ class WorkerPool:
 
     def checkpoint(self) -> list:
         """Snapshot every worker's task state (the driver pairs it with the
-        coordinator's clock and history at the same barrier).  A batch's
-        first snapshot is the one its ``begin`` replied with."""
-        states, self._first_states = self._first_states, None
+        coordinator's clock and history at the same barrier).  The snapshots
+        ``begin`` or the step took are handed out when no control has
+        dropped them; otherwise one ``checkpoint`` barrier takes them."""
+        states, self._ready = self._ready, None
         if states is None:
-            replies = self._barrier([("checkpoint",)] * self.num_workers)
+            replies = self._barrier(
+                [("checkpoint", 1 - self._slot)] * self.num_workers
+            )
             states = [state for (state,) in replies.values()]
+        self._slot = 1 - self._slot
+        for state in states:
+            self._need = max(self._need, sum(len(b) for b in state.inline))
         return states
 
     def recover(
@@ -733,9 +822,15 @@ class WorkerPool:
         self._barrier([("restore", state) for state in ckpt.task_states])
 
     def step(self, step: int):
-        """One compute/route/apply round; raises _StepFailures on trouble."""
+        """One compute/route/apply round; raises _StepFailures on trouble.
+        At a step the driver checkpoints after (every interval-th, short of
+        the cap), the workers also snapshot into the free slot."""
         n = self.num_workers
         failures: list[WorkerFailure] = []
+        due = (step + 1) % self.fault_tolerance.checkpoint_interval == 0 and (
+            self._max_steps is None or step + 1 < self._max_steps
+        )
+        slot = 1 - self._slot if due else None
         outs = self._barrier([("compute", step)] * n, failures)
         for i, (refs, _wall, sent) in outs.items():
             dests = sorted({ref.dest for ref in refs})
@@ -755,11 +850,12 @@ class WorkerPool:
             for ref in outs[sender][0]:
                 routed[ref.dest].append(ref)
         done = self._barrier(
-            [("apply", inbox, step) for inbox in routed], failures
+            [("apply", inbox, step, slot) for inbox in routed], failures
         )
         if failures:
             raise _StepFailures(failures)
-        votes, stats, probes, apply_walls = zip(*(done[i] for i in range(n)))
+        votes, stats, probes, apply_walls, states = zip(*map(done.get, range(n)))
+        self._ready = list(states) if due else None
         walls = [outs[i][1] + apply_walls[i] for i in range(n)]
         return list(votes), list(stats), list(probes), walls
 
@@ -786,6 +882,7 @@ class WorkerPool:
         and raises :class:`~repro.errors.WorkerLost`.
         """
         self._check_open()
+        self._max_steps = max_supersteps
         try:
             return run_supersteps(
                 self, max_supersteps, on_step, max_virtual_seconds

@@ -22,6 +22,7 @@ from repro.core.khop import DIRECTIONS, KHopPartitionTask, concurrent_khop
 from repro.core.multi_sssp import _MultiSSSPTask, concurrent_sssp
 from repro.core.pagerank import PageRankProgram
 from repro.core.reachability import reachability_queries
+from repro.dynamic import DynamicGraph
 from repro.graph import EdgeList, range_partition, rmat_edges
 from repro.runtime.cluster import SimCluster
 from repro.runtime.fault import FaultPlan, FaultTolerance
@@ -470,6 +471,21 @@ class TestPlanPathEqualsGenericPath:
                 assert np.array_equal(getattr(plan, name), getattr(flat, name))
 
 
+    @pytest.mark.parametrize("sets", [None, 3])
+    def test_a_spliced_plan_keeps_an_intp_sweep(self, small_rmat, sets):
+        """The pull's ``take`` indexes with ``sweep_sources`` as stored:
+        a batch's splice keeps it ``intp``, as the build makes it."""
+        pg = range_partition(small_rmat, 2)
+        if sets is not None:
+            pg.build_edge_sets(sets)
+        part = pg.partitions[0]
+        built = part.exchange_plan()
+        assert built.sweep_sources.dtype == np.intp
+        # a remote and a local edge of the shard go
+        DynamicGraph(pg).apply([], [(1, part.hi + 3), (2, 5)])
+        assert part.plan_cache is not built
+        assert part.plan_cache.sweep_sources.dtype == np.intp
+
     def test_gas_and_sssp_scan_the_layout_bit_identically(self, small_rmat):
         """GAS spreads its per-edge values, and multi-SSSP gathers, through
         the block-major plan rows: the answers, per-step stats and clocks are
@@ -568,7 +584,9 @@ def _reference_flat_plan(part):
             local_indptr, cols[is_local] - shift, None if w is None else w[is_local]
         ),
         slot_csr=CSR(slot_indptr, slots, None if w is None else w[is_remote]),
-        sweep_sources=np.concatenate([local_sources, remote_rows[order]]),
+        sweep_sources=np.concatenate(
+            [local_sources, remote_rows[order]], dtype=np.intp
+        ),
         sweep_starts=np.concatenate(
             [row_ptr[sweep_rows], local_sources.size + slot_starts]
         ),

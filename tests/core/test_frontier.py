@@ -67,6 +67,39 @@ class TestPerQueryCounts:
             expected = sum(int(row[w]) >> b & 1 for row in bits)
             assert counts[q] == expected
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        words=st.integers(1, 8),
+        rows=st.integers(0, 3000),
+        fill=st.sampled_from(["random", "ones", "top_bit", "sparse"]),
+        flat=st.booleans(),
+        data=st.data(),
+    )
+    def test_matches_an_unpackbits_model(self, words, rows, fill, flat, data):
+        """Every width, row count and bit pattern: the one-bincount counts
+        equal a column sum of the fully unpacked plane."""
+        if flat:
+            words = 1
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2**64, size=(rows, words), dtype=np.uint64)
+        if fill == "ones":
+            bits[:] = np.uint64(2**64 - 1)
+        elif fill == "top_bit":
+            bits |= np.uint64(1 << 63)
+        elif fill == "sparse":
+            bits &= rng.integers(0, 2**64, size=bits.shape, dtype=np.uint64)
+            bits[rng.random(rows) < 0.8] = 0
+        num_queries = data.draw(st.integers(1, 64 * words))
+        unpacked = np.unpackbits(
+            bits.astype("<u8").view(np.uint8).reshape(rows, 8 * words),
+            axis=1, bitorder="little",
+        )
+        want = unpacked.sum(axis=0, dtype=np.int64)[:num_queries]
+        got = per_query_counts(bits[:, 0] if flat else bits, num_queries)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
 
 class TestBitFrontier:
     def test_width_bounds(self):

@@ -4,20 +4,29 @@ The acceptance bar is strict: after ``GraphSession.close()`` no worker
 process survives and no shared-memory segment remains in ``/dev/shm`` —
 checked twice in one process, because leaks from the first cycle would
 surface in the second (name collisions, orphaned segments, zombie
-children).
+children).  The protocol's shape is pinned too — which ops a batch sends,
+and that no reply carries a plane — and so are the two-slot checkpoint
+segments a recovery restores from.
 """
 
 import multiprocessing as mp
 import os
 import pickle
 
+from collections import Counter
+from multiprocessing.reduction import ForkingPickler
+
 import numpy as np
 import pytest
 
 from repro.core.api import run_program
+from repro.core.khop import concurrent_khop
+from repro.core.reachability import reachability_queries
 from repro.errors import UnsupportedConfigError
-from repro.graph import rmat_edges
-from repro.runtime.pool import Supervisor, WorkerPool
+from repro.graph import EdgeList, rmat_edges
+from repro.runtime.engine import WorkerFailure
+from repro.runtime.fault import FaultPlan, FaultTolerance
+from repro.runtime.pool import Supervisor, WorkerPool, _Snapshot
 from repro.runtime.session import GraphSession
 from tests.core.test_api import ListingTwoKHop
 
@@ -36,6 +45,36 @@ def _shm_files(names):
 @pytest.fixture
 def graph():
     return rmat_edges(8, 3000, seed=7).remove_self_loops().deduplicate()
+
+
+@pytest.fixture(scope="module")
+def ring():
+    """A 300-vertex ring with +1 and +3 edges: on two range partitions
+    every superstep crosses both cuts, and a query runs ~100 levels."""
+    n = 300
+    src = np.repeat(np.arange(n), 2)
+    dst = (src + np.tile([1, 3], n)) % n
+    return EdgeList(src, dst, n)
+
+
+@pytest.fixture
+def replies(monkeypatch):
+    """Every reply a worker sends, as re-pickled for the wire."""
+    got: list = []
+    recv = Supervisor.recv
+
+    def spy(sup, worker_id, timeout=None):
+        reply = recv(sup, worker_id, timeout)
+        if not isinstance(reply, WorkerFailure):
+            got.append(reply)
+        return reply
+
+    monkeypatch.setattr(Supervisor, "recv", spy)
+    return got
+
+
+def _snapshots(replies) -> list:
+    return [f for r in replies for f in r if isinstance(f, _Snapshot)]
 
 
 class TestShutdown:
@@ -103,7 +142,9 @@ class TestProtocolShape:
         send = Supervisor.send
 
         def spy(sup, worker_id, frame):
-            ops.append((worker_id, pickle.loads(frame)[0]))
+            msg = pickle.loads(frame)
+            # a call is named by its function: a control or a gather
+            ops.append((worker_id, msg[1].__name__ if msg[0] == "call" else msg[0]))
             return send(sup, worker_id, frame)
 
         monkeypatch.setattr(Supervisor, "send", spy)
@@ -115,7 +156,49 @@ class TestProtocolShape:
         ops = [op for _, op in sent]
         first_compute = ops.index("compute")
         assert sorted(w for w, _ in sent[:first_compute]) == [0, 1]
-        assert set(ops) <= {"begin", "compute", "apply", "call", "checkpoint"}
+        assert set(ops) <= {
+            "begin", "compute", "apply", "khop_visited_counts", "checkpoint"
+        }
+
+    def test_fault_free_khop_sends_no_checkpoint(self, graph, sent):
+        """Snapshots ride ``begin``'s and the due steps' replies: a k=3
+        batch is one begin, three compute/apply rounds and the count."""
+        with GraphSession(graph, num_machines=2, backend="pool") as sess:
+            res = sess.khop([0, 5], 3)
+        assert res.supersteps == 3
+        assert Counter(op for _, op in sent) == {
+            "begin": 2, "compute": 6, "apply": 6, "khop_visited_counts": 2,
+        }
+
+    def test_a_control_costs_one_checkpoint_round(self, ring, sent):
+        """Reach's early-termination control changes the tasks after the
+        step's snapshots: it drops them, and the driver's checkpoint runs
+        its own barrier — once per control the run goes on past."""
+        with GraphSession(ring, num_machines=2, backend="pool") as sess:
+            # query 0 hits at hop 1; query 1's target is ~100 hops away
+            res = reachability_queries(sess, [0, 100], [1, 99], 4)
+        assert res.reachable.tolist() == [True, False]
+        ops = [op for w, op in sent if w == 0]
+        assert ops == ["begin"] + [
+            "compute", "apply", "mask_frontier", "checkpoint"
+        ] * 3 + ["compute", "apply", "mask_frontier"]
+
+    def test_no_reply_carries_a_plane(self, sent, replies):
+        """Only control records cross the pipes: with 64 KiB+ planes per
+        worker, no reply of a k-hop or reach batch (checkpoints included)
+        pickles past 4 KiB."""
+        big = rmat_edges(15, 100_000, seed=3).remove_self_loops().deduplicate()
+        rng = np.random.default_rng(5)
+        sources = rng.integers(0, big.num_vertices, 64)
+        with GraphSession(big, num_machines=2, backend="pool") as sess:
+            rows = max(p.num_local for p in sess.pg.partitions)
+            assert rows * 8 >= 64 * 1024  # one word per row at 64 wide
+            sess.khop(sources, 3)
+            reachability_queries(
+                sess, sources, rng.integers(0, big.num_vertices, 64), 3
+            )
+        assert len(_snapshots(replies)) >= 4
+        assert max(len(ForkingPickler.dumps(r)) for r in replies) <= 4096
 
     def test_unpicklable_description_sends_nothing(self, graph, sent):
         with GraphSession(graph, num_machines=2, backend="pool") as sess:
@@ -126,6 +209,72 @@ class TestProtocolShape:
                     sess, lambda ctx: ListingTwoKHop(ctx, 0, 2)
                 )
         assert sent == []
+
+
+class TestCheckpointSlots:
+    """Each worker's snapshots live in a two-slot shared segment.  A new
+    snapshot must never land on the slot the driver's checkpoint uses: not
+    from a step whose other workers then fail, and not from the ``begin`` a
+    respawned worker replays before it restores."""
+
+    @pytest.fixture(scope="class")
+    def inproc(self, ring):
+        return GraphSession(ring, num_machines=2)
+
+    @pytest.mark.parametrize("interval", [1, 2, 3])
+    def test_recovery_parity_after_both_slots_are_written(
+        self, ring, inproc, interval
+    ):
+        sources = list(range(0, 300, 5))
+        ref = concurrent_khop(inproc, sources, 9)
+        ft = FaultTolerance(checkpoint_interval=interval, max_recoveries=4)
+        # Three snapshots are out before each fault (begin's and two due
+        # steps'), so the driver's checkpoint is back in begin's slot.  The
+        # crash makes worker 1 replay ``begin`` before the restore; the
+        # corrupt inbox fails worker 1 at a due step whose snapshot worker
+        # 0 has already written.
+        plans = [
+            FaultPlan().crash_worker(2 * interval, 1),
+            FaultPlan().corrupt_inbox(2 * interval - 1, 1),
+        ]
+        with GraphSession(
+            ring, num_machines=2, backend="pool", fault_tolerance=ft
+        ) as sess:
+            for recoveries, plan in enumerate(plans):
+                sess.set_fault_plan(plan)
+                res = concurrent_khop(sess, sources, 9)
+                assert np.array_equal(res.reached, ref.reached)
+                assert res.per_step_seconds == ref.per_step_seconds
+                assert res.total_messages == ref.total_messages
+                assert not sess.degraded
+            assert sess.pool().recoveries == 1  # the crash; corruption replies
+
+    def test_an_overflowing_snapshot_rides_inline_once(
+        self, graph, replies
+    ):
+        """A depth matrix outgrows the slot rule (three word planes): that
+        batch's snapshots ride inline, the next ``begin`` grows every
+        segment to fit, and the old segments are unlinked."""
+        sources = list(range(64))
+        ref = GraphSession(graph, num_machines=2).khop(
+            sources, 3, record_depths=True
+        )
+        with GraphSession(graph, num_machines=2, backend="pool") as sess:
+            first = sess.khop(sources, 3, record_depths=True)
+            names = sess.pool().segment_names()
+            inline = [s for s in _snapshots(replies) if s.inline]
+            assert inline and len(inline) == len(_snapshots(replies))
+            replies.clear()
+            second = sess.khop(sources, 3, record_depths=True)
+            grown = sess.pool().segment_names()
+            snaps = _snapshots(replies)
+            assert snaps and not any(s.inline for s in snaps)
+            gone = sorted(set(names) - set(grown))
+            assert len(gone) == 2 and _shm_files(gone) == []
+        assert _shm_files(grown) == []
+        for res in (first, second):
+            assert np.array_equal(res.depths, ref.depths)
+            assert np.array_equal(res.reached, ref.reached)
 
 
 class TestDeterminism:
