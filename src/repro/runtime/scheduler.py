@@ -529,6 +529,7 @@ class QueryService:
         # mutations, throttled, edges, supersteps, cache hits/misses
         self._marks = (0, 0, 0, 0, 0, 0)
         self._oracle_sessions: dict[int, object] = {}  # epoch -> GraphSession
+        self._khop_left = 0  # drain-local: k-hop rows not yet picked
         # the QoS layer: WFQ lane state and per-tenant token buckets persist
         # across drains, like the virtual clock they run on
         self.qos = qos
@@ -758,6 +759,7 @@ class QueryService:
         )
         self._pending_mutations = []
         self._busy = 0.0
+        self._khop_left = int((queue.targets < 0).sum())
         self._marks = (
             self.mutations_applied, self.throttled, self.edges_scanned,
             self.supersteps, *self._cache_traffic(),
@@ -796,7 +798,7 @@ class QueryService:
             self._due_mutations.clear()
             raise
         finally:
-            self._queue = None
+            self._queue = self.session.shared_khop = None
         report = self._report(queue, dispatches)
         if not size:
             return report
@@ -1011,6 +1013,8 @@ class QueryService:
         cut the batch short before the query settled.  ``wfq_lane`` is the
         lane a weighted-fair pick is charged to, normalised by its weight
         (its queries then pay their quota tokens); FIFO picks pass None.
+        A k-hop pick may replay from the drain's shared run instead of
+        traversing (:meth:`_share_khop`): the same result, bit for bit.
 
         In dynamic cross-check mode the same batch re-runs, off the books,
         on a session rebuilt from scratch at the batch's epoch and must
@@ -1046,6 +1050,9 @@ class QueryService:
                 return res.reachable, res.resolution_seconds
             return res.reached, res.completion_seconds
 
+        if kind == "khop":
+            self._share_khop(rows)
+            self._khop_left -= rows.size
         res = self._dispatch(kind, now, len(rows), lambda: run(self.session))
         answer, per_query = answers(res)
         virtual = float(res.virtual_seconds)
@@ -1084,6 +1091,34 @@ class QueryService:
                     f"virt={res.virtual_seconds!r}) != oracle "
                     f"(answers={ref_answer}, virt={ref.virtual_seconds!r})"
                 )
+
+    def _share_khop(self, rows) -> None:
+        """Give the session a :class:`~repro.core.khop.SharedKHop` for this
+        k-hop pick to replay from, when the rule allows one.  The drain's
+        run serves the pick when at its epoch and holding its sources.
+        Else, while more k-hop rows wait than the pick holds and the session
+        is in-process with no fault plan, the next is built: the pick's
+        sources, then those of the unpicked k-hop rows that arrived before
+        the next queued mutation, in queue order, to ``MAX_WIDE_BATCH``
+        distinct; none when that adds no source."""
+        queue, sess = self._queue, self.session
+        sources = queue.sources[rows]
+        share = sess.shared_khop
+        if share is not None and share.bits_of(sess, sources) is not None:
+            return
+        if self._khop_left <= rows.size or sess.uses_pool or sess.fault_plan:
+            return
+        from repro.core.khop import SharedKHop
+
+        horizon = self._due_mutations[0][0] if self._due_mutations else math.inf
+        order = queue.order
+        later = queue.targets[order] < 0
+        later &= np.isnan(queue.finish[order]) & (queue.arrivals[order] < horizon)
+        wanted = np.concatenate([sources, queue.sources[order[later]]])
+        _, first = np.unique(wanted, return_index=True)
+        if first.size > np.unique(sources).size:
+            wanted = wanted[np.sort(first)[:MAX_WIDE_BATCH]]
+            sess.shared_khop = SharedKHop(sess, wanted, self.k)
 
     def _dispatch(self, kind: str, now: float, width: int, run):
         """Execute one batch dispatch, placing it on the virtual timeline.

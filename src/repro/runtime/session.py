@@ -181,6 +181,9 @@ class GraphSession:
         self._undirected_pg: PartitionedGraph | None = None
         self._service_cache: dict[tuple, tuple[float, int]] = {}
         self._index_build = None  # IndexBuild, cached by index_build()
+        #: a :class:`~repro.core.khop.SharedKHop` that the k-hop batches it
+        #: holds replay from (a service drain's), or None
+        self.shared_khop = None
 
     # -- the parallel backend ----------------------------------------------- #
 
@@ -416,7 +419,7 @@ class GraphSession:
         """Drop every cache keyed on (or derived from) the graph's edges."""
         self._task_cache.clear()
         self._service_cache.clear()
-        self._undirected_pg = None
+        self._undirected_pg = self.shared_khop = None
 
     def _patch_index(self, res) -> None:
         if self._inc_index is None:
@@ -623,17 +626,7 @@ class GraphSession:
             # degraded: the same description, in-process
             self.degraded_batches += 1
             self.instr.on_degrade()
-        # resident tasks, keyed as the pool's WorkerPool.ensure_task keys them
-        # (an epoch advance clears the cache)
-        tasks = self._task_cache.get(cache_key)
-        if tasks is None:
-            tasks = self._task_cache[cache_key] = [
-                task_cls(machine, self.cluster, **task_kwargs)
-                for machine in self.cluster.machines
-            ]
-        else:
-            for task in tasks:
-                task.reset(**task_kwargs)
+        tasks = self.resident_tasks(task_cls, task_kwargs, cache_key)
         if sources is not None:
             for task, seeds in zip(tasks, self.seeds_by_machine(sources)):
                 for local_vertex, q in seeds:
@@ -643,6 +636,20 @@ class GraphSession:
             probe=probe, probe_args=probe_args,
         )
         return self._run_on(engine, max_supersteps, on_step, max_virtual_seconds)
+
+    def resident_tasks(self, task_cls, task_kwargs: dict, cache_key: tuple) -> list:
+        """This process's tasks under ``cache_key`` (keyed as the pool keys
+        them; an epoch advance clears them), built or reset from the kwargs."""
+        tasks = self._task_cache.get(cache_key)
+        if tasks is None:
+            tasks = self._task_cache[cache_key] = [
+                task_cls(machine, self.cluster, **task_kwargs)
+                for machine in self.cluster.machines
+            ]
+        else:
+            for task in tasks:
+                task.reset(**task_kwargs)
+        return tasks
 
     def _run_on(
         self, executor, max_supersteps, on_step, max_virtual_seconds
