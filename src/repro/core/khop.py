@@ -49,10 +49,7 @@ targets.  Both go through :func:`_run_traversal`, which *describes* the
 batch — :class:`KHopPartitionTask` plus kwargs, the
 :func:`~repro.core.adapters.traversal_probe`, one ``on_step`` — and
 :meth:`~repro.runtime.session.GraphSession.run_batch` runs that description
-on whichever executor the session has.  The service's k-hop picks of one
-drain share one traversal instead: :class:`SharedKHop` runs the fused step
-over their distinct sources, keeping what each superstep lit, and each
-pick's batch replays from it with the answers, stats and clock it would have.
+on whichever executor the session has, or replays it from a drain's run.
 """
 
 from __future__ import annotations
@@ -62,10 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core import adapters
-from repro.core.frontier import (
-    MAX_WIDE_BATCH, BitFrontier, per_query_counts, words_for
-)
-from repro.errors import UnsupportedConfigError
+from repro.core.frontier import MAX_WIDE_BATCH, BitFrontier, per_query_counts, words_for
 from repro.graph.partition import ExchangePlan
 from repro.graph.validation import check_hops
 from repro.runtime.cluster import SimCluster
@@ -79,9 +73,7 @@ from repro.runtime.netmodel import (
 )
 from repro.runtime.session import GraphSession
 
-__all__ = [
-    "KHopResult", "KHopPartitionTask", "SharedKHop", "concurrent_khop", "DIRECTIONS"
-]
+__all__ = ["KHopResult", "KHopPartitionTask", "concurrent_khop", "DIRECTIONS"]
 
 #: Valid traversal-direction settings for the k-hop/reachability engines.
 DIRECTIONS = ("auto", "push", "pull")
@@ -365,7 +357,7 @@ class _FusedStep:
             self.depths = _whole(tasks, "depths", shape, view.bounds)
         for t, lo, hi in zip(tasks, view.slot_bounds[:-1], view.slot_bounds[1:]):
             t._plane = self.targets[lo:hi]
-        self.record = None  # a SharedKHop's list of what each step lit
+        self.record = None  # a SharedKHop's frontiers and lit slot rows
 
     def step(self) -> tuple[list, list[StepStats], list | None]:
         tasks, view, t0 = self.tasks, self.view, self.tasks[0]
@@ -405,7 +397,8 @@ class _FusedStep:
         rows = _lit(frontier).nonzero()[0]  # the next step's frontier
         if self.record is not None:  # a shared run: every recorded step expanded
             lit = _lit(slots)
-            self.record.append((rows, frontier[rows], view.slot_pair[lit], slots[lit]))
+            self.record[0].append((rows, frontier[rows]))
+            self.record[1].append((view.slot_pair[lit], slots[lit]))
         alive = np.diff(np.searchsorted(rows, view.bounds))
         votes = ((alive > 0) & (t0.k is None or level < t0.k)).tolist()
         return votes, stats, None if self.probe is None else [
@@ -413,9 +406,7 @@ class _FusedStep:
 
 
 def _lit(plane: np.ndarray) -> np.ndarray:
-    """Which rows of a bit plane hold a set bit: an OR over its word
-    columns, a few ns a row where a row-wise ``any`` costs ~25 on two words
-    (one word costs the same either way)."""
+    """Rows with a set bit: an OR over word columns (a row-wise ``any`` is slow)."""
     rows = plane[:, 0]
     for w in range(1, plane.shape[1]):
         rows = rows | plane[:, w]
@@ -423,9 +414,7 @@ def _lit(plane: np.ndarray) -> np.ndarray:
 
 
 def _book_wire(stats: list[StepStats], sent, id_bytes, words: int) -> None:
-    """Book one exchange on every partition's stats: ``sent[i, j]``
-    messages from ``i`` to ``j``, each an id of ``id_bytes[i]`` bytes and
-    ``words`` plane words, and what each receiver had delivered."""
+    """Book ``sent[i, j]`` messages of ``id_bytes[i] + 8 * words`` bytes, i to j."""
     nbytes = sent * (id_bytes[:, None] + 8 * words)
     for sender, dest in zip(*(a.tolist() for a in sent.nonzero())):
         stats[sender].messages_sent[dest] = int(sent[sender, dest])
@@ -459,6 +448,7 @@ def concurrent_khop(
     record_depths: bool = False,
     max_virtual_seconds: float | None = None,
     direction: str = "auto",
+    _shared: SharedKHop | None = None,
 ) -> KHopResult:
     """Run up to 512 k-hop queries concurrently with bit-parallel sharing.
 
@@ -471,9 +461,8 @@ def concurrent_khop(
         ``asynchronous`` requires the in-process backend and raises
         :class:`~repro.errors.UnsupportedConfigError` there.  A session
         built with ``edge_sets=True`` scans its edge-set layout; answers,
-        counted work and virtual time are the flat scan's.  A synchronous
-        batch without depths that the session's ``shared_khop`` holds
-        (:class:`SharedKHop`) replays from it: the same result, no traversal.
+        counted work and virtual time are the flat scan's.  ``_shared``, a
+        drain's :class:`SharedKHop`, replays a synchronous batch it holds.
     sources:
         Global source vertex per query.  The batch width is
         ``len(sources)``, up to one 64-byte cache line of query bits
@@ -506,16 +495,15 @@ def concurrent_khop(
     pg = sess.pg
     sources = sess.check_sources(sources, MAX_WIDE_BATCH)
     num_queries = int(sources.size)
-    share, bits = sess.shared_khop, None
-    if share is not None and share.k == k and not (asynchronous or record_depths):
-        bits = share.bits_of(sess, sources)
+    shared = _shared is not None and not (asynchronous or record_depths)
+    bits = _shared.bits(sess, sources, k) if shared else None
     completion_level, completion_seconds, resolved, _, result = _run_traversal(
         sess, sources, k,
         asynchronous=asynchronous,
         record_depths=record_depths,
         max_virtual_seconds=max_virtual_seconds,
         direction=direction,
-        replay=None if bits is None else _Replay(share, sess, bits, direction),
+        replay=None if bits is None else _Replay(_shared, bits, direction),
     )
     reached = np.zeros(num_queries, dtype=np.int64)
     for counts in sess.gather_batch(adapters.khop_visited_counts):
@@ -573,8 +561,7 @@ def _run_traversal(
     replay: _Replay | None = None,
 ):
     """Run one traversal batch on a validated session: k-hop, or pairwise
-    reachability when ``targets`` is given; on the ``replay`` executor, a
-    k-hop pick of a :class:`SharedKHop`'s sources.
+    reachability when ``targets`` is given, or a k-hop pick's ``replay``.
 
     A query finishes at the level its target is first visited, its frontier
     dies everywhere, or its hop budget runs out, and records that level and
@@ -656,76 +643,62 @@ def _run_traversal(
 
 
 class SharedKHop:
-    """One traversal over distinct k-hop sources that any batch of them
-    (duplicates and any order allowed) replays bit for bit.
-
-    Held as a session's ``shared_khop``, it answers the session's
-    :func:`concurrent_khop` batches it can: same ``k``, its sources, its
-    epoch, no depths, synchronous.  Bit ``i`` of the run is ``sources[i]``
-    (sorted), so a batch's duplicates share a bit.  Each fused superstep
-    keeps only the next frontier's rows and words and the lit slot rows'
-    (sender, destination) pairs and words; the run books nothing but one
-    ``core.khop.share`` span.  A batch is then a function of those rows
-    masked to its bits (:class:`_Replay`).
+    """One traversal over distinct sources (bit ``i`` is the sorted
+    ``sources[i]``) that a batch of them, duplicates too, replays exactly.
+    It runs at the first :class:`_Replay`, booking a ``core.khop.share`` span
+    and keeping per superstep only the next frontier and the lit slot rows.
     """
 
     def __init__(self, sess: GraphSession, sources, k: int | None):
-        check_hops(k)
         sess.require_inproc(shared_run=True)
         self.sources = np.unique(sess.check_sources(sources, MAX_WIDE_BATCH))
-        self.sess, self.k, self.epoch = sess, k, sess.graph_epoch
-        self.coeffs = (sess.netmodel.seconds_per_edge_push,
-                       sess.netmodel.seconds_per_edge_pull)
-        q = np.arange(self.sources.size)
+        self.sess, self.k, self.epoch, self.lit = sess, k, sess.graph_epoch, None
+
+    def bits(self, sess: GraphSession, sources, k) -> np.ndarray | None:
+        """Each source's bit, or None where a batch of them cannot replay."""
+        bits = np.searchsorted(self.sources, sources)
+        held = self.sources[np.minimum(bits, self.sources.size - 1)] == sources
+        mine = sess is self.sess and sess.graph_epoch == self.epoch and k == self.k
+        return bits if mine and held.all() else None
+
+    def _traverse(self) -> None:
+        sess, q = self.sess, np.arange(self.sources.size)
+        width = 64 * words_for(q.size)  # a 64-wide pick's planes serve as they are
         with sess.instr.span("core.khop.share", cat="khop", width=q.size):
-            # whole words: bits past the sources are never seeded, and a
-            # 64-wide pick's resident planes are reused as they are
-            kwargs = dict(num_queries=64 * words_for(q.size), k=k,
-                          push_coeff=self.coeffs[0], pull_coeff=self.coeffs[1])
+            kwargs = dict(num_queries=width, k=self.k,
+                          push_coeff=sess.netmodel.seconds_per_edge_push,
+                          pull_coeff=sess.netmodel.seconds_per_edge_pull)
             tasks = sess.resident_tasks(KHopPartitionTask, kwargs, ("khop",))
             fused = _FusedStep(tasks, None, [()] * len(tasks))
             bits = np.left_shift(np.uint64(1), (q & 63).astype(np.uint64))
             fused.visited[self.sources, q >> 6] = bits
             fused.frontier[self.sources, q >> 6] = bits
             self.frontiers = [(self.sources, fused.frontier[self.sources])]
-            self.view, self.plans, fused.record = fused.view, fused.plans, []
-            votes = [k != 0]
+            self.lit, self.view, self.plans = [], fused.view, fused.plans
+            fused.record, votes = (self.frontiers, self.lit), [self.k != 0]
             while any(votes):  # to the hop budget or the last frontier
                 votes = fused.step()[0]
-        self.frontiers += [(rows, words) for rows, words, _, _ in fused.record]
-        self.lit = [(pairs, words) for _, _, pairs, words in fused.record]
-        #: out-degree and local out-degree of every vertex, by global row
-        self.degrees = np.stack([
-            np.concatenate([getattr(p, name) for p in self.plans])
-            for name in ("out_degree", "local_out_degree")
-        ])
-        #: visited per partition and bit: what a pick that ran to its end counts
-        self.visited = np.stack([t.state.visited_counts() for t in tasks])
-
-    def bits_of(self, sess: GraphSession, sources: np.ndarray) -> np.ndarray | None:
-        """Each source's bit, or None: a batch of them on ``sess`` does not
-        replay from this run (another session or epoch, or a new source)."""
-        bits = np.searchsorted(self.sources, sources)
-        held = self.sources[np.minimum(bits, self.sources.size - 1)] == sources
-        if sess is self.sess and sess.graph_epoch == self.epoch and held.all():
-            return bits
-        return None
+        #: per step and bit: the rows visited by then, on every partition
+        counts = [per_query_counts(words, width) for _, words in self.frontiers]
+        self.counts = np.cumsum(counts, axis=0)
 
 
 class _Replay:
-    """The executor of one pick of a :class:`SharedKHop`: step ``s`` is
-    :class:`_FusedStep`'s accounting of step ``s``'s recorded rows masked
-    to the pick's bits, its votes and probes those of step ``s + 1``'s."""
+    """One pick's executor over a :class:`SharedKHop`: step ``s`` books what
+    :class:`_FusedStep` would of step ``s``'s rows masked to the pick's bits."""
 
-    def __init__(self, share: SharedKHop, sess: GraphSession, bits, direction):
-        self.share, self.index, self.direction = share, bits, direction
+    def __init__(self, share: SharedKHop, bits, direction):
+        if share.lit is None:
+            share._traverse()
+        sess, self.share, self.index, self.steps = share.sess, share, bits, 0
         self.instr, self.netmodel = sess.instr, sess.netmodel
-        self.fault_tolerance = sess.fault_tolerance
-        self.words, self.steps, self.truncated = words_for(bits.size), 0, False
+        self.fault_tolerance, self.words = sess.fault_tolerance, words_for(bits.size)
+        self.direction = direction  # and the coefficients: what _choose_mode reads
+        self.push_coeff = float(sess.netmodel.seconds_per_edge_push)
+        self.pull_coeff = float(sess.netmodel.seconds_per_edge_pull)
+        self.word, self.shift = bits >> 6, (bits & 63).astype(np.uint64)
         self.mask = np.zeros(share.frontiers[0][1].shape[1], np.uint64)
-        one = np.left_shift(np.uint64(1), (bits & 63).astype(np.uint64))
-        np.bitwise_or.at(self.mask, bits >> 6, one)
-        self.active = np.unique(share.sources[bits])  # the seeds' rows
+        np.bitwise_or.at(self.mask, self.word, np.left_shift(np.uint64(1), self.shift))
 
     def run(self, max_supersteps=None, on_step=None, max_virtual_seconds=None):
         return run_supersteps(self, max_supersteps, on_step, max_virtual_seconds)
@@ -734,57 +707,31 @@ class _Replay:
         return None  # nothing runs, so nothing can fail
 
     def step(self, step: int):
-        share, mask, active = self.share, self.mask, self.active
-        bounds, num = share.view.bounds, len(share.plans)
+        share, mask, bounds = self.share, self.mask, self.share.view.bounds
+        rows, words = share.frontiers[step]
+        active = rows[_lit(words & mask)]
+        cut = np.searchsorted(active, bounds).tolist()
         stats = [StepStats() for _ in share.plans]
-        # per partition: its active rows' out-degree and local out-degree sums
-        cut = np.searchsorted(active, bounds)
-        sums = np.zeros((2, active.size + 1), np.int64)
-        np.cumsum(np.take(share.degrees, active, axis=1), axis=1, out=sums[:, 1:])
-        sums = np.diff(sums[:, cut], axis=1).T.tolist()
-        for mine, plan, size, (edges, local) in zip(
-            stats, share.plans, np.diff(cut).tolist(), sums
-        ):
-            if size:
-                mode = self.direction
-                if mode == "auto":
-                    mode = choose_direction(edges, plan.num_edges, *share.coeffs)
-                mine.pull_partitions += mode == "pull"
-                mine.push_partitions += mode != "pull"
-                mine.edges_scanned += edges
-                mine.vertices_updated += local
-        pairs, lit = share.lit[step]  # pairs ascend: by sender, then destination
-        lit = pairs[_lit(lit & mask)]
-        sent = np.diff(np.searchsorted(lit, np.arange(num * num + 1)))
+        for i, (mine, plan) in enumerate(zip(stats, share.plans)):
+            local = active[cut[i] : cut[i + 1]] - bounds[i]
+            if local.size:  # _expand's booking, the same in both kernels
+                pull = KHopPartitionTask._choose_mode(self, plan, local) == "pull"
+                mine.pull_partitions += pull
+                mine.push_partitions += not pull
+                mine.edges_scanned += int(plan.out_degree[local].sum())
+                mine.vertices_updated += int(plan.local_out_degree[local].sum())
+        (pairs, lit), num = share.lit[step], len(stats)
+        sent = np.bincount(pairs[_lit(lit & mask)], minlength=num * num)
         _book_wire(stats, sent.reshape(num, num), share.view.id_bytes, self.words)
-        rows, words = share.frontiers[step + 1]
-        words = words & mask
-        self.active = rows[_lit(words)]
-        cut = np.searchsorted(rows, bounds)
-        live = np.flatnonzero(np.diff(cut))
-        alive = [0] * num  # each partition's alive run bits, as the pick's
-        if live.size:
-            ored = np.bitwise_or.reduceat(words, cut[live], axis=0)
-            flags = ored.astype("<u8").view(np.uint8)
-            flags = np.unpackbits(flags, axis=1, bitorder="little")[:, self.index]
-            flags = np.packbits(flags, axis=1, bitorder="little")
-            for i, row in zip(live.tolist(), flags):
-                alive[i] = int.from_bytes(row.tobytes(), "little")
+        # the pick's alive bits: the OR of every partition's probe is enough
+        ored = np.bitwise_or.reduce(share.frontiers[step + 1][1] & mask, axis=0)
+        hit = ((ored[self.word] >> self.shift) & np.uint64(1)).astype(bool)
+        alive = int.from_bytes(np.packbits(hit, bitorder="little"), "little")
         self.steps = step + 1
-        budget = share.k is None or self.steps < share.k
-        votes = [budget and bits != 0 for bits in alive]
-        self.truncated = any(votes)  # if the run stops here, a deadline cut it
-        return votes, stats, [(bits, 0) for bits in alive], None
+        vote = bool(alive) and (share.k is None or self.steps < share.k)
+        return [vote], stats, [(alive, 0)], None
 
     def gather(self, fn, *args) -> list:
-        """Each partition's visited counts of the pick's queries: the one
-        gather :func:`concurrent_khop` makes of a replayed pick."""
-        if fn is not adapters.khop_visited_counts:
-            raise UnsupportedConfigError("a replayed pick gathers visited counts")
-        counts, steps = self.share.visited, self.share.frontiers[: self.steps + 1]
-        if self.truncated:  # only the seeds and the frontiers it promoted
-            cut = [np.searchsorted(rows, self.share.view.bounds) for rows, _ in steps]
-            counts = [per_query_counts(np.concatenate(
-                [w[c[i] : c[i + 1]] for (_, w), c in zip(steps, cut)]
-            ), counts.shape[1]) for i in range(counts.shape[0])]
-        return [c[self.index] for c in counts]
+        """The pick's visited counts, every partition's in one: ``fn`` can
+        only be the :func:`concurrent_khop` gather, which sums them."""
+        return [self.share.counts[self.steps][self.index]]

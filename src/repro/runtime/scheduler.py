@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.frontier import MAX_WIDE_BATCH
+from repro.core.frontier import MAX_WIDE_BATCH, words_for
 from repro.errors import (
     InvalidQueryError,
     MutationError,
@@ -529,7 +529,8 @@ class QueryService:
         # mutations, throttled, edges, supersteps, cache hits/misses
         self._marks = (0, 0, 0, 0, 0, 0)
         self._oracle_sessions: dict[int, object] = {}  # epoch -> GraphSession
-        self._khop_left = 0  # drain-local: k-hop rows not yet picked
+        # drain-local k-hop sharing: rows in queue order, waiting, cursor, run
+        self._khop, self._khop_left, self._khop_next, self._share = None, 0, 0, None
         # the QoS layer: WFQ lane state and per-tenant token buckets persist
         # across drains, like the virtual clock they run on
         self.qos = qos
@@ -759,7 +760,8 @@ class QueryService:
         )
         self._pending_mutations = []
         self._busy = 0.0
-        self._khop_left = int((queue.targets < 0).sum())
+        self._khop = queue.order[queue.targets[queue.order] < 0]
+        self._khop_left, self._khop_next = self._khop.size, 0
         self._marks = (
             self.mutations_applied, self.throttled, self.edges_scanned,
             self.supersteps, *self._cache_traffic(),
@@ -798,7 +800,7 @@ class QueryService:
             self._due_mutations.clear()
             raise
         finally:
-            self._queue = self.session.shared_khop = None
+            self._queue = self._share = None
         report = self._report(queue, dispatches)
         if not size:
             return report
@@ -1013,8 +1015,7 @@ class QueryService:
         cut the batch short before the query settled.  ``wfq_lane`` is the
         lane a weighted-fair pick is charged to, normalised by its weight
         (its queries then pay their quota tokens); FIFO picks pass None.
-        A k-hop pick may replay from the drain's shared run instead of
-        traversing (:meth:`_share_khop`): the same result, bit for bit.
+        A k-hop pick may replay, bit for bit, from a shared run (:meth:`_share_khop`).
 
         In dynamic cross-check mode the same batch re-runs, off the books,
         on a session rebuilt from scratch at the batch's epoch and must
@@ -1028,6 +1029,7 @@ class QueryService:
         epoch = self._epoch()
         queue = self._queue
         sources = queue.sources[rows]
+        share = self._share_khop(rows, sources) if kind == "khop" else None
 
         def run(session):
             if kind == "reach":
@@ -1043,6 +1045,7 @@ class QueryService:
                 sources,
                 self.k,
                 max_virtual_seconds=self.deadline_seconds,
+                _shared=share,
             )
 
         def answers(res):
@@ -1050,9 +1053,6 @@ class QueryService:
                 return res.reachable, res.resolution_seconds
             return res.reached, res.completion_seconds
 
-        if kind == "khop":
-            self._share_khop(rows)
-            self._khop_left -= rows.size
         res = self._dispatch(kind, now, len(rows), lambda: run(self.session))
         answer, per_query = answers(res)
         virtual = float(res.virtual_seconds)
@@ -1092,33 +1092,32 @@ class QueryService:
                     f"(answers={ref_answer}, virt={ref.virtual_seconds!r})"
                 )
 
-    def _share_khop(self, rows) -> None:
-        """Give the session a :class:`~repro.core.khop.SharedKHop` for this
-        k-hop pick to replay from, when the rule allows one.  The drain's
-        run serves the pick when at its epoch and holding its sources.
-        Else, while more k-hop rows wait than the pick holds and the session
-        is in-process with no fault plan, the next is built: the pick's
-        sources, then those of the unpicked k-hop rows that arrived before
-        the next queued mutation, in queue order, to ``MAX_WIDE_BATCH``
-        distinct; none when that adds no source."""
-        queue, sess = self._queue, self.session
-        sources = queue.sources[rows]
-        share = sess.shared_khop
-        if share is not None and share.bits_of(sess, sources) is not None:
-            return
-        if self._khop_left <= rows.size or sess.uses_pool or sess.fault_plan:
-            return
+    def _share_khop(self, rows, sources):
+        """The drain's :class:`~repro.core.khop.SharedKHop` this k-hop pick
+        replays from, or None.  When the held run misses, k-hop rows still
+        wait and no queued mutation (so every later pick is at this epoch),
+        fault plan or pool intervenes, the next takes the pick's sources and
+        the waiting rows' no run looked at, in queue order, to 512 distinct,
+        if that has fewer words than the pick's plus one per 64 rows joined."""
+        queue, sess, share = self._queue, self.session, self._share
+        self._khop_left -= rows.size
+        if share is not None and share.bits(sess, sources, self.k) is not None:
+            return share
+        busy = self._due_mutations or sess.uses_pool or sess.fault_plan
+        if busy or self._khop_left <= 0:
+            return None
         from repro.core.khop import SharedKHop
 
-        horizon = self._due_mutations[0][0] if self._due_mutations else math.inf
-        order = queue.order
-        later = queue.targets[order] < 0
-        later &= np.isnan(queue.finish[order]) & (queue.arrivals[order] < horizon)
-        wanted = np.concatenate([sources, queue.sources[order[later]]])
-        _, first = np.unique(wanted, return_index=True)
-        if first.size > np.unique(sources).size:
-            wanted = wanted[np.sort(first)[:MAX_WIDE_BATCH]]
-            sess.shared_khop = SharedKHop(sess, wanted, self.k)
+        wanted = np.unique(sources)
+        lo = self._khop_next  # a cursor: each row is looked at once
+        self._khop_next = min(lo + MAX_WIDE_BATCH - wanted.size, self._khop.size)
+        later = self._khop[lo : self._khop_next]
+        later = later[np.isnan(queue.finish[later]) & ~np.isin(later, rows)]
+        wanted = np.union1d(wanted, queue.sources[later])
+        if words_for(wanted.size) >= words_for(rows.size) + words_for(later.size):
+            return None
+        self._share = SharedKHop(sess, wanted, self.k)
+        return self._share
 
     def _dispatch(self, kind: str, now: float, width: int, run):
         """Execute one batch dispatch, placing it on the virtual timeline.

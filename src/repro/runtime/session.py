@@ -181,9 +181,6 @@ class GraphSession:
         self._undirected_pg: PartitionedGraph | None = None
         self._service_cache: dict[tuple, tuple[float, int]] = {}
         self._index_build = None  # IndexBuild, cached by index_build()
-        #: a :class:`~repro.core.khop.SharedKHop` that the k-hop batches it
-        #: holds replay from (a service drain's), or None
-        self.shared_khop = None
 
     # -- the parallel backend ----------------------------------------------- #
 
@@ -419,7 +416,7 @@ class GraphSession:
         """Drop every cache keyed on (or derived from) the graph's edges."""
         self._task_cache.clear()
         self._service_cache.clear()
-        self._undirected_pg = self.shared_khop = None
+        self._undirected_pg = None
 
     def _patch_index(self, res) -> None:
         if self._inc_index is None:
@@ -638,8 +635,7 @@ class GraphSession:
         return self._run_on(engine, max_supersteps, on_step, max_virtual_seconds)
 
     def resident_tasks(self, task_cls, task_kwargs: dict, cache_key: tuple) -> list:
-        """This process's tasks under ``cache_key`` (keyed as the pool keys
-        them; an epoch advance clears them), built or reset from the kwargs."""
+        """The tasks under ``cache_key`` (keyed as the pool's), reset to the kwargs."""
         tasks = self._task_cache.get(cache_key)
         if tasks is None:
             tasks = self._task_cache[cache_key] = [

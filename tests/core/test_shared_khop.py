@@ -1,12 +1,11 @@
 """A pick replayed from a shared k-hop run against the pick run alone.
 
 :class:`~repro.core.khop.SharedKHop` runs one traversal over distinct
-sources; held as the session's ``shared_khop``, it answers any
-:func:`concurrent_khop` pick of them (any order, duplicates allowed) from
-what each superstep lit.  The reference is the same pick on a twin session
-without one: every :class:`KHopResult` field and every superstep's
-per-machine ``StepStats`` must be equal, including a pick a deadline cuts
-short.
+sources; passed to :func:`concurrent_khop` as ``_shared``, it answers any
+pick of them (any order, duplicates allowed) from what each superstep lit.
+The reference is the same pick on a twin session without one: every
+:class:`KHopResult` field and every superstep's per-machine ``StepStats``
+must be equal, including a pick a deadline cuts short.
 """
 
 import dataclasses
@@ -40,8 +39,9 @@ def _steps_of(run):
 
 
 def _assert_replays(share, sess, ref, pick, **kwargs):
-    sess.shared_khop = share
-    got, got_steps = _steps_of(lambda: concurrent_khop(sess, pick, share.k, **kwargs))
+    got, got_steps = _steps_of(
+        lambda: concurrent_khop(sess, pick, share.k, _shared=share, **kwargs)
+    )
     assert isinstance(sess._executor, _Replay)
     want, want_steps = _steps_of(lambda: concurrent_khop(ref, pick, share.k, **kwargs))
     for f in dataclasses.fields(want):
@@ -119,33 +119,35 @@ class TestReplayMatchesTheBatch:
 class TestTheSharedRun:
     def test_books_nothing_but_its_replays(self, small_rmat):
         sess = GraphSession(small_rmat, num_machines=3)
-        sess.shared_khop = SharedKHop(sess, np.arange(0, 200, 3), 3)
-        assert sess.batches_run == 0
-        concurrent_khop(sess, [3, 3, 9], 3)
+        share = SharedKHop(sess, np.arange(0, 200, 3), 3)
+        assert share.lit is None  # it traverses at its first replay
+        concurrent_khop(sess, [3, 3, 9], 3, _shared=share)
         assert sess.batches_run == 1 and isinstance(sess._executor, _Replay)
+        concurrent_khop(sess, [9, 0], 3, _shared=share)
+        assert sess.batches_run == 2 and isinstance(sess._executor, _Replay)
 
     def test_what_it_cannot_replay_traverses(self, small_rmat):
         """Another source, hop budget, session or epoch, depths or the
         asynchronous engine: the batch runs as it would without the run."""
         sess = GraphSession(small_rmat, num_machines=3)
         sess.dynamic()
-        share = sess.shared_khop = SharedKHop(sess, [1, 2, 3], 2)
+        share = SharedKHop(sess, [1, 2, 3], 2)
         other = GraphSession(small_rmat, num_machines=3)
-        other.shared_khop = share
         for run in (
-            lambda: concurrent_khop(sess, [1, 4], 2),
-            lambda: concurrent_khop(sess, [1], 3),
-            lambda: concurrent_khop(sess, [1], 2, record_depths=True),
-            lambda: concurrent_khop(sess, [1], 2, asynchronous=True),
-            lambda: concurrent_khop(other, [1], 2),
+            lambda: concurrent_khop(sess, [1, 4], 2, _shared=share),
+            lambda: concurrent_khop(sess, [1], 3, _shared=share),
+            lambda: concurrent_khop(sess, [1], 2, record_depths=True, _shared=share),
+            lambda: concurrent_khop(sess, [1], 2, asynchronous=True, _shared=share),
+            lambda: concurrent_khop(other, [1], 2, _shared=share),
         ):
             run()
             assert not isinstance(sess._executor, _Replay)
             assert not isinstance(other._executor, _Replay)
-        sess.apply_mutations([(1, 200)])
-        assert sess.shared_khop is None  # an epoch advance drops it
-        sess.shared_khop = share
-        concurrent_khop(sess, [1], 2)
+        assert share.lit is None  # none of them traversed it
+        concurrent_khop(sess, [1], 2, _shared=share)
+        assert isinstance(sess._executor, _Replay)
+        sess.apply_mutations([(1, 200)])  # a run serves only its own epoch
+        concurrent_khop(sess, [1], 2, _shared=share)
         assert not isinstance(sess._executor, _Replay)
 
     def test_in_process_only(self, small_rmat):
