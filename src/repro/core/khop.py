@@ -27,20 +27,20 @@ superstep:
 
 The heuristic (:func:`repro.runtime.netmodel.choose_direction`) compares the
 frontier's out-edge mass against the edges one sweep reads using the cost
-model's per-mode coefficients.  Both modes charge the *same* canonical
-(push-equivalent) work to :class:`~repro.runtime.netmodel.StepStats` and
-leave the same two planes, so answers, messages and virtual clocks are
-bit-identical across ``push``, ``pull`` and ``auto`` — the direction changes
-wall-clock only.
+model's per-mode coefficients.  :func:`_book` picks it and charges either
+mode the *same* canonical (push-equivalent) work, and both leave the same
+two planes, so answers, messages and virtual clocks are bit-identical
+across ``push``, ``pull`` and ``auto`` — the direction changes wall-clock
+only.
 
 One kernel, two ways to run it.  :class:`KHopPartitionTask`'s ``compute``,
-``apply_inbox`` and ``finalize`` run machine by machine on the pool workers,
-the asynchronous engine and the out-of-core task.  A synchronous in-process
-batch runs :class:`_FusedStep`: under range partitioning (§3.1) every
-partition's planes are row slices of session-wide ones, so each partition's
-expansion writes them in place, and one count of the lit slot rows by
-(sender, destination), one gather of them into ``next`` and one promote
-finish the superstep for every machine.
+``apply_inbox`` and ``finalize`` run machine by machine on the pool workers
+and the asynchronous engine.  Every synchronous in-process batch, the
+out-of-core one too, runs :class:`_FusedStep`: under range partitioning
+(§3.1) every partition's planes are row slices of session-wide ones, so each
+partition's expansion writes them in place, and one count of the lit slot
+rows by (sender, destination), one gather of them into ``next`` and one
+promote finish the superstep for every machine.
 
 The public entry point is :func:`concurrent_khop`, for any batch width up to
 one cache line of query bits (:data:`~repro.core.frontier.MAX_WIDE_BATCH`);
@@ -168,12 +168,10 @@ class KHopPartitionTask(PartitionTask):
         """
         self.k = k
         self.level = 0
-        self.direction = _check_direction(direction)
         # Coefficients travel with the task (not read off a cluster-side
         # model) so pool workers — which hold no NetworkModel — make the
         # exact same per-superstep choice as the in-process engine.
-        self.push_coeff = float(push_coeff)
-        self.pull_coeff = float(pull_coeff)
+        self.rule = (_check_direction(direction), float(push_coeff), float(pull_coeff))
         if self.state is not None and self.state.num_queries == num_queries:
             self.state.clear()
         else:
@@ -206,8 +204,7 @@ class KHopPartitionTask(PartitionTask):
 
     @classmethod
     def fused(cls, tasks, probe, args):
-        """A :class:`_FusedStep`; not for a subclass, which may read edges off disk."""
-        return _FusedStep(tasks, probe, args) if cls is KHopPartitionTask else None
+        return _FusedStep(tasks, probe, args)
 
     def compute(self, stats: StepStats) -> None:
         if self.k is not None and self.level >= self.k:
@@ -216,6 +213,10 @@ class KHopPartitionTask(PartitionTask):
         if active.size == 0:
             return
         plan, cuts = self._arm_plane()
+        # Cleared here, not after the flush: whatever became of the last
+        # superstep's rows (sent, dropped, abandoned by a raise or a
+        # rewind), this expansion starts from zero.
+        self._plane.fill(0)
         self._expand(plan, active, stats)
         for dest, lo, hi in cuts:
             rows = self._plane[lo:hi]
@@ -227,15 +228,9 @@ class KHopPartitionTask(PartitionTask):
     def _expand(self, plan: ExchangePlan, active: np.ndarray, stats) -> None:
         """One superstep's expansion of the ``active`` local rows into
         ``next`` and the slot plane, in the direction this partition picks."""
-        if self._choose_mode(plan, active) == "pull":
-            stats.pull_partitions += 1
-            self._expand_pull(plan, active, stats)
+        if _book(plan, active, self.rule, stats):
+            self._expand_pull(plan, active)
         else:
-            stats.push_partitions += 1
-            # Cleared here, not after the flush: whatever became of the last
-            # superstep's rows (sent, dropped, abandoned by a raise or a
-            # rewind), this scatter starts from zero.  Pull assigns every row.
-            self._plane.fill(0)
             self._expand_push(plan, active, stats)
 
     def _arm_plane(self) -> tuple[ExchangePlan, list]:
@@ -246,21 +241,6 @@ class KHopPartitionTask(PartitionTask):
         if self._plane is None or self._plane.shape != shape:
             self._plane = np.zeros(shape, dtype=np.uint64)
         return plan, cuts
-
-    def _choose_mode(self, plan: ExchangePlan, active: np.ndarray) -> str:
-        """Per-superstep direction decision for this partition.
-
-        Deterministic in (frontier state, coefficients): replaying from a
-        checkpoint reproduces the same frontier, hence the same choices.
-        """
-        if self.direction == "push":
-            return "push"
-        if self.direction == "pull":
-            return "pull"
-        frontier_edges = int(plan.out_degree[active].sum())
-        return choose_direction(
-            frontier_edges, plan.num_edges, self.push_coeff, self.pull_coeff
-        )
 
     def apply_inbox(self, stats: StepStats) -> None:
         nxt = self.state.next
@@ -280,9 +260,9 @@ class KHopPartitionTask(PartitionTask):
     # -- expansion kernels ------------------------------------------------ #
 
     def _expand_push(self, plan: ExchangePlan, active: np.ndarray, stats) -> None:
-        """Scatter the active frontier's edges into ``next`` and the slot
-        plane, in the plan's storage order (edge-set by edge-set when it has
-        a layout)."""
+        """Scatter the active frontier's edges into ``next`` and the cleared
+        slot plane, in the plan's storage order (edge-set by edge-set when it
+        has a layout); ``stats`` is for the disk tier of :meth:`_read_edges`."""
         rows, sources = plan.gather_rows(active)
         bits = self.state.frontier.take(sources, axis=0)
         pos, counts = plan.local_csr.gather_edges(rows)
@@ -290,8 +270,6 @@ class KHopPartitionTask(PartitionTask):
         targets, slots = self._read_edges(plan, pos, spos, active, stats)
         self.state.or_into_next(targets, np.repeat(bits, counts, axis=0))
         np.bitwise_or.at(self._plane, slots, np.repeat(bits, scounts, axis=0))
-        stats.edges_scanned += int(pos.size + spos.size)
-        stats.vertices_updated += int(pos.size)
 
     def _read_edges(self, plan: ExchangePlan, pos, spos, active, stats):
         """The targets at the (ascending) positions ``pos`` of ``local_csr``
@@ -299,13 +277,12 @@ class KHopPartitionTask(PartitionTask):
         the out-of-core task reads them off disk."""
         return plan.local_csr.indices[pos], plan.slot_csr.indices[spos]
 
-    def _expand_pull(self, plan: ExchangePlan, active: np.ndarray, stats) -> None:
+    def _expand_pull(self, plan: ExchangePlan, active: np.ndarray) -> None:
         """Dense sweep: one segmented OR over every out-edge, by target.
 
         Inactive sources hold zero frontier words and OR-ing zeros is a
         no-op, so ``next`` and the slot plane end up exactly as push leaves
-        them.  Stats are charged push-equivalently, keeping virtual clocks
-        direction-independent.
+        them, and :func:`_book` charges both the same work.
         """
         if plan.num_edges:
             ored = np.bitwise_or.reduceat(
@@ -316,8 +293,24 @@ class KHopPartitionTask(PartitionTask):
             num_local = plan.sweep_rows.size
             self.state.next[plan.sweep_rows] |= ored[:num_local]
             self._plane[...] = ored[num_local:]
-        stats.edges_scanned += int(plan.out_degree[active].sum())
-        stats.vertices_updated += int(plan.local_out_degree[active].sum())
+
+
+def _book(plan: ExchangePlan, active: np.ndarray, rule: tuple, stats) -> bool:
+    """Book a partition's superstep over its ``active`` rows by ``rule =
+    (direction, push_coeff, pull_coeff)``, every executor's one rule, and say
+    if it pulls.  The work is what push reads — the rows' out-edges, their
+    local ones as updates — and pull is charged the same, so the direction
+    shows in wall-clock and the mode counters only."""
+    direction, push_coeff, pull_coeff = rule
+    edges = int(plan.out_degree[active].sum())
+    if direction == "auto":
+        direction = choose_direction(edges, plan.num_edges, push_coeff, pull_coeff)
+    pull = direction == "pull"
+    stats.pull_partitions += pull
+    stats.push_partitions += not pull
+    stats.edges_scanned += edges
+    stats.vertices_updated += int(plan.local_out_degree[active].sum())
+    return pull
 
 
 def _record_depths(depths, newly, level: int, num_queries: int) -> None:
@@ -362,10 +355,10 @@ class _FusedStep:
     def step(self) -> tuple[list, list[StepStats], list | None]:
         tasks, view, t0 = self.tasks, self.view, self.tasks[0]
         frontier, visited, targets = self.frontier, self.visited, self.targets
-        num, n = len(tasks), visited.shape[0]
+        n = visited.shape[0]
         nxt, slots = targets[:n], targets[n:]
         stats = [StepStats() for _ in tasks]
-        sent = np.zeros((num, num), np.int64)  # messages, sender by destination
+        lit = slice(0)  # the slot rows sent: none unless a partition expands
         active = _lit(frontier).nonzero()[0]
         if active.size and (t0.k is None or t0.level < t0.k):
             slots.fill(0)  # an idle partition's slot rows send nothing
@@ -375,14 +368,13 @@ class _FusedStep:
                     rows = active[cut[i] : cut[i + 1]] - lo
                     tasks[i]._expand(self.plans[i], rows, stats[i])
             if view.num_slots:  # the exchange: one message per lit slot row
-                sent = np.bincount(
-                    view.slot_pair[_lit(slots)], minlength=num * num
-                ).reshape(num, num)
+                lit = _lit(slots)
                 np.bitwise_or.reduceat(
                     targets.take(view.inbox_order, axis=0),
                     view.inbox_starts, axis=0, out=nxt,
                 )
-        _book_wire(stats, sent, view.id_bytes, frontier.shape[1])
+        pairs = view.slot_pair[lit]
+        _book_wire(stats, pairs, view.id_bytes, frontier.shape[1])
         # BitFrontier.promote on every partition, then the votes
         np.bitwise_and(nxt, ~visited, out=nxt)
         nxt &= t0.state.query_mask
@@ -396,9 +388,8 @@ class _FusedStep:
             _record_depths(self.depths, frontier, level, t0.state.num_queries)
         rows = _lit(frontier).nonzero()[0]  # the next step's frontier
         if self.record is not None:  # a shared run: every recorded step expanded
-            lit = _lit(slots)
             self.record[0].append((rows, frontier[rows]))
-            self.record[1].append((view.slot_pair[lit], slots[lit]))
+            self.record[1].append((pairs, slots[lit]))
         alive = np.diff(np.searchsorted(rows, view.bounds))
         votes = ((alive > 0) & (t0.k is None or level < t0.k)).tolist()
         return votes, stats, None if self.probe is None else [
@@ -413,8 +404,11 @@ def _lit(plane: np.ndarray) -> np.ndarray:
     return rows != 0
 
 
-def _book_wire(stats: list[StepStats], sent, id_bytes, words: int) -> None:
-    """Book ``sent[i, j]`` messages of ``id_bytes[i] + 8 * words`` bytes, i to j."""
+def _book_wire(stats: list[StepStats], pairs, id_bytes, words: int) -> None:
+    """Book one message of ``id_bytes[i] + 8 * words`` bytes, i to j, per
+    lit slot row; ``pairs`` holds each row's code ``i * len(stats) + j``."""
+    num = len(stats)
+    sent = np.bincount(pairs, minlength=num * num).reshape(num, num)
     nbytes = sent * (id_bytes[:, None] + 8 * words)
     for sender, dest in zip(*(a.tolist() for a in sent.nonzero())):
         stats[sender].messages_sent[dest] = int(sent[sender, dest])
@@ -693,9 +687,8 @@ class _Replay:
         sess, self.share, self.index, self.steps = share.sess, share, bits, 0
         self.instr, self.netmodel = sess.instr, sess.netmodel
         self.fault_tolerance, self.words = sess.fault_tolerance, words_for(bits.size)
-        self.direction = direction  # and the coefficients: what _choose_mode reads
-        self.push_coeff = float(sess.netmodel.seconds_per_edge_push)
-        self.pull_coeff = float(sess.netmodel.seconds_per_edge_pull)
+        self.rule = (direction, float(sess.netmodel.seconds_per_edge_push),
+                     float(sess.netmodel.seconds_per_edge_pull))
         self.word, self.shift = bits >> 6, (bits & 63).astype(np.uint64)
         self.mask = np.zeros(share.frontiers[0][1].shape[1], np.uint64)
         np.bitwise_or.at(self.mask, self.word, np.left_shift(np.uint64(1), self.shift))
@@ -714,15 +707,10 @@ class _Replay:
         stats = [StepStats() for _ in share.plans]
         for i, (mine, plan) in enumerate(zip(stats, share.plans)):
             local = active[cut[i] : cut[i + 1]] - bounds[i]
-            if local.size:  # _expand's booking, the same in both kernels
-                pull = KHopPartitionTask._choose_mode(self, plan, local) == "pull"
-                mine.pull_partitions += pull
-                mine.push_partitions += not pull
-                mine.edges_scanned += int(plan.out_degree[local].sum())
-                mine.vertices_updated += int(plan.local_out_degree[local].sum())
-        (pairs, lit), num = share.lit[step], len(stats)
-        sent = np.bincount(pairs[_lit(lit & mask)], minlength=num * num)
-        _book_wire(stats, sent.reshape(num, num), share.view.id_bytes, self.words)
+            if local.size:
+                _book(plan, local, self.rule, mine)
+        pairs, lit = share.lit[step]
+        _book_wire(stats, pairs[_lit(lit & mask)], share.view.id_bytes, self.words)
         # the pick's alive bits: the OR of every partition's probe is enough
         ored = np.bitwise_or.reduce(share.frontiers[step + 1][1] & mask, axis=0)
         hit = ((ored[self.word] >> self.shift) & np.uint64(1)).astype(bool)

@@ -5,9 +5,10 @@ Combines the bit-parallel engine with
 machine reads the edge-sets its active rows fall in back from disk,
 left-to-right through an LRU block cache, paying the disk tier of the cost
 model on every miss (§3 overview: "the I/O cost may also involve local disk
-I/O").  The push kernel is the in-memory one, reading its edges from the
-fetched blocks, so answers are identical to the in-memory engine; only the
-cost accounting changes.
+I/O").  The batch runs the in-memory engine's fused step, push only: the
+push kernel is the in-memory one, reading its edges from the fetched
+blocks, so answers are identical to the in-memory engine; only the cost
+accounting changes.
 """
 
 from __future__ import annotations

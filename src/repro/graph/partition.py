@@ -97,7 +97,8 @@ class ExchangePlan:
       slot always has an edge).
     * ``out_degree`` / ``local_out_degree`` — per-local-row totals for the
       canonical (push-equivalent) cost accounting and the direction
-      heuristic's frontier-edge mass.
+      heuristic's frontier-edge mass, both in k-hop's
+      :func:`~repro.core.khop._book`.
     """
 
     boundary: np.ndarray = field(repr=False)

@@ -57,9 +57,10 @@ class StepStats:
 
     ``push_partitions``/``pull_partitions`` count how many partition-steps
     executed in each traversal direction.  They are *observability* counters:
-    the cost terms above are kept canonical (push-equivalent) in both modes,
-    so the virtual clock is direction-independent by construction — the
-    direction choice changes wall-clock only.
+    the cost terms above are kept canonical (push-equivalent) in both modes
+    by k-hop's one booking rule, :func:`repro.core.khop._book`, so the
+    virtual clock is direction-independent by construction — the direction
+    choice changes wall-clock only.
     """
 
     edges_scanned: int = 0

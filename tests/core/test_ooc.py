@@ -1,10 +1,12 @@
 """Tests for out-of-core edge-set storage and the disk-backed k-hop engine."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.frontier import MAX_WIDE_BATCH
-from repro.core.khop import concurrent_khop
+from repro.core.khop import KHopPartitionTask, concurrent_khop
 from repro.core.ooc import concurrent_khop_out_of_core
 from repro.graph import range_partition
 from repro.graph.outofcore import SpillableEdgeSetStore
@@ -196,3 +198,38 @@ class TestOutOfCoreKHop:
             concurrent_khop_out_of_core(
                 GraphSession(small_rmat), [0] * (MAX_WIDE_BATCH + 1), k=2
             )
+
+
+#: the spilled layouts: the default tiling of a flat session, the session's
+#: edge-sets, and those edge-sets consolidated
+LAYOUTS = {
+    "flat": {},
+    "sets": dict(edge_sets=True, sets_per_partition=8),
+    "consolidated": dict(edge_sets=True, sets_per_partition=8,
+                         consolidate_min_edges=4096),
+}
+
+
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+@pytest.mark.parametrize("cache_blocks", [0, 2, 64])
+@pytest.mark.parametrize("machines", [1, 3])
+def test_fused_batch_equals_the_per_machine_one(
+    small_rmat, machines, cache_blocks, layout
+):
+    """The out-of-core batch runs the fused step; the per-machine sequence
+    the pool workers run must book the same disk tier, work and clock."""
+    sources = [0, 9, 33, 120, 200, 201]
+
+    def run():
+        sess = GraphSession(small_rmat, num_machines=machines, **LAYOUTS[layout])
+        return dataclasses.asdict(concurrent_khop_out_of_core(
+            sess, sources, k=3, cache_blocks=cache_blocks
+        ))
+
+    fused = run()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(KHopPartitionTask, "fused", classmethod(lambda *a: None))
+        per_machine = run()
+    assert fused["disk_reads"] > 0
+    for name, value in per_machine.items():
+        assert np.array_equal(fused[name], value), name

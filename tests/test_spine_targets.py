@@ -49,18 +49,20 @@ def test_bind_point_resolves(span_name, module_name, path):
         ("inproc", {"runtime.session.run_batch", "runtime.engine.run"}),
         ("pool", {"runtime.session.run_batch_pool", "runtime.pool.start",
                   "runtime.pool.ensure_task", "runtime.pool.run"}),
-        # the in-process k-hop runs its fused step, not the per-machine
-        # kernels; the out-of-core k-hop still runs them in this process
-        ("ooc", {"runtime.session.run_batch", "runtime.engine.run",
-                 "runtime.comm.exchange", "runtime.message.combine",
-                 "core.khop.compute", "core.khop.apply",
-                 "core.khop.finalize"}),
+        # the out-of-core k-hop runs the fused step too
+        ("ooc", {"runtime.session.run_batch", "runtime.engine.run"}),
+        # the per-machine kernels, which pool workers run, in this process
+        ("per-machine", {"runtime.session.run_batch", "runtime.engine.run",
+                         "runtime.comm.exchange", "runtime.message.combine",
+                         "core.khop.compute", "core.khop.apply",
+                         "core.khop.finalize"}),
     ],
 )
 def test_khop_batch_runs_inside_its_bind_points(backend, bracketing):
     """A rebound callable must still be the one the batch goes through: a
     default argument or an alias captured before the rebind would skip the
     span (or, for the pool, fail to pickle)."""
+    from repro.core.khop import KHopPartitionTask
     from repro.core.ooc import concurrent_khop_out_of_core
 
     graph = rmat_edges(8, 3000, seed=7).remove_self_loops().deduplicate()
@@ -69,7 +71,9 @@ def test_khop_batch_runs_inside_its_bind_points(backend, bracketing):
     try:
         with GraphSession(
             graph, num_machines=2, backend="pool" if backend == "pool" else "inproc"
-        ) as sess:
+        ) as sess, pytest.MonkeyPatch.context() as patch:
+            if backend == "per-machine":  # no fused step: the engine's loop
+                patch.setattr(KHopPartitionTask, "fused", classmethod(lambda *a: None))
             if backend == "ooc":
                 res = concurrent_khop_out_of_core(sess, [0, 5, 9], 3)
             else:
